@@ -5,6 +5,11 @@ Operations return updated copies; measurement randomness comes from a caller
 supplied generator or a forced outcome, so growth simulations can keep one
 seeded stream per trial.
 
+All GF(2) linear algebra (the independence check in ``validate``, solving
+for a group element, ``canonical_form``) runs through one Gauss-Jordan kernel,
+``_row_reduce``; every row product takes its sign from ``_product_sign``, the
+row-sum phase of Aaronson and Gottesman (quant-ph/0406196).
+
 Chain bookkeeping (which qubit sits where in which chain, dangling bonds)
 lives in a :class:`ChainRegistry` beside the tableau; the quantum state never
 knows about chain identities.
@@ -133,15 +138,12 @@ class StabilizerTableau:
         return out
 
     def validate(self) -> None:
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                anti = int(
-                    (self.x[i] & self.z[j]).sum() + (self.z[i] & self.x[j]).sum()
-                ) % 2
-                if anti:
-                    raise ValueError(f"generators {i} and {j} anticommute")
-        m = np.concatenate([self.x, self.z], axis=1).astype(np.uint8)
-        if _gf2_rank(m) != self.n:
+        anti = np.triu((self.x @ self.z.T + self.z @ self.x.T) % 2, 1)
+        if anti.any():
+            i, j = np.argwhere(anti)[0]
+            raise ValueError(f"generators {i} and {j} anticommute")
+        m = np.concatenate([self.x, self.z], axis=1) % 2
+        if len(_row_reduce(m, 2 * self.n)) != self.n:
             raise ValueError("generators are not independent")
 
     def __repr__(self):
@@ -151,53 +153,57 @@ class StabilizerTableau:
         return f"StabilizerTableau({gens})"
 
 
-def _gf2_rank(m: np.ndarray) -> int:
-    m = m.copy() % 2
-    rank = 0
-    rows, cols = m.shape
-    for c in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if m[r, c]:
-                pivot = r
-                break
-        if pivot is None:
+def _row_reduce(m: np.ndarray, pivot_cols: int, sign=None) -> list:
+    """Gauss-Jordan elimination over GF(2) of the rows of ``m``, in place.
+
+    Pivots are sought in columns 0..pivot_cols-1, left to right, each in the
+    first unreduced row holding that bit; every other row holding the bit is
+    cleared with one XOR.  With ``sign``, the rows of ``m`` are [x|z] Paulis
+    with those sign bits, and each row product carries its phase.  Returns
+    the pivot columns; the first len(result) rows of ``m`` are the reduced
+    rows.
+    """
+    pivots = []
+    for c in range(pivot_cols):
+        rank = len(pivots)
+        if rank == m.shape[0]:
+            break
+        hit = np.flatnonzero(m[rank:, c])
+        if not hit.size:
             continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        for r in range(rows):
-            if r != rank and m[r, c]:
-                m[r] ^= m[rank]
-        rank += 1
-    return rank
+        p = rank + int(hit[0])
+        if p != rank:
+            m[[rank, p]] = m[[p, rank]]
+            if sign is not None:
+                sign[[rank, p]] = sign[[p, rank]]
+        rows = np.flatnonzero(m[:, c])
+        rows = rows[rows != rank]
+        if sign is not None:
+            sign[rows] ^= sign[rank] ^ _product_sign(m[rows], m[rank], m.shape[1] // 2)
+        m[rows] ^= m[rank]
+        pivots.append(c)
+    return pivots
 
 
-def _pauli_product_phase(x1, z1, x2, z2) -> int:
-    """Phase exponent (mod 4, even for commuting products) of P1 * P2."""
-    g = 0
-    for a, b, c, d in zip(
-        x1.tolist(), z1.tolist(), x2.tolist(), z2.tolist()
-    ):
-        if a == 0 and b == 0:
-            continue
-        if a == 1 and b == 0:  # X * ...
-            g += d * (2 * c - 1)
-        elif a == 0 and b == 1:  # Z * ...
-            g += c * (1 - 2 * d)
-        else:  # Y * ...
-            g += d - c
-    return g % 4
+def _product_sign(rows: np.ndarray, source: np.ndarray, n: int) -> np.ndarray:
+    """Sign bit that the phase of each product rows[k] * source contributes.
 
-
-def _row_multiply(tab: StabilizerTableau, target: int, source: int) -> None:
-    g = _pauli_product_phase(
-        tab.x[target], tab.z[target], tab.x[source], tab.z[source]
-    )
-    total = 2 * int(tab.sign[target]) + 2 * int(tab.sign[source]) + g
-    if total % 2:
+    ``rows`` and ``source`` hold [x|z] bits (``source`` broadcasts).  The
+    phase is the sum over qubits of Aaronson and Gottesman's g, in units of
+    i; commuting factors give 0 or 2 mod 4, that is sign bit 0 or 1.
+    """
+    x1 = rows[..., :n].astype(np.int64)
+    z1 = rows[..., n:].astype(np.int64)
+    x2 = source[..., :n].astype(np.int64)
+    z2 = source[..., n:].astype(np.int64)
+    g = (
+        x1 * z1 * (z2 - x2)  # Y * ...
+        + x1 * (1 - z1) * z2 * (2 * x2 - 1)  # X * ...
+        + (1 - x1) * z1 * x2 * (1 - 2 * z2)  # Z * ...
+    ).sum(axis=-1) % 4
+    if (g % 2).any():
         raise AssertionError("row product produced an imaginary sign")
-    tab.sign[target] = (total // 2) % 2
-    tab.x[target] ^= tab.x[source]
-    tab.z[target] ^= tab.z[source]
+    return (g // 2).astype(np.uint8)
 
 
 def graph_state(spec: GraphSpec) -> StabilizerTableau:
@@ -285,8 +291,11 @@ def measure_pauli_string(
     tab = tab.copy()
     if hits.size:
         p = int(hits[0])
-        for r in hits[1:]:
-            _row_multiply(tab, int(r), p)
+        rest = hits[1:]
+        xz = np.concatenate([tab.x, tab.z], axis=1)
+        tab.sign[rest] ^= tab.sign[p] ^ _product_sign(xz[rest], xz[p], tab.n)
+        tab.x[rest] ^= tab.x[p]
+        tab.z[rest] ^= tab.z[p]
         if forced is None:
             if rng is None:
                 raise ValueError("random measurement outcome needs forced or rng")
@@ -314,52 +323,23 @@ def _deterministic_sign(tab: StabilizerTableau, xt, zt) -> int:
     combo = _gf2_solve(m.T, target)
     if combo is None:
         raise ValueError("measured Pauli neither commutes into nor hits the group")
-    acc_x = np.zeros(tab.n, dtype=np.uint8)
-    acc_z = np.zeros(tab.n, dtype=np.uint8)
-    phase = 0  # units of i
-    sign = 0
-    for r in np.flatnonzero(combo):
-        phase = (phase + _pauli_product_phase(acc_x, acc_z, tab.x[r], tab.z[r])) % 4
-        sign ^= int(tab.sign[r])
-        acc_x ^= tab.x[r]
-        acc_z ^= tab.z[r]
-    if phase % 2:
-        raise AssertionError("stabilizer product has imaginary phase")
-    sign ^= (phase // 2) % 2
-    return 1 - 2 * sign
+    used = np.flatnonzero(combo)
+    rows = m[used]
+    before = np.zeros_like(rows)  # product of the rows ahead of each row
+    before[1:] = np.bitwise_xor.accumulate(rows, axis=0)[:-1]
+    sign = int(tab.sign[used].sum()) + int(_product_sign(before, rows, tab.n).sum())
+    return 1 - 2 * (sign % 2)
 
 
 def _gf2_solve(a: np.ndarray, b: np.ndarray):
-    """One solution x of a x = b over GF(2), or None."""
-    a = a.copy() % 2
-    b = b.copy() % 2
-    rows, cols = a.shape
-    piv_col_of_row = []
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for rr in range(r, rows):
-            if a[rr, c]:
-                pivot = rr
-                break
-        if pivot is None:
-            continue
-        a[[r, pivot]] = a[[pivot, r]]
-        b[r], b[pivot] = b[pivot], b[r]
-        for rr in range(rows):
-            if rr != r and a[rr, c]:
-                a[rr] ^= a[r]
-                b[rr] ^= b[r]
-        piv_col_of_row.append(c)
-        r += 1
-        if r == rows:
-            break
+    """One solution x of a x = b over GF(2), free variables 0, or None."""
+    cols = a.shape[1]
+    m = np.concatenate([a % 2, (b % 2)[:, None]], axis=1).astype(np.uint8)
+    pivots = _row_reduce(m, cols)
+    if m[len(pivots):, cols].any():
+        return None
     x = np.zeros(cols, dtype=np.uint8)
-    for row, c in enumerate(piv_col_of_row):
-        x[c] = b[row]
-    for row in range(len(piv_col_of_row), rows):
-        if b[row]:
-            return None
+    x[pivots] = m[: len(pivots), cols]
     return x
 
 
@@ -490,6 +470,10 @@ class ChainRegistry:
             del self.backbones[cid_c]
 
     def remove(self, qubit: int) -> None:
+        """Drop a measured-out qubit; its dangling bonds become one-qubit chains."""
+        for d in [d for d, anchor in self.danglers.items() if anchor == qubit]:
+            del self.danglers[d]
+            self.new_chain([d])
         if qubit in self.danglers:
             del self.danglers[qubit]
             return
@@ -575,9 +559,7 @@ def _graph_neighbourhood(tab: StabilizerTableau, q: int):
     combo = _gf2_solve((tab.x % 2).T, target)
     if combo is None:
         return None
-    zpart = np.zeros(tab.n, dtype=np.uint8)
-    for r in np.flatnonzero(combo):
-        zpart ^= tab.z[r]
+    zpart = (combo @ tab.z) % 2
     zpart[q] = 0  # a Y at q would only add a phase, not a neighbour
     return [int(v) for v in np.flatnonzero(zpart)]
 
@@ -674,34 +656,10 @@ def recover_failure(
 
 def canonical_form(tab: StabilizerTableau) -> tuple:
     """Row-reduced echelon form (with signs) of the generator group."""
-    work = tab.copy()
-    m = np.concatenate([work.x, work.z], axis=1)
-    rank = 0
-    cols = 2 * work.n
-    for c in range(cols):
-        pivot = None
-        for r in range(rank, work.n):
-            if m[r, c]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        if pivot != rank:
-            m[[rank, pivot]] = m[[pivot, rank]]
-            work.x[[rank, pivot]] = work.x[[pivot, rank]]
-            work.z[[rank, pivot]] = work.z[[pivot, rank]]
-            work.sign[[rank, pivot]] = work.sign[[pivot, rank]]
-        for r in range(work.n):
-            if r != rank and m[r, c]:
-                _row_multiply(work, r, rank)
-                m[r] = np.concatenate([work.x[r], work.z[r]])
-        rank += 1
-        if rank == work.n:
-            break
-    key = tuple(
-        (int(work.sign[i]),) + tuple(int(v) for v in m[i]) for i in range(work.n)
-    )
-    return tuple(sorted(key))
+    m = np.concatenate([tab.x, tab.z], axis=1)
+    sign = tab.sign.copy()
+    _row_reduce(m, 2 * tab.n, sign)
+    return tuple(sorted((int(s),) + tuple(row.tolist()) for s, row in zip(sign, m)))
 
 
 def equals_up_to_corrections(

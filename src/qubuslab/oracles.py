@@ -9,7 +9,6 @@ These routines are slow and only meant for small systems.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -24,17 +23,9 @@ __all__ = [
     "two_gaussian_misassignment",
     "graph_state_vector",
     "statevector_stabilizer_signs",
-    "pauli_matrix",
     "apply_pauli_string",
     "state_stabilized_by",
 ]
-
-_PAULI = {
-    "I": np.eye(2, dtype=np.complex128),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
 
 
 class FockOracle:
@@ -130,14 +121,6 @@ def two_gaussian_misassignment(separation: float) -> float:
 # dense stabilizer checks
 
 
-def pauli_matrix(pauli: str) -> np.ndarray:
-    """Dense matrix of a Pauli string such as "XZI"."""
-    out = np.array([[1.0]], dtype=np.complex128)
-    for ch in pauli:
-        out = np.kron(out, _PAULI[ch])
-    return out
-
-
 def apply_pauli_string(vec: np.ndarray, pauli: str) -> np.ndarray:
     n = len(pauli)
     out = vec
@@ -187,15 +170,3 @@ def state_stabilized_by(vec: np.ndarray, paulis, signs, tol: float = 1e-9) -> bo
         if np.max(np.abs(image - vec)) > tol:
             return False
     return True
-
-
-def stabilizer_group_of_statevector(vec: np.ndarray, tol: float = 1e-9):
-    """All signed Pauli strings stabilizing a small state (brute force)."""
-    n = int(round(math.log2(vec.size)))
-    found = []
-    for combo in itertools.product("IXYZ", repeat=n):
-        p = "".join(combo)
-        (sign,) = statevector_stabilizer_signs(vec, [p], tol)
-        if sign is not None:
-            found.append((sign, p))
-    return found

@@ -397,3 +397,221 @@ class TestTableauValidity:
             backbone, danglers = reg.census(l1 - 1)
             assert backbone == l1 + l2 - 1
             assert danglers == 1
+
+
+class TestValidateRejects:
+    def test_anticommuting_generators(self):
+        tab = gs.StabilizerTableau(2, x=[[1, 0], [0, 0]], z=[[0, 0], [1, 0]])
+        with pytest.raises(ValueError, match="generators 0 and 1 anticommute"):
+            tab.validate()
+
+    def test_dependent_generators(self):
+        tab = gs.StabilizerTableau(
+            3,
+            x=[[1, 0, 0], [0, 1, 0], [1, 1, 0]],
+            z=[[0, 1, 0], [1, 0, 0], [1, 1, 0]],
+        )
+        with pytest.raises(ValueError, match="not independent"):
+            tab.validate()
+
+
+class TestRegistryRemove:
+    def test_measured_anchor_frees_its_dangler(self):
+        """A dangler whose anchor is measured out becomes a lone |+> chain."""
+        reg, spec = gs.ChainRegistry.disjoint_chains([2, 2, 1])
+        _, tab, _ = gs.fuse(gs.graph_state(spec), (1, 2), "parity-2",
+                            "success-even", reg)
+        measured = {}
+        for q, forced in ((3, -1), (0, 1)):
+            measured[q], tab = gs.recover_failure(tab, q, reg, forced=forced)
+        _, tab, _ = gs.fuse(tab, (1, 4), "parity-2", "fail-00", reg)
+        for q in (1, 4):
+            measured[q], tab = gs.recover_failure(tab, q, reg)
+        assert reg.danglers == {}
+        assert reg.census(2) == (1, 0)
+        corrections = []
+        for q, outcome in sorted(measured.items()):
+            if outcome == -1:
+                corrections.append((q, "X"))
+            corrections.append((q, "H"))
+        assert gs.equals_up_to_corrections(tab, _implied_graph(reg, tab.n),
+                                           corrections)
+
+
+def _implied_graph(reg, n):
+    edges = []
+    for backbone in reg.backbones.values():
+        edges.extend(zip(backbone, backbone[1:]))
+    edges.extend(reg.danglers.items())
+    for junction, cid in reg.tees:
+        if cid in reg.backbones:
+            edges.append((junction, reg.backbones[cid][0]))
+    return gs.GraphSpec.from_edges(n, edges)
+
+
+# Loop versions of the GF(2) eliminations that _row_reduce replaced, kept as
+# references: on every input the kernel must give exactly their results.
+
+
+def _ref_rank(m):
+    m = m.copy() % 2
+    rank = 0
+    rows, cols = m.shape
+    for c in range(cols):
+        pivot = None
+        for r in range(rank, rows):
+            if m[r, c]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        m[[rank, pivot]] = m[[pivot, rank]]
+        for r in range(rows):
+            if r != rank and m[r, c]:
+                m[r] ^= m[rank]
+        rank += 1
+    return rank
+
+
+def _ref_solve(a, b):
+    a = a.copy() % 2
+    b = b.copy() % 2
+    rows, cols = a.shape
+    piv_col_of_row = []
+    r = 0
+    for c in range(cols):
+        pivot = None
+        for rr in range(r, rows):
+            if a[rr, c]:
+                pivot = rr
+                break
+        if pivot is None:
+            continue
+        a[[r, pivot]] = a[[pivot, r]]
+        b[r], b[pivot] = b[pivot], b[r]
+        for rr in range(rows):
+            if rr != r and a[rr, c]:
+                a[rr] ^= a[r]
+                b[rr] ^= b[r]
+        piv_col_of_row.append(c)
+        r += 1
+        if r == rows:
+            break
+    x = np.zeros(cols, dtype=np.uint8)
+    for row, c in enumerate(piv_col_of_row):
+        x[c] = b[row]
+    for row in range(len(piv_col_of_row), rows):
+        if b[row]:
+            return None
+    return x
+
+
+def _ref_phase(x1, z1, x2, z2):
+    g = 0
+    for a, b, c, d in zip(x1.tolist(), z1.tolist(), x2.tolist(), z2.tolist()):
+        if a == 0 and b == 0:
+            continue
+        if a == 1 and b == 0:
+            g += d * (2 * c - 1)
+        elif a == 0 and b == 1:
+            g += c * (1 - 2 * d)
+        else:
+            g += d - c
+    return g % 4
+
+
+def _ref_row_multiply(tab, target, source):
+    g = _ref_phase(tab.x[target], tab.z[target], tab.x[source], tab.z[source])
+    total = 2 * int(tab.sign[target]) + 2 * int(tab.sign[source]) + g
+    if total % 2:
+        raise AssertionError("row product produced an imaginary sign")
+    tab.sign[target] = (total // 2) % 2
+    tab.x[target] ^= tab.x[source]
+    tab.z[target] ^= tab.z[source]
+
+
+def _ref_canonical_form(tab):
+    work = tab.copy()
+    m = np.concatenate([work.x, work.z], axis=1)
+    rank = 0
+    for c in range(2 * work.n):
+        pivot = None
+        for r in range(rank, work.n):
+            if m[r, c]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        if pivot != rank:
+            m[[rank, pivot]] = m[[pivot, rank]]
+            work.x[[rank, pivot]] = work.x[[pivot, rank]]
+            work.z[[rank, pivot]] = work.z[[pivot, rank]]
+            work.sign[[rank, pivot]] = work.sign[[pivot, rank]]
+        for r in range(work.n):
+            if r != rank and m[r, c]:
+                _ref_row_multiply(work, r, rank)
+                m[r] = np.concatenate([work.x[r], work.z[r]])
+        rank += 1
+        if rank == work.n:
+            break
+    key = tuple(
+        (int(work.sign[i]),) + tuple(int(v) for v in m[i]) for i in range(work.n)
+    )
+    return tuple(sorted(key))
+
+
+def _random_measured_tableau(rng):
+    """A random graph state of 2-40 qubits after random Z/X/Y and ZZ measurements."""
+    n = int(rng.integers(2, 41))
+    possible = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    take = rng.random(len(possible)) < rng.uniform(0.05, 0.5)
+    spec = gs.GraphSpec.from_edges(n, [e for e, keep in zip(possible, take) if keep])
+    tab = gs.graph_state(spec)
+    for _ in range(int(rng.integers(0, n + 1))):
+        if rng.random() < 0.5:
+            pauli = {int(rng.integers(n)): "XYZ"[int(rng.integers(3))]}
+        else:
+            a, b = rng.choice(n, size=2, replace=False)
+            pauli = {int(a): "Z", int(b): "Z"}
+        _, tab = gs.measure_pauli_string(tab, pauli, rng=rng)
+    return tab
+
+
+class TestKernelMatchesLoopReference:
+    @pytest.mark.parametrize("seed", range(25))
+    def test_rank_solve_and_canonical_form(self, seed):
+        rng = np.random.default_rng([2024, seed])
+        tab = _random_measured_tableau(rng)
+        n = tab.n
+        tab.validate()
+        assert gs.canonical_form(tab) == _ref_canonical_form(tab)
+        m = np.concatenate([tab.x, tab.z], axis=1)
+        for a in (m, tab.x, tab.z, m[: n // 2]):
+            assert len(gs._row_reduce(a.copy(), a.shape[1])) == _ref_rank(a)
+        systems = [(m.T, m.T @ rng.integers(0, 2, n, dtype=np.uint8) % 2)]
+        systems += [(tab.x.T, np.eye(n, dtype=np.uint8)[q]) for q in range(n)]
+        systems += [(m.T, rng.integers(0, 2, 2 * n, dtype=np.uint8)) for _ in range(3)]
+        systems += [(a[: n // 2].T, rng.integers(0, 2, n, dtype=np.uint8))
+                    for a in (tab.x, tab.z)]
+        outcomes = set()
+        for a, b in systems:
+            got, want = gs._gf2_solve(a, b), _ref_solve(a, b)
+            outcomes.add(want is None)
+            if want is None:
+                assert got is None
+            else:
+                assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        assert outcomes == {True, False}
+
+    def test_product_sign_matches_loop_phase(self):
+        rng = np.random.default_rng(17)
+        n = 12
+        source = rng.integers(0, 2, 2 * n, dtype=np.uint8)
+        rows = rng.integers(0, 2, (400, 2 * n), dtype=np.uint8)
+        phases = [_ref_phase(r[:n], r[n:], source[:n], source[n:]) for r in rows]
+        even = np.array([g % 2 == 0 for g in phases])
+        assert 0 < even.sum() < len(rows)
+        got = gs._product_sign(rows[even], source, n)
+        assert got.tolist() == [g // 2 for g, e in zip(phases, even) if e]
+        with pytest.raises(AssertionError, match="imaginary sign"):
+            gs._product_sign(rows[~even][:1], source, n)
