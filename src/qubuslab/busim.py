@@ -255,6 +255,12 @@ def _check_qubit(q: int, n: int) -> None:
         raise ValueError(f"qubit index {q} out of range for {n}-qubit register")
 
 
+def _check_normalized(state: HybridState) -> None:
+    nrm = state.norm()
+    if abs(nrm - 1.0) > 1e-6:
+        raise ValueError(f"state not normalized (norm={nrm!r})")
+
+
 def _signs(bits: np.ndarray, qubit: int, n: int) -> np.ndarray:
     """Z eigenvalues (+1 for bit 0, -1 for bit 1) of one qubit per branch."""
     return 1.0 - 2.0 * ((bits >> (n - 1 - qubit)) & 1)
@@ -489,23 +495,12 @@ def homodyne_project(state: HybridState, phi: float, outcome) -> HomodyneOutcome
     leakage from the other peaks.  A forced x keeps every branch weighted by
     <x|bus> and reports the probability density at x.
     """
-    nrm = state.norm()
-    if abs(nrm - 1.0) > 1e-6:
-        raise ValueError(f"state not normalized (norm={nrm!r})")
+    _check_normalized(state)
     model = homodyne_pdf(state, phi)
     if isinstance(outcome, (int, np.integer)) and not isinstance(outcome, bool):
         if not 0 <= outcome < len(model.peaks):
             raise ValueError(f"no peak with index {outcome}")
-        peak = model.peaks[outcome]
-        keep = np.array([int(b) in peak.members for b in state.bits])
-        if not keep.any():
-            raise ValueError("selected peak has no member branches")
-        return HomodyneOutcome(
-            kind="peak",
-            probability=model.window_probability(int(outcome)),
-            posterior=_project_at(state, phi, peak.center, keep),
-            peak=peak,
-        )
+        return _project_peak(state, model, int(outcome))
     x = float(outcome)
     keep = np.ones(state.bits.size, dtype=bool)
     return HomodyneOutcome(
@@ -513,6 +508,20 @@ def homodyne_project(state: HybridState, phi: float, outcome) -> HomodyneOutcome
         probability=float(model.density(x)),
         posterior=_project_at(state, phi, x, keep),
         x=x,
+    )
+
+
+def _project_peak(state: HybridState, model: PeakModel, index: int) -> HomodyneOutcome:
+    """Peak ``index`` of ``model`` (built from ``state``), as homodyne_project reports it."""
+    peak = model.peaks[index]
+    keep = np.array([int(b) in peak.members for b in state.bits])
+    if not keep.any():
+        raise ValueError("selected peak has no member branches")
+    return HomodyneOutcome(
+        kind="peak",
+        probability=model.window_probability(index),
+        posterior=_project_at(state, model.phi, peak.center, keep),
+        peak=peak,
     )
 
 
@@ -551,9 +560,7 @@ def measure_bucket(
     log domain.  Without number resolution the non-vacuum result is the
     heralded-unknown-phase mixture, reported as its per-n components.
     """
-    nrm = state.norm()
-    if abs(nrm - 1.0) > 1e-6:
-        raise ValueError(f"state not normalized (norm={nrm!r})")
+    _check_normalized(state)
     p_vac, vac_posterior = _vacuum_branch(state, vacuum_tol)
     if outcome is None:
         if number_resolving:

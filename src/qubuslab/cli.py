@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import analytics, busim, gates, graphstab, growth
 
@@ -122,13 +121,13 @@ def main():
 # gate command
 
 
-def _print_outcome_table(outcomes, targets=None):
+def _print_outcome_table(outcomes):
     click.echo(f"{'label':<16} {'probability':>12} {'fidelity':>10} corrections")
     for o in outcomes:
         fid = ""
-        corrected = gates.apply_corrections(o.posterior, o.corrections)
-        if targets and o.label in targets:
-            fid = f"{busim.fidelity(corrected, targets[o.label]):10.8f}"
+        if o.target is not None:
+            corrected = gates.apply_corrections(o.posterior, o.corrections)
+            fid = f"{busim.fidelity(corrected, o.target):10.8f}"
         corr = "; ".join(
             f"q{c.qubit}:{c.op}" + (f"({c.angle:.4f})" if c.angle is not None else "")
             for c in o.corrections
@@ -194,12 +193,6 @@ def _gate_table_command(name, alpha, theta, n_qubits, number_resolving, csv_path
     quadrature = "position" if name == "parity-position" else "momentum"
     if name != "parity-bucket":
         gates._warn_if_unresolved(alpha, theta, quadrature)
-    odd_bell = busim.QubitState(2, np.array([0, 1, 1, 0]) / math.sqrt(2.0))
-    even_bell = busim.QubitState(2, np.array([1, 0, 0, 1]) / math.sqrt(2.0))
-    ghz = busim.QubitState(3, np.concatenate(
-        [[1 / math.sqrt(2)], np.zeros(6), [1 / math.sqrt(2)]]
-    ))
-    targets = {"odd-bell": odd_bell, "even-bell": even_bell, "ghz": ghz}
     if name == "parity-momentum":
         outcomes = gates.momentum_parity_outcomes(alpha, theta)
     elif name == "parity-position":
@@ -208,19 +201,8 @@ def _gate_table_command(name, alpha, theta, n_qubits, number_resolving, csv_path
         outcomes = gates.bucket_parity_outcomes(
             alpha, theta, number_resolving=number_resolving, n_max=6
         )
-        for k in range(7):
-            sign = 1.0 if k % 2 == 0 else -1.0
-            targets[f"even-bell-{k}"] = busim.QubitState(
-                2, np.array([1, 0, 0, sign]) / math.sqrt(2.0)
-            )
     elif name == "three-qubit":
         outcomes = gates.three_qubit_outcomes(alpha, theta)
-        targets["bell-q3-0"] = busim.QubitState(
-            3, np.array([0, 0, 1, 0, 1, 0, 0, 0]) / math.sqrt(2.0)
-        )
-        targets["bell-q3-1"] = busim.QubitState(
-            3, np.array([0, 0, 0, 1, 0, 1, 0, 0]) / math.sqrt(2.0)
-        )
     else:
         outcomes = gates.cascade_outcomes(n_qubits, alpha, theta)
         click.echo(
@@ -233,7 +215,7 @@ def _gate_table_command(name, alpha, theta, n_qubits, number_resolving, csv_path
             _outcome_rows(outcomes),
             ("label", "probability", "window_probability", "gate_time"),
         )
-    _print_outcome_table(outcomes, targets)
+    _print_outcome_table(outcomes)
     budget = gates.error_budget(alpha, theta)
     click.echo(
         f"error budget: momentum {budget.p_err_momentum:.4e}, "

@@ -148,7 +148,11 @@ class GateOutcome:
     ``probability`` is exact from branch enumeration; ``window_probability``
     (when set) additionally accounts for Gaussian tail leakage across the
     homodyne decision thresholds.  ``gate_time`` counts interaction time in
-    units of one unit-angle bus rotation.
+    units of one unit-angle bus rotation.  ``target`` is the canonical state
+    the outcome heralds (None for failures and unheralded outcomes); the
+    corrections, when the solver found them, map the posterior onto it.
+    ``exact_probability`` is the peak's share of the 2**n basis patterns, set
+    only for cascade tables built from the default |+>^n register.
     """
 
     label: str
@@ -158,6 +162,7 @@ class GateOutcome:
     gate_time: float = 0.0
     window_probability: float | None = None
     exact_probability: Fraction | None = None
+    target: QubitState | None = None
 
 
 @dataclass(frozen=True)
@@ -282,20 +287,24 @@ def _bell_even(sign: int = 1) -> QubitState:
 # homodyne parity gates
 
 
-def _prepare(alpha, theta, state, n):
+def _prepare(alpha, theta, state, multiples):
+    """Register (default |+>^n) on a bus |alpha>; qubit q rotates it by multiples[q] theta."""
+    n = len(multiples)
     if state is None:
         state = QubitState.plus(n)
     if state.qubit_count != n:
         raise ValueError(f"protocol needs a {n}-qubit register")
     hybrid = busim.attach_bus(state, alpha)
+    for q, m in enumerate(multiples):
+        hybrid = busim.apply_conditional_rotation(hybrid, q, m * theta)
     return state, hybrid
 
 
-def _pick(outcomes, outcome, rng, weights=None):
+def _pick(outcomes, outcome, rng):
     if outcome == "sampled":
         if rng is None:
             raise ValueError("sampling an outcome requires an rng")
-        w = weights if weights is not None else [o.probability for o in outcomes]
+        w = [o.probability for o in outcomes]
         idx = rng.choice(len(outcomes), p=np.array(w) / sum(w))
         return outcomes[int(idx)]
     for o in outcomes:
@@ -323,29 +332,45 @@ def _classify_two_qubit(members: frozenset) -> str:
     return "mixed"
 
 
-def _homodyne_outcomes(hybrid, phi, gate_time, classify, target_for):
+def _homodyne_outcomes(hybrid, phi, gate_time, classify, target_for, patterns=None):
+    """One outcome per peak of a single peak model of ``hybrid``.
+
+    With ``patterns`` (the basis-pattern count of a uniform register) each
+    outcome also gets its exact probability, members / patterns.
+    """
+    busim._check_normalized(hybrid)
     model = busim.homodyne_pdf(hybrid, phi)
     outcomes = []
     for idx, peak in enumerate(model.peaks):
-        projected = busim.homodyne_project(hybrid, phi, idx)
+        projected = busim._project_peak(hybrid, model, idx)
         label = classify(peak.members)
         target = target_for(label, peak.members)
-        corrections = ()
+        solved = None
         if target is not None:
             solved = solve_local_z_corrections(projected.posterior, target)
-            if solved is not None:
-                corrections = solved
         outcomes.append(
             GateOutcome(
                 label=label,
                 probability=peak.weight,
                 posterior=projected.posterior,
-                corrections=corrections,
+                corrections=solved or (),
                 gate_time=gate_time,
                 window_probability=projected.probability,
+                exact_probability=None
+                if patterns is None
+                else Fraction(len(peak.members), patterns),
+                target=target,
             )
         )
     return tuple(outcomes)
+
+
+def _parity_outcomes(alpha, theta, state, phi, targets):
+    """Both qubits rotate the bus by +-theta; X(phi) is then measured."""
+    _, hybrid = _prepare(alpha, theta, state, (1, 1))
+    return _homodyne_outcomes(
+        hybrid, phi, 2.0, _classify_two_qubit, lambda label, _: targets.get(label)
+    )
 
 
 def momentum_parity_outcomes(alpha, theta, state: QubitState | None = None):
@@ -354,18 +379,7 @@ def momentum_parity_outcomes(alpha, theta, state: QubitState | None = None):
     Both qubits rotate the bus by +-theta; the momentum quadrature then
     resolves the odd subspace (unrotated bus) from |00> and |11>.
     """
-    state, hybrid = _prepare(alpha, theta, state, 2)
-    hybrid = busim.apply_conditional_rotation(hybrid, 0, theta)
-    hybrid = busim.apply_conditional_rotation(hybrid, 1, theta)
-
-    def target_for(label, members):
-        if label == "odd-bell":
-            return _bell_odd()
-        return None
-
-    return _homodyne_outcomes(
-        hybrid, math.pi / 2.0, 2.0, _classify_two_qubit, target_for
-    )
+    return _parity_outcomes(alpha, theta, state, math.pi / 2.0, {"odd-bell": _bell_odd()})
 
 
 def parity_gate_momentum(
@@ -380,18 +394,8 @@ def position_parity_outcomes(alpha, theta, state: QubitState | None = None):
 
     The even branches sit at 2 alpha cos(2 theta) and the odd branches at
     2 alpha, so both outcomes project onto entangled parity subspaces."""
-    state, hybrid = _prepare(alpha, theta, state, 2)
-    hybrid = busim.apply_conditional_rotation(hybrid, 0, theta)
-    hybrid = busim.apply_conditional_rotation(hybrid, 1, theta)
-
-    def target_for(label, members):
-        if label == "odd-bell":
-            return _bell_odd()
-        if label == "even-bell":
-            return _bell_even()
-        return None
-
-    return _homodyne_outcomes(hybrid, 0.0, 2.0, _classify_two_qubit, target_for)
+    targets = {"odd-bell": _bell_odd(), "even-bell": _bell_even()}
+    return _parity_outcomes(alpha, theta, state, 0.0, targets)
 
 
 def parity_gate_position(
@@ -416,45 +420,40 @@ def bucket_parity_outcomes(
     heralds (|00> + (-1)^n |11>)/sqrt(2) up to the reported corrections, with
     weights sampled from the displaced-branch photon distribution.
     """
-    state, hybrid = _prepare(alpha, theta, state, 2)
-    hybrid = busim.apply_conditional_rotation(hybrid, 0, theta)
-    hybrid = busim.apply_conditional_rotation(hybrid, 1, theta)
+    state, hybrid = _prepare(alpha, theta, state, (1, 1))
     hybrid = busim.apply_displacement(hybrid, -complex(alpha))
 
     vac = busim.measure_bucket(hybrid, outcome="vacuum")
+    click = busim.measure_bucket(hybrid, outcome="click")
     outcomes = [
         GateOutcome(
             label="odd-bell",
             probability=vac.probability,
             posterior=vac.posterior,
-            corrections=(),
             gate_time=2.0,
+            target=_bell_odd(),
         )
     ]
     if number_resolving:
-        click = busim.measure_bucket(hybrid, outcome="click")
-        limit = n_max if n_max is not None else len(click.components)
-        for n, pn, post in click.components[:limit]:
+        for n, pn, post in click.components[:n_max]:
             target = _bell_even(1 if n % 2 == 0 else -1)
-            corr = solve_local_z_corrections(post, target)
             outcomes.append(
                 GateOutcome(
                     label=f"even-bell-{n}",
                     probability=pn,
                     posterior=post,
-                    corrections=corr if corr is not None else (),
+                    corrections=solve_local_z_corrections(post, target) or (),
                     gate_time=2.0,
+                    target=target,
                 )
             )
     else:
-        click = busim.measure_bucket(hybrid, outcome="click")
         placeholder = click.components[0][2] if click.components else state
         outcomes.append(
             GateOutcome(
                 label="click",
                 probability=click.probability,
                 posterior=placeholder,
-                corrections=(),
                 gate_time=2.0,
             )
         )
@@ -464,13 +463,7 @@ def bucket_parity_outcomes(
 def parity_gate_bucket(
     alpha, theta, state=None, number_resolving=False, outcome="sampled", rng=None
 ) -> GateOutcome:
-    outcomes = bucket_parity_outcomes(alpha, theta, state, number_resolving)
-    if outcome == "sampled" and number_resolving:
-        weights = [o.probability for o in outcomes]
-        total = sum(weights)
-        weights = [w / total for w in weights]
-        return _pick(outcomes, "sampled", rng, weights)
-    return _pick(outcomes, outcome, rng)
+    return _pick(bucket_parity_outcomes(alpha, theta, state, number_resolving), outcome, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +511,6 @@ def _cascade_label(n: int, members: list[int]) -> str:
     if len(members) == 1:
         return "product-" + format(members[0], f"0{n}b")
     pair_patterns = {((b >> (n - 1)) & 1, (b >> (n - 2)) & 1) for b in members}
-    if n == 3 and set(members) == {0, 7}:
-        return "ghz"
     if n == 3 and pair_patterns == {(0, 1), (1, 0)}:
         third = members[0] & 1
         return f"bell-q3-{third}"
@@ -531,51 +522,27 @@ def _cascade_label(n: int, members: list[int]) -> str:
 
 
 def cascade_outcomes(n: int, alpha, theta, state: QubitState | None = None):
-    """Outcome table for the n-qubit single-pass entangler."""
-    state, hybrid = _prepare(alpha, theta, state, n)
-    for q, m in enumerate(_cascade_schedule(n)):
-        hybrid = busim.apply_conditional_rotation(hybrid, q, m * theta)
+    """Outcome table for the n-qubit single-pass entangler.
+
+    Exact probabilities are reported for the default |+>^n register only.
+    """
+    patterns = 2**n if state is None else None
+    _, hybrid = _prepare(alpha, theta, state, _cascade_schedule(n))
     gate_time = float(cascade_gate_time(n))
-    peaks = _cascade_peaks(n)
 
     def classify(members: frozenset) -> str:
         return _cascade_label(n, sorted(members))
 
     def target_for(label, members):
-        if label == "ghz" and len(members) == 2:
+        if label == "ghz" or label.startswith("bell-q3"):
             amps = np.zeros(2**n, dtype=np.complex128)
-            for b in members:
-                amps[b] = 1.0 / math.sqrt(2.0)
-            return QubitState(n, amps)
-        if label.startswith("bell-q3"):
-            amps = np.zeros(2**n, dtype=np.complex128)
-            for b in members:
-                amps[b] = 1.0 / math.sqrt(2.0)
+            amps[sorted(members)] = 1.0 / math.sqrt(2.0)
             return QubitState(n, amps)
         return None
 
-    outcomes = _homodyne_outcomes(hybrid, math.pi / 2.0, gate_time, classify, target_for)
-    exact = {}
-    for rot, members in peaks.items():
-        exact[frozenset(members)] = Fraction(len(members), 2**n)
-    decorated = []
-    for o in outcomes:
-        key = frozenset(
-            int(b) for b in np.flatnonzero(np.abs(o.posterior.amplitudes) > 1e-12)
-        )
-        frac = exact.get(key)
-        decorated.append(
-            GateOutcome(
-                label=o.label,
-                probability=o.probability,
-                posterior=o.posterior,
-                corrections=o.corrections,
-                gate_time=o.gate_time,
-                window_probability=o.window_probability,
-                exact_probability=frac,
-            )
-        )
-    return tuple(decorated)
+    return _homodyne_outcomes(
+        hybrid, math.pi / 2.0, gate_time, classify, target_for, patterns
+    )
 
 
 def three_qubit_outcomes(alpha, theta, state: QubitState | None = None):

@@ -393,10 +393,22 @@ class ChainRegistry:
             self.chain_of[qb] = cid
         return cid
 
+    def _tee_links(self, qubit: int) -> list:
+        """Qubits joined to ``qubit`` by a tee: junction and branch head."""
+        links = []
+        for junction, cid in self.tees:
+            head = self.backbones[cid][0] if cid in self.backbones else None
+            if qubit == junction and head is not None:
+                links.append(head)
+            elif qubit == head:
+                links.append(junction)
+        return links
+
     def degree(self, qubit: int) -> int:
         if qubit in self.danglers:
             return 1
         deg = sum(1 for anchor in self.danglers.values() if anchor == qubit)
+        deg += len(self._tee_links(qubit))
         cid = self.chain_of.get(qubit)
         if cid is not None:
             backbone = self.backbones[cid]
@@ -417,6 +429,9 @@ class ChainRegistry:
         for d, anchor in self.danglers.items():
             if anchor == qubit:
                 return d  # only valid when qubit has no backbone neighbour
+        links = self._tee_links(qubit)
+        if links:
+            return links[0]  # a tee junction or branch head with no other neighbour
         cid = self.chain_of.get(qubit)
         if cid is None:
             return None
@@ -470,7 +485,15 @@ class ChainRegistry:
             del self.backbones[cid_c]
 
     def remove(self, qubit: int) -> None:
-        """Drop a measured-out qubit; its dangling bonds become one-qubit chains."""
+        """Drop a measured-out qubit; its dangling bonds become one-qubit chains.
+
+        A tee goes with its junction or with the head of its branch.
+        """
+        self.tees = [
+            (junction, cid)
+            for junction, cid in self.tees
+            if qubit not in (junction, self.backbones.get(cid, [None])[0])
+        ]
         for d in [d for d, anchor in self.danglers.items() if anchor == qubit]:
             del self.danglers[d]
             self.new_chain([d])

@@ -42,6 +42,21 @@ class TestGateCommand:
         assert "0.250000000" in result.output
         assert "0.125000000" in result.output
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_cascade_table_any_size(self, runner, n):
+        result = runner.invoke(main, ["gate", "cascade", "--n", str(n)])
+        assert result.exit_code == 0, result.output
+        rows = [line.split() for line in result.output.splitlines()]
+        assert [row[2] for row in rows if row[0] == "ghz"] == ["1.00000000"]
+
+    def test_three_qubit_bell_rows_show_fidelity(self, runner):
+        for name in ("three-qubit", "cascade"):
+            result = runner.invoke(main, ["gate", name, "--n", "3"])
+            assert result.exit_code == 0, result.output
+            rows = [line.split() for line in result.output.splitlines()]
+            fids = {row[0]: row[2] for row in rows if row[0].startswith("bell-q3")}
+            assert fids == {"bell-q3-0": "1.00000000", "bell-q3-1": "1.00000000"}
+
     def test_degenerate_regime_warns(self, runner):
         result = runner.invoke(
             main, ["gate", "parity-momentum", "--alpha", "1", "--theta", "0"]

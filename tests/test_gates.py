@@ -168,6 +168,33 @@ class TestBucketParityGate:
         overlap = math.exp(-4.0 * 2.0**2 * math.sin(0.4) ** 2)
         assert click.probability == pytest.approx(0.5 - 0.5 * overlap, rel=1e-9)
 
+    def test_targets(self):
+        vac, click = gates.bucket_parity_outcomes(2.0, 0.4)
+        assert fidelity(vac.target, ODD_BELL) == pytest.approx(1.0, abs=1e-15)
+        assert click.target is None
+        for o in gates.bucket_parity_outcomes(2.0, 0.4, number_resolving=True, n_max=6)[1:]:
+            assert fidelity(corrected(o), o.target) >= 1 - 1e-12
+
+    def test_forced_outcome(self):
+        out = gates.parity_gate_bucket(2.0, 0.4, outcome="click")
+        assert out.label == "click"
+        assert out.probability == gates.bucket_parity_outcomes(2.0, 0.4)[1].probability
+
+    def test_sampled_resolving_outcome_is_in_table(self):
+        table = gates.bucket_parity_outcomes(2.0, 0.4, number_resolving=True)
+        labels = {o.label for o in table}
+        rng = np.random.default_rng(11)
+        draws = [
+            gates.parity_gate_bucket(2.0, 0.4, number_resolving=True, rng=rng).label
+            for _ in range(20)
+        ]
+        assert set(draws) <= labels
+        assert len(set(draws)) > 1
+
+    def test_unknown_label_rejected(self):
+        with pytest.raises(ValueError, match="unknown outcome 'ghz'"):
+            gates.parity_gate_bucket(2.0, 0.4, outcome="ghz")
+
 
 class TestThreeQubitGate:
     def test_outcome_probabilities(self):
@@ -202,6 +229,17 @@ class TestThreeQubitGate:
             Fraction(1, 4), Fraction(1, 4), Fraction(1, 4),
         ]
 
+    def test_no_exact_probability_for_caller_register(self):
+        """Member counts give the chances of a uniform register only."""
+        ramp = QubitState(3, np.arange(1.0, 9.0), normalize=True)
+        ghz = QubitState(3, np.array([1, 0, 0, 0, 0, 0, 0, 1]) / math.sqrt(2))
+        for state in (ramp, ghz, QubitState.plus(3)):
+            outs = gates.cascade_outcomes(3, 1000.0, 0.003, state)
+            assert all(o.exact_probability is None for o in outs)
+        outs = {o.label: o for o in gates.three_qubit_outcomes(1000.0, 0.003, ghz)}
+        assert outs["ghz"].probability == pytest.approx(1.0, abs=1e-12)
+        assert outs["ghz"].exact_probability is None
+
 
 class TestCascade:
     @pytest.mark.parametrize("n", range(2, 11))
@@ -230,6 +268,16 @@ class TestCascade:
     def test_minimum_size(self):
         with pytest.raises(ValueError):
             gates.cascaded_gate(1, 100.0, 0.01)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_ghz_target(self, n):
+        outs = {o.label: o for o in gates.cascade_outcomes(n, 1000.0, 0.003)}
+        ghz = outs["ghz"]
+        assert ghz.target.qubit_count == n
+        assert ghz.target.amplitudes[0] == ghz.target.amplitudes[-1] == 1 / math.sqrt(2)
+        assert fidelity(corrected(ghz), ghz.target) >= 1 - 1e-12
+        unheralded = ("product", "entangled")
+        assert all(o.target is None for o in outs.values() if o.label.startswith(unheralded))
 
     def test_probability_sum_invariant(self):
         for n in (3, 5, 8):

@@ -438,6 +438,29 @@ class TestRegistryRemove:
                                            corrections)
 
 
+class TestRegistryTees:
+    def test_one_qubit_branch_end_repairs_junction(self):
+        """Recovering a one-qubit tee branch puts its Z on the junction."""
+        reg, spec = gs.ChainRegistry.disjoint_chains([1, 1, 2])
+        _, tab, _ = gs.fuse(gs.graph_state(spec), (0, 1, 2), "gate-3", "ghz", reg)
+        assert reg.degree(3) == 1
+        assert reg.neighbour(3) == 0
+        _, tab = gs.recover_failure(tab, 3, reg, forced=-1)
+        assert reg.tees == []
+        assert gs.equals_up_to_corrections(tab, _implied_graph(reg, tab.n),
+                                           [(3, "X"), (3, "H")])
+
+    def test_two_qubit_branch(self):
+        reg, spec = gs.ChainRegistry.disjoint_chains([1, 1, 3])
+        _, tab, _ = gs.fuse(gs.graph_state(spec), (0, 1, 2), "gate-3", "ghz", reg)
+        with pytest.raises(ValueError, match="degree > 1"):
+            gs.recover_failure(tab, 3, reg, forced=1)
+        _, tab = gs.recover_failure(tab, 4, reg, forced=-1)
+        assert len(reg.tees) == 1
+        assert gs.equals_up_to_corrections(tab, _implied_graph(reg, tab.n),
+                                           [(4, "X"), (4, "H")])
+
+
 def _implied_graph(reg, n):
     edges = []
     for backbone in reg.backbones.values():
