@@ -224,24 +224,28 @@ class HybridState:
 
 
 def _merge_branches(bits, coeff, bus):
+    """Sort branches by (bits, bus) and sum those within tolerance of a group head.
+
+    Only runs of repeated bit patterns can merge; each is walked in sorted
+    order, and a branch joins the current group when its bus lies within
+    ``BRANCH_MERGE_TOL`` of the group's first bus.
+    """
     order = np.lexsort((bus.real, bus.imag, bits))
     bits, coeff, bus = bits[order], coeff[order], bus[order]
-    out_b, out_c, out_u = [], [], []
-    for b, c, u in zip(bits, coeff, bus):
-        if out_b and out_b[-1] == b and abs(u - out_u[-1]) <= BRANCH_MERGE_TOL:
-            out_c[-1] += c
+    head = np.ones(bits.size, dtype=bool)
+    h = -1
+    for i in (np.flatnonzero(bits[1:] == bits[:-1]) + 1).tolist():
+        if h < 0 or bits[h] != bits[i]:
+            h = i - 1
+        if abs(bus[i] - bus[h]) <= BRANCH_MERGE_TOL:
+            coeff[h] += coeff[i]
+            head[i] = False
         else:
-            out_b.append(int(b))
-            out_c.append(complex(c))
-            out_u.append(complex(u))
-    keep = [i for i, c in enumerate(out_c) if c != 0]
-    if not keep:
+            h = i
+    keep = head & (coeff != 0)
+    if not keep.any():
         raise ValueError("all branches cancelled; zero state")
-    return (
-        np.array([out_b[i] for i in keep], dtype=np.int64),
-        np.array([out_c[i] for i in keep], dtype=np.complex128),
-        np.array([out_u[i] for i in keep], dtype=np.complex128),
-    )
+    return bits[keep], coeff[keep], bus[keep]
 
 
 def _groups_by_key(keys: np.ndarray):
@@ -364,31 +368,46 @@ def run_displacement_program(state: HybridState, steps) -> HybridState:
     sequences end with bus spread exactly zero rather than a rounding
     residue).  Phases follow the same composition rule as the incremental
     operations.
+
+    All branches advance together.  Each opened displacement holds a slot
+    (per-branch value, per-branch still-open mask) in opening order; a step
+    closes the first open slot holding its negation, else opens a new one.
     """
     n = state.qubit_count
-    bits = state.bits
-    new_coeff = state.coeff.copy()
-    new_bus = state.bus.copy()
-    for i in range(bits.size):
-        gamma0 = complex(state.bus[i])
-        open_disp: list[complex] = []
-        phase = 0.0
-        for qubit, beta in steps:
-            if qubit is None:
-                d = complex(beta)
-            else:
-                _check_qubit(qubit, n)
-                s = 1.0 - 2.0 * ((int(bits[i]) >> (n - 1 - qubit)) & 1)
-                d = s * complex(beta)
-            gamma = gamma0 + sum(open_disp, start=0j)
-            phase += (d * gamma.conjugate()).imag
-            if -d in open_disp:
-                open_disp.remove(-d)
-            else:
-                open_disp.append(d)
-        new_coeff[i] *= cmath.exp(1j * phase)
-        new_bus[i] = gamma0 + sum(open_disp, start=0j)
-    return HybridState(n, bits, new_coeff, new_bus)
+    gamma0 = state.bus
+    phase = np.zeros(gamma0.size)
+    slots: list[tuple[np.ndarray, np.ndarray]] = []
+    for qubit, beta in steps:
+        if qubit is None:
+            d = np.full(gamma0.size, complex(beta))
+        else:
+            _check_qubit(qubit, n)
+            d = _signs(state.bits, qubit, n) * complex(beta)
+        gamma = gamma0 + _open_sum(slots, gamma0.size)
+        # Im(d conj(gamma)) in real arithmetic, as the scalar complex product rounds
+        phase += d.real * -gamma.imag + d.imag * gamma.real
+        unmatched = np.ones(gamma0.size, dtype=bool)
+        for value, is_open in slots:
+            hit = unmatched & is_open & (value == -d)
+            is_open &= ~hit
+            unmatched &= ~hit
+        slots = [slot for slot in slots if slot[1].any()]
+        if unmatched.any():
+            slots.append((d, unmatched))
+    w = np.exp(1j * phase)
+    c = state.coeff
+    coeff = np.empty_like(c)
+    coeff.real = c.real * w.real - c.imag * w.imag
+    coeff.imag = c.real * w.imag + c.imag * w.real
+    return HybridState(n, state.bits, coeff, gamma0 + _open_sum(slots, gamma0.size))
+
+
+def _open_sum(slots, size: int) -> np.ndarray:
+    """Sum of each branch's open displacements, in opening order from 0j."""
+    total = np.zeros(size, dtype=np.complex128)
+    for value, is_open in slots:
+        total += np.where(is_open, value, 0)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +676,8 @@ def _sample_photon_number(state, rng, tail_tol):
 
 def bus_spread(state: HybridState) -> float:
     """Largest pairwise distance between branch bus amplitudes."""
-    b = state.bus
+    b = np.sort(state.bus)
+    b = b[np.concatenate(([True], b[1:] != b[:-1]))]
     if b.size <= 1:
         return 0.0
     if b.size <= 1024:

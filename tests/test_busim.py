@@ -5,13 +5,14 @@ a dense truncated-number-basis simulation (FockOracle), and the measurement
 models against direct quadrature integrals.
 """
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qubuslab import busim
+from qubuslab import busim, gates
 from qubuslab.busim import (
     HybridState,
     PhysicalParams,
@@ -434,3 +435,196 @@ class TestFockOracleEquivalence:
         reconstructed = hybrid_to_dense(state, oracle)
         overlap = abs(np.vdot(dense, reconstructed)) ** 2
         assert overlap >= 1.0 - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# loop references for the vectorised branch kernels
+
+
+def _ref_merge(bits, coeff, bus):
+    order = np.lexsort((bus.real, bus.imag, bits))
+    bits, coeff, bus = bits[order], coeff[order], bus[order]
+    out_b, out_c, out_u = [], [], []
+    for b, c, u in zip(bits, coeff, bus):
+        if out_b and out_b[-1] == b and abs(u - out_u[-1]) <= busim.BRANCH_MERGE_TOL:
+            out_c[-1] += c
+        else:
+            out_b.append(int(b))
+            out_c.append(complex(c))
+            out_u.append(complex(u))
+    keep = [i for i, c in enumerate(out_c) if c != 0]
+    if not keep:
+        raise ValueError("all branches cancelled; zero state")
+    return (
+        np.array([out_b[i] for i in keep], dtype=np.int64),
+        np.array([out_c[i] for i in keep], dtype=np.complex128),
+        np.array([out_u[i] for i in keep], dtype=np.complex128),
+    )
+
+
+def _ref_program(state, steps):
+    """Per-branch, per-step loop; returns the merged (bits, coeff, bus)."""
+    n = state.qubit_count
+    bits = state.bits
+    new_coeff = state.coeff.copy()
+    new_bus = state.bus.copy()
+    for i in range(bits.size):
+        gamma0 = complex(state.bus[i])
+        open_disp = []
+        phase = 0.0
+        for qubit, beta in steps:
+            if qubit is None:
+                d = complex(beta)
+            else:
+                s = 1.0 - 2.0 * ((int(bits[i]) >> (n - 1 - qubit)) & 1)
+                d = s * complex(beta)
+            gamma = gamma0 + sum(open_disp, start=0j)
+            phase += (d * gamma.conjugate()).imag
+            if -d in open_disp:
+                open_disp.remove(-d)
+            else:
+                open_disp.append(d)
+        new_coeff[i] *= cmath.exp(1j * phase)
+        new_bus[i] = gamma0 + sum(open_disp, start=0j)
+    return _ref_merge(bits, new_coeff, new_bus)
+
+
+def _ref_spread(b):
+    if b.size <= 1:
+        return 0.0
+    if b.size <= 1024:
+        return float(np.max(np.abs(b[None, :] - b[:, None])))
+    best = 0.0
+    for i in range(0, b.size, 512):
+        chunk = b[i : i + 512]
+        best = max(best, float(np.max(np.abs(chunk[None, :] - b[:, None]))))
+    return best
+
+
+def _same_bytes(got, want):
+    return all(
+        np.asarray(g).dtype == np.asarray(w).dtype
+        and np.asarray(g).tobytes() == np.asarray(w).tobytes()
+        for g, w in zip(got, want)
+    )
+
+
+def _random_program(rng, n, closed):
+    """Steps drawn from a small pool (so values repeat), some undone at once."""
+    b = float(rng.uniform(0.2, 1.5))
+    pool = [b, -b, 1j * b, complex(b, -0.5 * b), rng.normal() + 1j * rng.normal(), 0.0]
+    steps, opened = [], []
+    for _ in range(int(rng.integers(1, 9))):
+        if opened and rng.random() < 0.4:
+            q, beta = opened.pop(int(rng.integers(len(opened))))
+            steps.append((q, -beta))
+            continue
+        q = None if rng.random() < 0.25 else int(rng.integers(n))
+        beta = complex(pool[int(rng.integers(len(pool)))])
+        steps.append((q, beta))
+        opened.append((q, beta))
+    if closed:
+        for k in rng.permutation(len(opened)):
+            q, beta = opened[k]
+            steps.append((q, -beta))
+    elif opened:
+        q, beta = opened[0]
+        steps.append((q, 2.0 * beta + 0.25))
+    return steps
+
+
+def _random_hybrid(rng, n):
+    size = 2**n
+    if rng.random() < 0.5:
+        return init_plus_state(n, complex(rng.normal(), rng.normal()) * float(rng.integers(0, 2)))
+    bits = rng.choice(size, int(rng.integers(1, size + 1)), replace=False)
+    coeff = rng.normal(size=bits.size) + 1j * rng.normal(size=bits.size)
+    coeff[rng.random(bits.size) < 0.2] = rng.normal()
+    bus = rng.normal(size=bits.size) + 1j * rng.normal(size=bits.size)
+    bus[rng.random(bits.size) < 0.3] = 0.0
+    return HybridState(n, bits, coeff / np.linalg.norm(coeff), bus)
+
+
+class TestBranchKernelsMatchLoopReference:
+    """Vectorised program, merge and spread against the per-branch loops, byte for byte."""
+
+    @pytest.mark.parametrize("seed", range(120))
+    def test_displacement_program(self, seed):
+        rng = np.random.default_rng([4242, seed])
+        n = int(rng.integers(1, 7))
+        state = _random_hybrid(rng, n)
+        steps = _random_program(rng, n, closed=bool(seed % 3))
+        got = busim.run_displacement_program(state, steps)
+        want = _ref_program(state, steps)
+        assert _same_bytes((got.bits, got.coeff, got.bus), want)
+        spread = bus_spread(got)
+        assert np.float64(spread).tobytes() == np.float64(_ref_spread(want[2])).tobytes()
+        if seed % 3 == 0 and got.branch_count() > 1:
+            assert spread > 0.0 or len(set(want[2].tolist())) == 1
+
+    @pytest.mark.parametrize("maker", [gates.chain_sequence, gates.star_sequence])
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_graph_sequences(self, maker, n):
+        seq, _ = maker(n, math.sqrt(math.pi / 8))
+        steps = [(s.qubit, s.amount) for s in seq.steps]
+        state = attach_bus(QubitState.plus(n), 0.0)
+        got = busim.run_displacement_program(state, steps)
+        assert _same_bytes((got.bits, got.coeff, got.bus), _ref_program(state, steps))
+        assert bus_spread(got) == 0.0
+
+    def test_large_half_open_program(self):
+        rng = np.random.default_rng(99)
+        n = 11
+        bits = np.arange(2**n)
+        coeff = np.full(bits.size, 2.0 ** (-n / 2), dtype=np.complex128)
+        bus = rng.normal(size=bits.size) + 1j * rng.normal(size=bits.size)
+        state = HybridState(n, bits, coeff, bus)
+        steps = [(0, 0.7), (3, 0.4j), (None, 0.3 - 0.2j), (3, -0.4j), (7, 1.1)]
+        got = busim.run_displacement_program(state, steps)
+        want = _ref_program(state, steps)
+        assert _same_bytes((got.bits, got.coeff, got.bus), want)
+        assert len(set(want[2].tolist())) > 1024
+        assert bus_spread(got) == _ref_spread(want[2]) > 0.0
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_merge(self, seed):
+        rng = np.random.default_rng([777, seed])
+        size = int(rng.integers(1, 40))
+        bits = rng.integers(0, int(rng.integers(1, 9)), size)
+        base = np.array([0.0, 0.5 + 0.25j, -1.0j, 2.0])[rng.integers(0, 4, size)]
+        nudge = np.array([0.0, 4e-13, -9e-13, 3e-12, 2e-11])
+        bus = base + nudge[rng.integers(0, 5, size)] + 1j * nudge[rng.integers(0, 5, size)]
+        coeff = rng.normal(size=size) + 1j * rng.normal(size=size)
+        flip = rng.random(size) < 0.3
+        bits = np.concatenate([bits, bits[flip]])
+        bus = np.concatenate([bus, bus[flip]])
+        coeff = np.concatenate([coeff, -coeff[flip]])
+        try:
+            want = _ref_merge(bits, coeff, bus)
+        except ValueError:
+            with pytest.raises(ValueError, match="cancelled"):
+                busim._merge_branches(bits, coeff, bus)
+            return
+        assert _same_bytes(busim._merge_branches(bits, coeff, bus), want)
+
+    def test_merge_joins_group_head_not_previous_branch(self):
+        step = 0.6 * busim.BRANCH_MERGE_TOL
+        args = (np.zeros(4, dtype=np.int64), np.ones(4, dtype=complex),
+                np.array([0, step, 2 * step, 3 * step], dtype=complex))
+        got = busim._merge_branches(*args)
+        assert _same_bytes(got, _ref_merge(*args))
+        assert got[1].tolist() == [2, 2]
+
+    def test_full_cancellation_rejected(self):
+        with pytest.raises(ValueError, match="cancelled"):
+            HybridState(2, [1, 1, 3, 3], [0.5, -0.5, 0.5j, -0.5j], [0.2, 0.2, 1.0, 1.0])
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 40, 1500])
+    def test_spread(self, size):
+        rng = np.random.default_rng(size)
+        bus = rng.normal(size=size) + 1j * rng.normal(size=size)
+        bus = np.concatenate([bus, bus[: size // 3], [0.0, complex(-0.0, 0.0)]])
+        rng.shuffle(bus)
+        state = HybridState(12, np.arange(bus.size), np.ones(bus.size), bus)
+        got = bus_spread(state)
+        assert np.float64(got).tobytes() == np.float64(_ref_spread(state.bus)).tobytes()
