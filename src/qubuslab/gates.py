@@ -91,7 +91,8 @@ def solve_local_z_corrections(
 
     Works on the common support of the two states; returns None when the
     supports differ, the magnitudes disagree, or no product of single-qubit
-    phases reproduces the amplitude ratios.
+    phases reproduces the amplitude ratios.  A phase with |e^{i d} - 1| <= tol
+    is least-squares residue and is left out.
     """
     n = posterior.qubit_count
     a = posterior.amplitudes
@@ -116,7 +117,7 @@ def solve_local_z_corrections(
     return tuple(
         Correction(q, "phase", float(d))
         for q, d in enumerate(deltas)
-        if abs(cmath.exp(1j * d) - 1.0) > 1e-12
+        if abs(cmath.exp(1j * d) - 1.0) > tol
     )
 
 

@@ -279,6 +279,11 @@ class TestCascade:
         unheralded = ("product", "entangled")
         assert all(o.target is None for o in outs.values() if o.label.startswith(unheralded))
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_ghz_needs_no_correction(self, n):
+        outs = {o.label: o for o in gates.cascade_outcomes(n, 1000.0, 0.003)}
+        assert outs["ghz"].corrections == ()
+
     def test_probability_sum_invariant(self):
         for n in (3, 5, 8):
             outs = gates.cascade_outcomes(n, 200.0, 0.002)
