@@ -72,6 +72,14 @@ class TestGateCommand:
         assert result.exit_code == 0
         assert "stabilizer check: PASS" in result.output
 
+    @pytest.mark.parametrize("name", ["chain", "star"])
+    def test_sixteen_qubit_sequence(self, runner, name):
+        """65,536 branches: the program and the spread must not be O(branches^2)."""
+        result = runner.invoke(main, ["gate", name, "--n", "16"])
+        assert result.exit_code == 0, result.output
+        assert "bus spread after sequence: 0.0\n" in result.output
+        assert "stabilizer check: PASS" in result.output
+
     def test_star_with_custom_graph_file(self, runner, tmp_path):
         graph = tmp_path / "star.txt"
         graph.write_text("0 1\n0 2\n0 3\n")
