@@ -384,7 +384,10 @@ def run_displacement_program(state: HybridState, steps) -> HybridState:
             _check_qubit(qubit, n)
             d = _signs(state.bits, qubit, n) * complex(beta)
         gamma = gamma0 + _open_sum(slots, gamma0.size)
-        # Im(d conj(gamma)) in real arithmetic, as the scalar complex product rounds
+        # Im(d conj(gamma)) and the coefficient product below are spelt out in
+        # real arithmetic, which rounds every product once: NumPy's array
+        # complex multiply may fuse multiply-adds and round differently from
+        # the textbook formula.
         phase += d.real * -gamma.imag + d.imag * gamma.real
         unmatched = np.ones(gamma0.size, dtype=bool)
         for value, is_open in slots:
