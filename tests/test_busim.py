@@ -559,8 +559,6 @@ class TestBranchKernelsMatchLoopReference:
         assert _same_bytes((got.bits, got.coeff, got.bus), want)
         spread = bus_spread(got)
         assert np.float64(spread).tobytes() == np.float64(_ref_spread(want[2])).tobytes()
-        if seed % 3 == 0 and got.branch_count() > 1:
-            assert spread > 0.0 or len(set(want[2].tolist())) == 1
 
     @pytest.mark.parametrize("maker", [gates.chain_sequence, gates.star_sequence])
     @pytest.mark.parametrize("n", [2, 5, 8])
