@@ -50,6 +50,7 @@ __all__ = [
     "fidelity",
     "apply_z_phase",
     "apply_pauli",
+    "pauli_action",
 ]
 
 NORM_TOL = 1e-9
@@ -147,19 +148,24 @@ def apply_z_phase(state: QubitState, qubit: int, angle: float) -> QubitState:
 def apply_pauli(state: QubitState, qubit: int, pauli: str) -> QubitState:
     n = state.qubit_count
     _check_qubit(qubit, n)
+    return QubitState(n, pauli_action(state.amplitudes, n, qubit, pauli))
+
+
+def pauli_action(amps: np.ndarray, n: int, qubit: int, pauli: str) -> np.ndarray:
+    """Dense amplitudes after X, Y or Z on one qubit of an n-qubit vector.
+
+    No norm check: the dense oracles apply it to unnormalised projections.
+    """
     idx = np.arange(2**n)
     flip = idx ^ (1 << (n - 1 - qubit))
     z_sign = 1 - 2 * ((idx >> (n - 1 - qubit)) & 1)
-    amps = state.amplitudes
     if pauli == "X":
-        amps = amps[flip]
-    elif pauli == "Z":
-        amps = amps * z_sign
-    elif pauli == "Y":
-        amps = amps[flip] * (1j * z_sign)
-    else:
-        raise ValueError(f"unknown Pauli {pauli!r}")
-    return QubitState(n, amps)
+        return amps[flip]
+    if pauli == "Z":
+        return amps * z_sign
+    if pauli == "Y":
+        return amps[flip] * (1j * z_sign)
+    raise ValueError(f"unknown Pauli {pauli!r}")
 
 
 class HybridState:

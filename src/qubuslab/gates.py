@@ -92,7 +92,9 @@ def solve_local_z_corrections(
     Works on the common support of the two states; returns None when the
     supports differ, the magnitudes disagree, or no product of single-qubit
     phases reproduces the amplitude ratios.  A phase with |e^{i d} - 1| <= tol
-    is least-squares residue and is left out.
+    is least-squares residue and is left out.  When least squares fails, a
+    grid of multiples of pi/4 is searched for n <= 4; above that it raises
+    ValueError.
     """
     n = posterior.qubit_count
     a = posterior.amplitudes
@@ -131,6 +133,11 @@ def _phases_match(a, t, support, deltas, n, tol) -> bool:
 
 
 def _grid_search_phases(a, t, support, n, tol):
+    if n > 4:
+        raise ValueError(
+            f"least squares found no local Z correction for n = {n}, and the "
+            "pi/4 grid search (8**n tries) runs only for n <= 4"
+        )
     grid = [k * math.pi / 4.0 for k in range(8)]
     for combo in itertools.product(grid, repeat=n):
         if _phases_match(a, t, support, combo, n, tol):

@@ -419,9 +419,6 @@ class ChainRegistry:
     def is_end(self, qubit: int) -> bool:
         return self.degree(qubit) <= 1
 
-    def chain_length(self, qubit: int) -> int:
-        return len(self.backbones[self.chain_of[qubit]])
-
     def neighbour(self, qubit: int):
         """The unique graph neighbour of a degree<=1 qubit, or None."""
         if qubit in self.danglers:
@@ -452,13 +449,21 @@ class ChainRegistry:
         raise ValueError(f"qubit {qubit} is not a chain end")
 
     def fuse_success(self, a: int, b: int) -> None:
-        """Merge b's chain into a's; b becomes a dangling bond on a."""
+        """Merge b's chain into a's; b becomes a dangling bond on a.
+
+        A tee on b's chain moves to the merged chain, which is reversed so
+        the qubit that now carries the junction link (a when b was the
+        branch head, else the old head) stays first.
+        """
         cid_a, spine_a = self._oriented(a)
         cid_b, spine_b = self._oriented(b)
         if cid_a == cid_b:
             raise ValueError("cannot fuse a chain with itself")
         rest = list(reversed(spine_b))[1:]  # b's chain from b's neighbour outward
         merged = spine_a + rest
+        if any(cid == cid_b for _, cid in self.tees):
+            self.tees = [(j, cid_a if cid == cid_b else cid) for j, cid in self.tees]
+            merged.reverse()
         del self.backbones[cid_b]
         self.backbones[cid_a] = merged
         for qb in rest:

@@ -1,9 +1,8 @@
 """Seeded Monte Carlo for chain-growth strategies.
 
 Each trial owns a counter-based random stream keyed by (master_seed,
-trial_index), so results are bit-identical regardless of execution order or
-how trials are distributed over threads.  Aggregation indexes per-trial
-arrays by trial number, never by completion order.
+trial_index), so a trial's result does not depend on which other trials run:
+the first M trials of an N-trial run equal an M-trial run.
 
 Strategy rules (the accounting that the closed forms leave open) are stated
 in each simulator's docstring; disagreements between the simulated means and
@@ -13,7 +12,6 @@ the printed laws are surfaced by :func:`compare_to_analytic` as flags.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -414,21 +412,20 @@ _TRIAL_FUNCS = {
 
 
 def simulate(config: StrategyConfig, threads: int = 1) -> GrowthStats:
-    """Run the configured strategy over independent seeded trials.
+    """Run the configured strategy over independent seeded trials, in order.
 
-    The result is identical for any thread count: trial i always uses the
-    stream keyed by (master_seed, i) and lands in slot i of the output.
+    Trial i always uses the stream keyed by (master_seed, i) and lands in
+    slot i of the output.  Trials run in the calling thread; ``threads`` is
+    kept for callers that pass ``threads=1`` and any other value is an error.
     """
+    if threads != 1:
+        raise ValueError(
+            f"trials run in the calling thread; threads must be 1, got {threads}"
+        )
     func = _TRIAL_FUNCS[config.variant]
-
-    def run(i: int) -> dict:
-        return func(config, trial_rng(config.master_seed, i))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(run, range(config.trials)))
-    else:
-        records = [run(i) for i in range(config.trials)]
+    records = [
+        func(config, trial_rng(config.master_seed, i)) for i in range(config.trials)
+    ]
 
     base = ("entangling_ops", "elapsed_rounds", "qubits_consumed",
             "qubits_wasted", "final_length")

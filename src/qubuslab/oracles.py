@@ -4,7 +4,8 @@ Everything here deliberately avoids the branch bookkeeping of
 :mod:`qubuslab.busim` and the tableau algebra of :mod:`qubuslab.graphstab`:
 the bus is expanded in a truncated number basis, register states are dense
 vectors, and stabilizer claims are verified by brute-force operator action.
-These routines are slow and only meant for small systems.
+These routines are slow and only meant for small systems.  Only the two
+routines that use SciPy import it, so the graph-state check imports fast.
 """
 
 from __future__ import annotations
@@ -12,10 +13,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import expm
 
-from .busim import HybridState, QubitState
+from .busim import HybridState, QubitState, pauli_action
 
 __all__ = [
     "FockOracle",
@@ -25,6 +24,7 @@ __all__ = [
     "statevector_stabilizer_signs",
     "apply_pauli_string",
     "state_stabilized_by",
+    "is_graph_state",
 ]
 
 
@@ -60,6 +60,8 @@ class FockOracle:
         return np.kron(register.amplitudes, self.coherent_vector(alpha))
 
     def displacement(self, beta: complex) -> np.ndarray:
+        from scipy.linalg import expm
+
         return expm(beta * self._a.conj().T - np.conj(beta) * self._a)
 
     def rotation(self, theta: float) -> np.ndarray:
@@ -108,6 +110,7 @@ def two_gaussian_misassignment(separation: float) -> float:
     Numerically integrates the tail of N(0, 1) beyond separation/2; the
     closed form is erfc(separation / (2 sqrt 2)) / 2.
     """
+    from scipy.integrate import quad
 
     def pdf(x):
         return math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi)
@@ -122,20 +125,12 @@ def two_gaussian_misassignment(separation: float) -> float:
 
 
 def apply_pauli_string(vec: np.ndarray, pauli: str) -> np.ndarray:
+    """Dense action of a Pauli string, qubit 0 leftmost; ``I`` is identity."""
     n = len(pauli)
     out = vec
-    idx = np.arange(2**n)
     for q, ch in enumerate(pauli):
-        if ch == "I":
-            continue
-        flip = idx ^ (1 << (n - 1 - q))
-        z_sign = 1 - 2 * ((idx >> (n - 1 - q)) & 1)
-        if ch == "X":
-            out = out[flip]
-        elif ch == "Z":
-            out = out * z_sign
-        elif ch == "Y":
-            out = out[flip] * (1j * z_sign)
+        if ch != "I":
+            out = pauli_action(out, n, q, ch)
     return out
 
 
@@ -170,3 +165,16 @@ def state_stabilized_by(vec: np.ndarray, paulis, signs, tol: float = 1e-9) -> bo
         if np.max(np.abs(image - vec)) > tol:
             return False
     return True
+
+
+def is_graph_state(vec: np.ndarray, n: int, edges) -> bool:
+    """Whether every generator X_v prod_{u ~ v} Z_u fixes vec with sign +1."""
+    rows = [["I"] * n for _ in range(n)]
+    for v in range(n):
+        rows[v][v] = "X"
+    for u, v in edges:
+        rows[u][v] = "Z"
+        rows[v][u] = "Z"
+    paulis = ["".join(r) for r in rows]
+    signs = statevector_stabilizer_signs(vec, paulis)
+    return all(s == 1 for s in signs) and state_stabilized_by(vec, paulis, signs)

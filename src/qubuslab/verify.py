@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -216,35 +216,13 @@ def check_geometric(quick: bool = False) -> CriterionResult:
                 res.fail(f"{maker.__name__}(n={n}) bus spread {spread!r}")
                 continue
             state = gates.apply_corrections(busim.extract_qubits(out), corrections)
-            tab = _tableau_from_graph_signs(state, spec)
-            if tab is None:
-                res.fail(f"{maker.__name__}(n={n}) output is not the graph state")
-                continue
-            ok = graphstab.equals_up_to_corrections(tab, spec)
+            ok = oracles.is_graph_state(state.amplitudes, spec.n, spec.edges)
             res.check(ok, f"{maker.__name__}(n={n}) matches the graph stabilizers")
     return res
 
 
-def _tableau_from_graph_signs(state: busim.QubitState, spec: graphstab.GraphSpec):
-    """Tableau of a state known to be the graph state up to generator signs."""
-    base = graphstab.graph_state(spec)
-    paulis = [p for _, p in base.generator_strings()]
-    signs = oracles.statevector_stabilizer_signs(state.amplitudes, paulis)
-    if any(s is None for s in signs):
-        return None
-    tab = base.copy()
-    tab.sign = np.array([0 if s == 1 else 1 for s in signs], dtype=np.uint8)
-    if not oracles.state_stabilized_by(state.amplitudes, paulis, signs):
-        return None
-    return tab
-
-
 # ---------------------------------------------------------------------------
 # 6. stabilizer engine against the dense oracle
-
-
-def _dense_chain_state(spec: graphstab.GraphSpec) -> np.ndarray:
-    return oracles.graph_state_vector(spec.n, sorted(spec.edges))
 
 
 def _tableau_matches_vector(tab: graphstab.StabilizerTableau, vec) -> bool:
@@ -252,11 +230,6 @@ def _tableau_matches_vector(tab: graphstab.StabilizerTableau, vec) -> bool:
     return oracles.state_stabilized_by(
         vec, [p for _, p in gens], [s for s, _ in gens]
     )
-
-
-def _pauli_vec_action(vec, qubit, basis, n):
-    p = "".join(basis if q == qubit else "I" for q in range(n))
-    return oracles.apply_pauli_string(vec, p)
 
 
 def check_stabilizer_oracle(quick: bool = False) -> CriterionResult:
@@ -275,7 +248,7 @@ def check_stabilizer_oracle(quick: bool = False) -> CriterionResult:
     cases = 0
     for spec in specs:
         base_tab = graphstab.graph_state(spec)
-        base_vec = _dense_chain_state(spec)
+        base_vec = oracles.graph_state_vector(spec.n, sorted(spec.edges))
         for qubit, basis in itertools.product(range(spec.n), "XYZ"):
             p_plus = _measure_prob(base_vec, qubit, basis, spec.n, +1)
             try:
@@ -307,7 +280,7 @@ def check_stabilizer_oracle(quick: bool = False) -> CriterionResult:
     for lengths in ((1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1)):
         reg, spec = graphstab.ChainRegistry.disjoint_chains(list(lengths))
         ends = (lengths[0] - 1, lengths[0])
-        vec = _dense_chain_state(spec)
+        vec = oracles.graph_state_vector(spec.n, sorted(spec.edges))
         for outcome in graphstab.PARITY2_OUTCOMES:
             reg_i, _ = graphstab.ChainRegistry.disjoint_chains(list(lengths))
             label, tab, corr = graphstab.fuse(
@@ -358,30 +331,29 @@ def check_stabilizer_oracle(quick: bool = False) -> CriterionResult:
 
 
 def _measure_prob(vec, qubit, basis, n, sign):
-    image = _pauli_vec_action(vec, qubit, basis, n)
+    image = busim.pauli_action(vec, n, qubit, basis)
     proj = 0.5 * (vec + sign * image)
     return float(np.vdot(proj, proj).real)
 
 
 def _project_vec(vec, qubit, basis, n, sign):
-    image = _pauli_vec_action(vec, qubit, basis, n)
+    image = busim.pauli_action(vec, n, qubit, basis)
     proj = 0.5 * (vec + sign * image)
     return proj / np.linalg.norm(proj)
 
 
 def _fuse_vec(vec, ends, outcome, n, corrections):
     a, b = ends
-    za = _pauli_vec_action(vec, a, "Z", n)
 
     def zz(v):
-        return _pauli_vec_action(_pauli_vec_action(v, a, "Z", n), b, "Z", n)
+        return busim.pauli_action(busim.pauli_action(v, n, a, "Z"), n, b, "Z")
 
     if outcome in ("success-even", "success-odd"):
         sign = 1 if outcome == "success-even" else -1
         post = 0.5 * (vec + sign * zz(vec))
         post = post / np.linalg.norm(post)
         for q, op in corrections:
-            post = _pauli_vec_action(post, q, op, n)
+            post = busim.pauli_action(post, n, q, op)
         h = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
         full = np.array([[1.0]], dtype=np.complex128)
         for q in range(n):
@@ -389,7 +361,7 @@ def _fuse_vec(vec, ends, outcome, n, corrections):
         return full @ post
     bit = 0 if outcome == "fail-00" else 1
     for q in ends:
-        image = _pauli_vec_action(vec, q, "Z", n)
+        image = busim.pauli_action(vec, n, q, "Z")
         vec = 0.5 * (vec + (1 - 2 * bit) * image)
     return vec / np.linalg.norm(vec)
 
@@ -557,25 +529,30 @@ def check_flags(quick: bool = False) -> CriterionResult:
 
 
 # ---------------------------------------------------------------------------
-# 10. determinism across thread counts
+# 10. seeded determinism
 
 
 def check_determinism(quick: bool = False) -> CriterionResult:
-    res = CriterionResult(10, "seeded determinism across thread counts")
+    res = CriterionResult(10, "seeded determinism")
     from .cli import render_growth_csv, render_growth_jsonl
 
     trials = 500 if quick else 5_000
-    outputs = []
-    for threads in (1, 4):
-        cfg = growth.StrategyConfig(
-            variant="sequential", p=0.75, trials=trials, master_seed=99, target_L=21
-        )
-        stats = growth.simulate(cfg, threads=threads)
-        outputs.append(
-            (render_growth_csv(stats).encode(), render_growth_jsonl(stats).encode())
-        )
+    cfg = growth.StrategyConfig(
+        variant="sequential", p=0.75, trials=trials, master_seed=99, target_L=21
+    )
+    runs = [growth.simulate(cfg) for _ in range(2)]
+    outputs = [
+        (render_growth_csv(s).encode(), render_growth_jsonl(s).encode()) for s in runs
+    ]
     res.check(outputs[0][0] == outputs[1][0], "aggregate CSV byte-identical")
     res.check(outputs[0][1] == outputs[1][1], "per-trial JSONL byte-identical")
+    head = trials // 5
+    prefix = growth.simulate(replace(cfg, trials=head))
+    # records carry the config, whose trial count differs by design
+    same = [{**r, "config": None} for r in prefix.trial_records()] == [
+        {**r, "config": None} for r in runs[0].trial_records()
+    ][:head]
+    res.check(same, f"first {head} of {trials} trials equal a {head}-trial run")
     return res
 
 

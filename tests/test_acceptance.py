@@ -16,7 +16,8 @@ Stated tolerances (asserted inside the checks):
      canonical Bells, false-vacuum formula equals e^-16 at separation 2;
   5. geometric loop: spread exactly 0, corrected CZ fidelity 1-1e-12 on 20
      random inputs, compiled displacement identity, star/linear sequences
-     for n = 3, 4, 5 pass the stabilizer comparison, under 5 seconds;
+     for n = 3, 4, 5 are their graph states (every generator X_v prod Z_u
+     fixes the dense vector with sign +1), under 5 seconds;
   6. tableau vs dense oracle on all small scenarios, fusion length law on
      100 random cases;
   7. sequential mean ops within 1% of (L-1)/(2p-1) at 1e5 trials in under
@@ -27,7 +28,8 @@ Stated tolerances (asserted inside the checks):
      p = 1/2 law 16L - 50 with build cost 14; ops crossover inside
      [200, 300];
   9. the e^-16 vs 3e-4 and 94 vs 70 discrepancies reported as flags;
- 10. growth outputs byte-identical across thread counts.
+ 10. seeded determinism: two runs give byte-identical CSV and JSONL, and the
+     first M trials of an N-trial run equal an M-trial run.
 """
 
 import time

@@ -3,10 +3,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import qubuslab
 from qubuslab.cli import GROWTH_CSV_COLUMNS, main, parse_amount
 
 
@@ -71,6 +76,28 @@ class TestGateCommand:
         )
         assert result.exit_code == 0
         assert "stabilizer check: PASS" in result.output
+
+    def test_sequences_do_not_import_scipy(self):
+        """The graph-state check is a dense oracle that needs no SciPy."""
+        code = (
+            "import sys\n"
+            "import qubuslab.cli\n"
+            "assert 'scipy' not in sys.modules, 'import'\n"
+            "for name in ('chain', 'star'):\n"
+            "    try:\n"
+            "        qubuslab.cli.main(['gate', name, '--n', '4'])\n"
+            "    except SystemExit as exc:\n"
+            "        assert exc.code in (0, None), exc.code\n"
+            "    assert 'scipy' not in sys.modules, name\n"
+        )
+        src = Path(qubuslab.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("stabilizer check: PASS") == 2
 
     @pytest.mark.parametrize("name", ["chain", "star"])
     def test_sixteen_qubit_sequence(self, runner, name):
@@ -175,15 +202,15 @@ class TestGrowthCommand:
         result = runner.invoke(main, args)
         assert result.exit_code != 0
 
-    def test_seed_determinism_across_threads(self, runner, tmp_path):
+    def test_seed_determinism_across_reruns(self, runner, tmp_path):
         outputs = []
-        for threads in ("1", "3"):
-            csv_path = tmp_path / f"t{threads}.csv"
-            jsonl_path = tmp_path / f"t{threads}.jsonl"
+        for run in ("a", "b"):
+            csv_path = tmp_path / f"{run}.csv"
+            jsonl_path = tmp_path / f"{run}.jsonl"
             result = runner.invoke(
                 main,
                 ["growth", "sequential", "--p", "0.75", "--L", "15",
-                 "--trials", "400", "--seed", "11", "--threads", threads,
+                 "--trials", "400", "--seed", "11",
                  "--csv", str(csv_path), "--jsonl", str(jsonl_path)],
             )
             assert result.exit_code == 0

@@ -470,6 +470,15 @@ class TestCorrectionSolver:
         bell = EVEN_BELL
         assert gates.solve_local_z_corrections(plus, bell) is None
 
+    def test_grid_search_bounded(self):
+        """Least squares misses this plain Z frame; the 8**n grid stops at n = 4."""
+        plus = QubitState.plus(5)
+        framed = plus
+        for q in range(5):
+            framed = busim.apply_z_phase(framed, q, 3.0)
+        with pytest.raises(ValueError, match="n = 5"):
+            gates.solve_local_z_corrections(plus, framed)
+
     def test_partial_support(self):
         post = QubitState(2, np.array([0, 1, 1j, 0]) / math.sqrt(2))
         corr = gates.solve_local_z_corrections(post, ODD_BELL)

@@ -460,6 +460,26 @@ class TestRegistryTees:
         assert gs.equals_up_to_corrections(tab, _implied_graph(reg, tab.n),
                                            [(4, "X"), (4, "H")])
 
+    @pytest.mark.parametrize(
+        "lengths, fused, expected",
+        [
+            # one-qubit branch head 3 fused to a one-qubit chain: link moves to 4
+            ([1, 1, 2, 1], (4, 3), {"backbones": [[0], [4]], "tees": [(0, 4)]}),
+            # ... to the end of a two-qubit chain [5, 4]: 4 becomes the head
+            ([1, 1, 2, 2], (4, 3), {"backbones": [[0], [4, 5]], "tees": [(0, 4)]}),
+            # far end 4 of the two-qubit branch [3, 4]: head 3 keeps the link
+            ([1, 1, 3, 1], (5, 4), {"backbones": [[0], [3, 5]], "tees": [(0, 3)]}),
+        ],
+    )
+    @pytest.mark.parametrize("outcome", ["success-even", "success-odd"])
+    def test_fusing_a_branch_keeps_its_tee(self, lengths, fused, expected, outcome):
+        reg, spec = gs.ChainRegistry.disjoint_chains(lengths)
+        _, tab, _ = gs.fuse(gs.graph_state(spec), (0, 1, 2), "gate-3", "ghz", reg)
+        _, tab, _ = gs.fuse(tab, fused, "parity-2", outcome, reg)
+        assert sorted(reg.backbones.values()) == expected["backbones"]
+        assert [(j, reg.backbones[cid][0]) for j, cid in reg.tees] == expected["tees"]
+        assert gs.equals_up_to_corrections(tab, _implied_graph(reg, tab.n))
+
 
 def _implied_graph(reg, n):
     edges = []

@@ -268,15 +268,37 @@ class TestJoinPairExperiment:
         assert mean == pytest.approx(exact, abs=0.05)
 
 
+PREFIX_CONFIGS = [
+    dict(variant="sequential", target_L=15),
+    dict(variant="sequential", target_L=9, gate_backend="three-qubit"),
+    dict(variant="merge", target_L=10),
+    dict(variant="divide_conquer", initial_qubits=256, rounds_k=4),
+    dict(variant="vertical_link"),
+]
+
+
 class TestDeterminism:
-    def test_thread_count_invariance(self):
+    @pytest.mark.parametrize(
+        "kwargs", PREFIX_CONFIGS, ids=lambda kw: "-".join(map(str, kw.values()))
+    )
+    def test_prefix_stability(self, kwargs):
+        """Trial i's stream is keyed by (seed, i): a shorter run is a prefix."""
+        full = simulate(StrategyConfig(p=0.75, trials=120, master_seed=31, **kwargs))
+        head = simulate(StrategyConfig(p=0.75, trials=45, master_seed=31, **kwargs))
+        for field in ("entangling_ops", "elapsed_rounds", "qubits_consumed",
+                      "qubits_wasted", "final_length"):
+            assert np.array_equal(getattr(head, field), getattr(full, field)[:45])
+        assert head.extras.keys() == full.extras.keys()
+        for key, values in head.extras.items():
+            assert np.array_equal(values, full.extras[key][:45])
+
+    def test_threads_other_than_one_rejected(self):
         cfg = StrategyConfig(
-            variant="sequential", p=0.75, trials=600, master_seed=31, target_L=15
+            variant="vertical_link", p=0.75, trials=10, master_seed=31
         )
-        a = simulate(cfg, threads=1)
-        b = simulate(cfg, threads=4)
-        for field in ("entangling_ops", "qubits_consumed", "final_length"):
-            assert np.array_equal(getattr(a, field), getattr(b, field))
+        with pytest.raises(ValueError, match="threads must be 1"):
+            simulate(cfg, threads=4)
+        assert simulate(cfg, threads=1).entangling_ops.size == 10
 
     def test_reruns_identical(self):
         cfg = StrategyConfig(
