@@ -4,7 +4,8 @@ Reproduces the operation-count and time comparisons: the full pairwise
 doubling strategy beats the minimal-chain merge law up to lengths around
 250 qubits, while sequential adding wins on operations outright but pays
 linear time.  Also prints the quoted-constants table with its two flagged
-entries.
+entries.  The figure is written to ``scaling_comparison.svg`` in the
+working directory.
 """
 
 from pathlib import Path
@@ -44,7 +45,7 @@ for const in analytics.QUOTED_CONSTANTS.values():
     if const.status == "flagged":
         print(f"         {const.note}")
 
-out = Path(__file__).with_name("scaling_comparison.svg")
+out = Path("scaling_comparison.svg")  # in the working directory
 series = {}
 for L in range(5, 401):
     series.setdefault("doubling", []).append((L, analytics.dc_series_value(L, P)))

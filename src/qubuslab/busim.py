@@ -21,6 +21,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -450,16 +451,35 @@ class PeakModel:
 
     def windows(self):
         """Decision windows: midpoints between adjacent centers."""
+        return list(self._windows)
+
+    # computed once per model; a frozen dataclass still has an instance dict
+    @functools.cached_property
+    def _windows(self) -> tuple:
         centers = [p.center for p in self.peaks]
         lows = [-math.inf] + [(a + b) / 2 for a, b in zip(centers, centers[1:])]
         highs = lows[1:] + [math.inf]
-        return list(zip(lows, highs))
+        return tuple(zip(lows, highs))
+
+    @functools.cached_property
+    def _centers(self) -> np.ndarray:
+        return np.array([p.center for p in self.peaks], dtype=np.float64)
 
     def window_probability(self, index: int) -> float:
-        """Chance of the outcome landing in peak ``index``'s window (all tails)."""
-        lo, hi = self.windows()[index]
+        """Chance of the outcome landing in peak ``index``'s window (all tails).
+
+        A peak more than 9 below the window has both CDFs round to 1.0, and
+        one more than 40 above it has both underflow to 0.0, so its term is
+        exactly 0.0 and is skipped.  The other terms add in peak order, one
+        by one: a NumPy sum adds in pairs and would round differently.
+        """
+        lo, hi = self._windows[index]
+        t_lo, t_hi = lo - self._centers, hi - self._centers  # CDF arguments
+        zero = ((t_lo > 9.0) & (t_hi > 9.0)) | (
+            (t_lo < -40.0) & (t_hi < -40.0))
         total = 0.0
-        for p in self.peaks:
+        for j in np.flatnonzero(~zero).tolist():
+            p = self.peaks[j]
             total += p.weight * (_normal_cdf(hi - p.center) - _normal_cdf(lo - p.center))
         return total
 
@@ -542,7 +562,7 @@ def homodyne_project(state: HybridState, phi: float, outcome) -> HomodyneOutcome
 def _project_peak(state: HybridState, model: PeakModel, index: int) -> HomodyneOutcome:
     """Peak ``index`` of ``model`` (built from ``state``), as homodyne_project reports it."""
     peak = model.peaks[index]
-    keep = np.array([int(b) in peak.members for b in state.bits])
+    keep = np.isin(state.bits, np.fromiter(peak.members, dtype=np.int64))
     if not keep.any():
         raise ValueError("selected peak has no member branches")
     return HomodyneOutcome(

@@ -2,7 +2,9 @@
 
 Each trial owns a counter-based random stream keyed by (master_seed,
 trial_index), so a trial's result does not depend on which other trials run:
-the first M trials of an N-trial run equal an M-trial run.
+the first M trials of an N-trial run equal an M-trial run.  A run builds one
+Philox generator and rekeys it to each trial's stream, and does the rest of
+its per-run work (the gate backend's outcome table) once, not per trial.
 
 Strategy rules (the accounting that the closed forms leave open) are stated
 in each simulator's docstring; disagreements between the simulated means and
@@ -11,6 +13,7 @@ the printed laws are surfaced by :func:`compare_to_analytic` as flags.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, asdict
 
@@ -54,16 +57,49 @@ ACCOUNTING_RULES = {
 }
 
 _MASK64 = (1 << 64) - 1
+_ZERO4 = (0, 0, 0, 0)
+# rng.choice(p=...) accepts probabilities that sum to 1 within this
+_CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 
-def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
+def trial_rng(
+    master_seed: int, trial_index: int, rng: np.random.Generator | None = None
+) -> np.random.Generator:
     """Independent per-trial stream: a Philox generator keyed by both values.
 
     The 128-bit Philox key is (master_seed << 64) | trial_index, so distinct
-    trials get distinct counter-based streams with no shared state.
+    trials get distinct counter-based streams with no shared state.  Given a
+    Philox-backed ``rng``, rekey it to that stream and return it instead of
+    building a new generator: key words [trial_index, master_seed], counter
+    zero and an empty buffer are the state a fresh ``Philox(key=...)``
+    starts from, so the draws are the same.
     """
-    key = ((int(master_seed) & _MASK64) << 64) | (int(trial_index) & _MASK64)
-    return np.random.Generator(np.random.Philox(key=key))
+    if rng is None:
+        key = ((int(master_seed) & _MASK64) << 64) | (int(trial_index) & _MASK64)
+        return np.random.Generator(np.random.Philox(key=key))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": _ZERO4,
+            "key": (int(trial_index) & _MASK64, int(master_seed) & _MASK64),
+        },
+        "buffer": _ZERO4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
+def _uniforms(rng: np.random.Generator, block: int = 256):
+    """The scalar draws rng.random(), rng.random(), ... taken in blocks.
+
+    A block of k doubles is the same k values as k scalar draws; the next
+    block is drawn only when the last one runs out.  Values left over at the
+    end of a trial change nothing, because each trial owns its stream.
+    """
+    while True:
+        yield from rng.random(block).tolist()
 
 
 @dataclass(frozen=True)
@@ -187,29 +223,36 @@ def _attempt_sampler(config: StrategyConfig, rng: np.random.Generator):
 
     With the gate backend, a sampled GHZ outcome counts as pair success with
     a spare dangling bond recorded; Bell outcomes are plain successes and the
-    known product outcomes are failures.
+    known product outcomes are failures.  The table is built and checked
+    once, and each draw inverts the CDF that ``rng.choice(p=...)`` would
+    build from it, with one uniform, so it draws the same outcome.
     """
     if config.gate_backend is None:
         return lambda: (rng.random() < config.p, False)
     if config.gate_backend != "three-qubit":
         raise ValueError(f"unknown gate backend {config.gate_backend!r}")
     outcomes = gates.three_qubit_outcomes(config.alpha, config.theta)
-    labels = [o.label for o in outcomes]
     probs = np.array([o.probability for o in outcomes])
     probs = probs / probs.sum()
+    if not (np.isfinite(probs).all() and (probs >= 0.0).all()
+            and abs(math.fsum(probs) - 1.0) <= _CHOICE_ATOL):
+        raise ValueError(
+            f"three-qubit outcome probabilities {probs} are not a distribution"
+        )
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    results = [
+        (o.label == "ghz" or o.label.startswith("bell"), o.label == "ghz")
+        for o in outcomes
+    ]
 
     def sample():
-        label = labels[int(rng.choice(len(labels), p=probs))]
-        if label == "ghz":
-            return True, True
-        if label.startswith("bell"):
-            return True, False
-        return False, False
+        return results[int(cdf.searchsorted(rng.random(), side="right"))]
 
     return sample
 
 
-def _sequential_trial(config: StrategyConfig, rng: np.random.Generator):
+def _sequential_trial(config: StrategyConfig, rng: np.random.Generator, sample):
     """Random-walk growth: one fresh qubit and one gate attempt per round.
 
     Success extends the chain by one; failure loses the fresh qubit and the
@@ -218,13 +261,13 @@ def _sequential_trial(config: StrategyConfig, rng: np.random.Generator):
     empty chain keeps attempting from there, rebuilding through zero, so the
     expectation matches the closed form rather than a reflecting-boundary
     variant (which sits about one operation lower at p = 3/4, L = 41).
-    Time advances by gate_time per attempt.
+    Time advances by gate_time per attempt.  ``sample`` is the run's
+    :func:`_attempt_sampler` over ``rng``.
     """
     target = config.target_L
     length = 1
     ops = 0
     danglers = 0
-    sample = _attempt_sampler(config, rng)
     if config.gate_backend is None and config.max_rounds is None:
         # vectorized walk over blocks of attempts
         block = 256
@@ -304,13 +347,14 @@ def _dc_trial(config: StrategyConfig, rng: np.random.Generator):
     }
 
 
-def _build_chain_dc(length: int, p: float, rng, t: float):
+def _build_chain_dc(length: int, p: float, draw, t: float):
     """Ops, time and qubits to build one chain without recycling.
 
     Two bare qubits fuse straight into a 2-chain; a longer chain of length l
     splits as a + b - 1 with a = ceil((l+1)/2) and both halves at least 2.
     Halves are built fresh (in parallel, so time takes the slower half) and
-    a failed join discards them entirely.
+    a failed join discards them entirely.  ``draw()`` returns the trial's
+    next uniform.
     """
     if length <= 1:
         return 0, 0.0, 1
@@ -322,7 +366,7 @@ def _build_chain_dc(length: int, p: float, rng, t: float):
             ops += 1
             time += t
             qubits += 2
-            if rng.random() < p:
+            if draw() < p:
                 return ops, time, qubits
     a = (length + 2) // 2
     b = length + 1 - a
@@ -330,12 +374,12 @@ def _build_chain_dc(length: int, p: float, rng, t: float):
     time = 0.0
     qubits = 0
     while True:
-        ops_a, t_a, q_a = _build_chain_dc(a, p, rng, t)
-        ops_b, t_b, q_b = _build_chain_dc(b, p, rng, t)
+        ops_a, t_a, q_a = _build_chain_dc(a, p, draw, t)
+        ops_b, t_b, q_b = _build_chain_dc(b, p, draw, t)
         ops += ops_a + ops_b + 1
         time += max(t_a, t_b) + t
         qubits += q_a + q_b
-        if rng.random() < p:
+        if draw() < p:
             return ops, time, qubits
 
 
@@ -350,20 +394,21 @@ def _merge_trial(config: StrategyConfig, rng: np.random.Generator):
     target = config.target_L
     L0 = analytics.minimal_chain_length(config.p)
     t = config.gate_time
+    draw = _uniforms(rng).__next__
     ops = 0
     time = 0.0
     consumed = 0
-    b_ops, b_time, b_q = _build_chain_dc(L0, config.p, rng, t)
+    b_ops, b_time, b_q = _build_chain_dc(L0, config.p, draw, t)
     ops, time, consumed = ops + b_ops, time + b_time, consumed + b_q
     main = L0
     while main < target:
-        b_ops, b_time, b_q = _build_chain_dc(L0, config.p, rng, t)
+        b_ops, b_time, b_q = _build_chain_dc(L0, config.p, draw, t)
         ops, time, consumed = ops + b_ops, time + b_time, consumed + b_q
         partner = L0
         while partner >= 1:
             ops += 1
             time += t
-            if rng.random() < config.p:
+            if draw() < config.p:
                 main += partner - 1
                 break
             main -= 1
@@ -415,16 +460,21 @@ def simulate(config: StrategyConfig, threads: int = 1) -> GrowthStats:
     """Run the configured strategy over independent seeded trials, in order.
 
     Trial i always uses the stream keyed by (master_seed, i) and lands in
-    slot i of the output.  Trials run in the calling thread; ``threads`` is
-    kept for callers that pass ``threads=1`` and any other value is an error.
+    slot i of the output: one generator is rekeyed to it before the trial.
+    Trials run in the calling thread; ``threads`` is kept for callers that
+    pass ``threads=1`` and any other value is an error.
     """
     if threads != 1:
         raise ValueError(
             f"trials run in the calling thread; threads must be 1, got {threads}"
         )
+    rng = np.random.Generator(np.random.Philox(0))  # rekeyed before each trial
     func = _TRIAL_FUNCS[config.variant]
+    if config.variant == "sequential":
+        func = functools.partial(func, sample=_attempt_sampler(config, rng))
     records = [
-        func(config, trial_rng(config.master_seed, i)) for i in range(config.trials)
+        func(config, trial_rng(config.master_seed, i, rng))
+        for i in range(config.trials)
     ]
 
     base = ("entangling_ops", "elapsed_rounds", "qubits_consumed",
@@ -447,8 +497,9 @@ def join_pair_experiment(p: float, L: int, trials: int, seed: int) -> float:
     if L < 1:
         raise ValueError("chain length must be at least 1")
     total = 0.0
+    rng = np.random.Generator(np.random.Philox(0))  # rekeyed before each trial
     for i in range(trials):
-        rng = trial_rng(seed, i)
+        trial_rng(seed, i, rng)
         # geometric failure count, capped at exhaustion
         fails = 0
         while fails < L and rng.random() >= p:

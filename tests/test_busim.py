@@ -626,3 +626,66 @@ class TestBranchKernelsMatchLoopReference:
         state = HybridState(12, np.arange(bus.size), np.ones(bus.size), bus)
         got = bus_spread(state)
         assert np.float64(got).tobytes() == np.float64(_ref_spread(state.bus)).tobytes()
+
+
+def _ref_window_probability(model, index):
+    """Window mass of peak ``index`` summed over every peak, in a plain loop."""
+    centers = [p.center for p in model.peaks]
+    lows = [-math.inf] + [(a + b) / 2 for a, b in zip(centers, centers[1:])]
+    highs = lows[1:] + [math.inf]
+    lo, hi = lows[index], highs[index]
+    total = 0.0
+    for p in model.peaks:
+        total += p.weight * (busim._normal_cdf(hi - p.center) - busim._normal_cdf(lo - p.center))
+    return total
+
+
+def _random_peak_model(rng, count, shuffle):
+    """Peaks with gaps from well inside one width to far past the tails."""
+    centers = np.cumsum(rng.exponential(rng.choice([0.5, 3.0, 20.0]), size=count))
+    weights = rng.random(count)
+    peaks = [busim.Peak(float(c), float(w), frozenset({k}))
+             for k, (c, w) in enumerate(zip(centers - centers.mean(), weights / weights.sum()))]
+    if shuffle:
+        rng.shuffle(peaks)
+    return busim.PeakModel(phi=0.0, peaks=tuple(peaks))
+
+
+class TestWindowsMatchLoopReference:
+    """Window masses skip only exactly-zero terms; projections keep the same branches."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("alpha, theta", [(1000.0, 0.003), (3.0, 0.3)])
+    def test_cascade_models(self, n, alpha, theta):
+        _, hybrid = gates._prepare(alpha, theta, None, gates._cascade_schedule(n))
+        model = homodyne_pdf(hybrid, math.pi / 2)
+        assert model.windows() == model.windows() and len(model.windows()) == len(model.peaks)
+        for k in range(len(model.peaks)):
+            assert model.window_probability(k) == _ref_window_probability(model, k)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_models(self, seed):
+        rng = np.random.default_rng([777, seed])
+        model = _random_peak_model(rng, int(rng.integers(1, 160)), shuffle=seed % 4 == 0)
+        for k in range(len(model.peaks)):
+            assert model.window_probability(k) == _ref_window_probability(model, k)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_peak_projection(self, seed):
+        rng = np.random.default_rng([778, seed])
+        n = int(rng.integers(1, 6))
+        state = _random_hybrid(rng, n)
+        if seed % 2:  # repeat some bit patterns with other bus amplitudes
+            extra = rng.choice(state.bits, size=int(rng.integers(1, state.bits.size + 1)))
+            bits = np.concatenate([state.bits, extra])
+            coeff = rng.normal(size=bits.size) + 1j * rng.normal(size=bits.size)
+            bus = np.concatenate([state.bus, 3.0 * rng.normal(size=extra.size)])
+            state = HybridState(n, bits, coeff / np.linalg.norm(coeff), bus)
+        phi = float(rng.uniform(0.0, math.pi))
+        model = homodyne_pdf(state, phi)
+        for k, peak in enumerate(model.peaks):
+            keep = np.array([int(b) in peak.members for b in state.bits])
+            want = busim._project_at(state, phi, peak.center, keep)
+            got = busim._project_peak(state, model, k)
+            assert got.posterior.amplitudes.tobytes() == want.amplitudes.tobytes()
+            assert got.probability == _ref_window_probability(model, k)

@@ -1,12 +1,14 @@
 """Monte Carlo strategy engine: reproducibility, conservation, scaling laws."""
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qubuslab import analytics, growth
+from qubuslab import analytics, gates, growth
 from qubuslab.growth import StrategyConfig, simulate, trial_rng
 
 
@@ -55,6 +57,155 @@ class TestTrialRng:
         a = trial_rng(7, 0).random(8)
         b = trial_rng(8, 0).random(8)
         assert not np.allclose(a, b)
+
+
+def _draws(rng):
+    """One of each draw the growth kernels and NumPy's samplers make."""
+    return (
+        rng.random(5).tobytes(),
+        rng.binomial(1000, 0.37, size=3).tobytes(),
+        rng.binomial(7, 0.5),
+        rng.integers(0, 2**31 - 1, size=5, dtype=np.int32).tobytes(),  # 32-bit
+        rng.integers(0, 2**62, size=3, dtype=np.int64).tobytes(),  # 64-bit
+        rng.choice(6, size=4, p=[0.1, 0.2, 0.3, 0.15, 0.05, 0.2]).tobytes(),
+        rng.choice(1000, size=3, replace=False).tobytes(),
+        rng.random(),
+    )
+
+
+def _scramble(rng, k):
+    """Leave ``rng`` part-way through its buffer and its 32-bit half-word."""
+    rng.random(k % 4 + 1)  # Philox buffers four 64-bit words per counter step
+    rng.integers(0, 2**32, size=2 * (k % 3) + 1, dtype=np.uint32)  # odd count
+
+
+class TestRekeyedStream:
+    """``trial_rng(seed, i, rng)`` rekeys rng to the fresh (seed, i) stream."""
+
+    @staticmethod
+    def _pairs():
+        rng = np.random.default_rng(20240)
+        seeds = [0, 1, 7, 2**63 - 1, 2**63, 2**63 + 5, 2**64 - 1]
+        seeds += [int(s) for s in rng.integers(0, 2**63, size=13)]
+        seeds += [2**63 + int(s) for s in rng.integers(0, 2**63, size=10)]
+        indices = [0, 1, 2, 2**32, 2**63, 2**64 - 1]
+        indices += [int(i) for i in rng.integers(0, 2**20, size=4)]
+        return [(s, i) for s in seeds for i in indices]  # 300 pairs
+
+    def test_rekey_equals_fresh_generator(self):
+        pairs = self._pairs()
+        assert len(pairs) >= 200
+        rng = np.random.Generator(np.random.Philox(0))
+        for k, (seed, index) in enumerate(pairs):
+            _scramble(rng, k)
+            assert trial_rng(seed, index, rng) is rng
+            fresh = trial_rng(seed, index)
+            state, want = rng.bit_generator.state, fresh.bit_generator.state
+            assert np.array_equal(state["state"]["key"], want["state"]["key"])
+            assert np.array_equal(state["state"]["counter"], want["state"]["counter"])
+            assert np.array_equal(state["buffer"], want["buffer"])
+            assert (state["buffer_pos"], state["has_uint32"], state["uinteger"]) == (
+                want["buffer_pos"], want["has_uint32"], want["uinteger"])
+            assert _draws(rng) == _draws(fresh), (seed, index)
+
+    def test_rekey_after_half_used_buffer_and_odd_uint32(self):
+        rng = np.random.Generator(np.random.Philox(0))
+        rng.random(3)
+        rng.integers(0, 2**32, size=5, dtype=np.uint32)
+        state = rng.bit_generator.state
+        assert state["has_uint32"] == 1 and state["buffer_pos"] not in (0, 4)
+        trial_rng(2**63 + 3, 11, rng)
+        assert _draws(rng) == _draws(trial_rng(2**63 + 3, 11))
+
+    def test_one_trial_rng_call_per_trial(self, monkeypatch):
+        calls = []
+        real = growth.trial_rng
+
+        def spy(*args, **kwargs):
+            calls.append(args[:2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(growth, "trial_rng", spy)
+        for kwargs in PREFIX_CONFIGS:
+            calls.clear()
+            simulate(StrategyConfig(p=0.75, trials=17, master_seed=4, **kwargs))
+            assert calls == [(4, i) for i in range(17)]
+        calls.clear()
+        growth.join_pair_experiment(0.75, 5, 23, seed=9)
+        assert calls == [(9, i) for i in range(23)]
+
+
+class TestUniformBlocks:
+    @pytest.mark.parametrize("block", [1, 3, 7, 256])
+    def test_yields_the_scalar_sequence(self, block):
+        for seed in (0, 2**63 + 1):
+            blocks = growth._uniforms(trial_rng(seed, 4), block)
+            got = [next(blocks) for _ in range(600)]  # crosses block boundaries
+            scalar = trial_rng(seed, 4)
+            assert got == [scalar.random() for _ in range(600)]
+
+
+class TestGateSampler:
+    CONFIG = StrategyConfig(
+        variant="sequential", p=0.75, trials=1, master_seed=0, target_L=5,
+        gate_backend="three-qubit",
+    )
+
+    def test_cdf_draw_equals_rng_choice(self):
+        outcomes = gates.three_qubit_outcomes(self.CONFIG.alpha, self.CONFIG.theta)
+        probs = np.array([o.probability for o in outcomes])
+        probs = probs / probs.sum()
+        classes = [
+            (o.label == "ghz" or o.label.startswith("bell"), o.label == "ghz")
+            for o in outcomes
+        ]
+        assert len(set(classes)) == 3
+        rng = np.random.Generator(np.random.Philox(0))
+        sample = growth._attempt_sampler(self.CONFIG, rng)
+        for seed in range(50):
+            trial_rng(seed, 3, rng)
+            got = [sample() for _ in range(5000)]
+            # one choice of 5000 draws uses the same uniforms as 5000 choices
+            picks = trial_rng(seed, 3).choice(len(probs), size=5000, p=probs)
+            assert got == [classes[k] for k in picks.tolist()], seed
+
+    def test_table_built_once_per_simulate_call(self, monkeypatch):
+        calls = []
+        real = gates.three_qubit_outcomes
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gates, "three_qubit_outcomes", spy)
+        cfg = StrategyConfig(
+            variant="sequential", p=0.75, trials=25, master_seed=2, target_L=7,
+            gate_backend="three-qubit",
+        )
+        simulate(cfg)
+        assert len(calls) == 1
+        simulate(cfg)
+        assert len(calls) == 2
+
+    def test_bad_table_rejected(self, monkeypatch):
+        real = gates.three_qubit_outcomes
+
+        def skewed(*args, **kwargs):
+            table = list(real(*args, **kwargs))
+            table[0] = dataclasses.replace(table[0], probability=-0.5)
+            return tuple(table)
+
+        monkeypatch.setattr(gates, "three_qubit_outcomes", skewed)
+        with pytest.raises(ValueError, match="not a distribution"):
+            growth._attempt_sampler(self.CONFIG, trial_rng(0, 0))
+
+    def test_unknown_backend_rejected(self):
+        cfg = StrategyConfig(
+            variant="sequential", p=0.75, trials=3, master_seed=2, target_L=7,
+            gate_backend="four-qubit",
+        )
+        with pytest.raises(ValueError, match="unknown gate backend"):
+            simulate(cfg)
 
 
 class TestSequential:
@@ -247,6 +398,18 @@ class TestMerge:
 
 
 class TestJoinPairExperiment:
+    @pytest.mark.parametrize("p, L, seed", [(0.75, 10, 5), (0.5, 3, 8), (0.9, 4, 2**63)])
+    def test_equals_fresh_stream_per_trial(self, p, L, seed):
+        """The rekeyed run equals the loop that builds trial_rng(seed, i) anew."""
+        total = 0.0
+        for i in range(3000):
+            rng = trial_rng(seed, i)
+            fails = 0
+            while fails < L and rng.random() >= p:
+                fails += 1
+            total += 0.0 if fails == L else 2.0 * (L - fails) - 1.0
+        assert growth.join_pair_experiment(p, L, 3000, seed) == total / 3000
+
     def test_matches_exact_sum(self):
         mean = growth.join_pair_experiment(0.75, 10, 40_000, seed=5)
         exact = analytics.join_yield(10, 0.75, "exact-sum")
@@ -358,3 +521,143 @@ class TestTrialRecords:
         assert records[0]["config"]["variant"] == "vertical_link"
         assert records[2]["trial"] == 2
         assert {"entangling_ops", "qubits_consumed", "final_length"} <= set(records[0])
+
+
+# ---------------------------------------------------------------------------
+# byte-identity with the per-trial scalar kernels
+
+
+def _scalar_build_chain_dc(length, p, rng, t):
+    """The chain build as written with one rng.random() per attempt."""
+    if length <= 1:
+        return 0, 0.0, 1
+    if length == 2:
+        ops = 0
+        time = 0.0
+        qubits = 0
+        while True:
+            ops += 1
+            time += t
+            qubits += 2
+            if rng.random() < p:
+                return ops, time, qubits
+    a = (length + 2) // 2
+    b = length + 1 - a
+    ops = 0
+    time = 0.0
+    qubits = 0
+    while True:
+        ops_a, t_a, q_a = _scalar_build_chain_dc(a, p, rng, t)
+        ops_b, t_b, q_b = _scalar_build_chain_dc(b, p, rng, t)
+        ops += ops_a + ops_b + 1
+        time += max(t_a, t_b) + t
+        qubits += q_a + q_b
+        if rng.random() < p:
+            return ops, time, qubits
+
+
+def _scalar_merge_trial(config, rng):
+    """The merge trial as written with one rng.random() per attempt."""
+    target = config.target_L
+    L0 = analytics.minimal_chain_length(config.p)
+    t = config.gate_time
+    ops, time, consumed = _scalar_build_chain_dc(L0, config.p, rng, t)
+    main = L0
+    while main < target:
+        b_ops, b_time, b_q = _scalar_build_chain_dc(L0, config.p, rng, t)
+        ops, time, consumed = ops + b_ops, time + b_time, consumed + b_q
+        partner = L0
+        while partner >= 1:
+            ops += 1
+            time += t
+            if rng.random() < config.p:
+                main += partner - 1
+                break
+            main -= 1
+            partner -= 1
+        if main < 1:
+            main = 1
+    return {
+        "entangling_ops": ops,
+        "elapsed_rounds": time,
+        "qubits_consumed": consumed,
+        "qubits_wasted": consumed - main,
+        "final_length": main,
+    }
+
+
+class TestMergeBlockDraws:
+    @pytest.mark.parametrize("p, L", [(0.6, 20), (0.75, 41), (0.9, 30)])
+    def test_equals_scalar_draws(self, p, L):
+        cfg = StrategyConfig(
+            variant="merge", p=p, trials=150, master_seed=2**63 + 17, target_L=L,
+            gate_time=0.5,
+        )
+        stats = simulate(cfg)
+        for i in range(cfg.trials):
+            want = _scalar_merge_trial(cfg, trial_rng(cfg.master_seed, i))
+            assert growth._merge_trial(cfg, trial_rng(cfg.master_seed, i)) == want
+            for key, value in want.items():
+                assert getattr(stats, key)[i] == value
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 5, 9, 17])
+    def test_chain_build_equals_scalar_draws(self, length):
+        for i in range(40):
+            draw = growth._uniforms(trial_rng(3, i)).__next__
+            want = _scalar_build_chain_dc(length, 0.7, trial_rng(3, i), 1.0)
+            assert growth._build_chain_dc(length, 0.7, draw, 1.0) == want
+
+
+# sha256 of every output array of simulate, computed before the trial streams
+# were rekeyed onto one generator per run; the runs must stay byte-identical
+GOLDEN = {
+    "sequential": (
+        dict(variant="sequential", p=0.75, trials=2000, master_seed=2**63 + 5,
+             target_L=41),
+        "b741155e8db90f53bc91eceb2d806b661abae6716d7736eb3d49e424f9dede97",
+    ),
+    "sequential-capped": (
+        dict(variant="sequential", p=0.5, trials=300, master_seed=17, target_L=30,
+             max_rounds=50),
+        "195a6a19fea11828002a27523e30860b423abde96cd0f23822380b238a96310e",
+    ),
+    "sequential-three-qubit": (
+        dict(variant="sequential", p=0.75, trials=60, master_seed=2**64 - 1,
+             target_L=11, gate_backend="three-qubit"),
+        "9984682fc03786a1dd8e8393fba267c3a45c8cab3390129d8666b2836c8d13c2",
+    ),
+    "merge": (
+        dict(variant="merge", p=0.75, trials=300, master_seed=2**63 + 9, target_L=41),
+        "94c99b154452516071dfc4dcaa0480159a302084342d3817c34fa740a167c1b8",
+    ),
+    "merge-p0.6": (
+        dict(variant="merge", p=0.6, trials=100, master_seed=3, target_L=20),
+        "0c76bd9c2ca27318c8ba29a999bacdd46a187de6203ae77795db321ed535d63d",
+    ),
+    "divide_conquer": (
+        dict(variant="divide_conquer", p=0.5, trials=500, master_seed=11,
+             initial_qubits=2**16, rounds_k=8),
+        "acfb55b0dd05d9214192a8d3dd5f0ebfcef1699d8b844806f515d0f95faba719",
+    ),
+    "vertical_link": (
+        dict(variant="vertical_link", p=0.75, trials=3000, master_seed=2**63),
+        "215db683b6c3a963048416ddb84812a9d6f204eb6e464674f7edf04929d434a8",
+    ),
+}
+
+
+def _stats_digest(stats) -> str:
+    h = hashlib.sha256()
+    for name in ("entangling_ops", "elapsed_rounds", "qubits_consumed",
+                 "qubits_wasted", "final_length"):
+        h.update(getattr(stats, name).tobytes())
+    for key in sorted(stats.extras):
+        h.update(key.encode())
+        h.update(stats.extras[key].tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_simulate_outputs_pinned(name):
+    kwargs, digest = GOLDEN[name]
+    assert _stats_digest(simulate(StrategyConfig(**kwargs))) == digest
