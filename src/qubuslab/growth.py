@@ -91,15 +91,15 @@ def trial_rng(
     return rng
 
 
-def _uniforms(rng: np.random.Generator, block: int = 256):
-    """The scalar draws rng.random(), rng.random(), ... taken in blocks.
+def _uniforms(rng: np.random.Generator):
+    """The scalar draws rng.random(), rng.random(), ... taken in blocks of 256.
 
     A block of k doubles is the same k values as k scalar draws; the next
     block is drawn only when the last one runs out.  Values left over at the
     end of a trial change nothing, because each trial owns its stream.
     """
     while True:
-        yield from rng.random(block).tolist()
+        yield from rng.random(256).tolist()
 
 
 @dataclass(frozen=True)
@@ -218,17 +218,18 @@ class GrowthStats:
 # per-trial simulators
 
 
-def _attempt_sampler(config: StrategyConfig, rng: np.random.Generator):
+def _attempt_sampler(config: StrategyConfig):
     """Success sampler: abstract Bernoulli(p) or the exact three-qubit gate.
 
     With the gate backend, a sampled GHZ outcome counts as pair success with
     a spare dangling bond recorded; Bell outcomes are plain successes and the
     known product outcomes are failures.  The table is built and checked
-    once, and each draw inverts the CDF that ``rng.choice(p=...)`` would
-    build from it, with one uniform, so it draws the same outcome.
+    once, and each draw ``sample(rng)`` inverts the CDF that
+    ``rng.choice(p=...)`` would build from it, with one uniform, so it draws
+    the same outcome.
     """
     if config.gate_backend is None:
-        return lambda: (rng.random() < config.p, False)
+        return lambda rng: (rng.random() < config.p, False)
     if config.gate_backend != "three-qubit":
         raise ValueError(f"unknown gate backend {config.gate_backend!r}")
     outcomes = gates.three_qubit_outcomes(config.alpha, config.theta)
@@ -246,7 +247,7 @@ def _attempt_sampler(config: StrategyConfig, rng: np.random.Generator):
         for o in outcomes
     ]
 
-    def sample():
+    def sample(rng):
         return results[int(cdf.searchsorted(rng.random(), side="right"))]
 
     return sample
@@ -262,7 +263,7 @@ def _sequential_trial(config: StrategyConfig, rng: np.random.Generator, sample):
     expectation matches the closed form rather than a reflecting-boundary
     variant (which sits about one operation lower at p = 3/4, L = 41).
     Time advances by gate_time per attempt.  ``sample`` is the run's
-    :func:`_attempt_sampler` over ``rng``.
+    :func:`_attempt_sampler`, built once per run.
     """
     target = config.target_L
     length = 1
@@ -288,7 +289,7 @@ def _sequential_trial(config: StrategyConfig, rng: np.random.Generator, sample):
         while length < target:
             if config.max_rounds is not None and ops >= config.max_rounds:
                 break
-            ok, spare = sample()
+            ok, spare = sample(rng)
             ops += 1
             if ok:
                 length += 1
@@ -471,7 +472,7 @@ def simulate(config: StrategyConfig, threads: int = 1) -> GrowthStats:
     rng = np.random.Generator(np.random.Philox(0))  # rekeyed before each trial
     func = _TRIAL_FUNCS[config.variant]
     if config.variant == "sequential":
-        func = functools.partial(func, sample=_attempt_sampler(config, rng))
+        func = functools.partial(func, sample=_attempt_sampler(config))
     records = [
         func(config, trial_rng(config.master_seed, i, rng))
         for i in range(config.trials)

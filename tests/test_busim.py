@@ -628,12 +628,17 @@ class TestBranchKernelsMatchLoopReference:
         assert np.float64(got).tobytes() == np.float64(_ref_spread(state.bus)).tobytes()
 
 
-def _ref_window_probability(model, index):
-    """Window mass of peak ``index`` summed over every peak, in a plain loop."""
+def _ref_windows(model):
+    """Decision windows rebuilt from the peak centres on every call."""
     centers = [p.center for p in model.peaks]
     lows = [-math.inf] + [(a + b) / 2 for a, b in zip(centers, centers[1:])]
     highs = lows[1:] + [math.inf]
-    lo, hi = lows[index], highs[index]
+    return list(zip(lows, highs))
+
+
+def _ref_window_probability(model, index):
+    """Window mass of peak ``index`` summed over every peak, in a plain loop."""
+    lo, hi = _ref_windows(model)[index]
     total = 0.0
     for p in model.peaks:
         total += p.weight * (busim._normal_cdf(hi - p.center) - busim._normal_cdf(lo - p.center))
@@ -659,7 +664,9 @@ class TestWindowsMatchLoopReference:
     def test_cascade_models(self, n, alpha, theta):
         _, hybrid = gates._prepare(alpha, theta, None, gates._cascade_schedule(n))
         model = homodyne_pdf(hybrid, math.pi / 2)
-        assert model.windows() == model.windows() and len(model.windows()) == len(model.peaks)
+        assert model.windows() == _ref_windows(model)
+        model.windows().clear()  # the caller's list is a copy of the cached windows
+        assert model.windows() == _ref_windows(model)
         for k in range(len(model.peaks)):
             assert model.window_probability(k) == _ref_window_probability(model, k)
 

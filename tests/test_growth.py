@@ -96,8 +96,12 @@ class TestRekeyedStream:
         pairs = self._pairs()
         assert len(pairs) >= 200
         rng = np.random.Generator(np.random.Philox(0))
+        part_used = 0
         for k, (seed, index) in enumerate(pairs):
             _scramble(rng, k)
+            before = rng.bit_generator.state
+            assert before["has_uint32"] == 1
+            part_used += before["buffer_pos"] not in (0, 4)
             assert trial_rng(seed, index, rng) is rng
             fresh = trial_rng(seed, index)
             state, want = rng.bit_generator.state, fresh.bit_generator.state
@@ -107,15 +111,7 @@ class TestRekeyedStream:
             assert (state["buffer_pos"], state["has_uint32"], state["uinteger"]) == (
                 want["buffer_pos"], want["has_uint32"], want["uinteger"])
             assert _draws(rng) == _draws(fresh), (seed, index)
-
-    def test_rekey_after_half_used_buffer_and_odd_uint32(self):
-        rng = np.random.Generator(np.random.Philox(0))
-        rng.random(3)
-        rng.integers(0, 2**32, size=5, dtype=np.uint32)
-        state = rng.bit_generator.state
-        assert state["has_uint32"] == 1 and state["buffer_pos"] not in (0, 4)
-        trial_rng(2**63 + 3, 11, rng)
-        assert _draws(rng) == _draws(trial_rng(2**63 + 3, 11))
+        assert part_used >= len(pairs) // 2  # rekeys from a part-used buffer
 
     def test_one_trial_rng_call_per_trial(self, monkeypatch):
         calls = []
@@ -136,11 +132,10 @@ class TestRekeyedStream:
 
 
 class TestUniformBlocks:
-    @pytest.mark.parametrize("block", [1, 3, 7, 256])
-    def test_yields_the_scalar_sequence(self, block):
+    def test_yields_the_scalar_sequence(self):
         for seed in (0, 2**63 + 1):
-            blocks = growth._uniforms(trial_rng(seed, 4), block)
-            got = [next(blocks) for _ in range(600)]  # crosses block boundaries
+            blocks = growth._uniforms(trial_rng(seed, 4))
+            got = [next(blocks) for _ in range(600)]  # crosses two 256-blocks
             scalar = trial_rng(seed, 4)
             assert got == [scalar.random() for _ in range(600)]
 
@@ -161,10 +156,10 @@ class TestGateSampler:
         ]
         assert len(set(classes)) == 3
         rng = np.random.Generator(np.random.Philox(0))
-        sample = growth._attempt_sampler(self.CONFIG, rng)
+        sample = growth._attempt_sampler(self.CONFIG)
         for seed in range(50):
             trial_rng(seed, 3, rng)
-            got = [sample() for _ in range(5000)]
+            got = [sample(rng) for _ in range(5000)]
             # one choice of 5000 draws uses the same uniforms as 5000 choices
             picks = trial_rng(seed, 3).choice(len(probs), size=5000, p=probs)
             assert got == [classes[k] for k in picks.tolist()], seed
@@ -197,7 +192,7 @@ class TestGateSampler:
 
         monkeypatch.setattr(gates, "three_qubit_outcomes", skewed)
         with pytest.raises(ValueError, match="not a distribution"):
-            growth._attempt_sampler(self.CONFIG, trial_rng(0, 0))
+            growth._attempt_sampler(self.CONFIG)
 
     def test_unknown_backend_rejected(self):
         cfg = StrategyConfig(
