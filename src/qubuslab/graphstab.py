@@ -5,10 +5,16 @@ Operations return updated copies; measurement randomness comes from a caller
 supplied generator or a forced outcome, so growth simulations can keep one
 seeded stream per trial.
 
-All GF(2) linear algebra (the independence check in ``validate``, solving
-for a group element, ``canonical_form``) runs through one Gauss-Jordan kernel,
+Beside its stabilizers a tableau keeps destabilizer rows, as Aaronson and
+Gottesman do (quant-ph/0406196): destabilizer i anticommutes with generator
+i and commutes with every other generator.  A deterministic measurement
+reads which generators multiply to the observable off one symplectic product
+with the destabilizers, with no elimination.  The remaining GF(2) linear
+algebra (the independence check in ``validate``, the neighbourhood solve in
+``_graph_neighbourhood``, ``canonical_form``, and deriving the destabilizers
+of a hand-built tableau once) runs through one Gauss-Jordan kernel,
 ``_row_reduce``; every row product takes its sign from ``_product_sign``, the
-row-sum phase of Aaronson and Gottesman (quant-ph/0406196).
+Aaronson-Gottesman row-sum phase.
 
 Chain bookkeeping (which qubit sits where in which chain, dangling bonds)
 lives in a :class:`ChainRegistry` beside the tableau; the quantum state never
@@ -113,18 +119,31 @@ class StabilizerTableau:
 
     Row i of ``x``/``z`` holds the symplectic bits of generator i; ``sign``
     is 0 for +1 and 1 for -1.
+
+    Rows of ``dx``/``dz`` are the destabilizers, unsigned, with
+    ``dx @ z.T + dz @ x.T == I`` mod 2.  Deterministic measurements read the
+    generator combination from them; the eliminations that remain are in
+    ``validate``, ``_graph_neighbourhood`` and ``canonical_form``.
+    ``graph_state`` sets them; a tableau built from ``x`` and ``z`` leaves
+    them ``None`` and derives them on its first measurement.  The module's
+    operations keep them in step: set them back to ``None`` after editing
+    ``x`` or ``z`` by hand.
     """
 
-    __slots__ = ("n", "x", "z", "sign")
+    __slots__ = ("n", "x", "z", "sign", "dx", "dz")
 
     def __init__(self, n: int, x=None, z=None, sign=None):
         self.n = n
         self.x = np.zeros((n, n), dtype=np.uint8) if x is None else np.array(x, dtype=np.uint8)
         self.z = np.zeros((n, n), dtype=np.uint8) if z is None else np.array(z, dtype=np.uint8)
         self.sign = np.zeros(n, dtype=np.uint8) if sign is None else np.array(sign, dtype=np.uint8)
+        self.dx = self.dz = None
 
     def copy(self) -> "StabilizerTableau":
-        return StabilizerTableau(self.n, self.x.copy(), self.z.copy(), self.sign.copy())
+        out = StabilizerTableau(self.n, self.x, self.z, self.sign)  # np.array copies
+        if self.dx is not None:
+            out.dx, out.dz = self.dx.copy(), self.dz.copy()
+        return out
 
     def generator_strings(self):
         """Generators as (sign, pauli-string) pairs, qubit 0 leftmost."""
@@ -206,13 +225,32 @@ def _product_sign(rows: np.ndarray, source: np.ndarray, n: int) -> np.ndarray:
     return (g // 2).astype(np.uint8)
 
 
+def _derive_destabilizers(tab: StabilizerTableau) -> None:
+    """Set destabilizers for hand-built generators, with one elimination.
+
+    Row-reducing [z | x | I] gives E [z | x] = R, with R's pivot column
+    p_k zero outside row k; a matrix D whose column p_k is row k of E
+    then has D [z | x]^T = I, which is the duality dx z^T + dz x^T = I.
+    """
+    n = tab.n
+    m = np.concatenate([tab.z, tab.x, np.eye(n, dtype=np.uint8)], axis=1) % 2
+    pivots = _row_reduce(m, 2 * n)
+    if len(pivots) != n:
+        raise ValueError("generators are not independent")
+    d = np.zeros((n, 2 * n), dtype=np.uint8)
+    d[:, pivots] = m[:, 2 * n:].T
+    tab.dx, tab.dz = d[:, :n], d[:, n:]
+
+
 def graph_state(spec: GraphSpec) -> StabilizerTableau:
-    """Generators X_v prod_{u ~ v} Z_u with + signs."""
+    """Generators X_v prod_{u ~ v} Z_u with + signs; destabilizers Z_v."""
     tab = StabilizerTableau(spec.n)
-    for v in range(spec.n):
-        tab.x[v, v] = 1
-        for u in spec.neighbours(v):
-            tab.z[v, u] = 1
+    np.fill_diagonal(tab.x, 1)
+    if spec.edges:
+        u, v = np.array(list(spec.edges)).T
+        tab.z[u, v] = tab.z[v, u] = 1
+    tab.dx = np.zeros_like(tab.x)
+    tab.dz = np.eye(spec.n, dtype=np.uint8)
     return tab
 
 
@@ -220,18 +258,30 @@ def graph_state(spec: GraphSpec) -> StabilizerTableau:
 # Clifford updates
 
 
+def _check_qubit(n: int, qubit: int) -> None:
+    if not 0 <= qubit < n:
+        raise ValueError(f"qubit {qubit} out of range 0..{n - 1}")
+
+
 def apply_hadamard(tab: StabilizerTableau, qubit: int) -> StabilizerTableau:
+    _check_qubit(tab.n, qubit)
     tab = tab.copy()
     xq = tab.x[:, qubit].copy()
     zq = tab.z[:, qubit].copy()
     tab.sign ^= xq & zq
     tab.x[:, qubit] = zq
     tab.z[:, qubit] = xq
+    if tab.dx is not None:
+        tab.dx[:, qubit], tab.dz[:, qubit] = tab.dz[:, qubit].copy(), tab.dx[:, qubit].copy()
     return tab
 
 
 def apply_pauli(tab: StabilizerTableau, qubit: int, pauli: str) -> StabilizerTableau:
-    """Conjugate every generator by a single-qubit Pauli (sign flips only)."""
+    """Conjugate every generator by a single-qubit Pauli (sign flips only).
+
+    Destabilizers carry no signs, so they are left alone.
+    """
+    _check_qubit(tab.n, qubit)
     tab = tab.copy()
     xq, zq = tab.x[:, qubit], tab.z[:, qubit]
     if pauli == "X":
@@ -263,6 +313,7 @@ def _string_to_bits(n: int, pauli: dict[int, str]):
     xt = np.zeros(n, dtype=np.uint8)
     zt = np.zeros(n, dtype=np.uint8)
     for q, ch in pauli.items():
+        _check_qubit(n, q)
         if ch == "X":
             xt[q] = 1
         elif ch == "Z":
@@ -283,9 +334,12 @@ def measure_pauli_string(
     """Measure a (multi-qubit) Pauli observable; returns (outcome, tableau).
 
     Deterministic outcomes are computed by expressing the observable inside
-    the generator group; random outcomes need ``forced`` or ``rng``.
+    the generator group; random outcomes need ``forced`` or ``rng``.  A
+    tableau without destabilizers gets them here, once, on the input.
     """
     xt, zt = _string_to_bits(tab.n, pauli)
+    if tab.dx is None:
+        _derive_destabilizers(tab)
     anti = ((tab.x @ zt) + (tab.z @ xt)) % 2
     hits = np.flatnonzero(anti)
     tab = tab.copy()
@@ -296,6 +350,14 @@ def measure_pauli_string(
         tab.sign[rest] ^= tab.sign[p] ^ _product_sign(xz[rest], xz[p], tab.n)
         tab.x[rest] ^= tab.x[p]
         tab.z[rest] ^= tab.z[p]
+        # Aaronson-Gottesman: destabilizer p becomes the old generator p, and
+        # every other destabilizer that anticommutes with the observable
+        # takes a factor of it, which keeps the duality with the new rows.
+        drows = np.flatnonzero(((tab.dx @ zt) + (tab.dz @ xt)) % 2)
+        drows = drows[drows != p]
+        tab.dx[p], tab.dz[p] = tab.x[p], tab.z[p]
+        tab.dx[drows] ^= tab.x[p]
+        tab.dz[drows] ^= tab.z[p]
         if forced is None:
             if rng is None:
                 raise ValueError("random measurement outcome needs forced or rng")
@@ -317,14 +379,16 @@ def measure_pauli_string(
 
 
 def _deterministic_sign(tab: StabilizerTableau, xt, zt) -> int:
-    """Sign of a Pauli that lies in the stabilizer group."""
-    m = np.concatenate([tab.x, tab.z], axis=1) % 2
-    target = np.concatenate([xt, zt]) % 2
-    combo = _gf2_solve(m.T, target)
-    if combo is None:
+    """Sign of a Pauli that commutes with every generator.
+
+    Generator i is a factor exactly when the Pauli anticommutes with
+    destabilizer i; the combination is unique because the generators are
+    independent.
+    """
+    used = np.flatnonzero(((tab.dx @ zt) + (tab.dz @ xt)) % 2)
+    rows = np.concatenate([tab.x[used], tab.z[used]], axis=1)
+    if not np.array_equal(np.bitwise_xor.reduce(rows, axis=0), np.concatenate([xt, zt])):
         raise ValueError("measured Pauli neither commutes into nor hits the group")
-    used = np.flatnonzero(combo)
-    rows = m[used]
     before = np.zeros_like(rows)  # product of the rows ahead of each row
     before[1:] = np.bitwise_xor.accumulate(rows, axis=0)[:-1]
     sign = int(tab.sign[used].sum()) + int(_product_sign(before, rows, tab.n).sum())
@@ -353,8 +417,6 @@ def measure_pauli(
     """Single-qubit X, Y or Z measurement; returns (outcome, tableau)."""
     if basis not in ("X", "Y", "Z"):
         raise ValueError(f"basis must be X, Y or Z, got {basis!r}")
-    if not 0 <= qubit < tab.n:
-        raise ValueError(f"qubit {qubit} out of range")
     return measure_pauli_string(tab, {qubit: basis}, forced=forced, rng=rng)
 
 

@@ -29,6 +29,24 @@ def tableau_matches(tab, vec, tol=1e-9):
     return state_stabilized_by(vec, [p for _, p in gens], [s for s, _ in gens], tol)
 
 
+def _random_graph(rng, lo, hi):
+    """A random graph on lo..hi vertices with a random edge density."""
+    n = int(rng.integers(lo, hi + 1))
+    possible = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    take = rng.random(len(possible)) < rng.uniform(0.05, 0.5)
+    return gs.GraphSpec.from_edges(n, [e for e, keep in zip(possible, take) if keep])
+
+
+def _ref_graph_state(spec):
+    """The per-vertex neighbour loop that ``graph_state`` replaced."""
+    tab = gs.StabilizerTableau(spec.n)
+    for v in range(spec.n):
+        tab.x[v, v] = 1
+        for u in spec.neighbours(v):
+            tab.z[v, u] = 1
+    return tab
+
+
 class TestGraphSpec:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
@@ -81,6 +99,27 @@ class TestGraphState:
     def test_generators_stabilize_dense_state(self, spec):
         assert tableau_matches(gs.graph_state(spec), dense_of(spec))
         gs.graph_state(spec).validate()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            gs.GraphSpec.from_edges(1, []),
+            gs.GraphSpec.from_edges(5, []),
+            gs.GraphSpec.chain(2),
+            gs.GraphSpec.chain(9),
+            gs.GraphSpec.star(7),
+            gs.GraphSpec.star(6, center=4),
+        ]
+        + [_random_graph(np.random.default_rng([3, s]), 2, 40) for s in range(6)],
+    )
+    def test_matches_neighbour_loop(self, spec):
+        tab = gs.graph_state(spec)
+        want = _ref_graph_state(spec)
+        for name in ("x", "z", "sign"):
+            got, ref = getattr(tab, name), getattr(want, name)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        assert tab.dx.tolist() == np.zeros((spec.n, spec.n), dtype=int).tolist()
+        assert tab.dz.tolist() == np.eye(spec.n, dtype=int).tolist()
 
 
 class TestMeasurePauli:
@@ -146,6 +185,32 @@ class TestMeasurePauli:
                     continue
                 _, after = gs.measure_pauli(tab, qubit, basis, forced=forced)
                 assert tableau_matches(after, proj / math.sqrt(prob))
+
+
+class TestQubitRange:
+    """Qubits outside 0..n-1 are rejected, not wrapped by negative indexing."""
+
+    @pytest.mark.parametrize("qubit", [-3, -1, 3, 4])
+    def test_out_of_range_rejected(self, qubit):
+        tab = gs.graph_state(gs.GraphSpec.chain(3))
+        calls = [
+            lambda: gs.measure_pauli_string(tab, {qubit: "Z"}, forced=1),
+            lambda: gs.measure_pauli_string(tab, {0: "X", qubit: "Z"}),
+            lambda: gs.measure_pauli(tab, qubit, "Z", forced=1),
+            lambda: gs.apply_hadamard(tab, qubit),
+            lambda: gs.apply_pauli(tab, qubit, "X"),
+            lambda: gs.apply_corrections(tab, [(qubit, "Y")]),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=rf"qubit {qubit} out of range 0\.\.2"):
+                call()
+
+    def test_edges_of_range_accepted(self):
+        tab = gs.graph_state(gs.GraphSpec.chain(3))
+        for qubit in (0, 2):
+            gs.measure_pauli_string(tab, {qubit: "Z"}, forced=1)
+            gs.apply_hadamard(tab, qubit)
+            gs.apply_pauli(tab, qubit, "X")
 
 
 class TestFuseParity2:
@@ -605,11 +670,8 @@ def _ref_canonical_form(tab):
 
 def _random_measured_tableau(rng):
     """A random graph state of 2-40 qubits after random Z/X/Y and ZZ measurements."""
-    n = int(rng.integers(2, 41))
-    possible = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    take = rng.random(len(possible)) < rng.uniform(0.05, 0.5)
-    spec = gs.GraphSpec.from_edges(n, [e for e, keep in zip(possible, take) if keep])
-    tab = gs.graph_state(spec)
+    tab = gs.graph_state(_random_graph(rng, 2, 40))
+    n = tab.n
     for _ in range(int(rng.integers(0, n + 1))):
         if rng.random() < 0.5:
             pauli = {int(rng.integers(n)): "XYZ"[int(rng.integers(3))]}
@@ -658,3 +720,250 @@ class TestKernelMatchesLoopReference:
         assert got.tolist() == [g // 2 for g, e in zip(phases, even) if e]
         with pytest.raises(AssertionError, match="imaginary sign"):
             gs._product_sign(rows[~even][:1], source, n)
+
+
+# The elimination that the destabilizer rows replaced in measure_pauli_string,
+# kept as the reference for deterministic outcomes.
+
+
+def _ref_deterministic_sign(tab, xt, zt):
+    m = np.concatenate([tab.x, tab.z], axis=1) % 2
+    target = np.concatenate([xt, zt]) % 2
+    combo = gs._gf2_solve(m.T, target)
+    if combo is None:
+        raise ValueError("measured Pauli neither commutes into nor hits the group")
+    used = np.flatnonzero(combo)
+    rows = m[used]
+    before = np.zeros_like(rows)
+    before[1:] = np.bitwise_xor.accumulate(rows, axis=0)[:-1]
+    sign = int(tab.sign[used].sum()) + int(gs._product_sign(before, rows, tab.n).sum())
+    return 1 - 2 * (sign % 2)
+
+
+def _duality_holds(tab):
+    d = (tab.dx.astype(np.int64) @ tab.z.T + tab.dz.astype(np.int64) @ tab.x.T) % 2
+    return np.array_equal(d, np.eye(tab.n, dtype=np.int64))
+
+
+def _no_elimination(*args, **kwargs):
+    raise AssertionError("measurement ran a GF(2) elimination")
+
+
+class _Side:
+    """One run of a step sequence: its tableau, registry and outcome stream."""
+
+    def __init__(self, tab, reg, seed):
+        self.tab, self.reg, self.rng = tab, reg, np.random.default_rng(seed)
+
+    def attempt(self, op):
+        try:
+            result, self.tab = op(self)
+        except ValueError as err:
+            return ("ValueError", str(err))
+        return result
+
+
+def _measure(pauli, forced):
+    def op(side):
+        rng = side.rng if forced is None else None
+        return gs.measure_pauli_string(side.tab, pauli, forced=forced, rng=rng)
+    return op
+
+
+def _hadamard(q):
+    return lambda side: (None, gs.apply_hadamard(side.tab, q))
+
+
+def _pauli(q, ch):
+    return lambda side: (None, gs.apply_pauli(side.tab, q, ch))
+
+
+def _fuse(qubits, variant, outcome):
+    def op(side):
+        label, tab, corrections = gs.fuse(side.tab, qubits, variant, outcome, side.reg)
+        return (label, corrections), tab
+    return op
+
+
+def _recover(q):
+    return lambda side: gs.recover_failure(side.tab, q, side.reg, rng=side.rng)
+
+
+class TestDestabilizerMeasurement:
+    """Measurements read off destabilizers equal the elimination they replaced.
+
+    Each step runs on two copies of a register: one through the module, one
+    with ``_deterministic_sign`` swapped for the elimination (the random
+    branch's generator update is unchanged, so it is shared).  After every
+    step the outcomes and the signed generators must be equal, and the
+    module's destabilizers must stay dual to its generators.  Outside
+    ``fuse``, whose odd-branch corrections solve for a neighbourhood, no
+    step on a ``graph_state`` register may run an elimination.
+    """
+
+    def _step(self, monkeypatch, op, new, ref, eliminates=False):
+        with monkeypatch.context() as m:
+            if not eliminates:
+                m.setattr(gs, "_row_reduce", _no_elimination)
+            got = new.attempt(op)
+        with monkeypatch.context() as m:
+            m.setattr(gs, "_deterministic_sign", _ref_deterministic_sign)
+            want = ref.attempt(op)
+        assert got == want
+        for name in ("x", "z", "sign"):
+            a, b = getattr(new.tab, name), getattr(ref.tab, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert _duality_holds(new.tab)
+        return got
+
+    @staticmethod
+    def _is_deterministic(tab, pauli):
+        xt, zt = gs._string_to_bits(tab.n, pauli)
+        return not ((tab.x @ zt + tab.z @ xt) % 2).any()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_sequences_on_graph_states(self, seed, monkeypatch):
+        rng = np.random.default_rng([7, seed])
+        spec = _random_graph(rng, 2, 40)
+        n = spec.n
+        new = _Side(gs.graph_state(spec), None, seed)
+        ref = _Side(gs.graph_state(spec), None, seed)
+        kinds = {"random": 0, "deterministic": 0}
+        measured = []
+        for _ in range(max(3 * n, 30)):
+            r = rng.random()
+            q = int(rng.integers(n))
+            if r < 0.7:
+                if measured and rng.random() < 0.4:
+                    pauli = measured[int(rng.integers(len(measured)))]
+                else:
+                    k = int(rng.integers(1, min(3, n) + 1))
+                    qubits = rng.choice(n, size=k, replace=False)
+                    pauli = {int(v): "XYZ"[int(rng.integers(3))] for v in qubits}
+                    measured.append(pauli)
+                forced = None if rng.random() < 0.5 else int(rng.choice([1, -1]))
+                kind = ("deterministic" if self._is_deterministic(new.tab, pauli)
+                        else "random")
+                self._step(monkeypatch, _measure(pauli, forced), new, ref)
+                kinds[kind] += 1
+            elif r < 0.85:
+                self._step(monkeypatch, _hadamard(q), new, ref)
+            else:
+                self._step(monkeypatch, _pauli(q, "XYZ"[int(rng.integers(3))]), new, ref)
+        assert all(kinds.values()), kinds
+        for pauli in measured:
+            if self._is_deterministic(new.tab, pauli):
+                got = [self._step(monkeypatch, _measure(pauli, forced), new, ref)
+                       for forced in (1, -1)]
+                assert sum(isinstance(g, tuple) for g in got) == 1
+        new.tab.validate()
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_fusion_and_recovery_on_chains(self, seed, monkeypatch):
+        """Grow one chain by fusing fresh chains onto its end, recovering failures."""
+        rng = np.random.default_rng([8, seed])
+        lengths = [int(v) for v in rng.integers(1, 6, size=int(rng.integers(16, 29)))]
+        reg_new, spec = gs.ChainRegistry.disjoint_chains(lengths)
+        reg_ref, _ = gs.ChainRegistry.disjoint_chains(lengths)
+        new = _Side(gs.graph_state(spec), reg_new, seed)
+        ref = _Side(gs.graph_state(spec), reg_ref, seed)
+        starts = np.cumsum([0] + lengths[:-1]).tolist()
+        fresh = starts[1:]
+        main = lengths[0] - 1
+        recovered = 0
+        while fresh:
+            # a random local step between fusions, on a qubit measured out or not
+            q = int(rng.integers(spec.n))
+            self._step(monkeypatch, _measure({q: "XYZ"[int(rng.integers(3))]}, None),
+                       new, ref)
+            if main not in new.reg.chain_of or not new.reg.is_end(main):
+                main = new.reg.backbones[new.reg.chain_of[fresh.pop(0)]][-1]
+                continue
+            if rng.random() < 0.5 or len(fresh) < 2:
+                variant, outcomes = "parity-2", gs.PARITY2_OUTCOMES
+            else:
+                variant, outcomes = "gate-3", gs.GATE3_OUTCOMES
+            outcome = str(rng.choice(outcomes))
+            partners = 1 if variant == "parity-2" else 2
+            qubits = (main,) + tuple(fresh.pop(0) for _ in range(partners))
+            got = self._step(monkeypatch, _fuse(qubits, variant, outcome), new, ref,
+                             eliminates=True)
+            if got[0] == "ValueError":
+                continue  # a local step already fixed a Z the outcome contradicts
+            if outcome.startswith(("success", "ghz", "bell")):
+                main = new.reg.backbones[new.reg.chain_of[main]][-1]
+                continue
+            neighbour = new.reg.neighbour(main)
+            for q in qubits:
+                # a failed fusion leaves each projected qubit in a Z eigenstate
+                assert self._is_deterministic(new.tab, {q: "Z"})
+                got = self._step(monkeypatch, _recover(q), new, ref)
+                assert got in (1, -1)
+                recovered += 1
+            main = neighbour
+        assert recovered
+
+
+GHZ_X = [[1, 1, 1], [0, 0, 0], [0, 0, 0]]
+GHZ_Z = [[0, 0, 0], [1, 1, 0], [0, 1, 1]]
+
+
+class TestHandBuiltTableau:
+    """A tableau built from x and z derives its destabilizers on first measurement."""
+
+    def test_ghz_measures_like_star_with_hadamards(self):
+        paulis = [
+            {q: ch for q, ch in enumerate(word) if ch != "I"}
+            for word in itertools.product("IXYZ", repeat=3)
+        ][1:]
+        star = gs.graph_state(gs.GraphSpec.star(3))
+        star = gs.apply_hadamard(gs.apply_hadamard(star, 1), 2)
+        for pauli in paulis:
+            for forced in (1, -1):
+                ghz = gs.StabilizerTableau(3, x=GHZ_X, z=GHZ_Z)
+                assert ghz.dx is None
+                results = []
+                for tab in (ghz, star):
+                    try:
+                        outcome, after = gs.measure_pauli_string(tab, pauli, forced=forced)
+                    except ValueError as err:
+                        results.append(str(err))
+                        continue
+                    assert _duality_holds(after)
+                    # then a second measurement, deterministic on both sides
+                    again, _ = gs.measure_pauli_string(after, pauli)
+                    results.append((outcome, again, gs.canonical_form(after)))
+                assert results[0] == results[1]
+                assert _duality_holds(ghz)  # derived once, on the input
+
+    def test_derived_destabilizers_measure_like_carried_ones(self):
+        rng = np.random.default_rng(41)
+        for _ in range(15):
+            tab = _random_measured_tableau(rng)
+            n = tab.n
+            built = gs.StabilizerTableau(n, tab.x, tab.z, tab.sign)
+            for _ in range(5):
+                qubits = rng.choice(n, size=int(rng.integers(1, min(3, n) + 1)),
+                                    replace=False)
+                pauli = {int(q): "XYZ"[int(rng.integers(3))] for q in qubits}
+                seed = int(rng.integers(2**32))
+                got = gs.measure_pauli_string(built, pauli, rng=np.random.default_rng(seed))
+                want = gs.measure_pauli_string(tab, pauli, rng=np.random.default_rng(seed))
+                assert got[0] == want[0]
+                for name in ("x", "z", "sign"):
+                    assert getattr(got[1], name).tobytes() == getattr(want[1], name).tobytes()
+                assert _duality_holds(built) and _duality_holds(got[1])
+                built, tab = got[1], want[1]
+
+    def test_dependent_generators_raise(self):
+        tab = gs.StabilizerTableau(
+            3,
+            x=[[1, 0, 0], [0, 1, 0], [1, 1, 0]],
+            z=[[0, 1, 0], [1, 0, 0], [1, 1, 0]],
+        )
+        for pauli in ({0: "X", 1: "Z"}, {2: "Z"}, {0: "Z"}):
+            with pytest.raises(ValueError, match="not independent"):
+                gs.measure_pauli_string(tab, pauli, forced=1)
+        assert tab.dx is None
+        with pytest.raises(ValueError, match="not independent"):
+            tab.validate()
