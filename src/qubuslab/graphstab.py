@@ -10,15 +10,16 @@ Gottesman do (quant-ph/0406196): destabilizer i anticommutes with generator
 i and commutes with every other generator.  A deterministic measurement
 reads which generators multiply to the observable off one symplectic product
 with the destabilizers, with no elimination.  The remaining GF(2) linear
-algebra (the independence check in ``validate``, the neighbourhood solve in
-``_graph_neighbourhood``, ``canonical_form``, and deriving the destabilizers
-of a hand-built tableau once) runs through one Gauss-Jordan kernel,
-``_row_reduce``; every row product takes its sign from ``_product_sign``, the
-Aaronson-Gottesman row-sum phase.
+algebra (the independence check in ``validate``, ``canonical_form``, and
+deriving the destabilizers of a hand-built tableau once) runs through one
+Gauss-Jordan kernel, ``_row_reduce``; every row product takes its sign from
+``_product_sign``, the Aaronson-Gottesman row-sum phase.
 
 Chain bookkeeping (which qubit sits where in which chain, dangling bonds)
 lives in a :class:`ChainRegistry` beside the tableau; the quantum state never
-knows about chain identities.
+knows about chain identities.  Fusion reads the neighbourhoods of its
+Pauli-frame fixes off the registry's graph, and ``equals_up_to_corrections``
+against that graph is the check that registry and state agree.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ class StabilizerTableau:
     Rows of ``dx``/``dz`` are the destabilizers, unsigned, with
     ``dx @ z.T + dz @ x.T == I`` mod 2.  Deterministic measurements read the
     generator combination from them; the eliminations that remain are in
-    ``validate``, ``_graph_neighbourhood`` and ``canonical_form``.
+    ``validate`` and ``canonical_form``.
     ``graph_state`` sets them; a tableau built from ``x`` and ``z`` leaves
     them ``None`` and derives them on its first measurement.  The module's
     operations keep them in step: set them back to ``None`` after editing
@@ -395,18 +396,6 @@ def _deterministic_sign(tab: StabilizerTableau, xt, zt) -> int:
     return 1 - 2 * (sign % 2)
 
 
-def _gf2_solve(a: np.ndarray, b: np.ndarray):
-    """One solution x of a x = b over GF(2), free variables 0, or None."""
-    cols = a.shape[1]
-    m = np.concatenate([a % 2, (b % 2)[:, None]], axis=1).astype(np.uint8)
-    pivots = _row_reduce(m, cols)
-    if m[len(pivots):, cols].any():
-        return None
-    x = np.zeros(cols, dtype=np.uint8)
-    x[pivots] = m[: len(pivots), cols]
-    return x
-
-
 def measure_pauli(
     tab: StabilizerTableau,
     qubit: int,
@@ -455,50 +444,38 @@ class ChainRegistry:
             self.chain_of[qb] = cid
         return cid
 
-    def _tee_links(self, qubit: int) -> list:
-        """Qubits joined to ``qubit`` by a tee: junction and branch head."""
-        links = []
+    def neighbours(self, qubit: int) -> list:
+        """Neighbours of ``qubit`` in the registry's graph.
+
+        A dangling bond's only neighbour is its anchor.  Any other qubit has
+        the bonds anchored on it, then its tee links (junction or branch
+        head), then its backbone neighbours, previous before next.
+        """
+        if qubit in self.danglers:
+            return [self.danglers[qubit]]
+        out = [d for d, anchor in self.danglers.items() if anchor == qubit]
         for junction, cid in self.tees:
             head = self.backbones[cid][0] if cid in self.backbones else None
             if qubit == junction and head is not None:
-                links.append(head)
+                out.append(head)
             elif qubit == head:
-                links.append(junction)
-        return links
-
-    def degree(self, qubit: int) -> int:
-        if qubit in self.danglers:
-            return 1
-        deg = sum(1 for anchor in self.danglers.values() if anchor == qubit)
-        deg += len(self._tee_links(qubit))
+                out.append(junction)
         cid = self.chain_of.get(qubit)
         if cid is not None:
             backbone = self.backbones[cid]
             i = backbone.index(qubit)
-            deg += (1 if i > 0 else 0) + (1 if i < len(backbone) - 1 else 0)
-        return deg
+            out += backbone[max(i - 1, 0):i] + backbone[i + 1:i + 2]
+        return out
+
+    def degree(self, qubit: int) -> int:
+        return len(self.neighbours(qubit))
 
     def is_end(self, qubit: int) -> bool:
         return self.degree(qubit) <= 1
 
     def neighbour(self, qubit: int):
-        """The unique graph neighbour of a degree<=1 qubit, or None."""
-        if qubit in self.danglers:
-            return self.danglers[qubit]
-        for d, anchor in self.danglers.items():
-            if anchor == qubit:
-                return d  # only valid when qubit has no backbone neighbour
-        links = self._tee_links(qubit)
-        if links:
-            return links[0]  # a tee junction or branch head with no other neighbour
-        cid = self.chain_of.get(qubit)
-        if cid is None:
-            return None
-        backbone = self.backbones[cid]
-        i = backbone.index(qubit)
-        if len(backbone) == 1:
-            return None
-        return backbone[i + 1] if i == 0 else backbone[i - 1]
+        """The first of ``neighbours(qubit)``, or None; unique at an end."""
+        return next(iter(self.neighbours(qubit)), None)
 
     def _oriented(self, qubit: int):
         """Backbone of qubit's chain, reversed if needed so it ends at qubit."""
@@ -538,9 +515,12 @@ class ChainRegistry:
 
         Both b and c become dangling bonds on a.  The remainder of c's chain
         stays registered as its own backbone; the junction is recorded in
-        ``tees`` so a census can tell branches from free chains.
+        ``tees`` so a census can tell branches from free chains.  Two of
+        a, b and c on one chain raise before anything changes.
         """
         cid_c, spine_c = self._oriented(c)
+        if cid_c in (self.chain_of.get(a), self.chain_of.get(b)):
+            raise ValueError("cannot fuse a chain with itself")
         self.fuse_success(a, b)
         rest_c = list(reversed(spine_c))[1:]
         del self.chain_of[c]
@@ -592,13 +572,15 @@ def fuse(
     qubits,
     variant: str,
     outcome: str,
-    registry: ChainRegistry | None = None,
+    registry: ChainRegistry,
 ):
     """Join chains at their end qubits with a parity or three-qubit projection.
 
-    Returns (label, tableau, corrections); corrections already applied.
-    Failure outcomes project the involved qubits to known product states but
-    remove nothing from the chains; recovery is a separate explicit step.
+    Returns (label, tableau, corrections); corrections already applied.  The
+    Z's of the odd-parity and Bell frame fixes go on the neighbours that
+    ``registry`` gives the flipped qubit before the fusion.  Failure outcomes
+    project the involved qubits to known product states but remove nothing
+    from the chains; recovery is a separate explicit step.
     """
     if variant == "parity-2":
         return _fuse_parity2(tab, qubits, outcome, registry)
@@ -608,8 +590,6 @@ def fuse(
 
 
 def _warn_not_ends(qubits, registry) -> None:
-    if registry is None:
-        return
     bad = [q for q in qubits if not registry.is_end(q)]
     if bad:
         warnings.warn(
@@ -618,40 +598,14 @@ def _warn_not_ends(qubits, registry) -> None:
         )
 
 
-def _odd_frame_corrections(tab, b: int, registry):
+def _odd_frame_corrections(b: int, registry):
     """Corrections mapping the odd parity branch onto the even one.
 
-    On a graph state, X_b equals Z on b's neighbourhood, so flipping the
-    parity frame with X_b leaves residual Z's on b's former neighbours.  The
-    neighbourhood is read off the generator group directly (the element with
-    X exactly at b), falling back to the registry when that fails.
+    On a graph state, X_b equals Z on b's neighbourhood (Hein, Eisert and
+    Briegel), so flipping the parity frame with X_b leaves residual Z's on
+    b's neighbours.  They are read off the registry's graph.
     """
-    corrections = [(b, "X")]
-    neigh = _graph_neighbourhood(tab, b)
-    if neigh is None and registry is not None:
-        nb = registry.neighbour(b)
-        neigh = [] if nb is None else [nb]
-    if neigh is None:
-        warnings.warn(
-            f"could not derive the neighbourhood of qubit {b}; odd-branch "
-            "correction may leave residual signs",
-            stacklevel=4,
-        )
-        neigh = []
-    corrections.extend((q, "Z") for q in neigh)
-    return corrections
-
-
-def _graph_neighbourhood(tab: StabilizerTableau, q: int):
-    """Vertices carrying Z in the group element whose X part is exactly e_q."""
-    target = np.zeros(tab.n, dtype=np.uint8)
-    target[q] = 1
-    combo = _gf2_solve((tab.x % 2).T, target)
-    if combo is None:
-        return None
-    zpart = (combo @ tab.z) % 2
-    zpart[q] = 0  # a Y at q would only add a phase, not a neighbour
-    return [int(v) for v in np.flatnonzero(zpart)]
+    return [(b, "X")] + [(q, "Z") for q in sorted(registry.neighbours(b))]
 
 
 def _fuse_parity2(tab, qubits, outcome, registry):
@@ -662,13 +616,13 @@ def _fuse_parity2(tab, qubits, outcome, registry):
     corrections = []
     if outcome in ("success-even", "success-odd"):
         if outcome == "success-odd":
-            corrections = _odd_frame_corrections(tab, b, registry)
+            corrections = _odd_frame_corrections(b, registry)
         forced = 1 if outcome == "success-even" else -1
         _, tab = measure_pauli_string(tab, {a: "Z", b: "Z"}, forced=forced)
         for q, op in corrections:
             tab = apply_pauli(tab, q, op)
         tab = apply_hadamard(tab, b)
-        if registry is not None and registry.is_end(a) and registry.is_end(b):
+        if registry.is_end(a) and registry.is_end(b):
             registry.fuse_success(a, b)
         return outcome, tab, tuple(corrections)
     forced = 1 if outcome == "fail-00" else -1
@@ -688,13 +642,13 @@ def _fuse_gate3(tab, qubits, outcome, registry):
         _, tab = measure_pauli_string(tab, {b: "Z", c: "Z"}, forced=1)
         tab = apply_hadamard(tab, b)
         tab = apply_hadamard(tab, c)
-        if registry is not None and all(registry.is_end(q) for q in qubits):
+        if all(registry.is_end(q) for q in qubits):
             registry.fuse_tee(a, b, c)
         return outcome, tab, ()
     if outcome.startswith("bell-q3"):
         third_bit = int(outcome[-1])
-        corrections = _odd_frame_corrections(tab, b, registry)
-        neigh_c = _graph_neighbourhood(tab, c) or []
+        corrections = _odd_frame_corrections(b, registry)
+        neigh_c = sorted(registry.neighbours(c))
         _, tab = measure_pauli_string(tab, {a: "Z", b: "Z"}, forced=-1)
         for q, op in corrections:
             tab = apply_pauli(tab, q, op)
@@ -704,7 +658,7 @@ def _fuse_gate3(tab, qubits, outcome, registry):
                 tab = apply_pauli(tab, q, "Z")
                 corrections.append((q, "Z"))
         tab = apply_hadamard(tab, b)
-        if registry is not None and registry.is_end(a) and registry.is_end(b):
+        if registry.is_end(a) and registry.is_end(b):
             registry.fuse_success(a, b)
             if registry.chain_of.get(c) is not None or c in registry.danglers:
                 registry.remove(c)
@@ -725,8 +679,8 @@ def recover_failure(
     """Measure out a chain-end qubit and repair its neighbour.
 
     The qubit is Z measured; on outcome -1 a Z correction is applied to its
-    backbone neighbour, after which the shortened chain is again a graph
-    state.  The qubit leaves the active chain bookkeeping.
+    neighbour in the registry's graph, after which the shortened chain is
+    again a graph state.  The qubit leaves the active chain bookkeeping.
     """
     if not registry.is_end(end_qubit):
         raise ValueError(

@@ -25,6 +25,8 @@ __all__ = [
     "apply_pauli_string",
     "state_stabilized_by",
     "is_graph_state",
+    "apply_local_ops",
+    "fuse_vector",
 ]
 
 
@@ -178,3 +180,58 @@ def is_graph_state(vec: np.ndarray, n: int, edges) -> bool:
     paulis = ["".join(r) for r in rows]
     signs = statevector_stabilizer_signs(vec, paulis)
     return all(s == 1 for s in signs) and state_stabilized_by(vec, paulis, signs)
+
+
+def apply_local_ops(vec: np.ndarray, n: int, ops) -> np.ndarray:
+    """Dense action of (qubit, op) pairs in order, op in X, Y, Z, H."""
+    for q, op in ops:
+        if op != "H":
+            vec = pauli_action(vec, n, q, op)
+            continue
+        psi = vec.reshape(2**q, 2, 2 ** (n - 1 - q))
+        vec = np.stack([psi[:, 0] + psi[:, 1], psi[:, 0] - psi[:, 1]], axis=1)
+        vec = vec.reshape(-1) / math.sqrt(2.0)
+    return vec
+
+
+def _fusion_plan(qubits, variant: str, outcome: str):
+    """(Z-parity projections as (qubits, sign), Hadamard qubits) of a fusion."""
+    if variant == "parity-2":
+        a, b = qubits
+        plans = {
+            "success-even": ([((a, b), 1)], [b]),
+            "success-odd": ([((a, b), -1)], [b]),
+            "fail-00": ([((a,), 1), ((b,), 1)], []),
+            "fail-11": ([((a,), -1), ((b,), -1)], []),
+        }
+    elif variant == "gate-3":
+        a, b, c = qubits
+        plans = {
+            "ghz": ([((a, b), 1), ((b, c), 1)], [b, c]),
+            "bell-q3-0": ([((a, b), -1), ((c,), 1)], [b]),
+            "bell-q3-1": ([((a, b), -1), ((c,), -1)], [b]),
+            "product-001": ([((a,), 1), ((b,), 1), ((c,), -1)], []),
+            "product-110": ([((a,), -1), ((b,), -1), ((c,), 1)], []),
+        }
+    else:
+        raise ValueError(f"unknown fuse variant {variant!r}")
+    if outcome not in plans:
+        raise ValueError(f"outcome {outcome!r} not in {tuple(plans)}")
+    return plans[outcome]
+
+
+def fuse_vector(vec: np.ndarray, n: int, qubits, variant: str, outcome: str,
+                corrections=()) -> np.ndarray:
+    """Dense image of a ``parity-2`` or ``gate-3`` fusion outcome.
+
+    Projects onto the outcome's Z parities, renormalises, applies the
+    reported Pauli ``corrections`` as (qubit, X/Y/Z) pairs, then the
+    Hadamards that turn the fused qubits into graph-state form.
+    """
+    projections, hadamards = _fusion_plan(qubits, variant, outcome)
+    for zs, sign in projections:
+        vec = 0.5 * (vec + sign * apply_local_ops(vec, n, [(q, "Z") for q in zs]))
+    norm = np.linalg.norm(vec)
+    if norm < 1e-12:
+        raise ValueError(f"outcome {outcome!r} has probability 0")
+    return apply_local_ops(vec / norm, n, list(corrections) + [(q, "H") for q in hadamards])

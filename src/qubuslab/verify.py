@@ -286,7 +286,7 @@ def check_stabilizer_oracle(quick: bool = False) -> CriterionResult:
             label, tab, corr = graphstab.fuse(
                 graphstab.graph_state(spec), ends, "parity-2", outcome, reg_i
             )
-            post = _fuse_vec(vec, ends, outcome, spec.n, corr)
+            post = oracles.fuse_vector(vec, spec.n, ends, "parity-2", outcome, corr)
             fusion_cases += 1
             if not _tableau_matches_vector(tab, post):
                 fusion_bad += 1
@@ -340,30 +340,6 @@ def _project_vec(vec, qubit, basis, n, sign):
     image = busim.pauli_action(vec, n, qubit, basis)
     proj = 0.5 * (vec + sign * image)
     return proj / np.linalg.norm(proj)
-
-
-def _fuse_vec(vec, ends, outcome, n, corrections):
-    a, b = ends
-
-    def zz(v):
-        return busim.pauli_action(busim.pauli_action(v, n, a, "Z"), n, b, "Z")
-
-    if outcome in ("success-even", "success-odd"):
-        sign = 1 if outcome == "success-even" else -1
-        post = 0.5 * (vec + sign * zz(vec))
-        post = post / np.linalg.norm(post)
-        for q, op in corrections:
-            post = busim.pauli_action(post, n, q, op)
-        h = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
-        full = np.array([[1.0]], dtype=np.complex128)
-        for q in range(n):
-            full = np.kron(full, h if q == b else np.eye(2))
-        return full @ post
-    bit = 0 if outcome == "fail-00" else 1
-    for q in ends:
-        image = busim.pauli_action(vec, n, q, "Z")
-        vec = 0.5 * (vec + (1 - 2 * bit) * image)
-    return vec / np.linalg.norm(vec)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Stabilizer engine: graph states, measurement, fusion, recovery.
 
 Every nontrivial claim is cross-checked against dense state vectors for
-registers of up to four qubits; the dense side never touches the tableau
+registers of up to eight qubits; the dense side never touches the tableau
 algebra.
 """
 
@@ -13,10 +13,12 @@ import pytest
 
 from qubuslab import graphstab as gs
 from qubuslab.oracles import (
+    apply_local_ops,
     apply_pauli_string,
+    fuse_vector,
     graph_state_vector,
+    is_graph_state,
     state_stabilized_by,
-    statevector_stabilizer_signs,
 )
 
 
@@ -259,6 +261,19 @@ class TestFuseParity2:
         with pytest.warns(UserWarning, match="non-end"):
             gs.fuse(gs.graph_state(spec), (1, 3), "parity-2", "success-even", reg)
 
+    def test_odd_branch_at_interior_qubit(self):
+        """Every neighbour of a degree-2 qubit takes a Z, not only the first."""
+        reg, spec = gs.ChainRegistry.disjoint_chains([3, 2])
+        vec = dense_of(spec)
+        with pytest.warns(UserWarning, match="non-end"):
+            _, tab, corr = gs.fuse(gs.graph_state(spec), (3, 1), "parity-2",
+                                   "success-odd", reg)
+        assert corr == ((1, "X"), (0, "Z"), (2, "Z"))
+        odd = fuse_vector(vec, spec.n, (3, 1), "parity-2", "success-odd", corr)
+        even = fuse_vector(vec, spec.n, (3, 1), "parity-2", "success-even")
+        assert np.allclose(odd, even)
+        assert tableau_matches(tab, odd)
+
     @pytest.mark.parametrize("lengths", [(1, 1), (1, 2), (2, 2), (1, 3), (3, 1)])
     def test_against_dense_oracle(self, lengths):
         reg, spec = gs.ChainRegistry.disjoint_chains(list(lengths))
@@ -268,32 +283,8 @@ class TestFuseParity2:
             reg_i, _ = gs.ChainRegistry.disjoint_chains(list(lengths))
             _, tab, corr = gs.fuse(gs.graph_state(spec), ends, "parity-2",
                                    outcome, reg_i)
-            post = _dense_fuse(vec, ends, outcome, spec.n, corr)
+            post = fuse_vector(vec, spec.n, ends, "parity-2", outcome, corr)
             assert tableau_matches(tab, post)
-
-
-def _dense_fuse(vec, ends, outcome, n, corrections):
-    a, b = ends
-
-    def pauli_at(v, q, ch):
-        s = "".join(ch if i == q else "I" for i in range(n))
-        return apply_pauli_string(v, s)
-
-    if outcome.startswith("success"):
-        sign = 1 if outcome.endswith("even") else -1
-        post = 0.5 * (vec + sign * pauli_at(pauli_at(vec, a, "Z"), b, "Z"))
-        post /= np.linalg.norm(post)
-        for q, op in corrections:
-            post = pauli_at(post, q, op)
-        h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-        mat = np.array([[1.0]])
-        for q in range(n):
-            mat = np.kron(mat, h if q == b else np.eye(2))
-        return mat @ post
-    bit_sign = 1 if outcome == "fail-00" else -1
-    for q in ends:
-        vec = 0.5 * (vec + bit_sign * pauli_at(vec, q, "Z"))
-    return vec / np.linalg.norm(vec)
 
 
 class TestFuseGate3:
@@ -494,13 +485,8 @@ class TestRegistryRemove:
             measured[q], tab = gs.recover_failure(tab, q, reg)
         assert reg.danglers == {}
         assert reg.census(2) == (1, 0)
-        corrections = []
-        for q, outcome in sorted(measured.items()):
-            if outcome == -1:
-                corrections.append((q, "X"))
-            corrections.append((q, "H"))
         assert gs.equals_up_to_corrections(tab, _implied_graph(reg, tab.n),
-                                           corrections)
+                                           _to_plus(measured))
 
 
 class TestRegistryTees:
@@ -555,6 +541,210 @@ def _implied_graph(reg, n):
         if cid in reg.backbones:
             edges.append((junction, reg.backbones[cid][0]))
     return gs.GraphSpec.from_edges(n, edges)
+
+
+def _to_plus(measured):
+    """Corrections taking each measured-out qubit (qubit -> Z outcome) to |+>."""
+    corrections = []
+    for q, outcome in sorted(measured.items()):
+        if outcome == -1:
+            corrections.append((q, "X"))
+        corrections.append((q, "H"))
+    return corrections
+
+
+def _registry_state(reg):
+    return (
+        {cid: list(b) for cid, b in reg.backbones.items()},
+        dict(reg.danglers), dict(reg.chain_of), list(reg.tees), reg._next_id,
+    )
+
+
+class TestRegistryFuseTee:
+    @pytest.mark.parametrize(
+        "lengths, qubits",
+        [
+            ([2, 1], (1, 2, 0)),  # a and c on chain [0, 1]
+            ([1, 2], (0, 1, 2)),  # b and c on chain [1, 2]
+            ([2, 2], (1, 3, 2)),  # b and c on chain [2, 3]
+        ],
+    )
+    def test_two_qubits_on_one_chain_rejected(self, lengths, qubits):
+        reg, spec = gs.ChainRegistry.disjoint_chains(lengths)
+        before = _registry_state(reg)
+        with pytest.raises(ValueError, match="cannot fuse a chain with itself"):
+            gs.fuse(gs.graph_state(spec), qubits, "gate-3", "ghz", reg)
+        with pytest.raises(ValueError, match="cannot fuse a chain with itself"):
+            reg.fuse_tee(*qubits)
+        assert _registry_state(reg) == before
+
+
+class TestRegistryNeighbours:
+    def test_order_and_derived_queries(self):
+        """Bonds, then tee links, then backbone neighbours, previous first."""
+        reg, _ = gs.ChainRegistry.disjoint_chains([1, 1, 3, 3, 2])
+        reg.fuse_tee(0, 1, 2)  # 1 and 2 dangle on 0; branch [3, 4] hangs off 0
+        reg.fuse_success(7, 8)  # 8 dangles on 7; chain [5, 6, 7, 9]
+        assert reg.neighbours(0) == [1, 2, 3]
+        assert reg.neighbours(1) == [0]
+        assert reg.neighbours(3) == [0, 4]
+        assert reg.neighbours(4) == [3]
+        assert reg.neighbours(5) == [6]
+        assert reg.neighbours(6) == [5, 7]
+        assert reg.neighbours(7) == [8, 6, 9]
+        assert reg.neighbours(9) == [7]
+        for q in range(10):
+            assert reg.degree(q) == len(reg.neighbours(q))
+            assert reg.neighbour(q) == (reg.neighbours(q) or [None])[0]
+            assert (reg.degree(q), reg.neighbour(q)) == _ref_degree_neighbour(reg, q)
+
+
+def _ref_degree_neighbour(reg, qubit):
+    """The separate ``degree`` and ``neighbour`` that ``neighbours`` replaced."""
+    links = []
+    for junction, cid in reg.tees:
+        head = reg.backbones[cid][0] if cid in reg.backbones else None
+        if qubit == junction and head is not None:
+            links.append(head)
+        elif qubit == head:
+            links.append(junction)
+    if qubit in reg.danglers:
+        return 1, reg.danglers[qubit]
+    anchored = [d for d, anchor in reg.danglers.items() if anchor == qubit]
+    deg = len(anchored) + len(links)
+    nb = anchored[0] if anchored else links[0] if links else None
+    cid = reg.chain_of.get(qubit)
+    if cid is not None:
+        backbone = reg.backbones[cid]
+        i = backbone.index(qubit)
+        deg += (1 if i > 0 else 0) + (1 if i < len(backbone) - 1 else 0)
+        if nb is None and len(backbone) > 1:
+            nb = backbone[i + 1] if i == 0 else backbone[i - 1]
+    return deg, nb
+
+
+def _ref_graph_neighbourhood(tab, q):
+    """The tableau solve that fuse's frame fixes used before the registry:
+    vertices carrying Z in the group element whose X part is exactly e_q."""
+    target = np.zeros(tab.n, dtype=np.uint8)
+    target[q] = 1
+    combo = _ref_solve(tab.x.T, target)
+    assert combo is not None
+    zpart = (combo.astype(np.int64) @ tab.z) % 2
+    zpart[q] = 0  # a Y at q would only add a phase, not a neighbour
+    return [int(v) for v in np.flatnonzero(zpart)]
+
+
+class TestFusionCorrectionsFromRegistry:
+    """Frame-fix Z's read off the registry equal the tableau solve they replaced.
+
+    Each sequence fuses fresh chains of 1-4 qubits onto free ends of the
+    chains grown so far (a free end has degree <= 1 and anchors no dangling
+    bond); the grown end takes role a or b, and c is always a fresh chain.
+    Every failure is followed by ``recover_failure`` on each fused qubit.
+    The reference neighbourhood also names qubits already measured out (a Z
+    there acts on a Z eigenstate); the registry holds only the others.
+    """
+
+    @staticmethod
+    def _free_ends(reg, chains):
+        anchors = set(reg.danglers.values())
+        ends = []
+        for cid in sorted(chains):
+            backbone = reg.backbones[cid]
+            for q in dict.fromkeys((backbone[0], backbone[-1])):
+                if reg.is_end(q) and q not in anchors:
+                    ends.append(q)
+        return ends
+
+    def _run(self, rng, seen):
+        lengths = [int(v) for v in rng.integers(1, 5, size=int(rng.integers(4, 9)))]
+        reg, spec = gs.ChainRegistry.disjoint_chains(lengths)
+        tab = gs.graph_state(spec)
+        fresh = list(range(1, len(lengths)))  # chain ids not fused yet
+        measured = {}
+        while fresh:
+            ends = self._free_ends(reg, set(reg.backbones) - set(fresh))
+            if not ends:
+                fresh.pop(0)  # start growing the next fresh chain
+                continue
+            main = ends[int(rng.integers(len(ends)))]
+            variant = "parity-2" if len(fresh) < 2 or rng.random() < 0.5 else "gate-3"
+            outcomes = gs.PARITY2_OUTCOMES if variant == "parity-2" else gs.GATE3_OUTCOMES
+            outcome = str(rng.choice(outcomes))
+            partners = []
+            for _ in range(1 if variant == "parity-2" else 2):
+                backbone = reg.backbones[fresh.pop(int(rng.integers(len(fresh))))]
+                partners.append(backbone[0] if rng.random() < 0.5 else backbone[-1])
+            pair = [main, partners[0]] if rng.random() < 0.5 else [partners[0], main]
+            qubits = tuple(pair + partners[1:])
+            held = set(reg.chain_of) | set(reg.danglers)
+            want = []
+            if outcome in ("success-odd", "bell-q3-0", "bell-q3-1"):
+                want = _ref_graph_neighbourhood(tab, qubits[1])
+            if outcome == "bell-q3-1":
+                want += _ref_graph_neighbourhood(tab, qubits[2])
+            _, tab, corrections = gs.fuse(tab, qubits, variant, outcome, reg)
+            if want:
+                assert corrections[0] == (qubits[1], "X")
+                assert corrections[1:] == tuple((q, "Z") for q in want if q in held)
+                seen["bell" if outcome.startswith("bell") else "odd"] += 1
+                seen["measured-out"] += sum(q not in held for q in want)
+            if outcome.startswith("bell"):
+                measured[qubits[2]] = 1 if outcome.endswith("0") else -1
+            elif not outcome.startswith(("success", "ghz")):
+                for q in qubits:
+                    measured[q], tab = gs.recover_failure(tab, q, reg)
+            assert gs.equals_up_to_corrections(tab, _implied_graph(reg, tab.n),
+                                               _to_plus(measured))
+            for q in set(reg.chain_of) | set(reg.danglers):
+                assert (reg.degree(q), reg.neighbour(q)) == _ref_degree_neighbour(reg, q)
+
+    @pytest.mark.parametrize("block", range(20))
+    def test_seeded_end_fusions(self, block):
+        seen = {"odd": 0, "bell": 0, "measured-out": 0}
+        for seed in range(16 * block, 16 * block + 16):
+            self._run(np.random.default_rng([11, seed]), seen)
+        assert seen["odd"] and seen["bell"], seen
+
+
+_SWEEP = [("parity-2", ls) for ls in itertools.product(range(1, 4), repeat=2)] + [
+    ("gate-3", ls) for ls in itertools.product(range(1, 4), repeat=3) if sum(ls) <= 8
+]
+
+
+class TestDenseFusionSweep:
+    """Every outcome at every end of chains of 1-3 qubits, on dense vectors.
+
+    ``fuse`` supplies the corrections and the registry; the state comes from
+    the dense reference alone.  After recovery (Z on the registry neighbour
+    of each failed qubit that read -1) and with every measured-out qubit
+    mapped to |+>, the vector must be the registry's graph state.
+    """
+
+    @pytest.mark.parametrize("variant, lengths", _SWEEP)
+    def test_corrected_vector_is_registry_graph(self, variant, lengths):
+        starts = np.cumsum((0,) + lengths[:-1]).tolist()
+        choices = [sorted({s, s + ln - 1}) for s, ln in zip(starts, lengths)]
+        outcomes = gs.PARITY2_OUTCOMES if variant == "parity-2" else gs.GATE3_OUTCOMES
+        for qubits, outcome in itertools.product(itertools.product(*choices), outcomes):
+            reg, spec = gs.ChainRegistry.disjoint_chains(list(lengths))
+            n = spec.n
+            _, _, corrections = gs.fuse(gs.graph_state(spec), qubits, variant, outcome, reg)
+            vec = fuse_vector(dense_of(spec), n, qubits, variant, outcome, corrections)
+            measured = {}
+            if outcome.startswith("bell"):
+                measured[qubits[2]] = 1 if outcome.endswith("0") else -1
+            elif not outcome.startswith(("success", "ghz")):
+                for q, bit in zip(qubits, outcome.split("-")[1]):
+                    measured[q] = 1 - 2 * int(bit)
+                    neighbour = reg.neighbour(q)
+                    reg.remove(q)
+                    if measured[q] == -1 and neighbour is not None:
+                        vec = apply_local_ops(vec, n, [(neighbour, "Z")])
+            vec = apply_local_ops(vec, n, _to_plus(measured))
+            assert is_graph_state(vec, n, sorted(_implied_graph(reg, n).edges)), (
+                qubits, outcome)
 
 
 # Loop versions of the GF(2) eliminations that _row_reduce replaced, kept as
@@ -693,20 +883,6 @@ class TestKernelMatchesLoopReference:
         m = np.concatenate([tab.x, tab.z], axis=1)
         for a in (m, tab.x, tab.z, m[: n // 2]):
             assert len(gs._row_reduce(a.copy(), a.shape[1])) == _ref_rank(a)
-        systems = [(m.T, m.T @ rng.integers(0, 2, n, dtype=np.uint8) % 2)]
-        systems += [(tab.x.T, np.eye(n, dtype=np.uint8)[q]) for q in range(n)]
-        systems += [(m.T, rng.integers(0, 2, 2 * n, dtype=np.uint8)) for _ in range(3)]
-        systems += [(a[: n // 2].T, rng.integers(0, 2, n, dtype=np.uint8))
-                    for a in (tab.x, tab.z)]
-        outcomes = set()
-        for a, b in systems:
-            got, want = gs._gf2_solve(a, b), _ref_solve(a, b)
-            outcomes.add(want is None)
-            if want is None:
-                assert got is None
-            else:
-                assert got.dtype == want.dtype and got.tolist() == want.tolist()
-        assert outcomes == {True, False}
 
     def test_product_sign_matches_loop_phase(self):
         rng = np.random.default_rng(17)
@@ -729,7 +905,7 @@ class TestKernelMatchesLoopReference:
 def _ref_deterministic_sign(tab, xt, zt):
     m = np.concatenate([tab.x, tab.z], axis=1) % 2
     target = np.concatenate([xt, zt]) % 2
-    combo = gs._gf2_solve(m.T, target)
+    combo = _ref_solve(m.T, target)
     if combo is None:
         raise ValueError("measured Pauli neither commutes into nor hits the group")
     used = np.flatnonzero(combo)
@@ -796,15 +972,13 @@ class TestDestabilizerMeasurement:
     with ``_deterministic_sign`` swapped for the elimination (the random
     branch's generator update is unchanged, so it is shared).  After every
     step the outcomes and the signed generators must be equal, and the
-    module's destabilizers must stay dual to its generators.  Outside
-    ``fuse``, whose odd-branch corrections solve for a neighbourhood, no
-    step on a ``graph_state`` register may run an elimination.
+    module's destabilizers must stay dual to its generators.  No step on a
+    ``graph_state`` register, ``fuse`` included, may run an elimination.
     """
 
-    def _step(self, monkeypatch, op, new, ref, eliminates=False):
+    def _step(self, monkeypatch, op, new, ref):
         with monkeypatch.context() as m:
-            if not eliminates:
-                m.setattr(gs, "_row_reduce", _no_elimination)
+            m.setattr(gs, "_row_reduce", _no_elimination)
             got = new.attempt(op)
         with monkeypatch.context() as m:
             m.setattr(gs, "_deterministic_sign", _ref_deterministic_sign)
@@ -886,8 +1060,7 @@ class TestDestabilizerMeasurement:
             outcome = str(rng.choice(outcomes))
             partners = 1 if variant == "parity-2" else 2
             qubits = (main,) + tuple(fresh.pop(0) for _ in range(partners))
-            got = self._step(monkeypatch, _fuse(qubits, variant, outcome), new, ref,
-                             eliminates=True)
+            got = self._step(monkeypatch, _fuse(qubits, variant, outcome), new, ref)
             if got[0] == "ValueError":
                 continue  # a local step already fixed a Z the outcome contradicts
             if outcome.startswith(("success", "ghz", "bell")):
