@@ -14,10 +14,11 @@ to a global phase.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -558,10 +559,33 @@ def three_qubit_outcomes(alpha, theta, state: QubitState | None = None):
     return cascade_outcomes(3, alpha, theta, state)
 
 
+@functools.lru_cache(maxsize=4, typed=True)
+def _default_cascade_table(n: int, alpha, theta) -> tuple:
+    """``cascade_outcomes`` on the default |+>^n register, built once per input.
+
+    Held for repeated draws; callers get copies of its states, never the
+    arrays themselves.  Kept small: a table holds O(2**n) posteriors of
+    2**n amplitudes each.
+    """
+    return cascade_outcomes(n, alpha, theta)
+
+
+def _pick_default(n: int, alpha, theta, outcome, rng) -> GateOutcome:
+    """``_pick`` from the held default-register table, as a private copy."""
+    picked = _pick(_default_cascade_table(n, alpha, theta), outcome, rng)
+
+    def own(state):
+        return None if state is None else QubitState(state.qubit_count, state.amplitudes.copy())
+
+    return replace(picked, posterior=own(picked.posterior), target=own(picked.target))
+
+
 def three_qubit_gate(alpha, theta, state=None, outcome="sampled", rng=None) -> GateOutcome:
     if state is not None and state.qubit_count != 3:
         raise ValueError("protocol needs a 3-qubit register")
     _warn_if_unresolved(alpha, theta, "momentum")
+    if state is None:
+        return _pick_default(3, alpha, theta, outcome, rng)
     return _pick(three_qubit_outcomes(alpha, theta, state), outcome, rng)
 
 
@@ -569,7 +593,7 @@ def cascaded_gate(n: int, alpha, theta, outcome="sampled", rng=None) -> GateOutc
     if n < 2:
         raise ValueError("cascade needs at least two qubits")
     _warn_if_unresolved(alpha, theta, "momentum")
-    return _pick(cascade_outcomes(n, alpha, theta), outcome, rng)
+    return _pick_default(n, alpha, theta, outcome, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -8,18 +8,29 @@ seeded stream per trial.
 Beside its stabilizers a tableau keeps destabilizer rows, as Aaronson and
 Gottesman do (quant-ph/0406196): destabilizer i anticommutes with generator
 i and commutes with every other generator.  A deterministic measurement
-reads which generators multiply to the observable off one symplectic product
-with the destabilizers, with no elimination.  The remaining GF(2) linear
-algebra (the independence check in ``validate``, ``canonical_form``, and
-deriving the destabilizers of a hand-built tableau once) runs through one
-Gauss-Jordan kernel, ``_row_reduce``; every row product takes its sign from
-``_product_sign``, the Aaronson-Gottesman row-sum phase.
+reads which generators multiply to the observable off the destabilizers,
+with no elimination.  Both kinds of measurement find the rows that
+anticommute with the observable by XOR-ing the few columns of its support,
+not by a matrix product.  The remaining GF(2) linear algebra (the
+independence checks in ``validate`` and ``equals_up_to_corrections``,
+``canonical_form``, and deriving the destabilizers of a hand-built tableau
+once) runs through one Gauss-Jordan kernel, ``_row_reduce``; every row
+product takes its sign from ``_product_sign``, the Aaronson-Gottesman
+row-sum phase.
 
 Chain bookkeeping (which qubit sits where in which chain, dangling bonds)
 lives in a :class:`ChainRegistry` beside the tableau; the quantum state never
 knows about chain identities.  Fusion reads the neighbourhoods of its
 Pauli-frame fixes off the registry's graph, and ``equals_up_to_corrections``
-against that graph is the check that registry and state agree.
+against that graph is the check that registry and state agree.  That check
+is a membership test in the graph-state group (Hein, Eisert and Briegel,
+PRA 69, 062311), not a comparison of canonical forms.  The generator
+K_v = X_v Z_N(v) is the only one with an X on v, so a row with X part
+S = x_r can only be the product of K_v over v in S.  The row is that product
+when its Z part is A x_r (A the adjacency matrix) and its sign bit is
+e(S) + |x_r & z_r| / 2 mod 2, with e(S) the number of edges inside S.  Rows
+that pass generate the whole group when x has rank n, the certificate that
+one sign-less elimination of x gives.
 """
 
 from __future__ import annotations
@@ -124,7 +135,8 @@ class StabilizerTableau:
     Rows of ``dx``/``dz`` are the destabilizers, unsigned, with
     ``dx @ z.T + dz @ x.T == I`` mod 2.  Deterministic measurements read the
     generator combination from them; the eliminations that remain are in
-    ``validate`` and ``canonical_form``.
+    ``validate``, ``canonical_form`` and the rank certificate of
+    ``equals_up_to_corrections``.
     ``graph_state`` sets them; a tableau built from ``x`` and ``z`` leaves
     them ``None`` and derives them on its first measurement.  The module's
     operations keep them in step: set them back to ``None`` after editing
@@ -212,15 +224,13 @@ def _product_sign(rows: np.ndarray, source: np.ndarray, n: int) -> np.ndarray:
     phase is the sum over qubits of Aaronson and Gottesman's g, in units of
     i; commuting factors give 0 or 2 mod 4, that is sign bit 0 or 1.
     """
-    x1 = rows[..., :n].astype(np.int64)
-    z1 = rows[..., n:].astype(np.int64)
-    x2 = source[..., :n].astype(np.int64)
-    z2 = source[..., n:].astype(np.int64)
-    g = (
-        x1 * z1 * (z2 - x2)  # Y * ...
-        + x1 * (1 - z1) * z2 * (2 * x2 - 1)  # X * ...
-        + (1 - x1) * z1 * x2 * (1 - 2 * z2)  # Z * ...
-    ).sum(axis=-1) % 4
+    x1, z1 = rows[..., :n], rows[..., n:]
+    x2, z2 = source[..., :n], source[..., n:]
+    # g is +1 on the cyclic pairs XY, YZ, ZX and -1 on YX, ZY, XZ; the bits
+    # are 0/1, so ~ only needs its lowest bit
+    plus = (x1 & z2 & (z1 ^ x2)) | (z1 & x2 & ~(x1 | z2))
+    minus = (z1 & x2 & (x1 ^ z2)) | (x1 & z2 & ~(z1 | x2))
+    g = (plus.sum(axis=-1, dtype=np.int64) - minus.sum(axis=-1, dtype=np.int64)) % 4
     if (g % 2).any():
         raise AssertionError("row product produced an imaginary sign")
     return (g // 2).astype(np.uint8)
@@ -341,20 +351,19 @@ def measure_pauli_string(
     xt, zt = _string_to_bits(tab.n, pauli)
     if tab.dx is None:
         _derive_destabilizers(tab)
-    anti = ((tab.x @ zt) + (tab.z @ xt)) % 2
-    hits = np.flatnonzero(anti)
+    hits = _anticommuting(tab.x, tab.z, xt, zt)
     tab = tab.copy()
     if hits.size:
         p = int(hits[0])
         rest = hits[1:]
-        xz = np.concatenate([tab.x, tab.z], axis=1)
-        tab.sign[rest] ^= tab.sign[p] ^ _product_sign(xz[rest], xz[p], tab.n)
+        xz = np.concatenate([tab.x[hits], tab.z[hits]], axis=1)
+        tab.sign[rest] ^= tab.sign[p] ^ _product_sign(xz[1:], xz[0], tab.n)
         tab.x[rest] ^= tab.x[p]
         tab.z[rest] ^= tab.z[p]
         # Aaronson-Gottesman: destabilizer p becomes the old generator p, and
         # every other destabilizer that anticommutes with the observable
         # takes a factor of it, which keeps the duality with the new rows.
-        drows = np.flatnonzero(((tab.dx @ zt) + (tab.dz @ xt)) % 2)
+        drows = _anticommuting(tab.dx, tab.dz, xt, zt)
         drows = drows[drows != p]
         tab.dx[p], tab.dz[p] = tab.x[p], tab.z[p]
         tab.dx[drows] ^= tab.x[p]
@@ -379,6 +388,20 @@ def measure_pauli_string(
     return outcome, tab
 
 
+def _anticommuting(x, z, xt, zt) -> np.ndarray:
+    """Rows of [x|z] that anticommute with the Pauli [xt|zt].
+
+    The symplectic product needs only the columns of the Pauli's support,
+    so it XORs those few columns instead of running a matrix product.
+    """
+    parity = np.zeros(len(x), dtype=np.uint8)
+    for q in np.flatnonzero(zt).tolist():
+        parity ^= x[:, q]
+    for q in np.flatnonzero(xt).tolist():
+        parity ^= z[:, q]
+    return np.flatnonzero(parity)
+
+
 def _deterministic_sign(tab: StabilizerTableau, xt, zt) -> int:
     """Sign of a Pauli that commutes with every generator.
 
@@ -386,7 +409,7 @@ def _deterministic_sign(tab: StabilizerTableau, xt, zt) -> int:
     destabilizer i; the combination is unique because the generators are
     independent.
     """
-    used = np.flatnonzero(((tab.dx @ zt) + (tab.dz @ xt)) % 2)
+    used = _anticommuting(tab.dx, tab.dz, xt, zt)
     rows = np.concatenate([tab.x[used], tab.z[used]], axis=1)
     if not np.array_equal(np.bitwise_xor.reduce(rows, axis=0), np.concatenate([xt, zt])):
         raise ValueError("measured Pauli neither commutes into nor hits the group")
@@ -487,12 +510,20 @@ class ChainRegistry:
             return cid, list(reversed(backbone))
         raise ValueError(f"qubit {qubit} is not a chain end")
 
+    def _move_links(self, old: int, new: int) -> None:
+        """Re-anchor the dangling bonds and tee junctions of ``old`` on ``new``."""
+        for d, anchor in self.danglers.items():
+            if anchor == old:
+                self.danglers[d] = new
+        self.tees = [(new if j == old else j, cid) for j, cid in self.tees]
+
     def fuse_success(self, a: int, b: int) -> None:
         """Merge b's chain into a's; b becomes a dangling bond on a.
 
-        A tee on b's chain moves to the merged chain, which is reversed so
-        the qubit that now carries the junction link (a when b was the
-        branch head, else the old head) stays first.
+        b's neighbours become a's, so the bonds and tee junctions anchored
+        on b move to a.  A tee on b's chain moves to the merged chain, which
+        is reversed so the qubit that now carries the junction link (a when
+        b was the branch head, else the old head) stays first.
         """
         cid_a, spine_a = self._oriented(a)
         cid_b, spine_b = self._oriented(b)
@@ -508,15 +539,17 @@ class ChainRegistry:
         for qb in rest:
             self.chain_of[qb] = cid_a
         del self.chain_of[b]
+        self._move_links(b, a)
         self.danglers[b] = a
 
     def fuse_tee(self, a: int, b: int, c: int) -> None:
         """Three-way join: b's chain merges through a, c's hangs off a.
 
-        Both b and c become dangling bonds on a.  The remainder of c's chain
-        stays registered as its own backbone; the junction is recorded in
-        ``tees`` so a census can tell branches from free chains.  Two of
-        a, b and c on one chain raise before anything changes.
+        Both b and c become dangling bonds on a, and what was anchored on
+        them moves to a.  The remainder of c's chain stays registered as its
+        own backbone; the junction is recorded in ``tees`` so a census can
+        tell branches from free chains.  Two of a, b and c on one chain
+        raise before anything changes.
         """
         cid_c, spine_c = self._oriented(c)
         if cid_c in (self.chain_of.get(a), self.chain_of.get(b)):
@@ -524,6 +557,7 @@ class ChainRegistry:
         self.fuse_success(a, b)
         rest_c = list(reversed(spine_c))[1:]
         del self.chain_of[c]
+        self._move_links(c, a)
         self.danglers[c] = a
         if rest_c:
             self.backbones[cid_c] = rest_c
@@ -580,8 +614,14 @@ def fuse(
     Z's of the odd-parity and Bell frame fixes go on the neighbours that
     ``registry`` gives the flipped qubit before the fusion.  Failure outcomes
     project the involved qubits to known product states but remove nothing
-    from the chains; recovery is a separate explicit step.
+    from the chains; recovery is a separate explicit step.  Every qubit must
+    sit on a chain: a dangling bond or a measured-out qubit raises before
+    anything changes.
     """
+    for q in qubits:
+        if q not in registry.chain_of:
+            where = "a dangling bond" if q in registry.danglers else "on no chain"
+            raise ValueError(f"qubit {q} is {where}; fusion joins chain qubits")
     if variant == "parity-2":
         return _fuse_parity2(tab, qubits, outcome, registry)
     if variant == "gate-3":
@@ -660,8 +700,7 @@ def _fuse_gate3(tab, qubits, outcome, registry):
         tab = apply_hadamard(tab, b)
         if registry.is_end(a) and registry.is_end(b):
             registry.fuse_success(a, b)
-            if registry.chain_of.get(c) is not None or c in registry.danglers:
-                registry.remove(c)
+            registry.remove(c)
         return outcome, tab, tuple(corrections)
     bits = outcome.split("-")[1]
     for q, ch in zip((a, b, c), bits):
@@ -709,8 +748,42 @@ def canonical_form(tab: StabilizerTableau) -> tuple:
 def equals_up_to_corrections(
     tab: StabilizerTableau, spec: GraphSpec, corrections=()
 ) -> bool:
-    """Whether corrected generators generate exactly the graph-state group."""
+    """Whether corrected generators generate exactly the graph-state group.
+
+    A membership test, with no canonical form.  The graph generator
+    K_v = X_v Z_N(v) is the only one with an X bit on v, so a group element
+    is fixed by its X part: corrected row r, whose X bits mark the vertex set
+    S = x_r, can only be the product of K_v over v in S.  Row r is that
+    product when
+
+    - its Z part is A x_r mod 2, A the adjacency matrix (column u of the
+      Z parts is the XOR of the X columns of u's neighbours), and
+    - its sign bit is e(S) + |x_r & z_r| / 2 mod 2, with e(S) the number of
+      edges inside S: moving each X_v left past the Z's of the factors
+      before it gives one -1 per edge inside S, and writing each XZ on one
+      qubit as -iY gives (-i)^|x_r & z_r|.
+
+    Rows that pass are in the group; they generate all of it when they are
+    independent.  Their Pauli parts are independent exactly when their X
+    parts are, so the certificate is rank n of x, from one sign-less
+    elimination.
+    """
     if tab.n != spec.n:
         raise ValueError("qubit counts differ")
-    corrected = apply_corrections(tab, corrections)
-    return canonical_form(corrected) == canonical_form(graph_state(spec))
+    n = tab.n
+    # destabilizers are not read, so the corrections copy only x, z and sign
+    corrected = apply_corrections(StabilizerTableau(n, tab.x, tab.z, tab.sign), corrections)
+    x, z = corrected.x, corrected.z
+    cols = np.ascontiguousarray(x.T)  # cols[v]: which rows hold X on v
+    want_z = np.zeros_like(cols)
+    inside = 0  # per row, parity of the edges inside its X support
+    for u, v in spec.edges:
+        want_z[u] ^= cols[v]
+        want_z[v] ^= cols[u]
+        inside ^= cols[u] & cols[v]
+    if not np.array_equal(want_z, z.T):
+        return False
+    half_y = (x & z).sum(axis=1) // 2 % 2
+    if not np.array_equal(corrected.sign, inside ^ half_y):
+        return False
+    return len(_row_reduce(x, n)) == n

@@ -306,6 +306,71 @@ class TestCascade:
             )
 
 
+def _same_outcome(a, b):
+    assert (a.label, a.probability, a.corrections, a.gate_time) == (
+        b.label, b.probability, b.corrections, b.gate_time)
+    assert (a.window_probability, a.exact_probability) == (
+        b.window_probability, b.exact_probability)
+    assert a.posterior.amplitudes.tobytes() == b.posterior.amplitudes.tobytes()
+    assert (a.target is None) == (b.target is None)
+    if a.target is not None:
+        assert a.target.amplitudes.tobytes() == b.target.amplitudes.tobytes()
+
+
+class TestDefaultTableMemo:
+    """Sampled gates on the default register build their table once per input."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_seeded_draws_equal_uncached_path(self, n):
+        alpha, theta = 1000.0, 0.003
+        for seed in range(5):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(40):
+                if n == 3:
+                    got = gates.three_qubit_gate(alpha, theta, rng=got_rng)
+                else:
+                    got = gates.cascaded_gate(n, alpha, theta, rng=got_rng)
+                want = gates._pick(gates.cascade_outcomes(n, alpha, theta),
+                                   "sampled", want_rng)
+                _same_outcome(got, want)
+            assert got_rng.random() == want_rng.random()
+
+    def test_forced_outcomes_equal_uncached_path(self):
+        for o in gates.three_qubit_outcomes(1000.0, 0.003):
+            _same_outcome(gates.three_qubit_gate(1000.0, 0.003, outcome=o.label), o)
+
+    def test_table_built_once(self, monkeypatch):
+        builds, build = [], gates.cascade_outcomes
+
+        def spy(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(gates, "cascade_outcomes", spy)
+        gates._default_cascade_table.cache_clear()
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            gates.three_qubit_gate(800.0, 0.004, rng=rng)
+            gates.cascaded_gate(3, 800.0, 0.004, rng=rng)
+        assert builds == [(3, 800.0, 0.004)]
+        gates._default_cascade_table.cache_clear()
+
+    def test_mutating_a_returned_outcome_leaves_the_next_draw(self):
+        fresh = {o.label: o for o in gates.three_qubit_outcomes(1000.0, 0.003)}
+        for label in ("ghz", "bell-q3-0", "product-001"):
+            out = gates.three_qubit_gate(1000.0, 0.003, outcome=label)
+            out.posterior.amplitudes[:] = 0.0
+            if out.target is not None:
+                out.target.amplitudes[:] = 0.0
+            again = gates.three_qubit_gate(1000.0, 0.003, outcome=label)
+            _same_outcome(again, fresh[label])
+        rng = np.random.default_rng(5)
+        out = gates.cascaded_gate(3, 1000.0, 0.003, rng=rng)
+        out.posterior.amplitudes *= 2.0
+        again = gates.cascaded_gate(3, 1000.0, 0.003, outcome=out.label)
+        _same_outcome(again, fresh[out.label])
+
+
 class TestGeometricCz:
     def test_canonical_coupling(self):
         res = gates.geometric_cz(BETA_STAR, 1j * BETA_STAR)

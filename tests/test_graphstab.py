@@ -1140,3 +1140,314 @@ class TestHandBuiltTableau:
         assert tab.dx is None
         with pytest.raises(ValueError, match="not independent"):
             tab.validate()
+
+
+# ---------------------------------------------------------------------------
+# dangling bonds in the registry
+
+
+class TestRegistryDanglingBonds:
+    def test_bonds_on_b_move_to_a(self):
+        """1 is a one-qubit chain anchoring bond 2; fusing it as b hands 2 to 4."""
+        reg, spec = gs.ChainRegistry.disjoint_chains([2, 2, 1])
+        _, tab, _ = gs.fuse(gs.graph_state(spec), (1, 2), "parity-2", "success-even", reg)
+        measured = {}
+        for q in (0, 3):
+            measured[q], tab = gs.recover_failure(tab, q, reg, forced=1)
+        _, tab, _ = gs.fuse(tab, (4, 1), "parity-2", "success-even", reg)
+        assert reg.danglers == {2: 4, 1: 4}
+        assert gs.equals_up_to_corrections(tab, _implied_graph(reg, tab.n),
+                                           _to_plus(measured))
+
+    @pytest.mark.parametrize("role", [1, 2])
+    def test_bonds_on_b_or_c_of_a_tee_move_to_a(self, role):
+        """2 anchors bond 3; as b or c of a ghz fusion it hands 3 to 0."""
+        reg, spec = gs.ChainRegistry.disjoint_chains([1, 1, 1, 1])
+        _, tab, _ = gs.fuse(gs.graph_state(spec), (2, 3), "parity-2", "success-even", reg)
+        qubits = (0, 2, 1) if role == 1 else (0, 1, 2)
+        _, tab, _ = gs.fuse(tab, qubits, "gate-3", "ghz", reg)
+        assert reg.danglers == {1: 0, 2: 0, 3: 0}
+        assert gs.equals_up_to_corrections(tab, _implied_graph(reg, tab.n))
+
+    @pytest.mark.parametrize("outcome", ["success-even", "success-odd"])
+    def test_tee_junction_on_b_moves_to_a(self, outcome):
+        """Junction 0 keeps only its tee link after its bonds are measured out."""
+        reg, spec = gs.ChainRegistry.disjoint_chains([1, 1, 2, 1])
+        _, tab, _ = gs.fuse(gs.graph_state(spec), (0, 1, 2), "gate-3", "ghz", reg)
+        measured = {}
+        for q in (1, 2):
+            measured[q], tab = gs.recover_failure(tab, q, reg, forced=-1)
+        assert reg.neighbours(0) == [3]
+        _, tab, _ = gs.fuse(tab, (4, 0), "parity-2", outcome, reg)
+        assert reg.tees == [(4, 2)] and reg.danglers == {0: 4}
+        assert gs.equals_up_to_corrections(tab, _implied_graph(reg, tab.n),
+                                           _to_plus(measured))
+
+    @pytest.mark.parametrize("variant, qubits", [
+        ("parity-2", (2, 1)), ("parity-2", (1, 2)), ("gate-3", (2, 1, 3)),
+        ("gate-3", (3, 2, 1)),
+    ])
+    def test_fusing_at_a_dangling_bond_rejected(self, variant, qubits):
+        reg, spec = gs.ChainRegistry.disjoint_chains([1, 1, 1, 1])
+        _, tab, _ = gs.fuse(gs.graph_state(spec), (0, 1), "parity-2", "success-even", reg)
+        before = _registry_state(reg), tab.copy()
+        outcomes = gs.PARITY2_OUTCOMES if variant == "parity-2" else gs.GATE3_OUTCOMES
+        for outcome in outcomes:
+            with pytest.raises(ValueError, match="qubit 1 is a dangling bond"):
+                gs.fuse(tab, qubits, variant, outcome, reg)
+            assert _registry_state(reg) == before[0]
+            for name in ("x", "z", "sign", "dx", "dz"):
+                assert getattr(tab, name).tobytes() == getattr(before[1], name).tobytes()
+
+    def test_fusing_a_measured_out_qubit_rejected(self):
+        reg, spec = gs.ChainRegistry.disjoint_chains([2, 1])
+        _, tab = gs.recover_failure(gs.graph_state(spec), 1, reg, forced=1)
+        before = _registry_state(reg)
+        with pytest.raises(ValueError, match="qubit 1 is on no chain"):
+            gs.fuse(tab, (2, 1), "parity-2", "success-even", reg)
+        assert _registry_state(reg) == before
+
+
+def _grow(rng, check=None):
+    """Fuse fresh chains of 1-4 qubits at random chain ends, anchors included.
+
+    Every end qubit (degree <= 1, on a backbone) of the chains grown so far
+    can take role a or b, and c is always a fresh chain.  Failures are
+    followed by ``recover_failure`` on each fused qubit.  ``check(tab, reg,
+    measured)`` runs after every fusion.  Returns the last three.
+    """
+    lengths = [int(v) for v in rng.integers(1, 5, size=int(rng.integers(4, 12)))]
+    reg, spec = gs.ChainRegistry.disjoint_chains(lengths)
+    tab = gs.graph_state(spec)
+    fresh = list(range(1, len(lengths)))  # chain ids not fused yet
+    measured = {}
+    while fresh:
+        grown = [cid for cid in reg.backbones if cid not in fresh]
+        ends = sorted({q for cid in grown for q in (reg.backbones[cid][0],
+                                                    reg.backbones[cid][-1])
+                       if reg.is_end(q)})
+        if not ends:
+            fresh.pop(0)
+            continue
+        main = ends[int(rng.integers(len(ends)))]
+        variant = "parity-2" if len(fresh) < 2 or rng.random() < 0.5 else "gate-3"
+        outcomes = gs.PARITY2_OUTCOMES if variant == "parity-2" else gs.GATE3_OUTCOMES
+        outcome = str(rng.choice(outcomes))
+        partners = []
+        for _ in range(1 if variant == "parity-2" else 2):
+            backbone = reg.backbones[fresh.pop(int(rng.integers(len(fresh))))]
+            partners.append(backbone[0] if rng.random() < 0.5 else backbone[-1])
+        pair = [main, partners[0]] if rng.random() < 0.5 else [partners[0], main]
+        qubits = tuple(pair + partners[1:])
+        _, tab, _ = gs.fuse(tab, qubits, variant, outcome, reg)
+        if outcome.startswith("bell"):
+            measured[qubits[2]] = 1 if outcome.endswith("0") else -1
+        elif not outcome.startswith(("success", "ghz")):
+            for q in qubits:
+                measured[q], tab = gs.recover_failure(tab, q, reg, rng=rng)
+        if check is not None:
+            check(tab, reg, measured)
+    return tab, reg, measured
+
+
+class TestRegistryGraphAtAnyEnd:
+    """Fusing at any chain end, anchors of dangling bonds included, keeps the
+    tableau equal to the registry's graph after every step."""
+
+    @pytest.mark.parametrize("block", range(6))
+    def test_seeded_growth(self, block):
+        anchors = []
+
+        def check(tab, reg, measured):
+            assert gs.equals_up_to_corrections(tab, _implied_graph(reg, tab.n),
+                                               _to_plus(measured))
+            anchors.append(len(reg.danglers))
+
+        for seed in range(16 * block, 16 * block + 16):
+            _grow(np.random.default_rng([13, seed]), check)
+        assert any(anchors)
+
+
+# ---------------------------------------------------------------------------
+# the membership test against the canonical forms it replaced
+
+
+def _ref_equals_up_to_corrections(tab, spec, corrections=()):
+    """The comparison that the membership test replaced: two canonical forms."""
+    if tab.n != spec.n:
+        raise ValueError("qubit counts differ")
+    corrected = gs.apply_corrections(tab, corrections)
+    return gs.canonical_form(corrected) == gs.canonical_form(gs.graph_state(spec))
+
+
+def _same_answer(tab, spec, corrections=()):
+    """Both comparisons' answer, which must agree.
+
+    The canonical form of a tableau with anticommuting rows can meet an
+    imaginary row product and raise; the membership test answers False there.
+    """
+    got = gs.equals_up_to_corrections(tab, spec, corrections)
+    try:
+        want = _ref_equals_up_to_corrections(tab, spec, corrections)
+    except AssertionError as err:
+        assert "imaginary sign" in str(err)
+        assert got is False
+        return got
+    assert got == want
+    return got
+
+
+def _toggled(spec, u, v):
+    edge = (min(u, v), max(u, v))
+    return gs.GraphSpec(spec.n, spec.edges ^ {edge})
+
+
+class TestMembershipMatchesCanonicalForms:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_grown_registers_and_mutations(self, seed):
+        rng = np.random.default_rng([17, seed])
+        tab, reg, measured = _grow(rng)
+        spec = _implied_graph(reg, tab.n)
+        corrections = _to_plus(measured)
+        n = tab.n
+        assert _same_answer(tab, spec, corrections)
+        assert _same_answer(gs.apply_corrections(tab, corrections), spec)
+        negatives = 0
+        for _ in range(12):
+            r = int(rng.integers(n))
+            flipped = tab.copy()
+            flipped.sign[r] ^= 1
+            negatives += not _same_answer(flipped, spec, corrections)
+            if corrections:
+                k = int(rng.integers(len(corrections)))
+                dropped = corrections[:k] + corrections[k + 1:]
+                negatives += not _same_answer(tab, spec, dropped)
+            added = corrections + [(r, "XYZH"[int(rng.integers(4))])]
+            negatives += not _same_answer(tab, spec, added)
+            u, v = rng.choice(n, size=2, replace=False)
+            negatives += not _same_answer(tab, _toggled(spec, u, v), corrections)
+        assert negatives >= 36
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_hand_built_rows(self, seed):
+        """Duplicated, dependent and anticommuting rows of a corrected register."""
+        rng = np.random.default_rng([19, seed])
+        tab, reg, measured = _grow(rng)
+        spec = _implied_graph(reg, tab.n)
+        good = gs.apply_corrections(tab, _to_plus(measured))
+        n = good.n
+        assert _same_answer(good, spec)
+        r, s, t = (int(v) for v in rng.choice(n, size=3, replace=False))
+        x, z, sign = good.x.copy(), good.z.copy(), good.sign.copy()
+        x[s], z[s], sign[s] = x[r], z[r], sign[r]  # a duplicated row
+        assert not _same_answer(gs.StabilizerTableau(n, x, z, sign), spec)
+        # a row that is the product of two others, with its true sign
+        xz = np.concatenate([good.x, good.z], axis=1)
+        prod_sign = good.sign[r] ^ good.sign[t] ^ gs._product_sign(xz[r], xz[t], n)
+        x, z, sign = good.x.copy(), good.z.copy(), good.sign.copy()
+        x[s], z[s], sign[s] = good.x[r] ^ good.x[t], good.z[r] ^ good.z[t], prod_sign
+        assert not _same_answer(gs.StabilizerTableau(n, x, z, sign), spec)
+        # a row that anticommutes with another: X or Z on a qubit with neighbours
+        q = int(rng.choice([v for v in range(n) if spec.neighbours(v)]))
+        for ch in "XZ":
+            x, z = good.x.copy(), good.z.copy()
+            x[s], z[s] = 0, 0
+            (x if ch == "X" else z)[s, q] = 1
+            built = gs.StabilizerTableau(n, x, z, good.sign)
+            assert ((built.x @ built.z[s] + built.z @ built.x[s]) % 2).any()
+            assert not _same_answer(built, spec)
+
+    def test_anticommuting_rows_where_the_reference_raises(self):
+        """X_0 then Y_0: the canonical form multiplies them and meets i."""
+        tab = gs.StabilizerTableau(2, x=[[1, 0], [1, 0]], z=[[0, 0], [1, 0]])
+        with pytest.raises(AssertionError, match="imaginary sign"):
+            _ref_equals_up_to_corrections(tab, gs.GraphSpec.chain(2))
+        assert _same_answer(tab, gs.GraphSpec.chain(2)) is False
+        assert gs.equals_up_to_corrections(tab, gs.GraphSpec.from_edges(2, [])) is False
+
+    def test_rank_certificate_rejects_group_rows_that_repeat(self):
+        """Every row in the graph group, one row twice: only the rank says no."""
+        spec = gs.GraphSpec.chain(3)
+        tab = gs.graph_state(spec)
+        x, z, sign = tab.x.copy(), tab.z.copy(), tab.sign.copy()
+        x[2], z[2] = x[0], z[0]
+        assert not _same_answer(gs.StabilizerTableau(3, x, z, sign), spec)
+
+    def test_y_rows_carry_the_half_weight_sign(self):
+        """K_0 K_1 on a two-chain is +Y_0 Y_1: the edge's -1 and the -1 of
+        two XZ -> -iY rewrites cancel."""
+        spec = gs.GraphSpec.chain(2)
+        tab = gs.StabilizerTableau(2, x=[[1, 1], [1, 0]], z=[[1, 1], [0, 1]], sign=[0, 0])
+        assert _same_answer(tab, spec)
+        tab = gs.StabilizerTableau(2, x=[[1, 1], [1, 0]], z=[[1, 1], [0, 1]], sign=[1, 0])
+        assert not _same_answer(tab, spec)
+
+    def test_edges_inside_the_support_carry_the_sign(self):
+        """K_0 K_1 K_2 on a triangle: X-part 111, Z-part 000, sign (-1)^3."""
+        spec = gs.GraphSpec.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+        x = [[1, 1, 1], [0, 1, 0], [0, 0, 1]]
+        z = [[0, 0, 0], [1, 0, 1], [1, 1, 0]]
+        assert _same_answer(gs.StabilizerTableau(3, x, z, [1, 0, 0]), spec)
+        assert not _same_answer(gs.StabilizerTableau(3, x, z, [0, 0, 0]), spec)
+
+    def test_size_mismatch(self):
+        tab = gs.graph_state(gs.GraphSpec.chain(2))
+        for check in (gs.equals_up_to_corrections, _ref_equals_up_to_corrections):
+            with pytest.raises(ValueError, match="qubit counts differ"):
+                check(tab, gs.GraphSpec.chain(3))
+
+    def test_no_canonical_form(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the check ran canonical_form")
+
+        monkeypatch.setattr(gs, "canonical_form", forbidden)
+        tab, reg, measured = _grow(np.random.default_rng([23, 0]))
+        assert gs.equals_up_to_corrections(tab, _implied_graph(reg, tab.n),
+                                           _to_plus(measured))
+
+
+# The int64 form of _product_sign that the bit masks replaced, kept as the
+# reference: equal bits, dtype and error on every input.
+
+
+def _ref_product_sign(rows, source, n):
+    x1 = rows[..., :n].astype(np.int64)
+    z1 = rows[..., n:].astype(np.int64)
+    x2 = source[..., :n].astype(np.int64)
+    z2 = source[..., n:].astype(np.int64)
+    g = (
+        x1 * z1 * (z2 - x2)
+        + x1 * (1 - z1) * z2 * (2 * x2 - 1)
+        + (1 - x1) * z1 * x2 * (1 - 2 * z2)
+    ).sum(axis=-1) % 4
+    if (g % 2).any():
+        raise AssertionError("row product produced an imaginary sign")
+    return (g // 2).astype(np.uint8)
+
+
+class TestProductSignMatchesInt64Reference:
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 64])
+    def test_random_rows(self, n):
+        rng = np.random.default_rng([29, n])
+        rows = rng.integers(0, 2, (400, 2 * n), dtype=np.uint8)
+        sources = rng.integers(0, 2, (400, 2 * n), dtype=np.uint8)
+
+        def anti(a, b):
+            return (a[..., :n] * b[..., n:] + a[..., n:] * b[..., :n]).sum(axis=-1) % 2
+
+        source = sources[sources.any(axis=1)][0]
+        one = anti(rows, source) == 0  # rows that commute with one source
+        pair = anti(rows, sources) == 0  # rows that commute with their partner
+        assert 0 < one.sum() < len(rows) and 0 < pair.sum() < len(rows)
+        for a, b in ((rows[one], source), (rows[pair], sources[pair]),
+                     (rows[one][0], source), (rows[:0], source)):
+            got, want = gs._product_sign(a, b, n), _ref_product_sign(a, b, n)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        for a, b in ((rows[~one][:1], source), (rows, source), (rows, sources)):
+            messages = []
+            for sign in (gs._product_sign, _ref_product_sign):
+                with pytest.raises(AssertionError) as err:
+                    sign(a, b, n)
+                messages.append(str(err.value))
+            assert messages[0] == messages[1] == "row product produced an imaginary sign"
