@@ -707,10 +707,6 @@ def bus_spread(state: HybridState) -> float:
     """Largest pairwise distance between branch bus amplitudes."""
     b = np.sort(state.bus)
     b = b[np.concatenate(([True], b[1:] != b[:-1]))]
-    if b.size <= 1:
-        return 0.0
-    if b.size <= 1024:
-        return float(np.max(np.abs(b[None, :] - b[:, None])))
     best = 0.0
     for i in range(0, b.size, 512):
         chunk = b[i : i + 512]

@@ -282,16 +282,20 @@ def _analytic_point(config: growth.StrategyConfig):
 
 
 def render_growth_csv(stats: growth.GrowthStats) -> str:
+    return _growth_report(stats)[0]
+
+
+def _growth_report(stats: growth.GrowthStats):
+    """The one-row CSV of ``stats`` and its rows against the closed forms."""
     cfg = stats.config
     summary = stats.summary()
     point = _analytic_point(cfg)
+    rows = () if point is None else growth.compare_to_analytic(stats, point)
     analytic_ops = "" if point is None or point.N is None else repr(point.N)
     z = ""
-    if point is not None:
-        rows = growth.compare_to_analytic(stats, point)
-        for row in rows:
-            if row.metric == "entangling_ops":
-                z = f"{row.z:.4f}"
+    for row in rows:
+        if row.metric == "entangling_ops":
+            z = f"{row.z:.4f}"
     if cfg.variant == "divide_conquer":
         L = analytics.dc_round_length(cfg.rounds())
     elif cfg.variant == "vertical_link":
@@ -316,7 +320,7 @@ def render_growth_csv(stats: growth.GrowthStats) -> str:
             "z_score": z,
         }
     )
-    return buf.getvalue()
+    return buf.getvalue(), rows
 
 
 @main.command("growth")
@@ -355,19 +359,18 @@ def cmd_growth(variant, p, target_l, rounds_k, initial_qubits, trials, seed,
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
     stats = growth.simulate(config)
+    text, rows = _growth_report(stats)
     # files land before any stdout write so a closed pipe cannot lose them
     if jsonl_path:
         Path(jsonl_path).write_text(render_growth_jsonl(stats))
     if csv_path:
-        Path(csv_path).write_text(render_growth_csv(stats))
-    click.echo(render_growth_csv(stats).rstrip())
-    point = _analytic_point(config)
-    if point is not None:
-        for row in growth.compare_to_analytic(stats, point):
-            click.echo(
-                f"  {row.metric}: empirical {row.empirical:.4f} vs analytic "
-                f"{row.analytic:.4f} (z = {row.z:+.2f}, {row.status})"
-            )
+        Path(csv_path).write_text(text)
+    click.echo(text.rstrip())
+    for row in rows:
+        click.echo(
+            f"  {row.metric}: empirical {row.empirical:.4f} vs analytic "
+            f"{row.analytic:.4f} (z = {row.z:+.2f}, {row.status})"
+        )
     for path in (jsonl_path, csv_path):
         if path:
             click.echo(f"wrote {path}")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -90,12 +89,12 @@ def solve_local_z_corrections(
 ):
     """Per-qubit Z phases mapping posterior onto target up to a global phase.
 
-    Works on the common support of the two states; returns None when the
-    supports differ, the magnitudes disagree, or no product of single-qubit
-    phases reproduces the amplitude ratios.  A phase with |e^{i d} - 1| <= tol
-    is least-squares residue and is left out.  When least squares fails, a
-    grid of multiples of pi/4 is searched for n <= 4; above that it raises
-    ValueError.
+    Works on the common support of the two states.  The amplitude ratios'
+    angles are unwrapped along single-bit flips of the support (see
+    :func:`_unwrap_along_flips`), then one least-squares solve fits a phase
+    per qubit.  Returns None when the supports differ, the magnitudes
+    disagree, or the fitted phases do not reproduce the ratios.  A phase
+    with |e^{i d} - 1| <= tol is least-squares residue and is left out.
     """
     n = posterior.qubit_count
     a = posterior.amplitudes
@@ -106,22 +105,45 @@ def solve_local_z_corrections(
     ratios = t[support] / a[support]
     if np.max(np.abs(np.abs(ratios) - np.abs(ratios[0]))) > 1e-6:
         return None
-    phis = np.angle(ratios / ratios[0])
-    rows = np.array(
-        [[(int(b) >> (n - 1 - q)) & 1 for q in range(n)] for b in support],
-        dtype=np.float64,
-    )
-    rows = rows - rows[0]
+    phis = _unwrap_along_flips(support, np.angle(ratios / ratios[0]), n)
+    bits = (support[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    rows = (bits - bits[0]).astype(np.float64)
     deltas, *_ = np.linalg.lstsq(rows, phis, rcond=None)
     if not _phases_match(a, t, support, deltas, n, tol):
-        deltas = _grid_search_phases(a, t, support, n, tol)
-        if deltas is None:
-            return None
+        return None
     return tuple(
         Correction(q, "phase", float(d))
         for q, d in enumerate(deltas)
         if abs(cmath.exp(1j * d) - 1.0) > tol
     )
+
+
+def _unwrap_along_flips(support, phis, n):
+    """``phis`` shifted by multiples of 2 pi along single-bit flips.
+
+    A breadth-first walk from ``support[0]`` over one-bit flips within the
+    support brings each phase within pi of the one it was reached from, so
+    wrapped sums of per-qubit angles become exact sums that least squares
+    fits.  Unreached patterns, and zero shifts, leave phases as they were.
+    """
+    index = np.full(1 << n, -1)
+    index[support] = np.arange(support.size)
+    flips = 1 << np.arange(n)
+    out = phis.copy()
+    done = np.zeros(support.size, dtype=bool)
+    done[0] = True
+    frontier = np.array([0])
+    while frontier.size:
+        parent = np.repeat(frontier, n)
+        child = index[support[parent] ^ np.tile(flips, frontier.size)]
+        fresh = child >= 0
+        fresh[fresh] = ~done[child[fresh]]
+        child, first = np.unique(child[fresh], return_index=True)
+        parent = parent[fresh][first]
+        out[child] += 2.0 * np.pi * np.round((out[parent] - out[child]) / (2.0 * np.pi))
+        done[child] = True
+        frontier = child
+    return out
 
 
 def _phases_match(a, t, support, deltas, n, tol) -> bool:
@@ -131,19 +153,6 @@ def _phases_match(a, t, support, deltas, n, tol) -> bool:
         corrected *= np.exp(1j * d * bit)
     g = t[support[0]] / corrected[0]
     return bool(np.max(np.abs(g * corrected - t[support])) <= math.sqrt(tol))
-
-
-def _grid_search_phases(a, t, support, n, tol):
-    if n > 4:
-        raise ValueError(
-            f"least squares found no local Z correction for n = {n}, and the "
-            "pi/4 grid search (8**n tries) runs only for n <= 4"
-        )
-    grid = [k * math.pi / 4.0 for k in range(8)]
-    for combo in itertools.product(grid, repeat=n):
-        if _phases_match(a, t, support, combo, n, tol):
-            return np.array(combo)
-    return None
 
 
 # ---------------------------------------------------------------------------

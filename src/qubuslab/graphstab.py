@@ -616,26 +616,25 @@ def fuse(
     project the involved qubits to known product states but remove nothing
     from the chains; recovery is a separate explicit step.  Every qubit must
     sit on a chain: a dangling bond or a measured-out qubit raises before
-    anything changes.
+    anything changes.  When any qubit is not a chain end, a warning says so
+    and the registry is left as it was.
     """
     for q in qubits:
         if q not in registry.chain_of:
             where = "a dangling bond" if q in registry.danglers else "on no chain"
             raise ValueError(f"qubit {q} is {where}; fusion joins chain qubits")
-    if variant == "parity-2":
-        return _fuse_parity2(tab, qubits, outcome, registry)
-    if variant == "gate-3":
-        return _fuse_gate3(tab, qubits, outcome, registry)
-    raise ValueError(f"unknown fuse variant {variant!r}")
-
-
-def _warn_not_ends(qubits, registry) -> None:
+    if variant not in _FUSIONS:
+        raise ValueError(f"unknown fuse variant {variant!r}")
+    fusion, outcomes = _FUSIONS[variant]
+    if outcome not in outcomes:
+        raise ValueError(f"outcome {outcome!r} not in {outcomes}")
     bad = [q for q in qubits if not registry.is_end(q)]
     if bad:
         warnings.warn(
             f"fusing non-end qubits {bad} (degree > 1); chain bookkeeping skipped",
-            stacklevel=3,
+            stacklevel=2,
         )
+    return fusion(tab, qubits, outcome, registry, not bad)
 
 
 def _odd_frame_corrections(b: int, registry):
@@ -648,11 +647,8 @@ def _odd_frame_corrections(b: int, registry):
     return [(b, "X")] + [(q, "Z") for q in sorted(registry.neighbours(b))]
 
 
-def _fuse_parity2(tab, qubits, outcome, registry):
+def _fuse_parity2(tab, qubits, outcome, registry, ends):
     a, b = qubits
-    if outcome not in PARITY2_OUTCOMES:
-        raise ValueError(f"outcome {outcome!r} not in {PARITY2_OUTCOMES}")
-    _warn_not_ends(qubits, registry)
     corrections = []
     if outcome in ("success-even", "success-odd"):
         if outcome == "success-odd":
@@ -662,7 +658,7 @@ def _fuse_parity2(tab, qubits, outcome, registry):
         for q, op in corrections:
             tab = apply_pauli(tab, q, op)
         tab = apply_hadamard(tab, b)
-        if registry.is_end(a) and registry.is_end(b):
+        if ends:
             registry.fuse_success(a, b)
         return outcome, tab, tuple(corrections)
     forced = 1 if outcome == "fail-00" else -1
@@ -671,18 +667,14 @@ def _fuse_parity2(tab, qubits, outcome, registry):
     return outcome, tab, ()
 
 
-def _fuse_gate3(tab, qubits, outcome, registry):
+def _fuse_gate3(tab, qubits, outcome, registry, ends):
     a, b, c = qubits
-    if outcome not in GATE3_OUTCOMES:
-        raise ValueError(f"outcome {outcome!r} not in {GATE3_OUTCOMES}")
-    _warn_not_ends(qubits, registry)
-    corrections = []
     if outcome == "ghz":
         _, tab = measure_pauli_string(tab, {a: "Z", b: "Z"}, forced=1)
         _, tab = measure_pauli_string(tab, {b: "Z", c: "Z"}, forced=1)
         tab = apply_hadamard(tab, b)
         tab = apply_hadamard(tab, c)
-        if all(registry.is_end(q) for q in qubits):
+        if ends:
             registry.fuse_tee(a, b, c)
         return outcome, tab, ()
     if outcome.startswith("bell-q3"):
@@ -698,7 +690,7 @@ def _fuse_gate3(tab, qubits, outcome, registry):
                 tab = apply_pauli(tab, q, "Z")
                 corrections.append((q, "Z"))
         tab = apply_hadamard(tab, b)
-        if registry.is_end(a) and registry.is_end(b):
+        if ends:
             registry.fuse_success(a, b)
             registry.remove(c)
         return outcome, tab, tuple(corrections)
@@ -706,6 +698,12 @@ def _fuse_gate3(tab, qubits, outcome, registry):
     for q, ch in zip((a, b, c), bits):
         _, tab = measure_pauli_string(tab, {q: "Z"}, forced=1 if ch == "0" else -1)
     return outcome, tab, ()
+
+
+_FUSIONS = {
+    "parity-2": (_fuse_parity2, PARITY2_OUTCOMES),
+    "gate-3": (_fuse_gate3, GATE3_OUTCOMES),
+}
 
 
 def recover_failure(
@@ -719,8 +717,12 @@ def recover_failure(
 
     The qubit is Z measured; on outcome -1 a Z correction is applied to its
     neighbour in the registry's graph, after which the shortened chain is
-    again a graph state.  The qubit leaves the active chain bookkeeping.
+    again a graph state.  The qubit leaves the active chain bookkeeping.  A
+    qubit the registry no longer holds, or one of degree > 1, raises before
+    anything changes.
     """
+    if end_qubit not in registry.chain_of and end_qubit not in registry.danglers:
+        raise ValueError(f"qubit {end_qubit} is on no chain; nothing to recover")
     if not registry.is_end(end_qubit):
         raise ValueError(
             f"qubit {end_qubit} has degree > 1; interior recovery is unsupported"

@@ -4,7 +4,9 @@ Each trial owns a counter-based random stream keyed by (master_seed,
 trial_index), so a trial's result does not depend on which other trials run:
 the first M trials of an N-trial run equal an M-trial run.  A run builds one
 Philox generator and rekeys it to each trial's stream, and does the rest of
-its per-run work (the gate backend's outcome table) once, not per trial.
+its per-run work (the gate backend's outcome table, merge's minimal chain
+length, divide and conquer's round lengths and record keys) once, not per
+trial.
 
 Strategy rules (the accounting that the closed forms leave open) are stated
 in each simulator's docstring; disagreements between the simulated means and
@@ -57,6 +59,8 @@ ACCOUNTING_RULES = {
 }
 
 _MASK64 = (1 << 64) - 1
+# uniforms drawn per block by the sequential walk and by merge's draws
+_BLOCK = 256
 _ZERO4 = (0, 0, 0, 0)
 # rng.choice(p=...) accepts probabilities that sum to 1 within this
 _CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
@@ -92,14 +96,14 @@ def trial_rng(
 
 
 def _uniforms(rng: np.random.Generator):
-    """The scalar draws rng.random(), rng.random(), ... taken in blocks of 256.
+    """The scalar draws rng.random(), rng.random(), ... taken in blocks.
 
     A block of k doubles is the same k values as k scalar draws; the next
     block is drawn only when the last one runs out.  Values left over at the
     end of a trial change nothing, because each trial owns its stream.
     """
     while True:
-        yield from rng.random(256).tolist()
+        yield from rng.random(_BLOCK).tolist()
 
 
 @dataclass(frozen=True)
@@ -172,6 +176,10 @@ class MetricSummary:
         return cls(mean=mean, variance=var, ci95=half)
 
 
+_BASE_METRICS = ("entangling_ops", "elapsed_rounds", "qubits_consumed",
+                 "qubits_wasted", "final_length")
+
+
 @dataclass(frozen=True)
 class GrowthStats:
     """Per-trial arrays plus their aggregates for one strategy run."""
@@ -187,13 +195,7 @@ class GrowthStats:
     def summary(self) -> dict:
         return {
             name: MetricSummary.from_samples(getattr(self, name))
-            for name in (
-                "entangling_ops",
-                "elapsed_rounds",
-                "qubits_consumed",
-                "qubits_wasted",
-                "final_length",
-            )
+            for name in _BASE_METRICS
         }
 
     def trial_records(self):
@@ -219,17 +221,16 @@ class GrowthStats:
 
 
 def _attempt_sampler(config: StrategyConfig):
-    """Success sampler: abstract Bernoulli(p) or the exact three-qubit gate.
+    """Map a block of uniforms to arrays of (success, spare-bond) flags.
 
-    With the gate backend, a sampled GHZ outcome counts as pair success with
-    a spare dangling bond recorded; Bell outcomes are plain successes and the
-    known product outcomes are failures.  The table is built and checked
-    once, and each draw ``sample(rng)`` inverts the CDF that
-    ``rng.choice(p=...)`` would build from it, with one uniform, so it draws
-    the same outcome.
+    The abstract backend succeeds where u < p.  The three-qubit gate backend
+    picks an outcome per uniform by the CDF inversion that
+    ``rng.choice(p=...)`` does, so a block picks what as many scalar choices
+    would: GHZ is a success with a spare dangling bond, Bell a plain success
+    and the product outcomes failures.  The table is built once per call.
     """
     if config.gate_backend is None:
-        return lambda rng: (rng.random() < config.p, False)
+        return lambda u: (u < config.p, np.zeros(u.shape, dtype=bool))
     if config.gate_backend != "three-qubit":
         raise ValueError(f"unknown gate backend {config.gate_backend!r}")
     outcomes = gates.three_qubit_outcomes(config.alpha, config.theta)
@@ -242,13 +243,13 @@ def _attempt_sampler(config: StrategyConfig):
         )
     cdf = probs.cumsum()
     cdf /= cdf[-1]
-    results = [
-        (o.label == "ghz" or o.label.startswith("bell"), o.label == "ghz")
-        for o in outcomes
-    ]
+    success = np.array([o.label == "ghz" or o.label.startswith("bell")
+                        for o in outcomes])
+    spare = np.array([o.label == "ghz" for o in outcomes])
 
-    def sample(rng):
-        return results[int(cdf.searchsorted(rng.random(), side="right"))]
+    def sample(u):
+        k = cdf.searchsorted(u, side="right")
+        return success[k], spare[k]
 
     return sample
 
@@ -262,83 +263,67 @@ def _sequential_trial(config: StrategyConfig, rng: np.random.Generator, sample):
     empty chain keeps attempting from there, rebuilding through zero, so the
     expectation matches the closed form rather than a reflecting-boundary
     variant (which sits about one operation lower at p = 3/4, L = 41).
-    Time advances by gate_time per attempt.  ``sample`` is the run's
-    :func:`_attempt_sampler`, built once per run.
+    Time advances by gate_time per attempt.
+
+    The walk takes 256 uniforms at a time, which ``sample`` (the run's
+    :func:`_attempt_sampler`) maps to success and spare-bond flags, and
+    stops at the first attempt that reaches the target or at ``max_rounds``
+    attempts.  The unused rest of the last block changes nothing, because
+    each trial owns its stream.
     """
     target = config.target_L
+    cap = math.inf if config.max_rounds is None else config.max_rounds
     length = 1
     ops = 0
     danglers = 0
-    if config.gate_backend is None and config.max_rounds is None:
-        # vectorized walk over blocks of attempts
-        block = 256
-        while length < target:
-            steps = np.where(rng.random(block) < config.p, 1, -1)
-            path = length + np.cumsum(steps)
-            hit = np.nonzero(path >= target)[0]
-            if hit.size:
-                stop = int(hit[0]) + 1
-                ops += stop
-                length = int(path[stop - 1])
-            else:
-                ops += block
-                length = int(path[-1])
-        successes = (ops + (target - 1)) // 2
-    else:
-        successes = 0
-        while length < target:
-            if config.max_rounds is not None and ops >= config.max_rounds:
-                break
-            ok, spare = sample(rng)
-            ops += 1
-            if ok:
-                length += 1
-                successes += 1
-                danglers += 1 if spare else 0
-            else:
-                length -= 1
-    failures = ops - successes
-    consumed = 1 + ops
-    wasted = consumed - length
+    while length < target and ops < cap:
+        success, spare = sample(rng.random(_BLOCK))
+        path = length + np.cumsum(np.where(success, 1, -1))
+        hit = np.flatnonzero(path >= target)
+        stop = min(int(hit[0]) + 1 if hit.size else _BLOCK, cap - ops)
+        ops += stop
+        length = int(path[stop - 1])
+        danglers += int(np.count_nonzero(spare[:stop]))
     return {
         "entangling_ops": ops,
         "elapsed_rounds": ops * config.gate_time,
-        "qubits_consumed": consumed,
-        "qubits_wasted": wasted,
+        "qubits_consumed": 1 + ops,
+        "qubits_wasted": 1 + ops - length,
         "final_length": length,
         "spare_danglers": danglers,
     }
 
 
-def _dc_trial(config: StrategyConfig, rng: np.random.Generator):
+def _dc_trial(config: StrategyConfig, rng: np.random.Generator, rounds):
     """Pairwise joins of equal-length chains, discarding failures.
 
     Round j pairs floor(C/2) survivors; only failed chains are discarded.
     The odd chain out of a pool of three or more is stranded as waste (an
     equal-length partner can never appear again), while a lone chain simply
     waits unchanged.  Survivor counts are binomial, so the trial runs at the
-    aggregate level.  Time is one gate_time per round.
+    aggregate level.  Time is one gate_time per round.  ``rounds`` holds,
+    per round, the survivors' length and the two record keys, built once
+    per run by :func:`_run_constants`.
     """
     n = config.initial_qubits
-    k = config.rounds()
     chains = n
     length = 1
     ops = 0
     per_round = {}
-    for round_index in range(1, k + 1):
+    for round_length, chains_key, qubits_key in rounds:
         if chains > 1:
             pairs = chains // 2
             ops += pairs
             chains = int(rng.binomial(pairs, config.p))
             if chains:
-                length = analytics.dc_round_length(round_index)
+                length = round_length
         # a lone chain waits unchanged; an empty pool stays empty
-        per_round[f"chains_round_{round_index}"] = chains
-        per_round[f"qubits_round_{round_index}"] = chains * length
+        per_round[chains_key] = chains
+        per_round[qubits_key] = chains * length
     final_qubits = chains * length
     return {
         "entangling_ops": ops,
-        "elapsed_rounds": k * config.gate_time,
+        "elapsed_rounds": len(rounds) * config.gate_time,
         "qubits_consumed": n,
         "qubits_wasted": n - final_qubits,
         "final_length": length if chains else 0,
@@ -384,16 +369,16 @@ def _build_chain_dc(length: int, p: float, draw, t: float):
             return ops, time, qubits
 
 
-def _merge_trial(config: StrategyConfig, rng: np.random.Generator):
+def _merge_trial(config: StrategyConfig, rng: np.random.Generator, L0: int):
     """Minimal chains built without recycling, then joined to a main chain.
 
     A failed join shrinks both the main chain and the partner by one; the
     partner is retried until it is used up, then rebuilt.  The main chain is
     the first minimal chain.  Join attempts run one at a time (time
     gate_time each); partner builds are accounted with parallel-halves time.
+    ``L0`` is the minimal chain length at p, computed once per run.
     """
     target = config.target_L
-    L0 = analytics.minimal_chain_length(config.p)
     t = config.gate_time
     draw = _uniforms(rng).__next__
     ops = 0
@@ -449,6 +434,20 @@ def _vertical_trial(config: StrategyConfig, rng: np.random.Generator):
     }
 
 
+def _run_constants(config: StrategyConfig) -> dict:
+    """Keyword arguments of the variant's trial function, computed once per run."""
+    if config.variant == "sequential":
+        return {"sample": _attempt_sampler(config)}
+    if config.variant == "merge":
+        return {"L0": analytics.minimal_chain_length(config.p)}
+    if config.variant == "divide_conquer":
+        return {"rounds": tuple(
+            (analytics.dc_round_length(j), f"chains_round_{j}", f"qubits_round_{j}")
+            for j in range(1, config.rounds() + 1)
+        )}
+    return {}
+
+
 _TRIAL_FUNCS = {
     "sequential": _sequential_trial,
     "merge": _merge_trial,
@@ -470,23 +469,16 @@ def simulate(config: StrategyConfig, threads: int = 1) -> GrowthStats:
             f"trials run in the calling thread; threads must be 1, got {threads}"
         )
     rng = np.random.Generator(np.random.Philox(0))  # rekeyed before each trial
-    func = _TRIAL_FUNCS[config.variant]
-    if config.variant == "sequential":
-        func = functools.partial(func, sample=_attempt_sampler(config))
+    func = functools.partial(_TRIAL_FUNCS[config.variant], **_run_constants(config))
     records = [
         func(config, trial_rng(config.master_seed, i, rng))
         for i in range(config.trials)
     ]
 
-    base = ("entangling_ops", "elapsed_rounds", "qubits_consumed",
-            "qubits_wasted", "final_length")
-    arrays = {k: np.array([r[k] for r in records], dtype=np.float64) for k in base}
-    extras = {
-        k: np.array([r[k] for r in records], dtype=np.float64)
-        for k in records[0]
-        if k not in base
-    }
-    return GrowthStats(config=config, extras=extras, **arrays)
+    extras = {k: np.array([r[k] for r in records], dtype=np.float64)
+              for k in records[0]}
+    base = {k: extras.pop(k) for k in _BASE_METRICS}
+    return GrowthStats(config=config, extras=extras, **base)
 
 
 def join_pair_experiment(p: float, L: int, trials: int, seed: int) -> float:
@@ -538,9 +530,7 @@ def compare_to_analytic(stats: GrowthStats, point: ScalingPoint):
     if abs(point.p - cfg.p) > 1e-12:
         raise ValueError("mismatched success probability")
     pairs = []
-    if cfg.variant == "sequential":
-        pairs = [("entangling_ops", point.N), ("elapsed_rounds", point.T)]
-    elif cfg.variant == "merge":
+    if cfg.variant in ("sequential", "merge"):
         pairs = [("entangling_ops", point.N), ("elapsed_rounds", point.T)]
     elif cfg.variant == "divide_conquer":
         pairs = [
@@ -550,10 +540,7 @@ def compare_to_analytic(stats: GrowthStats, point: ScalingPoint):
             ("entangling_ops", point.N),
         ]
     elif cfg.variant == "vertical_link":
-        pairs = [
-            ("qubits_consumed", point.extras["V"]),
-            ("entangling_ops", point.N),
-        ]
+        pairs = [("qubits_consumed", point.extras["V"]), ("entangling_ops", point.N)]
     rows = []
     for metric, analytic_value in pairs:
         if analytic_value is None:

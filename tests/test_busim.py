@@ -617,7 +617,7 @@ class TestBranchKernelsMatchLoopReference:
         with pytest.raises(ValueError, match="cancelled"):
             HybridState(2, [1, 1, 3, 3], [0.5, -0.5, 0.5j, -0.5j], [0.2, 0.2, 1.0, 1.0])
 
-    @pytest.mark.parametrize("size", [1, 2, 3, 40, 1500])
+    @pytest.mark.parametrize("size", [1, 2, 3, 40, 700, 1500])
     def test_spread(self, size):
         rng = np.random.default_rng(size)
         bus = rng.normal(size=size) + 1j * rng.normal(size=size)

@@ -12,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import qubuslab
+from qubuslab import growth
 from qubuslab.cli import GROWTH_CSV_COLUMNS, main, parse_amount
 
 
@@ -229,6 +230,31 @@ class TestGrowthCommand:
             )
             assert result.exit_code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("args", [
+        ["sequential", "--p", "0.75", "--L", "11", "--trials", "300"],
+        ["merge", "--p", "0.75", "--L", "41", "--trials", "40"],
+        ["divide_conquer", "--p", "0.5", "--n", "256", "--k", "4", "--trials", "200"],
+        ["vertical_link", "--p", "0.5", "--trials", "300"],
+    ])
+    def test_csv_file_equals_printed_csv(self, runner, tmp_path, monkeypatch, args):
+        calls = []
+        real = growth.compare_to_analytic
+
+        def spy(*a):
+            calls.append(a)
+            return real(*a)
+
+        monkeypatch.setattr(growth, "compare_to_analytic", spy)
+        out = tmp_path / "agg.csv"
+        result = runner.invoke(main, ["growth", *args, "--seed", "5", "--csv", str(out)])
+        assert result.exit_code == 0, result.output
+        text = out.read_text()
+        lines = result.output.splitlines()
+        assert lines[:2] == text.splitlines()
+        assert len(calls) == 1
+        assert len([line for line in lines if "empirical" in line]) >= 1
+        assert lines[-1] == f"wrote {out}"
 
     def test_config_file_growth(self, runner, tmp_path):
         cfg = tmp_path / "growth.json"

@@ -522,6 +522,16 @@ class TestChainSequence:
             assert busim.bus_spread(out) == 0.0
 
 
+def _random_product(rng, n, spread=(0.2, 1.3)):
+    """A product register with random phases, magnitudes cos and sin of ``spread``."""
+    amps = np.ones(1, dtype=np.complex128)
+    for _ in range(n):
+        angle = rng.uniform(*spread)
+        amps = np.kron(amps, [math.cos(angle),
+                              math.sin(angle) * np.exp(1j * rng.uniform(-4, 4))])
+    return QubitState(n, amps, normalize=True)
+
+
 class TestCorrectionSolver:
     def test_solves_pure_z_frame(self):
         state = QubitState.plus(2)
@@ -535,14 +545,81 @@ class TestCorrectionSolver:
         bell = EVEN_BELL
         assert gates.solve_local_z_corrections(plus, bell) is None
 
-    def test_grid_search_bounded(self):
-        """Least squares misses this plain Z frame; the 8**n grid stops at n = 4."""
-        plus = QubitState.plus(5)
-        framed = plus
-        for q in range(5):
-            framed = busim.apply_z_phase(framed, q, 3.0)
-        with pytest.raises(ValueError, match="n = 5"):
-            gates.solve_local_z_corrections(plus, framed)
+    def test_rejects_non_local_phases(self):
+        """Same support and magnitudes, but a CZ sign no local phase makes."""
+        cz = QubitState(2, np.array([1, 1, 1, -1]) / 2.0)
+        assert gates.solve_local_z_corrections(QubitState.plus(2), cz) is None
+
+    def test_wrapped_z_frame_solved(self):
+        """Phase 3.0 on every qubit wraps the pattern phases (6.0 -> -0.28)."""
+        for n in range(2, 9):
+            plus = QubitState.plus(n)
+            framed = plus
+            for q in range(n):
+                framed = busim.apply_z_phase(framed, q, 3.0)
+            corr = gates.solve_local_z_corrections(plus, framed)
+            assert corr is not None, n
+            assert fidelity(gates.apply_corrections(plus, corr), framed) >= 1 - 1e-12
+
+    # 0-1-3-7-6 flips qubit 2's bit on and then off again along the walk
+    @pytest.mark.parametrize("support", [None, (0, 1, 3), (1, 3, 7, 6), (0, 5, 6, 3),
+                                         (0, 1, 3, 7, 6)])
+    def test_random_z_frames_solved(self, support):
+        """Random product posteriors under random per-qubit phases in (-4, 4)."""
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            n = 3 if support else int(rng.integers(1, 7))
+            amps = _random_product(rng, n).amplitudes
+            if support:
+                mask = np.zeros(2**n, dtype=bool)
+                mask[list(support)] = True
+                amps[~mask] = 0.0
+            post = QubitState(n, amps, normalize=True)
+            framed = post
+            for q in range(n):
+                framed = busim.apply_z_phase(framed, q, float(rng.uniform(-4, 4)))
+            corr = gates.solve_local_z_corrections(post, framed)
+            assert corr is not None
+            assert fidelity(gates.apply_corrections(post, corr), framed) >= 1 - 1e-12
+
+    def test_tables_keep_plain_least_squares_answers(self):
+        """Where the wrapped angles already fit, unwrapping changes no bit."""
+        def plain(posterior, target, tol=1e-9):
+            n = posterior.qubit_count
+            a, t = posterior.amplitudes, target.amplitudes
+            support = np.flatnonzero(np.abs(a) > tol)
+            if not np.array_equal(support, np.flatnonzero(np.abs(t) > tol)):
+                return ()
+            ratios = t[support] / a[support]
+            if np.max(np.abs(np.abs(ratios) - np.abs(ratios[0]))) > 1e-6:
+                return ()
+            rows = np.array([[(int(b) >> (n - 1 - q)) & 1 for q in range(n)]
+                             for b in support], dtype=np.float64)
+            deltas, *_ = np.linalg.lstsq(rows - rows[0], np.angle(ratios / ratios[0]),
+                                         rcond=None)
+            if not gates._phases_match(a, t, support, deltas, n, tol):
+                return ()
+            return tuple(gates.Correction(q, "phase", float(d))
+                         for q, d in enumerate(deltas)
+                         if abs(np.exp(1j * d) - 1.0) > tol)
+
+        rng = np.random.default_rng(5)
+        phased = (math.pi / 4, math.pi / 4)  # |+> up to a random phase per qubit
+        checked = 0
+        for alpha, theta in ((1000.0, 0.003), (437.0, 0.0071)):
+            tables = [gates.cascade_outcomes(n, alpha, theta) for n in range(2, 7)]
+            tables += [gates.cascade_outcomes(4, alpha, theta, _random_product(rng, 4, phased))]
+            for build in (gates.three_qubit_outcomes, gates.position_parity_outcomes,
+                          gates.momentum_parity_outcomes):
+                n = 3 if build is gates.three_qubit_outcomes else 2
+                tables += [build(alpha, theta), build(alpha, theta, _random_product(rng, n)),
+                           build(alpha, theta, _random_product(rng, n, phased))]
+            for table in tables:
+                for o in table:
+                    if o.target is not None:
+                        assert o.corrections == plain(o.posterior, o.target), o.label
+                        checked += bool(o.corrections)
+        assert checked >= 10
 
     def test_partial_support(self):
         post = QubitState(2, np.array([0, 1, 1j, 0]) / math.sqrt(2))

@@ -1207,6 +1207,28 @@ class TestRegistryDanglingBonds:
             gs.fuse(tab, (2, 1), "parity-2", "success-even", reg)
         assert _registry_state(reg) == before
 
+    def test_recovering_a_measured_out_qubit_rejected(self):
+        """The second recovery of 1 raises before it measures anything."""
+        reg, spec = gs.ChainRegistry.disjoint_chains([2, 1])
+        _, tab = gs.recover_failure(gs.graph_state(spec), 1, reg, forced=1)
+        before = _registry_state(reg), tab.copy()
+        for forced in (None, 1, -1):
+            with pytest.raises(ValueError, match="qubit 1 is on no chain"):
+                gs.recover_failure(tab, 1, reg, rng=np.random.default_rng(0),
+                                   forced=forced)
+            assert _registry_state(reg) == before[0]
+            for name in ("x", "z", "sign", "dx", "dz"):
+                assert getattr(tab, name).tobytes() == getattr(before[1], name).tobytes()
+
+    @pytest.mark.parametrize("outcome", ["bell-q3-0", "bell-q3-1"])
+    def test_bell_fusion_with_interior_third_qubit_keeps_registry(self, outcome):
+        """Any non-end qubit, the third included, leaves the registry as it was."""
+        reg, spec = gs.ChainRegistry.disjoint_chains([1, 1, 3])
+        before = _registry_state(reg)
+        with pytest.warns(UserWarning, match=r"non-end qubits \[3\]"):
+            gs.fuse(gs.graph_state(spec), (0, 1, 3), "gate-3", outcome, reg)
+        assert _registry_state(reg) == before
+
 
 def _grow(rng, check=None):
     """Fuse fresh chains of 1-4 qubits at random chain ends, anchors included.

@@ -158,9 +158,9 @@ class TestGateSampler:
         rng = np.random.Generator(np.random.Philox(0))
         sample = growth._attempt_sampler(self.CONFIG)
         for seed in range(50):
-            trial_rng(seed, 3, rng)
-            got = [sample(rng) for _ in range(5000)]
-            # one choice of 5000 draws uses the same uniforms as 5000 choices
+            success, spare = sample(trial_rng(seed, 3, rng).random(5000))
+            got = list(zip(success.tolist(), spare.tolist()))
+            # one choice of 5000 draws uses the same uniforms as one block
             picks = trial_rng(seed, 3).choice(len(probs), size=5000, p=probs)
             assert got == [classes[k] for k in picks.tolist()], seed
 
@@ -589,9 +589,11 @@ class TestMergeBlockDraws:
             gate_time=0.5,
         )
         stats = simulate(cfg)
+        L0 = analytics.minimal_chain_length(p)
         for i in range(cfg.trials):
             want = _scalar_merge_trial(cfg, trial_rng(cfg.master_seed, i))
-            assert growth._merge_trial(cfg, trial_rng(cfg.master_seed, i)) == want
+            got = growth._merge_trial(cfg, trial_rng(cfg.master_seed, i), L0)
+            assert got == want
             for key, value in want.items():
                 assert getattr(stats, key)[i] == value
 
@@ -601,6 +603,53 @@ class TestMergeBlockDraws:
             draw = growth._uniforms(trial_rng(3, i)).__next__
             want = _scalar_build_chain_dc(length, 0.7, trial_rng(3, i), 1.0)
             assert growth._build_chain_dc(length, 0.7, draw, 1.0) == want
+
+
+def _scalar_sequential_trial(config, rng):
+    """The sequential walk as written with one draw per attempt."""
+    if config.gate_backend is None:
+        def attempt():
+            return rng.random() < config.p, False
+    else:
+        outcomes = gates.three_qubit_outcomes(config.alpha, config.theta)
+        probs = np.array([o.probability for o in outcomes])
+
+        def attempt():
+            o = outcomes[rng.choice(len(probs), p=probs / probs.sum())]
+            return o.label == "ghz" or o.label.startswith("bell"), o.label == "ghz"
+    length, ops, danglers = 1, 0, 0
+    while length < config.target_L:
+        if config.max_rounds is not None and ops >= config.max_rounds:
+            break
+        ok, spare = attempt()
+        ops += 1
+        length += 1 if ok else -1
+        danglers += spare
+    return ops, length, danglers
+
+
+class TestSequentialBlockWalk:
+    @pytest.mark.parametrize("kwargs", [
+        dict(p=0.75, target_L=41),
+        dict(p=0.55, target_L=300),  # walks span several 256-blocks
+        dict(p=0.5, target_L=30, max_rounds=50),
+        dict(p=0.5, target_L=30, max_rounds=256),
+        dict(p=0.5, target_L=60, max_rounds=700),
+        dict(p=0.75, target_L=11, gate_backend="three-qubit"),
+        dict(p=0.75, target_L=15, max_rounds=20, gate_backend="three-qubit"),
+    ])
+    def test_equals_scalar_walk(self, kwargs):
+        cfg = StrategyConfig(variant="sequential", trials=120, master_seed=2**63 + 3,
+                             gate_time=0.5, **kwargs)
+        stats = simulate(cfg)
+        for i in range(cfg.trials):
+            ops, length, danglers = _scalar_sequential_trial(
+                cfg, trial_rng(cfg.master_seed, i))
+            assert stats.entangling_ops[i] == ops
+            assert stats.elapsed_rounds[i] == ops * cfg.gate_time
+            assert stats.final_length[i] == length
+            assert stats.qubits_wasted[i] == 1 + ops - length
+            assert stats.extras["spare_danglers"][i] == danglers
 
 
 # sha256 of every output array of simulate, computed before the trial streams
