@@ -90,11 +90,12 @@ def solve_local_z_corrections(
     """Per-qubit Z phases mapping posterior onto target up to a global phase.
 
     Works on the common support of the two states.  The amplitude ratios'
-    angles are unwrapped along single-bit flips of the support (see
-    :func:`_unwrap_along_flips`), then one least-squares solve fits a phase
-    per qubit.  Returns None when the supports differ, the magnitudes
-    disagree, or the fitted phases do not reproduce the ratios.  A phase
-    with |e^{i d} - 1| <= tol is least-squares residue and is left out.
+    angles are unwrapped onto sums of per-qubit steps read from single-bit
+    flips of the support (see :func:`_unwrapped_angles`), then one
+    least-squares solve fits a phase per qubit.  Returns None when the
+    supports differ, the magnitudes disagree, or the fitted phases do not
+    reproduce the ratios.  A phase with |e^{i d} - 1| <= tol is least-squares
+    residue and is left out.
     """
     n = posterior.qubit_count
     a = posterior.amplitudes
@@ -105,9 +106,9 @@ def solve_local_z_corrections(
     ratios = t[support] / a[support]
     if np.max(np.abs(np.abs(ratios) - np.abs(ratios[0]))) > 1e-6:
         return None
-    phis = _unwrap_along_flips(support, np.angle(ratios / ratios[0]), n)
     bits = (support[:, None] >> np.arange(n - 1, -1, -1)) & 1
     rows = (bits - bits[0]).astype(np.float64)
+    phis = _unwrapped_angles(support, ratios / ratios[0], rows)
     deltas, *_ = np.linalg.lstsq(rows, phis, rcond=None)
     if not _phases_match(a, t, support, deltas, n, tol):
         return None
@@ -118,32 +119,26 @@ def solve_local_z_corrections(
     )
 
 
-def _unwrap_along_flips(support, phis, n):
-    """``phis`` shifted by multiples of 2 pi along single-bit flips.
+def _unwrapped_angles(support, r, rows):
+    """Angles of ``r`` shifted by multiples of 2 pi onto sums of qubit steps.
 
-    A breadth-first walk from ``support[0]`` over one-bit flips within the
-    support brings each phase within pi of the one it was reached from, so
-    wrapped sums of per-qubit angles become exact sums that least squares
-    fits.  Unreached patterns, and zero shifts, leave phases as they were.
+    A qubit's step is the angle across the first pair of support patterns
+    that differ in that qubit alone (``support`` is sorted, so the pair's
+    first pattern has the qubit's bit clear).  Each angle is brought within
+    pi of the sum of the steps its ``rows`` select, so wrapped sums of
+    per-qubit angles become exact sums that least squares fits, and a step
+    of exactly pi counts the same way on every pattern.  Qubits with no
+    such pair add nothing, and zero shifts leave angles as they were.
     """
+    phis = np.angle(r)
+    n = rows.shape[1]
     index = np.full(1 << n, -1)
     index[support] = np.arange(support.size)
-    flips = 1 << np.arange(n)
-    out = phis.copy()
-    done = np.zeros(support.size, dtype=bool)
-    done[0] = True
-    frontier = np.array([0])
-    while frontier.size:
-        parent = np.repeat(frontier, n)
-        child = index[support[parent] ^ np.tile(flips, frontier.size)]
-        fresh = child >= 0
-        fresh[fresh] = ~done[child[fresh]]
-        child, first = np.unique(child[fresh], return_index=True)
-        parent = parent[fresh][first]
-        out[child] += 2.0 * np.pi * np.round((out[parent] - out[child]) / (2.0 * np.pi))
-        done[child] = True
-        frontier = child
-    return out
+    partner = index[support[:, None] ^ (1 << np.arange(n - 1, -1, -1))]
+    i = np.argmax(partner >= 0, axis=0)
+    j = partner[i, np.arange(n)]
+    step = np.where(j >= 0, np.angle(r[j] / r[i]), 0.0)
+    return phis + 2.0 * np.pi * np.round((rows @ step - phis) / (2.0 * np.pi))
 
 
 def _phases_match(a, t, support, deltas, n, tol) -> bool:

@@ -561,7 +561,21 @@ class TestCorrectionSolver:
             assert corr is not None, n
             assert fidelity(gates.apply_corrections(plus, corr), framed) >= 1 - 1e-12
 
-    # 0-1-3-7-6 flips qubit 2's bit on and then off again along the walk
+    @pytest.mark.parametrize("zs", [(0, 1), (0, 1, 2), (0, 2), "all"])
+    def test_exact_pauli_z_frame_solved(self, zs):
+        """Ratio angles of exactly pi put every unwrap step on the rounding tie."""
+        rng = np.random.default_rng(31)
+        for n in range(max(zs) + 1 if zs != "all" else 1, 9):
+            for post in (QubitState.plus(n), _random_product(rng, n)):
+                framed = post
+                for q in (range(n) if zs == "all" else zs):
+                    framed = busim.apply_pauli(framed, q, "Z")
+                corr = gates.solve_local_z_corrections(post, framed)
+                assert corr is not None, n
+                assert fidelity(gates.apply_corrections(post, corr), framed) >= 1 - 1e-12
+
+    # in 0-1-3-7-6 the pairs 0-1 and 7-6 flip qubit 2 in opposite directions;
+    # 0-5-6-3 has no single-qubit flip at all
     @pytest.mark.parametrize("support", [None, (0, 1, 3), (1, 3, 7, 6), (0, 5, 6, 3),
                                          (0, 1, 3, 7, 6)])
     def test_random_z_frames_solved(self, support):
