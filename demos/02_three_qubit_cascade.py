@@ -10,18 +10,19 @@ time that doubles with every extra qubit.
 from qubuslab import gates
 
 print("Three-qubit outcome table (alpha = 1000, theta = 0.003):")
-for out in gates.three_qubit_outcomes(1000.0, 0.003):
+table = gates.three_qubit_outcomes(1000.0, 0.003)
+for out in table:
     print(f"  {out.label:<12} p = {str(out.exact_probability):>5}"
           f"  ({out.probability:.3f})")
 
-success = gates.cascade_pair_success(3)
+success = gates.cascade_pair_success(table)
 print(f"\npair-entangling success: {success} "
       f"(GHZ counts: measuring the third qubit leaves a Bell pair)")
 
 print("\nCascade scaling:")
 print(f"  {'n':>2} {'success':>9} {'gate time':>10}")
 for n in range(2, 9):
-    p = gates.cascade_pair_success(n)
+    p = gates.cascade_pair_success(gates.cascade_outcomes(n, 1000.0, 0.003))
     t = gates.cascade_gate_time(n)
     print(f"  {n:>2} {str(p):>9} {t:>10}")
 print("\nThe success probability climbs as 1 - 2**(1-n) while the")

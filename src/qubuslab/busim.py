@@ -636,14 +636,12 @@ def measure_bucket(
 
 
 def _vacuum_branch(state: HybridState, vacuum_tol: float):
-    pn, _ = _photon_projection(state, 0)
+    pn, posterior = _photon_projection(state, 0)
     keep = np.abs(state.bus) <= vacuum_tol
     if keep.any():
         amps = np.zeros(2**state.qubit_count, dtype=np.complex128)
         np.add.at(amps, state.bits[keep], state.coeff[keep])
         posterior = QubitState(state.qubit_count, amps, normalize=True)
-    else:
-        _, posterior = _photon_projection(state, 0)
     return pn, posterior
 
 
@@ -651,11 +649,12 @@ def _photon_projection(state: HybridState, n: int):
     """Exact weight and posterior of the photon-number outcome n."""
     b = state.bus
     absb = np.abs(b)
-    with np.errstate(divide="ignore"):
-        log_mag = -0.5 * absb**2 + n * np.where(absb > 0, np.log(absb), -np.inf)
-    log_mag = log_mag - 0.5 * math.lgamma(n + 1)
     if n == 0:
         log_mag = -0.5 * absb**2
+    else:
+        with np.errstate(divide="ignore"):
+            log_mag = -0.5 * absb**2 + n * np.where(absb > 0, np.log(absb), -np.inf)
+        log_mag = log_mag - 0.5 * math.lgamma(n + 1)
     phase = n * np.angle(b)
     top = float(np.max(log_mag))
     if top == -math.inf:

@@ -206,7 +206,7 @@ def _gate_table_command(name, alpha, theta, n_qubits, number_resolving, csv_path
     else:
         outcomes = gates.cascade_outcomes(n_qubits, alpha, theta)
         click.echo(
-            f"pair success: {gates.cascade_pair_success(n_qubits)} "
+            f"pair success: {gates.cascade_pair_success(outcomes)} "
             f"(gate time {gates.cascade_gate_time(n_qubits)} units)"
         )
     if csv_path:

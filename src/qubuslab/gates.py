@@ -1,10 +1,11 @@
 """Entangling-gate protocols built from single bus interactions.
 
 Every protocol enumerates its exhaustive outcome table (label, exact
-probability from branch enumeration, posterior, local corrections) and can
-also sample or force one outcome.  Probabilities are properties of the
-branch structure alone; the dependence on the bus amplitude and interaction
-angle only enters the separately reported error budget.
+probability from branch enumeration, posterior, local corrections).  A
+caller that wants one outcome holds the table and draws from it, or picks
+one by label, with :func:`pick_outcome`.  Probabilities are properties of
+the branch structure alone; the dependence on the bus amplitude and
+interaction angle only enters the separately reported error budget.
 
 Local corrections use Z phases diag(1, e^{i angle}) and Paulis; applying an
 outcome's corrections to its posterior reaches the canonical target state up
@@ -14,10 +15,9 @@ to a global phase.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -34,16 +34,13 @@ __all__ = [
     "apply_corrections",
     "error_budget",
     "run_sequence",
+    "outcome_cdf",
+    "pick_outcome",
     "momentum_parity_outcomes",
-    "parity_gate_momentum",
     "position_parity_outcomes",
-    "parity_gate_position",
     "bucket_parity_outcomes",
-    "parity_gate_bucket",
     "three_qubit_outcomes",
-    "three_qubit_gate",
     "cascade_outcomes",
-    "cascaded_gate",
     "cascade_pair_success",
     "cascade_gate_time",
     "geometric_cz",
@@ -227,6 +224,51 @@ def _warn_if_unresolved(alpha: float, theta: float, which: str) -> None:
 
 
 # ---------------------------------------------------------------------------
+# drawing outcomes from a table
+
+# rng.choice(p=...) accepts probabilities that sum to 1 within this
+_CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+def outcome_cdf(outcomes) -> np.ndarray:
+    """Cumulative distribution over a table's outcomes, in table order.
+
+    The probabilities are normalised by their sum and checked as
+    ``rng.choice(p=...)`` checks them; the cumulative sum is divided by its
+    last entry, as ``rng.choice`` divides it.
+    """
+    w = [o.probability for o in outcomes]
+    probs = np.array(w) / sum(w)
+    if not (np.isfinite(probs).all() and (probs >= 0.0).all()
+            and abs(math.fsum(probs) - 1.0) <= _CHOICE_ATOL):
+        raise ValueError(f"outcome probabilities {probs} are not a distribution")
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def pick_outcome(outcomes, outcome: str = "sampled", rng=None) -> GateOutcome:
+    """One outcome of a table: drawn by probability, or the one with a label.
+
+    A draw inverts :func:`outcome_cdf` at one ``rng.random()``, as
+    ``rng.choice(len(outcomes), p=...)`` does, so it picks the same outcome
+    and leaves the stream in the same place.  Build the table once and hold
+    it for repeated draws.
+    """
+    if outcome == "sampled":
+        if rng is None:
+            raise ValueError("sampling an outcome requires an rng")
+        return outcomes[int(outcome_cdf(outcomes).searchsorted(rng.random(), side="right"))]
+    for o in outcomes:
+        if o.label == outcome:
+            return o
+    raise ValueError(
+        f"unknown outcome {outcome!r}; expected one of "
+        f"{[o.label for o in outcomes]} or 'sampled'"
+    )
+
+
+# ---------------------------------------------------------------------------
 # interaction sequences
 
 
@@ -313,22 +355,6 @@ def _prepare(alpha, theta, state, multiples):
     return state, hybrid
 
 
-def _pick(outcomes, outcome, rng):
-    if outcome == "sampled":
-        if rng is None:
-            raise ValueError("sampling an outcome requires an rng")
-        w = [o.probability for o in outcomes]
-        idx = rng.choice(len(outcomes), p=np.array(w) / sum(w))
-        return outcomes[int(idx)]
-    for o in outcomes:
-        if o.label == outcome:
-            return o
-    raise ValueError(
-        f"unknown outcome {outcome!r}; expected one of "
-        f"{[o.label for o in outcomes]} or 'sampled'"
-    )
-
-
 def _classify_two_qubit(members: frozenset) -> str:
     if members == {1, 2}:
         return "odd-bell"
@@ -395,13 +421,6 @@ def momentum_parity_outcomes(alpha, theta, state: QubitState | None = None):
     return _parity_outcomes(alpha, theta, state, math.pi / 2.0, {"odd-bell": _bell_odd()})
 
 
-def parity_gate_momentum(
-    alpha, theta, state=None, outcome="sampled", rng=None
-) -> GateOutcome:
-    _warn_if_unresolved(alpha, theta, "momentum")
-    return _pick(momentum_parity_outcomes(alpha, theta, state), outcome, rng)
-
-
 def position_parity_outcomes(alpha, theta, state: QubitState | None = None):
     """Outcome table of the position-quadrature parity gate.
 
@@ -409,13 +428,6 @@ def position_parity_outcomes(alpha, theta, state: QubitState | None = None):
     2 alpha, so both outcomes project onto entangled parity subspaces."""
     targets = {"odd-bell": _bell_odd(), "even-bell": _bell_even()}
     return _parity_outcomes(alpha, theta, state, 0.0, targets)
-
-
-def parity_gate_position(
-    alpha, theta, state=None, outcome="sampled", rng=None
-) -> GateOutcome:
-    _warn_if_unresolved(alpha, theta, "position")
-    return _pick(position_parity_outcomes(alpha, theta, state), outcome, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -473,12 +485,6 @@ def bucket_parity_outcomes(
     return tuple(outcomes)
 
 
-def parity_gate_bucket(
-    alpha, theta, state=None, number_resolving=False, outcome="sampled", rng=None
-) -> GateOutcome:
-    return _pick(bucket_parity_outcomes(alpha, theta, state, number_resolving), outcome, rng)
-
-
 # ---------------------------------------------------------------------------
 # three-qubit gate and its cascade generalization
 
@@ -497,27 +503,20 @@ def cascade_gate_time(n: int) -> int:
     return sum(abs(m) for m in _cascade_schedule(n))
 
 
-def _cascade_peaks(n: int):
-    """Exact peak table: rotation multiple -> (weight, members)."""
-    mult = _cascade_schedule(n)
-    peaks: dict[int, list[int]] = {}
-    for bits in range(2**n):
-        rot = sum(
-            m * (1 - 2 * ((bits >> (n - 1 - q)) & 1)) for q, m in enumerate(mult)
-        )
-        peaks.setdefault(rot, []).append(bits)
-    return peaks
+def cascade_pair_success(outcomes) -> Fraction:
+    """Exact chance that qubits 0 and 1 end entangled, from a cascade table.
 
-
-def cascade_pair_success(n: int) -> Fraction:
-    """Exact chance that qubits 0 and 1 end entangled: 1 - 2**(1-n)."""
-    peaks = _cascade_peaks(n)
-    success = Fraction(0)
-    for members in peaks.values():
-        pair_patterns = {((b >> (n - 1)) & 1, (b >> (n - 2)) & 1) for b in members}
-        if len(pair_patterns) >= 2:
-            success += Fraction(len(members), 2**n)
-    return success
+    The sum of the exact probabilities of the ``ghz``, ``bell-q3-*`` and
+    ``entangled`` outcomes; 1 - 2**(1-n) for the default |+>^n register.
+    A table without exact probabilities raises.
+    """
+    if any(o.exact_probability is None for o in outcomes):
+        raise ValueError("pair success needs a table with exact probabilities")
+    return sum(
+        (o.exact_probability for o in outcomes
+         if o.label in ("ghz", "entangled") or o.label.startswith("bell-q3")),
+        Fraction(0),
+    )
 
 
 def _cascade_label(n: int, members: list[int]) -> str:
@@ -561,43 +560,6 @@ def cascade_outcomes(n: int, alpha, theta, state: QubitState | None = None):
 def three_qubit_outcomes(alpha, theta, state: QubitState | None = None):
     """Five-peak outcome table of the theta, theta, -2 theta protocol."""
     return cascade_outcomes(3, alpha, theta, state)
-
-
-@functools.lru_cache(maxsize=4, typed=True)
-def _default_cascade_table(n: int, alpha, theta) -> tuple:
-    """``cascade_outcomes`` on the default |+>^n register, built once per input.
-
-    Held for repeated draws; callers get copies of its states, never the
-    arrays themselves.  Kept small: a table holds O(2**n) posteriors of
-    2**n amplitudes each.
-    """
-    return cascade_outcomes(n, alpha, theta)
-
-
-def _pick_default(n: int, alpha, theta, outcome, rng) -> GateOutcome:
-    """``_pick`` from the held default-register table, as a private copy."""
-    picked = _pick(_default_cascade_table(n, alpha, theta), outcome, rng)
-
-    def own(state):
-        return None if state is None else QubitState(state.qubit_count, state.amplitudes.copy())
-
-    return replace(picked, posterior=own(picked.posterior), target=own(picked.target))
-
-
-def three_qubit_gate(alpha, theta, state=None, outcome="sampled", rng=None) -> GateOutcome:
-    if state is not None and state.qubit_count != 3:
-        raise ValueError("protocol needs a 3-qubit register")
-    _warn_if_unresolved(alpha, theta, "momentum")
-    if state is None:
-        return _pick_default(3, alpha, theta, outcome, rng)
-    return _pick(three_qubit_outcomes(alpha, theta, state), outcome, rng)
-
-
-def cascaded_gate(n: int, alpha, theta, outcome="sampled", rng=None) -> GateOutcome:
-    if n < 2:
-        raise ValueError("cascade needs at least two qubits")
-    _warn_if_unresolved(alpha, theta, "momentum")
-    return _pick_default(n, alpha, theta, outcome, rng)
 
 
 # ---------------------------------------------------------------------------

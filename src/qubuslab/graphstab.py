@@ -20,9 +20,11 @@ row-sum phase.
 
 Chain bookkeeping (which qubit sits where in which chain, dangling bonds)
 lives in a :class:`ChainRegistry` beside the tableau; the quantum state never
-knows about chain identities.  Fusion reads the neighbourhoods of its
-Pauli-frame fixes off the registry's graph, and ``equals_up_to_corrections``
-against that graph is the check that registry and state agree.  That check
+knows about chain identities.  Each fusion outcome is one row of a table,
+its Z-parity projections, Hadamards and registry step, and one routine runs
+any row.  Fusion reads the neighbourhoods of its Pauli-frame fixes off the
+registry's graph, and ``equals_up_to_corrections`` against that graph is
+the check that registry and state agree.  That check
 is a membership test in the graph-state group (Hein, Eisert and Briegel,
 PRA 69, 062311), not a comparison of canonical forms.  The generator
 K_v = X_v Z_N(v) is the only one with an X on v, so a row with X part
@@ -58,10 +60,6 @@ __all__ = [
     "PARITY2_OUTCOMES",
     "GATE3_OUTCOMES",
 ]
-
-PARITY2_OUTCOMES = ("success-even", "success-odd", "fail-00", "fail-11")
-GATE3_OUTCOMES = ("ghz", "bell-q3-0", "bell-q3-1", "product-001", "product-110")
-
 
 # ---------------------------------------------------------------------------
 # graph specs
@@ -601,6 +599,30 @@ class ChainRegistry:
 # fusion and recovery
 
 
+# variant -> (qubit count, outcome -> row).  A row holds the Z-parity
+# projections as (qubit positions, forced sign), the positions that take a
+# Hadamard, and the registry step: "join" (the pair fuses, a third qubit is
+# measured out), "tee" (a three-way join) or None (a failure, which leaves
+# the chains as they are).
+_FUSIONS = {
+    "parity-2": (2, {
+        "success-even": ((((0, 1), 1),), (1,), "join"),
+        "success-odd": ((((0, 1), -1),), (1,), "join"),
+        "fail-00": ((((0,), 1), ((1,), 1)), (), None),
+        "fail-11": ((((0,), -1), ((1,), -1)), (), None),
+    }),
+    "gate-3": (3, {
+        "ghz": ((((0, 1), 1), ((1, 2), 1)), (1, 2), "tee"),
+        "bell-q3-0": ((((0, 1), -1), ((2,), 1)), (1,), "join"),
+        "bell-q3-1": ((((0, 1), -1), ((2,), -1)), (1,), "join"),
+        "product-001": ((((0,), 1), ((1,), 1), ((2,), -1)), (), None),
+        "product-110": ((((0,), -1), ((1,), -1), ((2,), 1)), (), None),
+    }),
+}
+PARITY2_OUTCOMES = tuple(_FUSIONS["parity-2"][1])
+GATE3_OUTCOMES = tuple(_FUSIONS["gate-3"][1])
+
+
 def fuse(
     tab: StabilizerTableau,
     qubits,
@@ -611,13 +633,17 @@ def fuse(
     """Join chains at their end qubits with a parity or three-qubit projection.
 
     Returns (label, tableau, corrections); corrections already applied.  The
-    Z's of the odd-parity and Bell frame fixes go on the neighbours that
-    ``registry`` gives the flipped qubit before the fusion.  Failure outcomes
-    project the involved qubits to known product states but remove nothing
-    from the chains; recovery is a separate explicit step.  Every qubit must
-    sit on a chain: a dangling bond or a measured-out qubit raises before
-    anything changes.  When any qubit is not a chain end, a warning says so
-    and the registry is left as it was.
+    outcome's row of ``_FUSIONS`` runs in order: each Z-parity projection is
+    measured with its forced sign, then the Hadamards, then the registry
+    step.  On a success a -1 projection is fixed at once: X on the pair's
+    last qubit (on a graph state X_b equals Z on b's neighbourhood, Hein,
+    Eisert and Briegel), and Z on the neighbours that ``registry`` gives
+    that qubit before the fusion.  Failure outcomes project the involved
+    qubits to known product states but remove nothing from the chains;
+    recovery is a separate explicit step.  A wrong qubit count (2 for
+    parity-2, 3 for gate-3), or a qubit that is a dangling bond or measured
+    out, raises before anything changes.  When any qubit is not a chain end,
+    a warning says so and the registry is left as it was.
     """
     for q in qubits:
         if q not in registry.chain_of:
@@ -625,85 +651,38 @@ def fuse(
             raise ValueError(f"qubit {q} is {where}; fusion joins chain qubits")
     if variant not in _FUSIONS:
         raise ValueError(f"unknown fuse variant {variant!r}")
-    fusion, outcomes = _FUSIONS[variant]
-    if outcome not in outcomes:
-        raise ValueError(f"outcome {outcome!r} not in {outcomes}")
+    width, rows = _FUSIONS[variant]
+    if len(qubits) != width:
+        raise ValueError(f"{variant} fuses {width} qubits, got {len(qubits)}")
+    if outcome not in rows:
+        raise ValueError(f"outcome {outcome!r} not in {tuple(rows)}")
     bad = [q for q in qubits if not registry.is_end(q)]
     if bad:
         warnings.warn(
             f"fusing non-end qubits {bad} (degree > 1); chain bookkeeping skipped",
             stacklevel=2,
         )
-    return fusion(tab, qubits, outcome, registry, not bad)
-
-
-def _odd_frame_corrections(b: int, registry):
-    """Corrections mapping the odd parity branch onto the even one.
-
-    On a graph state, X_b equals Z on b's neighbourhood (Hein, Eisert and
-    Briegel), so flipping the parity frame with X_b leaves residual Z's on
-    b's neighbours.  They are read off the registry's graph.
-    """
-    return [(b, "X")] + [(q, "Z") for q in sorted(registry.neighbours(b))]
-
-
-def _fuse_parity2(tab, qubits, outcome, registry, ends):
-    a, b = qubits
+    projections, hadamards, step = rows[outcome]
     corrections = []
-    if outcome in ("success-even", "success-odd"):
-        if outcome == "success-odd":
-            corrections = _odd_frame_corrections(b, registry)
-        forced = 1 if outcome == "success-even" else -1
-        _, tab = measure_pauli_string(tab, {a: "Z", b: "Z"}, forced=forced)
-        for q, op in corrections:
-            tab = apply_pauli(tab, q, op)
-        tab = apply_hadamard(tab, b)
-        if ends:
-            registry.fuse_success(a, b)
-        return outcome, tab, tuple(corrections)
-    forced = 1 if outcome == "fail-00" else -1
-    _, tab = measure_pauli_string(tab, {a: "Z"}, forced=forced)
-    _, tab = measure_pauli_string(tab, {b: "Z"}, forced=forced)
-    return outcome, tab, ()
-
-
-def _fuse_gate3(tab, qubits, outcome, registry, ends):
-    a, b, c = qubits
-    if outcome == "ghz":
-        _, tab = measure_pauli_string(tab, {a: "Z", b: "Z"}, forced=1)
-        _, tab = measure_pauli_string(tab, {b: "Z", c: "Z"}, forced=1)
-        tab = apply_hadamard(tab, b)
-        tab = apply_hadamard(tab, c)
-        if ends:
-            registry.fuse_tee(a, b, c)
-        return outcome, tab, ()
-    if outcome.startswith("bell-q3"):
-        third_bit = int(outcome[-1])
-        corrections = _odd_frame_corrections(b, registry)
-        neigh_c = sorted(registry.neighbours(c))
-        _, tab = measure_pauli_string(tab, {a: "Z", b: "Z"}, forced=-1)
-        for q, op in corrections:
-            tab = apply_pauli(tab, q, op)
-        _, tab = measure_pauli_string(tab, {c: "Z"}, forced=1 if third_bit == 0 else -1)
-        if third_bit == 1:
-            for q in neigh_c:
-                tab = apply_pauli(tab, q, "Z")
-                corrections.append((q, "Z"))
-        tab = apply_hadamard(tab, b)
-        if ends:
-            registry.fuse_success(a, b)
-            registry.remove(c)
-        return outcome, tab, tuple(corrections)
-    bits = outcome.split("-")[1]
-    for q, ch in zip((a, b, c), bits):
-        _, tab = measure_pauli_string(tab, {q: "Z"}, forced=1 if ch == "0" else -1)
-    return outcome, tab, ()
-
-
-_FUSIONS = {
-    "parity-2": (_fuse_parity2, PARITY2_OUTCOMES),
-    "gate-3": (_fuse_gate3, GATE3_OUTCOMES),
-}
+    for positions, sign in projections:
+        _, tab = measure_pauli_string(tab, {qubits[p]: "Z" for p in positions}, forced=sign)
+        if step is not None and sign == -1:
+            last = qubits[positions[-1]]
+            fixes = [(last, "X")] if len(positions) == 2 else []
+            fixes += [(q, "Z") for q in sorted(registry.neighbours(last))]
+            for q, op in fixes:
+                tab = apply_pauli(tab, q, op)
+            corrections += fixes
+    for p in hadamards:
+        tab = apply_hadamard(tab, qubits[p])
+    if step is not None and not bad:
+        if step == "tee":
+            registry.fuse_tee(*qubits)
+        else:
+            registry.fuse_success(qubits[0], qubits[1])
+            for q in qubits[2:]:
+                registry.remove(q)
+    return outcome, tab, tuple(corrections)
 
 
 def recover_failure(

@@ -62,8 +62,6 @@ _MASK64 = (1 << 64) - 1
 # uniforms drawn per block by the sequential walk and by merge's draws
 _BLOCK = 256
 _ZERO4 = (0, 0, 0, 0)
-# rng.choice(p=...) accepts probabilities that sum to 1 within this
-_CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 
 def trial_rng(
@@ -224,7 +222,7 @@ def _attempt_sampler(config: StrategyConfig):
     """Map a block of uniforms to arrays of (success, spare-bond) flags.
 
     The abstract backend succeeds where u < p.  The three-qubit gate backend
-    picks an outcome per uniform by the CDF inversion that
+    picks an outcome per uniform by inverting :func:`gates.outcome_cdf`, as
     ``rng.choice(p=...)`` does, so a block picks what as many scalar choices
     would: GHZ is a success with a spare dangling bond, Bell a plain success
     and the product outcomes failures.  The table is built once per call.
@@ -234,15 +232,7 @@ def _attempt_sampler(config: StrategyConfig):
     if config.gate_backend != "three-qubit":
         raise ValueError(f"unknown gate backend {config.gate_backend!r}")
     outcomes = gates.three_qubit_outcomes(config.alpha, config.theta)
-    probs = np.array([o.probability for o in outcomes])
-    probs = probs / probs.sum()
-    if not (np.isfinite(probs).all() and (probs >= 0.0).all()
-            and abs(math.fsum(probs) - 1.0) <= _CHOICE_ATOL):
-        raise ValueError(
-            f"three-qubit outcome probabilities {probs} are not a distribution"
-        )
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
+    cdf = gates.outcome_cdf(outcomes)
     success = np.array([o.label == "ghz" or o.label.startswith("bell")
                         for o in outcomes])
     spare = np.array([o.label == "ghz" for o in outcomes])

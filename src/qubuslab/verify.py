@@ -114,7 +114,7 @@ def check_three_qubit(quick: bool = False) -> CriterionResult:
         "two product outcomes at 1/8 each",
     )
     res.check(
-        gates.cascade_pair_success(3) == Fraction(3, 4), "pair success == 3/4"
+        gates.cascade_pair_success(outs) == Fraction(3, 4), "pair success == 3/4"
     )
     ghz_state = by_label["ghz"]
     amps = np.zeros(8, dtype=np.complex128)
@@ -126,7 +126,7 @@ def check_three_qubit(quick: bool = False) -> CriterionResult:
     res.check(fid >= 1.0 - 1e-12, f"GHZ fidelity {fid:.15f}")
     for n in range(2, 9):
         expect = Fraction(2 ** (n - 1) - 1, 2 ** (n - 1))
-        got = gates.cascade_pair_success(n)
+        got = gates.cascade_pair_success(gates.cascade_outcomes(n, 1000.0, 0.003))
         res.check(got == expect, f"cascade n={n}: pair success {got} == {expect}")
     return res
 
@@ -250,7 +250,10 @@ def check_stabilizer_oracle(quick: bool = False) -> CriterionResult:
         base_tab = graphstab.graph_state(spec)
         base_vec = oracles.graph_state_vector(spec.n, sorted(spec.edges))
         for qubit, basis in itertools.product(range(spec.n), "XYZ"):
-            p_plus = _measure_prob(base_vec, qubit, basis, spec.n, +1)
+            projected = {
+                s: _project_vec(base_vec, qubit, basis, spec.n, s) for s in (1, -1)
+            }
+            p_plus = projected[1][0]
             try:
                 graphstab.measure_pauli(base_tab, qubit, basis)
                 tableau_random = False
@@ -260,14 +263,13 @@ def check_stabilizer_oracle(quick: bool = False) -> CriterionResult:
             if tableau_random != dense_random:
                 bad += 1
             for forced in (+1, -1):
-                prob = p_plus if forced == 1 else 1.0 - p_plus
+                prob, post = projected[forced]
                 if prob < 1e-12:
                     continue
                 cases += 1
                 outcome, tab = graphstab.measure_pauli(
                     base_tab, qubit, basis, forced=forced
                 )
-                post = _project_vec(base_vec, qubit, basis, spec.n, forced)
                 if not _tableau_matches_vector(tab, post):
                     bad += 1
                 if not (dense_random or abs(prob - 1.0) <= 1e-9):
@@ -330,16 +332,14 @@ def check_stabilizer_oracle(quick: bool = False) -> CriterionResult:
     return res
 
 
-def _measure_prob(vec, qubit, basis, n, sign):
-    image = busim.pauli_action(vec, n, qubit, basis)
-    proj = 0.5 * (vec + sign * image)
-    return float(np.vdot(proj, proj).real)
-
-
 def _project_vec(vec, qubit, basis, n, sign):
-    image = busim.pauli_action(vec, n, qubit, basis)
-    proj = 0.5 * (vec + sign * image)
-    return proj / np.linalg.norm(proj)
+    """Probability of outcome ``sign`` and the normalised projected vector.
+
+    The vector is None when the outcome cannot occur.
+    """
+    proj = 0.5 * (vec + sign * busim.pauli_action(vec, n, qubit, basis))
+    prob = float(np.vdot(proj, proj).real)
+    return prob, proj / np.linalg.norm(proj) if prob else None
 
 
 # ---------------------------------------------------------------------------

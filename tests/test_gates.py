@@ -1,7 +1,12 @@
 """Gate protocols: outcome tables, corrections, budgets, geometric sequences."""
 
+import dataclasses
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,12 +78,13 @@ class TestMomentumParityGate:
         assert fidelity(corrected(outs["odd-bell"]), ODD_BELL) >= 1 - 1e-12
 
     def test_forced_and_sampled_selection(self):
-        out = gates.parity_gate_momentum(1000.0, 0.003, outcome="odd-bell")
+        table = gates.momentum_parity_outcomes(1000.0, 0.003)
+        out = gates.pick_outcome(table, "odd-bell")
         assert out.label == "odd-bell"
-        sampled = gates.parity_gate_momentum(
-            1000.0, 0.003, outcome="sampled", rng=np.random.default_rng(0)
-        )
+        sampled = gates.pick_outcome(table, "sampled", np.random.default_rng(0))
         assert sampled.label in ("odd-bell", "product-00", "product-11")
+        with pytest.raises(ValueError, match="requires an rng"):
+            gates.pick_outcome(table)
 
     def test_product_input_is_certain(self):
         out = gates.momentum_parity_outcomes(1000.0, 0.003, QubitState.basis(2, 0))
@@ -100,8 +106,17 @@ class TestMomentumParityGate:
         assert three["ghz"] == pytest.approx(0.25, abs=1e-12)
 
     def test_warning_in_degenerate_regime(self):
-        with pytest.warns(UserWarning, match="poorly separated"):
-            gates.parity_gate_momentum(1.0, 0.0, outcome="mixed")
+        """The command that prints the table warns on stderr."""
+        src = Path(gates.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "qubuslab.cli", "gate", "parity-momentum",
+             "--alpha", "1.0", "--theta", "0.0"],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+            text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "mixed" in proc.stdout
+        assert "warning: momentum peaks poorly separated" in proc.stderr
 
     def test_skewed_input_weights(self):
         """Outcome weights are the input populations of each parity sector."""
@@ -176,7 +191,7 @@ class TestBucketParityGate:
             assert fidelity(corrected(o), o.target) >= 1 - 1e-12
 
     def test_forced_outcome(self):
-        out = gates.parity_gate_bucket(2.0, 0.4, outcome="click")
+        out = gates.pick_outcome(gates.bucket_parity_outcomes(2.0, 0.4), "click")
         assert out.label == "click"
         assert out.probability == gates.bucket_parity_outcomes(2.0, 0.4)[1].probability
 
@@ -184,16 +199,13 @@ class TestBucketParityGate:
         table = gates.bucket_parity_outcomes(2.0, 0.4, number_resolving=True)
         labels = {o.label for o in table}
         rng = np.random.default_rng(11)
-        draws = [
-            gates.parity_gate_bucket(2.0, 0.4, number_resolving=True, rng=rng).label
-            for _ in range(20)
-        ]
+        draws = [gates.pick_outcome(table, "sampled", rng).label for _ in range(20)]
         assert set(draws) <= labels
         assert len(set(draws)) > 1
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError, match="unknown outcome 'ghz'"):
-            gates.parity_gate_bucket(2.0, 0.4, outcome="ghz")
+            gates.pick_outcome(gates.bucket_parity_outcomes(2.0, 0.4), "ghz")
 
 
 class TestThreeQubitGate:
@@ -244,7 +256,14 @@ class TestThreeQubitGate:
 class TestCascade:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_pair_success_scaling(self, n):
-        assert gates.cascade_pair_success(n) == Fraction(2 ** (n - 1) - 1, 2 ** (n - 1))
+        table = gates.cascade_outcomes(n, 1000.0, 0.003)
+        assert gates.cascade_pair_success(table) == Fraction(2 ** (n - 1) - 1, 2 ** (n - 1))
+        assert gates.cascade_pair_success(table) == _ref_pair_success(n)
+
+    def test_pair_success_needs_exact_probabilities(self):
+        table = gates.cascade_outcomes(3, 1000.0, 0.003, QubitState.plus(3))
+        with pytest.raises(ValueError, match="exact probabilities"):
+            gates.cascade_pair_success(table)
 
     def test_gate_time_doubles(self):
         times = [gates.cascade_gate_time(n) for n in range(2, 8)]
@@ -259,15 +278,15 @@ class TestCascade:
 
     def test_two_qubit_reduction(self):
         """The n=2 cascade is a parity gate with success chance 1/2."""
-        assert gates.cascade_pair_success(2) == Fraction(1, 2)
         outs = gates.cascade_outcomes(2, 1000.0, 0.003)
+        assert gates.cascade_pair_success(outs) == Fraction(1, 2)
         assert sum(o.probability for o in outs) == pytest.approx(1.0, abs=1e-12)
         entangled = [o for o in outs if o.label not in ("product-01", "product-10")]
         assert sum(o.probability for o in entangled) == pytest.approx(0.5, abs=1e-12)
 
     def test_minimum_size(self):
         with pytest.raises(ValueError):
-            gates.cascaded_gate(1, 100.0, 0.01)
+            gates.cascade_outcomes(1, 100.0, 0.01)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_ghz_target(self, n):
@@ -292,13 +311,13 @@ class TestCascade:
     def test_sampled_frequencies_match_table(self):
         """Sampling the heralded outcome reproduces the exact weights."""
         rng = np.random.default_rng(40)
+        table = gates.three_qubit_outcomes(1000.0, 0.003)
         counts = {}
         n_draws = 4000
         for _ in range(n_draws):
-            out = gates.three_qubit_gate(1000.0, 0.003, outcome="sampled", rng=rng)
+            out = gates.pick_outcome(table, "sampled", rng)
             counts[out.label] = counts.get(out.label, 0) + 1
-        expected = {o.label: o.probability
-                    for o in gates.three_qubit_outcomes(1000.0, 0.003)}
+        expected = {o.label: o.probability for o in table}
         for label, prob in expected.items():
             stderr = math.sqrt(prob * (1 - prob) / n_draws)
             assert counts.get(label, 0) / n_draws == pytest.approx(
@@ -306,69 +325,52 @@ class TestCascade:
             )
 
 
-def _same_outcome(a, b):
-    assert (a.label, a.probability, a.corrections, a.gate_time) == (
-        b.label, b.probability, b.corrections, b.gate_time)
-    assert (a.window_probability, a.exact_probability) == (
-        b.window_probability, b.exact_probability)
-    assert a.posterior.amplitudes.tobytes() == b.posterior.amplitudes.tobytes()
-    assert (a.target is None) == (b.target is None)
-    if a.target is not None:
-        assert a.target.amplitudes.tobytes() == b.target.amplitudes.tobytes()
-
-
 class TestDefaultTableMemo:
-    """Sampled gates on the default register build their table once per input."""
+    """Draws from a default-register table that the caller holds.
+
+    ``pick_outcome`` must pick what ``rng.choice`` picks with the table's
+    normalised weights and leave the stream where ``rng.choice`` leaves it.
+    """
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_seeded_draws_equal_uncached_path(self, n):
-        alpha, theta = 1000.0, 0.003
+        table = gates.cascade_outcomes(n, 1000.0, 0.003)
+        w = [o.probability for o in table]
+        p = np.array(w) / sum(w)
         for seed in range(5):
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(40):
-                if n == 3:
-                    got = gates.three_qubit_gate(alpha, theta, rng=got_rng)
-                else:
-                    got = gates.cascaded_gate(n, alpha, theta, rng=got_rng)
-                want = gates._pick(gates.cascade_outcomes(n, alpha, theta),
-                                   "sampled", want_rng)
-                _same_outcome(got, want)
+                got = gates.pick_outcome(table, "sampled", got_rng)
+                assert got is table[int(want_rng.choice(len(table), p=p))]
             assert got_rng.random() == want_rng.random()
 
     def test_forced_outcomes_equal_uncached_path(self):
-        for o in gates.three_qubit_outcomes(1000.0, 0.003):
-            _same_outcome(gates.three_qubit_gate(1000.0, 0.003, outcome=o.label), o)
+        table = gates.three_qubit_outcomes(1000.0, 0.003)
+        for o in table:
+            assert gates.pick_outcome(table, o.label) is o
+        with pytest.raises(ValueError, match="unknown outcome 'odd-bell'"):
+            gates.pick_outcome(table, "odd-bell")
 
-    def test_table_built_once(self, monkeypatch):
-        builds, build = [], gates.cascade_outcomes
+    def test_cdf_rejects_a_table_that_is_not_a_distribution(self):
+        table = list(gates.three_qubit_outcomes(1000.0, 0.003))
+        table[0] = dataclasses.replace(table[0], probability=-0.5)
+        with pytest.raises(ValueError, match="not a distribution"):
+            gates.outcome_cdf(table)
 
-        def spy(*args, **kwargs):
-            builds.append(args)
-            return build(*args, **kwargs)
 
-        monkeypatch.setattr(gates, "cascade_outcomes", spy)
-        gates._default_cascade_table.cache_clear()
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            gates.three_qubit_gate(800.0, 0.004, rng=rng)
-            gates.cascaded_gate(3, 800.0, 0.004, rng=rng)
-        assert builds == [(3, 800.0, 0.004)]
-        gates._default_cascade_table.cache_clear()
-
-    def test_mutating_a_returned_outcome_leaves_the_next_draw(self):
-        fresh = {o.label: o for o in gates.three_qubit_outcomes(1000.0, 0.003)}
-        for label in ("ghz", "bell-q3-0", "product-001"):
-            out = gates.three_qubit_gate(1000.0, 0.003, outcome=label)
-            out.posterior.amplitudes[:] = 0.0
-            if out.target is not None:
-                out.target.amplitudes[:] = 0.0
-            again = gates.three_qubit_gate(1000.0, 0.003, outcome=label)
-            _same_outcome(again, fresh[label])
-        rng = np.random.default_rng(5)
-        out = gates.cascaded_gate(3, 1000.0, 0.003, rng=rng)
-        out.posterior.amplitudes *= 2.0
-        again = gates.cascaded_gate(3, 1000.0, 0.003, outcome=out.label)
-        _same_outcome(again, fresh[out.label])
+def _ref_pair_success(n):
+    """The walk over all 2**n patterns that the table sum replaced."""
+    mult = [1, 1] + [2 ** (k - 2) for k in range(3, n + 1)]
+    mult[-1] = -(2 ** (n - 2))
+    peaks = {}
+    for bits in range(2**n):
+        rot = sum(m * (1 - 2 * ((bits >> (n - 1 - q)) & 1)) for q, m in enumerate(mult))
+        peaks.setdefault(rot, []).append(bits)
+    success = Fraction(0)
+    for members in peaks.values():
+        if len({((b >> (n - 1)) & 1, (b >> (n - 2)) & 1) for b in members}) >= 2:
+            success += Fraction(len(members), 2**n)
+    return success
 
 
 class TestGeometricCz:

@@ -5,8 +5,10 @@ registers of up to eight qubits; the dense side never touches the tableau
 algebra.
 """
 
+import copy
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -255,6 +257,21 @@ class TestFuseParity2:
         reg, spec = gs.ChainRegistry.disjoint_chains([2, 2])
         with pytest.raises(ValueError):
             gs.fuse(gs.graph_state(spec), (1, 2), "parity-2", "nope", reg)
+
+    @pytest.mark.parametrize(
+        "variant, qubits", [("parity-2", (1,)), ("parity-2", (0, 1, 2)), ("gate-3", (1, 2))]
+    )
+    def test_wrong_qubit_count_rejected(self, variant, qubits):
+        """A wrong count raises before any warning, measurement or registry step."""
+        reg, spec = gs.ChainRegistry.disjoint_chains([2, 2, 1])
+        tab = gs.graph_state(spec)
+        before = _registry_state(reg)
+        outcome = "success-even" if variant == "parity-2" else "ghz"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"{variant} fuses"):
+                gs.fuse(tab, qubits, variant, outcome, reg)
+        assert _registry_state(reg) == before
 
     def test_non_end_warns(self):
         reg, spec = gs.ChainRegistry.disjoint_chains([3, 2])
@@ -745,6 +762,123 @@ class TestDenseFusionSweep:
             vec = apply_local_ops(vec, n, _to_plus(measured))
             assert is_graph_state(vec, n, sorted(_implied_graph(reg, n).edges)), (
                 qubits, outcome)
+
+
+# The hand-written fusion branches that the table of projections replaced,
+# kept as the reference: on every outcome the table must give the same label,
+# corrections, tableau bytes and registry.
+
+
+def _ref_odd_frame_corrections(b, registry):
+    return [(b, "X")] + [(q, "Z") for q in sorted(registry.neighbours(b))]
+
+
+def _ref_fuse_parity2(tab, qubits, outcome, registry, ends):
+    a, b = qubits
+    corrections = []
+    if outcome in ("success-even", "success-odd"):
+        if outcome == "success-odd":
+            corrections = _ref_odd_frame_corrections(b, registry)
+        forced = 1 if outcome == "success-even" else -1
+        _, tab = gs.measure_pauli_string(tab, {a: "Z", b: "Z"}, forced=forced)
+        for q, op in corrections:
+            tab = gs.apply_pauli(tab, q, op)
+        tab = gs.apply_hadamard(tab, b)
+        if ends:
+            registry.fuse_success(a, b)
+        return outcome, tab, tuple(corrections)
+    forced = 1 if outcome == "fail-00" else -1
+    _, tab = gs.measure_pauli_string(tab, {a: "Z"}, forced=forced)
+    _, tab = gs.measure_pauli_string(tab, {b: "Z"}, forced=forced)
+    return outcome, tab, ()
+
+
+def _ref_fuse_gate3(tab, qubits, outcome, registry, ends):
+    a, b, c = qubits
+    if outcome == "ghz":
+        _, tab = gs.measure_pauli_string(tab, {a: "Z", b: "Z"}, forced=1)
+        _, tab = gs.measure_pauli_string(tab, {b: "Z", c: "Z"}, forced=1)
+        tab = gs.apply_hadamard(tab, b)
+        tab = gs.apply_hadamard(tab, c)
+        if ends:
+            registry.fuse_tee(a, b, c)
+        return outcome, tab, ()
+    if outcome.startswith("bell-q3"):
+        third_bit = int(outcome[-1])
+        corrections = _ref_odd_frame_corrections(b, registry)
+        neigh_c = sorted(registry.neighbours(c))
+        _, tab = gs.measure_pauli_string(tab, {a: "Z", b: "Z"}, forced=-1)
+        for q, op in corrections:
+            tab = gs.apply_pauli(tab, q, op)
+        _, tab = gs.measure_pauli_string(tab, {c: "Z"}, forced=1 if third_bit == 0 else -1)
+        if third_bit == 1:
+            for q in neigh_c:
+                tab = gs.apply_pauli(tab, q, "Z")
+                corrections.append((q, "Z"))
+        tab = gs.apply_hadamard(tab, b)
+        if ends:
+            registry.fuse_success(a, b)
+            registry.remove(c)
+        return outcome, tab, tuple(corrections)
+    bits = outcome.split("-")[1]
+    for q, ch in zip((a, b, c), bits):
+        _, tab = gs.measure_pauli_string(tab, {q: "Z"}, forced=1 if ch == "0" else -1)
+    return outcome, tab, ()
+
+
+def _fuse_against_reference(fuse):
+    """``fuse`` that also runs the loop reference on copies and compares."""
+
+    def checked(tab, qubits, variant, outcome, registry):
+        ref_reg = copy.deepcopy(registry)
+        ends = all(ref_reg.is_end(q) for q in qubits)
+        ref = _ref_fuse_parity2 if variant == "parity-2" else _ref_fuse_gate3
+        want_label, want_tab, want_corr = ref(tab.copy(), qubits, outcome, ref_reg, ends)
+        label, got_tab, corr = fuse(tab, qubits, variant, outcome, registry)
+        assert (label, corr) == (want_label, want_corr), (qubits, outcome)
+        for name in ("x", "z", "sign", "dx", "dz"):
+            assert getattr(got_tab, name).tobytes() == getattr(want_tab, name).tobytes(), name
+        assert _registry_state(registry) == _registry_state(ref_reg), (qubits, outcome)
+        return label, got_tab, corr
+
+    return checked
+
+
+class TestFusionTableMatchesLoopReference:
+    """The table routine against the hand-written branches it replaced."""
+
+    @pytest.mark.parametrize("variant, lengths", _SWEEP)
+    def test_dense_sweep_chains(self, variant, lengths):
+        """Every qubit of each chain, interior ones (which warn) included."""
+        checked = _fuse_against_reference(gs.fuse)
+        starts = np.cumsum((0,) + lengths[:-1]).tolist()
+        choices = [range(s, s + ln) for s, ln in zip(starts, lengths)]
+        outcomes = gs.PARITY2_OUTCOMES if variant == "parity-2" else gs.GATE3_OUTCOMES
+        for qubits, outcome in itertools.product(itertools.product(*choices), outcomes):
+            reg, spec = gs.ChainRegistry.disjoint_chains(list(lengths))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                checked(gs.graph_state(spec), qubits, variant, outcome, reg)
+
+    def test_fix_at_an_anchor_lists_neighbours_sorted(self):
+        """``neighbours`` gives bonds before backbone neighbours; the
+        corrections list them sorted, as the reference does."""
+        checked = _fuse_against_reference(gs.fuse)
+        reg, spec = gs.ChainRegistry.disjoint_chains([3, 2, 1])
+        _, tab, _ = checked(gs.graph_state(spec), (2, 3), "parity-2", "success-even", reg)
+        assert reg.neighbours(2) == [3, 1, 4]
+        with pytest.warns(UserWarning, match="non-end"):
+            _, _, corr = checked(tab, (5, 2), "parity-2", "success-odd", reg)
+        assert corr == ((2, "X"), (1, "Z"), (3, "Z"), (4, "Z"))
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_seeded_sequences(self, block, monkeypatch):
+        monkeypatch.setattr(gs, "fuse", _fuse_against_reference(gs.fuse))
+        seen = {"odd": 0, "bell": 0, "measured-out": 0}
+        for seed in range(16 * block, 16 * block + 16):
+            TestFusionCorrectionsFromRegistry()._run(np.random.default_rng([17, seed]), seen)
+            _grow(np.random.default_rng([19, seed]))
+        assert seen["odd"] and seen["bell"], seen
 
 
 # Loop versions of the GF(2) eliminations that _row_reduce replaced, kept as
