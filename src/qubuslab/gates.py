@@ -374,6 +374,9 @@ def _classify_two_qubit(members: frozenset) -> str:
 def _homodyne_outcomes(hybrid, phi, gate_time, classify, target_for, patterns=None):
     """One outcome per peak of a single peak model of ``hybrid``.
 
+    ``classify(members, posterior)`` names a peak and ``target_for(label,
+    members)`` gives the state it heralds, or None.
+
     With ``patterns`` (the basis-pattern count of a uniform register) each
     outcome also gets its exact probability, members / patterns.
     """
@@ -382,7 +385,7 @@ def _homodyne_outcomes(hybrid, phi, gate_time, classify, target_for, patterns=No
     outcomes = []
     for idx, peak in enumerate(model.peaks):
         projected = busim._project_peak(hybrid, model, idx)
-        label = classify(peak.members)
+        label = classify(peak.members, projected.posterior)
         target = target_for(label, peak.members)
         solved = None
         if target is not None:
@@ -408,7 +411,8 @@ def _parity_outcomes(alpha, theta, state, phi, targets):
     """Both qubits rotate the bus by +-theta; X(phi) is then measured."""
     _, hybrid = _prepare(alpha, theta, state, (1, 1))
     return _homodyne_outcomes(
-        hybrid, phi, 2.0, _classify_two_qubit, lambda label, _: targets.get(label)
+        hybrid, phi, 2.0, lambda members, _: _classify_two_qubit(members),
+        lambda label, _: targets.get(label),
     )
 
 
@@ -507,7 +511,8 @@ def cascade_pair_success(outcomes) -> Fraction:
     """Exact chance that qubits 0 and 1 end entangled, from a cascade table.
 
     The sum of the exact probabilities of the ``ghz``, ``bell-q3-*`` and
-    ``entangled`` outcomes; 1 - 2**(1-n) for the default |+>^n register.
+    ``entangled`` outcomes; 1 - 2**(1-n) for the default |+>^n register
+    when the peaks are resolved, 0 when theta = 0 leaves |+>^n a product.
     A table without exact probabilities raises.
     """
     if any(o.exact_probability is None for o in outcomes):
@@ -519,7 +524,7 @@ def cascade_pair_success(outcomes) -> Fraction:
     )
 
 
-def _cascade_label(n: int, members: list[int]) -> str:
+def _cascade_label(n: int, members: list[int], posterior: QubitState) -> str:
     if len(members) == 1:
         return "product-" + format(members[0], f"0{n}b")
     pair_patterns = {((b >> (n - 1)) & 1, (b >> (n - 2)) & 1) for b in members}
@@ -528,9 +533,22 @@ def _cascade_label(n: int, members: list[int]) -> str:
         return f"bell-q3-{third}"
     if len(members) == 2 and members[0] + members[1] == 2**n - 1:
         return "ghz"
-    if len(pair_patterns) >= 2:
+    if _entangled_with_rest(posterior, 0) and _entangled_with_rest(posterior, 1):
         return "entangled"
     return "mixed"
+
+
+def _entangled_with_rest(state: QubitState, qubit: int) -> bool:
+    """Schmidt rank 2 of ``qubit`` against the rest of the register.
+
+    For a unit vector whose rows (qubit = 0, 1) have Gram matrix G, det G is
+    the product of the two squared Schmidt coefficients; rank 2 means it
+    exceeds 1e-9 (it is 1/4 for a maximally entangled qubit).
+    """
+    n = state.qubit_count
+    rows = np.moveaxis(state.amplitudes.reshape((2,) * n), qubit, 0).reshape(2, -1)
+    a, d = np.vdot(rows[0], rows[0]).real, np.vdot(rows[1], rows[1]).real
+    return a * d - abs(np.vdot(rows[0], rows[1])) ** 2 > 1e-9
 
 
 def cascade_outcomes(n: int, alpha, theta, state: QubitState | None = None):
@@ -542,8 +560,8 @@ def cascade_outcomes(n: int, alpha, theta, state: QubitState | None = None):
     _, hybrid = _prepare(alpha, theta, state, _cascade_schedule(n))
     gate_time = float(cascade_gate_time(n))
 
-    def classify(members: frozenset) -> str:
-        return _cascade_label(n, sorted(members))
+    def classify(members: frozenset, posterior: QubitState) -> str:
+        return _cascade_label(n, sorted(members), posterior)
 
     def target_for(label, members):
         if label == "ghz" or label.startswith("bell-q3"):

@@ -120,7 +120,6 @@ class StrategyConfig:
     gate_backend: str | None = None  # None (abstract p) or "three-qubit"
     alpha: float = 1000.0
     theta: float = 0.003
-    accounting: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -199,8 +198,7 @@ class GrowthStats:
     def trial_records(self):
         """One JSON-ready record per trial, carrying the full config."""
         cfg = asdict(self.config)
-        if not cfg["accounting"]:
-            cfg["accounting"] = {"rules": ACCOUNTING_RULES[self.config.variant]}
+        cfg["accounting"] = {"rules": ACCOUNTING_RULES[self.config.variant]}
         for i in range(self.config.trials):
             yield {
                 "trial": i,

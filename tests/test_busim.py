@@ -22,7 +22,6 @@ from qubuslab.busim import (
     apply_displacement,
     attach_bus,
     bus_spread,
-    coherent_overlap,
     extract_qubits,
     fidelity,
     homodyne_pdf,
@@ -168,14 +167,9 @@ class TestUnconditionalDisplacement:
 
 
 class TestOverlapConventions:
-    def test_coherent_overlap_closed_form(self):
-        a, b = 0.9 + 0.2j, -0.4 + 1.1j
-        direct = np.exp(-abs(a) ** 2 / 2 - abs(b) ** 2 / 2 + np.conj(a) * b)
-        assert coherent_overlap(a, b) == pytest.approx(direct, abs=1e-14)
-
     @pytest.mark.parametrize("phi", [0.0, math.pi / 2, 0.9])
     def test_quadrature_overlap_consistent_with_coherent(self, phi):
-        """Integrating <gamma|x><x|beta> over x must give <gamma|beta>."""
+        """Integrating <gamma|x><x|beta> over x must give the closed-form <gamma|beta>."""
         from scipy.integrate import quad
 
         beta, gamma = 0.7 + 0.3j, -0.2 + 0.5j
@@ -188,9 +182,8 @@ class TestOverlapConventions:
 
         re, _ = quad(integrand, -30, 30, args=(0,), epsabs=1e-13)
         im, _ = quad(integrand, -30, 30, args=(1,), epsabs=1e-13)
-        assert re + 1j * im == pytest.approx(
-            complex(coherent_overlap(gamma, beta)), abs=1e-9
-        )
+        closed = np.exp(-abs(gamma) ** 2 / 2 - abs(beta) ** 2 / 2 + np.conj(gamma) * beta)
+        assert re + 1j * im == pytest.approx(complex(closed), abs=1e-9)
 
 
 class TestHomodynePdf:
@@ -360,16 +353,14 @@ class TestNormAndMerging:
         assert state.norm() == pytest.approx(1.0, abs=1e-9)
         assert state.branch_count() <= 8
 
-    def test_duplicate_branches_merge(self):
-        state = HybridState(
-            1, [0, 0, 1], [0.5, 0.5, 1 / math.sqrt(2)], [0.3, 0.3, 0.3]
-        )
-        assert state.branch_count() == 2
-
     def test_validate_flags_bad_norm(self):
         state = HybridState(1, [0, 1], [0.5, 0.5], [0.0, 0.0])
         with pytest.raises(ValueError):
             state.validate()
+
+    def test_norm_is_coefficient_two_norm(self):
+        state = two_qubit_rotated(3.0, 0.2)
+        assert state.norm() == float(np.linalg.norm(state.coeff))
 
     def test_large_amplitude_norm(self):
         """Overlaps at bus amplitudes ~1e4 must not underflow."""
@@ -379,6 +370,40 @@ class TestNormAndMerging:
         assert state.norm() == pytest.approx(1.0, abs=1e-9)
         model = homodyne_pdf(state, math.pi / 2)
         assert sum(p.weight for p in model.peaks) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestOneBranchPerPattern:
+    """The constructor keeps one branch per bit pattern, sorted by pattern."""
+
+    def test_repeated_pattern_rejected(self):
+        with pytest.raises(ValueError, match="bit pattern 0 appears more than once"):
+            HybridState(1, [0, 0], [0.6, 0.8], [0, 1])
+        with pytest.raises(ValueError, match="bit pattern 2 appears more than once"):
+            HybridState(2, [3, 2, 1, 2], [0.5] * 4, [0.3] * 4)
+
+    def test_repeated_pattern_rejected_even_with_equal_bus(self):
+        with pytest.raises(ValueError, match="appears more than once"):
+            HybridState(1, [0, 0, 1], [0.5, 0.5, 1 / math.sqrt(2)], [0.3, 0.3, 0.3])
+
+    def test_zero_coefficients_dropped(self):
+        state = HybridState(2, [3, 0, 2, 1], [0.6, 0.0, 0.8j, 0.0], [1.0, 2.0, 3.0, 4.0])
+        assert state.bits.tolist() == [2, 3]
+        assert state.coeff.tolist() == [0.8j, 0.6]
+        assert state.bus.tolist() == [3.0, 1.0]
+
+    def test_all_zero_state_rejected(self):
+        with pytest.raises(ValueError, match="zero state"):
+            HybridState(2, [0, 3], [0.0, 0.0], [1.0, -1.0])
+
+    def test_sorted_by_pattern_without_aliasing_inputs(self):
+        bits = np.array([2, 0, 1])
+        coeff = np.array([0.6, 0.0, 0.8], dtype=complex)
+        bus = np.array([1.0, 2.0, 3.0], dtype=complex)
+        state = HybridState(2, bits, coeff, bus)
+        assert state.bits.tolist() == [1, 2]
+        assert state.coeff.tolist() == [0.8, 0.6]
+        state.coeff[0] = 5.0
+        assert coeff.tolist() == [0.6, 0.0, 0.8]
 
 
 class TestFockOracleEquivalence:
@@ -586,35 +611,46 @@ class TestBranchKernelsMatchLoopReference:
 
     @pytest.mark.parametrize("seed", range(60))
     def test_merge(self, seed):
+        """Constructor against the old tolerance merge: equal bytes on unique patterns.
+
+        Odd seeds repeat patterns (with buses inside and outside the old
+        merge tolerance, and cancelling copies), which is now an error naming
+        the smallest repeated pattern.
+        """
         rng = np.random.default_rng([777, seed])
         size = int(rng.integers(1, 40))
-        bits = rng.integers(0, int(rng.integers(1, 9)), size)
+        if seed % 2:
+            bits = rng.integers(0, int(rng.integers(1, 9)), size)
+        else:
+            bits = rng.permutation(64)[:size]
         base = np.array([0.0, 0.5 + 0.25j, -1.0j, 2.0])[rng.integers(0, 4, size)]
         nudge = np.array([0.0, 4e-13, -9e-13, 3e-12, 2e-11])
         bus = base + nudge[rng.integers(0, 5, size)] + 1j * nudge[rng.integers(0, 5, size)]
         coeff = rng.normal(size=size) + 1j * rng.normal(size=size)
-        flip = rng.random(size) < 0.3
-        bits = np.concatenate([bits, bits[flip]])
-        bus = np.concatenate([bus, bus[flip]])
-        coeff = np.concatenate([coeff, -coeff[flip]])
+        coeff[rng.random(size) < 0.2] = 0.0
+        if seed % 2:
+            flip = rng.random(size) < 0.3
+            bits = np.concatenate([bits, bits[flip]])
+            bus = np.concatenate([bus, bus[flip]])
+            coeff = np.concatenate([coeff, -coeff[flip]])
+        values, counts = np.unique(bits, return_counts=True)
+        if (counts > 1).any():
+            first = int(values[counts > 1][0])
+            with pytest.raises(ValueError, match=f"bit pattern {first} appears more than once"):
+                HybridState(6, bits, coeff, bus)
+            return
         try:
             want = _ref_merge(bits, coeff, bus)
         except ValueError:
-            with pytest.raises(ValueError, match="cancelled"):
-                busim._merge_branches(bits, coeff, bus)
+            with pytest.raises(ValueError, match="zero state"):
+                HybridState(6, bits, coeff, bus)
             return
-        assert _same_bytes(busim._merge_branches(bits, coeff, bus), want)
-
-    def test_merge_joins_group_head_not_previous_branch(self):
-        step = 0.6 * busim.BRANCH_MERGE_TOL
-        args = (np.zeros(4, dtype=np.int64), np.ones(4, dtype=complex),
-                np.array([0, step, 2 * step, 3 * step], dtype=complex))
-        got = busim._merge_branches(*args)
-        assert _same_bytes(got, _ref_merge(*args))
-        assert got[1].tolist() == [2, 2]
+        state = HybridState(6, bits, coeff, bus)
+        assert _same_bytes((state.bits, state.coeff, state.bus), want)
 
     def test_full_cancellation_rejected(self):
-        with pytest.raises(ValueError, match="cancelled"):
+        """Branches that the old merge cancelled are repeated patterns."""
+        with pytest.raises(ValueError, match="bit pattern 1 appears more than once"):
             HybridState(2, [1, 1, 3, 3], [0.5, -0.5, 0.5j, -0.5j], [0.2, 0.2, 1.0, 1.0])
 
     @pytest.mark.parametrize("size", [1, 2, 3, 40, 700, 1500])
@@ -682,12 +718,14 @@ class TestWindowsMatchLoopReference:
         rng = np.random.default_rng([778, seed])
         n = int(rng.integers(1, 6))
         state = _random_hybrid(rng, n)
-        if seed % 2:  # repeat some bit patterns with other bus amplitudes
+        if seed % 2:  # a repeated bit pattern, even with another bus, is rejected
             extra = rng.choice(state.bits, size=int(rng.integers(1, state.bits.size + 1)))
             bits = np.concatenate([state.bits, extra])
             coeff = rng.normal(size=bits.size) + 1j * rng.normal(size=bits.size)
             bus = np.concatenate([state.bus, 3.0 * rng.normal(size=extra.size)])
-            state = HybridState(n, bits, coeff / np.linalg.norm(coeff), bus)
+            with pytest.raises(ValueError, match="appears more than once"):
+                HybridState(n, bits, coeff / np.linalg.norm(coeff), bus)
+            return
         phi = float(rng.uniform(0.0, math.pi))
         model = homodyne_pdf(state, phi)
         for k, peak in enumerate(model.peaks):
@@ -696,3 +734,86 @@ class TestWindowsMatchLoopReference:
             got = busim._project_peak(state, model, k)
             assert got.posterior.amplitudes.tobytes() == want.amplitudes.tobytes()
             assert got.probability == _ref_window_probability(model, k)
+
+
+# ---------------------------------------------------------------------------
+# the group-overlap peak weights of the tolerance-merge state model
+
+
+def _ref_groups_by_key(keys):
+    """Index groups of equal adjacent keys (keys assumed sorted)."""
+    boundaries = np.flatnonzero(np.diff(keys)) + 1
+    return np.split(np.arange(keys.size), boundaries)
+
+
+def _ref_coherent_overlap(bra, ket):
+    """<bra|ket> for coherent amplitudes, in the log domain."""
+    log_mag = -0.5 * np.abs(ket - bra) ** 2
+    phase = np.imag(np.conj(bra) * ket)
+    return np.exp(log_mag + 1j * phase)
+
+
+def _ref_homodyne_pdf(state, phi):
+    """Peaks whose weights sum bus overlaps within each equal-pattern group."""
+    centers = 2.0 * np.real(state.bus * cmath.exp(-1j * phi))
+    order = np.argsort(centers, kind="stable")
+    peaks = []
+    group = []
+
+    def flush(group):
+        idx = np.array(group)
+        weight = 0.0
+        gbits = state.bits[idx]
+        for sub in _ref_groups_by_key(np.sort(gbits)):
+            members = idx[np.argsort(gbits, kind="stable")][sub]
+            c = state.coeff[members]
+            b = state.bus[members]
+            ov = _ref_coherent_overlap(b[None, :], b[:, None])
+            weight += float(np.real(np.einsum("i,j,ij->", c, c.conj(), ov)))
+        center = float(np.mean(centers[idx]))
+        peaks.append(busim.Peak(center, weight, frozenset(int(b) for b in gbits)))
+
+    for i in order:
+        if group and centers[i] - centers[group[-1]] > busim.PEAK_GROUP_TOL:
+            flush(group)
+            group = []
+        group.append(int(i))
+    flush(group)
+    return busim.PeakModel(phi=phi, peaks=tuple(peaks))
+
+
+def _f64(x):
+    return np.float64(x).tobytes()
+
+
+class TestPeaksMatchGroupOverlapReference:
+    """Peak weight, centre, window mass and posterior equal the group-overlap code, bit for bit."""
+
+    @staticmethod
+    def _check(state, phi):
+        got, want = homodyne_pdf(state, phi), _ref_homodyne_pdf(state, phi)
+        assert len(got.peaks) == len(want.peaks)
+        for k, (peak, ref) in enumerate(zip(got.peaks, want.peaks)):
+            assert peak.members == ref.members
+            assert _f64(peak.weight) == _f64(ref.weight)
+            assert _f64(peak.center) == _f64(ref.center)
+            assert _f64(got.window_probability(k)) == _f64(_ref_window_probability(want, k))
+            keep = np.isin(state.bits, sorted(ref.members))
+            posterior = busim._project_at(state, phi, ref.center, keep)
+            projected = busim._project_peak(state, got, k)
+            assert projected.posterior.amplitudes.tobytes() == posterior.amplitudes.tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("alpha, theta",
+                             [(1000.0, 0.003), (3.0, 0.3), (30.0, 0.05), (1.0, 0.0)])
+    def test_cascade_states(self, n, alpha, theta):
+        _, hybrid = gates._prepare(alpha, theta, None, gates._cascade_schedule(n))
+        for phi in (math.pi / 2, 0.0, 0.9):
+            self._check(hybrid, phi)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_states(self, seed):
+        rng = np.random.default_rng([779, seed])
+        for _ in range(20):
+            state = _random_hybrid(rng, int(rng.integers(1, 7)))
+            self._check(state, float(rng.uniform(0.0, math.pi)))

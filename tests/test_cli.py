@@ -55,6 +55,15 @@ class TestGateCommand:
         rows = [line.split() for line in result.output.splitlines()]
         assert [row[2] for row in rows if row[0] == "ghz"] == ["1.00000000"]
 
+    def test_cascade_of_a_gate_that_does_nothing(self, runner):
+        result = runner.invoke(
+            main, ["gate", "cascade", "--n", "3", "--alpha", "1", "--theta", "0"]
+        )
+        assert result.exit_code == 0, result.output
+        assert "pair success: 0 " in result.output
+        rows = [line.split() for line in result.output.splitlines()]
+        assert [row[0] for row in rows if row[0] in ("mixed", "entangled")] == ["mixed"]
+
     def test_three_qubit_bell_rows_show_fidelity(self, runner):
         for name in ("three-qubit", "cascade"):
             result = runner.invoke(main, ["gate", name, "--n", "3"])

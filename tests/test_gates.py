@@ -288,6 +288,53 @@ class TestCascade:
         with pytest.raises(ValueError):
             gates.cascade_outcomes(1, 100.0, 0.01)
 
+    @staticmethod
+    def _schmidt_rank(posterior, qubit):
+        n = posterior.qubit_count
+        rows = np.moveaxis(posterior.amplitudes.reshape((2,) * n), qubit, 0).reshape(2, -1)
+        return int(np.linalg.matrix_rank(rows, tol=1e-6))
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_entangled_label_means_rank_two_on_both_cuts(self, n):
+        """Every entangled peak is entangled across qubit 0 | rest and qubit 1 | rest."""
+        outs = gates.cascade_outcomes(n, 1000.0, 0.003)
+        entangled = [o for o in outs if o.label == "entangled"]
+        assert len(entangled) == 2 ** (n - 1) - 2
+        for o in entangled:
+            assert self._schmidt_rank(o.posterior, 0) == self._schmidt_rank(o.posterior, 1) == 2
+        assert not any(o.label == "mixed" for o in outs)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_product_peak_is_mixed(self, n):
+        """At theta = 0 one peak holds every pattern and heralds |+>^n, a product."""
+        (out,) = gates.cascade_outcomes(n, 1.0, 0.0)
+        assert out.label == "mixed"
+        assert fidelity(out.posterior, QubitState.plus(n)) == pytest.approx(1.0, abs=1e-12)
+        assert gates.cascade_pair_success((out,)) == 0
+
+    @pytest.mark.parametrize("members", [(0, 1, 6, 7), (0, 1, 10, 11), (0, 1, 2, 3)])
+    def test_label_needs_both_cuts(self, members):
+        """One qubit of the pair in a basis state: the peak is mixed, not entangled."""
+        amps = np.zeros(16)
+        amps[list(members)] = 0.5
+        assert gates._cascade_label(4, list(members), QubitState(4, amps)) == "mixed"
+
+    def test_ghz_times_plus_is_entangled(self):
+        amps = np.zeros(16)
+        amps[[0, 1, 14, 15]] = 0.5  # (|000> + |111>)/sqrt(2) on qubits 0-2, |+> on 3
+        assert gates._cascade_label(4, [0, 1, 14, 15], QubitState(4, amps)) == "entangled"
+
+    def test_rank_test_on_known_states(self):
+        bell_and_plus = QubitState(3, np.array([1, 1, 0, 0, 0, 0, 1, 1]) / 2.0)
+        assert gates._entangled_with_rest(bell_and_plus, 0)
+        assert gates._entangled_with_rest(bell_and_plus, 1)
+        assert not gates._entangled_with_rest(QubitState.plus(3), 0)
+        assert not gates._entangled_with_rest(QubitState.basis(3, 5), 2)
+        # qubit 0 pure, qubits 1 and 2 in a Bell pair
+        split = QubitState(3, np.array([1, 0, 0, 1, 0, 0, 0, 0]) / math.sqrt(2.0))
+        assert not gates._entangled_with_rest(split, 0)
+        assert gates._entangled_with_rest(split, 1)
+
     @pytest.mark.parametrize("n", range(2, 7))
     def test_ghz_target(self, n):
         outs = {o.label: o for o in gates.cascade_outcomes(n, 1000.0, 0.003)}

@@ -517,6 +517,35 @@ class TestTrialRecords:
         assert records[2]["trial"] == 2
         assert {"entangling_ops", "qubits_consumed", "final_length"} <= set(records[0])
 
+    def test_records_carry_accounting_rules(self):
+        assert "accounting" not in {f.name for f in dataclasses.fields(StrategyConfig)}
+        cfg = StrategyConfig(variant="merge", p=0.75, trials=2, master_seed=2, target_L=21)
+        for record in simulate(cfg).trial_records():
+            assert record["config"]["accounting"] == {
+                "rules": growth.ACCOUNTING_RULES["merge"]}
+
+    # sha256 of render_growth_jsonl as written while StrategyConfig still had
+    # an accounting field (p = 0.75, 20 trials, master seed 3)
+    JSONL_SHA256 = {
+        "sequential": (dict(target_L=9),
+                       "4a39da357fd24b1bc0519baef03e4ccbb8ca9ac8ce288b7f7ce22962f1c2d4a7"),
+        "divide_conquer": (dict(initial_qubits=64, rounds_k=3),
+                           "68958cce64dba5f47e2cf5eca565d95ff26914ce6840f36d6cd30230d370f6e9"),
+        "merge": (dict(target_L=21),
+                  "4663f64f575ab01e766baaa8158b37f465fff6518b4e5b72898bf305179fde65"),
+        "vertical_link": ({},
+                          "7f4d7aedd3707c2bf48d2e5f356a92afd98a7da303b04bcc4789cde16c407f3e"),
+    }
+
+    @pytest.mark.parametrize("variant", list(JSONL_SHA256))
+    def test_jsonl_bytes_pinned(self, variant):
+        from qubuslab.cli import render_growth_jsonl
+
+        kwargs, digest = self.JSONL_SHA256[variant]
+        cfg = StrategyConfig(variant=variant, p=0.75, trials=20, master_seed=3, **kwargs)
+        text = render_growth_jsonl(simulate(cfg))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
 
 # ---------------------------------------------------------------------------
 # byte-identity with the per-trial scalar kernels
