@@ -358,10 +358,6 @@ class TestNormAndMerging:
         with pytest.raises(ValueError):
             state.validate()
 
-    def test_norm_is_coefficient_two_norm(self):
-        state = two_qubit_rotated(3.0, 0.2)
-        assert state.norm() == float(np.linalg.norm(state.coeff))
-
     def test_large_amplitude_norm(self):
         """Overlaps at bus amplitudes ~1e4 must not underflow."""
         state = init_plus_state(2, 1.0e4)
