@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import analytics, busim, gates, graphstab, growth, oracles
 
@@ -262,9 +263,24 @@ def _geometric_command(name, beta_val, n_qubits, graph_file):
 
 
 def render_growth_jsonl(stats: growth.GrowthStats) -> str:
-    return "\n".join(
-        json.dumps(rec, sort_keys=True) for rec in stats.trial_records()
-    ) + "\n"
+    """One line per trial, as ``json.dumps(record, sort_keys=True)`` writes it.
+
+    The config is serialised once; each line fills one format over the
+    sorted record keys from the columns' Python floats, whose repr is what
+    ``json`` writes for a finite float.  ``StrategyConfig`` rejects the
+    inputs that make a value non-finite, short of an overflow (a gate time
+    near the float maximum), which raises ValueError.
+    """
+    columns = {"trial": range(stats.config.trials)}
+    for key, values in stats.columns().items():
+        if not np.isfinite(values).all():
+            raise ValueError(f"non-finite {key} in a growth record")
+        columns[key] = values.tolist()
+    config = json.dumps(stats.record_config(), sort_keys=True).replace("%", "%%")
+    keys = sorted([*columns, "config"])
+    line = "{" + ", ".join(
+        f"{json.dumps(k)}: {config if k == 'config' else '%r'}" for k in keys) + "}\n"
+    return "".join(line % row for row in zip(*(columns[k] for k in keys if k != "config")))
 
 
 def _analytic_point(config: growth.StrategyConfig):
@@ -362,7 +378,11 @@ def cmd_growth(variant, p, target_l, rounds_k, initial_qubits, trials, seed,
     text, rows = _growth_report(stats)
     # files land before any stdout write so a closed pipe cannot lose them
     if jsonl_path:
-        Path(jsonl_path).write_text(render_growth_jsonl(stats))
+        try:
+            jsonl = render_growth_jsonl(stats)
+        except ValueError as exc:
+            raise click.ClickException(str(exc)) from exc
+        Path(jsonl_path).write_text(jsonl)
     if csv_path:
         Path(csv_path).write_text(text)
     click.echo(text.rstrip())

@@ -3,10 +3,11 @@
 Each trial owns a counter-based random stream keyed by (master_seed,
 trial_index), so a trial's result does not depend on which other trials run:
 the first M trials of an N-trial run equal an M-trial run.  A run builds one
-Philox generator and rekeys it to each trial's stream, and does the rest of
-its per-run work (the gate backend's outcome table, merge's minimal chain
-length, divide and conquer's round lengths and record keys) once, not per
-trial.
+Philox generator and rekeys it to each trial's stream.  The sequential and
+vertical-link kernels evaluate chunks of trials at once, one row of uniforms
+per trial, and a row of k doubles is the same k values as k scalar draws.
+Per-run work (the gate backend's outcome table, merge's minimal chain
+length, divide and conquer's round lengths) is done once, not per trial.
 
 Strategy rules (the accounting that the closed forms leave open) are stated
 in each simulator's docstring; disagreements between the simulated means and
@@ -15,7 +16,6 @@ the printed laws are surfaced by :func:`compare_to_analytic` as flags.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, asdict
 
@@ -59,9 +59,14 @@ ACCOUNTING_RULES = {
 }
 
 _MASK64 = (1 << 64) - 1
-# uniforms drawn per block by the sequential walk and by merge's draws
-_BLOCK = 256
 _ZERO4 = (0, 0, 0, 0)
+# Trials go _CHUNK at a time, one row of _WIDTH uniforms each (fewer for
+# first-success counts, which are short), so temporaries stay near 1 MB.  A
+# width is a multiple of 4: Philox yields four doubles per counter step.
+_CHUNK = 512
+_WIDTH = 256
+_FIRST_SUCCESS_WIDTH = 32
+_NO_CAP = np.iinfo(np.int64).max
 
 
 def trial_rng(
@@ -101,7 +106,7 @@ def _uniforms(rng: np.random.Generator):
     end of a trial change nothing, because each trial owns its stream.
     """
     while True:
-        yield from rng.random(_BLOCK).tolist()
+        yield from rng.random(_WIDTH).tolist()
 
 
 @dataclass(frozen=True)
@@ -128,6 +133,10 @@ class StrategyConfig:
             raise ValueError("success probability must lie in (0, 1]")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if not (math.isfinite(self.gate_time) and self.gate_time > 0):
+            raise ValueError(f"gate_time must be finite and > 0, got {self.gate_time}")
+        if self.max_rounds is not None and self.max_rounds < 1:
+            raise ValueError(f"max_rounds must be at least 1, got {self.max_rounds}")
         if self.variant == "sequential":
             if self.target_L is None or self.target_L < 1:
                 raise ValueError("sequential growth needs target_L >= 1")
@@ -150,6 +159,8 @@ class StrategyConfig:
                 raise ValueError("divide and conquer needs initial_qubits >= 2")
             if self.rounds_k is None and self.target_L is None:
                 raise ValueError("divide and conquer needs rounds_k or target_L")
+            if self.rounds_k is not None and self.rounds_k < 0:
+                raise ValueError("divide and conquer needs rounds_k >= 0")
 
     def rounds(self) -> int:
         if self.variant != "divide_conquer":
@@ -195,38 +206,71 @@ class GrowthStats:
             for name in _BASE_METRICS
         }
 
-    def trial_records(self):
-        """One JSON-ready record per trial, carrying the full config."""
+    def columns(self) -> dict:
+        """Per-trial arrays by record key: the base metrics, then the extras."""
+        return {**{name: getattr(self, name) for name in _BASE_METRICS}, **self.extras}
+
+    def record_config(self) -> dict:
+        """The config each per-trial record carries, with its accounting rules."""
         cfg = asdict(self.config)
         cfg["accounting"] = {"rules": ACCOUNTING_RULES[self.config.variant]}
+        return cfg
+
+    def trial_records(self):
+        """One JSON-ready record per trial, carrying the full config."""
+        cfg = self.record_config()
+        columns = self.columns()
         for i in range(self.config.trials):
             yield {
                 "trial": i,
-                "entangling_ops": float(self.entangling_ops[i]),
-                "elapsed_rounds": float(self.elapsed_rounds[i]),
-                "qubits_consumed": float(self.qubits_consumed[i]),
-                "qubits_wasted": float(self.qubits_wasted[i]),
-                "final_length": float(self.final_length[i]),
-                **{k: float(v[i]) for k, v in self.extras.items()},
+                **{k: float(v[i]) for k, v in columns.items()},
                 "config": cfg,
             }
 
 
 # ---------------------------------------------------------------------------
-# per-trial simulators
+# simulators: each returns the per-trial columns of one run
+
+
+def _walk_blocks(seed: int, trials: int, rng: np.random.Generator, width: int,
+                 step) -> None:
+    """Feed each trial's stream to ``step`` one block at a time, across trials.
+
+    Block b of a trial is its uniforms b*width to (b+1)*width - 1, the values
+    as many scalar ``rng.random()`` draws give: ``rng`` is rekeyed through
+    :func:`trial_rng` and advanced by b*width/4 Philox counter steps of four
+    doubles each.  Trials go _CHUNK at a time; ``step(u, rows)`` consumes
+    row r of u, a block of trial ``rows[r]``, and returns a mask of the rows
+    that need their next block.  A trial that stops in its first block is
+    rekeyed once.
+    """
+    buf = np.empty((_CHUNK, width))
+    for start in range(0, trials, _CHUNK):
+        rows = np.arange(start, min(start + _CHUNK, trials))
+        skip = 0
+        while rows.size:
+            u = buf[:rows.size]
+            for row, i in zip(u, rows.tolist()):
+                trial_rng(seed, i, rng)
+                if skip:
+                    rng.bit_generator.advance(skip)
+                rng.random(out=row)
+            rows = rows[step(u, rows)]
+            skip += width // 4
 
 
 def _attempt_sampler(config: StrategyConfig):
-    """Map a block of uniforms to arrays of (success, spare-bond) flags.
+    """Map an array of uniforms to arrays of (success, spare-bond) flags.
 
-    The abstract backend succeeds where u < p.  The three-qubit gate backend
-    picks an outcome per uniform by inverting :func:`gates.outcome_cdf`, as
-    ``rng.choice(p=...)`` does, so a block picks what as many scalar choices
-    would: GHZ is a success with a spare dangling bond, Bell a plain success
-    and the product outcomes failures.  The table is built once per call.
+    The abstract backend succeeds where u < p and has no spare bonds (None).
+    The three-qubit gate backend picks an outcome per uniform by inverting
+    :func:`gates.outcome_cdf`, as ``rng.choice(p=...)`` does, so a block
+    picks what as many scalar choices would: GHZ is a success with a spare
+    dangling bond, Bell a plain success and the product outcomes failures.
+    The table is built once per call.
     """
     if config.gate_backend is None:
-        return lambda u: (u < config.p, np.zeros(u.shape, dtype=bool))
+        return lambda u: (u < config.p, None)
     if config.gate_backend != "three-qubit":
         raise ValueError(f"unknown gate backend {config.gate_backend!r}")
     outcomes = gates.three_qubit_outcomes(config.alpha, config.theta)
@@ -242,7 +286,7 @@ def _attempt_sampler(config: StrategyConfig):
     return sample
 
 
-def _sequential_trial(config: StrategyConfig, rng: np.random.Generator, sample):
+def _sequential(config: StrategyConfig, rng: np.random.Generator) -> dict:
     """Random-walk growth: one fresh qubit and one gate attempt per round.
 
     Success extends the chain by one; failure loses the fresh qubit and the
@@ -253,25 +297,38 @@ def _sequential_trial(config: StrategyConfig, rng: np.random.Generator, sample):
     variant (which sits about one operation lower at p = 3/4, L = 41).
     Time advances by gate_time per attempt.
 
-    The walk takes 256 uniforms at a time, which ``sample`` (the run's
-    :func:`_attempt_sampler`) maps to success and spare-bond flags, and
-    stops at the first attempt that reaches the target or at ``max_rounds``
-    attempts.  The unused rest of the last block changes nothing, because
-    each trial owns its stream.
+    Each trial's uniforms come _WIDTH at a time, mapped by
+    :func:`_attempt_sampler` to success and spare-bond flags; the walk is
+    their running sum along the row.  A trial stops at the first attempt
+    that reaches the target or at ``max_rounds`` attempts, and otherwise
+    takes its next block.
     """
-    target = config.target_L
-    cap = math.inf if config.max_rounds is None else config.max_rounds
-    length = 1
-    ops = 0
-    danglers = 0
-    while length < target and ops < cap:
-        success, spare = sample(rng.random(_BLOCK))
-        path = length + np.cumsum(np.where(success, 1, -1))
-        hit = np.flatnonzero(path >= target)
-        stop = min(int(hit[0]) + 1 if hit.size else _BLOCK, cap - ops)
-        ops += stop
-        length = int(path[stop - 1])
-        danglers += int(np.count_nonzero(spare[:stop]))
+    n, target = config.trials, config.target_L
+    cap = _NO_CAP if config.max_rounds is None else config.max_rounds
+    sample = _attempt_sampler(config)
+    ops = np.zeros(n, dtype=np.int64)
+    length = np.ones(n, dtype=np.int64)
+    danglers = np.zeros(n, dtype=np.int64)
+    attempt = np.arange(1, _WIDTH + 1, dtype=np.int16)
+
+    def step(u, rows):
+        success, spare = sample(u)
+        # the walk's move over a row's first k attempts, 2 (successes) - k,
+        # stays within +-_WIDTH whatever the length, so int16 holds it
+        moved = np.cumsum(success, axis=1, dtype=np.int16)
+        moved *= 2
+        moved -= attempt
+        reached = moved >= (target - length[rows])[:, None]
+        stop = np.where(reached.any(axis=1), reached.argmax(axis=1) + 1, _WIDTH)
+        np.minimum(stop, cap - ops[rows], out=stop)
+        ops[rows] += stop
+        length[rows] += moved[np.arange(rows.size), stop - 1]
+        if spare is not None:
+            danglers[rows] += np.count_nonzero(spare & (attempt <= stop[:, None]), axis=1)
+        return (length[rows] < target) & (ops[rows] < cap)
+
+    if target > 1:
+        _walk_blocks(config.master_seed, n, rng, _WIDTH, step)
     return {
         "entangling_ops": ops,
         "elapsed_rounds": ops * config.gate_time,
@@ -282,43 +339,51 @@ def _sequential_trial(config: StrategyConfig, rng: np.random.Generator, sample):
     }
 
 
-def _dc_trial(config: StrategyConfig, rng: np.random.Generator, rounds):
+def _divide_conquer(config: StrategyConfig, rng: np.random.Generator) -> dict:
     """Pairwise joins of equal-length chains, discarding failures.
 
     Round j pairs floor(C/2) survivors; only failed chains are discarded.
     The odd chain out of a pool of three or more is stranded as waste (an
     equal-length partner can never appear again), while a lone chain simply
-    waits unchanged.  Survivor counts are binomial, so the trial runs at the
-    aggregate level.  Time is one gate_time per round.  ``rounds`` holds,
-    per round, the survivors' length and the two record keys, built once
-    per run by :func:`_run_constants`.
+    waits unchanged.  Survivor counts are binomial, so a trial runs at the
+    aggregate level: one scalar ``rng.binomial`` per round that pairs
+    chains.  Time is one gate_time per round.
     """
-    n = config.initial_qubits
-    chains = n
-    length = 1
-    ops = 0
-    per_round = {}
-    for round_length, chains_key, qubits_key in rounds:
-        if chains > 1:
-            pairs = chains // 2
-            ops += pairs
-            chains = int(rng.binomial(pairs, config.p))
-            if chains:
-                length = round_length
-        # a lone chain waits unchanged; an empty pool stays empty
-        per_round[chains_key] = chains
-        per_round[qubits_key] = chains * length
-    final_qubits = chains * length
-    return {
-        "entangling_ops": ops,
-        "elapsed_rounds": len(rounds) * config.gate_time,
-        "qubits_consumed": n,
+    n, p, k = config.initial_qubits, config.p, config.rounds()
+    # survivors[i, j]: trial i's chains after round j (column 0: n bare qubits)
+    survivors = np.empty((config.trials, k + 1), dtype=np.int64)
+    survivors[:, 0] = n
+    binomial = rng.binomial
+    for i in range(config.trials):
+        trial_rng(config.master_seed, i, rng)
+        row = survivors[i]
+        chains = n
+        for j in range(1, k + 1):
+            if chains > 1:
+                chains = binomial(chains // 2, p)
+            row[j] = chains  # a lone chain waits; an empty pool stays empty
+    before = survivors[:, :-1]
+    paired = before > 1
+    # pools only shrink, so the rounds that paired come first and their count
+    # is the round whose length the survivors have (an empty pool has none)
+    grown = np.zeros(survivors.shape, dtype=np.int64)
+    np.cumsum(paired, axis=1, out=grown[:, 1:])
+    length = np.array([analytics.dc_round_length(j) for j in range(k + 1)])[grown]
+    qubits = survivors * length
+    chains, final_qubits = survivors[:, -1], qubits[:, -1]
+    columns = {
+        "entangling_ops": np.sum(before // 2, axis=1, where=paired),
+        "elapsed_rounds": np.full(config.trials, k * config.gate_time),
+        "qubits_consumed": np.full(config.trials, n),
         "qubits_wasted": n - final_qubits,
-        "final_length": length if chains else 0,
+        "final_length": np.where(chains > 0, length[:, -1], 0),
         "surviving_chains": chains,
         "surviving_qubits": final_qubits,
-        **per_round,
     }
+    for j in range(1, k + 1):
+        columns[f"chains_round_{j}"] = survivors[:, j]
+        columns[f"qubits_round_{j}"] = qubits[:, j]
+    return columns
 
 
 def _build_chain_dc(length: int, p: float, draw, t: float):
@@ -398,7 +463,34 @@ def _merge_trial(config: StrategyConfig, rng: np.random.Generator, L0: int):
     }
 
 
-def _vertical_trial(config: StrategyConfig, rng: np.random.Generator):
+def _merge(config: StrategyConfig, rng: np.random.Generator) -> dict:
+    """Columns of :func:`_merge_trial` over the run's trials, in trial order."""
+    L0 = analytics.minimal_chain_length(config.p)
+    runs = (_merge_trial(config, trial_rng(config.master_seed, i, rng), L0).values()
+            for i in range(config.trials))
+    return dict(zip(_BASE_METRICS, zip(*runs)))
+
+
+def _failures_before_success(seed: int, trials: int, p: float,
+                             rng: np.random.Generator, cap: int = _NO_CAP):
+    """Per trial, the draws u >= p before its first u < p, at most ``cap``.
+
+    Trial i counts what ``while fails < cap and rng.random() >= p`` counts
+    on its (seed, i) stream, _FIRST_SUCCESS_WIDTH draws at a time.
+    """
+    fails = np.zeros(trials, dtype=np.int64)
+
+    def step(u, rows):
+        hit = u < p
+        first = np.where(hit.any(axis=1), hit.argmax(axis=1), u.shape[1])
+        fails[rows] = np.minimum(fails[rows] + first, cap)
+        return (first == u.shape[1]) & (fails[rows] < cap)
+
+    _walk_blocks(seed, trials, rng, _FIRST_SUCCESS_WIDTH, step)
+    return fails
+
+
+def _vertical_link(config: StrategyConfig, rng: np.random.Generator) -> dict:
     """Qubit cost of one vertical link between two chains.
 
     Growing the two dangling bonds costs two qubits per chain up front; each
@@ -406,49 +498,32 @@ def _vertical_trial(config: StrategyConfig, rng: np.random.Generator):
     two dangling qubits are measured out into the link.  Mean consumption is
     2 (1/p + 1).
     """
-    consumed = 4
-    ops = 0
-    while True:
-        ops += 1
-        if rng.random() < config.p:
-            break
-        consumed += 2
+    fails = _failures_before_success(config.master_seed, config.trials, config.p, rng)
+    ops = fails + 1
+    consumed = 4 + 2 * fails
     return {
         "entangling_ops": ops,
         "elapsed_rounds": ops * config.gate_time,
         "qubits_consumed": consumed,
         "qubits_wasted": consumed - 4,
-        "final_length": 2,
+        "final_length": np.full(config.trials, 2),
     }
 
 
-def _run_constants(config: StrategyConfig) -> dict:
-    """Keyword arguments of the variant's trial function, computed once per run."""
-    if config.variant == "sequential":
-        return {"sample": _attempt_sampler(config)}
-    if config.variant == "merge":
-        return {"L0": analytics.minimal_chain_length(config.p)}
-    if config.variant == "divide_conquer":
-        return {"rounds": tuple(
-            (analytics.dc_round_length(j), f"chains_round_{j}", f"qubits_round_{j}")
-            for j in range(1, config.rounds() + 1)
-        )}
-    return {}
-
-
-_TRIAL_FUNCS = {
-    "sequential": _sequential_trial,
-    "merge": _merge_trial,
-    "divide_conquer": _dc_trial,
-    "vertical_link": _vertical_trial,
+_VARIANT_RUNS = {
+    "sequential": _sequential,
+    "merge": _merge,
+    "divide_conquer": _divide_conquer,
+    "vertical_link": _vertical_link,
 }
 
 
 def simulate(config: StrategyConfig, threads: int = 1) -> GrowthStats:
-    """Run the configured strategy over independent seeded trials, in order.
+    """Run the configured strategy over independent seeded trials.
 
-    Trial i always uses the stream keyed by (master_seed, i) and lands in
-    slot i of the output: one generator is rekeyed to it before the trial.
+    Trial i draws exactly the stream keyed by (master_seed, i), from one
+    generator rekeyed to it, and lands in slot i of the output, although
+    the sequential and vertical-link kernels evaluate trials in chunks.
     Trials run in the calling thread; ``threads`` is kept for callers that
     pass ``threads=1`` and any other value is an error.
     """
@@ -456,15 +531,9 @@ def simulate(config: StrategyConfig, threads: int = 1) -> GrowthStats:
         raise ValueError(
             f"trials run in the calling thread; threads must be 1, got {threads}"
         )
-    rng = np.random.Generator(np.random.Philox(0))  # rekeyed before each trial
-    func = functools.partial(_TRIAL_FUNCS[config.variant], **_run_constants(config))
-    records = [
-        func(config, trial_rng(config.master_seed, i, rng))
-        for i in range(config.trials)
-    ]
-
-    extras = {k: np.array([r[k] for r in records], dtype=np.float64)
-              for k in records[0]}
+    rng = np.random.Generator(np.random.Philox(0))  # rekeyed to each trial's stream
+    extras = {k: np.array(v, dtype=np.float64)
+              for k, v in _VARIANT_RUNS[config.variant](config, rng).items()}
     base = {k: extras.pop(k) for k in _BASE_METRICS}
     return GrowthStats(config=config, extras=extras, **base)
 
@@ -477,16 +546,10 @@ def join_pair_experiment(p: float, L: int, trials: int, seed: int) -> float:
     """
     if L < 1:
         raise ValueError("chain length must be at least 1")
-    total = 0.0
-    rng = np.random.Generator(np.random.Philox(0))  # rekeyed before each trial
-    for i in range(trials):
-        trial_rng(seed, i, rng)
-        # geometric failure count, capped at exhaustion
-        fails = 0
-        while fails < L and rng.random() >= p:
-            fails += 1
-        total += 0.0 if fails == L else 2.0 * (L - fails) - 1.0
-    return total / trials
+    rng = np.random.Generator(np.random.Philox(0))  # rekeyed to each trial's stream
+    fails = _failures_before_success(seed, trials, p, rng, cap=L)
+    # integer lengths, so the sum is exact in any order
+    return float(np.sum(np.where(fails == L, 0, 2 * (L - fails) - 1))) / trials
 
 
 # ---------------------------------------------------------------------------

@@ -206,11 +206,32 @@ class TestGrowthCommand:
         [
             ["growth", "vertical_link", "--p", "1.5", "--trials", "10"],
             ["growth", "vertical_link", "--p", "0.5", "--trials", "0"],
+            ["growth", "vertical_link", "--p", "0.5", "--t", "nan"],
+            ["growth", "vertical_link", "--p", "0.5", "--t", "0"],
         ],
     )
     def test_out_of_range_parameters_rejected(self, runner, args):
         result = runner.invoke(main, args)
         assert result.exit_code != 0
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_overflowing_time_refused_in_jsonl(self, runner, tmp_path):
+        out = tmp_path / "t.jsonl"
+        result = runner.invoke(
+            main, ["growth", "vertical_link", "--p", "0.5", "--t", "1e308",
+                   "--trials", "20", "--seed", "1", "--jsonl", str(out)])
+        assert result.exit_code == 1
+        assert "non-finite elapsed_rounds" in result.output
+        assert not out.exists()
+
+    def test_config_file_round_cap_rejected(self, runner, tmp_path):
+        cfg = tmp_path / "growth.json"
+        cfg.write_text(json.dumps({"max_rounds": -3}))
+        result = runner.invoke(
+            main, ["growth", "sequential", "--L", "5", "--config", str(cfg)])
+        assert result.exit_code != 0
+        assert "max_rounds must be at least 1" in result.output
 
     def test_seed_determinism_across_reruns(self, runner, tmp_path):
         outputs = []

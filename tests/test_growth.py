@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -42,6 +43,23 @@ class TestConfigValidation:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             StrategyConfig(variant="snake", p=0.5, trials=10, master_seed=0)
+
+    @pytest.mark.parametrize("gate_time", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_bad_gate_time(self, gate_time):
+        with pytest.raises(ValueError, match="gate_time must be finite and > 0"):
+            StrategyConfig(variant="vertical_link", p=0.5, trials=10, master_seed=0,
+                           gate_time=gate_time)
+
+    @pytest.mark.parametrize("max_rounds", [0, -3])
+    def test_bad_max_rounds(self, max_rounds):
+        with pytest.raises(ValueError, match="max_rounds must be at least 1"):
+            StrategyConfig(variant="sequential", p=0.75, trials=10, master_seed=0,
+                           target_L=5, max_rounds=max_rounds)
+
+    def test_negative_round_count(self):
+        with pytest.raises(ValueError, match="rounds_k >= 0"):
+            StrategyConfig(variant="divide_conquer", p=0.5, trials=10, master_seed=0,
+                           initial_qubits=64, rounds_k=-1)
 
 
 class TestTrialRng:
@@ -393,7 +411,10 @@ class TestMerge:
 
 
 class TestJoinPairExperiment:
-    @pytest.mark.parametrize("p, L, seed", [(0.75, 10, 5), (0.5, 3, 8), (0.9, 4, 2**63)])
+    @pytest.mark.parametrize("p, L, seed", [
+        (0.75, 10, 5), (0.5, 3, 8), (0.9, 4, 2**63),
+        (0.05, 40, 3), (0.05, 100, 4),  # caps past the first block of draws
+    ])
     def test_equals_fresh_stream_per_trial(self, p, L, seed):
         """The rekeyed run equals the loop that builds trial_rng(seed, i) anew."""
         total = 0.0
@@ -546,6 +567,34 @@ class TestTrialRecords:
         text = render_growth_jsonl(simulate(cfg))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(variant="sequential", target_L=9),
+        dict(variant="sequential", target_L=9, gate_backend="three-qubit"),
+        dict(variant="divide_conquer", initial_qubits=64, rounds_k=3),
+        dict(variant="merge", target_L=21),
+        dict(variant="vertical_link"),
+    ], ids=lambda kw: "-".join(map(str, kw.values())))
+    def test_jsonl_equals_json_dumps(self, kwargs, monkeypatch):
+        from qubuslab.cli import render_growth_jsonl
+
+        # format characters in the config text are written as they are
+        rules = growth.ACCOUNTING_RULES[kwargs["variant"]]
+        monkeypatch.setitem(growth.ACCOUNTING_RULES, kwargs["variant"],
+                            rules + " (50% {of} %s)")
+        stats = simulate(StrategyConfig(p=0.75, trials=300, master_seed=3,
+                                        gate_time=0.1, **kwargs))
+        want = "\n".join(json.dumps(r, sort_keys=True) for r in stats.trial_records())
+        assert render_growth_jsonl(stats) == want + "\n"
+
+    def test_jsonl_refuses_non_finite_values(self):
+        from qubuslab.cli import render_growth_jsonl
+
+        stats = simulate(StrategyConfig(variant="vertical_link", p=0.75, trials=3,
+                                        master_seed=1))
+        bad = dataclasses.replace(stats, elapsed_rounds=np.array([1.0, np.nan, 2.0]))
+        with pytest.raises(ValueError, match="non-finite elapsed_rounds"):
+            render_growth_jsonl(bad)
+
 
 # ---------------------------------------------------------------------------
 # byte-identity with the per-trial scalar kernels
@@ -679,6 +728,130 @@ class TestSequentialBlockWalk:
             assert stats.final_length[i] == length
             assert stats.qubits_wasted[i] == 1 + ops - length
             assert stats.extras["spare_danglers"][i] == danglers
+
+
+def _scalar_sequential_record(config, rng):
+    ops, length, danglers = _scalar_sequential_trial(config, rng)
+    return {
+        "entangling_ops": ops,
+        "elapsed_rounds": ops * config.gate_time,
+        "qubits_consumed": 1 + ops,
+        "qubits_wasted": 1 + ops - length,
+        "final_length": length,
+        "spare_danglers": danglers,
+    }
+
+
+def _scalar_vertical_trial(config, rng):
+    """The vertical link as written with one rng.random() per attempt."""
+    consumed = 4
+    ops = 0
+    while True:
+        ops += 1
+        if rng.random() < config.p:
+            break
+        consumed += 2
+    return {
+        "entangling_ops": ops,
+        "elapsed_rounds": ops * config.gate_time,
+        "qubits_consumed": consumed,
+        "qubits_wasted": consumed - 4,
+        "final_length": 2,
+    }
+
+
+def _scalar_dc_trial(config, rng):
+    """Divide and conquer as written with one record dict per trial."""
+    n = config.initial_qubits
+    chains = n
+    length = 1
+    ops = 0
+    per_round = {}
+    for j in range(1, config.rounds() + 1):
+        if chains > 1:
+            pairs = chains // 2
+            ops += pairs
+            chains = int(rng.binomial(pairs, config.p))
+            if chains:
+                length = analytics.dc_round_length(j)
+        per_round[f"chains_round_{j}"] = chains
+        per_round[f"qubits_round_{j}"] = chains * length
+    return {
+        "entangling_ops": ops,
+        "elapsed_rounds": config.rounds() * config.gate_time,
+        "qubits_consumed": n,
+        "qubits_wasted": n - chains * length,
+        "final_length": length if chains else 0,
+        "surviving_chains": chains,
+        "surviving_qubits": chains * length,
+        **per_round,
+    }
+
+
+_SCALAR_TRIALS = {
+    "sequential": _scalar_sequential_record,
+    "merge": _scalar_merge_trial,
+    "divide_conquer": _scalar_dc_trial,
+    "vertical_link": _scalar_vertical_trial,
+}
+
+
+def _assert_equals_scalar_trials(cfg):
+    """Every column of simulate(cfg) equals the scalar loop, trial by trial."""
+    columns = simulate(cfg).columns()
+    want = [_SCALAR_TRIALS[cfg.variant](cfg, trial_rng(cfg.master_seed, i))
+            for i in range(cfg.trials)]
+    assert list(columns) == list(want[0])
+    for key, values in columns.items():
+        assert values.dtype == np.float64
+        assert np.array_equal(values, [w[key] for w in want]), key
+
+
+class TestAcrossTrialKernels:
+    """Trials evaluated in chunks equal the scalar loop on each trial's stream."""
+
+    @pytest.mark.parametrize(
+        "trials", [growth._CHUNK - 1, growth._CHUNK, growth._CHUNK + 1])
+    @pytest.mark.parametrize("kwargs", [
+        dict(variant="sequential", p=0.75, target_L=41),
+        dict(variant="vertical_link", p=0.5),
+        dict(variant="divide_conquer", p=0.5, initial_qubits=2**16, rounds_k=8),
+        dict(variant="merge", p=0.75, target_L=20),
+    ], ids=lambda kw: kw["variant"])
+    def test_chunk_boundaries(self, kwargs, trials):
+        _assert_equals_scalar_trials(StrategyConfig(
+            trials=trials, master_seed=2**63 + 7, gate_time=0.3, **kwargs))
+
+    @pytest.mark.parametrize("p", [0.05, 0.01])
+    def test_vertical_rows_run_out(self, p):
+        cfg = StrategyConfig(variant="vertical_link", p=p, trials=1500,
+                             master_seed=19, gate_time=0.7)
+        assert (simulate(cfg).entangling_ops > growth._FIRST_SUCCESS_WIDTH).mean() > 0.1
+        _assert_equals_scalar_trials(cfg)
+
+    @pytest.mark.parametrize("backend", [None, "three-qubit"])
+    @pytest.mark.parametrize("kwargs", [
+        dict(p=0.55, target_L=300),
+        dict(p=0.5, target_L=300, max_rounds=50),
+        dict(p=0.5, target_L=300, max_rounds=256),
+        dict(p=0.5, target_L=300, max_rounds=700),
+        dict(p=0.75, target_L=1),  # done before the first attempt
+    ], ids=lambda kw: "-".join(map(str, kw.values())))
+    def test_sequential_across_blocks(self, kwargs, backend):
+        cfg = StrategyConfig(variant="sequential", trials=30 if backend else 150,
+                             master_seed=2**63 + 11, gate_time=0.5,
+                             gate_backend=backend, **kwargs)
+        _assert_equals_scalar_trials(cfg)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(p=0.6, initial_qubits=1000, rounds_k=12),  # pools run dry
+        dict(p=0.9, initial_qubits=37, rounds_k=0),
+        dict(p=0.9, initial_qubits=2, rounds_k=3),  # a lone chain waits
+    ], ids=lambda kw: "-".join(map(str, kw.values())))
+    def test_divide_conquer_pools(self, kwargs):
+        _assert_equals_scalar_trials(StrategyConfig(
+            variant="divide_conquer", trials=300, master_seed=29, gate_time=0.7,
+            **kwargs))
 
 
 # sha256 of every output array of simulate, computed before the trial streams
