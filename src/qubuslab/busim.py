@@ -55,7 +55,6 @@ __all__ = [
     "pauli_action",
 ]
 
-NORM_TOL = 1e-9
 PEAK_GROUP_TOL = 1e-9
 
 
@@ -209,11 +208,6 @@ class HybridState:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeff))
-
-    def validate(self, tol: float = NORM_TOL) -> None:
-        nrm = self.norm()
-        if abs(nrm - 1.0) > tol:
-            raise ValueError(f"state norm {nrm!r} outside tolerance {tol}")
 
     def branch_map(self) -> dict[int, tuple[complex, complex]]:
         return {

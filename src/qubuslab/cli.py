@@ -17,7 +17,6 @@ import json
 import math
 import re
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -68,51 +67,26 @@ def parse_amount(text: str) -> float:
         ) from None
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict):
+def _merged_config(path: str | None, **flags) -> dict:
+    """Config-file values (a JSON object) overridden by the flags that are set."""
+    merged = {} if path is None else json.loads(Path(path).read_text())
+    if not isinstance(merged, dict):
         raise click.BadParameter("config file must hold a JSON object")
-    return data
+    merged.update((key, value) for key, value in flags.items() if value is not None)
+    return merged
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Merged command parameters (config-file values overridden by flags).
+class _Commands(click.Group):
+    """The command group: a ValueError from a command is a one-line error."""
 
-    ``validated()`` enforces the shared ranges before dispatch: success
-    probability in (0, 1], positive bus amplitude, at least one trial.
-    """
-
-    command: str
-    params: dict
-
-    @classmethod
-    def build(cls, command: str, config_path: str | None, **flags):
-        merged = dict(_load_config(config_path))
-        for key, value in flags.items():
-            if value is not None:
-                merged[key] = value
-        return cls(command=command, params=merged)
-
-    def validated(self) -> "ExperimentConfig":
-        p = self.params.get("p")
-        if p is not None and not 0.0 < float(p) <= 1.0:
-            raise click.BadParameter(f"p must lie in (0, 1], got {p}")
-        alpha = self.params.get("alpha")
-        if alpha is not None and float(alpha) <= 0.0:
-            raise click.BadParameter(f"alpha must be positive, got {alpha}")
-        trials = self.params.get("trials")
-        if trials is not None and int(trials) < 1:
-            raise click.BadParameter(f"trials must be at least 1, got {trials}")
-        return self
-
-    def get(self, key, default=None):
-        return self.params.get(key, default)
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.ClickException(str(exc)) from exc
 
 
-@click.group()
+@click.group(cls=_Commands)
 @click.version_option()
 def main():
     """Exact coherent-bus gate laboratory and growth-statistics harness."""
@@ -170,10 +144,11 @@ def _write_csv(path, rows, columns):
 def cmd_gate(name, alpha, theta, beta, n_qubits, number_resolving, graph_file,
              csv_path, config_path):
     """Print the exhaustive outcome table and error budget of one gate."""
-    cfg = ExperimentConfig.build(
-        "gate", config_path, alpha=alpha, theta=theta, beta=beta, n=n_qubits
-    ).validated()
+    cfg = _merged_config(config_path, alpha=alpha, theta=theta, beta=beta, n=n_qubits)
     alpha = float(cfg.get("alpha", 1000.0))
+    # checked here, not left to error_budget: the bucket gate prints its table first
+    if alpha <= 0.0:
+        raise click.BadParameter(f"alpha must be positive, got {cfg['alpha']}")
     theta = float(cfg.get("theta", 0.003))
     n_qubits = int(cfg.get("n", 3 if name in ("three-qubit", "cascade") else 5))
     beta_val = parse_amount(str(cfg.get("beta", "sqrt(pi/8)")))
@@ -355,34 +330,27 @@ def _growth_report(stats: growth.GrowthStats):
 def cmd_growth(variant, p, target_l, rounds_k, initial_qubits, trials, seed,
                gate_time, jsonl_path, csv_path, config_path):
     """Run a growth strategy and compare against its closed forms."""
-    cfg = ExperimentConfig.build(
-        "growth", config_path,
+    cfg = _merged_config(
+        config_path,
         p=p, target_L=target_l, rounds_k=rounds_k, initial_qubits=initial_qubits,
         trials=trials, master_seed=seed, gate_time=gate_time,
-    ).validated()
-    try:
-        config = growth.StrategyConfig(
-            variant=variant,
-            p=float(cfg.get("p", 0.75)),
-            trials=int(cfg.get("trials", 10_000)),
-            master_seed=int(cfg.get("master_seed", 0)),
-            target_L=cfg.get("target_L"),
-            rounds_k=cfg.get("rounds_k"),
-            initial_qubits=cfg.get("initial_qubits"),
-            gate_time=float(cfg.get("gate_time", 1.0)),
-            max_rounds=cfg.get("max_rounds"),
-        )
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
+    )
+    config = growth.StrategyConfig(
+        variant=variant,
+        p=float(cfg.get("p", 0.75)),
+        trials=int(cfg.get("trials", 10_000)),
+        master_seed=int(cfg.get("master_seed", 0)),
+        target_L=cfg.get("target_L"),
+        rounds_k=cfg.get("rounds_k"),
+        initial_qubits=cfg.get("initial_qubits"),
+        gate_time=float(cfg.get("gate_time", 1.0)),
+        max_rounds=cfg.get("max_rounds"),
+    )
     stats = growth.simulate(config)
     text, rows = _growth_report(stats)
     # files land before any stdout write so a closed pipe cannot lose them
     if jsonl_path:
-        try:
-            jsonl = render_growth_jsonl(stats)
-        except ValueError as exc:
-            raise click.ClickException(str(exc)) from exc
-        Path(jsonl_path).write_text(jsonl)
+        Path(jsonl_path).write_text(render_growth_jsonl(stats))
     if csv_path:
         Path(csv_path).write_text(text)
     click.echo(text.rstrip())

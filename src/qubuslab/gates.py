@@ -203,12 +203,14 @@ def error_budget(alpha: float, theta: float) -> GateErrorBudget:
     """Evaluate the three closed-form error expressions at (alpha, theta)."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
+    # a negative theta mirrors the peaks and keeps their separation
+    spread = abs(alpha * math.sin(theta))
     return GateErrorBudget(
-        p_err_momentum=0.5 * math.erfc(alpha * math.sin(theta) / math.sqrt(2.0)),
+        p_err_momentum=0.5 * math.erfc(spread / math.sqrt(2.0)),
         p_err_position=0.5 * math.erfc(alpha * (1.0 - math.cos(theta)) / math.sqrt(2.0)),
         p_err_vacuum=math.exp(-4.0 * abs(alpha * theta) ** 2),
         separation_parameter=alpha * theta,
-        momentum_regime_ok=alpha * math.sin(theta) >= math.pi,
+        momentum_regime_ok=spread >= math.pi,
     )
 
 

@@ -1,9 +1,10 @@
 """Stabilizer engine for graph states: fusion, recovery and comparison.
 
 A tableau holds n independent commuting Pauli generators with +-1 signs.
-Operations return updated copies; measurement randomness comes from a caller
-supplied generator or a forced outcome, so growth simulations can keep one
-seeded stream per trial.
+Each public operation copies its input once and updates that copy in place,
+through the private kernels ``_hadamard``, ``_pauli`` and ``_measure``;
+measurement randomness comes from a caller supplied generator or a forced
+outcome, so growth simulations can keep one seeded stream per trial.
 
 Beside its stabilizers a tableau keeps destabilizer rows, as Aaronson and
 Gottesman do (quant-ph/0406196): destabilizer i anticommutes with generator
@@ -49,8 +50,6 @@ __all__ = [
     "graph_state",
     "measure_pauli",
     "measure_pauli_string",
-    "apply_hadamard",
-    "apply_pauli",
     "apply_corrections",
     "fuse",
     "recover_failure",
@@ -150,22 +149,21 @@ class StabilizerTableau:
         self.sign = np.zeros(n, dtype=np.uint8) if sign is None else np.array(sign, dtype=np.uint8)
         self.dx = self.dz = None
 
-    def copy(self) -> "StabilizerTableau":
-        out = StabilizerTableau(self.n, self.x, self.z, self.sign)  # np.array copies
-        if self.dx is not None:
-            out.dx, out.dz = self.dx.copy(), self.dz.copy()
+    def copy(self, destabilizers: bool = True) -> "StabilizerTableau":
+        """A copy sharing no array; ``destabilizers=False`` leaves them None."""
+        out = object.__new__(StabilizerTableau)
+        out.n = self.n
+        out.x, out.z, out.sign = self.x.copy(), self.z.copy(), self.sign.copy()
+        keep = destabilizers and self.dx is not None
+        out.dx, out.dz = (self.dx.copy(), self.dz.copy()) if keep else (None, None)
         return out
 
     def generator_strings(self):
         """Generators as (sign, pauli-string) pairs, qubit 0 leftmost."""
-        out = []
-        for i in range(self.n):
-            chars = []
-            for q in range(self.n):
-                xb, zb = self.x[i, q], self.z[i, q]
-                chars.append("IXZY"[xb + 2 * zb] if xb + 2 * zb != 3 else "Y")
-            out.append((1 - 2 * int(self.sign[i]), "".join(chars)))
-        return out
+        return [
+            (1 - 2 * int(s), "".join("IXZY"[b] for b in (xr + 2 * zr).tolist()))
+            for s, xr, zr in zip(self.sign, self.x, self.z)
+        ]
 
     def validate(self) -> None:
         anti = np.triu((self.x @ self.z.T + self.z @ self.x.T) % 2, 1)
@@ -272,45 +270,40 @@ def _check_qubit(n: int, qubit: int) -> None:
         raise ValueError(f"qubit {qubit} out of range 0..{n - 1}")
 
 
-def apply_hadamard(tab: StabilizerTableau, qubit: int) -> StabilizerTableau:
-    _check_qubit(tab.n, qubit)
-    tab = tab.copy()
-    xq = tab.x[:, qubit].copy()
-    zq = tab.z[:, qubit].copy()
-    tab.sign ^= xq & zq
-    tab.x[:, qubit] = zq
-    tab.z[:, qubit] = xq
+def _hadamard(tab: StabilizerTableau, qubit: int) -> None:
+    tab.sign ^= tab.x[:, qubit] & tab.z[:, qubit]
+    tab.x[:, qubit], tab.z[:, qubit] = tab.z[:, qubit].copy(), tab.x[:, qubit].copy()
     if tab.dx is not None:
         tab.dx[:, qubit], tab.dz[:, qubit] = tab.dz[:, qubit].copy(), tab.dx[:, qubit].copy()
-    return tab
 
 
-def apply_pauli(tab: StabilizerTableau, qubit: int, pauli: str) -> StabilizerTableau:
+def _pauli(tab: StabilizerTableau, qubit: int, pauli: str) -> None:
     """Conjugate every generator by a single-qubit Pauli (sign flips only).
 
     Destabilizers carry no signs, so they are left alone.
     """
-    _check_qubit(tab.n, qubit)
-    tab = tab.copy()
-    xq, zq = tab.x[:, qubit], tab.z[:, qubit]
-    if pauli == "X":
-        tab.sign ^= zq
-    elif pauli == "Z":
-        tab.sign ^= xq
-    elif pauli == "Y":
-        tab.sign ^= xq ^ zq
-    else:
+    if pauli not in ("X", "Y", "Z"):
         raise ValueError(f"unknown Pauli {pauli!r}")
-    return tab
+    if pauli != "Z":  # X and Y flip the generators with a Z bit on the qubit
+        tab.sign ^= tab.z[:, qubit]
+    if pauli != "X":  # Z and Y flip those with an X bit
+        tab.sign ^= tab.x[:, qubit]
+
+
+def _correct(tab: StabilizerTableau, corrections) -> None:
+    """Apply (qubit, op) pairs with op in X, Y, Z, H to ``tab`` in place."""
+    for qubit, op in corrections:
+        _check_qubit(tab.n, qubit)
+        if op == "H":
+            _hadamard(tab, qubit)
+        else:
+            _pauli(tab, qubit, op)
 
 
 def apply_corrections(tab: StabilizerTableau, corrections) -> StabilizerTableau:
-    """Apply (qubit, op) pairs with op in X, Y, Z, H."""
-    for qubit, op in corrections:
-        if op == "H":
-            tab = apply_hadamard(tab, qubit)
-        else:
-            tab = apply_pauli(tab, qubit, op)
+    """Copy of ``tab`` with (qubit, op) pairs applied, op in X, Y, Z, H."""
+    tab = tab.copy()
+    _correct(tab, corrections)
     return tab
 
 
@@ -323,14 +316,9 @@ def _string_to_bits(n: int, pauli: dict[int, str]):
     zt = np.zeros(n, dtype=np.uint8)
     for q, ch in pauli.items():
         _check_qubit(n, q)
-        if ch == "X":
-            xt[q] = 1
-        elif ch == "Z":
-            zt[q] = 1
-        elif ch == "Y":
-            xt[q] = zt[q] = 1
-        else:
+        if ch not in ("X", "Y", "Z"):
             raise ValueError(f"unknown Pauli {ch!r}")
+        xt[q], zt[q] = ch != "Z", ch != "X"
     return xt, zt
 
 
@@ -347,10 +335,20 @@ def measure_pauli_string(
     tableau without destabilizers gets them here, once, on the input.
     """
     xt, zt = _string_to_bits(tab.n, pauli)
+    tab = _owned_copy(tab)
+    return _measure(tab, xt, zt, forced, rng), tab
+
+
+def _owned_copy(tab: StabilizerTableau) -> StabilizerTableau:
+    """Derive missing destabilizers on ``tab`` (once), then copy it."""
     if tab.dx is None:
         _derive_destabilizers(tab)
+    return tab.copy()
+
+
+def _measure(tab: StabilizerTableau, xt, zt, forced=None, rng=None) -> int:
+    """Measure the Pauli [xt|zt] on ``tab`` in place; returns the outcome."""
     hits = _anticommuting(tab.x, tab.z, xt, zt)
-    tab = tab.copy()
     if hits.size:
         p = int(hits[0])
         rest = hits[1:]
@@ -377,13 +375,13 @@ def measure_pauli_string(
         tab.x[p] = xt
         tab.z[p] = zt
         tab.sign[p] = 0 if outcome == 1 else 1
-        return outcome, tab
+        return outcome
     outcome = _deterministic_sign(tab, xt, zt)
     if forced is not None and int(forced) != outcome:
         raise ValueError(
             f"outcome is deterministic ({outcome:+d}); cannot force {forced:+d}"
         )
-    return outcome, tab
+    return outcome
 
 
 def _anticommuting(x, z, xt, zt) -> np.ndarray:
@@ -663,18 +661,18 @@ def fuse(
             stacklevel=2,
         )
     projections, hadamards, step = rows[outcome]
+    tab = _owned_copy(tab)
     corrections = []
     for positions, sign in projections:
-        _, tab = measure_pauli_string(tab, {qubits[p]: "Z" for p in positions}, forced=sign)
+        _measure(tab, *_string_to_bits(tab.n, {qubits[p]: "Z" for p in positions}), forced=sign)
         if step is not None and sign == -1:
             last = qubits[positions[-1]]
             fixes = [(last, "X")] if len(positions) == 2 else []
             fixes += [(q, "Z") for q in sorted(registry.neighbours(last))]
-            for q, op in fixes:
-                tab = apply_pauli(tab, q, op)
+            _correct(tab, fixes)
             corrections += fixes
     for p in hadamards:
-        tab = apply_hadamard(tab, qubits[p])
+        _hadamard(tab, qubits[p])
     if step is not None and not bad:
         if step == "tee":
             registry.fuse_tee(*qubits)
@@ -709,7 +707,7 @@ def recover_failure(
     neighbour = registry.neighbour(end_qubit)
     outcome, tab = measure_pauli(tab, end_qubit, "Z", forced=forced, rng=rng)
     if outcome == -1 and neighbour is not None:
-        tab = apply_pauli(tab, neighbour, "Z")
+        _correct(tab, [(neighbour, "Z")])
     registry.remove(end_qubit)
     return outcome, tab
 
@@ -752,8 +750,9 @@ def equals_up_to_corrections(
     if tab.n != spec.n:
         raise ValueError("qubit counts differ")
     n = tab.n
-    # destabilizers are not read, so the corrections copy only x, z and sign
-    corrected = apply_corrections(StabilizerTableau(n, tab.x, tab.z, tab.sign), corrections)
+    # destabilizers are not read, so only x, z and sign are copied
+    corrected = tab.copy(destabilizers=False)
+    _correct(corrected, corrections)
     x, z = corrected.x, corrected.z
     cols = np.ascontiguousarray(x.T)  # cols[v]: which rows hold X on v
     want_z = np.zeros_like(cols)

@@ -122,7 +122,7 @@ class StrategyConfig:
     initial_qubits: int | None = None
     gate_time: float = 1.0
     max_rounds: int | None = None
-    gate_backend: str | None = None  # None (abstract p) or "three-qubit"
+    gate_backend: str | None = None  # None (abstract p) or "three-qubit", sequential only
     alpha: float = 1000.0
     theta: float = 0.003
 
@@ -137,6 +137,13 @@ class StrategyConfig:
             raise ValueError(f"gate_time must be finite and > 0, got {self.gate_time}")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ValueError(f"max_rounds must be at least 1, got {self.max_rounds}")
+        if self.gate_backend not in (None, "three-qubit"):
+            raise ValueError(f"unknown gate backend {self.gate_backend!r}")
+        if self.gate_backend is not None and self.variant != "sequential":
+            raise ValueError("only sequential growth runs on a gate backend")
+        if not (math.isfinite(self.alpha) and self.alpha > 0 and math.isfinite(self.theta)):
+            raise ValueError(f"alpha must be finite and > 0 and theta finite, got "
+                             f"alpha={self.alpha}, theta={self.theta}")
         if self.variant == "sequential":
             if self.target_L is None or self.target_L < 1:
                 raise ValueError("sequential growth needs target_L >= 1")
@@ -161,6 +168,7 @@ class StrategyConfig:
                 raise ValueError("divide and conquer needs rounds_k or target_L")
             if self.rounds_k is not None and self.rounds_k < 0:
                 raise ValueError("divide and conquer needs rounds_k >= 0")
+            self.rounds()  # a target_L off the 2**(k-1) + 1 grid raises here
 
     def rounds(self) -> int:
         if self.variant != "divide_conquer":
@@ -271,8 +279,6 @@ def _attempt_sampler(config: StrategyConfig):
     """
     if config.gate_backend is None:
         return lambda u: (u < config.p, None)
-    if config.gate_backend != "three-qubit":
-        raise ValueError(f"unknown gate backend {config.gate_backend!r}")
     outcomes = gates.three_qubit_outcomes(config.alpha, config.theta)
     cdf = gates.outcome_cdf(outcomes)
     success = np.array([o.label == "ghz" or o.label.startswith("bell")

@@ -353,10 +353,12 @@ class TestNormAndMerging:
         assert state.norm() == pytest.approx(1.0, abs=1e-9)
         assert state.branch_count() <= 8
 
-    def test_validate_flags_bad_norm(self):
+    def test_measurements_reject_bad_norm(self):
         state = HybridState(1, [0, 1], [0.5, 0.5], [0.0, 0.0])
-        with pytest.raises(ValueError):
-            state.validate()
+        with pytest.raises(ValueError, match="not normalized"):
+            homodyne_project(state, math.pi / 2, 0)
+        with pytest.raises(ValueError, match="not normalized"):
+            measure_bucket(state, outcome=0)
 
     def test_large_amplitude_norm(self):
         """Overlaps at bus amplitudes ~1e4 must not underflow."""

@@ -21,6 +21,30 @@ def runner():
     return CliRunner()
 
 
+def assert_one_line_error(result):
+    """click's ``Error:`` line, not a traceback from an uncaught exception."""
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "Error:" in result.output
+    assert "Traceback" not in result.output
+
+
+class TestCommandErrors:
+    """A ValueError raised while a command runs exits 1 with one Error: line."""
+
+    @pytest.mark.parametrize("args", [
+        ["gate", "cascade", "--n", "1"],
+        ["gate", "chain", "--n", "1"],
+        ["scaling", "--p", "0"],
+        ["scaling", "--p", "1.5"],
+        ["growth", "divide_conquer", "--n", "64", "--L", "10", "--trials", "5"],
+    ])
+    def test_value_error_is_one_line(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert_one_line_error(result)
+        assert len(result.output.strip().splitlines()) == 1, result.output
+
+
 class TestParseAmount:
     def test_plain_float(self):
         assert parse_amount("0.25") == 0.25
@@ -154,6 +178,22 @@ class TestGateCommand:
             main, ["gate", "parity-momentum", "--alpha", "-3", "--theta", "0.1"]
         )
         assert result.exit_code != 0
+        assert_one_line_error(result)
+
+    @pytest.mark.parametrize("name", ["parity-bucket", "parity-momentum"])
+    def test_invalid_alpha_rejected_before_any_table(self, runner, name):
+        result = runner.invoke(main, ["gate", name, "--alpha", "-3"])
+        assert_one_line_error(result)
+        assert "label" not in result.output
+
+    @pytest.mark.parametrize("args", [
+        ["gate", "three-qubit", "--theta", "-0.003"],
+        ["gate", "parity-momentum", "--alpha", "1000", "--theta", "-0.003"],
+    ])
+    def test_negative_theta_runs(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert "momentum 1.3499e-03" in result.output
 
     def test_config_file_with_flag_override(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -213,6 +253,7 @@ class TestGrowthCommand:
     def test_out_of_range_parameters_rejected(self, runner, args):
         result = runner.invoke(main, args)
         assert result.exit_code != 0
+        assert_one_line_error(result)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")

@@ -64,6 +64,14 @@ class TestErrorBudget:
         assert budget.p_err_position == pytest.approx(0.5)
         assert budget.p_err_vacuum == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("alpha, theta", [(1000.0, 0.003), (500.0, 0.0063),
+                                              (1.0e6, 0.003), (2.0, 1.0)])
+    def test_negative_theta_mirrors(self, alpha, theta):
+        """-theta mirrors the peaks: every value but the signed separation holds."""
+        plus, minus = gates.error_budget(alpha, theta), gates.error_budget(alpha, -theta)
+        assert dataclasses.replace(minus, separation_parameter=plus.separation_parameter) == plus
+        assert minus.separation_parameter == -plus.separation_parameter
+
     def test_alpha_positive_required(self):
         with pytest.raises(ValueError):
             gates.error_budget(0.0, 0.1)

@@ -153,7 +153,7 @@ class TestMeasurePauli:
         """Measuring out a chain end leaves the shorter chain after repair."""
         tab = gs.graph_state(gs.GraphSpec.chain(3))
         outcome, tab = gs.measure_pauli(tab, 2, "Z", forced=-1)
-        tab = gs.apply_pauli(tab, 1, "Z")
+        tab = gs.apply_corrections(tab, [(1, "Z")])
         # remaining pair must satisfy the 2-chain generators
         for pauli in ({0: "X", 1: "Z"}, {0: "Z", 1: "X"}):
             sign, _ = gs.measure_pauli_string(tab, pauli)
@@ -201,8 +201,8 @@ class TestQubitRange:
             lambda: gs.measure_pauli_string(tab, {qubit: "Z"}, forced=1),
             lambda: gs.measure_pauli_string(tab, {0: "X", qubit: "Z"}),
             lambda: gs.measure_pauli(tab, qubit, "Z", forced=1),
-            lambda: gs.apply_hadamard(tab, qubit),
-            lambda: gs.apply_pauli(tab, qubit, "X"),
+            lambda: gs.apply_corrections(tab, [(qubit, "H")]),
+            lambda: gs.apply_corrections(tab, [(qubit, "X")]),
             lambda: gs.apply_corrections(tab, [(qubit, "Y")]),
         ]
         for call in calls:
@@ -213,8 +213,8 @@ class TestQubitRange:
         tab = gs.graph_state(gs.GraphSpec.chain(3))
         for qubit in (0, 2):
             gs.measure_pauli_string(tab, {qubit: "Z"}, forced=1)
-            gs.apply_hadamard(tab, qubit)
-            gs.apply_pauli(tab, qubit, "X")
+            gs.apply_corrections(tab, [(qubit, "H")])
+            gs.apply_corrections(tab, [(qubit, "X")])
 
 
 class TestFuseParity2:
@@ -402,7 +402,7 @@ class TestEqualsUpToCorrections:
 
     def test_sign_frame_matters(self):
         tab = gs.graph_state(gs.GraphSpec.chain(2))
-        flipped = gs.apply_pauli(tab, 0, "Z")
+        flipped = gs.apply_corrections(tab, [(0, "Z")])
         assert not gs.equals_up_to_corrections(flipped, gs.GraphSpec.chain(2))
         assert gs.equals_up_to_corrections(flipped, gs.GraphSpec.chain(2), [(0, "Z")])
 
@@ -456,7 +456,7 @@ class TestTableauValidity:
         tab.validate()
         _, tab = gs.measure_pauli(tab, 0, "Z", rng=rng)
         tab.validate()
-        tab = gs.apply_hadamard(tab, 4)
+        tab = gs.apply_corrections(tab, [(4, "H")])
         tab.validate()
 
     def test_fusion_length_law_random_cases(self):
@@ -782,8 +782,8 @@ def _ref_fuse_parity2(tab, qubits, outcome, registry, ends):
         forced = 1 if outcome == "success-even" else -1
         _, tab = gs.measure_pauli_string(tab, {a: "Z", b: "Z"}, forced=forced)
         for q, op in corrections:
-            tab = gs.apply_pauli(tab, q, op)
-        tab = gs.apply_hadamard(tab, b)
+            tab = gs.apply_corrections(tab, [(q, op)])
+        tab = gs.apply_corrections(tab, [(b, "H")])
         if ends:
             registry.fuse_success(a, b)
         return outcome, tab, tuple(corrections)
@@ -798,8 +798,8 @@ def _ref_fuse_gate3(tab, qubits, outcome, registry, ends):
     if outcome == "ghz":
         _, tab = gs.measure_pauli_string(tab, {a: "Z", b: "Z"}, forced=1)
         _, tab = gs.measure_pauli_string(tab, {b: "Z", c: "Z"}, forced=1)
-        tab = gs.apply_hadamard(tab, b)
-        tab = gs.apply_hadamard(tab, c)
+        tab = gs.apply_corrections(tab, [(b, "H")])
+        tab = gs.apply_corrections(tab, [(c, "H")])
         if ends:
             registry.fuse_tee(a, b, c)
         return outcome, tab, ()
@@ -809,13 +809,13 @@ def _ref_fuse_gate3(tab, qubits, outcome, registry, ends):
         neigh_c = sorted(registry.neighbours(c))
         _, tab = gs.measure_pauli_string(tab, {a: "Z", b: "Z"}, forced=-1)
         for q, op in corrections:
-            tab = gs.apply_pauli(tab, q, op)
+            tab = gs.apply_corrections(tab, [(q, op)])
         _, tab = gs.measure_pauli_string(tab, {c: "Z"}, forced=1 if third_bit == 0 else -1)
         if third_bit == 1:
             for q in neigh_c:
-                tab = gs.apply_pauli(tab, q, "Z")
+                tab = gs.apply_corrections(tab, [(q, "Z")])
                 corrections.append((q, "Z"))
-        tab = gs.apply_hadamard(tab, b)
+        tab = gs.apply_corrections(tab, [(b, "H")])
         if ends:
             registry.fuse_success(a, b)
             registry.remove(c)
@@ -1081,11 +1081,11 @@ def _measure(pauli, forced):
 
 
 def _hadamard(q):
-    return lambda side: (None, gs.apply_hadamard(side.tab, q))
+    return lambda side: (None, gs.apply_corrections(side.tab, [(q, "H")]))
 
 
 def _pauli(q, ch):
-    return lambda side: (None, gs.apply_pauli(side.tab, q, ch))
+    return lambda side: (None, gs.apply_corrections(side.tab, [(q, ch)]))
 
 
 def _fuse(qubits, variant, outcome):
@@ -1224,7 +1224,7 @@ class TestHandBuiltTableau:
             for word in itertools.product("IXYZ", repeat=3)
         ][1:]
         star = gs.graph_state(gs.GraphSpec.star(3))
-        star = gs.apply_hadamard(gs.apply_hadamard(star, 1), 2)
+        star = gs.apply_corrections(star, [(1, "H"), (2, "H")])
         for pauli in paulis:
             for forced in (1, -1):
                 ghz = gs.StabilizerTableau(3, x=GHZ_X, z=GHZ_Z)
@@ -1607,3 +1607,116 @@ class TestProductSignMatchesInt64Reference:
                     sign(a, b, n)
                 messages.append(str(err.value))
             assert messages[0] == messages[1] == "row product produced an imaginary sign"
+
+
+def _tableau_bytes(tab):
+    return tuple(None if a is None else a.tobytes()
+                 for a in (tab.x, tab.z, tab.sign, tab.dx, tab.dz))
+
+
+def _fuse_cases():
+    """(chain lengths, qubits, variant, outcome) for every fusion outcome."""
+    for outcome in gs.PARITY2_OUTCOMES:
+        yield [3, 2], (2, 3), "parity-2", outcome
+    for outcome in gs.GATE3_OUTCOMES:
+        yield [2, 3, 2], (1, 2, 5), "gate-3", outcome
+
+
+def _public_calls():
+    """(name, call on a fresh tableau and registry) for each public operation."""
+    for lengths, qubits, variant, outcome in _fuse_cases():
+        def call(lengths=lengths, qubits=qubits, variant=variant, outcome=outcome):
+            reg, spec = gs.ChainRegistry.disjoint_chains(lengths)
+            tab = gs.graph_state(spec)
+            return tab, lambda: gs.fuse(tab, qubits, variant, outcome, reg)
+        yield f"fuse-{outcome}", call
+    for forced in (1, -1):
+        def call(forced=forced):
+            reg, spec = gs.ChainRegistry.disjoint_chains([4])
+            tab = gs.graph_state(spec)
+            return tab, lambda: gs.recover_failure(tab, 3, reg, forced=forced)
+        yield f"recover-{forced:+d}", call
+    chain = gs.GraphSpec.chain(4)
+    for name, run in [
+        ("measure-random", lambda t: gs.measure_pauli_string(t, {1: "X", 2: "Y"}, forced=-1)),
+        ("measure-deterministic", lambda t: gs.measure_pauli_string(t, {0: "X", 1: "Z"})),
+        ("measure-single", lambda t: gs.measure_pauli(t, 2, "Z", forced=1)),
+        ("corrections", lambda t: gs.apply_corrections(t, [(0, "X"), (1, "H"), (2, "Y")])),
+        ("no-corrections", lambda t: gs.apply_corrections(t, [])),
+        ("equals", lambda t: gs.equals_up_to_corrections(t, chain, [(1, "H"), (0, "Z")])),
+    ]:
+        def call(run=run):
+            tab = gs.graph_state(chain)
+            return tab, lambda: run(tab)
+        yield name, call
+
+
+PUBLIC_CALLS = dict(_public_calls())
+
+
+class TestCopyContract:
+    """Each public operation copies its input once and leaves it as it was."""
+
+    @pytest.mark.parametrize("name", PUBLIC_CALLS)
+    def test_input_unchanged(self, name):
+        tab, run = PUBLIC_CALLS[name]()
+        before = _tableau_bytes(tab)
+        result = run()
+        assert _tableau_bytes(tab) == before
+        outs = [r for r in (result if isinstance(result, tuple) else (result,))
+                if isinstance(r, gs.StabilizerTableau)]
+        for out in outs:
+            assert out is not tab
+            for a, b in zip((out.x, out.z, out.sign, out.dx, out.dz),
+                            (tab.x, tab.z, tab.sign, tab.dx, tab.dz)):
+                assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("name", PUBLIC_CALLS)
+    def test_one_copy_per_call(self, name, monkeypatch):
+        copies = []
+        real = gs.StabilizerTableau.copy
+
+        def counted(self, *args, **kwargs):
+            copies.append(self)
+            return real(self, *args, **kwargs)
+
+        tab, run = PUBLIC_CALLS[name]()
+        monkeypatch.setattr(gs.StabilizerTableau, "copy", counted)
+        run()
+        assert len(copies) == 1 and copies[0] is tab
+
+    @pytest.mark.parametrize("qubit", [-1, 4])
+    def test_rejected_correction_last_leaves_input(self, qubit):
+        tab = gs.graph_state(gs.GraphSpec.chain(4))
+        before = _tableau_bytes(tab)
+        with pytest.raises(ValueError, match=rf"qubit {qubit} out of range"):
+            gs.apply_corrections(tab, [(0, "X"), (1, "H"), (2, "Z"), (qubit, "Y")])
+        assert _tableau_bytes(tab) == before
+
+    def test_unknown_op_last_leaves_input(self):
+        tab = gs.graph_state(gs.GraphSpec.chain(3))
+        before = _tableau_bytes(tab)
+        with pytest.raises(ValueError, match="unknown Pauli 'W'"):
+            gs.apply_corrections(tab, [(0, "H"), (1, "W")])
+        assert _tableau_bytes(tab) == before
+
+    def test_hand_built_input_gains_only_destabilizers(self):
+        ghz = gs.StabilizerTableau(3, x=GHZ_X, z=GHZ_Z)
+        before = _tableau_bytes(ghz)[:3]
+        reg, _ = gs.ChainRegistry.disjoint_chains([1, 1, 1])
+        gs.fuse(ghz, (0, 1, 2), "gate-3", "ghz", reg)
+        assert _tableau_bytes(ghz)[:3] == before
+        assert ghz.dx is not None
+
+    def test_copy_skips_init(self, monkeypatch):
+        tab = gs.graph_state(gs.GraphSpec.star(5))
+
+        def no_init(self, *args, **kwargs):
+            raise AssertionError("copy went through __init__")
+
+        monkeypatch.setattr(gs.StabilizerTableau, "__init__", no_init)
+        out = tab.copy()
+        assert _tableau_bytes(out) == _tableau_bytes(tab)
+        bare = tab.copy(destabilizers=False)
+        assert bare.dx is None and bare.dz is None
+        assert _tableau_bytes(bare)[:3] == _tableau_bytes(tab)[:3]

@@ -56,6 +56,54 @@ class TestConfigValidation:
             StrategyConfig(variant="sequential", p=0.75, trials=10, master_seed=0,
                            target_L=5, max_rounds=max_rounds)
 
+    @pytest.mark.parametrize("variant, kwargs", [
+        ("vertical_link", {}),
+        ("merge", dict(target_L=41)),
+        ("divide_conquer", dict(initial_qubits=64, rounds_k=3)),
+        ("sequential", dict(target_L=7)),
+    ])
+    def test_unknown_backend_rejected_for_any_variant(self, variant, kwargs):
+        with pytest.raises(ValueError, match="unknown gate backend 'four-qubit'"):
+            StrategyConfig(variant=variant, p=0.75, trials=3, master_seed=0,
+                           gate_backend="four-qubit", **kwargs)
+
+    @pytest.mark.parametrize("variant, kwargs", [
+        ("vertical_link", {}),
+        ("merge", dict(target_L=41)),
+        ("divide_conquer", dict(initial_qubits=64, rounds_k=3)),
+    ])
+    def test_backend_only_on_sequential(self, variant, kwargs):
+        with pytest.raises(ValueError, match="only sequential growth"):
+            StrategyConfig(variant=variant, p=0.75, trials=3, master_seed=0,
+                           gate_backend="three-qubit", **kwargs)
+
+    @pytest.mark.parametrize("alpha, theta", [
+        (math.nan, 0.003), (math.inf, 0.003), (0.0, 0.003), (-1000.0, 0.003),
+        (1000.0, math.nan), (1000.0, -math.inf),
+    ])
+    def test_bad_alpha_or_theta(self, alpha, theta):
+        for backend in (None, "three-qubit"):
+            with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+                StrategyConfig(variant="sequential", p=0.75, trials=3, master_seed=0,
+                               target_L=7, gate_backend=backend, alpha=alpha,
+                               theta=theta)
+
+    def test_negative_theta_accepted(self):
+        StrategyConfig(variant="sequential", p=0.75, trials=3, master_seed=0,
+                       target_L=7, gate_backend="three-qubit", theta=-0.003)
+
+    @pytest.mark.parametrize("target_L", [4, 10, 16])
+    def test_divide_conquer_length_off_grid(self, target_L):
+        with pytest.raises(ValueError, match=f"length {target_L} is not of the form"):
+            StrategyConfig(variant="divide_conquer", p=0.5, trials=3, master_seed=0,
+                           initial_qubits=64, target_L=target_L)
+
+    @pytest.mark.parametrize("target_L, rounds", [(1, 0), (2, 1), (3, 2), (17, 5)])
+    def test_divide_conquer_length_on_grid(self, target_L, rounds):
+        cfg = StrategyConfig(variant="divide_conquer", p=0.5, trials=3, master_seed=0,
+                             initial_qubits=64, target_L=target_L)
+        assert cfg.rounds() == rounds
+
     def test_negative_round_count(self):
         with pytest.raises(ValueError, match="rounds_k >= 0"):
             StrategyConfig(variant="divide_conquer", p=0.5, trials=10, master_seed=0,
@@ -213,12 +261,11 @@ class TestGateSampler:
             growth._attempt_sampler(self.CONFIG)
 
     def test_unknown_backend_rejected(self):
-        cfg = StrategyConfig(
-            variant="sequential", p=0.75, trials=3, master_seed=2, target_L=7,
-            gate_backend="four-qubit",
-        )
         with pytest.raises(ValueError, match="unknown gate backend"):
-            simulate(cfg)
+            StrategyConfig(
+                variant="sequential", p=0.75, trials=3, master_seed=2, target_L=7,
+                gate_backend="four-qubit",
+            )
 
 
 class TestSequential:
