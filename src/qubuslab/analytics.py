@@ -199,6 +199,8 @@ def dc_round_length(k: int) -> int:
 
 def dc_rounds_for_length(L: int) -> int:
     """Round count with survivors of length L; rejects off-grid lengths."""
+    if L < 1:
+        raise ValueError(f"length {L} is below 1; a surviving chain holds a qubit")
     if L == 1:
         return 0
     k = math.log2(L - 1) + 1.0

@@ -309,55 +309,59 @@ def apply_displacement(state: HybridState, beta: complex) -> HybridState:
 def run_displacement_program(state: HybridState, steps) -> HybridState:
     """Run a sequence of (qubit | None, beta) displacements with exact returns.
 
-    The bus of each branch is recomputed at every step from the multiset of
-    still-open displacements, so a sequence in which every displacement is
-    later undone restores the original amplitude bit for bit (out-and-back
-    sequences end with bus spread exactly zero rather than a rounding
-    residue).  Phases follow the same composition rule as the incremental
-    operations.
+    A step closes a branch's first open displacement equal to its negation,
+    else opens a new one; the branch's bus is its start amplitude plus its
+    open displacements summed in opening order from 0j.  So a sequence in
+    which every displacement is later undone restores the original amplitude
+    bit for bit (bus spread exactly zero, not a rounding residue).  Phases
+    follow the same composition rule as the incremental operations.
 
-    All branches advance together.  Each opened displacement holds a slot
-    (per-branch value, per-branch still-open mask) in opening order; a step
-    closes the first open slot holding its negation, else opens a new one.
+    Branches with the same open displacements share a class: their tuple
+    and its sum.  Each step finds the next class of every live (class, bit)
+    pair once, in Python, and the branches gather theirs.
     """
     n = state.qubit_count
     gamma0 = state.bus
     phase = np.zeros(gamma0.size)
-    slots: list[tuple[np.ndarray, np.ndarray]] = []
+    cls = np.zeros(gamma0.size, dtype=np.int64)
+    held, totals = [()], [0j]  # per class id
     for qubit, beta in steps:
         if qubit is None:
-            d = np.full(gamma0.size, complex(beta))
+            bit = np.zeros(gamma0.size, dtype=np.int64)
+            values = np.full(2, complex(beta))
         else:
             _check_qubit(qubit, n)
-            d = _signs(state.bits, qubit, n) * complex(beta)
-        gamma = gamma0 + _open_sum(slots, gamma0.size)
+            bit = (state.bits >> (n - 1 - qubit)) & 1
+            values = np.array([1.0, -1.0]) * complex(beta)  # as _signs(...) * beta
+        d = values[bit]
+        gamma = gamma0 + np.array(totals)[cls]
         # Im(d conj(gamma)) and the coefficient product below are spelt out in
         # real arithmetic, which rounds every product once: NumPy's array
         # complex multiply may fuse multiply-adds and round differently from
         # the textbook formula.
         phase += d.real * -gamma.imag + d.imag * gamma.real
-        unmatched = np.ones(gamma0.size, dtype=bool)
-        for value, is_open in slots:
-            hit = unmatched & is_open & (value == -d)
-            is_open &= ~hit
-            unmatched &= ~hit
-        slots = [slot for slot in slots if slot[1].any()]
-        if unmatched.any():
-            slots.append((d, unmatched))
+        key = 2 * cls + bit
+        counts = np.bincount(key)
+        trans = np.zeros(counts.size, dtype=np.int64)
+        index: dict[tuple, tuple[int, complex]] = {}
+        for k in np.flatnonzero(counts).tolist():
+            prev, v = held[k >> 1], complex(values[k & 1])
+            if -v in prev:
+                i = prev.index(-v)
+                nxt, total = prev[:i] + prev[i + 1:], 0j
+                for u in nxt:
+                    total += u
+            else:
+                nxt, total = prev + (v,), totals[k >> 1] + v
+            trans[k] = index.setdefault(nxt, (len(index), total))[0]
+        held, totals = list(index), [total for _, total in index.values()]
+        cls = trans[key]
     w = np.exp(1j * phase)
     c = state.coeff
     coeff = np.empty_like(c)
     coeff.real = c.real * w.real - c.imag * w.imag
     coeff.imag = c.real * w.imag + c.imag * w.real
-    return HybridState(n, state.bits, coeff, gamma0 + _open_sum(slots, gamma0.size))
-
-
-def _open_sum(slots, size: int) -> np.ndarray:
-    """Sum of each branch's open displacements, in opening order from 0j."""
-    total = np.zeros(size, dtype=np.complex128)
-    for value, is_open in slots:
-        total += np.where(is_open, value, 0)
-    return total
+    return HybridState(n, state.bits, coeff, gamma0 + np.array(totals)[cls])
 
 
 # ---------------------------------------------------------------------------

@@ -53,18 +53,20 @@ GROWTH_CSV_COLUMNS = (
 def parse_amount(text: str) -> float:
     """Parse a float or a sqrt(pi/<d>) / pi/<d> expression such as sqrt(pi/8)."""
     text = text.strip().lower()
-    m = re.fullmatch(r"sqrt\(\s*pi\s*/\s*([0-9.]+)\s*\)", text)
-    if m:
-        return math.sqrt(math.pi / float(m.group(1)))
-    m = re.fullmatch(r"pi\s*/\s*([0-9.]+)", text)
-    if m:
-        return math.pi / float(m.group(1))
     try:
-        return float(text)
-    except ValueError:
+        if m := re.fullmatch(r"sqrt\(\s*pi\s*/\s*([0-9.]+)\s*\)", text):
+            value = math.sqrt(math.pi / float(m.group(1)))
+        elif m := re.fullmatch(r"pi\s*/\s*([0-9.]+)", text):
+            value = math.pi / float(m.group(1))
+        else:
+            value = float(text)
+    except (ValueError, ZeroDivisionError):
+        value = math.nan
+    if not math.isfinite(value):
         raise click.BadParameter(
-            f"expected a number, pi/<d> or sqrt(pi/<d>), got {text!r}"
-        ) from None
+            f"expected a finite number, pi/<d> or sqrt(pi/<d>), got {text!r}"
+        )
+    return value
 
 
 def _merged_config(path: str | None, **flags) -> dict:
@@ -146,10 +148,12 @@ def cmd_gate(name, alpha, theta, beta, n_qubits, number_resolving, graph_file,
     """Print the exhaustive outcome table and error budget of one gate."""
     cfg = _merged_config(config_path, alpha=alpha, theta=theta, beta=beta, n=n_qubits)
     alpha = float(cfg.get("alpha", 1000.0))
-    # checked here, not left to error_budget: the bucket gate prints its table first
-    if alpha <= 0.0:
-        raise click.BadParameter(f"alpha must be positive, got {cfg['alpha']}")
     theta = float(cfg.get("theta", 0.003))
+    # checked here, not left to error_budget: the bucket gate prints its table first
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise click.BadParameter(f"alpha must be positive and finite, got {alpha!r}")
+    if not math.isfinite(theta):
+        raise click.BadParameter(f"theta must be finite, got {theta!r}")
     n_qubits = int(cfg.get("n", 3 if name in ("three-qubit", "cascade") else 5))
     beta_val = parse_amount(str(cfg.get("beta", "sqrt(pi/8)")))
 
@@ -214,6 +218,9 @@ def _geometric_command(name, beta_val, n_qubits, graph_file):
         return
     maker = gates.star_sequence if name == "star" else gates.chain_sequence
     seq, corrections = maker(n_qubits, beta_val)
+    if corrections is None:
+        raise ValueError(f"beta {beta_val!r} is off the gate grid: beta**2 must be "
+                         "an odd multiple of pi/8 for the couplings to be controlled-Z")
     out = gates.run_sequence(
         busim.attach_bus(busim.QubitState.plus(n_qubits), 0.0), seq
     )

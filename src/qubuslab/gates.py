@@ -590,11 +590,12 @@ def _zz_corrections(pairs, n: int):
     """Z phases turning prod_k exp(i phi_k Z_a Z_b) into controlled-Z gates.
 
     Each factor exp(i phi Z_a Z_b) equals a controlled-Z up to Z(2 phi) on
-    both endpoints exactly when exp(4 i phi) = -1; returns None otherwise.
+    both endpoints exactly when exp(4 i phi) = -1; returns None otherwise,
+    a non-finite phi included.
     """
     totals = [0.0] * n
     for (a, b), phi in pairs:
-        if abs(cmath.exp(4j * phi) + 1.0) > 1e-9:
+        if not abs(cmath.exp(4j * phi) + 1.0) <= 1e-9:
             return None
         totals[a] += 2.0 * phi
         totals[b] += 2.0 * phi

@@ -121,6 +121,11 @@ class TestDcScaling:
         with pytest.raises(ValueError):
             an.dc_scaling(0.5, 16, L=10)
 
+    @pytest.mark.parametrize("L", [0, -3])
+    def test_length_below_one_refused(self, L):
+        with pytest.raises(ValueError, match=f"length {L} is below 1"):
+            an.dc_rounds_for_length(L)
+
     def test_time_is_round_count(self):
         vals = an.dc_scaling(0.5, 256, k=5)
         assert vals["T_dc"] == pytest.approx(1 + math.log2(vals["L"] - 1))

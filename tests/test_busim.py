@@ -6,6 +6,7 @@ models against direct quadrature integrals.
 """
 
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -584,14 +585,15 @@ class TestBranchKernelsMatchLoopReference:
         assert np.float64(spread).tobytes() == np.float64(_ref_spread(want[2])).tobytes()
 
     @pytest.mark.parametrize("maker", [gates.chain_sequence, gates.star_sequence])
-    @pytest.mark.parametrize("n", [2, 5, 8])
+    @pytest.mark.parametrize("n", [2, 5, 8, 11])
     def test_graph_sequences(self, maker, n):
         seq, _ = maker(n, math.sqrt(math.pi / 8))
         steps = [(s.qubit, s.amount) for s in seq.steps]
-        state = attach_bus(QubitState.plus(n), 0.0)
-        got = busim.run_displacement_program(state, steps)
-        assert _same_bytes((got.bits, got.coeff, got.bus), _ref_program(state, steps))
-        assert bus_spread(got) == 0.0
+        for bus in (0.0, 0.45 - 0.3j):
+            state = attach_bus(QubitState.plus(n), bus)
+            got = busim.run_displacement_program(state, steps)
+            assert _same_bytes((got.bits, got.coeff, got.bus), _ref_program(state, steps))
+            assert bus_spread(got) == 0.0
 
     def test_large_half_open_program(self):
         rng = np.random.default_rng(99)
@@ -606,6 +608,65 @@ class TestBranchKernelsMatchLoopReference:
         assert _same_bytes((got.bits, got.coeff, got.bus), want)
         assert len(set(want[2].tolist())) > 1024
         assert bus_spread(got) == _ref_spread(want[2]) > 0.0
+
+    def test_star_on_per_branch_bus(self):
+        rng = np.random.default_rng(7)
+        n = 9
+        seq, _ = gates.star_sequence(n, math.sqrt(math.pi / 8))
+        steps = [(s.qubit, s.amount) for s in seq.steps]
+        bits = np.arange(2**n)
+        bus = rng.normal(size=bits.size) + 1j * rng.normal(size=bits.size)
+        state = HybridState(n, bits, np.full(bits.size, 2.0 ** (-n / 2)), bus)
+        got = busim.run_displacement_program(state, steps)
+        assert _same_bytes((got.bits, got.coeff, got.bus), _ref_program(state, steps))
+
+    def test_equal_values_on_different_qubits_cancel(self):
+        """A kick on one qubit closes an equal-and-opposite one opened on another."""
+        n = 5
+        state = attach_bus(QubitState.plus(n), 0.2 + 0.1j)
+        steps = [(0, 0.5), (1, -0.5), (2, 0.5j), (None, -0.5j), (3, 0.5), (1, 0.5),
+                 (4, 0.5j), (0, -0.5), (None, 0.5j), (2, -0.5j), (3, -0.5), (4, -0.5j)]
+        got = busim.run_displacement_program(state, steps)
+        want = _ref_program(state, steps)
+        assert _same_bytes((got.bits, got.coeff, got.bus), want)
+        # qubits 0 and 1 agree on half the patterns, whose kicks cancel at once
+        assert bus_spread(got) == 0.0
+
+    def test_closes_first_equal_open_value(self):
+        """Of two equal open kicks the first closes, which fixes the summing order."""
+        state = attach_bus(QubitState.plus(1), 0.0)
+        steps = [(None, 0.1), (None, 0.2), (0, 3.0), (None, 0.3), (0, 3.0), (0, -3.0)]
+        got = busim.run_displacement_program(state, steps)
+        assert _same_bytes((got.bits, got.coeff, got.bus), _ref_program(state, steps))
+        # bit 0 keeps 0.1, 0.2, 0.3, 3.0 open; closing the second 3.0 would sum to 3.5999…
+        assert got.bus[0] == 3.6 != ((0.1 + 0.2) + 3.0) + 0.3
+
+    def test_distinct_values_never_closed(self):
+        """Every branch ends in a class of its own: one per pattern."""
+        rng = np.random.default_rng(12)
+        n = 10
+        state = attach_bus(QubitState.plus(n), 0.0)
+        steps = [(q, complex(rng.normal(), rng.normal())) for q in range(n)]
+        got = busim.run_displacement_program(state, steps)
+        want = _ref_program(state, steps)
+        assert _same_bytes((got.bits, got.coeff, got.bus), want)
+        assert len(set(want[2].tolist())) == 2**n
+
+    # sha256 of coeff and bus bytes, computed with the slot-list kernel that
+    # scanned every open displacement per step (replaced by the class kernel)
+    @pytest.mark.parametrize("maker, coeff_digest", [
+        (gates.chain_sequence,
+         "bc284222a45f0b235247cf6d8c6f5bbd59727650268a1afd4510379fc96c298d"),
+        (gates.star_sequence,
+         "1cfe57840842a9d42428400b2daf892fdd981a0b2575f366931b8dc262ebc1d0"),
+    ], ids=["chain", "star"])
+    def test_fourteen_qubit_digests(self, maker, coeff_digest):
+        seq, _ = maker(14, math.sqrt(math.pi / 8))
+        state = attach_bus(QubitState.plus(14), 0.0)
+        got = busim.run_displacement_program(state, [(s.qubit, s.amount) for s in seq.steps])
+        assert hashlib.sha256(got.coeff.tobytes()).hexdigest() == coeff_digest
+        assert hashlib.sha256(got.bus.tobytes()).hexdigest() == (
+            "8a39d2abd3999ab73c34db2476849cddf303ce389b35826850f9a700589b4a90")
 
     @pytest.mark.parametrize("seed", range(60))
     def test_merge(self, seed):

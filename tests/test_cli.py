@@ -37,12 +37,27 @@ class TestCommandErrors:
         ["scaling", "--p", "0"],
         ["scaling", "--p", "1.5"],
         ["growth", "divide_conquer", "--n", "64", "--L", "10", "--trials", "5"],
+        ["growth", "divide_conquer", "--n", "64", "--L", "0", "--trials", "5"],
+        ["gate", "chain", "--n", "4", "--beta", "0.3"],
+        ["gate", "chain", "--n", "4", "--beta", "0"],
+        ["gate", "star", "--n", "3", "--beta", "0.3"],
     ])
     def test_value_error_is_one_line(self, runner, args):
         result = runner.invoke(main, args)
         assert result.exit_code == 1
         assert_one_line_error(result)
         assert len(result.output.strip().splitlines()) == 1, result.output
+
+
+    def test_off_grid_beta_names_the_grid(self, runner):
+        result = runner.invoke(main, ["gate", "star", "--n", "3", "--beta", "0.3"])
+        assert "beta 0.3 is off the gate grid" in result.output
+        assert "odd multiple of pi/8" in result.output
+
+    def test_length_below_one_named(self, runner):
+        result = runner.invoke(
+            main, ["growth", "divide_conquer", "--n", "64", "--L", "0", "--trials", "5"])
+        assert "length 0 is below 1" in result.output
 
 
 class TestParseAmount:
@@ -60,6 +75,13 @@ class TestParseAmount:
 
         with pytest.raises(click.BadParameter):
             parse_amount("eleven")
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e999", "sqrt(pi/0)", "pi/0"])
+    def test_non_finite_rejected(self, text):
+        import click
+
+        with pytest.raises(click.BadParameter, match="finite"):
+            parse_amount(text)
 
 
 class TestGateCommand:
@@ -185,6 +207,22 @@ class TestGateCommand:
         result = runner.invoke(main, ["gate", name, "--alpha", "-3"])
         assert_one_line_error(result)
         assert "label" not in result.output
+
+    @pytest.mark.parametrize("args", [
+        ["gate", "three-qubit", "--alpha", "inf"],
+        ["gate", "three-qubit", "--alpha", "nan"],
+        ["gate", "three-qubit", "--theta", "nan"],
+        ["gate", "cascade", "--n", "3", "--theta", "inf"],
+        ["gate", "parity-bucket", "--alpha", "nan"],
+        ["gate", "parity-momentum", "--theta", "-inf"],
+        ["gate", "star", "--n", "3", "--beta", "nan"],
+    ])
+    def test_non_finite_input_rejected_before_any_table(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert_one_line_error(result)
+        assert "finite" in result.output
+        assert "label" not in result.output and "PASS" not in result.output
 
     @pytest.mark.parametrize("args", [
         ["gate", "three-qubit", "--theta", "-0.003"],

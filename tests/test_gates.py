@@ -529,6 +529,16 @@ class TestStarSequence:
             )
             assert busim.bus_spread(out) == 0.0
 
+    @pytest.mark.parametrize("maker", [gates.star_sequence, gates.chain_sequence])
+    @pytest.mark.parametrize("beta", [0.3, 0.0, math.nan, math.inf])
+    def test_off_grid_beta_has_no_corrections(self, maker, beta):
+        assert maker(3, beta)[1] is None
+
+    @pytest.mark.parametrize("maker", [gates.star_sequence, gates.chain_sequence])
+    def test_odd_multiples_of_pi_over_8_have_corrections(self, maker):
+        for odd in (1, 3, 5):
+            assert maker(4, math.sqrt(odd * math.pi / 8))[1] is not None
+
 
 class TestChainSequence:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
