@@ -5,7 +5,9 @@ starting amplitude exactly while each branch keeps a phase proportional to
 the enclosed area.  Choosing the area pi/8 makes the loop a controlled-Z up
 to local corrections, with no measurement needed; ordering the
 displacements along a line builds a whole linear cluster state with two
-interactions per qubit.
+interactions per qubit.  Every builder here returns a program and its
+corrections, and each program runs the same way: attach a bus, run the
+sequence, extract the qubits, apply the corrections.
 """
 
 import math
@@ -18,11 +20,15 @@ from qubuslab.oracles import graph_state_vector
 BETA = math.sqrt(math.pi / 8.0)
 
 print("1. Four-displacement loop = controlled-Z")
-res = gates.geometric_cz(1j * BETA, BETA)
-print(f"   bus spread after the loop : {res.bus_spread!r} (exactly closed)")
-print(f"   corrected CZ fidelity     : {res.cz_fidelity:.15f}")
+seq, corrections = gates.geometric_cz(1j * BETA, BETA)
+start = busim.QubitState.plus(2)
+out = gates.run_sequence(busim.attach_bus(start, 0.0), seq)
+cz = busim.QubitState(2, start.amplitudes * np.array([1, 1, 1, -1]))
+fid = busim.fidelity(gates.apply_corrections(busim.extract_qubits(out), corrections), cz)
+print(f"   bus spread after the loop : {busim.bus_spread(out)!r} (exactly closed)")
+print(f"   corrected CZ fidelity     : {fid:.15f}")
 print(f"   corrections               : "
-      + ", ".join(f"Z({c.angle:.3f}) on q{c.qubit}" for c in res.corrections))
+      + ", ".join(f"Z({c.angle:.3f}) on q{c.qubit}" for c in corrections))
 
 print("\n2. A conditional displacement compiled from rotations")
 seq, corr = gates.compile_conditional_displacement(0.8, 0.3, 0)

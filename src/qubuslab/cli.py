@@ -140,7 +140,7 @@ def _write_csv(path, rows, columns):
 @click.option("--n", "n_qubits", type=int, default=None, help="Register size.")
 @click.option("--number-resolving", is_flag=True, help="Resolve photon numbers.")
 @click.option("--graph", "graph_file", type=click.Path(exists=True), default=None,
-              help="Edge-list file ('u v' per line) to check star/chain output against.")
+              help="Edge-list file ('u v' per line) to check a geometric gate against.")
 @click.option("--csv", "csv_path", type=click.Path(), default=None)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 def cmd_gate(name, alpha, theta, beta, n_qubits, number_resolving, graph_file,
@@ -210,14 +210,11 @@ def _gate_table_command(name, alpha, theta, n_qubits, number_resolving, csv_path
 
 def _geometric_command(name, beta_val, n_qubits, graph_file):
     if name == "geometric-cz":
-        res = gates.geometric_cz(beta_val, 1j * beta_val)
-        click.echo(f"bus spread: {res.bus_spread!r}")
-        click.echo(f"controlled-Z fidelity after corrections: {res.cz_fidelity!r}")
-        corr = "; ".join(f"q{c.qubit}:Z({c.angle:.4f})" for c in res.corrections or ())
-        click.echo(f"corrections: {corr or 'none'}")
-        return
-    maker = gates.star_sequence if name == "star" else gates.chain_sequence
-    seq, corrections = maker(n_qubits, beta_val)
+        n_qubits = 2
+        seq, corrections = gates.geometric_cz(beta_val, 1j * beta_val)
+    else:
+        maker = gates.star_sequence if name == "star" else gates.chain_sequence
+        seq, corrections = maker(n_qubits, beta_val)
     if corrections is None:
         raise ValueError(f"beta {beta_val!r} is off the gate grid: beta**2 must be "
                          "an odd multiple of pi/8 for the couplings to be controlled-Z")

@@ -606,46 +606,18 @@ def _zz_corrections(pairs, n: int):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class GeometricResult:
-    posterior: QubitState
-    corrections: tuple | None
-    cz_fidelity: float | None
-    bus_spread: float
-
-
-def geometric_cz(beta1: complex, beta2: complex, state: QubitState | None = None) -> GeometricResult:
+def geometric_cz(beta1: complex, beta2: complex):
     """Four-displacement loop acting as exp(2 i Im(conj(beta1) beta2) Z1 Z2).
 
     The loop closes for every branch so the bus disentangles exactly; with
     Im(conj(beta1) beta2) = +-pi/8 the register unitary is a controlled-Z up
-    to the reported Z-phase corrections.
+    to the returned Z-phase corrections, which are None off that grid.
     """
-    if state is None:
-        state = QubitState.plus(2)
-    if state.qubit_count != 2:
-        raise ValueError("geometric gate couples exactly two qubits")
-    seq = InteractionSequence(
-        2,
-        (
-            Interaction("displace", complex(beta1), 0),
-            Interaction("displace", complex(beta2), 1),
-            Interaction("displace", -complex(beta1), 0),
-            Interaction("displace", -complex(beta2), 1),
-        ),
-    )
-    hybrid = run_sequence(busim.attach_bus(state, 0.0), seq)
-    spread = busim.bus_spread(hybrid)
-    posterior = busim.extract_qubits(hybrid)
-    phi = 2.0 * (np.conj(beta1) * beta2).imag
-    corrections = _zz_corrections([((0, 1), phi)], 2)
-    fid = None
-    if corrections is not None:
-        cz = state.amplitudes * np.where(np.arange(4) == 3, -1.0, 1.0)
-        fid = busim.fidelity(
-            apply_corrections(posterior, corrections), QubitState(2, cz)
-        )
-    return GeometricResult(posterior, corrections, fid, spread)
+    b1, b2 = complex(beta1), complex(beta2)
+    loop = ((0, b1), (1, b2), (0, -b1), (1, -b2))
+    steps = tuple(Interaction("displace", amount, q) for q, amount in loop)
+    phi = 2.0 * (b1.conjugate() * b2).imag
+    return InteractionSequence(2, steps), _zz_corrections([((0, 1), phi)], 2)
 
 
 def compile_conditional_displacement(alpha: float, theta: float, qubit: int):

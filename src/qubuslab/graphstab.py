@@ -538,6 +538,26 @@ class ChainRegistry:
         self._move_links(b, a)
         self.danglers[b] = a
 
+    def _holds_links(self, qubits, step: str) -> bool:
+        """Whether the tee layout can hold the links a success at ``qubits`` makes.
+
+        A branch links to its junction at its first qubit only.  Joining two
+        branches links the merged chain at both ends unless it is one qubit
+        long.  A branch that is c of a three-way join keeps its link at the
+        far end and gains one at c's neighbour, so it must be two qubits
+        long: a one-qubit branch c would hand its junction's link to a,
+        which no chain of the layout can carry.
+        """
+        cids = [self.chain_of[q] for q in qubits[:3 if step == "tee" else 2]]
+        if len(set(cids)) < len(cids):
+            return True  # the registry step refuses to fuse a chain with itself
+        branches = {cid for _, cid in self.tees}
+        if set(cids[:2]) <= branches and sum(len(self.backbones[c]) for c in cids[:2]) > 2:
+            return False
+        if step != "tee" or cids[2] not in branches:
+            return True
+        return len(self.backbones[cids[2]]) == 2
+
     def fuse_tee(self, a: int, b: int, c: int) -> None:
         """Three-way join: b's chain merges through a, c's hangs off a.
 
@@ -639,9 +659,11 @@ def fuse(
     that qubit before the fusion.  Failure outcomes project the involved
     qubits to known product states but remove nothing from the chains;
     recovery is a separate explicit step.  A wrong qubit count (2 for
-    parity-2, 3 for gate-3), or a qubit that is a dangling bond or measured
-    out, raises before anything changes.  When any qubit is not a chain end,
-    a warning says so and the registry is left as it was.
+    parity-2, 3 for gate-3), a qubit that is a dangling bond or measured
+    out, or a success whose tee links the registry cannot hold (see
+    ``ChainRegistry._holds_links``) raises before anything changes.  When
+    any qubit is not a chain end, a warning says so and the registry is
+    left as it was.
     """
     for q in qubits:
         if q not in registry.chain_of:
@@ -654,13 +676,18 @@ def fuse(
         raise ValueError(f"{variant} fuses {width} qubits, got {len(qubits)}")
     if outcome not in rows:
         raise ValueError(f"outcome {outcome!r} not in {tuple(rows)}")
+    projections, hadamards, step = rows[outcome]
     bad = [q for q in qubits if not registry.is_end(q)]
+    if step is not None and not bad and not registry._holds_links(qubits, step):
+        raise ValueError(
+            f"fusing {tuple(qubits)} makes tee links that the registry's "
+            "(junction, chain id) layout cannot hold"
+        )
     if bad:
         warnings.warn(
             f"fusing non-end qubits {bad} (degree > 1); chain bookkeeping skipped",
             stacklevel=2,
         )
-    projections, hadamards, step = rows[outcome]
     tab = _owned_copy(tab)
     corrections = []
     for positions, sign in projections:

@@ -41,6 +41,8 @@ class TestCommandErrors:
         ["gate", "chain", "--n", "4", "--beta", "0.3"],
         ["gate", "chain", "--n", "4", "--beta", "0"],
         ["gate", "star", "--n", "3", "--beta", "0.3"],
+        ["gate", "geometric-cz", "--beta", "0.3"],
+        ["gate", "geometric-cz", "--beta", "0"],
     ])
     def test_value_error_is_one_line(self, runner, args):
         result = runner.invoke(main, args)
@@ -133,13 +135,23 @@ class TestGateCommand:
         assert result.exit_code == 0
         assert "stabilizer check: PASS" in result.output
 
+    def test_geometric_cz_stabilizer_check(self, runner):
+        """The four-displacement loop runs on the path of chain and star."""
+        result = runner.invoke(main, ["gate", "geometric-cz"])
+        assert result.exit_code == 0, result.output
+        assert result.output == (
+            "interactions: 4 (two per qubit)\n"
+            "bus spread after sequence: 0.0\n"
+            "stabilizer check: PASS\n"
+        )
+
     def test_sequences_do_not_import_scipy(self):
         """The graph-state check is a dense oracle that needs no SciPy."""
         code = (
             "import sys\n"
             "import qubuslab.cli\n"
             "assert 'scipy' not in sys.modules, 'import'\n"
-            "for name in ('chain', 'star'):\n"
+            "for name in ('chain', 'star', 'geometric-cz'):\n"
             "    try:\n"
             "        qubuslab.cli.main(['gate', name, '--n', '4'])\n"
             "    except SystemExit as exc:\n"
@@ -153,7 +165,7 @@ class TestGateCommand:
             text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.count("stabilizer check: PASS") == 2
+        assert proc.stdout.count("stabilizer check: PASS") == 3
 
     @pytest.mark.parametrize("name", ["chain", "star"])
     def test_sixteen_qubit_sequence(self, runner, name):

@@ -428,35 +428,52 @@ def _ref_pair_success(n):
     return success
 
 
+def run_geometric_cz(beta1, beta2, state):
+    seq, corrections = gates.geometric_cz(beta1, beta2)
+    out = gates.run_sequence(busim.attach_bus(state, 0.0), seq)
+    return out, busim.extract_qubits(out), corrections
+
+
 class TestGeometricCz:
     def test_canonical_coupling(self):
-        res = gates.geometric_cz(BETA_STAR, 1j * BETA_STAR)
-        assert res.bus_spread == 0.0
-        assert res.cz_fidelity == pytest.approx(1.0, abs=1e-12)
+        start = QubitState.plus(2)
+        out, posterior, corrections = run_geometric_cz(BETA_STAR, 1j * BETA_STAR, start)
+        assert busim.bus_spread(out) == 0.0
+        cz = QubitState(2, start.amplitudes * np.array([1, 1, 1, -1]))
+        fid = fidelity(gates.apply_corrections(posterior, corrections), cz)
+        assert fid == pytest.approx(1.0, abs=1e-12)
+
+    def test_program_is_four_displacements(self):
+        seq, _ = gates.geometric_cz(BETA_STAR, 1j * BETA_STAR)
+        assert seq.register_size == 2 and seq.displacement_only()
+        assert [(s.qubit, s.amount) for s in seq.steps] == [
+            (0, BETA_STAR), (1, 1j * BETA_STAR), (0, -BETA_STAR), (1, -1j * BETA_STAR),
+        ]
 
     def test_twenty_random_inputs(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
             v = rng.normal(size=4) + 1j * rng.normal(size=4)
             state = QubitState(2, v, normalize=True)
-            res = gates.geometric_cz(1j * BETA_STAR, BETA_STAR, state)
+            out, posterior, corrections = run_geometric_cz(1j * BETA_STAR, BETA_STAR, state)
+            assert busim.bus_spread(out) == 0.0
             cz = state.amplitudes * np.array([1, 1, 1, -1])
             fid = fidelity(
-                gates.apply_corrections(res.posterior, res.corrections),
+                gates.apply_corrections(posterior, corrections),
                 QubitState(2, cz, normalize=True),
             )
             assert fid >= 1 - 1e-12
 
     def test_zero_area_is_identity(self):
         state = QubitState(2, np.array([0.5, 0.5j, -0.5, 0.5]), normalize=True)
-        res = gates.geometric_cz(0.4, 0.7, state)  # conj(b1) b2 real
-        assert fidelity(res.posterior, state) == pytest.approx(1.0, abs=1e-12)
-        assert res.corrections is None
+        _, posterior, corrections = run_geometric_cz(0.4, 0.7, state)  # conj(b1) b2 real
+        assert fidelity(posterior, state) == pytest.approx(1.0, abs=1e-12)
+        assert corrections is None
 
     def test_branch_phase_signs(self):
         """Opposite-sign branches pick up the conjugate geometric phase."""
-        res = gates.geometric_cz(BETA_STAR, 1j * BETA_STAR)
-        amps = res.posterior.amplitudes * 2.0
+        _, posterior, _ = run_geometric_cz(BETA_STAR, 1j * BETA_STAR, QubitState.plus(2))
+        amps = posterior.amplitudes * 2.0
         area = 2.0 * np.imag(np.conj(BETA_STAR) * 1j * BETA_STAR)
         assert amps[0] == pytest.approx(np.exp(1j * area), abs=1e-12)
         assert amps[1] == pytest.approx(np.exp(-1j * area), abs=1e-12)
@@ -517,8 +534,9 @@ class TestStarSequence:
 
     def test_reduces_to_geometric_cz(self):
         _, state, _ = run_and_correct(gates.star_sequence, 2, BETA_STAR)
-        res = gates.geometric_cz(1j * BETA_STAR, BETA_STAR)
-        direct = gates.apply_corrections(res.posterior, res.corrections)
+        _, direct, _ = run_and_correct(
+            lambda n, beta: gates.geometric_cz(1j * beta, beta), 2, BETA_STAR
+        )
         assert fidelity(state, direct) == pytest.approx(1.0, abs=1e-12)
 
     def test_spread_zero_any_beta(self):
@@ -529,7 +547,10 @@ class TestStarSequence:
             )
             assert busim.bus_spread(out) == 0.0
 
-    @pytest.mark.parametrize("maker", [gates.star_sequence, gates.chain_sequence])
+    @pytest.mark.parametrize("maker", [
+        gates.star_sequence, gates.chain_sequence,
+        lambda n, beta: gates.geometric_cz(beta, 1j * beta),
+    ])
     @pytest.mark.parametrize("beta", [0.3, 0.0, math.nan, math.inf])
     def test_off_grid_beta_has_no_corrections(self, maker, beta):
         assert maker(3, beta)[1] is None

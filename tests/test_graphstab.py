@@ -549,6 +549,53 @@ class TestRegistryTees:
         assert gs.equals_up_to_corrections(tab, _implied_graph(reg, tab.n))
 
 
+    @pytest.mark.parametrize(
+        "lengths, setup, rejected",
+        [
+            # branches [3, 4] (junction 0) and [8] (junction 5) joined at 4 and
+            # 8: the merged chain would link 0 at 3 and 5 at 4
+            ([1, 1, 3, 1, 1, 2], [((5, 6, 7), "gate-3", "ghz")],
+             [((4, 8), "parity-2", "success-even"), ((4, 8), "parity-2", "success-odd")]),
+            # branch [3, 4, 5] as c at its far end 5: links at 3 and at 4
+            ([1, 1, 4, 1, 1], [], [((6, 7, 5), "gate-3", "ghz")]),
+            # one-qubit branch [3] as c: junction 0 would link a, on no branch
+            ([1, 1, 2, 1, 1], [], [((4, 5, 3), "gate-3", "ghz")]),
+        ],
+    )
+    def test_branch_linked_at_both_ends_rejected(self, lengths, setup, rejected):
+        """A success the (junction, chain id) layout cannot hold changes nothing."""
+        reg, spec = gs.ChainRegistry.disjoint_chains(lengths)
+        _, tab, _ = gs.fuse(gs.graph_state(spec), (0, 1, 2), "gate-3", "ghz", reg)
+        for qubits, variant, outcome in setup:
+            _, tab, _ = gs.fuse(tab, qubits, variant, outcome, reg)
+        before = _registry_state(reg), tab.copy()
+        for qubits, variant, outcome in rejected:
+            with pytest.raises(ValueError, match="layout cannot hold"):
+                gs.fuse(tab, qubits, variant, outcome, reg)
+            assert _registry_state(reg) == before[0]
+            for name in ("x", "z", "sign", "dx", "dz"):
+                assert getattr(tab, name).tobytes() == getattr(before[1], name).tobytes()
+        assert gs.equals_up_to_corrections(tab, _implied_graph(reg, tab.n))
+
+    @pytest.mark.parametrize(
+        "lengths, fusions",
+        [
+            # two one-qubit branch heads 3 and 7 joined: 3 links both junctions
+            ([1, 1, 2, 1, 1, 2], [((4, 5, 6), "gate-3", "ghz"),
+                                  ((3, 7), "parity-2", "success-odd")]),
+            # branch [3, 4] as c at 4: its rest [3] links junctions 0 and 5
+            ([1, 1, 3, 1, 1], [((5, 6, 4), "gate-3", "ghz")]),
+        ],
+    )
+    def test_two_links_on_one_qubit_branch_held(self, lengths, fusions):
+        reg, spec = gs.ChainRegistry.disjoint_chains(lengths)
+        _, tab, _ = gs.fuse(gs.graph_state(spec), (0, 1, 2), "gate-3", "ghz", reg)
+        for qubits, variant, outcome in fusions:
+            _, tab, _ = gs.fuse(tab, qubits, variant, outcome, reg)
+        assert [len(reg.backbones[cid]) for _, cid in reg.tees] == [1, 1]
+        assert gs.equals_up_to_corrections(tab, _implied_graph(reg, tab.n))
+
+
 def _implied_graph(reg, n):
     edges = []
     for backbone in reg.backbones.values():

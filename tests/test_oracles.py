@@ -1,13 +1,22 @@
-"""Dense oracles: the Pauli-string action and the graph-state check.
+"""Dense oracles: the Pauli-string action, the graph-state check and the
+two-Gaussian tail.
 
-Both are compared with the routes they replaced, kept here as references:
-the string loop that carried its own per-qubit action, and the check that
-built a signed tableau and compared canonical forms.
+Each is compared with the route it replaced, kept here as a reference:
+the string loop that carried its own per-qubit action, the check that
+built a signed tableau and compared canonical forms, and SciPy's adaptive
+quadrature of the tail.
 """
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qubuslab
 from qubuslab import busim
 from qubuslab import graphstab as gs
 from qubuslab.oracles import (
@@ -16,6 +25,7 @@ from qubuslab.oracles import (
     is_graph_state,
     state_stabilized_by,
     statevector_stabilizer_signs,
+    two_gaussian_misassignment,
 )
 
 
@@ -107,3 +117,33 @@ class TestIsGraphState:
         assert is_graph_state(vec, 4, spec.edges)
         assert not is_graph_state(apply_pauli_string(vec, "IZII"), 4, spec.edges)
         assert not is_graph_state(vec, 4, [(0, 1), (1, 2)])
+
+
+class TestTwoGaussianMisassignment:
+    @pytest.mark.parametrize("separation", np.linspace(0.0, 10.0, 21))
+    def test_matches_adaptive_quadrature(self, separation):
+        from scipy.integrate import quad
+
+        def pdf(x):
+            return math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi)
+
+        half = separation / 2.0
+        want, _ = quad(pdf, half, max(half + 40.0, 50.0), epsabs=1e-16, epsrel=1e-12)
+        assert two_gaussian_misassignment(separation) == pytest.approx(want, rel=1e-12)
+
+    def test_momentum_check_imports_no_scipy(self):
+        """Criterion 2's one-second bound is not spent importing SciPy."""
+        code = (
+            "import sys\n"
+            "from qubuslab import verify\n"
+            "res = verify.check_momentum_error()\n"
+            "assert res.status == 'pass', res.details\n"
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        )
+        src = Path(qubuslab.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
