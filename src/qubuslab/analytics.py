@@ -130,16 +130,11 @@ class MergeScaling:
     t_sum_ceil: float
 
 
-def _bracket_sum(p: float, L0: int, rounding) -> float:
+def _power_sum(ratio: float, L0: int, rounding) -> float:
+    """sum_{i=1..k} ratio**i, k the printed limit log2(L0 - 1) + 1 rounded."""
     limit = math.log2(L0 - 1) + 1.0 if L0 > 1 else 1.0
     k = max(int(rounding(limit)), 1)
-    return math.fsum((2.0 / p) ** i for i in range(1, k + 1)) / 2.0
-
-
-def _time_sum(p: float, L0: int, rounding) -> float:
-    limit = math.log2(L0 - 1) + 1.0 if L0 > 1 else 1.0
-    k = max(int(rounding(limit)), 1)
-    return math.fsum((1.0 / p) ** i for i in range(1, k + 1))
+    return math.fsum(ratio ** i for i in range(1, k + 1))
 
 
 def merge_n_law(L: float, p: float, L0: int, n0: float) -> float:
@@ -148,24 +143,21 @@ def merge_n_law(L: float, p: float, L0: int, n0: float) -> float:
     return (n0 + 1.0 / p) * (L - lc) / (L0 - lc) - 1.0 / p
 
 
-def merge_scaling(L: float, p: float, L0: int | None = None, t: float = 1.0) -> MergeScaling:
+def merge_scaling(L: float, p: float, t: float = 1.0) -> MergeScaling:
     """Expected operations and time to merge minimal chains up to length L."""
     lc = critical_length(p)
-    if L0 is None:
-        L0 = minimal_chain_length(p)
+    L0 = minimal_chain_length(p)
     if L <= lc:
         raise ValueError(f"no average growth below the critical length {lc}")
-    if L0 <= lc:
-        raise ValueError(f"minimal chain length {L0} must exceed {lc}")
-    n_floor = merge_n_law(L, p, L0, _bracket_sum(p, L0, math.floor))
-    n_ceil = merge_n_law(L, p, L0, _bracket_sum(p, L0, math.ceil))
+    n_floor = merge_n_law(L, p, L0, _power_sum(2.0 / p, L0, math.floor) / 2.0)
+    n_ceil = merge_n_law(L, p, L0, _power_sum(2.0 / p, L0, math.ceil) / 2.0)
     quoted = None
     key = (p, L0)
     if key in _QUOTED_BUILD_COSTS:
         quoted = merge_n_law(L, p, L0, _QUOTED_BUILD_COSTS[key])
     log_term = math.log2((L - lc) / (L0 - lc))
-    t_floor = t * _time_sum(p, L0, math.floor) + (t / p) * log_term
-    t_ceil = t * _time_sum(p, L0, math.ceil) + (t / p) * log_term
+    t_floor = t * _power_sum(1.0 / p, L0, math.floor) + (t / p) * log_term
+    t_ceil = t * _power_sum(1.0 / p, L0, math.ceil) + (t / p) * log_term
     return MergeScaling(
         L=L,
         p=p,
@@ -287,23 +279,17 @@ def seq_scaling(L: float, p: float, t: float = 1.0) -> tuple:
 # vertical links
 
 
-def vertical_cost(p: float, n_of_l=None) -> tuple:
+def vertical_cost(p: float) -> tuple:
     """(mean qubits consumed V, entangling ops N_V) for one vertical link.
 
-    ``n_of_l`` is the chain-cost law composed into N_V = 2 N[V] + 1/p; the
-    default is the merge law for the given p when one is stored.
+    N_V = 2 N[V] + 1/p composes the merge law N[L] of ``merge_scaling``
+    (``n_quoted_law``); N_V is None for a p with no stored merge law.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("success probability must lie in (0, 1]")
     V = 2.0 * (1.0 / p + 1.0)
-    if n_of_l is None:
-        if p == 0.75:
-            n_of_l = lambda L: 8.0 * L - 44.0 / 3.0
-        elif p == 0.5:
-            n_of_l = lambda L: 16.0 * L - 50.0
-        else:
-            return V, None
-    return V, 2.0 * n_of_l(V) + 1.0 / p
+    n_v = merge_scaling(V, p).n_quoted_law
+    return V, None if n_v is None else 2.0 * n_v + 1.0 / p
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,11 @@ __all__ = [
 ]
 
 PEAK_GROUP_TOL = 1e-9
+# bus amplitudes this close count as equal: a vacuum branch's bus is within
+# BUS_TOL of 0, and extract_qubits needs every branch's bus within BUS_TOL
+BUS_TOL = 1e-9
+# a click lists photon numbers until less than TAIL_TOL of the weight is left
+TAIL_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -386,13 +391,6 @@ class PeakModel:
     phi: float
     peaks: tuple
 
-    def density(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        out = np.zeros_like(x, dtype=np.float64)
-        for p in self.peaks:
-            out += p.weight * _normal_pdf(x - p.center)
-        return out
-
     def windows(self):
         """Decision windows: midpoints between adjacent centers."""
         return list(self._windows)
@@ -426,10 +424,6 @@ class PeakModel:
             p = self.peaks[j]
             total += p.weight * (_normal_cdf(hi - p.center) - _normal_cdf(lo - p.center))
         return total
-
-
-def _normal_pdf(t):
-    return np.exp(-np.asarray(t, dtype=np.float64) ** 2 / 2.0) / math.sqrt(2.0 * math.pi)
 
 
 def _normal_cdf(t) -> float:
@@ -467,36 +461,24 @@ def homodyne_pdf(state: HybridState, phi: float) -> PeakModel:
 
 @dataclass(frozen=True)
 class HomodyneOutcome:
-    kind: str  # "peak" or "value"
-    probability: float  # window probability for peaks, density for forced x
+    probability: float  # window probability, tails of the other peaks included
     posterior: QubitState
-    peak: Peak | None = None
-    x: float | None = None
+    peak: Peak
 
 
-def homodyne_project(state: HybridState, phi: float, outcome) -> HomodyneOutcome:
-    """Project on a homodyne outcome: a peak index or a forced real value x.
+def homodyne_project(state: HybridState, phi: float, index: int) -> HomodyneOutcome:
+    """Project on peak ``index`` of the X(phi) measurement.
 
-    Peak selection keeps the member branches, multiplies each coefficient by
-    the quadrature eigenfunction overlap evaluated at the peak center, and
+    Keeps the peak's member branches, multiplies each coefficient by the
+    quadrature eigenfunction overlap evaluated at the peak center, and
     renormalizes; the reported probability is the window mass including tail
-    leakage from the other peaks.  A forced x keeps every branch weighted by
-    <x|bus> and reports the probability density at x.
+    leakage from the other peaks.
     """
     _check_normalized(state)
     model = homodyne_pdf(state, phi)
-    if isinstance(outcome, (int, np.integer)) and not isinstance(outcome, bool):
-        if not 0 <= outcome < len(model.peaks):
-            raise ValueError(f"no peak with index {outcome}")
-        return _project_peak(state, model, int(outcome))
-    x = float(outcome)
-    keep = np.ones(state.bits.size, dtype=bool)
-    return HomodyneOutcome(
-        kind="value",
-        probability=float(model.density(x)),
-        posterior=_project_at(state, phi, x, keep),
-        x=x,
-    )
+    if not (isinstance(index, (int, np.integer)) and 0 <= index < len(model.peaks)):
+        raise ValueError(f"no peak with index {index!r}")
+    return _project_peak(state, model, int(index))
 
 
 def _project_peak(state: HybridState, model: PeakModel, index: int) -> HomodyneOutcome:
@@ -506,7 +488,6 @@ def _project_peak(state: HybridState, model: PeakModel, index: int) -> HomodyneO
     if not keep.any():
         raise ValueError("selected peak has no member branches")
     return HomodyneOutcome(
-        kind="peak",
         probability=model.window_probability(index),
         posterior=_project_at(state, model.phi, peak.center, keep),
         peak=peak,
@@ -525,64 +506,36 @@ def _project_at(state: HybridState, phi: float, x: float, keep: np.ndarray) -> Q
 
 @dataclass(frozen=True)
 class BucketOutcome:
-    outcome: object  # "vacuum", "click", or a photon number
+    outcome: str  # "vacuum" or "click"
     probability: float
-    posterior: QubitState | None
-    components: tuple = ()  # for "click": (n, probability, QubitState) entries
+    posterior: QubitState | None  # None for a click
+    components: tuple = ()  # for "click": (n, probability, QubitState) per n > 0
 
 
-def measure_bucket(
-    state: HybridState,
-    number_resolving: bool = False,
-    outcome=None,
-    rng: np.random.Generator | None = None,
-    vacuum_tol: float = 1e-9,
-    tail_tol: float = 1e-12,
-) -> BucketOutcome:
-    """Photon detection on the bus: vacuum/click, or a resolved photon number.
+def measure_bucket(state: HybridState, outcome: str) -> BucketOutcome:
+    """Photon detection on the bus: the vacuum or the click record.
 
     Vacuum keeps the branches whose bus amplitude is zero (within
-    ``vacuum_tol``); the reported probability is the exact vacuum weight
+    ``BUS_TOL``); the reported probability is the exact vacuum weight
     including the exponentially small contribution of displaced branches.
-    A resolved outcome n weights each branch by <n|bus>, evaluated in the
-    log domain.  Without number resolution the non-vacuum result is the
-    heralded-unknown-phase mixture, reported as its per-n components.
+    A click is the heralded-unknown-phase mixture, reported as its per-n
+    components: photon number n weights each branch by <n|bus>, evaluated
+    in the log domain, and the list ends once less than ``TAIL_TOL`` of the
+    weight is left.
     """
+    if outcome not in ("vacuum", "click"):
+        raise ValueError(f"bucket outcome must be 'vacuum' or 'click', got {outcome!r}")
     _check_normalized(state)
-    p_vac, vac_posterior = _vacuum_branch(state, vacuum_tol)
-    if outcome is None:
-        if number_resolving:
-            outcome = _sample_photon_number(state, rng, tail_tol)
-        else:
-            if rng is None:
-                raise ValueError("sampling a bucket outcome requires an rng")
-            outcome = "vacuum" if rng.random() < p_vac else "click"
-    if outcome == "vacuum":
-        return BucketOutcome("vacuum", p_vac, vac_posterior)
+    p_vac, posterior = _photon_projection(state, 0)
     if outcome == "click":
-        components = tuple(
-            (n, pn, post)
-            for n, pn, post in _photon_components(state, tail_tol)
-            if n > 0
-        )
+        components = tuple(c for c in _photon_components(state) if c[0] > 0)
         return BucketOutcome("click", 1.0 - p_vac, None, components)
-    n = int(outcome)
-    if n < 0:
-        raise ValueError("photon number must be nonnegative")
-    if n == 0:
-        return BucketOutcome(0, p_vac, vac_posterior)
-    pn, post = _photon_projection(state, n)
-    return BucketOutcome(n, pn, post)
-
-
-def _vacuum_branch(state: HybridState, vacuum_tol: float):
-    pn, posterior = _photon_projection(state, 0)
-    keep = np.abs(state.bus) <= vacuum_tol
+    keep = np.abs(state.bus) <= BUS_TOL
     if keep.any():
         amps = np.zeros(2**state.qubit_count, dtype=np.complex128)
         np.add.at(amps, state.bits[keep], state.coeff[keep])
         posterior = QubitState(state.qubit_count, amps, normalize=True)
-    return pn, posterior
+    return BucketOutcome("vacuum", p_vac, posterior)
 
 
 def _photon_projection(state: HybridState, n: int):
@@ -609,7 +562,7 @@ def _photon_projection(state: HybridState, n: int):
     return prob, QubitState(state.qubit_count, amps / math.sqrt(nrm2))
 
 
-def _photon_components(state: HybridState, tail_tol: float):
+def _photon_components(state: HybridState):
     lam = float(np.max(np.abs(state.bus)) ** 2)
     n_max = int(lam + 12.0 * math.sqrt(lam + 1.0) + 25.0)
     total = 0.0
@@ -619,23 +572,9 @@ def _photon_components(state: HybridState, tail_tol: float):
         if post is not None:
             out.append((n, pn, post))
         total += pn
-        if 1.0 - total < tail_tol and n > lam:
+        if 1.0 - total < TAIL_TOL and n > lam:
             break
     return out
-
-
-def _sample_photon_number(state, rng, tail_tol):
-    if rng is None:
-        raise ValueError("sampling a bucket outcome requires an rng")
-    u = rng.random()
-    acc = 0.0
-    last = 0
-    for n, pn, _ in _photon_components(state, tail_tol):
-        acc += pn
-        last = n
-        if u < acc:
-            return n
-    return last
 
 
 # ---------------------------------------------------------------------------
@@ -653,17 +592,17 @@ def bus_spread(state: HybridState) -> float:
     return best
 
 
-def extract_qubits(state: HybridState, tol: float = 1e-9) -> QubitState:
+def extract_qubits(state: HybridState) -> QubitState:
     """Drop a bus that is no longer entangled with the register.
 
-    Requires the branch bus amplitudes to agree within ``tol``; the common
+    Requires the branch bus amplitudes to agree within ``BUS_TOL``; the common
     coherent factor carries no relative phase, so the register amplitudes
     are just the branch coefficients, renormalized.
     """
     spread = bus_spread(state)
-    if spread >= tol:
+    if spread >= BUS_TOL:
         raise ValueError(
-            f"bus still entangled with the register (spread {spread:.3e} >= {tol:.3e})"
+            f"bus still entangled with the register (spread {spread:.3e} >= {BUS_TOL:.3e})"
         )
     amps = np.zeros(2**state.qubit_count, dtype=np.complex128)
     np.add.at(amps, state.bits, state.coeff)

@@ -51,6 +51,9 @@ __all__ = [
 ]
 
 PEAK_ERROR_WARN = 0.1
+# amplitudes below this are off a state's support, and a fitted phase within
+# it of 0 (mod 2 pi) is least-squares residue
+Z_SOLVE_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -81,9 +84,7 @@ def apply_corrections(state: QubitState, corrections) -> QubitState:
     return state
 
 
-def solve_local_z_corrections(
-    posterior: QubitState, target: QubitState, tol: float = 1e-9
-):
+def solve_local_z_corrections(posterior: QubitState, target: QubitState):
     """Per-qubit Z phases mapping posterior onto target up to a global phase.
 
     Works on the common support of the two states.  The amplitude ratios'
@@ -91,14 +92,14 @@ def solve_local_z_corrections(
     flips of the support (see :func:`_unwrapped_angles`), then one
     least-squares solve fits a phase per qubit.  Returns None when the
     supports differ, the magnitudes disagree, or the fitted phases do not
-    reproduce the ratios.  A phase with |e^{i d} - 1| <= tol is least-squares
-    residue and is left out.
+    reproduce the ratios.  A phase with |e^{i d} - 1| <= ``Z_SOLVE_TOL`` is
+    least-squares residue and is left out.
     """
     n = posterior.qubit_count
     a = posterior.amplitudes
     t = target.amplitudes
-    support = np.flatnonzero(np.abs(a) > tol)
-    if not np.array_equal(support, np.flatnonzero(np.abs(t) > tol)):
+    support = np.flatnonzero(np.abs(a) > Z_SOLVE_TOL)
+    if not np.array_equal(support, np.flatnonzero(np.abs(t) > Z_SOLVE_TOL)):
         return None
     ratios = t[support] / a[support]
     if np.max(np.abs(np.abs(ratios) - np.abs(ratios[0]))) > 1e-6:
@@ -107,12 +108,12 @@ def solve_local_z_corrections(
     rows = (bits - bits[0]).astype(np.float64)
     phis = _unwrapped_angles(support, ratios / ratios[0], rows)
     deltas, *_ = np.linalg.lstsq(rows, phis, rcond=None)
-    if not _phases_match(a, t, support, deltas, n, tol):
+    if not _phases_match(a, t, support, deltas, n):
         return None
     return tuple(
         Correction(q, "phase", float(d))
         for q, d in enumerate(deltas)
-        if abs(cmath.exp(1j * d) - 1.0) > tol
+        if abs(cmath.exp(1j * d) - 1.0) > Z_SOLVE_TOL
     )
 
 
@@ -138,13 +139,13 @@ def _unwrapped_angles(support, r, rows):
     return phis + 2.0 * np.pi * np.round((rows @ step - phis) / (2.0 * np.pi))
 
 
-def _phases_match(a, t, support, deltas, n, tol) -> bool:
+def _phases_match(a, t, support, deltas, n) -> bool:
     corrected = a[support].astype(np.complex128).copy()
     for q, d in enumerate(deltas):
         bit = (support >> (n - 1 - q)) & 1
         corrected *= np.exp(1j * d * bit)
     g = t[support[0]] / corrected[0]
-    return bool(np.max(np.abs(g * corrected - t[support])) <= math.sqrt(tol))
+    return bool(np.max(np.abs(g * corrected - t[support])) <= math.sqrt(Z_SOLVE_TOL))
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ one sign-less elimination of x gives.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -538,8 +537,15 @@ class ChainRegistry:
         self._move_links(b, a)
         self.danglers[b] = a
 
-    def _holds_links(self, qubits, step: str) -> bool:
-        """Whether the tee layout can hold the links a success at ``qubits`` makes.
+    def _holds_links(self, qubits, step: str, nbrs: dict) -> bool:
+        """Whether the registry can hold the links a success at ``qubits`` makes.
+
+        ``nbrs`` maps each fused qubit to its neighbours.  The joined qubits
+        (a and b, and c of a three-way join) must neither share a neighbour
+        nor neighbour each other (a tee junction and its branch head): the
+        fused qubit's neighbourhood is the symmetric difference of theirs, so
+        a shared edge cancels, but the chain layout would keep it, and a
+        junction fused to its own branch would link to itself.
 
         A branch links to its junction at its first qubit only.  Joining two
         branches links the merged chain at both ends unless it is one qubit
@@ -548,9 +554,13 @@ class ChainRegistry:
         long: a one-qubit branch c would hand its junction's link to a,
         which no chain of the layout can carry.
         """
-        cids = [self.chain_of[q] for q in qubits[:3 if step == "tee" else 2]]
+        joined = qubits[:3 if step == "tee" else 2]
+        cids = [self.chain_of[q] for q in joined]
         if len(set(cids)) < len(cids):
             return True  # the registry step refuses to fuse a chain with itself
+        held = list(joined) + [v for q in joined for v in nbrs[q]]
+        if len(set(held)) < len(held):
+            return False
         branches = {cid for _, cid in self.tees}
         if set(cids[:2]) <= branches and sum(len(self.backbones[c]) for c in cids[:2]) > 2:
             return False
@@ -655,15 +665,15 @@ def fuse(
     measured with its forced sign, then the Hadamards, then the registry
     step.  On a success a -1 projection is fixed at once: X on the pair's
     last qubit (on a graph state X_b equals Z on b's neighbourhood, Hein,
-    Eisert and Briegel), and Z on the neighbours that ``registry`` gives
+    Eisert and Briegel), and Z on the neighbour that ``registry`` gives
     that qubit before the fusion.  Failure outcomes project the involved
     qubits to known product states but remove nothing from the chains;
-    recovery is a separate explicit step.  A wrong qubit count (2 for
-    parity-2, 3 for gate-3), a qubit that is a dangling bond or measured
-    out, or a success whose tee links the registry cannot hold (see
-    ``ChainRegistry._holds_links``) raises before anything changes.  When
-    any qubit is not a chain end, a warning says so and the registry is
-    left as it was.
+    recovery is a separate explicit step.  These raise before anything
+    changes: a wrong qubit count (2 for parity-2, 3 for gate-3), a qubit
+    that is a dangling bond, measured out or not a chain end (degree > 1),
+    and a success whose links the registry cannot hold (see
+    ``ChainRegistry._holds_links``): joined qubits that are neighbours or
+    share one, or tee links outside the (junction, chain id) layout.
     """
     for q in qubits:
         if q not in registry.chain_of:
@@ -677,16 +687,15 @@ def fuse(
     if outcome not in rows:
         raise ValueError(f"outcome {outcome!r} not in {tuple(rows)}")
     projections, hadamards, step = rows[outcome]
-    bad = [q for q in qubits if not registry.is_end(q)]
-    if step is not None and not bad and not registry._holds_links(qubits, step):
-        raise ValueError(
-            f"fusing {tuple(qubits)} makes tee links that the registry's "
-            "(junction, chain id) layout cannot hold"
-        )
+    nbrs = {q: registry.neighbours(q) for q in qubits}  # before the fusion
+    bad = [q for q in qubits if len(nbrs[q]) > 1]
     if bad:
-        warnings.warn(
-            f"fusing non-end qubits {bad} (degree > 1); chain bookkeeping skipped",
-            stacklevel=2,
+        raise ValueError(f"qubits {bad} have degree > 1; fusion joins chain ends")
+    if step is not None and not registry._holds_links(qubits, step, nbrs):
+        raise ValueError(
+            f"fusing {tuple(qubits)} makes links that the registry's (junction, "
+            "chain id) layout cannot hold, or joins qubits that are neighbours "
+            "or share a neighbour"
         )
     tab = _owned_copy(tab)
     corrections = []
@@ -695,12 +704,12 @@ def fuse(
         if step is not None and sign == -1:
             last = qubits[positions[-1]]
             fixes = [(last, "X")] if len(positions) == 2 else []
-            fixes += [(q, "Z") for q in sorted(registry.neighbours(last))]
+            fixes += [(q, "Z") for q in nbrs[last]]
             _correct(tab, fixes)
             corrections += fixes
     for p in hadamards:
         _hadamard(tab, qubits[p])
-    if step is not None and not bad:
+    if step is not None:
         if step == "tee":
             registry.fuse_tee(*qubits)
         else:

@@ -168,9 +168,13 @@ class TestVerticalCost:
     def test_unit_probability_limit(self):
         assert an.vertical_cost(1.0)[0] == pytest.approx(4.0)
 
-    def test_custom_law(self):
-        V, NV = an.vertical_cost(0.75, lambda L: 2.0 * L)
-        assert NV == pytest.approx(2 * (2 * 14 / 3) + 4 / 3)
+    @pytest.mark.parametrize("p", [0.5, 0.75])
+    def test_composes_merge_law(self, p):
+        V, NV = an.vertical_cost(p)
+        assert NV == 2.0 * an.merge_scaling(V, p).n_quoted_law + 1.0 / p
+
+    def test_no_stored_law(self):
+        assert an.vertical_cost(0.6) == (2.0 * (1.0 / 0.6 + 1.0), None)
 
 
 class TestReferenceSeries:

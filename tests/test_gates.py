@@ -1,6 +1,7 @@
 """Gate protocols: outcome tables, corrections, budgets, geometric sequences."""
 
 import dataclasses
+import hashlib
 import math
 import os
 import subprocess
@@ -214,6 +215,26 @@ class TestBucketParityGate:
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError, match="unknown outcome 'ghz'"):
             gates.pick_outcome(gates.bucket_parity_outcomes(2.0, 0.4), "ghz")
+
+    # sha256 of each table's labels, probabilities, posterior amplitudes and
+    # corrections, computed while busim.measure_bucket still took photon-number
+    # outcomes, an rng and tolerance keywords
+    @pytest.mark.parametrize("args, kwargs, digest", [
+        ((2.0, 0.4), {},
+         "fc29088ed2cf4d358f11e5eaacb220ef852f915c492baa85088e9b71dad5df54"),
+        ((2.0, 0.4), {"number_resolving": True, "n_max": 6},
+         "b894e9d47025af039ec3afcffda00a5803b446e256a893d53907fb224a1af179"),
+        ((1.5, 0.5), {"number_resolving": True},
+         "171aa893e291b81497724701b595f0dcfda7df39a0c11d1ac4d72b720c592908"),
+    ])
+    def test_table_bytes_pinned(self, args, kwargs, digest):
+        h = hashlib.sha256()
+        for o in gates.bucket_parity_outcomes(*args, **kwargs):
+            h.update(o.label.encode())
+            h.update(np.float64(o.probability).tobytes())
+            h.update(o.posterior.amplitudes.tobytes())
+            h.update(repr([(c.qubit, c.op, c.angle) for c in o.corrections]).encode())
+        assert h.hexdigest() == digest
 
 
 class TestThreeQubitGate:
@@ -686,7 +707,8 @@ class TestCorrectionSolver:
 
     def test_tables_keep_plain_least_squares_answers(self):
         """Where the wrapped angles already fit, unwrapping changes no bit."""
-        def plain(posterior, target, tol=1e-9):
+        def plain(posterior, target):
+            tol = gates.Z_SOLVE_TOL
             n = posterior.qubit_count
             a, t = posterior.amplitudes, target.amplitudes
             support = np.flatnonzero(np.abs(a) > tol)
@@ -699,7 +721,7 @@ class TestCorrectionSolver:
                              for b in support], dtype=np.float64)
             deltas, *_ = np.linalg.lstsq(rows - rows[0], np.angle(ratios / ratios[0]),
                                          rcond=None)
-            if not gates._phases_match(a, t, support, deltas, n, tol):
+            if not gates._phases_match(a, t, support, deltas, n):
                 return ()
             return tuple(gates.Correction(q, "phase", float(d))
                          for q, d in enumerate(deltas)

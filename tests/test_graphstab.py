@@ -8,7 +8,6 @@ algebra.
 import copy
 import itertools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -262,34 +261,22 @@ class TestFuseParity2:
         "variant, qubits", [("parity-2", (1,)), ("parity-2", (0, 1, 2)), ("gate-3", (1, 2))]
     )
     def test_wrong_qubit_count_rejected(self, variant, qubits):
-        """A wrong count raises before any warning, measurement or registry step."""
+        """A wrong count raises before any measurement or registry step."""
         reg, spec = gs.ChainRegistry.disjoint_chains([2, 2, 1])
         tab = gs.graph_state(spec)
         before = _registry_state(reg)
         outcome = "success-even" if variant == "parity-2" else "ghz"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=f"{variant} fuses"):
-                gs.fuse(tab, qubits, variant, outcome, reg)
+        with pytest.raises(ValueError, match=f"{variant} fuses"):
+            gs.fuse(tab, qubits, variant, outcome, reg)
         assert _registry_state(reg) == before
 
-    def test_non_end_warns(self):
+    @pytest.mark.parametrize("outcome", gs.PARITY2_OUTCOMES)
+    @pytest.mark.parametrize("qubits", [(1, 3), (3, 1)])
+    def test_non_end_rejected(self, qubits, outcome):
+        """Interior qubit 1 (degree 2) refuses every outcome and changes nothing."""
         reg, spec = gs.ChainRegistry.disjoint_chains([3, 2])
-        with pytest.warns(UserWarning, match="non-end"):
-            gs.fuse(gs.graph_state(spec), (1, 3), "parity-2", "success-even", reg)
-
-    def test_odd_branch_at_interior_qubit(self):
-        """Every neighbour of a degree-2 qubit takes a Z, not only the first."""
-        reg, spec = gs.ChainRegistry.disjoint_chains([3, 2])
-        vec = dense_of(spec)
-        with pytest.warns(UserWarning, match="non-end"):
-            _, tab, corr = gs.fuse(gs.graph_state(spec), (3, 1), "parity-2",
-                                   "success-odd", reg)
-        assert corr == ((1, "X"), (0, "Z"), (2, "Z"))
-        odd = fuse_vector(vec, spec.n, (3, 1), "parity-2", "success-odd", corr)
-        even = fuse_vector(vec, spec.n, (3, 1), "parity-2", "success-even")
-        assert np.allclose(odd, even)
-        assert tableau_matches(tab, odd)
+        tab = gs.graph_state(spec)
+        _assert_refused(tab, reg, qubits, "parity-2", outcome, r"\[1\] have degree > 1")
 
     @pytest.mark.parametrize("lengths", [(1, 1), (1, 2), (2, 2), (1, 3), (3, 1)])
     def test_against_dense_oracle(self, lengths):
@@ -578,6 +565,52 @@ class TestRegistryTees:
         assert gs.equals_up_to_corrections(tab, _implied_graph(reg, tab.n))
 
     @pytest.mark.parametrize(
+        "lengths, qubits, variant, joins",
+        [
+            # branch head 4 and backbone end 0 both neighbour junction 1
+            ([2, 1, 2], (4, 0), "parity-2", ("success-even", "success-odd")),
+            ([2, 1, 2], (0, 4), "parity-2", ("success-even", "success-odd")),
+            # ... as c and a, or c and b, of a three-way join with fresh [5]
+            ([2, 1, 2, 1], (0, 5, 4), "gate-3", ("ghz",)),
+            ([2, 1, 2, 1], (5, 0, 4), "gate-3", ("ghz",)),
+        ],
+    )
+    def test_shared_neighbour_rejected(self, lengths, qubits, variant, joins):
+        """A success whose joined qubits share a neighbour changes nothing.
+
+        The fused neighbourhood is the symmetric difference, so the shared
+        edge cancels on the tableau; the chain layout would keep it.  A
+        failure at the same qubits still runs.
+        """
+        reg, spec = gs.ChainRegistry.disjoint_chains(lengths)
+        _, tab, _ = gs.fuse(gs.graph_state(spec), (1, 2, 3), "gate-3", "ghz", reg)
+        assert reg.neighbours(4) == reg.neighbours(0) == [1]
+        for outcome in joins:
+            _assert_refused(tab, reg, qubits, variant, outcome, "share a neighbour")
+        failure = "fail-11" if variant == "parity-2" else "product-110"
+        _, tab, _ = gs.fuse(tab, qubits, variant, failure, reg)
+        measured = {}
+        for q, bit in zip(qubits, failure.split("-")[1]):
+            measured[q], tab = gs.recover_failure(tab, q, reg, forced=1 - 2 * int(bit))
+        assert gs.equals_up_to_corrections(tab, _implied_graph(reg, tab.n),
+                                           _to_plus(measured))
+
+    @pytest.mark.parametrize("qubits", [(3, 0), (0, 3)])
+    @pytest.mark.parametrize("outcome", ["success-even", "success-odd"])
+    def test_junction_fused_to_its_branch_rejected(self, qubits, outcome):
+        """Junction 0, its bonds measured out, is an end beside branch head 3;
+        joining the two would move the tee link onto its own junction."""
+        reg, spec = gs.ChainRegistry.disjoint_chains([1, 1, 2])
+        _, tab, _ = gs.fuse(gs.graph_state(spec), (0, 1, 2), "gate-3", "ghz", reg)
+        measured = {}
+        for q in (1, 2):
+            measured[q], tab = gs.recover_failure(tab, q, reg, forced=1)
+        assert reg.neighbours(0) == [3] and reg.neighbours(3) == [0]
+        _assert_refused(tab, reg, qubits, "parity-2", outcome, "are neighbours")
+        assert gs.equals_up_to_corrections(tab, _implied_graph(reg, tab.n),
+                                           _to_plus(measured))
+
+    @pytest.mark.parametrize(
         "lengths, fusions",
         [
             # two one-qubit branch heads 3 and 7 joined: 3 links both junctions
@@ -622,6 +655,18 @@ def _registry_state(reg):
         {cid: list(b) for cid, b in reg.backbones.items()},
         dict(reg.danglers), dict(reg.chain_of), list(reg.tees), reg._next_id,
     )
+
+
+def _tableau_bytes(tab):
+    return tuple(getattr(tab, name).tobytes() for name in ("x", "z", "sign", "dx", "dz"))
+
+
+def _assert_refused(tab, reg, qubits, variant, outcome, match, fuse=None):
+    """``fuse`` raises a ValueError matching ``match`` and changes nothing."""
+    before = _registry_state(reg), _tableau_bytes(tab)
+    with pytest.raises(ValueError, match=match):
+        (fuse or gs.fuse)(tab, qubits, variant, outcome, reg)
+    assert (_registry_state(reg), _tableau_bytes(tab)) == before
 
 
 class TestRegistryFuseTee:
@@ -820,7 +865,7 @@ def _ref_odd_frame_corrections(b, registry):
     return [(b, "X")] + [(q, "Z") for q in sorted(registry.neighbours(b))]
 
 
-def _ref_fuse_parity2(tab, qubits, outcome, registry, ends):
+def _ref_fuse_parity2(tab, qubits, outcome, registry):
     a, b = qubits
     corrections = []
     if outcome in ("success-even", "success-odd"):
@@ -831,8 +876,7 @@ def _ref_fuse_parity2(tab, qubits, outcome, registry, ends):
         for q, op in corrections:
             tab = gs.apply_corrections(tab, [(q, op)])
         tab = gs.apply_corrections(tab, [(b, "H")])
-        if ends:
-            registry.fuse_success(a, b)
+        registry.fuse_success(a, b)
         return outcome, tab, tuple(corrections)
     forced = 1 if outcome == "fail-00" else -1
     _, tab = gs.measure_pauli_string(tab, {a: "Z"}, forced=forced)
@@ -840,15 +884,14 @@ def _ref_fuse_parity2(tab, qubits, outcome, registry, ends):
     return outcome, tab, ()
 
 
-def _ref_fuse_gate3(tab, qubits, outcome, registry, ends):
+def _ref_fuse_gate3(tab, qubits, outcome, registry):
     a, b, c = qubits
     if outcome == "ghz":
         _, tab = gs.measure_pauli_string(tab, {a: "Z", b: "Z"}, forced=1)
         _, tab = gs.measure_pauli_string(tab, {b: "Z", c: "Z"}, forced=1)
         tab = gs.apply_corrections(tab, [(b, "H")])
         tab = gs.apply_corrections(tab, [(c, "H")])
-        if ends:
-            registry.fuse_tee(a, b, c)
+        registry.fuse_tee(a, b, c)
         return outcome, tab, ()
     if outcome.startswith("bell-q3"):
         third_bit = int(outcome[-1])
@@ -863,9 +906,8 @@ def _ref_fuse_gate3(tab, qubits, outcome, registry, ends):
                 tab = gs.apply_corrections(tab, [(q, "Z")])
                 corrections.append((q, "Z"))
         tab = gs.apply_corrections(tab, [(b, "H")])
-        if ends:
-            registry.fuse_success(a, b)
-            registry.remove(c)
+        registry.fuse_success(a, b)
+        registry.remove(c)
         return outcome, tab, tuple(corrections)
     bits = outcome.split("-")[1]
     for q, ch in zip((a, b, c), bits):
@@ -874,13 +916,19 @@ def _ref_fuse_gate3(tab, qubits, outcome, registry, ends):
 
 
 def _fuse_against_reference(fuse):
-    """``fuse`` that also runs the loop reference on copies and compares."""
+    """``fuse`` that also runs the loop reference on copies and compares.
+
+    The reference handles chain ends only; at any other qubit ``fuse`` must
+    refuse and change nothing.
+    """
 
     def checked(tab, qubits, variant, outcome, registry):
+        if not all(registry.is_end(q) for q in qubits):
+            _assert_refused(tab, registry, qubits, variant, outcome, "degree > 1", fuse)
+            return None
         ref_reg = copy.deepcopy(registry)
-        ends = all(ref_reg.is_end(q) for q in qubits)
         ref = _ref_fuse_parity2 if variant == "parity-2" else _ref_fuse_gate3
-        want_label, want_tab, want_corr = ref(tab.copy(), qubits, outcome, ref_reg, ends)
+        want_label, want_tab, want_corr = ref(tab.copy(), qubits, outcome, ref_reg)
         label, got_tab, corr = fuse(tab, qubits, variant, outcome, registry)
         assert (label, corr) == (want_label, want_corr), (qubits, outcome)
         for name in ("x", "z", "sign", "dx", "dz"):
@@ -896,27 +944,14 @@ class TestFusionTableMatchesLoopReference:
 
     @pytest.mark.parametrize("variant, lengths", _SWEEP)
     def test_dense_sweep_chains(self, variant, lengths):
-        """Every qubit of each chain, interior ones (which warn) included."""
+        """Every qubit of each chain, interior ones (which raise) included."""
         checked = _fuse_against_reference(gs.fuse)
         starts = np.cumsum((0,) + lengths[:-1]).tolist()
         choices = [range(s, s + ln) for s, ln in zip(starts, lengths)]
         outcomes = gs.PARITY2_OUTCOMES if variant == "parity-2" else gs.GATE3_OUTCOMES
         for qubits, outcome in itertools.product(itertools.product(*choices), outcomes):
             reg, spec = gs.ChainRegistry.disjoint_chains(list(lengths))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                checked(gs.graph_state(spec), qubits, variant, outcome, reg)
-
-    def test_fix_at_an_anchor_lists_neighbours_sorted(self):
-        """``neighbours`` gives bonds before backbone neighbours; the
-        corrections list them sorted, as the reference does."""
-        checked = _fuse_against_reference(gs.fuse)
-        reg, spec = gs.ChainRegistry.disjoint_chains([3, 2, 1])
-        _, tab, _ = checked(gs.graph_state(spec), (2, 3), "parity-2", "success-even", reg)
-        assert reg.neighbours(2) == [3, 1, 4]
-        with pytest.warns(UserWarning, match="non-end"):
-            _, _, corr = checked(tab, (5, 2), "parity-2", "success-odd", reg)
-        assert corr == ((2, "X"), (1, "Z"), (3, "Z"), (4, "Z"))
+            checked(gs.graph_state(spec), qubits, variant, outcome, reg)
 
     @pytest.mark.parametrize("block", range(4))
     def test_seeded_sequences(self, block, monkeypatch):
@@ -1403,12 +1438,10 @@ class TestRegistryDanglingBonds:
 
     @pytest.mark.parametrize("outcome", ["bell-q3-0", "bell-q3-1"])
     def test_bell_fusion_with_interior_third_qubit_keeps_registry(self, outcome):
-        """Any non-end qubit, the third included, leaves the registry as it was."""
+        """Any non-end qubit, the third included, is refused before any change."""
         reg, spec = gs.ChainRegistry.disjoint_chains([1, 1, 3])
-        before = _registry_state(reg)
-        with pytest.warns(UserWarning, match=r"non-end qubits \[3\]"):
-            gs.fuse(gs.graph_state(spec), (0, 1, 3), "gate-3", outcome, reg)
-        assert _registry_state(reg) == before
+        _assert_refused(gs.graph_state(spec), reg, (0, 1, 3), "gate-3", outcome,
+                        r"\[3\] have degree > 1")
 
 
 def _grow(rng, check=None):
@@ -1469,6 +1502,79 @@ class TestRegistryGraphAtAnyEnd:
         for seed in range(16 * block, 16 * block + 16):
             _grow(np.random.default_rng([13, seed]), check)
         assert any(anchors)
+
+
+class TestRegistryInvariantAtAnyEnd:
+    """Seeded fuse and recover_failure calls at any chain end, branch heads,
+    junctions and anchors of dangling bonds included.
+
+    After every accepted call the tableau equals the registry's graph up to
+    the measured-out qubits; a refused call leaves tableau and registry as
+    they were.  Half the time the second fused qubit lies within two steps
+    of the first, where shared neighbours live, and half the outcomes are
+    successes.  Every failed fusion is followed by ``recover_failure`` on
+    each fused qubit, and any end, dangling bonds included, may be recovered
+    on its own.
+    """
+
+    @staticmethod
+    def _ends(reg, qubits):
+        return [q for q in sorted(qubits) if reg.is_end(q)]
+
+    @staticmethod
+    def _pick(rng, reg, ends, width):
+        qubits = [int(q) for q in rng.choice(ends, size=width, replace=False)]
+        if rng.random() < 0.5:
+            first = reg.neighbours(qubits[0])
+            near = set(first).union(*(reg.neighbours(u) for u in first))
+            near = [q for q in ends if q in near and q not in qubits]
+            if near:
+                qubits[int(rng.integers(1, width))] = near[int(rng.integers(len(near)))]
+        return tuple(qubits)
+
+    def _run(self, rng, seen):
+        lengths = [int(v) for v in rng.integers(1, 3, size=int(rng.integers(3, 7)))]
+        reg, spec = gs.ChainRegistry.disjoint_chains(lengths)
+        tab = gs.graph_state(spec)
+        measured = {}
+        for _ in range(8):
+            ends = self._ends(reg, reg.chain_of)
+            if len(ends) < 2 or rng.random() < 0.15:
+                held = self._ends(reg, set(reg.chain_of) | set(reg.danglers))
+                if not held:
+                    break
+                q = held[int(rng.integers(len(held)))]
+                measured[q], tab = gs.recover_failure(tab, q, reg, rng=rng)
+            else:
+                variant = "gate-3" if len(ends) >= 3 and rng.random() < 0.5 else "parity-2"
+                outcomes = gs.PARITY2_OUTCOMES if variant == "parity-2" else gs.GATE3_OUTCOMES
+                if rng.random() < 0.5:
+                    outcomes = outcomes[:2] if variant == "parity-2" else ("ghz",)
+                outcome = str(rng.choice(outcomes))
+                qubits = self._pick(rng, reg, ends, 2 if variant == "parity-2" else 3)
+                before = _registry_state(reg), _tableau_bytes(tab)
+                try:
+                    _, tab, _ = gs.fuse(tab, qubits, variant, outcome, reg)
+                except ValueError as err:
+                    assert (_registry_state(reg), _tableau_bytes(tab)) == before
+                    seen["refused"] += 1
+                    seen["links"] += "cannot hold" in str(err)
+                    continue
+                seen["accepted"] += 1
+                if outcome.startswith("bell"):
+                    measured[qubits[2]] = 1 if outcome.endswith("0") else -1
+                elif not outcome.startswith(("success", "ghz")):
+                    for q in qubits:
+                        measured[q], tab = gs.recover_failure(tab, q, reg, rng=rng)
+            assert gs.equals_up_to_corrections(tab, _implied_graph(reg, tab.n),
+                                               _to_plus(measured))
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_seeded_calls(self, block):
+        seen = {"accepted": 0, "refused": 0, "links": 0}
+        for seed in range(50 * block, 50 * block + 50):
+            self._run(np.random.default_rng([29, seed]), seen)
+        assert seen["accepted"] and seen["links"], seen
 
 
 # ---------------------------------------------------------------------------
