@@ -329,8 +329,7 @@ def reference_series(name: str) -> ComparisonSeries:
 
 def merge_crossover(p: float, lo: float = 3.0, hi: float = 10000.0) -> float:
     """Length where pairwise doubling stops beating the merge law (ops)."""
-    merge = lambda L: merge_scaling(L, p).n_quoted_law or merge_scaling(L, p).n_sum_floor
-    f = lambda L: dc_series_value(L, p) - merge(L)
+    f = lambda L: dc_series_value(L, p) - scaling_point("merge", p, L).N
     if f(lo) >= 0 or f(hi) <= 0:
         raise ValueError("no crossover inside the bracket")
     for _ in range(200):
@@ -415,9 +414,8 @@ def scaling_point(variant: str, p: float, L: int | None = None, t: float = 1.0,
     """Analytic expectations matching a growth-strategy configuration."""
     if variant == "sequential":
         n_seq, t_seq = seq_scaling(L, p, t)
-        return ScalingPoint(L=L, p=p, N=n_seq, T=t_seq, series="sequential",
-                            extras={"time_per_attempt": t * n_seq})
-    if variant == "merge":
+        return ScalingPoint(L=L, p=p, N=n_seq, T=t_seq, series="sequential")
+    if variant == "merge":  # the quoted law where one is stored, else the floor sum
         ms = merge_scaling(L, p, t=t)
         nval = ms.n_quoted_law if ms.n_quoted_law is not None else ms.n_sum_floor
         return ScalingPoint(L=L, p=p, N=nval, T=ms.t_sum_ceil, series="merge")
@@ -425,8 +423,7 @@ def scaling_point(variant: str, p: float, L: int | None = None, t: float = 1.0,
         vals = dc_scaling(p, n, k=k, L=L, t=t)
         return ScalingPoint(
             L=vals["L"], p=p, N=vals["G"], T=vals["T_dc"], series="divide_conquer",
-            extras={"C": vals["C"], "Q": vals["Q"], "W": vals["W"],
-                    "N_dc": vals["N_dc"], "round_ops": vals["G"] + n / 2.0},
+            extras={"C": vals["C"], "Q": vals["Q"], "W": vals["W"], "N_dc": vals["N_dc"]},
         )
     if variant == "vertical_link":
         V, N_V = vertical_cost(p)

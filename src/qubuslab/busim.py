@@ -494,13 +494,17 @@ def _project_peak(state: HybridState, model: PeakModel, index: int) -> HomodyneO
     )
 
 
-def _project_at(state: HybridState, phi: float, x: float, keep: np.ndarray) -> QubitState:
+def _dense(state: HybridState, weights, keep=slice(None)) -> np.ndarray:
+    """2**n amplitudes from branches ``keep``, added (a -0.0 weight lands as +0.0)."""
     amps = np.zeros(2**state.qubit_count, dtype=np.complex128)
+    np.add.at(amps, state.bits[keep], weights)
+    return amps
+
+
+def _project_at(state: HybridState, phi: float, x: float, keep: np.ndarray) -> QubitState:
     idx = np.flatnonzero(keep)
-    overlaps = np.array(
-        [quadrature_overlap(x, complex(state.bus[i]), phi) for i in idx]
-    )
-    np.add.at(amps, state.bits[idx], state.coeff[idx] * overlaps)
+    overlaps = np.array([quadrature_overlap(x, complex(state.bus[i]), phi) for i in idx])
+    amps = _dense(state, state.coeff[idx] * overlaps, idx)
     return QubitState(state.qubit_count, amps, normalize=True)
 
 
@@ -532,8 +536,7 @@ def measure_bucket(state: HybridState, outcome: str) -> BucketOutcome:
         return BucketOutcome("click", 1.0 - p_vac, None, components)
     keep = np.abs(state.bus) <= BUS_TOL
     if keep.any():
-        amps = np.zeros(2**state.qubit_count, dtype=np.complex128)
-        np.add.at(amps, state.bits[keep], state.coeff[keep])
+        amps = _dense(state, state.coeff[keep], keep)
         posterior = QubitState(state.qubit_count, amps, normalize=True)
     return BucketOutcome("vacuum", p_vac, posterior)
 
@@ -553,8 +556,7 @@ def _photon_projection(state: HybridState, n: int):
     if top == -math.inf:
         return 0.0, None
     w = np.exp(log_mag - top + 1j * phase)
-    amps = np.zeros(2**state.qubit_count, dtype=np.complex128)
-    np.add.at(amps, state.bits, state.coeff * w)
+    amps = _dense(state, state.coeff * w)
     nrm2 = float(np.vdot(amps, amps).real)
     prob = nrm2 * math.exp(2.0 * top)
     if nrm2 == 0.0:
@@ -604,6 +606,4 @@ def extract_qubits(state: HybridState) -> QubitState:
         raise ValueError(
             f"bus still entangled with the register (spread {spread:.3e} >= {BUS_TOL:.3e})"
         )
-    amps = np.zeros(2**state.qubit_count, dtype=np.complex128)
-    np.add.at(amps, state.bits, state.coeff)
-    return QubitState(state.qubit_count, amps, normalize=True)
+    return QubitState(state.qubit_count, _dense(state, state.coeff), normalize=True)

@@ -342,8 +342,8 @@ def cmd_growth(variant, p, target_l, rounds_k, initial_qubits, trials, seed,
     config = growth.StrategyConfig(
         variant=variant,
         p=float(cfg.get("p", 0.75)),
-        trials=int(cfg.get("trials", 10_000)),
-        master_seed=int(cfg.get("master_seed", 0)),
+        trials=cfg.get("trials", 10_000),
+        master_seed=cfg.get("master_seed", 0),
         target_L=cfg.get("target_L"),
         rounds_k=cfg.get("rounds_k"),
         initial_qubits=cfg.get("initial_qubits"),
@@ -383,10 +383,8 @@ def _series_value(name, L, p, t, metric):
             return analytics.dc_series_value(L, p)
         return t * (1.0 + math.log2(L - 1.0))
     if name == "merge":
-        ms = analytics.merge_scaling(L, p, t=t)
-        if metric == "N":
-            return ms.n_quoted_law if ms.n_quoted_law is not None else ms.n_sum_floor
-        return ms.t_sum_ceil
+        point = analytics.scaling_point("merge", p, L, t)
+        return point.N if metric == "N" else point.T
     if name == "seq":
         n_seq, t_seq = analytics.seq_scaling(L, p, t)
         return n_seq if metric == "N" else t_seq

@@ -358,20 +358,10 @@ def _prepare(alpha, theta, state, multiples):
     return state, hybrid
 
 
-def _classify_two_qubit(members: frozenset) -> str:
-    if members == {1, 2}:
-        return "odd-bell"
-    if members == {0, 3}:
-        return "even-bell"
-    if members == {0}:
-        return "product-00"
-    if members == {3}:
-        return "product-11"
-    if members == {1}:
-        return "product-01"
-    if members == {2}:
-        return "product-10"
-    return "mixed"
+# the two-qubit peak labels by member patterns; any other peak is "mixed"
+_TWO_QUBIT_LABELS = {frozenset(members): label for members, label in (
+    ({1, 2}, "odd-bell"), ({0, 3}, "even-bell"), ({0}, "product-00"),
+    ({3}, "product-11"), ({1}, "product-01"), ({2}, "product-10"))}
 
 
 def _homodyne_outcomes(hybrid, phi, gate_time, classify, target_for, patterns=None):
@@ -401,9 +391,7 @@ def _homodyne_outcomes(hybrid, phi, gate_time, classify, target_for, patterns=No
                 corrections=solved or (),
                 gate_time=gate_time,
                 window_probability=projected.probability,
-                exact_probability=None
-                if patterns is None
-                else Fraction(len(peak.members), patterns),
+                exact_probability=None if patterns is None else Fraction(len(peak.members), patterns),
                 target=target,
             )
         )
@@ -414,7 +402,7 @@ def _parity_outcomes(alpha, theta, state, phi, targets):
     """Both qubits rotate the bus by +-theta; X(phi) is then measured."""
     _, hybrid = _prepare(alpha, theta, state, (1, 1))
     return _homodyne_outcomes(
-        hybrid, phi, 2.0, lambda members, _: _classify_two_qubit(members),
+        hybrid, phi, 2.0, lambda members, _: _TWO_QUBIT_LABELS.get(members, "mixed"),
         lambda label, _: targets.get(label),
     )
 
@@ -587,38 +575,65 @@ def three_qubit_outcomes(alpha, theta, state: QubitState | None = None):
 # measurement-free geometric gates
 
 
-def _zz_corrections(pairs, n: int):
-    """Z phases turning prod_k exp(i phi_k Z_a Z_b) into controlled-Z gates.
+def _zz_couplings(loop) -> dict | None:
+    """J of a closed loop, whose register action is exp(i sum J_ab Z_a Z_b); else None.
 
-    Each factor exp(i phi Z_a Z_b) equals a controlled-Z up to Z(2 phi) on
-    both endpoints exactly when exp(4 i phi) = -1; returns None otherwise,
-    a non-finite phi included.
+    J_ab sums Im(beta_k conj(beta_j)) over (qubit, beta) steps j < k on
+    qubits a != b.  A step closes its qubit's first open displacement equal
+    to -beta, as :func:`busim.run_displacement_program` does; a closed pair's
+    terms cancel, so only open ones add, and all-zero pairs are left out.
     """
+    held, coupling = {}, {}  # qubit -> open displacements in opening order; pair -> J
+    for q, beta in loop:
+        for a, values in held.items():
+            for v in values if a != q else ():
+                x = (beta * v.conjugate()).imag
+                if x != 0.0:
+                    pair = (min(a, q), max(a, q))
+                    coupling[pair] = coupling.get(pair, 0.0) + x
+        mine = held.setdefault(q, [])
+        if -beta in mine:
+            mine.remove(-beta)
+            if not mine:
+                del held[q]
+        else:
+            mine.append(beta)
+    return None if held else coupling
+
+
+def _geometric_gate(n: int, loop, edges):
+    """A builder's loop as a sequence, and the Z phases that make it ``edges``.
+
+    None unless the loop closes, exp(4 i J) = -1 on every edge (a controlled-Z
+    up to Z(2 J) on both ends) and exp(2 i J) = 1 on every other pair.
+    """
+    seq = InteractionSequence(n, tuple(Interaction("displace", b, q) for q, b in loop))
+    coupling = _zz_couplings(loop)
+    if coupling is None:
+        return seq, None
     totals = [0.0] * n
-    for (a, b), phi in pairs:
+    for a, b in edges:
+        phi = coupling.pop((a, b), 0.0)
         if not abs(cmath.exp(4j * phi) + 1.0) <= 1e-9:
-            return None
+            return seq, None
         totals[a] += 2.0 * phi
         totals[b] += 2.0 * phi
-    out = []
-    for q, t in enumerate(totals):
-        if abs(cmath.exp(1j * t) - 1.0) > 1e-12:
-            out.append(Correction(q, "phase", t % (2.0 * math.pi)))
-    return tuple(out)
+    if not all(abs(cmath.exp(2j * phi) - 1.0) <= 1e-9 for phi in coupling.values()):
+        return seq, None
+    return seq, tuple(Correction(q, "phase", t % (2.0 * math.pi)) for q, t in enumerate(totals)
+                      if abs(cmath.exp(1j * t) - 1.0) > 1e-12)
 
 
 def geometric_cz(beta1: complex, beta2: complex):
-    """Four-displacement loop acting as exp(2 i Im(conj(beta1) beta2) Z1 Z2).
+    """Four-displacement loop coupling qubits 0 and 1 through its enclosed area.
 
-    The loop closes for every branch so the bus disentangles exactly; with
-    Im(conj(beta1) beta2) = +-pi/8 the register unitary is a controlled-Z up
-    to the returned Z-phase corrections, which are None off that grid.
+    The loop closes for every branch so the bus disentangles exactly; when
+    Im(conj(beta1) beta2) is an odd multiple of pi/8 the register unitary is
+    a controlled-Z up to the returned Z-phase corrections, which are None
+    off that grid.
     """
     b1, b2 = complex(beta1), complex(beta2)
-    loop = ((0, b1), (1, b2), (0, -b1), (1, -b2))
-    steps = tuple(Interaction("displace", amount, q) for q, amount in loop)
-    phi = 2.0 * (b1.conjugate() * b2).imag
-    return InteractionSequence(2, steps), _zz_corrections([((0, 1), phi)], 2)
+    return _geometric_gate(2, ((0, b1), (1, b2), (0, -b1), (1, -b2)), [(0, 1)])
 
 
 def compile_conditional_displacement(alpha: float, theta: float, qubit: int):
@@ -651,45 +666,30 @@ def star_sequence(n: int, beta: float):
     Qubit 0 is displaced along the imaginary axis and every other qubit along
     the real axis, each exactly twice.  With beta = sqrt(pi/8) the register
     unitary is a controlled-Z from qubit 0 to every leaf, up to the returned
-    Z-phase corrections.
+    Z-phase corrections; leaves never couple to each other.
     """
     if n < 2:
         raise ValueError("star needs at least two qubits")
     b = float(beta)
-    steps = [Interaction("displace", 1j * b, 0)]
-    steps += [Interaction("displace", complex(b), q) for q in range(1, n)]
-    steps += [Interaction("displace", -1j * b, 0)]
-    steps += [Interaction("displace", complex(-b), q) for q in range(1, n)]
-    phi = -2.0 * b * b
-    corrections = _zz_corrections([((0, q), phi) for q in range(1, n)], n)
-    return InteractionSequence(n, tuple(steps)), corrections
+    loop = [(0, 1j * b)] + [(q, complex(b)) for q in range(1, n)]
+    loop += [(0, -1j * b)] + [(q, complex(-b)) for q in range(1, n)]
+    return _geometric_gate(n, loop, [(0, q) for q in range(1, n)])
 
 
 def chain_sequence(n: int, beta: float):
     """Interleaved displacements generating a linear cluster state.
 
-    The ordering opens at most two qubits at a time, so the bus carries
-    information about at most two neighbours at any point and disentangles
-    from each qubit as soon as its second interaction is done.  Couplings
-    alternate sign: exp(2 i beta^2 sum_k (-1)^(k+1) Z_k Z_(k+1)) with qubits
-    numbered from 0.
+    Even qubits are displaced along the imaginary axis, odd ones along the
+    real axis, in an order that opens at most two qubits at a time: the bus
+    carries information about at most two neighbours at any point and
+    disentangles from each qubit as soon as its second interaction is done.
     """
     if n < 2:
         raise ValueError("chain needs at least two qubits")
     b = float(beta)
-
-    def direction(q: int) -> complex:
-        return 1j * b if q % 2 == 0 else complex(b)
-
-    order: list[tuple[int, int]] = [(0, +1), (1, +1)]
+    order = [(0, +1), (1, +1)]
     for q in range(2, n):
-        order.append((q - 2, -1))
-        order.append((q, +1))
-    order.append((n - 2, -1))
-    order.append((n - 1, -1))
-    steps = tuple(
-        Interaction("displace", sign * direction(q), q) for q, sign in order
-    )
-    pairs = [((k, k + 1), 2.0 * b * b * (1 if k % 2 else -1)) for k in range(n - 1)]
-    corrections = _zz_corrections(pairs, n)
-    return InteractionSequence(n, steps), corrections
+        order += [(q - 2, -1), (q, +1)]
+    order += [(n - 2, -1), (n - 1, -1)]
+    loop = [(q, sign * (1j * b if q % 2 == 0 else complex(b))) for q, sign in order]
+    return _geometric_gate(n, loop, [(k, k + 1) for k in range(n - 1)])

@@ -17,7 +17,7 @@ the printed laws are surfaced by :func:`compare_to_analytic` as flags.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -129,6 +129,11 @@ class StrategyConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
+        for f in fields(self):  # the int fields, and the int | None fields when set
+            value = getattr(self, f.name)
+            if f.type.startswith("int") and (value is not None or f.default is not None) and (
+                    isinstance(value, bool) or not isinstance(value, (int, np.integer))):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if not 0.0 < self.p <= 1.0:
             raise ValueError("success probability must lie in (0, 1]")
         if self.trials < 1:

@@ -324,6 +324,24 @@ class TestGrowthCommand:
         assert result.exit_code != 0
         assert "max_rounds must be at least 1" in result.output
 
+    @pytest.mark.parametrize("variant, config, name", [
+        ("merge", {"target_L": 41.5}, "target_L"),
+        ("divide_conquer", {"initial_qubits": 64, "rounds_k": 2.5}, "rounds_k"),
+        ("sequential", {"target_L": 11, "trials": 100.7}, "trials"),
+        ("sequential", {"target_L": 11, "trials": 100.0}, "trials"),
+        ("sequential", {"target_L": 11, "master_seed": 1.5}, "master_seed"),
+        ("sequential", {"target_L": True}, "target_L"),
+    ])
+    def test_config_file_non_integer_count_rejected(self, runner, tmp_path,
+                                                    variant, config, name):
+        cfg = tmp_path / "growth.json"
+        cfg.write_text(json.dumps(config))
+        result = runner.invoke(main, ["growth", variant, "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert_one_line_error(result)
+        assert result.output.strip().splitlines() == [
+            f"Error: {name} must be an integer, got {config[name]!r}"]
+
     def test_seed_determinism_across_reruns(self, runner, tmp_path):
         outputs = []
         for run in ("a", "b"):

@@ -1,5 +1,6 @@
 """Gate protocols: outcome tables, corrections, budgets, geometric sequences."""
 
+import cmath
 import dataclasses
 import hashlib
 import math
@@ -498,6 +499,99 @@ class TestGeometricCz:
         area = 2.0 * np.imag(np.conj(BETA_STAR) * 1j * BETA_STAR)
         assert amps[0] == pytest.approx(np.exp(1j * area), abs=1e-12)
         assert amps[1] == pytest.approx(np.exp(-1j * area), abs=1e-12)
+
+
+def _random_closed_loop(rng):
+    """2-7 qubits, 1-3 out-and-back loops each, all steps interleaved at random.
+
+    A third of the loops reuse one of three shared values, either sign, so
+    equal open displacements on one qubit are common.
+    """
+    n = int(rng.integers(2, 8))
+    tokens = [(q, k) for q in range(n) for k in range(int(rng.integers(1, 4)))] * 2
+    pool = [complex(*rng.normal(size=2)) for _ in range(3)]
+    opened, loop = {}, []
+    for i in rng.permutation(len(tokens)):
+        q, k = tokens[i]
+        if (q, k) in opened:
+            loop.append((q, -opened.pop((q, k))))
+            continue
+        if rng.random() < 1 / 3:
+            beta = pool[int(rng.integers(3))] * float(rng.choice([-1.0, 1.0]))
+        else:
+            beta = complex(*rng.normal(size=2))
+        opened[(q, k)] = beta
+        loop.append((q, beta))
+    return n, loop
+
+
+def _old_zz_corrections(pairs, n):
+    """The hand-written couplings' corrections, kept as the reference."""
+    totals = [0.0] * n
+    for (a, b), phi in pairs:
+        if not abs(cmath.exp(4j * phi) + 1.0) <= 1e-9:
+            return None
+        totals[a] += 2.0 * phi
+        totals[b] += 2.0 * phi
+    return tuple(
+        gates.Correction(q, "phase", t % (2.0 * math.pi))
+        for q, t in enumerate(totals) if abs(cmath.exp(1j * t) - 1.0) > 1e-12
+    )
+
+
+class TestDerivedCouplings:
+    def test_match_branch_kernel_on_random_programs(self):
+        """Derived J against run_displacement_program's relative branch phases."""
+        rng = np.random.default_rng(2024)
+        worst = 0.0
+        for trial in range(300):
+            n, loop = _random_closed_loop(rng)
+            coupling = gates._zz_couplings(loop)
+            assert coupling is not None
+            bus = 0.0 if trial % 2 else complex(*rng.normal(size=2))
+            out = busim.run_displacement_program(
+                busim.attach_bus(QubitState.plus(n), bus), loop)
+            assert busim.bus_spread(out) == 0.0
+            signs = 1 - 2 * ((out.bits[:, None] >> np.arange(n - 1, -1, -1)) & 1)
+            want = sum(J * (signs[:, a] * signs[:, b] - 1) for (a, b), J in coupling.items())
+            got = out.coeff / out.coeff[0]
+            worst = max(worst, float(np.max(np.abs(np.angle(got * np.exp(-1j * want))))))
+        assert worst <= 1e-12
+
+    def test_open_loop_has_no_corrections(self):
+        loop = [(0, 0.5), (1, 0.5j), (0, -0.5)]
+        assert gates._zz_couplings(loop) is None
+        assert gates._geometric_gate(2, loop, [(0, 1)])[1] is None
+
+    def test_non_edge_coupling_must_be_a_global_phase(self):
+        b = BETA_STAR
+        cz = [(0, b), (1, 1j * b), (0, -b), (1, -1j * b)]  # J_01 = pi/4
+
+        def on_12(area):  # J_12 = area
+            return [(1, 1.0), (2, 0.5j * area), (1, -1.0), (2, -0.5j * area)]
+
+        assert gates._geometric_gate(3, cz, [(0, 1)])[1] is not None
+        assert gates._geometric_gate(3, cz + on_12(0.3), [(0, 1)])[1] is None
+        assert gates._geometric_gate(3, cz + on_12(math.pi / 2), [(0, 1)])[1] is None
+        assert gates._geometric_gate(3, cz + on_12(math.pi), [(0, 1)])[1] is not None
+
+    @pytest.mark.parametrize("odd", [1, 3, -1])
+    @pytest.mark.parametrize("n", [2, 3, 7, 400])
+    def test_star_and_chain_match_hand_formulas(self, n, odd):
+        beta = math.copysign(math.sqrt(abs(odd) * math.pi / 8), odd)
+        b = float(beta)
+        star = [((0, q), -2.0 * b * b) for q in range(1, n)]
+        chain = [((k, k + 1), 2.0 * b * b * (1 if k % 2 else -1)) for k in range(n - 1)]
+        for maker, pairs in ((gates.star_sequence, star), (gates.chain_sequence, chain)):
+            corrections = maker(n, beta)[1]
+            assert corrections is not None
+            assert repr(corrections) == repr(_old_zz_corrections(pairs, n))
+
+    def test_zero_terms_are_not_stored(self):
+        """Leaves of a star never couple, so no leaf pair is held."""
+        seq, _ = gates.star_sequence(40, BETA_STAR)
+        coupling = gates._zz_couplings([(s.qubit, s.amount) for s in seq.steps])
+        assert sorted(coupling) == [(0, q) for q in range(1, 40)]
 
 
 class TestCompiledConditionalDisplacement:

@@ -40,6 +40,23 @@ class TestConfigValidation:
                 variant="sequential", p=1.5, trials=10, master_seed=0, target_L=5
             )
 
+    @pytest.mark.parametrize("field, value", [
+        (field, value)
+        for field in ("trials", "master_seed", "target_L", "rounds_k", "initial_qubits",
+                      "max_rounds")
+        for value in (2.5, 3.0, True, "3")
+    ] + [("trials", None), ("master_seed", None)])
+    def test_counts_must_be_integers(self, field, value):
+        base = dict(variant="divide_conquer", p=0.75, trials=10, master_seed=0,
+                    initial_qubits=16, rounds_k=2, max_rounds=50)
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            StrategyConfig(**{**base, field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = StrategyConfig(variant="sequential", p=0.75, trials=np.int64(10),
+                             master_seed=np.uint32(3), target_L=np.int32(5))
+        assert cfg.trials == 10 and cfg.target_L == 5
+
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             StrategyConfig(variant="snake", p=0.5, trials=10, master_seed=0)
