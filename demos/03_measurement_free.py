@@ -5,9 +5,11 @@ starting amplitude exactly while each branch keeps a phase proportional to
 the enclosed area.  Choosing the area pi/8 makes the loop a controlled-Z up
 to local corrections, with no measurement needed; ordering the
 displacements along a line builds a whole linear cluster state with two
-interactions per qubit.  Every builder here returns a program and its
-corrections, and each program runs the same way: attach a bus, run the
-sequence, extract the qubits, apply the corrections.
+interactions per qubit.  Every builder here returns a program, its
+(qubit, beta) displacement steps, and its corrections, and each program runs
+the same way: attach a bus, run the sequence, extract the qubits, apply the
+corrections.  A conditional displacement can itself be built from bus
+rotations and unconditional displacements.
 """
 
 import math
@@ -30,12 +32,13 @@ print(f"   corrected CZ fidelity     : {fid:.15f}")
 print(f"   corrections               : "
       + ", ".join(f"Z({c.angle:.3f}) on q{c.qubit}" for c in corrections))
 
-print("\n2. A conditional displacement compiled from rotations")
-seq, corr = gates.compile_conditional_displacement(0.8, 0.3, 0)
-print("   steps:", " -> ".join(
-    f"D({s.amount:.3g})" if s.qubit is None else f"R({s.amount.real:+.3g} Z)"
-    for s in seq.steps))
-print(f"   residual corrections: {corr or 'none (exact identity)'}")
+print("\n2. A conditional displacement built from rotations")
+print("   D(a cos t) R(t Z) D(-2a) R(-t Z) D(a cos t) = D(2i a sin(t) Z)")
+start = busim.attach_bus(busim.QubitState.plus(1), 0.2 - 0.4j)
+via = gates.conditional_displacement_by_rotations(start, 0, 0.8, 0.3)
+direct = busim.apply_conditional_displacement(start, 0, 2j * 0.8 * math.sin(0.3))
+gap = max(np.max(np.abs(via.bus - direct.bus)), np.max(np.abs(via.coeff - direct.coeff)))
+print(f"   largest gap at a = 0.8, t = 0.3: {gap:.1e} (no residual phase)")
 
 print("\n3. Star and linear cluster states without any measurement")
 for name, maker, edges in (
@@ -56,11 +59,11 @@ n = 5
 seq, _ = gates.chain_sequence(n, BETA)
 state = busim.attach_bus(busim.QubitState.plus(n), 0.0)
 seen = {}
-for step in seq.steps:
-    state = busim.run_displacement_program(state, [(step.qubit, step.amount)])
-    seen[step.qubit] = seen.get(step.qubit, 0) + 1
+for qubit, beta in seq.steps:
+    state = busim.run_displacement_program(state, [(qubit, beta)])
+    seen[qubit] = seen.get(qubit, 0) + 1
     distinct = len({complex(round(b.real, 9) + 1j * round(b.imag, 9))
                     for b in state.bus})
-    tag = f"q{step.qubit} kick {seen[step.qubit]}"
+    tag = f"q{qubit} kick {seen[qubit]}"
     print(f"   after {tag:<12} distinct bus values: {distinct}")
 print("   (never more than 4 = two open qubits' sign patterns)")

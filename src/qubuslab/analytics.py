@@ -19,7 +19,6 @@ __all__ = [
     "MergeScaling",
     "join_yield",
     "critical_length",
-    "critical_length_variants",
     "minimal_chain_length",
     "merge_scaling",
     "dc_scaling",
@@ -86,17 +85,6 @@ def critical_length(p: float) -> float:
     if not 0.0 < p <= 1.0:
         raise ValueError("success probability must lie in (0, 1]")
     return 1.0 + 2.0 * (1.0 - p) / p
-
-
-def critical_length_variants(p: float) -> dict:
-    """Critical lengths for the related join models."""
-    if not 0.0 < p <= 1.0:
-        raise ValueError("success probability must lie in (0, 1]")
-    return {
-        "parity-join": 1.0 + 2.0 * (1.0 - p) / p,
-        "logical-gate": 2.0 * (1.0 - p) / p,
-        "direct-interaction": 4.0 * (1.0 - p) / p,
-    }
 
 
 def minimal_chain_length(p: float) -> int:
@@ -327,9 +315,10 @@ def reference_series(name: str) -> ComparisonSeries:
         ) from None
 
 
-def merge_crossover(p: float, lo: float = 3.0, hi: float = 10000.0) -> float:
-    """Length where pairwise doubling stops beating the merge law (ops)."""
+def merge_crossover(p: float) -> float:
+    """Length in [3, 10000] where pairwise doubling stops beating the merge law (ops)."""
     f = lambda L: dc_series_value(L, p) - scaling_point("merge", p, L).N
+    lo, hi = 3.0, 10000.0
     if f(lo) >= 0 or f(hi) <= 0:
         raise ValueError("no crossover inside the bracket")
     for _ in range(200):

@@ -78,6 +78,21 @@ def _merged_config(path: str | None, **flags) -> dict:
     return merged
 
 
+def _config_number(cfg: dict, key: str, default, kind=float):
+    """``cfg[key]`` (else ``default``) as ``kind``: an int, or for float any real.
+
+    A bool or a string from a config file is refused, not coerced.
+    """
+    value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int,) if kind is int else (int, float)):
+        raise ValueError(
+            f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ValueError(f"{key} is too large for a float") from None
+
+
 class _Commands(click.Group):
     """The command group: a ValueError from a command is a one-line error."""
 
@@ -147,14 +162,14 @@ def cmd_gate(name, alpha, theta, beta, n_qubits, number_resolving, graph_file,
              csv_path, config_path):
     """Print the exhaustive outcome table and error budget of one gate."""
     cfg = _merged_config(config_path, alpha=alpha, theta=theta, beta=beta, n=n_qubits)
-    alpha = float(cfg.get("alpha", 1000.0))
-    theta = float(cfg.get("theta", 0.003))
+    alpha = _config_number(cfg, "alpha", 1000.0)
+    theta = _config_number(cfg, "theta", 0.003)
     # checked here, not left to error_budget: the bucket gate prints its table first
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise click.BadParameter(f"alpha must be positive and finite, got {alpha!r}")
     if not math.isfinite(theta):
         raise click.BadParameter(f"theta must be finite, got {theta!r}")
-    n_qubits = int(cfg.get("n", 3 if name in ("three-qubit", "cascade") else 5))
+    n_qubits = _config_number(cfg, "n", 3 if name in ("three-qubit", "cascade") else 5, int)
     beta_val = parse_amount(str(cfg.get("beta", "sqrt(pi/8)")))
 
     with warnings.catch_warnings(record=True) as caught:
@@ -341,13 +356,13 @@ def cmd_growth(variant, p, target_l, rounds_k, initial_qubits, trials, seed,
     )
     config = growth.StrategyConfig(
         variant=variant,
-        p=float(cfg.get("p", 0.75)),
+        p=_config_number(cfg, "p", 0.75),
         trials=cfg.get("trials", 10_000),
         master_seed=cfg.get("master_seed", 0),
         target_L=cfg.get("target_L"),
         rounds_k=cfg.get("rounds_k"),
         initial_qubits=cfg.get("initial_qubits"),
-        gate_time=float(cfg.get("gate_time", 1.0)),
+        gate_time=_config_number(cfg, "gate_time", 1.0),
         max_rounds=cfg.get("max_rounds"),
     )
     stats = growth.simulate(config)

@@ -2,10 +2,11 @@
 
 Every protocol enumerates its exhaustive outcome table (label, exact
 probability from branch enumeration, posterior, local corrections).  A
-caller that wants one outcome holds the table and draws from it, or picks
-one by label, with :func:`pick_outcome`.  Probabilities are properties of
-the branch structure alone; the dependence on the bus amplitude and
-interaction angle only enters the separately reported error budget.
+caller that wants one outcome holds the table and draws from its
+:func:`outcome_cdf`.  Probabilities are properties of the branch structure
+alone; the dependence on the bus amplitude and interaction angle only enters
+the separately reported error budget.  The measurement-free builders return
+a bus program, whose steps are plain ``(qubit | None, beta)`` displacements.
 
 Local corrections use Z phases diag(1, e^{i angle}) and Paulis; applying an
 outcome's corrections to its posterior reaches the canonical target state up
@@ -29,13 +30,11 @@ __all__ = [
     "Correction",
     "GateOutcome",
     "GateErrorBudget",
-    "Interaction",
     "InteractionSequence",
     "apply_corrections",
     "error_budget",
     "run_sequence",
     "outcome_cdf",
-    "pick_outcome",
     "momentum_parity_outcomes",
     "position_parity_outcomes",
     "bucket_parity_outcomes",
@@ -44,7 +43,7 @@ __all__ = [
     "cascade_pair_success",
     "cascade_gate_time",
     "geometric_cz",
-    "compile_conditional_displacement",
+    "conditional_displacement_by_rotations",
     "star_sequence",
     "chain_sequence",
     "solve_local_z_corrections",
@@ -238,7 +237,9 @@ def outcome_cdf(outcomes) -> np.ndarray:
 
     The probabilities are normalised by their sum and checked as
     ``rng.choice(p=...)`` checks them; the cumulative sum is divided by its
-    last entry, as ``rng.choice`` divides it.
+    last entry, as ``rng.choice`` divides it.  So ``cdf.searchsorted(u,
+    side="right")`` at one ``rng.random()`` draw ``u`` picks what
+    ``rng.choice(len(outcomes), p=...)`` picks.
     """
     w = [o.probability for o in outcomes]
     probs = np.array(w) / sum(w)
@@ -250,83 +251,34 @@ def outcome_cdf(outcomes) -> np.ndarray:
     return cdf
 
 
-def pick_outcome(outcomes, outcome: str = "sampled", rng=None) -> GateOutcome:
-    """One outcome of a table: drawn by probability, or the one with a label.
-
-    A draw inverts :func:`outcome_cdf` at one ``rng.random()``, as
-    ``rng.choice(len(outcomes), p=...)`` does, so it picks the same outcome
-    and leaves the stream in the same place.  Build the table once and hold
-    it for repeated draws.
-    """
-    if outcome == "sampled":
-        if rng is None:
-            raise ValueError("sampling an outcome requires an rng")
-        return outcomes[int(outcome_cdf(outcomes).searchsorted(rng.random(), side="right"))]
-    for o in outcomes:
-        if o.label == outcome:
-            return o
-    raise ValueError(
-        f"unknown outcome {outcome!r}; expected one of "
-        f"{[o.label for o in outcomes]} or 'sampled'"
-    )
-
-
 # ---------------------------------------------------------------------------
 # interaction sequences
 
 
 @dataclass(frozen=True)
-class Interaction:
-    """One bus primitive: a conditional rotation or a (conditional) displacement."""
-
-    kind: str  # "rotate" or "displace"
-    amount: complex
-    qubit: int | None = None  # None = unconditional (displacements only)
-
-    def __post_init__(self):
-        if self.kind not in ("rotate", "displace"):
-            raise ValueError(f"unknown interaction kind {self.kind!r}")
-        if self.kind == "rotate" and self.qubit is None:
-            raise ValueError("rotations must be conditioned on a qubit")
-
-
-@dataclass(frozen=True)
 class InteractionSequence:
+    """A bus program: ``(qubit | None, beta)`` displacement steps on a register.
+
+    A step displaces the bus by +-beta conditioned on ``qubit``, or by beta
+    unconditionally when ``qubit`` is None.
+    """
+
     register_size: int
     steps: tuple
 
     def __post_init__(self):
         if not self.steps:
             raise ValueError("sequence must contain at least one interaction")
-        for s in self.steps:
-            if s.qubit is not None and not 0 <= s.qubit < self.register_size:
-                raise ValueError(f"qubit {s.qubit} outside register")
-
-    def displacement_only(self) -> bool:
-        return all(s.kind == "displace" for s in self.steps)
+        for q, _ in self.steps:
+            if q is not None and not 0 <= q < self.register_size:
+                raise ValueError(f"qubit {q} outside register")
 
 
 def run_sequence(state: HybridState, sequence: InteractionSequence) -> HybridState:
-    """Execute a sequence on a hybrid state.
-
-    Displacement-only sequences go through the exact out-and-back program so
-    closed loops restore the bus amplitude bit for bit; mixed sequences are
-    applied one primitive at a time.
-    """
+    """Run a program exactly: a closed loop restores the bus amplitude bit for bit."""
     if state.qubit_count != sequence.register_size:
         raise ValueError("register size mismatch")
-    if sequence.displacement_only():
-        return busim.run_displacement_program(
-            state, [(s.qubit, s.amount) for s in sequence.steps]
-        )
-    for s in sequence.steps:
-        if s.kind == "rotate":
-            state = busim.apply_conditional_rotation(state, s.qubit, float(s.amount.real))
-        elif s.qubit is None:
-            state = busim.apply_displacement(state, s.amount)
-        else:
-            state = busim.apply_conditional_displacement(state, s.qubit, s.amount)
-    return state
+    return busim.run_displacement_program(state, sequence.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +559,7 @@ def _geometric_gate(n: int, loop, edges):
     None unless the loop closes, exp(4 i J) = -1 on every edge (a controlled-Z
     up to Z(2 J) on both ends) and exp(2 i J) = 1 on every other pair.
     """
-    seq = InteractionSequence(n, tuple(Interaction("displace", b, q) for q, b in loop))
+    seq = InteractionSequence(n, tuple(loop))
     coupling = _zz_couplings(loop)
     if coupling is None:
         return seq, None
@@ -636,28 +588,23 @@ def geometric_cz(beta1: complex, beta2: complex):
     return _geometric_gate(2, ((0, b1), (1, b2), (0, -b1), (1, -b2)), [(0, 1)])
 
 
-def compile_conditional_displacement(alpha: float, theta: float, qubit: int):
-    """Rotation-displacement sequence equal to a conditional displacement.
+def conditional_displacement_by_rotations(
+    state: HybridState, qubit: int, alpha: float, theta: float
+) -> HybridState:
+    """The conditional displacement D(2 i alpha sin(theta) Z) from rotations.
 
-    Emits D(alpha cos theta) R(theta Z) D(-2 alpha) R(-theta Z)
-    D(alpha cos theta), which composes to the conditional displacement
-    D(2 i alpha sin(theta) Z) with no residual branch phase under this
-    module's phase conventions, so the correction list is empty.
+    Applies D(alpha cos theta) R(theta Z) D(-2 alpha) R(-theta Z)
+    D(alpha cos theta), which composes to that displacement with no residual
+    branch phase under this module's phase conventions.
     """
     if isinstance(alpha, complex) and alpha.imag != 0.0:
         raise ValueError("alpha must be real")
     a = float(alpha.real) if isinstance(alpha, complex) else float(alpha)
-    seq = InteractionSequence(
-        qubit + 1,
-        (
-            Interaction("displace", complex(a * math.cos(theta)), None),
-            Interaction("rotate", complex(theta), qubit),
-            Interaction("displace", complex(-2.0 * a), None),
-            Interaction("rotate", complex(-theta), qubit),
-            Interaction("displace", complex(a * math.cos(theta)), None),
-        ),
-    )
-    return seq, ()
+    state = busim.apply_displacement(state, complex(a * math.cos(theta)))
+    state = busim.apply_conditional_rotation(state, qubit, float(theta))
+    state = busim.apply_displacement(state, complex(-2.0 * a))
+    state = busim.apply_conditional_rotation(state, qubit, float(-theta))
+    return busim.apply_displacement(state, complex(a * math.cos(theta)))
 
 
 def star_sequence(n: int, beta: float):

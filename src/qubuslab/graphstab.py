@@ -87,16 +87,14 @@ class GraphSpec:
         return cls.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
     @classmethod
-    def star(cls, n: int, center: int = 0) -> "GraphSpec":
-        return cls.from_edges(n, [(center, v) for v in range(n) if v != center])
+    def star(cls, n: int) -> "GraphSpec":
+        """Vertex 0 joined to every other vertex."""
+        return cls.from_edges(n, [(0, v) for v in range(1, n)])
 
     def neighbours(self, v: int):
         return sorted(
             b if a == v else a for a, b in self.edges if v in (a, b)
         )
-
-    def to_edge_list(self) -> str:
-        return "\n".join(f"{u} {v}" for u, v in sorted(self.edges))
 
 
 def parse_edge_list(text: str, n: int | None = None) -> GraphSpec:

@@ -48,11 +48,6 @@ class TestCriticalLength:
         assert an.critical_length(0.75) == pytest.approx(5.0 / 3.0)
         assert an.critical_length(1.0) == pytest.approx(1.0)
 
-    def test_variants(self):
-        v = an.critical_length_variants(0.5)
-        assert v["logical-gate"] == pytest.approx(2.0)
-        assert v["direct-interaction"] == pytest.approx(4.0)
-
     def test_minimal_chain_length(self):
         assert an.minimal_chain_length(0.75) == 2
         assert an.minimal_chain_length(0.5) == 4  # next integer above 3

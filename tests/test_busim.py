@@ -577,7 +577,7 @@ class TestBranchKernelsMatchLoopReference:
     @pytest.mark.parametrize("n", [2, 5, 8, 11])
     def test_graph_sequences(self, maker, n):
         seq, _ = maker(n, math.sqrt(math.pi / 8))
-        steps = [(s.qubit, s.amount) for s in seq.steps]
+        steps = list(seq.steps)
         for bus in (0.0, 0.45 - 0.3j):
             state = attach_bus(QubitState.plus(n), bus)
             got = busim.run_displacement_program(state, steps)
@@ -602,7 +602,7 @@ class TestBranchKernelsMatchLoopReference:
         rng = np.random.default_rng(7)
         n = 9
         seq, _ = gates.star_sequence(n, math.sqrt(math.pi / 8))
-        steps = [(s.qubit, s.amount) for s in seq.steps]
+        steps = list(seq.steps)
         bits = np.arange(2**n)
         bus = rng.normal(size=bits.size) + 1j * rng.normal(size=bits.size)
         state = HybridState(n, bits, np.full(bits.size, 2.0 ** (-n / 2)), bus)
@@ -652,7 +652,7 @@ class TestBranchKernelsMatchLoopReference:
     def test_fourteen_qubit_digests(self, maker, coeff_digest):
         seq, _ = maker(14, math.sqrt(math.pi / 8))
         state = attach_bus(QubitState.plus(14), 0.0)
-        got = busim.run_displacement_program(state, [(s.qubit, s.amount) for s in seq.steps])
+        got = busim.run_displacement_program(state, list(seq.steps))
         assert hashlib.sha256(got.coeff.tobytes()).hexdigest() == coeff_digest
         assert hashlib.sha256(got.bus.tobytes()).hexdigest() == (
             "8a39d2abd3999ab73c34db2476849cddf303ce389b35826850f9a700589b4a90")

@@ -50,6 +50,44 @@ class TestCommandErrors:
         assert_one_line_error(result)
         assert len(result.output.strip().splitlines()) == 1, result.output
 
+    @pytest.mark.parametrize("args, config, message", [
+        (["gate", "chain"], {"n": 4.7}, "n must be an integer, got 4.7"),
+        (["gate", "cascade"], {"n": 4.7}, "n must be an integer, got 4.7"),
+        (["gate", "chain"], {"n": True}, "n must be an integer, got True"),
+        (["gate", "star"], {"n": "4"}, "n must be an integer, got '4'"),
+        (["gate", "parity-momentum"], {"alpha": True}, "alpha must be a number, got True"),
+        (["gate", "parity-bucket"], {"alpha": "2"}, "alpha must be a number, got '2'"),
+        (["gate", "three-qubit"], {"theta": False}, "theta must be a number, got False"),
+        (["growth", "sequential"], {"p": True, "target_L": 5}, "p must be a number, got True"),
+        (["growth", "sequential"], {"p": "0.75", "target_L": 5},
+         "p must be a number, got '0.75'"),
+        (["growth", "sequential"], {"gate_time": True, "target_L": 5},
+         "gate_time must be a number, got True"),
+        (["gate", "parity-momentum"], {"alpha": 10**400}, "alpha is too large for a float"),
+    ])
+    def test_config_file_number_checked_not_coerced(self, runner, tmp_path, args,
+                                                    config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        result = runner.invoke(main, [*args, "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert_one_line_error(result)
+        assert result.output.strip().splitlines() == [f"Error: {message}"]
+
+    @pytest.mark.parametrize("args, config, line", [
+        (["gate", "chain"], {"n": 4}, "interactions: 8 (two per qubit)"),
+        (["gate", "parity-momentum"], {"alpha": 1000, "theta": 0.003},
+         "error budget: momentum 1.3499e-03, position 4.9820e-01, vacuum 2.3195e-16, "
+         "separation parameter 3.0000  [below the alpha*sin(theta) >= pi regime]"),
+        (["growth", "sequential"], {"p": 1, "gate_time": 2, "target_L": 5, "trials": 10},
+         "  elapsed_rounds: empirical 8.0000 vs analytic 8.0000 (z = +0.00, pass)"),
+    ])
+    def test_config_file_integer_numbers_run(self, runner, tmp_path, args, config, line):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        result = runner.invoke(main, [*args, "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+        assert line in result.output.splitlines()
 
     def test_off_grid_beta_names_the_grid(self, runner):
         result = runner.invoke(main, ["gate", "star", "--n", "3", "--beta", "0.3"])

@@ -27,6 +27,11 @@ def corrected(outcome):
     return gates.apply_corrections(outcome.posterior, outcome.corrections)
 
 
+def draw(table, rng):
+    """Index of one outcome drawn as growth draws it: ``outcome_cdf`` inverted at rng.random()."""
+    return int(gates.outcome_cdf(table).searchsorted(rng.random(), side="right"))
+
+
 class TestErrorBudget:
     def test_momentum_value(self):
         budget = gates.error_budget(1000.0, 0.003)
@@ -87,14 +92,10 @@ class TestMomentumParityGate:
         assert outs["product-11"].probability == pytest.approx(0.25, abs=1e-12)
         assert fidelity(corrected(outs["odd-bell"]), ODD_BELL) >= 1 - 1e-12
 
-    def test_forced_and_sampled_selection(self):
+    def test_sampled_selection(self):
         table = gates.momentum_parity_outcomes(1000.0, 0.003)
-        out = gates.pick_outcome(table, "odd-bell")
-        assert out.label == "odd-bell"
-        sampled = gates.pick_outcome(table, "sampled", np.random.default_rng(0))
+        sampled = table[draw(table, np.random.default_rng(0))]
         assert sampled.label in ("odd-bell", "product-00", "product-11")
-        with pytest.raises(ValueError, match="requires an rng"):
-            gates.pick_outcome(table)
 
     def test_product_input_is_certain(self):
         out = gates.momentum_parity_outcomes(1000.0, 0.003, QubitState.basis(2, 0))
@@ -200,22 +201,13 @@ class TestBucketParityGate:
         for o in gates.bucket_parity_outcomes(2.0, 0.4, number_resolving=True, n_max=6)[1:]:
             assert fidelity(corrected(o), o.target) >= 1 - 1e-12
 
-    def test_forced_outcome(self):
-        out = gates.pick_outcome(gates.bucket_parity_outcomes(2.0, 0.4), "click")
-        assert out.label == "click"
-        assert out.probability == gates.bucket_parity_outcomes(2.0, 0.4)[1].probability
-
     def test_sampled_resolving_outcome_is_in_table(self):
         table = gates.bucket_parity_outcomes(2.0, 0.4, number_resolving=True)
         labels = {o.label for o in table}
         rng = np.random.default_rng(11)
-        draws = [gates.pick_outcome(table, "sampled", rng).label for _ in range(20)]
+        draws = [table[draw(table, rng)].label for _ in range(20)]
         assert set(draws) <= labels
         assert len(set(draws)) > 1
-
-    def test_unknown_label_rejected(self):
-        with pytest.raises(ValueError, match="unknown outcome 'ghz'"):
-            gates.pick_outcome(gates.bucket_parity_outcomes(2.0, 0.4), "ghz")
 
     # sha256 of each table's labels, probabilities, posterior amplitudes and
     # corrections, computed while busim.measure_bucket still took photon-number
@@ -392,7 +384,7 @@ class TestCascade:
         counts = {}
         n_draws = 4000
         for _ in range(n_draws):
-            out = gates.pick_outcome(table, "sampled", rng)
+            out = table[draw(table, rng)]
             counts[out.label] = counts.get(out.label, 0) + 1
         expected = {o.label: o.probability for o in table}
         for label, prob in expected.items():
@@ -405,8 +397,9 @@ class TestCascade:
 class TestDefaultTableMemo:
     """Draws from a default-register table that the caller holds.
 
-    ``pick_outcome`` must pick what ``rng.choice`` picks with the table's
-    normalised weights and leave the stream where ``rng.choice`` leaves it.
+    Inverting ``outcome_cdf`` at one ``rng.random()`` must pick what
+    ``rng.choice`` picks with the table's normalised weights and leave the
+    stream where ``rng.choice`` leaves it.
     """
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -417,16 +410,9 @@ class TestDefaultTableMemo:
         for seed in range(5):
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(40):
-                got = gates.pick_outcome(table, "sampled", got_rng)
+                got = table[draw(table, got_rng)]
                 assert got is table[int(want_rng.choice(len(table), p=p))]
             assert got_rng.random() == want_rng.random()
-
-    def test_forced_outcomes_equal_uncached_path(self):
-        table = gates.three_qubit_outcomes(1000.0, 0.003)
-        for o in table:
-            assert gates.pick_outcome(table, o.label) is o
-        with pytest.raises(ValueError, match="unknown outcome 'odd-bell'"):
-            gates.pick_outcome(table, "odd-bell")
 
     def test_cdf_rejects_a_table_that_is_not_a_distribution(self):
         table = list(gates.three_qubit_outcomes(1000.0, 0.003))
@@ -467,8 +453,8 @@ class TestGeometricCz:
 
     def test_program_is_four_displacements(self):
         seq, _ = gates.geometric_cz(BETA_STAR, 1j * BETA_STAR)
-        assert seq.register_size == 2 and seq.displacement_only()
-        assert [(s.qubit, s.amount) for s in seq.steps] == [
+        assert seq.register_size == 2
+        assert list(seq.steps) == [
             (0, BETA_STAR), (1, 1j * BETA_STAR), (0, -BETA_STAR), (1, -1j * BETA_STAR),
         ]
 
@@ -590,7 +576,7 @@ class TestDerivedCouplings:
     def test_zero_terms_are_not_stored(self):
         """Leaves of a star never couple, so no leaf pair is held."""
         seq, _ = gates.star_sequence(40, BETA_STAR)
-        coupling = gates._zz_couplings([(s.qubit, s.amount) for s in seq.steps])
+        coupling = gates._zz_couplings(list(seq.steps))
         assert sorted(coupling) == [(0, q) for q in range(1, 40)]
 
 
@@ -600,10 +586,8 @@ class TestCompiledConditionalDisplacement:
         rng = np.random.default_rng(seed)
         alpha = float(rng.uniform(0.2, 1.5))
         theta = float(rng.uniform(-1.0, 1.0))
-        seq, corr = gates.compile_conditional_displacement(alpha, theta, 0)
-        assert corr == ()
         start = busim.attach_bus(QubitState.plus(1), complex(rng.normal(), rng.normal()))
-        via = gates.run_sequence(start, seq)
+        via = gates.conditional_displacement_by_rotations(start, 0, alpha, theta)
         direct = busim.apply_conditional_displacement(
             start, 0, 2j * alpha * math.sin(theta)
         )
@@ -611,19 +595,26 @@ class TestCompiledConditionalDisplacement:
         assert_allclose(via.coeff, direct.coeff, atol=1e-12)
 
     def test_zero_angle_collapses(self):
-        seq, _ = gates.compile_conditional_displacement(0.8, 0.0, 0)
         start = busim.attach_bus(QubitState.plus(1), 0.3)
-        out = gates.run_sequence(start, seq)
+        out = gates.conditional_displacement_by_rotations(start, 0, 0.8, 0.0)
         assert_allclose(out.bus, start.bus, atol=1e-12)
 
     def test_plus_branch_lands_at_offset(self):
         alpha, theta = 0.9, 0.4
-        seq, _ = gates.compile_conditional_displacement(alpha, theta, 0)
         start = busim.attach_bus(QubitState.basis(1, 0), 0.25 - 0.1j)
-        out = gates.run_sequence(start, seq)
+        out = gates.conditional_displacement_by_rotations(start, 0, alpha, theta)
         assert out.bus[0] == pytest.approx(
             0.25 - 0.1j + 2j * alpha * math.sin(theta), abs=1e-12
         )
+
+    def test_alpha_must_be_real(self):
+        start = busim.attach_bus(QubitState.plus(2), 0.3)
+        with pytest.raises(ValueError, match="alpha must be real"):
+            gates.conditional_displacement_by_rotations(start, 1, 0.9 + 0.1j, 0.4)
+        real = gates.conditional_displacement_by_rotations(start, 1, 0.9, 0.4)
+        same = gates.conditional_displacement_by_rotations(start, 1, 0.9 + 0j, 0.4)
+        assert real.coeff.tobytes() == same.coeff.tobytes()
+        assert real.bus.tobytes() == same.bus.tobytes()
 
 
 def run_and_correct(maker, n, beta, start_bus=0.0):
@@ -643,8 +634,8 @@ class TestStarSequence:
     def test_two_interactions_per_qubit(self):
         seq, _ = gates.star_sequence(5, BETA_STAR)
         counts = {}
-        for step in seq.steps:
-            counts[step.qubit] = counts.get(step.qubit, 0) + 1
+        for q, _ in seq.steps:
+            counts[q] = counts.get(q, 0) + 1
         assert counts == {q: 2 for q in range(5)}
 
     def test_reduces_to_geometric_cz(self):
@@ -692,12 +683,11 @@ class TestChainSequence:
         done_second = set()
         seen_counts = {}
         for step in seq.steps:
-            state = busim.run_displacement_program(
-                state, [(step.qubit, step.amount)]
-            )
-            seen_counts[step.qubit] = seen_counts.get(step.qubit, 0) + 1
-            if seen_counts[step.qubit] == 2:
-                done_second.add(step.qubit)
+            state = busim.run_displacement_program(state, [step])
+            q = step[0]
+            seen_counts[q] = seen_counts.get(q, 0) + 1
+            if seen_counts[q] == 2:
+                done_second.add(q)
                 # bus must be identical across sign assignments of finished qubits
                 buses = {}
                 for bits, (_, bus) in state.branch_map().items():
@@ -723,6 +713,83 @@ class TestChainSequence:
                 seq,
             )
             assert busim.bus_spread(out) == 0.0
+
+
+def _chain_loop(n, b):
+    """The chain's displacements, written out qubit by qubit."""
+    kick = lambda q: 1j * b if q % 2 == 0 else complex(b)
+    loop = [(0, kick(0)), (1, kick(1))]
+    for q in range(2, n):
+        loop += [(q - 2, -kick(q - 2)), (q, kick(q))]
+    return loop + [(n - 2, -kick(n - 2)), (n - 1, -kick(n - 1))]
+
+
+def _same_run_bytes(a, b):
+    return (a.bits.tobytes(), a.coeff.tobytes(), a.bus.tobytes()) == (
+        b.bits.tobytes(), b.coeff.tobytes(), b.bus.tobytes())
+
+
+class TestProgramSteps:
+    """A program's steps are its builder's (qubit, beta) loop, run as they are."""
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    @pytest.mark.parametrize("beta", [BETA_STAR, 0.3])
+    def test_steps_are_the_builders_loop(self, n, beta):
+        b1, b2 = complex(beta), complex(0.2, -beta)
+        star = ([(0, 1j * beta)] + [(q, complex(beta)) for q in range(1, n)]
+                + [(0, -1j * beta)] + [(q, complex(-beta)) for q in range(1, n)])
+        for seq, loop in (
+            (gates.geometric_cz(b1, b2)[0], [(0, b1), (1, b2), (0, -b1), (1, -b2)]),
+            (gates.star_sequence(n, beta)[0], star),
+            (gates.chain_sequence(n, beta)[0], _chain_loop(n, beta)),
+        ):
+            assert isinstance(seq.steps, tuple)
+            assert list(seq.steps) == loop
+            assert all(type(q) is int and type(b) is complex for q, b in seq.steps)
+
+    @pytest.mark.parametrize("maker", [gates.chain_sequence, gates.star_sequence])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_run_sequence_is_the_displacement_program(self, maker, n):
+        seq, _ = maker(n, BETA_STAR)
+        for bus in (0.0, 0.45 - 0.3j):
+            state = busim.attach_bus(QubitState.plus(n), bus)
+            assert _same_run_bytes(gates.run_sequence(state, seq),
+                                   busim.run_displacement_program(state, seq.steps))
+
+    def test_geometric_cz_runs_as_its_program(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            seq, _ = gates.geometric_cz(complex(*rng.normal(size=2)),
+                                        complex(*rng.normal(size=2)))
+            v = rng.normal(size=4) + 1j * rng.normal(size=4)
+            state = busim.attach_bus(QubitState(2, v, normalize=True),
+                                     complex(*rng.normal(size=2)))
+            assert _same_run_bytes(gates.run_sequence(state, seq),
+                                   busim.run_displacement_program(state, seq.steps))
+
+    def test_empty_program_refused(self):
+        with pytest.raises(ValueError, match="at least one interaction"):
+            gates.InteractionSequence(2, ())
+
+    @pytest.mark.parametrize("qubit", [2, -1])
+    def test_qubit_outside_register_refused(self, qubit):
+        with pytest.raises(ValueError, match=f"qubit {qubit} outside register"):
+            gates.InteractionSequence(2, ((0, 0.5), (qubit, 0.5)))
+
+    def test_register_size_mismatch_refused(self):
+        seq, _ = gates.chain_sequence(3, BETA_STAR)
+        with pytest.raises(ValueError, match="register size mismatch"):
+            gates.run_sequence(busim.attach_bus(QubitState.plus(4), 0.0), seq)
+
+    def test_unconditional_step_runs(self):
+        seq = gates.InteractionSequence(1, ((None, 0.3 - 0.2j), (0, 0.5j), (None, 0.1)))
+        start = busim.attach_bus(QubitState.plus(1), 0.2)
+        out = gates.run_sequence(start, seq)
+        want = busim.apply_displacement(start, 0.3 - 0.2j)
+        want = busim.apply_displacement(
+            busim.apply_conditional_displacement(want, 0, 0.5j), 0.1)
+        assert_allclose(out.bus, want.bus, atol=1e-15)
+        assert_allclose(out.coeff, want.coeff, atol=1e-15)
 
 
 def _random_product(rng, n, spread=(0.2, 1.3)):
