@@ -35,6 +35,12 @@ GATE_NAMES = (
     "chain",
 )
 
+# The largest registers the dense gate paths hold, by measurement on a
+# 2-vCPU Xeon: a 20-qubit star or chain program runs on 2**20 branches
+# (274 MB, 5 s), and the 13-qubit cascade table has 4**13 rows (551 MB, 2.4 s).
+_MAX_PROGRAM_QUBITS = 20
+_MAX_CASCADE_QUBITS = 13
+
 GROWTH_CSV_COLUMNS = (
     "variant",
     "p",
@@ -170,6 +176,10 @@ def cmd_gate(name, alpha, theta, beta, n_qubits, number_resolving, graph_file,
     if not math.isfinite(theta):
         raise click.BadParameter(f"theta must be finite, got {theta!r}")
     n_qubits = _config_number(cfg, "n", 3 if name in ("three-qubit", "cascade") else 5, int)
+    limit = {"star": _MAX_PROGRAM_QUBITS, "chain": _MAX_PROGRAM_QUBITS,
+             "cascade": _MAX_CASCADE_QUBITS}.get(name, math.inf)
+    if n_qubits > limit:
+        raise ValueError(f"gate {name} holds at most {limit} qubits, got n = {n_qubits}")
     beta_val = parse_amount(str(cfg.get("beta", "sqrt(pi/8)")))
 
     with warnings.catch_warnings(record=True) as caught:
@@ -287,7 +297,7 @@ def _analytic_point(config: growth.StrategyConfig):
             n=config.initial_qubits,
             k=config.rounds_k,
         )
-    except (ValueError, TypeError):
+    except ValueError:  # sequential growth at p <= 1/2 has no closed form
         return None
 
 
@@ -423,22 +433,24 @@ def _series_value(name, L, p, t, metric):
 def cmd_scaling(p, l_min, l_max, series_names, metric, gate_time, csv_path, svg_path):
     """Tabulate the closed-form scaling series over a range of lengths."""
     names = [s.strip() for s in series_names.split(",") if s.strip()]
+    lc = analytics.critical_length(p)
     for name in names:
         if name not in _SCALING_SERIES:
             raise click.ClickException(
                 f"unknown series {name!r}; known: {', '.join(_SCALING_SERIES)}"
             )
+        # a series with no value at this p and metric raises at any length
+        _series_value(name, lc + 1.0, p, gate_time, metric)
+    if l_min > l_max:
+        raise ValueError(f"empty length range: --l-min {l_min} is above --l-max {l_max}")
+    # the longest length with no value: merge and seq grow only above L_c
+    below = {"merge": lc + 1e-9, "seq": lc + 1e-9, "dc": 1}
     rows = []
-    lc = analytics.critical_length(p)
     for L in range(l_min, l_max + 1):
         for name in names:
-            if name in ("merge", "seq") and L <= lc + 1e-9:
-                continue
-            try:
+            if L > below.get(name, -math.inf):
                 value = _series_value(name, float(L), p, gate_time, metric)
-            except (ValueError, click.ClickException):
-                continue
-            rows.append({"L": L, "series": name, "value": repr(float(value))})
+                rows.append({"L": L, "series": name, "value": repr(float(value))})
     if csv_path:
         _write_csv(csv_path, rows, ("L", "series", "value"))
         click.echo(f"wrote {csv_path} ({len(rows)} rows)")

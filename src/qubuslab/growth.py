@@ -35,29 +35,6 @@ __all__ = [
     "VARIANTS",
 ]
 
-VARIANTS = ("sequential", "merge", "divide_conquer", "vertical_link")
-
-# one-line summaries of the qubit-accounting rules, carried into the
-# per-trial provenance records
-ACCOUNTING_RULES = {
-    "sequential": (
-        "one fresh qubit and one attempt per round; success +1, failure "
-        "loses the fresh qubit and the measured-out end; unrestricted walk"
-    ),
-    "merge": (
-        "minimal chains built by halving without recycling, then joined to "
-        "the main chain; a failed join shrinks both parties by one"
-    ),
-    "divide_conquer": (
-        "equal-length pairs each round, failures discarded; odd chain out "
-        "stranded as waste, a lone chain waits"
-    ),
-    "vertical_link": (
-        "two qubits per chain up front, one more per chain per failed "
-        "attempt; success measures out the two dangling qubits"
-    ),
-}
-
 _MASK64 = (1 << 64) - 1
 _ZERO4 = (0, 0, 0, 0)
 # Trials go _CHUNK at a time, one row of _WIDTH uniforms each (fewer for
@@ -169,8 +146,9 @@ class StrategyConfig:
         if self.variant == "divide_conquer":
             if self.initial_qubits is None or self.initial_qubits < 2:
                 raise ValueError("divide and conquer needs initial_qubits >= 2")
-            if self.rounds_k is None and self.target_L is None:
-                raise ValueError("divide and conquer needs rounds_k or target_L")
+            if (self.rounds_k is None) == (self.target_L is None):
+                raise ValueError("divide and conquer needs exactly one of rounds_k "
+                                 "and target_L")
             if self.rounds_k is not None and self.rounds_k < 0:
                 raise ValueError("divide and conquer needs rounds_k >= 0")
             self.rounds()  # a target_L off the 2**(k-1) + 1 grid raises here
@@ -226,7 +204,7 @@ class GrowthStats:
     def record_config(self) -> dict:
         """The config each per-trial record carries, with its accounting rules."""
         cfg = asdict(self.config)
-        cfg["accounting"] = {"rules": ACCOUNTING_RULES[self.config.variant]}
+        cfg["accounting"] = {"rules": _STRATEGIES[self.config.variant][1]}
         return cfg
 
     def trial_records(self):
@@ -521,12 +499,26 @@ def _vertical_link(config: StrategyConfig, rng: np.random.Generator) -> dict:
     }
 
 
-_VARIANT_RUNS = {
-    "sequential": _sequential,
-    "merge": _merge,
-    "divide_conquer": _divide_conquer,
-    "vertical_link": _vertical_link,
+# One row per strategy: its kernel, the one-line accounting rule each
+# per-trial record carries, and the columns compared with its closed forms,
+# as (column, "N" | "T" | a ScalingPoint.extras key), in report order.
+_STRATEGIES = {
+    "sequential": (_sequential, "one fresh qubit and one attempt per round; success +1, "
+                   "failure loses the fresh qubit and the measured-out end; unrestricted walk",
+                   (("entangling_ops", "N"), ("elapsed_rounds", "T"))),
+    "merge": (_merge, "minimal chains built by halving without recycling, then joined to "
+              "the main chain; a failed join shrinks both parties by one",
+              (("entangling_ops", "N"), ("elapsed_rounds", "T"))),
+    "divide_conquer": (_divide_conquer, "equal-length pairs each round, failures "
+                       "discarded; odd chain out stranded as waste, a lone chain waits",
+                       (("surviving_chains", "C"), ("surviving_qubits", "Q"),
+                        ("qubits_wasted", "W"), ("entangling_ops", "N"))),
+    "vertical_link": (_vertical_link, "two qubits per chain up front, one more per chain "
+                      "per failed attempt; success measures out the two dangling qubits",
+                      (("qubits_consumed", "V"), ("entangling_ops", "N"))),
 }
+
+VARIANTS = tuple(_STRATEGIES)
 
 
 def simulate(config: StrategyConfig, threads: int = 1) -> GrowthStats:
@@ -544,7 +536,7 @@ def simulate(config: StrategyConfig, threads: int = 1) -> GrowthStats:
         )
     rng = np.random.Generator(np.random.Philox(0))  # rekeyed to each trial's stream
     extras = {k: np.array(v, dtype=np.float64)
-              for k, v in _VARIANT_RUNS[config.variant](config, rng).items()}
+              for k, v in _STRATEGIES[config.variant][0](config, rng).items()}
     base = {k: extras.pop(k) for k in _BASE_METRICS}
     return GrowthStats(config=config, extras=extras, **base)
 
@@ -591,25 +583,14 @@ def compare_to_analytic(stats: GrowthStats, point: ScalingPoint):
         )
     if abs(point.p - cfg.p) > 1e-12:
         raise ValueError("mismatched success probability")
-    pairs = []
-    if cfg.variant in ("sequential", "merge"):
-        pairs = [("entangling_ops", point.N), ("elapsed_rounds", point.T)]
-    elif cfg.variant == "divide_conquer":
-        pairs = [
-            ("surviving_chains", point.extras["C"]),
-            ("surviving_qubits", point.extras["Q"]),
-            ("qubits_wasted", point.extras["W"]),
-            ("entangling_ops", point.N),
-        ]
-    elif cfg.variant == "vertical_link":
-        pairs = [("qubits_consumed", point.extras["V"]), ("entangling_ops", point.N)]
+    analytic = {"N": point.N, "T": point.T, **point.extras}
+    columns = stats.columns()
     rows = []
-    for metric, analytic_value in pairs:
+    for metric, key in _STRATEGIES[cfg.variant][2]:
+        analytic_value = analytic[key]
         if analytic_value is None:
             continue
-        values = stats.extras.get(metric)
-        if values is None:
-            values = getattr(stats, metric)
+        values = columns[metric]
         summ = MetricSummary.from_samples(values)
         stderr = math.sqrt(summ.variance / values.size)
         diff = summ.mean - analytic_value

@@ -6,13 +6,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 import qubuslab
-from qubuslab import growth
+from qubuslab import gates, growth
 from qubuslab.cli import GROWTH_CSV_COLUMNS, main, parse_amount
 
 
@@ -49,6 +50,50 @@ class TestCommandErrors:
         assert result.exit_code == 1
         assert_one_line_error(result)
         assert len(result.output.strip().splitlines()) == 1, result.output
+
+    @pytest.mark.parametrize("args, message", [
+        (["growth", "divide_conquer", "--n", "1024", "--k", "6", "--L", "9"],
+         "divide and conquer needs exactly one of rounds_k and target_L"),
+        (["growth", "divide_conquer", "--n", "1024", "--k", "6", "--L", "33"],
+         "divide and conquer needs exactly one of rounds_k and target_L"),
+        (["scaling", "--metric", "T", "--series", "rus-pf-0.6"],
+         "series rus-pf-0.6 only defines operation counts"),
+        (["scaling", "--p", "0.5", "--series", "seq"],
+         "no average growth for p <= 1/2; expectation diverges"),
+        (["scaling", "--l-min", "500", "--l-max", "400"],
+         "empty length range: --l-min 500 is above --l-max 400"),
+        (["gate", "chain", "--n", "1000000"],
+         "gate chain holds at most 20 qubits, got n = 1000000"),
+        (["gate", "cascade", "--n", "1000000"],
+         "gate cascade holds at most 13 qubits, got n = 1000000"),
+        (["gate", "star", "--config", "<n of 330 digits>"],
+         f"gate star holds at most 20 qubits, got n = {10**329}"),
+    ], ids=["dc-k-and-off-grid-L", "dc-k-and-L", "scaling-reference-time",
+            "scaling-seq-half", "scaling-empty-range", "chain-million", "cascade-million",
+            "star-config-330-digits"])
+    def test_refused_before_any_work(self, runner, tmp_path, args, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 10**329}))
+        args = [str(cfg) if a == "<n of 330 digits>" else a for a in args]
+        start = time.perf_counter()
+        result = runner.invoke(main, args)
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 1
+        assert_one_line_error(result)
+        assert result.output.strip().splitlines() == [f"Error: {message}"]
+
+    @pytest.mark.parametrize("name, n, builder", [
+        ("chain", 20, "chain_sequence"), ("star", 20, "star_sequence"),
+        ("cascade", 13, "cascade_outcomes"),
+    ])
+    def test_largest_register_is_not_refused(self, runner, name, n, builder, monkeypatch):
+        # stop at the builder call: the size check has passed by then
+        def reached(*args):
+            raise RuntimeError("builder reached")
+
+        monkeypatch.setattr(gates, builder, reached)
+        result = runner.invoke(main, ["gate", name, "--n", str(n)])
+        assert str(result.exception) == "builder reached"
 
     @pytest.mark.parametrize("args, config, message", [
         (["gate", "chain"], {"n": 4.7}, "n must be an integer, got 4.7"),

@@ -121,10 +121,40 @@ class TestConfigValidation:
                              initial_qubits=64, target_L=target_L)
         assert cfg.rounds() == rounds
 
+    @pytest.mark.parametrize("rounds", [dict(rounds_k=6, target_L=9),
+                                        dict(rounds_k=6, target_L=33), {}])
+    def test_divide_conquer_takes_one_round_count(self, rounds):
+        with pytest.raises(ValueError, match="exactly one of rounds_k and target_L"):
+            StrategyConfig(variant="divide_conquer", p=0.5, trials=3, master_seed=0,
+                           initial_qubits=1024, **rounds)
+
     def test_negative_round_count(self):
         with pytest.raises(ValueError, match="rounds_k >= 0"):
             StrategyConfig(variant="divide_conquer", p=0.5, trials=10, master_seed=0,
                            initial_qubits=64, rounds_k=-1)
+
+
+class TestStrategyTable:
+    def test_variant_order(self):
+        assert growth.VARIANTS == ("sequential", "merge", "divide_conquer",
+                                   "vertical_link")
+
+    @pytest.mark.parametrize("variant, kwargs, rows", [
+        ("sequential", dict(target_L=9), ["entangling_ops", "elapsed_rounds"]),
+        ("merge", dict(target_L=21), ["entangling_ops", "elapsed_rounds"]),
+        ("divide_conquer", dict(initial_qubits=64, rounds_k=3),
+         ["surviving_chains", "surviving_qubits", "qubits_wasted", "entangling_ops"]),
+        ("vertical_link", {}, ["qubits_consumed", "entangling_ops"]),
+    ])
+    def test_compared_columns_exist(self, variant, kwargs, rows):
+        cfg = StrategyConfig(variant=variant, p=0.75, trials=20, master_seed=3, **kwargs)
+        stats = simulate(cfg)
+        point = analytics.scaling_point(variant, 0.75, L=cfg.target_L,
+                                        n=cfg.initial_qubits, k=cfg.rounds_k)
+        for column, key in growth._STRATEGIES[variant][2]:
+            assert column in stats.columns()
+            assert key in {"N", "T", *point.extras}
+        assert [row.metric for row in growth.compare_to_analytic(stats, point)] == rows
 
 
 class TestTrialRng:
@@ -607,7 +637,7 @@ class TestTrialRecords:
         cfg = StrategyConfig(variant="merge", p=0.75, trials=2, master_seed=2, target_L=21)
         for record in simulate(cfg).trial_records():
             assert record["config"]["accounting"] == {
-                "rules": growth.ACCOUNTING_RULES["merge"]}
+                "rules": growth._STRATEGIES["merge"][1]}
 
     # sha256 of render_growth_jsonl as written while StrategyConfig still had
     # an accounting field (p = 0.75, 20 trials, master seed 3)
@@ -642,9 +672,9 @@ class TestTrialRecords:
         from qubuslab.cli import render_growth_jsonl
 
         # format characters in the config text are written as they are
-        rules = growth.ACCOUNTING_RULES[kwargs["variant"]]
-        monkeypatch.setitem(growth.ACCOUNTING_RULES, kwargs["variant"],
-                            rules + " (50% {of} %s)")
+        kernel, rules, compared = growth._STRATEGIES[kwargs["variant"]]
+        monkeypatch.setitem(growth._STRATEGIES, kwargs["variant"],
+                            (kernel, rules + " (50% {of} %s)", compared))
         stats = simulate(StrategyConfig(p=0.75, trials=300, master_seed=3,
                                         gate_time=0.1, **kwargs))
         want = "\n".join(json.dumps(r, sort_keys=True) for r in stats.trial_records())
