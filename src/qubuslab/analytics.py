@@ -239,7 +239,10 @@ def dc_series_value(L: float, p: float) -> float:
     """Continuous extension of the per-chain operation count in L."""
     if L <= 1:
         raise ValueError("length must exceed 1")
-    return ((2.0 / p) ** math.log2(L - 1.0) - 1.0) / (2.0 - p)
+    try:
+        return ((2.0 / p) ** math.log2(L - 1.0) - 1.0) / (2.0 - p)
+    except OverflowError:
+        raise ValueError(f"the dc series overflows a float at L = {L}, p = {p}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -75,11 +75,18 @@ def parse_amount(text: str) -> float:
     return value
 
 
-def _merged_config(path: str | None, **flags) -> dict:
-    """Config-file values (a JSON object) overridden by the flags that are set."""
+def _merged_config(path: str | None, file_only=(), **flags) -> dict:
+    """Config-file values (a JSON object) overridden by the flags that are set.
+
+    The file may hold the flags' keys and the ``file_only`` keys, the ones
+    the command reads; any other key is refused rather than ignored.
+    """
     merged = {} if path is None else json.loads(Path(path).read_text())
     if not isinstance(merged, dict):
         raise click.BadParameter("config file must hold a JSON object")
+    unknown = sorted(set(merged).difference(flags, file_only))
+    if unknown:
+        raise ValueError(f"config keys this command does not read: {', '.join(unknown)}")
     merged.update((key, value) for key, value in flags.items() if value is not None)
     return merged
 
@@ -360,7 +367,7 @@ def cmd_growth(variant, p, target_l, rounds_k, initial_qubits, trials, seed,
                gate_time, jsonl_path, csv_path, config_path):
     """Run a growth strategy and compare against its closed forms."""
     cfg = _merged_config(
-        config_path,
+        config_path, ("max_rounds",),
         p=p, target_L=target_l, rounds_k=rounds_k, initial_qubits=initial_qubits,
         trials=trials, master_seed=seed, gate_time=gate_time,
     )

@@ -3,11 +3,13 @@
 Each trial owns a counter-based random stream keyed by (master_seed,
 trial_index), so a trial's result does not depend on which other trials run:
 the first M trials of an N-trial run equal an M-trial run.  A run builds one
-Philox generator and rekeys it to each trial's stream.  The sequential and
-vertical-link kernels evaluate chunks of trials at once, one row of uniforms
-per trial, and a row of k doubles is the same k values as k scalar draws.
-Per-run work (the gate backend's outcome table, merge's minimal chain
-length, divide and conquer's round lengths) is done once, not per trial.
+Philox generator and rekeys it to each trial's stream.  The sequential,
+merge and vertical-link kernels evaluate chunks of trials at once, one row
+of uniforms per trial, and a row of k doubles is the same k values as k
+scalar draws; merge steps its trials in lockstep, draw j of every trial from
+column j of its row.  Per-run work (the gate backend's outcome table,
+merge's automaton, divide and conquer's round lengths) is done once, not per
+trial.
 
 Strategy rules (the accounting that the closed forms leave open) are stated
 in each simulator's docstring; disagreements between the simulated means and
@@ -40,7 +42,10 @@ _ZERO4 = (0, 0, 0, 0)
 # Trials go _CHUNK at a time, one row of _WIDTH uniforms each (fewer for
 # first-success counts, which are short), so temporaries stay near 1 MB.  A
 # width is a multiple of 4: Philox yields four doubles per counter step.
+# Merge steps every trial of a chunk once per draw, so it takes larger
+# chunks: 4096 rows ran 10**5 trials fastest of 512 to 8192.
 _CHUNK = 512
+_MERGE_CHUNK = 4096
 _WIDTH = 256
 _FIRST_SUCCESS_WIDTH = 32
 _NO_CAP = np.iinfo(np.int64).max
@@ -73,17 +78,6 @@ def trial_rng(
         "uinteger": 0,
     }
     return rng
-
-
-def _uniforms(rng: np.random.Generator):
-    """The scalar draws rng.random(), rng.random(), ... taken in blocks.
-
-    A block of k doubles is the same k values as k scalar draws; the next
-    block is drawn only when the last one runs out.  Values left over at the
-    end of a trial change nothing, because each trial owns its stream.
-    """
-    while True:
-        yield from rng.random(_WIDTH).tolist()
 
 
 @dataclass(frozen=True)
@@ -224,20 +218,20 @@ class GrowthStats:
 
 
 def _walk_blocks(seed: int, trials: int, rng: np.random.Generator, width: int,
-                 step) -> None:
+                 step, chunk: int = _CHUNK) -> None:
     """Feed each trial's stream to ``step`` one block at a time, across trials.
 
     Block b of a trial is its uniforms b*width to (b+1)*width - 1, the values
     as many scalar ``rng.random()`` draws give: ``rng`` is rekeyed through
     :func:`trial_rng` and advanced by b*width/4 Philox counter steps of four
-    doubles each.  Trials go _CHUNK at a time; ``step(u, rows)`` consumes
+    doubles each.  Trials go ``chunk`` at a time; ``step(u, rows)`` consumes
     row r of u, a block of trial ``rows[r]``, and returns a mask of the rows
     that need their next block.  A trial that stops in its first block is
     rekeyed once.
     """
-    buf = np.empty((_CHUNK, width))
-    for start in range(0, trials, _CHUNK):
-        rows = np.arange(start, min(start + _CHUNK, trials))
+    buf = np.empty((min(chunk, trials), width))
+    for start in range(0, trials, chunk):
+        rows = np.arange(start, min(start + chunk, trials))
         skip = 0
         while rows.size:
             u = buf[:rows.size]
@@ -375,89 +369,162 @@ def _divide_conquer(config: StrategyConfig, rng: np.random.Generator) -> dict:
     return columns
 
 
-def _build_chain_dc(length: int, p: float, draw, t: float):
-    """Ops, time and qubits to build one chain without recycling.
+# merge's float registers: a constant zero, a sink for the writes of finished
+# trials, the trial's time, then one accumulator per node of the chain build
+_ZERO, _SINK, _TIME, _NODE0 = 0, 1, 2, 3
+# a merge reward packs ops + qubits * _QUBITS; a trial would need 2**32 draws
+# to carry ops into qubits
+_QUBITS = 1 << 32
 
-    Two bare qubits fuse straight into a 2-chain; a longer chain of length l
-    splits as a + b - 1 with a = ceil((l+1)/2) and both halves at least 2.
-    Halves are built fresh (in parallel, so time takes the slower half) and
-    a failed join discards them entirely.  ``draw()`` returns the trial's
-    next uniform.
+
+def _merge_automaton(config: StrategyConfig):
+    """The merge rule's reachable control states, as transition tables.
+
+    A trial builds minimal chains of L0 qubits without recycling.  A 2-chain
+    is two bare qubits fused, retried until it succeeds; a longer chain of
+    length l splits as a + b - 1 with a = ceil((l+1)/2), both halves built
+    fresh (in parallel, so time takes the slower half) and discarded on a
+    failed join.  The first chain is the main chain.  Each later chain is a
+    partner, joined to the main chain one attempt at a time: a success adds
+    partner - 1, a failure shrinks both by one, and a used-up partner is
+    rebuilt, the main chain restarting from one qubit if it fell below.
+    Every draw is one op, and a 2-chain attempt consumes two qubits.
+
+    A build state is (position in the post-order program of the build, the
+    unfinished nodes that have attempted, as a bit mask, main length or None
+    before the main chain exists); a join state is (main, partner length);
+    an absorbing state is (final length,).  Row k = 2 state + (u < p) gives
+    the next state (times 2), the packed reward and five register columns
+    [a, r, x, y, w]: the draw sets register w to r + (a + (max(x, y) +
+    gate_time)), the recursive build's sums in its order.  A node's first
+    attempt reads the zero register as a, a 2-chain or a join reads it as
+    x and y, and a finished chain adds to the trial's time as r.
     """
-    if length <= 1:
-        return 0, 0.0, 1
-    if length == 2:
-        ops = 0
-        time = 0.0
-        qubits = 0
-        while True:
-            ops += 1
-            time += t
-            qubits += 2
-            if draw() < p:
-                return ops, time, qubits
-    a = (length + 2) // 2
-    b = length + 1 - a
-    ops = 0
-    time = 0.0
-    qubits = 0
-    while True:
-        ops_a, t_a, q_a = _build_chain_dc(a, p, draw, t)
-        ops_b, t_b, q_b = _build_chain_dc(b, p, draw, t)
-        ops += ops_a + ops_b + 1
-        time += max(t_a, t_b) + t
-        qubits += q_a + q_b
-        if draw() < p:
-            return ops, time, qubits
+    L0, target = analytics.minimal_chain_length(config.p), config.target_L
+    program = []  # post-order nodes: (child columns or None, first position)
 
+    def lay(length):
+        first = len(program)
+        if length > 2:
+            a = (length + 2) // 2
+            lay(a)
+            left = _NODE0 + len(program) - 1
+            lay(length + 1 - a)
+            program.append(((left, _NODE0 + len(program) - 1), first))
+        else:
+            program.append((None, first))
 
-def _merge_trial(config: StrategyConfig, rng: np.random.Generator, L0: int):
-    """Minimal chains built without recycling, then joined to a main chain.
+    lay(L0)
+    root = len(program) - 1
 
-    A failed join shrinks both the main chain and the partner by one; the
-    partner is retried until it is used up, then rebuilt.  The main chain is
-    the first minimal chain.  Join attempts run one at a time (time
-    gate_time each); partner builds are accounted with parallel-halves time.
-    ``L0`` is the minimal chain length at p, computed once per run.
-    """
-    target = config.target_L
-    t = config.gate_time
-    draw = _uniforms(rng).__next__
-    ops = 0
-    time = 0.0
-    consumed = 0
-    b_ops, b_time, b_q = _build_chain_dc(L0, config.p, draw, t)
-    ops, time, consumed = ops + b_ops, time + b_time, consumed + b_q
-    main = L0
-    while main < target:
-        b_ops, b_time, b_q = _build_chain_dc(L0, config.p, draw, t)
-        ops, time, consumed = ops + b_ops, time + b_time, consumed + b_q
-        partner = L0
-        while partner >= 1:
-            ops += 1
-            time += t
-            if draw() < config.p:
-                main += partner - 1
-                break
-            main -= 1
-            partner -= 1
-        if main < 1:
-            main = 1  # rebuild from a bare qubit of the next partner
-    return {
-        "entangling_ops": ops,
-        "elapsed_rounds": time,
-        "qubits_consumed": consumed,
-        "qubits_wasted": consumed - main,
-        "final_length": main,
-    }
+    def loop_test(main):  # the end of a join loop, or of the first build
+        main = max(main, 1)
+        return ("build", 0, 0, main) if main < target else ("done", main)
+
+    def step(state, ok):
+        """(next state, reward, register columns) of one draw from ``state``."""
+        if state[0] == "done":
+            return state, 0, (_ZERO, _ZERO, _ZERO, _ZERO, _SINK)
+        if state[0] == "join":
+            _, main, partner = state
+            if ok:
+                after = loop_test(main + partner - 1)
+            elif partner > 1:
+                after = ("join", main - 1, partner - 1)
+            else:
+                after = loop_test(main - 1)
+            return after, 1, (_TIME, _ZERO, _ZERO, _ZERO, _TIME)
+        _, pos, tried, main = state
+        children, first = program[pos]
+        node, bit = _NODE0 + pos, 1 << pos
+        x, y = children or (_ZERO, _ZERO)
+        a = node if tried & bit else _ZERO
+        reward = 1 if children else 1 + 2 * _QUBITS
+        if not ok:
+            return ("build", first, tried | bit, main), reward, (a, _ZERO, x, y, node)
+        if pos < root:
+            return ("build", pos + 1, tried & ~bit, main), reward, (a, _ZERO, x, y, node)
+        after = loop_test(L0) if main is None else ("join", main, L0)
+        return after, reward, (a, _TIME, x, y, _TIME)
+
+    start = ("build", 0, 0, None)
+    ids, queue, moves = {start: 0}, [start], []
+    for state in queue:  # breadth first: the list grows while it is walked
+        for ok in (False, True):
+            after, reward, columns = step(state, ok)
+            if after not in ids:
+                ids[after] = len(ids)
+                queue.append(after)
+            moves.append((ids[after], reward, columns))
+    # number the absorbing states last, so a trial has finished once its
+    # state reaches the first of them; the start stays state 0
+    order = sorted(range(len(queue)), key=lambda i: queue[i][0] == "done")
+    index, reward, columns = zip(*(moves[2 * i + ok] for i in order for ok in (0, 1)))
+    length = [queue[i][1] if queue[i][0] == "done" else 0 for i in order]
+    return (2 * np.argsort(order)[list(index)], np.array(reward, dtype=np.int64),
+            np.array(columns).T.copy(), np.array(length, dtype=np.int64),
+            2 * length.count(0), _NODE0 + len(program))
 
 
 def _merge(config: StrategyConfig, rng: np.random.Generator) -> dict:
-    """Columns of :func:`_merge_trial` over the run's trials, in trial order."""
-    L0 = analytics.minimal_chain_length(config.p)
-    runs = (_merge_trial(config, trial_rng(config.master_seed, i, rng), L0).values()
-            for i in range(config.trials))
-    return dict(zip(_BASE_METRICS, zip(*runs)))
+    """Merge trials in lockstep through the rule's automaton.
+
+    Step j of every live trial reads uniform j of its own stream, so trial i
+    gives what one scalar draw per op on the (seed, i) stream gives.  Each
+    trial holds a state (times 2), packed rewards and a row of float
+    registers; a finished trial sits in its absorbing state, which writes
+    only the sink, until its rows are dropped.
+    """
+    nxt2, reward, columns, length, done2, width = _merge_automaton(config)
+    p, t = config.p, config.gate_time
+    state2 = np.zeros(config.trials, dtype=np.int64)
+    packed = np.zeros(config.trials, dtype=np.int64)
+    registers = np.zeros((config.trials, width))
+
+    def step(u, rows):
+        hits = np.ascontiguousarray((u < p).T)  # hits[j]: draw j of each row
+        on = np.arange(rows.size)  # the rows of u still walking
+        s2, w, reg = state2[rows], packed[rows], registers[rows]
+
+        def save(sel):
+            trials = rows[on[sel]]
+            state2[trials], packed[trials], registers[trials] = s2[sel], w[sel], reg[sel]
+
+        flat, base = reg.reshape(-1), np.arange(0, reg.size, width)
+        for j in range(hits.shape[0]):
+            k = s2 + hits[j]
+            idx = columns.take(k, axis=1)
+            idx += base
+            v = flat.take(idx[:4])
+            # r + (a + (max(x, y) + t)): each add commutes, so the order holds
+            out = np.maximum(v[2], v[3])
+            out += t
+            out += v[0]
+            out += v[1]
+            flat[idx[4]] = out
+            w += reward[k]
+            s2 = nxt2[k]
+            finished = s2 >= done2
+            if 8 * np.count_nonzero(finished) > s2.size:  # drop the finished rows
+                save(finished)
+                live = ~finished
+                on, s2, w, reg, hits = on[live], s2[live], w[live], reg[live], hits[:, live]
+                flat, base = reg.reshape(-1), base[:on.size]
+                if not on.size:
+                    break
+        save(slice(None))
+        return state2[rows] < done2
+
+    _walk_blocks(config.master_seed, config.trials, rng, _WIDTH, step, _MERGE_CHUNK)
+    ops, consumed = packed % _QUBITS, packed // _QUBITS
+    final = length[state2 // 2]
+    return {
+        "entangling_ops": ops,
+        "elapsed_rounds": registers[:, _TIME],
+        "qubits_consumed": consumed,
+        "qubits_wasted": consumed - final,
+        "final_length": final,
+    }
 
 
 def _failures_before_success(seed: int, trials: int, p: float,
@@ -526,7 +593,8 @@ def simulate(config: StrategyConfig, threads: int = 1) -> GrowthStats:
 
     Trial i draws exactly the stream keyed by (master_seed, i), from one
     generator rekeyed to it, and lands in slot i of the output, although
-    the sequential and vertical-link kernels evaluate trials in chunks.
+    the sequential, merge and vertical-link kernels evaluate trials in
+    chunks, merge one draw of every trial per step.
     Trials run in the calling thread; ``threads`` is kept for callers that
     pass ``threads=1`` and any other value is an error.
     """

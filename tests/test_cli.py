@@ -68,9 +68,11 @@ class TestCommandErrors:
          "gate cascade holds at most 13 qubits, got n = 1000000"),
         (["gate", "star", "--config", "<n of 330 digits>"],
          f"gate star holds at most 20 qubits, got n = {10**329}"),
+        (["scaling", "--p", "1e-40", "--series", "dc"],
+         "the dc series overflows a float at L = 2e+40, p = 1e-40"),
     ], ids=["dc-k-and-off-grid-L", "dc-k-and-L", "scaling-reference-time",
             "scaling-seq-half", "scaling-empty-range", "chain-million", "cascade-million",
-            "star-config-330-digits"])
+            "star-config-330-digits", "scaling-dc-overflow"])
     def test_refused_before_any_work(self, runner, tmp_path, args, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 10**329}))
@@ -118,6 +120,21 @@ class TestCommandErrors:
         assert result.exit_code == 1
         assert_one_line_error(result)
         assert result.output.strip().splitlines() == [f"Error: {message}"]
+
+    @pytest.mark.parametrize("args", [
+        ["growth", "sequential", "--L", "5", "--trials", "10"],
+        ["gate", "chain"],
+    ], ids=["growth", "gate"])
+    def test_config_file_unknown_keys_refused(self, runner, tmp_path, args):
+        """A key the command does not read is refused, not silently ignored."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bogus": 1, "gate_backend": "nope", "n": 4, "p": 0.75}))
+        result = runner.invoke(main, [*args, "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert_one_line_error(result)
+        unread = "bogus, gate_backend, " + ("n" if args[0] == "growth" else "p")
+        assert result.output.strip().splitlines() == [
+            f"Error: config keys this command does not read: {unread}"]
 
     @pytest.mark.parametrize("args, config, line", [
         (["gate", "chain"], {"n": 4}, "interactions: 8 (two per qubit)"),

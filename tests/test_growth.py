@@ -226,7 +226,9 @@ class TestRekeyedStream:
             assert _draws(rng) == _draws(fresh), (seed, index)
         assert part_used >= len(pairs) // 2  # rekeys from a part-used buffer
 
-    def test_one_trial_rng_call_per_trial(self, monkeypatch):
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The (seed, trial) of every ``growth.trial_rng`` call."""
         calls = []
         real = growth.trial_rng
 
@@ -235,7 +237,12 @@ class TestRekeyedStream:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(growth, "trial_rng", spy)
+        return calls
+
+    def test_one_trial_rng_call_per_trial(self, calls):
         for kwargs in PREFIX_CONFIGS:
+            if kwargs["variant"] == "merge":  # rekeyed once per block: see below
+                continue
             calls.clear()
             simulate(StrategyConfig(p=0.75, trials=17, master_seed=4, **kwargs))
             assert calls == [(4, i) for i in range(17)]
@@ -243,14 +250,15 @@ class TestRekeyedStream:
         growth.join_pair_experiment(0.75, 5, 23, seed=9)
         assert calls == [(9, i) for i in range(23)]
 
-
-class TestUniformBlocks:
-    def test_yields_the_scalar_sequence(self):
-        for seed in (0, 2**63 + 1):
-            blocks = growth._uniforms(trial_rng(seed, 4))
-            got = [next(blocks) for _ in range(600)]  # crosses two 256-blocks
-            scalar = trial_rng(seed, 4)
-            assert got == [scalar.random() for _ in range(600)]
+    def test_merge_rekeys_once_per_block(self, calls):
+        """A merge trial is rekeyed to its own stream for each block it reads."""
+        cfg = StrategyConfig(variant="merge", p=0.5, target_L=41, trials=17, master_seed=4)
+        ops = simulate(cfg).entangling_ops
+        assert (ops > 2 * growth._WIDTH).any()  # some trials read three blocks
+        assert {seed for seed, _ in calls} == {4}
+        assert list(dict.fromkeys(i for _, i in calls)) == list(range(17))
+        blocks = -(-ops.astype(int) // growth._WIDTH)
+        assert [calls.count((4, i)) for i in range(17)] == blocks.tolist()
 
 
 class TestGateSampler:
@@ -754,27 +762,38 @@ def _scalar_merge_trial(config, rng):
 
 
 class TestMergeBlockDraws:
-    @pytest.mark.parametrize("p, L", [(0.6, 20), (0.75, 41), (0.9, 30)])
-    def test_equals_scalar_draws(self, p, L):
-        cfg = StrategyConfig(
-            variant="merge", p=p, trials=150, master_seed=2**63 + 17, target_L=L,
-            gate_time=0.5,
-        )
-        stats = simulate(cfg)
-        L0 = analytics.minimal_chain_length(p)
-        for i in range(cfg.trials):
-            want = _scalar_merge_trial(cfg, trial_rng(cfg.master_seed, i))
-            got = growth._merge_trial(cfg, trial_rng(cfg.master_seed, i), L0)
-            assert got == want
-            for key, value in want.items():
-                assert getattr(stats, key)[i] == value
+    """The lockstep merge kernel equals the scalar trial on each trial's stream."""
 
-    @pytest.mark.parametrize("length", [1, 2, 3, 5, 9, 17])
+    @pytest.mark.parametrize("p, L", [
+        (0.6, 20), (0.75, 41), (0.9, 30),
+        (0.5, 41),  # minimal chains of 4; most trials read three blocks or more
+        (0.4, 10),  # minimal chains of 5
+    ])
+    def test_equals_scalar_draws(self, p, L):
+        for gate_time in (0.1, 0.37):  # time sums that do not add exactly
+            cfg = StrategyConfig(
+                variant="merge", p=p, trials=150, master_seed=2**63 + 17, target_L=L,
+                gate_time=gate_time,
+            )
+            _assert_equals_scalar_trials(cfg)
+            if p == 0.5:
+                ops = simulate(cfg).entangling_ops
+                assert (ops > 2 * growth._WIDTH).mean() > 0.5
+
+    @pytest.mark.parametrize("length", [2, 3, 5, 9])
     def test_chain_build_equals_scalar_draws(self, length):
-        for i in range(40):
-            draw = growth._uniforms(trial_rng(3, i)).__next__
-            want = _scalar_build_chain_dc(length, 0.7, trial_rng(3, i), 1.0)
-            assert growth._build_chain_dc(length, 0.7, draw, 1.0) == want
+        """At target_L = L0 a merge trial is one chain build of L0 qubits."""
+        p = 2 / (length + 0.5)  # the critical length is length - 1/2
+        cfg = StrategyConfig(variant="merge", p=p, trials=40, master_seed=3,
+                             target_L=length, gate_time=0.37)
+        assert analytics.minimal_chain_length(p) == length
+        stats = simulate(cfg)
+        for i in range(cfg.trials):
+            ops, time, qubits = _scalar_build_chain_dc(length, p, trial_rng(3, i), 0.37)
+            assert stats.entangling_ops[i] == ops
+            assert stats.elapsed_rounds[i] == time
+            assert stats.qubits_consumed[i] == qubits
+            assert stats.final_length[i] == length
 
 
 def _scalar_sequential_trial(config, rng):
@@ -915,6 +934,13 @@ class TestAcrossTrialKernels:
     def test_chunk_boundaries(self, kwargs, trials):
         _assert_equals_scalar_trials(StrategyConfig(
             trials=trials, master_seed=2**63 + 7, gate_time=0.3, **kwargs))
+
+    @pytest.mark.parametrize(
+        "trials", [growth._MERGE_CHUNK - 1, growth._MERGE_CHUNK, growth._MERGE_CHUNK + 1])
+    def test_merge_chunk_boundaries(self, trials):
+        _assert_equals_scalar_trials(StrategyConfig(
+            variant="merge", p=0.75, target_L=5, trials=trials, master_seed=2**63 + 7,
+            gate_time=0.37))
 
     @pytest.mark.parametrize("p", [0.05, 0.01])
     def test_vertical_rows_run_out(self, p):
