@@ -104,8 +104,8 @@ class MergeScaling:
     ``n_sum_floor``/``n_sum_ceil`` evaluate the printed operation count with
     the non-integral sum limit log2(L0 - 1) + 1 truncated down or up;
     ``n_quoted_law`` uses the quoted per-chain build cost when one is stored
-    (14 at p = 1/2), otherwise the floor sum.  ``t_*`` are the matching time
-    evaluations; the ceiling reading reproduces the quoted p = 1/2 time law.
+    (14 at p = 1/2), otherwise the floor sum.  ``t_sum_ceil`` is the time
+    law under the ceiling reading, which reproduces the quoted p = 1/2 time law.
     """
 
     L: float
@@ -114,7 +114,6 @@ class MergeScaling:
     n_sum_floor: float
     n_sum_ceil: float
     n_quoted_law: float | None
-    t_sum_floor: float
     t_sum_ceil: float
 
 
@@ -144,7 +143,6 @@ def merge_scaling(L: float, p: float, t: float = 1.0) -> MergeScaling:
     if key in _QUOTED_BUILD_COSTS:
         quoted = merge_n_law(L, p, L0, _QUOTED_BUILD_COSTS[key])
     log_term = math.log2((L - lc) / (L0 - lc))
-    t_floor = t * _power_sum(1.0 / p, L0, math.floor) + (t / p) * log_term
     t_ceil = t * _power_sum(1.0 / p, L0, math.ceil) + (t / p) * log_term
     return MergeScaling(
         L=L,
@@ -153,7 +151,6 @@ def merge_scaling(L: float, p: float, t: float = 1.0) -> MergeScaling:
         n_sum_floor=n_floor,
         n_sum_ceil=n_ceil,
         n_quoted_law=quoted,
-        t_sum_floor=t_floor,
         t_sum_ceil=t_ceil,
     )
 
@@ -221,7 +218,7 @@ def dc_scaling(
         N_dc = 0.0
         T_dc = 0.0
     else:
-        N_dc = ((2.0 / p) ** math.log2(L - 1) - 1.0) / (2.0 - p)
+        N_dc = dc_series_value(L, p)
         T_dc = t * (1.0 + math.log2(L - 1))
     return {
         "k": k,
@@ -299,9 +296,6 @@ _SERIES = {
         16.0,
         -50.0,
         "theoretical limit of linear optics: merge law at p = 1/2",
-    ),
-    "paper-16L-50": ComparisonSeries(
-        "paper-16L-50", 16.0, -50.0, "quoted merge law at p = 1/2"
     ),
     "paper-8L-44/3": ComparisonSeries(
         "paper-8L-44/3", 8.0, -44.0 / 3.0, "merge law at p = 3/4"

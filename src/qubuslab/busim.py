@@ -532,7 +532,7 @@ def measure_bucket(state: HybridState, outcome: str) -> BucketOutcome:
     _check_normalized(state)
     p_vac, posterior = _photon_projection(state, 0)
     if outcome == "click":
-        components = tuple(c for c in _photon_components(state) if c[0] > 0)
+        components = tuple(_photon_components(state))
         return BucketOutcome("click", 1.0 - p_vac, None, components)
     keep = np.abs(state.bus) <= BUS_TOL
     if keep.any():
@@ -565,18 +565,18 @@ def _photon_projection(state: HybridState, n: int):
 
 
 def _photon_components(state: HybridState):
+    """Yield a click's (n, probability, posterior) for n = 1, 2, ... until less
+    than ``TAIL_TOL`` of the weight is left past the largest mean photon number."""
     lam = float(np.max(np.abs(state.bus)) ** 2)
     n_max = int(lam + 12.0 * math.sqrt(lam + 1.0) + 25.0)
     total = 0.0
-    out = []
     for n in range(n_max + 1):
         pn, post = _photon_projection(state, n)
-        if post is not None:
-            out.append((n, pn, post))
+        if n > 0 and post is not None:
+            yield n, pn, post
         total += pn
         if 1.0 - total < TAIL_TOL and n > lam:
-            break
-    return out
+            return
 
 
 # ---------------------------------------------------------------------------

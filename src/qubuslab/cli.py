@@ -133,10 +133,7 @@ def _print_outcome_table(outcomes):
         if o.target is not None:
             corrected = gates.apply_corrections(o.posterior, o.corrections)
             fid = f"{busim.fidelity(corrected, o.target):10.8f}"
-        corr = "; ".join(
-            f"q{c.qubit}:{c.op}" + (f"({c.angle:.4f})" if c.angle is not None else "")
-            for c in o.corrections
-        )
+        corr = "; ".join(f"q{c.qubit}:{c.op}({c.angle:.4f})" for c in o.corrections)
         click.echo(f"{o.label:<16} {o.probability:>12.9f} {fid:>10} {corr}")
 
 
@@ -202,6 +199,15 @@ def cmd_gate(name, alpha, theta, beta, n_qubits, number_resolving, graph_file,
 
 
 def _gate_table_command(name, alpha, theta, n_qubits, number_resolving, csv_path):
+    # every square a table computes must fit a float: the printed error budget
+    # squares alpha*theta, and the bucket gate displaces the bus amplitude alpha
+    # by -alpha (alpha * alpha) and counts photons up to (2 alpha sin theta)**2
+    scales = {"alpha*theta": alpha * theta}
+    if name == "parity-bucket":
+        scales.update({"alpha": alpha, "2*alpha*sin(theta)": 2.0 * alpha * math.sin(theta)})
+    for label, x in scales.items():
+        if not math.isfinite(x * x):
+            raise ValueError(f"{label} = {x:.4g} is too large: its square overflows a float")
     quadrature = "position" if name == "parity-position" else "momentum"
     if name != "parity-bucket":
         gates._warn_if_unresolved(alpha, theta, quadrature)
@@ -323,12 +329,6 @@ def _growth_report(stats: growth.GrowthStats):
     for row in rows:
         if row.metric == "entangling_ops":
             z = f"{row.z:.4f}"
-    if cfg.variant == "divide_conquer":
-        L = analytics.dc_round_length(cfg.rounds())
-    elif cfg.variant == "vertical_link":
-        L = 2
-    else:
-        L = cfg.target_L
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=GROWTH_CSV_COLUMNS)
     writer.writeheader()
@@ -336,7 +336,7 @@ def _growth_report(stats: growth.GrowthStats):
         {
             "variant": cfg.variant,
             "p": repr(cfg.p),
-            "L": L,
+            "L": cfg.target_L if point is None else point.L,
             "trials": cfg.trials,
             "mean_ops": repr(summary["entangling_ops"].mean),
             "ci_ops": repr(summary["entangling_ops"].ci95),

@@ -8,14 +8,15 @@ alone; the dependence on the bus amplitude and interaction angle only enters
 the separately reported error budget.  The measurement-free builders return
 a bus program, whose steps are plain ``(qubit | None, beta)`` displacements.
 
-Local corrections use Z phases diag(1, e^{i angle}) and Paulis; applying an
-outcome's corrections to its posterior reaches the canonical target state up
-to a global phase.
+Local corrections are Z phases diag(1, e^{i angle}); applying an outcome's
+corrections to its posterior reaches the canonical target state up to a
+global phase.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -61,25 +62,20 @@ Z_SOLVE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Correction:
-    """One single-qubit correction: a Pauli or a Z phase angle."""
+    """One single-qubit Z phase diag(1, e^{i angle}); ``op`` is always "phase"."""
 
     qubit: int
-    op: str  # "X", "Y", "Z", or "phase"
-    angle: float | None = None
+    op: str
+    angle: float
 
     def __post_init__(self):
-        if self.op == "phase" and self.angle is None:
-            raise ValueError("phase correction needs an angle")
-        if self.op not in ("X", "Y", "Z", "phase"):
+        if self.op != "phase":
             raise ValueError(f"unsupported correction op {self.op!r}")
 
 
 def apply_corrections(state: QubitState, corrections) -> QubitState:
     for c in corrections:
-        if c.op == "phase":
-            state = busim.apply_z_phase(state, c.qubit, c.angle)
-        else:
-            state = busim.apply_pauli(state, c.qubit, c.op)
+        state = busim.apply_z_phase(state, c.qubit, c.angle)
     return state
 
 
@@ -396,7 +392,8 @@ def bucket_parity_outcomes(
     hybrid = busim.apply_displacement(hybrid, -complex(alpha))
 
     vac = busim.measure_bucket(hybrid, outcome="vacuum")
-    click = busim.measure_bucket(hybrid, outcome="click")
+    # measure_bucket's click components, computed only as far as the table reads
+    clicks = busim._photon_components(hybrid)
     outcomes = [
         GateOutcome(
             label="odd-bell",
@@ -407,7 +404,7 @@ def bucket_parity_outcomes(
         )
     ]
     if number_resolving:
-        for n, pn, post in click.components[:n_max]:
+        for n, pn, post in itertools.islice(clicks, n_max):
             target = _bell_even(1 if n % 2 == 0 else -1)
             outcomes.append(
                 GateOutcome(
@@ -420,12 +417,12 @@ def bucket_parity_outcomes(
                 )
             )
     else:
-        placeholder = click.components[0][2] if click.components else state
+        first = next(clicks, None)
         outcomes.append(
             GateOutcome(
                 label="click",
-                probability=click.probability,
-                posterior=placeholder,
+                probability=1.0 - vac.probability,
+                posterior=state if first is None else first[2],
                 gate_time=2.0,
             )
         )

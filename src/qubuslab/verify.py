@@ -414,11 +414,10 @@ def check_monte_carlo(quick: bool = False) -> CriterionResult:
         sd = growth.simulate(cfgd)
         worst = 0.0
         for k in range(1, 9):
-            expect_c = n0 * (p / 2.0) ** k
-            expect_q = expect_c * analytics.dc_round_length(k)
+            vals = analytics.dc_scaling(p, n0, k=k)
             for metric, expect in (
-                (f"chains_round_{k}", expect_c),
-                (f"qubits_round_{k}", expect_q),
+                (f"chains_round_{k}", vals["C"]),
+                (f"qubits_round_{k}", vals["Q"]),
             ):
                 values = sd.extras[metric]
                 stderr = float(np.std(values, ddof=1)) / math.sqrt(values.size)

@@ -31,7 +31,6 @@ from qubuslab.busim import (
     measure_bucket,
     quadrature_overlap,
 )
-from qubuslab.oracles import FockOracle, hybrid_to_dense
 
 
 def two_qubit_rotated(alpha=2.0, theta=0.4):
@@ -392,6 +391,86 @@ class TestOneBranchPerPattern:
         assert state.coeff.tolist() == [0.8, 0.6]
         state.coeff[0] = 5.0
         assert coeff.tolist() == [0.6, 0.0, 0.8]
+
+
+# ---------------------------------------------------------------------------
+# dense truncated-Fock reference for the branch algebra
+
+
+class FockOracle:
+    """Dense qubit-register x truncated-Fock simulator.
+
+    State layout: vector of shape (2**n * dim,), index = bits * dim + k with
+    k the photon number.  Same qubit conventions as busim (qubit 0 is the
+    most significant bit, Z eigenvalue +1 for bit 0).
+    """
+
+    def __init__(self, n_qubits: int, fock_dim: int):
+        self.n = n_qubits
+        self.dim = fock_dim
+        a = np.diag(np.sqrt(np.arange(1, fock_dim)), k=1)
+        self._a = a
+        self._num = np.diag(np.arange(fock_dim, dtype=np.float64))
+
+    def coherent_vector(self, beta: complex) -> np.ndarray:
+        ns = np.arange(self.dim)
+        with np.errstate(divide="ignore"):
+            logmag = -0.5 * abs(beta) ** 2 + ns * (
+                math.log(abs(beta)) if beta != 0 else -math.inf
+            )
+        logmag -= np.array([0.5 * math.lgamma(k + 1) for k in ns])
+        vec = np.exp(logmag) * np.exp(1j * ns * np.angle(beta))
+        if beta == 0:
+            vec = np.zeros(self.dim, dtype=np.complex128)
+            vec[0] = 1.0
+        return vec
+
+    def initial_state(self, register: QubitState, alpha: complex) -> np.ndarray:
+        return np.kron(register.amplitudes, self.coherent_vector(alpha))
+
+    def displacement(self, beta: complex) -> np.ndarray:
+        from scipy.linalg import expm
+
+        return expm(beta * self._a.conj().T - np.conj(beta) * self._a)
+
+    def rotation(self, theta: float) -> np.ndarray:
+        return np.diag(np.exp(1j * theta * np.arange(self.dim)))
+
+    def _qubit_signs(self, qubit: int) -> np.ndarray:
+        bits = np.arange(2**self.n)
+        return 1.0 - 2.0 * ((bits >> (self.n - 1 - qubit)) & 1)
+
+    def _apply_conditional(self, state, qubit, op_plus, op_minus):
+        psi = state.reshape(2**self.n, self.dim)
+        signs = self._qubit_signs(qubit)
+        out = np.empty_like(psi)
+        out[signs > 0] = psi[signs > 0] @ op_plus.T
+        out[signs < 0] = psi[signs < 0] @ op_minus.T
+        return out.reshape(-1)
+
+    def conditional_rotation(self, state, qubit: int, theta: float):
+        return self._apply_conditional(
+            state, qubit, self.rotation(theta), self.rotation(-theta)
+        )
+
+    def conditional_displacement(self, state, qubit: int, beta: complex):
+        return self._apply_conditional(
+            state, qubit, self.displacement(beta), self.displacement(-beta)
+        )
+
+    def unconditional_displacement(self, state, beta: complex):
+        psi = state.reshape(2**self.n, self.dim)
+        return (psi @ self.displacement(beta).T).reshape(-1)
+
+
+def hybrid_to_dense(state: HybridState, oracle: FockOracle) -> np.ndarray:
+    """Expand a branch state in the oracle's truncated joint basis."""
+    out = np.zeros(2**state.qubit_count * oracle.dim, dtype=np.complex128)
+    for b, c, u in zip(state.bits, state.coeff, state.bus):
+        out[int(b) * oracle.dim : (int(b) + 1) * oracle.dim] += c * oracle.coherent_vector(
+            complex(u)
+        )
+    return out
 
 
 class TestFockOracleEquivalence:

@@ -70,9 +70,26 @@ class TestCommandErrors:
          f"gate star holds at most 20 qubits, got n = {10**329}"),
         (["scaling", "--p", "1e-40", "--series", "dc"],
          "the dc series overflows a float at L = 2e+40, p = 1e-40"),
+        (["gate", "cascade", "--n", "6", "--alpha", "1e300", "--theta", "1"],
+         "alpha*theta = 1e+300 is too large: its square overflows a float"),
+        (["gate", "three-qubit", "--alpha", "2", "--theta", "1e200"],
+         "alpha*theta = 2e+200 is too large: its square overflows a float"),
+        (["gate", "parity-bucket", "--alpha", "2", "--theta", "1e200"],
+         "alpha*theta = 2e+200 is too large: its square overflows a float"),
+        (["gate", "parity-bucket", "--alpha", "1e300", "--theta", "1"],
+         "alpha*theta = 1e+300 is too large: its square overflows a float"),
+        (["gate", "parity-momentum", "--alpha", "1e308", "--theta", "3"],
+         "alpha*theta = inf is too large: its square overflows a float"),
+        (["gate", "parity-bucket", "--alpha", "1e154", "--theta", "1"],
+         "2*alpha*sin(theta) = 1.683e+154 is too large: its square overflows a float"),
+        (["gate", "parity-bucket", "--alpha", "1e200", "--theta", "1e-60"],
+         "alpha = 1e+200 is too large: its square overflows a float"),
     ], ids=["dc-k-and-off-grid-L", "dc-k-and-L", "scaling-reference-time",
             "scaling-seq-half", "scaling-empty-range", "chain-million", "cascade-million",
-            "star-config-330-digits", "scaling-dc-overflow"])
+            "star-config-330-digits", "scaling-dc-overflow", "cascade-budget-overflow",
+            "three-qubit-budget-overflow", "bucket-budget-overflow",
+            "bucket-photon-and-budget-overflow", "momentum-alpha-theta-inf",
+            "bucket-photon-scale-overflow", "bucket-displacement-overflow"])
     def test_refused_before_any_work(self, runner, tmp_path, args, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 10**329}))
@@ -337,6 +354,43 @@ class TestGateCommand:
         assert "label" not in result.output and "PASS" not in result.output
 
     @pytest.mark.parametrize("args", [
+        ["gate", "parity-momentum", "--alpha", "1e154", "--theta", "1"],
+        ["gate", "parity-position", "--alpha", "1.3e154", "--theta", "1"],
+        ["gate", "parity-bucket", "--alpha", "1.3e154", "--theta", "1e-152"],
+    ])
+    def test_squares_inside_the_float_range_run(self, runner, args):
+        """Next to the overflow refusals: these squares fit a float and print tables."""
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert "nan" not in result.output and "inf" not in result.output
+        assert "error budget:" in result.output
+
+    @pytest.mark.parametrize("args", [
+        ["--alpha", "1000", "--theta", "0.5"],
+        ["--alpha", "1e4", "--theta", "0.5"],
+        ["--alpha", "1e4", "--theta", "0.5", "--number-resolving"],
+    ])
+    def test_bucket_table_at_large_photon_numbers(self, args):
+        """A bucket table computes only the photon numbers it lists.
+
+        At alpha = 1e4, theta = 0.5 the click spreads over about 9.2e7 photon
+        numbers; listing them all took minutes.
+        """
+        src = Path(qubuslab.__file__).resolve().parents[1]
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "qubuslab.cli", "gate", "parity-bucket", *args],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+            text=True, timeout=20,
+        )
+        assert time.perf_counter() - start < 10.0
+        assert proc.returncode == 0, proc.stderr
+        labels = [line.split()[0] for line in proc.stdout.splitlines()[1:-1]]
+        resolved = args[-1] == "--number-resolving"
+        expected = [f"even-bell-{n}" for n in range(1, 7)] if resolved else ["click"]
+        assert labels == ["odd-bell"] + expected
+
+    @pytest.mark.parametrize("args", [
         ["gate", "three-qubit", "--theta", "-0.003"],
         ["gate", "parity-momentum", "--alpha", "1000", "--theta", "-0.003"],
     ])
@@ -561,6 +615,63 @@ class TestScalingCommand:
     def test_unknown_series(self, runner):
         result = runner.invoke(main, ["scaling", "--series", "nonsense"])
         assert result.exit_code != 0
+
+
+# every command a user runs without the test dependencies: verify, each gate,
+# each growth strategy and a scaling plot
+_SCIPY_FREE_COMMANDS = [
+    ["verify", "--quick"],
+    *(["gate", name] for name in ("parity-momentum", "parity-position", "parity-bucket",
+                                  "three-qubit", "cascade", "geometric-cz", "star", "chain")),
+    ["gate", "parity-bucket", "--alpha", "2", "--theta", "0.4", "--number-resolving"],
+    ["growth", "sequential", "--L", "21", "--trials", "500", "--seed", "7"],
+    ["growth", "merge", "--L", "21", "--trials", "200", "--seed", "7"],
+    ["growth", "divide_conquer", "--n", "1024", "--k", "6", "--trials", "50", "--seed", "7"],
+    ["growth", "vertical_link", "--trials", "500", "--seed", "7"],
+    ["scaling", "--svg", "scaling.svg"],
+]
+
+
+def _run_commands(cwd: Path, block_scipy: bool):
+    """(exit code, output) of each command, in one interpreter run from ``cwd``.
+
+    Elapsed times in verify's lines are masked; the SVG's bytes are appended.
+    """
+    code = (
+        "import json, re, sys\n"
+        + ("sys.modules['scipy'] = None\n" if block_scipy else "")
+        + "from click.testing import CliRunner\n"
+        "from qubuslab.cli import main\n"
+        "out = []\n"
+        "for args in json.loads(sys.argv[1]):\n"
+        "    r = CliRunner().invoke(main, args)\n"
+        "    out.append([r.exit_code, re.sub(r'\\(\\d+\\.\\ds\\)', '(-s)', r.output)])\n"
+        "out.append([0, open('scaling.svg').read()])\n"
+        "print(json.dumps(out))\n"
+    )
+    src = Path(qubuslab.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(_SCIPY_FREE_COMMANDS)], cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_commands_run_without_scipy(tmp_path):
+    """SciPy is a test dependency: with its import blocked every command prints the same."""
+    runs = {}
+    for blocked in (True, False):
+        cwd = tmp_path / ("blocked" if blocked else "open")
+        cwd.mkdir()
+        runs[blocked] = _run_commands(cwd, blocked)
+    assert len(runs[True]) == len(_SCIPY_FREE_COMMANDS) + 1
+    for args, got, want in zip(_SCIPY_FREE_COMMANDS + [["scaling.svg"]], runs[True],
+                               runs[False]):
+        assert got == want, args
+    assert [code for code, _ in runs[True]] == [0] * len(runs[True])
+    assert "(-s)" in runs[True][0][1]
 
 
 class TestVerifyCommand:
