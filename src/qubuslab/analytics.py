@@ -26,6 +26,7 @@ __all__ = [
     "vertical_cost",
     "reference_series",
     "dc_series_value",
+    "dc_series_time",
     "merge_crossover",
     "QUOTED_CONSTANTS",
 ]
@@ -211,15 +212,11 @@ def dc_scaling(
     C = n * (p / 2.0) ** k
     Q = C * L
     if k == 0:
-        G = 0.0
+        G = N_dc = T_dc = 0.0
     else:
         G = (n / 2.0) * (1.0 - (p / 2.0) ** (k - 1)) / (2.0 / p - 1.0)
-    if k == 0:
-        N_dc = 0.0
-        T_dc = 0.0
-    else:
         N_dc = dc_series_value(L, p)
-        T_dc = t * (1.0 + math.log2(L - 1))
+        T_dc = dc_series_time(L, t)
     return {
         "k": k,
         "L": L,
@@ -240,6 +237,11 @@ def dc_series_value(L: float, p: float) -> float:
         return ((2.0 / p) ** math.log2(L - 1.0) - 1.0) / (2.0 - p)
     except OverflowError:
         raise ValueError(f"the dc series overflows a float at L = {L}, p = {p}") from None
+
+
+def dc_series_time(L: float, t: float) -> float:
+    """Continuous extension in L of the elapsed time, one gate time per round."""
+    return t * (1.0 + math.log2(L - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,7 @@ __all__ = [
     "quadrature_overlap",
     "fidelity",
     "apply_z_phase",
+    "z_phase_action",
     "apply_pauli",
     "pauli_action",
 ]
@@ -143,11 +144,14 @@ def fidelity(a: QubitState, b: QubitState) -> float:
 def apply_z_phase(state: QubitState, qubit: int, angle: float) -> QubitState:
     """diag(1, e^{i angle}) on one qubit."""
     n = state.qubit_count
+    return QubitState(n, z_phase_action(state.amplitudes, np.arange(2**n), n, qubit, angle))
+
+
+def z_phase_action(amps, patterns, n: int, qubit: int, angle: float) -> np.ndarray:
+    """Amplitudes of the bit ``patterns`` after diag(1, e^{i angle}) on one of n
+    qubits.  No norm check: the correction solver phases part of a register."""
     _check_qubit(qubit, n)
-    bits = np.arange(2**n)
-    mask = (bits >> (n - 1 - qubit)) & 1
-    amps = state.amplitudes * np.exp(1j * angle * mask)
-    return QubitState(n, amps)
+    return amps * np.exp(1j * angle * ((patterns >> (n - 1 - qubit)) & 1))
 
 
 def apply_pauli(state: QubitState, qubit: int, pauli: str) -> QubitState:
@@ -547,9 +551,9 @@ def _photon_projection(state: HybridState, n: int):
     absb = np.abs(b)
     if n == 0:
         log_mag = -0.5 * absb**2
-    else:
+    else:  # a bus within BUS_TOL of 0 is the vacuum, as measure_bucket keeps it
         with np.errstate(divide="ignore"):
-            log_mag = -0.5 * absb**2 + n * np.where(absb > 0, np.log(absb), -np.inf)
+            log_mag = -0.5 * absb**2 + n * np.where(absb > BUS_TOL, np.log(absb), -np.inf)
         log_mag = log_mag - 0.5 * math.lgamma(n + 1)
     phase = n * np.angle(b)
     top = float(np.max(log_mag))

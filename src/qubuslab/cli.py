@@ -413,7 +413,7 @@ def _series_value(name, L, p, t, metric):
     if name == "dc":
         if metric == "N":
             return analytics.dc_series_value(L, p)
-        return t * (1.0 + math.log2(L - 1.0))
+        return analytics.dc_series_time(L, t)
     if name == "merge":
         point = analytics.scaling_point("merge", p, L, t)
         return point.N if metric == "N" else point.T

@@ -74,9 +74,12 @@ class Correction:
 
 
 def apply_corrections(state: QubitState, corrections) -> QubitState:
+    """The corrections' Z phases, in order, on one amplitude array."""
+    n, amps = state.qubit_count, state.amplitudes
+    patterns = np.arange(2**n)
     for c in corrections:
-        state = busim.apply_z_phase(state, c.qubit, c.angle)
-    return state
+        amps = busim.z_phase_action(amps, patterns, n, c.qubit, c.angle)
+    return QubitState(n, amps)
 
 
 def solve_local_z_corrections(posterior: QubitState, target: QubitState):
@@ -135,10 +138,9 @@ def _unwrapped_angles(support, r, rows):
 
 
 def _phases_match(a, t, support, deltas, n) -> bool:
-    corrected = a[support].astype(np.complex128).copy()
+    corrected = a[support]
     for q, d in enumerate(deltas):
-        bit = (support >> (n - 1 - q)) & 1
-        corrected *= np.exp(1j * d * bit)
+        corrected = busim.z_phase_action(corrected, support, n, q, d)
     g = t[support[0]] / corrected[0]
     return bool(np.max(np.abs(g * corrected - t[support])) <= math.sqrt(Z_SOLVE_TOL))
 

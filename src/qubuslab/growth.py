@@ -2,14 +2,13 @@
 
 Each trial owns a counter-based random stream keyed by (master_seed,
 trial_index), so a trial's result does not depend on which other trials run:
-the first M trials of an N-trial run equal an M-trial run.  A run builds one
-Philox generator and rekeys it to each trial's stream.  The sequential,
+the first M trials of an N-trial run equal an M-trial run.  The sequential,
 merge and vertical-link kernels evaluate chunks of trials at once, one row
-of uniforms per trial, and a row of k doubles is the same k values as k
-scalar draws; merge steps its trials in lockstep, draw j of every trial from
-column j of its row.  Per-run work (the gate backend's outcome table,
-merge's automaton, divide and conquer's round lengths) is done once, not per
-trial.
+of uniforms per trial, each block of a trial's stream read from its own
+Philox counter.  A row of k doubles is the same k values as k scalar draws;
+merge steps its trials in lockstep, draw j of every trial from column j of
+its row.  Per-run work (the gate backend's outcome table, merge's
+automaton, divide and conquer's round lengths) is done once, not per trial.
 
 Strategy rules (the accounting that the closed forms leave open) are stated
 in each simulator's docstring; disagreements between the simulated means and
@@ -34,6 +33,7 @@ __all__ = [
     "simulate",
     "join_pair_experiment",
     "compare_to_analytic",
+    "z_score",
     "VARIANTS",
 ]
 
@@ -52,24 +52,27 @@ _NO_CAP = np.iinfo(np.int64).max
 
 
 def trial_rng(
-    master_seed: int, trial_index: int, rng: np.random.Generator | None = None
+    master_seed: int, trial_index: int, rng: np.random.Generator | None = None,
+    counter: int = 0,
 ) -> np.random.Generator:
     """Independent per-trial stream: a Philox generator keyed by both values.
 
     The 128-bit Philox key is (master_seed << 64) | trial_index, so distinct
-    trials get distinct counter-based streams with no shared state.  Given a
-    Philox-backed ``rng``, rekey it to that stream and return it instead of
-    building a new generator: key words [trial_index, master_seed], counter
-    zero and an empty buffer are the state a fresh ``Philox(key=...)``
-    starts from, so the draws are the same.
+    trials get distinct counter-based streams with no shared state; the
+    stream starts at Philox counter ``counter`` (below 2**64), four doubles
+    per step.  Given a Philox-backed ``rng``, rekey it there and return it
+    instead of building a new generator: key words [trial_index,
+    master_seed], counter words [counter, 0, 0, 0] and an empty buffer are
+    the state a fresh ``Philox(key=..., counter=counter)`` starts from, so
+    the draws are the same.
     """
     if rng is None:
         key = ((int(master_seed) & _MASK64) << 64) | (int(trial_index) & _MASK64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(key=key, counter=counter))
     rng.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {
-            "counter": _ZERO4,
+            "counter": (counter, 0, 0, 0) if counter else _ZERO4,
             "key": (int(trial_index) & _MASK64, int(master_seed) & _MASK64),
         },
         "buffer": _ZERO4,
@@ -217,31 +220,27 @@ class GrowthStats:
 # simulators: each returns the per-trial columns of one run
 
 
-def _walk_blocks(seed: int, trials: int, rng: np.random.Generator, width: int,
-                 step, chunk: int = _CHUNK) -> None:
+def _walk_blocks(seed: int, trials: int, width: int, step, chunk: int = _CHUNK) -> None:
     """Feed each trial's stream to ``step`` one block at a time, across trials.
 
     Block b of a trial is its uniforms b*width to (b+1)*width - 1, the values
-    as many scalar ``rng.random()`` draws give: ``rng`` is rekeyed through
-    :func:`trial_rng` and advanced by b*width/4 Philox counter steps of four
-    doubles each.  Trials go ``chunk`` at a time; ``step(u, rows)`` consumes
-    row r of u, a block of trial ``rows[r]``, and returns a mask of the rows
-    that need their next block.  A trial that stops in its first block is
-    rekeyed once.
+    as many scalar ``rng.random()`` draws give, read after rekeying one
+    generator through :func:`trial_rng` to Philox counter b*width/4.  Trials
+    go ``chunk`` at a time; ``step(u, rows)`` consumes row r of u, a block of
+    trial ``rows[r]``, and returns a mask of the rows that need their next
+    block.
     """
+    rng = np.random.Generator(np.random.Philox(0))  # rekeyed to each block
     buf = np.empty((min(chunk, trials), width))
     for start in range(0, trials, chunk):
         rows = np.arange(start, min(start + chunk, trials))
-        skip = 0
+        counter = 0
         while rows.size:
             u = buf[:rows.size]
             for row, i in zip(u, rows.tolist()):
-                trial_rng(seed, i, rng)
-                if skip:
-                    rng.bit_generator.advance(skip)
-                rng.random(out=row)
+                trial_rng(seed, i, rng, counter).random(out=row)
             rows = rows[step(u, rows)]
-            skip += width // 4
+            counter += width // 4
 
 
 def _attempt_sampler(config: StrategyConfig):
@@ -269,7 +268,7 @@ def _attempt_sampler(config: StrategyConfig):
     return sample
 
 
-def _sequential(config: StrategyConfig, rng: np.random.Generator) -> dict:
+def _sequential(config: StrategyConfig) -> dict:
     """Random-walk growth: one fresh qubit and one gate attempt per round.
 
     Success extends the chain by one; failure loses the fresh qubit and the
@@ -311,7 +310,7 @@ def _sequential(config: StrategyConfig, rng: np.random.Generator) -> dict:
         return (length[rows] < target) & (ops[rows] < cap)
 
     if target > 1:
-        _walk_blocks(config.master_seed, n, rng, _WIDTH, step)
+        _walk_blocks(config.master_seed, n, _WIDTH, step)
     return {
         "entangling_ops": ops,
         "elapsed_rounds": ops * config.gate_time,
@@ -322,7 +321,7 @@ def _sequential(config: StrategyConfig, rng: np.random.Generator) -> dict:
     }
 
 
-def _divide_conquer(config: StrategyConfig, rng: np.random.Generator) -> dict:
+def _divide_conquer(config: StrategyConfig) -> dict:
     """Pairwise joins of equal-length chains, discarding failures.
 
     Round j pairs floor(C/2) survivors; only failed chains are discarded.
@@ -336,6 +335,7 @@ def _divide_conquer(config: StrategyConfig, rng: np.random.Generator) -> dict:
     # survivors[i, j]: trial i's chains after round j (column 0: n bare qubits)
     survivors = np.empty((config.trials, k + 1), dtype=np.int64)
     survivors[:, 0] = n
+    rng = np.random.Generator(np.random.Philox(0))  # rekeyed to each trial's stream
     binomial = rng.binomial
     for i in range(config.trials):
         trial_rng(config.master_seed, i, rng)
@@ -466,7 +466,7 @@ def _merge_automaton(config: StrategyConfig):
             2 * length.count(0), _NODE0 + len(program))
 
 
-def _merge(config: StrategyConfig, rng: np.random.Generator) -> dict:
+def _merge(config: StrategyConfig) -> dict:
     """Merge trials in lockstep through the rule's automaton.
 
     Step j of every live trial reads uniform j of its own stream, so trial i
@@ -515,7 +515,7 @@ def _merge(config: StrategyConfig, rng: np.random.Generator) -> dict:
         save(slice(None))
         return state2[rows] < done2
 
-    _walk_blocks(config.master_seed, config.trials, rng, _WIDTH, step, _MERGE_CHUNK)
+    _walk_blocks(config.master_seed, config.trials, _WIDTH, step, _MERGE_CHUNK)
     ops, consumed = packed % _QUBITS, packed // _QUBITS
     final = length[state2 // 2]
     return {
@@ -527,8 +527,7 @@ def _merge(config: StrategyConfig, rng: np.random.Generator) -> dict:
     }
 
 
-def _failures_before_success(seed: int, trials: int, p: float,
-                             rng: np.random.Generator, cap: int = _NO_CAP):
+def _failures_before_success(seed: int, trials: int, p: float, cap: int = _NO_CAP):
     """Per trial, the draws u >= p before its first u < p, at most ``cap``.
 
     Trial i counts what ``while fails < cap and rng.random() >= p`` counts
@@ -542,11 +541,11 @@ def _failures_before_success(seed: int, trials: int, p: float,
         fails[rows] = np.minimum(fails[rows] + first, cap)
         return (first == u.shape[1]) & (fails[rows] < cap)
 
-    _walk_blocks(seed, trials, rng, _FIRST_SUCCESS_WIDTH, step)
+    _walk_blocks(seed, trials, _FIRST_SUCCESS_WIDTH, step)
     return fails
 
 
-def _vertical_link(config: StrategyConfig, rng: np.random.Generator) -> dict:
+def _vertical_link(config: StrategyConfig) -> dict:
     """Qubit cost of one vertical link between two chains.
 
     Growing the two dangling bonds costs two qubits per chain up front; each
@@ -554,7 +553,7 @@ def _vertical_link(config: StrategyConfig, rng: np.random.Generator) -> dict:
     two dangling qubits are measured out into the link.  Mean consumption is
     2 (1/p + 1).
     """
-    fails = _failures_before_success(config.master_seed, config.trials, config.p, rng)
+    fails = _failures_before_success(config.master_seed, config.trials, config.p)
     ops = fails + 1
     consumed = 4 + 2 * fails
     return {
@@ -591,10 +590,10 @@ VARIANTS = tuple(_STRATEGIES)
 def simulate(config: StrategyConfig, threads: int = 1) -> GrowthStats:
     """Run the configured strategy over independent seeded trials.
 
-    Trial i draws exactly the stream keyed by (master_seed, i), from one
-    generator rekeyed to it, and lands in slot i of the output, although
-    the sequential, merge and vertical-link kernels evaluate trials in
-    chunks, merge one draw of every trial per step.
+    Trial i draws exactly the stream keyed by (master_seed, i) and lands
+    in slot i of the output, although the sequential, merge and
+    vertical-link kernels evaluate trials in chunks, a block of each
+    trial's stream at a time, merge one draw of every trial per step.
     Trials run in the calling thread; ``threads`` is kept for callers that
     pass ``threads=1`` and any other value is an error.
     """
@@ -602,9 +601,8 @@ def simulate(config: StrategyConfig, threads: int = 1) -> GrowthStats:
         raise ValueError(
             f"trials run in the calling thread; threads must be 1, got {threads}"
         )
-    rng = np.random.Generator(np.random.Philox(0))  # rekeyed to each trial's stream
     extras = {k: np.array(v, dtype=np.float64)
-              for k, v in _STRATEGIES[config.variant][0](config, rng).items()}
+              for k, v in _STRATEGIES[config.variant][0](config).items()}
     base = {k: extras.pop(k) for k in _BASE_METRICS}
     return GrowthStats(config=config, extras=extras, **base)
 
@@ -617,8 +615,7 @@ def join_pair_experiment(p: float, L: int, trials: int, seed: int) -> float:
     """
     if L < 1:
         raise ValueError("chain length must be at least 1")
-    rng = np.random.Generator(np.random.Philox(0))  # rekeyed to each trial's stream
-    fails = _failures_before_success(seed, trials, p, rng, cap=L)
+    fails = _failures_before_success(seed, trials, p, cap=L)
     # integer lengths, so the sum is exact in any order
     return float(np.sum(np.where(fails == L, 0, 2 * (L - fails) - 1))) / trials
 
@@ -635,6 +632,11 @@ class ComparisonRow:
     stderr: float
     z: float
     status: str  # "pass" or "flag"
+
+
+def z_score(diff: float, stderr: float) -> float:
+    """diff / stderr: 0 only for an exact match, inf for a miss with no spread."""
+    return 0.0 if diff == 0.0 else (diff / stderr if stderr > 0 else math.inf)
 
 
 def compare_to_analytic(stats: GrowthStats, point: ScalingPoint):
@@ -661,8 +663,7 @@ def compare_to_analytic(stats: GrowthStats, point: ScalingPoint):
         values = columns[metric]
         summ = MetricSummary.from_samples(values)
         stderr = math.sqrt(summ.variance / values.size)
-        diff = summ.mean - analytic_value
-        z = 0.0 if diff == 0.0 else (diff / stderr if stderr > 0 else math.inf)
+        z = z_score(summ.mean - analytic_value, stderr)
         rows.append(
             ComparisonRow(
                 metric=metric,

@@ -19,7 +19,6 @@ from .busim import pauli_action
 __all__ = [
     "two_gaussian_misassignment",
     "graph_state_vector",
-    "statevector_stabilizer_signs",
     "apply_pauli_string",
     "state_stabilized_by",
     "is_graph_state",
@@ -67,19 +66,6 @@ def graph_state_vector(n: int, edges) -> np.ndarray:
     return vec
 
 
-def statevector_stabilizer_signs(vec: np.ndarray, paulis, tol: float = 1e-9):
-    """Signs s with P|psi> = s|psi>, or None where P does not stabilize."""
-    signs = []
-    for p in paulis:
-        image = apply_pauli_string(vec, p)
-        ov = np.vdot(vec, image)
-        if abs(abs(ov) - 1.0) <= tol and abs(ov.imag) <= tol:
-            signs.append(1 if ov.real > 0 else -1)
-        else:
-            signs.append(None)
-    return signs
-
-
 def state_stabilized_by(vec: np.ndarray, paulis, signs, tol: float = 1e-9) -> bool:
     """Whether every signed Pauli string fixes the vector exactly."""
     for p, s in zip(paulis, signs):
@@ -97,9 +83,13 @@ def is_graph_state(vec: np.ndarray, n: int, edges) -> bool:
     for u, v in edges:
         rows[u][v] = "Z"
         rows[v][u] = "Z"
-    paulis = ["".join(r) for r in rows]
-    signs = statevector_stabilizer_signs(vec, paulis)
-    return all(s == 1 for s in signs) and state_stabilized_by(vec, paulis, signs)
+    for r in rows:  # each generator applied once, for its sign and its image
+        image = apply_pauli_string(vec, "".join(r))
+        ov = np.vdot(vec, image)
+        plus = abs(abs(ov) - 1.0) <= 1e-9 and abs(ov.imag) <= 1e-9 and ov.real > 0
+        if not plus or np.max(np.abs(image - vec)) > 1e-9:
+            return False
+    return True
 
 
 def apply_local_ops(vec: np.ndarray, n: int, ops) -> np.ndarray:

@@ -421,7 +421,7 @@ def check_monte_carlo(quick: bool = False) -> CriterionResult:
             ):
                 values = sd.extras[metric]
                 stderr = float(np.std(values, ddof=1)) / math.sqrt(values.size)
-                z = (float(np.mean(values)) - expect) / stderr if stderr else 0.0
+                z = growth.z_score(float(np.mean(values)) - expect, stderr)
                 worst = max(worst, abs(z))
                 if abs(z) > 3.0:
                     res.fail(

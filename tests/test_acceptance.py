@@ -34,7 +34,9 @@ Stated tolerances (asserted inside the checks):
 
 import time
 
-from qubuslab import verify
+import numpy as np
+
+from qubuslab import growth, verify
 
 
 def _run(check, max_seconds=None):
@@ -78,6 +80,23 @@ def test_criterion_6_stabilizer_oracle():
 def test_criterion_7_monte_carlo():
     result = _run(verify.check_monte_carlo)
     assert any("within 1% of 80" in line for line in result.details)
+
+
+def test_criterion_7_fails_samples_with_no_spread(monkeypatch):
+    """Survivor counts that never vary and miss the law fail with z = inf."""
+    kernel, rules, compared = growth._STRATEGIES["divide_conquer"]
+
+    def constant(config):
+        columns = kernel(config)
+        for key in columns:
+            if key.startswith(("chains_round_", "qubits_round_")):
+                columns[key] = np.full(config.trials, 7)
+        return columns
+
+    monkeypatch.setitem(growth._STRATEGIES, "divide_conquer", (constant, rules, compared))
+    result = verify.check_monte_carlo(quick=True)
+    assert result.status == "fail"
+    assert any("round 1 chains_round_1: z=inf" in line for line in result.details)
 
 
 def test_criterion_8_constants_and_crossover():

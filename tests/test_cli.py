@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import qubuslab
-from qubuslab import gates, growth
+from qubuslab import analytics, gates, growth
 from qubuslab.cli import GROWTH_CSV_COLUMNS, main, parse_amount
 
 
@@ -588,6 +588,20 @@ class TestScalingCommand:
         rows = list(csv.DictReader(out.open()))
         table = {(int(r["L"]), r["series"]): float(r["value"]) for r in rows}
         assert table[(200, "dc")] < table[(200, "merge")] < table[(200, "seq")]
+
+    def test_dc_time_is_the_closed_form(self, runner, tmp_path):
+        """On the doubling grid the dc time column is dc_scaling's T_dc."""
+        out = tmp_path / "dc.csv"
+        result = runner.invoke(
+            main,
+            ["scaling", "--l-min", "2", "--l-max", "129", "--series", "dc",
+             "--metric", "T", "--t", "0.37", "--csv", str(out)],
+        )
+        assert result.exit_code == 0
+        table = {int(r["L"]): float(r["value"]) for r in csv.DictReader(out.open())}
+        for k in range(1, 9):
+            vals = analytics.dc_scaling(0.75, 1, k=k, t=0.37)
+            assert table[vals["L"]] == vals["T_dc"]
 
     def test_single_point(self, runner, tmp_path):
         out = tmp_path / "one.csv"

@@ -209,16 +209,27 @@ class TestBucketParityGate:
         assert set(draws) <= labels
         assert len(set(draws)) > 1
 
+    @pytest.mark.parametrize("alpha", [10.0, 1000.0])
+    def test_resolved_rows_exact_at_large_alpha(self, alpha):
+        """A click weights no branch whose bus sits at rounding residue of 0."""
+        outs = gates.bucket_parity_outcomes(alpha, 0.5, number_resolving=True, n_max=6)
+        assert [o.label for o in outs[1:]] == [f"even-bell-{n}" for n in range(1, 7)]
+        for o in outs:
+            assert fidelity(corrected(o), o.target) >= 1 - 1e-12, o.label
+            off_parity = [0, 3] if o.label == "odd-bell" else [1, 2]
+            assert not o.posterior.amplitudes[off_parity].any(), o.label
+
     # sha256 of each table's labels, probabilities, posterior amplitudes and
-    # corrections, computed while busim.measure_bucket still took photon-number
-    # outcomes, an rng and tolerance keywords
+    # corrections, computed once a click gave a bus within BUS_TOL of 0 no
+    # weight; before, the |01> and |10> entries of the click posteriors held
+    # residue up to 3.1e-16 and the rest matched these bytes
     @pytest.mark.parametrize("args, kwargs, digest", [
         ((2.0, 0.4), {},
-         "fc29088ed2cf4d358f11e5eaacb220ef852f915c492baa85088e9b71dad5df54"),
+         "786174275e4a5b119e5a5f300ec614b46d7e37d15e0081bd78a846ef147d4bf4"),
         ((2.0, 0.4), {"number_resolving": True, "n_max": 6},
-         "b894e9d47025af039ec3afcffda00a5803b446e256a893d53907fb224a1af179"),
+         "a1b603f73904688788201020132c551d15b85711aa9887e708d026b8776442da"),
         ((1.5, 0.5), {"number_resolving": True},
-         "171aa893e291b81497724701b595f0dcfda7df39a0c11d1ac4d72b720c592908"),
+         "a5cf1a31a4ccda164ffed8930f5378ac979bc7b97563f6f2cb84d3e5c8ebf018"),
     ])
     def test_table_bytes_pinned(self, args, kwargs, digest):
         h = hashlib.sha256()
@@ -803,6 +814,22 @@ def _random_product(rng, n, spread=(0.2, 1.3)):
 
 
 class TestCorrectionSolver:
+    def test_corrections_equal_one_phase_at_a_time(self):
+        """One amplitude array holds the bytes of one apply_z_phase per correction."""
+        rng = np.random.default_rng(23)
+        for n in (1, 3, 6, 9):
+            state = _random_product(rng, n)
+            qubits, angles = rng.integers(0, n, size=2 * n), rng.uniform(-4, 4, size=2 * n)
+            corrections = [gates.Correction(int(q), "phase", float(a))
+                           for q, a in zip(qubits, angles)]
+            want = state
+            for c in corrections:
+                want = busim.apply_z_phase(want, c.qubit, c.angle)
+            got = gates.apply_corrections(state, corrections)
+            assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+        with pytest.raises(ValueError):
+            gates.apply_corrections(state, [gates.Correction(n, "phase", 0.5)])
+
     def test_solves_pure_z_frame(self):
         state = QubitState.plus(2)
         rotated = busim.apply_z_phase(busim.apply_z_phase(state, 0, 0.7), 1, -0.4)

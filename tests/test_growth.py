@@ -226,6 +226,27 @@ class TestRekeyedStream:
             assert _draws(rng) == _draws(fresh), (seed, index)
         assert part_used >= len(pairs) // 2  # rekeys from a part-used buffer
 
+    @pytest.mark.parametrize("counter", [0, 64, 64000, 2**40, 2**64 - 1])
+    def test_counter_addresses_the_stream(self, counter):
+        """Keyed at counter c, rekeyed or fresh, a stream is its start advanced by c."""
+        pairs = self._pairs()[::6]
+        rng = np.random.Generator(np.random.Philox(0))
+        part_used = 0
+        for k, (seed, index) in enumerate(pairs):
+            _scramble(rng, k)
+            before = rng.bit_generator.state
+            assert before["has_uint32"] == 1
+            part_used += before["buffer_pos"] not in (0, 4)
+            assert trial_rng(seed, index, rng, counter) is rng
+            fresh = trial_rng(seed, index, counter=counter)
+            advanced = trial_rng(seed, index)
+            advanced.bit_generator.advance(counter)
+            for other in (fresh, advanced):
+                assert np.array_equal(rng.bit_generator.state["state"]["counter"],
+                                      other.bit_generator.state["state"]["counter"])
+            assert _draws(rng) == _draws(fresh) == _draws(advanced), (seed, index)
+        assert part_used >= len(pairs) // 2
+
     @pytest.fixture
     def calls(self, monkeypatch):
         """The (seed, trial) of every ``growth.trial_rng`` call."""
@@ -1027,3 +1048,32 @@ def _stats_digest(stats) -> str:
 def test_simulate_outputs_pinned(name):
     kwargs, digest = GOLDEN[name]
     assert _stats_digest(simulate(StrategyConfig(**kwargs))) == digest
+
+
+# sha256 as for GOLDEN, of runs whose trials read later blocks, computed while
+# a later block was reached by rekeying to counter 0 and advancing the counter
+MULTI_BLOCK = {
+    "merge-p0.5": (
+        dict(variant="merge", p=0.5, trials=400, master_seed=23, target_L=41,
+             gate_time=0.37),
+        "02ce61f911e7fd7dbcb2e11f22859e9ce774994d5e8a33126a9e291c2bdad5f2",
+    ),
+    "vertical_link-p0.05": (
+        dict(variant="vertical_link", p=0.05, trials=3000, master_seed=2**63 + 1),
+        "82491c739ae167e4e51181a4ed5e201ba2bf7cbb24685cac1e1c8a9b5e74a749",
+    ),
+    "sequential-capped-p0.55": (
+        dict(variant="sequential", p=0.55, trials=300, master_seed=31, target_L=300,
+             max_rounds=700),
+        "fd7f3b926ecc6a6006406393e97cf979cdb12a3802dbd7d3fa5ab0b6567f324f",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(MULTI_BLOCK))
+def test_multi_block_outputs_pinned(name):
+    kwargs, digest = MULTI_BLOCK[name]
+    stats = simulate(StrategyConfig(**kwargs))
+    width = growth._FIRST_SUCCESS_WIDTH if name.startswith("vertical") else growth._WIDTH
+    assert (stats.entangling_ops > width).mean() > 0.15  # trials past block 0
+    assert _stats_digest(stats) == digest

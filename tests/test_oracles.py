@@ -24,7 +24,6 @@ from qubuslab.oracles import (
     graph_state_vector,
     is_graph_state,
     state_stabilized_by,
-    statevector_stabilizer_signs,
     two_gaussian_misassignment,
 )
 
@@ -47,11 +46,24 @@ def _ref_apply_pauli_string(vec, pauli):
     return out
 
 
+def _ref_stabilizer_signs(vec, paulis, tol=1e-9):
+    """Signs s with P|psi> = s|psi>, or None where P does not stabilize."""
+    signs = []
+    for p in paulis:
+        image = apply_pauli_string(vec, p)
+        ov = np.vdot(vec, image)
+        if abs(abs(ov) - 1.0) <= tol and abs(ov.imag) <= tol:
+            signs.append(1 if ov.real > 0 else -1)
+        else:
+            signs.append(None)
+    return signs
+
+
 def _ref_is_graph_state(vec, spec):
     """Signed tableau from the measured generator signs, then canonical forms."""
     base = gs.graph_state(spec)
     paulis = [p for _, p in base.generator_strings()]
-    signs = statevector_stabilizer_signs(vec, paulis)
+    signs = _ref_stabilizer_signs(vec, paulis)
     if any(s is None for s in signs):
         return False
     tab = base.copy()
