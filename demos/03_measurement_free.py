@@ -36,7 +36,7 @@ print("\n2. A conditional displacement built from rotations")
 print("   D(a cos t) R(t Z) D(-2a) R(-t Z) D(a cos t) = D(2i a sin(t) Z)")
 start = busim.attach_bus(busim.QubitState.plus(1), 0.2 - 0.4j)
 via = gates.conditional_displacement_by_rotations(start, 0, 0.8, 0.3)
-direct = busim.apply_conditional_displacement(start, 0, 2j * 0.8 * math.sin(0.3))
+direct = busim.run_displacement_program(start, [(0, 2j * 0.8 * math.sin(0.3))])
 gap = max(np.max(np.abs(via.bus - direct.bus)), np.max(np.abs(via.coeff - direct.coeff)))
 print(f"   largest gap at a = 0.8, t = 0.3: {gap:.1e} (no residual phase)")
 

@@ -40,8 +40,6 @@ __all__ = [
     "init_plus_state",
     "attach_bus",
     "apply_conditional_rotation",
-    "apply_conditional_displacement",
-    "apply_displacement",
     "run_displacement_program",
     "homodyne_pdf",
     "homodyne_project",
@@ -294,27 +292,6 @@ def apply_conditional_rotation(state: HybridState, qubit: int, theta: float) -> 
     return HybridState(state.qubit_count, state.bits, state.coeff.copy(), bus)
 
 
-def apply_conditional_displacement(state: HybridState, qubit: int, beta: complex) -> HybridState:
-    """Displace the bus by +beta or -beta conditioned on one qubit.
-
-    Each branch picks up the displacement composition phase
-    exp(i Im(s beta conj(gamma))); compositions of these phases are what
-    produce the geometric entangling phases of the measurement-free gates.
-    """
-    _check_qubit(qubit, state.qubit_count)
-    s = _signs(state.bits, qubit, state.qubit_count)
-    d = s * complex(beta)
-    coeff = state.coeff * np.exp(1j * np.imag(d * np.conj(state.bus)))
-    return HybridState(state.qubit_count, state.bits, coeff, state.bus + d)
-
-
-def apply_displacement(state: HybridState, beta: complex) -> HybridState:
-    """Unconditional bus displacement by beta."""
-    d = complex(beta)
-    coeff = state.coeff * np.exp(1j * np.imag(d * np.conj(state.bus)))
-    return HybridState(state.qubit_count, state.bits, coeff, state.bus + d)
-
-
 def run_displacement_program(state: HybridState, steps) -> HybridState:
     """Run a sequence of (qubit | None, beta) displacements with exact returns.
 
@@ -323,7 +300,8 @@ def run_displacement_program(state: HybridState, steps) -> HybridState:
     open displacements summed in opening order from 0j.  So a sequence in
     which every displacement is later undone restores the original amplitude
     bit for bit (bus spread exactly zero, not a rounding residue).  Phases
-    follow the same composition rule as the incremental operations.
+    follow the module's displacement convention, and a single displacement is a
+    one-step program.
 
     Branches with the same open displacements share a class: their tuple
     and its sum.  Each step finds the next class of every live (class, bit)

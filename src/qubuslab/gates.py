@@ -283,11 +283,20 @@ def run_sequence(state: HybridState, sequence: InteractionSequence) -> HybridSta
 # canonical targets
 
 
-def _bell_odd() -> QubitState:
-    return QubitState(2, np.array([0, 1, 1, 0]) / math.sqrt(2.0))
+# a peak with one of these labels heralds the equal superposition of its members
+_HERALDED = ("odd-bell", "even-bell", "ghz", "bell-q3-0", "bell-q3-1")
 
 
-def _bell_even(sign: int = 1) -> QubitState:
+def _heralded_target(n: int, label: str, members) -> QubitState | None:
+    """The state a peak labelled ``label`` heralds, or None if it heralds none."""
+    if label not in _HERALDED:
+        return None
+    amps = np.zeros(2**n, dtype=np.complex128)
+    amps[sorted(members)] = 1.0 / math.sqrt(len(members))
+    return QubitState(n, amps)
+
+
+def _bell_even(sign: int) -> QubitState:
     return QubitState(2, np.array([1, 0, 0, sign]) / math.sqrt(2.0))
 
 
@@ -314,11 +323,11 @@ _TWO_QUBIT_LABELS = {frozenset(members): label for members, label in (
     ({3}, "product-11"), ({1}, "product-01"), ({2}, "product-10"))}
 
 
-def _homodyne_outcomes(hybrid, phi, gate_time, classify, target_for, patterns=None):
+def _homodyne_outcomes(hybrid, phi, gate_time, classify, patterns=None):
     """One outcome per peak of a single peak model of ``hybrid``.
 
-    ``classify(members, posterior)`` names a peak and ``target_for(label,
-    members)`` gives the state it heralds, or None.
+    ``classify(members, posterior)`` names a peak; :func:`_heralded_target`
+    gives the state it heralds, or None.
 
     With ``patterns`` (the basis-pattern count of a uniform register) each
     outcome also gets its exact probability, members / patterns.
@@ -329,7 +338,7 @@ def _homodyne_outcomes(hybrid, phi, gate_time, classify, target_for, patterns=No
     for idx, peak in enumerate(model.peaks):
         projected = busim._project_peak(hybrid, model, idx)
         label = classify(peak.members, projected.posterior)
-        target = target_for(label, peak.members)
+        target = _heralded_target(hybrid.qubit_count, label, peak.members)
         solved = None
         if target is not None:
             solved = solve_local_z_corrections(projected.posterior, target)
@@ -348,13 +357,11 @@ def _homodyne_outcomes(hybrid, phi, gate_time, classify, target_for, patterns=No
     return tuple(outcomes)
 
 
-def _parity_outcomes(alpha, theta, state, phi, targets):
+def _parity_outcomes(alpha, theta, state, phi):
     """Both qubits rotate the bus by +-theta; X(phi) is then measured."""
     _, hybrid = _prepare(alpha, theta, state, (1, 1))
     return _homodyne_outcomes(
-        hybrid, phi, 2.0, lambda members, _: _TWO_QUBIT_LABELS.get(members, "mixed"),
-        lambda label, _: targets.get(label),
-    )
+        hybrid, phi, 2.0, lambda members, _: _TWO_QUBIT_LABELS.get(members, "mixed"))
 
 
 def momentum_parity_outcomes(alpha, theta, state: QubitState | None = None):
@@ -363,7 +370,7 @@ def momentum_parity_outcomes(alpha, theta, state: QubitState | None = None):
     Both qubits rotate the bus by +-theta; the momentum quadrature then
     resolves the odd subspace (unrotated bus) from |00> and |11>.
     """
-    return _parity_outcomes(alpha, theta, state, math.pi / 2.0, {"odd-bell": _bell_odd()})
+    return _parity_outcomes(alpha, theta, state, math.pi / 2.0)
 
 
 def position_parity_outcomes(alpha, theta, state: QubitState | None = None):
@@ -371,8 +378,7 @@ def position_parity_outcomes(alpha, theta, state: QubitState | None = None):
 
     The even branches sit at 2 alpha cos(2 theta) and the odd branches at
     2 alpha, so both outcomes project onto entangled parity subspaces."""
-    targets = {"odd-bell": _bell_odd(), "even-bell": _bell_even()}
-    return _parity_outcomes(alpha, theta, state, 0.0, targets)
+    return _parity_outcomes(alpha, theta, state, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +397,7 @@ def bucket_parity_outcomes(
     weights sampled from the displaced-branch photon distribution.
     """
     state, hybrid = _prepare(alpha, theta, state, (1, 1))
-    hybrid = busim.apply_displacement(hybrid, -complex(alpha))
+    hybrid = busim.run_displacement_program(hybrid, [(None, -complex(alpha))])
 
     vac = busim.measure_bucket(hybrid, outcome="vacuum")
     # measure_bucket's click components, computed only as far as the table reads
@@ -402,7 +408,7 @@ def bucket_parity_outcomes(
             probability=vac.probability,
             posterior=vac.posterior,
             gate_time=2.0,
-            target=_bell_odd(),
+            target=_heralded_target(2, "odd-bell", (1, 2)),
         )
     ]
     if number_resolving:
@@ -505,16 +511,7 @@ def cascade_outcomes(n: int, alpha, theta, state: QubitState | None = None):
     def classify(members: frozenset, posterior: QubitState) -> str:
         return _cascade_label(n, sorted(members), posterior)
 
-    def target_for(label, members):
-        if label == "ghz" or label.startswith("bell-q3"):
-            amps = np.zeros(2**n, dtype=np.complex128)
-            amps[sorted(members)] = 1.0 / math.sqrt(2.0)
-            return QubitState(n, amps)
-        return None
-
-    return _homodyne_outcomes(
-        hybrid, math.pi / 2.0, gate_time, classify, target_for, patterns
-    )
+    return _homodyne_outcomes(hybrid, math.pi / 2.0, gate_time, classify, patterns)
 
 
 def three_qubit_outcomes(alpha, theta, state: QubitState | None = None):
@@ -531,8 +528,12 @@ def _zz_couplings(loop) -> dict | None:
 
     J_ab sums Im(beta_k conj(beta_j)) over (qubit, beta) steps j < k on
     qubits a != b.  A step closes its qubit's first open displacement equal
-    to -beta, as :func:`busim.run_displacement_program` does; a closed pair's
-    terms cancel, so only open ones add, and all-zero pairs are left out.
+    to -beta; a closed pair's terms cancel, so only open ones add, and
+    all-zero pairs are left out.  This per-qubit rule is stricter than
+    :func:`busim.run_displacement_program`'s, which closes a branch's open
+    displacement of opposite value whichever qubit opened it (in
+    ``star_sequence(3, b)`` branch 001's step on qubit 2 closes qubit 1's),
+    so a loop closed per qubit is closed on every branch.
     """
     held, coupling = {}, {}  # qubit -> open displacements in opening order; pair -> J
     for q, beta in loop:
@@ -599,11 +600,12 @@ def conditional_displacement_by_rotations(
     if isinstance(alpha, complex) and alpha.imag != 0.0:
         raise ValueError("alpha must be real")
     a = float(alpha.real) if isinstance(alpha, complex) else float(alpha)
-    state = busim.apply_displacement(state, complex(a * math.cos(theta)))
+    displace = busim.run_displacement_program
+    state = displace(state, [(None, complex(a * math.cos(theta)))])
     state = busim.apply_conditional_rotation(state, qubit, float(theta))
-    state = busim.apply_displacement(state, complex(-2.0 * a))
+    state = displace(state, [(None, complex(-2.0 * a))])
     state = busim.apply_conditional_rotation(state, qubit, float(-theta))
-    return busim.apply_displacement(state, complex(a * math.cos(theta)))
+    return displace(state, [(None, complex(a * math.cos(theta)))])
 
 
 def star_sequence(n: int, beta: float):

@@ -196,9 +196,7 @@ def check_geometric(quick: bool = False) -> CriterionResult:
 
     start = busim.attach_bus(busim.QubitState.plus(1), 0.2 - 0.4j)
     via = gates.conditional_displacement_by_rotations(start, 0, 0.9, 0.31)
-    direct = busim.apply_conditional_displacement(
-        start, 0, 2j * 0.9 * math.sin(0.31)
-    )
+    direct = busim.run_displacement_program(start, [(0, 2j * 0.9 * math.sin(0.31))])
     agree = np.max(np.abs(via.bus - direct.bus)) <= 1e-12 and np.max(
         np.abs(via.coeff - direct.coeff)
     ) <= 1e-12

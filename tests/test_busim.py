@@ -18,9 +18,7 @@ from qubuslab.busim import (
     HybridState,
     PhysicalParams,
     QubitState,
-    apply_conditional_displacement,
     apply_conditional_rotation,
-    apply_displacement,
     attach_bus,
     bus_spread,
     extract_qubits,
@@ -30,6 +28,7 @@ from qubuslab.busim import (
     init_plus_state,
     measure_bucket,
     quadrature_overlap,
+    run_displacement_program,
 )
 
 
@@ -110,13 +109,13 @@ class TestConditionalRotation:
 class TestConditionalDisplacement:
     def test_zero_is_identity(self):
         state = init_plus_state(2, 0.4)
-        moved = apply_conditional_displacement(state, 0, 0.0)
+        moved = run_displacement_program(state, [(0, 0.0)])
         assert_allclose(moved.bus, state.bus)
         assert_allclose(moved.coeff, state.coeff)
 
     def test_vacuum_start_real_kick(self):
         state = init_plus_state(1, 0.0)
-        moved = apply_conditional_displacement(state, 0, 0.8)
+        moved = run_displacement_program(state, [(0, 0.8)])
         branches = moved.branch_map()
         assert branches[0] == (pytest.approx(1 / math.sqrt(2)), pytest.approx(0.8))
         assert branches[1] == (pytest.approx(1 / math.sqrt(2)), pytest.approx(-0.8))
@@ -133,7 +132,7 @@ class TestConditionalDisplacement:
         """A closed displacement loop leaves exactly the area phase per branch."""
         state = attach_bus(QubitState.plus(2), start)
         for qubit, beta in ((0, b1), (1, b2), (0, -b1), (1, -b2)):
-            state = apply_conditional_displacement(state, qubit, beta)
+            state = run_displacement_program(state, [(qubit, beta)])
         assert bus_spread(state) < 1e-12
         assert_allclose(state.bus, start, atol=1e-12)
         area = 2.0 * np.imag(np.conj(b1) * b2)
@@ -146,7 +145,7 @@ class TestConditionalDisplacement:
 class TestUnconditionalDisplacement:
     def test_back_displacement_reaches_vacuum(self):
         alpha, theta = 2.0, 0.4
-        state = apply_displacement(two_qubit_rotated(alpha, theta), -alpha)
+        state = run_displacement_program(two_qubit_rotated(alpha, theta), [(None, -alpha)])
         buses = {b: u for b, (_, u) in state.branch_map().items()}
         assert buses[0] == pytest.approx(alpha * (np.exp(2j * theta) - 1))
         assert buses[3] == pytest.approx(alpha * (np.exp(-2j * theta) - 1))
@@ -154,12 +153,13 @@ class TestUnconditionalDisplacement:
 
     def test_zero_identity(self):
         state = two_qubit_rotated()
-        moved = apply_displacement(state, 0.0)
+        moved = run_displacement_program(state, [(None, 0.0)])
         assert_allclose(moved.coeff, state.coeff)
 
     def test_there_and_back_restores_buses(self):
         state = two_qubit_rotated()
-        back = apply_displacement(apply_displacement(state, 1.1 - 0.7j), -1.1 + 0.7j)
+        there = run_displacement_program(state, [(None, 1.1 - 0.7j)])
+        back = run_displacement_program(there, [(None, -1.1 + 0.7j)])
         assert_allclose(back.bus, state.bus, atol=1e-12)
         # relative branch phases cancel; only a global phase may remain
         ratios = back.coeff / state.coeff
@@ -221,10 +221,8 @@ class TestHomodynePdf:
     def test_weights_invariant_under_global_displacement(self):
         state = two_qubit_rotated()
         before = [p.weight for p in homodyne_pdf(state, 0.2).peaks]
-        after = [
-            p.weight
-            for p in homodyne_pdf(apply_displacement(state, 2.5 - 1.0j), 0.2).peaks
-        ]
+        moved = run_displacement_program(state, [(None, 2.5 - 1.0j)])
+        after = [p.weight for p in homodyne_pdf(moved, 0.2).peaks]
         assert_allclose(after, before, atol=1e-12)
 
     def test_weights_sum_to_one(self):
@@ -269,7 +267,7 @@ class TestHomodyneProject:
 class TestMeasureBucket:
     def test_vacuum_outcome_heralds_odd_bell(self):
         alpha, theta = 2.0, 0.4
-        state = apply_displacement(two_qubit_rotated(alpha, theta), -alpha)
+        state = run_displacement_program(two_qubit_rotated(alpha, theta), [(None, -alpha)])
         out = measure_bucket(state, outcome="vacuum")
         target = QubitState(2, np.array([0, 1, 1, 0]) / math.sqrt(2))
         assert fidelity(out.posterior, target) == pytest.approx(1.0, abs=1e-12)
@@ -280,7 +278,7 @@ class TestMeasureBucket:
     def test_resolved_outcome_parity(self, n):
         """Photon parity fixes the relative sign of |00> and |11>."""
         alpha, theta = 2.0, 0.4
-        state = apply_displacement(two_qubit_rotated(alpha, theta), -alpha)
+        state = run_displacement_program(two_qubit_rotated(alpha, theta), [(None, -alpha)])
         components = measure_bucket(state, outcome="click").components
         amps = {m: post for m, _, post in components}[n].amplitudes
         assert abs(amps[1]) < 1e-12 and abs(amps[2]) < 1e-12
@@ -291,7 +289,7 @@ class TestMeasureBucket:
 
     def test_resolved_probabilities_sum_to_one(self):
         alpha, theta = 1.5, 0.5
-        state = apply_displacement(two_qubit_rotated(alpha, theta), -alpha)
+        state = run_displacement_program(two_qubit_rotated(alpha, theta), [(None, -alpha)])
         total = measure_bucket(state, outcome="vacuum").probability
         click = measure_bucket(state, outcome="click")
         total += sum(p for _, p, _ in click.components)
@@ -299,7 +297,7 @@ class TestMeasureBucket:
 
     @pytest.mark.parametrize("outcome", [0, 2, None, "sampled"])
     def test_only_vacuum_or_click(self, outcome):
-        state = apply_displacement(two_qubit_rotated(), -2.0)
+        state = run_displacement_program(two_qubit_rotated(), [(None, -2.0)])
         with pytest.raises(ValueError, match="'vacuum' or 'click'"):
             measure_bucket(state, outcome=outcome)
 
@@ -334,11 +332,9 @@ class TestNormAndMerging:
             if op == 0:
                 state = apply_conditional_rotation(state, q, rng.normal())
             elif op == 1:
-                state = apply_conditional_displacement(
-                    state, q, rng.normal() + 1j * rng.normal()
-                )
+                state = run_displacement_program(state, [(q, rng.normal() + 1j * rng.normal())])
             else:
-                state = apply_displacement(state, rng.normal() + 1j * rng.normal())
+                state = run_displacement_program(state, [(None, rng.normal() + 1j * rng.normal())])
         assert state.norm() == pytest.approx(1.0, abs=1e-9)
         assert state.branch_count() <= 8
 
@@ -498,8 +494,8 @@ class TestFockOracleEquivalence:
         if kind == "rotate":
             return apply_conditional_rotation(state, q, amount)
         if kind == "cdisp":
-            return apply_conditional_displacement(state, q, amount)
-        return apply_displacement(state, amount)
+            return run_displacement_program(state, [(q, amount)])
+        return run_displacement_program(state, [(None, amount)])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_sequences(self, seed):
@@ -534,24 +530,13 @@ class TestFockOracleEquivalence:
 
 
 def _ref_merge(bits, coeff, bus):
+    """Branches sorted by pattern, zero coefficients dropped (patterns are unique)."""
     order = np.lexsort((bus.real, bus.imag, bits))
     bits, coeff, bus = bits[order], coeff[order], bus[order]
-    out_b, out_c, out_u = [], [], []
-    for b, c, u in zip(bits, coeff, bus):
-        if out_b and out_b[-1] == b and abs(u - out_u[-1]) <= busim.BRANCH_MERGE_TOL:
-            out_c[-1] += c
-        else:
-            out_b.append(int(b))
-            out_c.append(complex(c))
-            out_u.append(complex(u))
-    keep = [i for i, c in enumerate(out_c) if c != 0]
-    if not keep:
+    keep = coeff != 0
+    if not keep.any():
         raise ValueError("all branches cancelled; zero state")
-    return (
-        np.array([out_b[i] for i in keep], dtype=np.int64),
-        np.array([out_c[i] for i in keep], dtype=np.complex128),
-        np.array([out_u[i] for i in keep], dtype=np.complex128),
-    )
+    return bits[keep], coeff[keep], bus[keep]
 
 
 def _ref_program(state, steps):

@@ -599,9 +599,7 @@ class TestCompiledConditionalDisplacement:
         theta = float(rng.uniform(-1.0, 1.0))
         start = busim.attach_bus(QubitState.plus(1), complex(rng.normal(), rng.normal()))
         via = gates.conditional_displacement_by_rotations(start, 0, alpha, theta)
-        direct = busim.apply_conditional_displacement(
-            start, 0, 2j * alpha * math.sin(theta)
-        )
+        direct = busim.run_displacement_program(start, [(0, 2j * alpha * math.sin(theta))])
         assert_allclose(via.bus, direct.bus, atol=1e-12)
         assert_allclose(via.coeff, direct.coeff, atol=1e-12)
 
@@ -796,9 +794,9 @@ class TestProgramSteps:
         seq = gates.InteractionSequence(1, ((None, 0.3 - 0.2j), (0, 0.5j), (None, 0.1)))
         start = busim.attach_bus(QubitState.plus(1), 0.2)
         out = gates.run_sequence(start, seq)
-        want = busim.apply_displacement(start, 0.3 - 0.2j)
-        want = busim.apply_displacement(
-            busim.apply_conditional_displacement(want, 0, 0.5j), 0.1)
+        want = busim.run_displacement_program(start, [(None, 0.3 - 0.2j)])
+        want = busim.run_displacement_program(want, [(0, 0.5j)])
+        want = busim.run_displacement_program(want, [(None, 0.1)])
         assert_allclose(out.bus, want.bus, atol=1e-15)
         assert_allclose(out.coeff, want.coeff, atol=1e-15)
 
