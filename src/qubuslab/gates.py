@@ -305,16 +305,18 @@ def _bell_even(sign: int) -> QubitState:
 
 
 def _prepare(alpha, theta, state, multiples):
-    """Register (default |+>^n) on a bus |alpha>; qubit q rotates it by multiples[q] theta."""
+    """Register (default |+>^n) on a bus |alpha>; qubit q rotates it by multiples[q] theta.
+
+    Each branch's bus turns once, by its net multiple of theta: zero keeps alpha exactly."""
     n = len(multiples)
     if state is None:
         state = QubitState.plus(n)
     if state.qubit_count != n:
         raise ValueError(f"protocol needs a {n}-qubit register")
-    hybrid = busim.attach_bus(state, alpha)
-    for q, m in enumerate(multiples):
-        hybrid = busim.apply_conditional_rotation(hybrid, q, m * theta)
-    return state, hybrid
+    bits = np.flatnonzero(np.abs(state.amplitudes) > 0)
+    net = sum(m * busim._signs(bits, q, n) for q, m in enumerate(multiples))
+    bus = complex(alpha) * np.exp(1j * theta * net)
+    return state, HybridState(n, bits, state.amplitudes[bits], bus)
 
 
 # the two-qubit peak labels by member patterns; any other peak is "mixed"
@@ -600,12 +602,11 @@ def conditional_displacement_by_rotations(
     if isinstance(alpha, complex) and alpha.imag != 0.0:
         raise ValueError("alpha must be real")
     a = float(alpha.real) if isinstance(alpha, complex) else float(alpha)
-    displace = busim.run_displacement_program
-    state = displace(state, [(None, complex(a * math.cos(theta)))])
+    state = busim.run_displacement_program(state, [(None, complex(a * math.cos(theta)))])
     state = busim.apply_conditional_rotation(state, qubit, float(theta))
-    state = displace(state, [(None, complex(-2.0 * a))])
+    state = busim.run_displacement_program(state, [(None, complex(-2.0 * a))])
     state = busim.apply_conditional_rotation(state, qubit, float(-theta))
-    return displace(state, [(None, complex(a * math.cos(theta)))])
+    return busim.run_displacement_program(state, [(None, complex(a * math.cos(theta)))])
 
 
 def star_sequence(n: int, beta: float):

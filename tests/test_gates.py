@@ -220,16 +220,17 @@ class TestBucketParityGate:
             assert not o.posterior.amplitudes[off_parity].any(), o.label
 
     # sha256 of each table's labels, probabilities, posterior amplitudes and
-    # corrections, computed once a click gave a bus within BUS_TOL of 0 no
-    # weight; before, the |01> and |10> entries of the click posteriors held
-    # residue up to 3.1e-16 and the rest matched these bytes
+    # corrections, computed once each branch's bus turned once by its net
+    # multiple of theta; before, the per-qubit rotations left the odd-bell
+    # posterior an imaginary residue up to 6.0e-17 and rounded the |00> and
+    # |11> buses twice
     @pytest.mark.parametrize("args, kwargs, digest", [
         ((2.0, 0.4), {},
-         "786174275e4a5b119e5a5f300ec614b46d7e37d15e0081bd78a846ef147d4bf4"),
+         "b7be4e2f5da5a1bbc4480be4ab4aff6f5f5ff261132852a4e5f632c36f6dd2b6"),
         ((2.0, 0.4), {"number_resolving": True, "n_max": 6},
-         "a1b603f73904688788201020132c551d15b85711aa9887e708d026b8776442da"),
+         "c23dcf63b8bf1abdb2fe69a6da1cb207005acc9541cff2b7560636c51b72e4c6"),
         ((1.5, 0.5), {"number_resolving": True},
-         "a5cf1a31a4ccda164ffed8930f5378ac979bc7b97563f6f2cb84d3e5c8ebf018"),
+         "e1218b2c8bbbdef0ed78dc52b34cbfdda70d89727c06fa9eb88796c1c86e735c"),
     ])
     def test_table_bytes_pinned(self, args, kwargs, digest):
         h = hashlib.sha256()
@@ -239,6 +240,57 @@ class TestBucketParityGate:
             h.update(o.posterior.amplitudes.tobytes())
             h.update(repr([(c.qubit, c.op, c.angle) for c in o.corrections]).encode())
         assert h.hexdigest() == digest
+
+
+def _assert_heralded_rows_exact(outs):
+    for o in outs:
+        if o.target is not None:
+            assert fidelity(corrected(o), o.target) >= 1 - 1e-9, o.label
+
+
+# up to alpha = 1.3e154, just below sqrt(float max); a bucket input whose
+# (2 alpha sin theta)**2 overflows is left out, as the command refuses it
+BUCKET_INPUTS = [
+    (alpha, theta) for alpha in (1e4, 1e7, 1e8, 1e50, 1e150, 1.3e154)
+    for theta in (0.003, 1.0) if 2 * alpha * math.sin(theta) < math.sqrt(sys.float_info.max)
+]
+
+
+class TestExactRotationAtLargeAlpha:
+    """Each branch's bus turns once, by its net multiple of theta.
+
+    Rotated once per qubit, a branch whose rotations cancel kept a residue
+    that grows with alpha, which split or emptied the heralded peaks.
+    """
+
+    @pytest.mark.parametrize("theta", [0.003, 1.0])
+    @pytest.mark.parametrize("alpha", [1e7, 1e50, 1e150, 1.3e154])
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_cascade(self, n, alpha, theta):
+        outs = gates.cascade_outcomes(n, alpha, theta)
+        assert gates.cascade_pair_success(outs) == 1 - Fraction(2, 2**n)
+        _assert_heralded_rows_exact(outs)
+
+    @pytest.mark.parametrize("theta", [0.003, 0.5])
+    @pytest.mark.parametrize("alpha", [1e4, 1e7, 1e8, 1e50, 1e150, 1.3e154])
+    def test_momentum_parity(self, alpha, theta):
+        outs = gates.momentum_parity_outcomes(alpha, theta)
+        odd = [o for o in outs if o.label == "odd-bell"]
+        assert [(o.probability, o.corrections) for o in odd] == [(0.5, ())]
+        _assert_heralded_rows_exact(outs)
+
+    @pytest.mark.parametrize("alpha, theta", BUCKET_INPUTS)
+    def test_resolving_bucket(self, alpha, theta):
+        outs = gates.bucket_parity_outcomes(alpha, theta, number_resolving=True, n_max=3)
+        assert [o.label for o in outs] == ["odd-bell"] + [f"even-bell-{n}" for n in (1, 2, 3)]
+        _assert_heralded_rows_exact(outs)
+
+    @pytest.mark.parametrize("alpha, theta", [(2.0, 0.4), (1e4, 0.5), (1e150, 0.003)])
+    def test_bucket_odd_branches_reach_vacuum_exactly(self, alpha, theta):
+        _, hybrid = gates._prepare(alpha, theta, None, (1, 1))
+        assert hybrid.bus[1] == alpha and hybrid.bus[2] == alpha
+        back = busim.run_displacement_program(hybrid, [(None, -complex(alpha))])
+        assert back.bus[1] == 0 and back.bus[2] == 0
 
 
 class TestThreeQubitGate:
