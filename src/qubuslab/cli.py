@@ -200,11 +200,11 @@ def cmd_gate(name, alpha, theta, beta, n_qubits, number_resolving, graph_file,
 
 def _gate_table_command(name, alpha, theta, n_qubits, number_resolving, csv_path):
     # every square a table computes must fit a float: the printed error budget
-    # squares alpha*theta, and the bucket gate displaces the bus amplitude alpha
-    # by -alpha (alpha * alpha) and counts photons up to (2 alpha sin theta)**2
-    scales = {"alpha*theta": alpha * theta}
+    # squares alpha*theta, every table's overlap or displacement phase squares
+    # alpha, and the bucket gate counts photons up to (2 alpha sin theta)**2
+    scales = {"alpha*theta": alpha * theta, "alpha": alpha}
     if name == "parity-bucket":
-        scales.update({"alpha": alpha, "2*alpha*sin(theta)": 2.0 * alpha * math.sin(theta)})
+        scales["2*alpha*sin(theta)"] = 2.0 * alpha * math.sin(theta)
     for label, x in scales.items():
         if not math.isfinite(x * x):
             raise ValueError(f"{label} = {x:.4g} is too large: its square overflows a float")

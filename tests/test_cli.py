@@ -84,12 +84,22 @@ class TestCommandErrors:
          "2*alpha*sin(theta) = 1.683e+154 is too large: its square overflows a float"),
         (["gate", "parity-bucket", "--alpha", "1e200", "--theta", "1e-60"],
          "alpha = 1e+200 is too large: its square overflows a float"),
+        (["gate", "parity-position", "--alpha", "2e154", "--theta", "0.5"],
+         "alpha = 2e+154 is too large: its square overflows a float"),
+        (["gate", "three-qubit", "--alpha", "2e154", "--theta", "0.5"],
+         "alpha = 2e+154 is too large: its square overflows a float"),
+        (["gate", "parity-momentum", "--alpha", "1e200", "--theta", "1e-60"],
+         "alpha = 1e+200 is too large: its square overflows a float"),
+        (["gate", "cascade", "--n", "4", "--alpha", "2e154", "--theta", "0.5"],
+         "alpha = 2e+154 is too large: its square overflows a float"),
     ], ids=["dc-k-and-off-grid-L", "dc-k-and-L", "scaling-reference-time",
             "scaling-seq-half", "scaling-empty-range", "chain-million", "cascade-million",
             "star-config-330-digits", "scaling-dc-overflow", "cascade-budget-overflow",
             "three-qubit-budget-overflow", "bucket-budget-overflow",
             "bucket-photon-and-budget-overflow", "momentum-alpha-theta-inf",
-            "bucket-photon-scale-overflow", "bucket-displacement-overflow"])
+            "bucket-photon-scale-overflow", "bucket-displacement-overflow",
+            "position-alpha-overflow", "three-qubit-alpha-overflow",
+            "momentum-alpha-overflow", "cascade-alpha-overflow"])
     def test_refused_before_any_work(self, runner, tmp_path, args, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 10**329}))
@@ -364,6 +374,14 @@ class TestGateCommand:
         assert result.exit_code == 0, result.output
         assert "nan" not in result.output and "inf" not in result.output
         assert "error budget:" in result.output
+
+    def test_largest_alpha_heralds_odd_bell(self, runner):
+        """Just below sqrt(float max) the zero-net branches keep alpha exactly."""
+        result = runner.invoke(
+            main, ["gate", "parity-momentum", "--alpha", "1.34e154", "--theta", "0.5"])
+        assert result.exit_code == 0, result.output
+        rows = [line.split() for line in result.output.splitlines()]
+        assert ["odd-bell", "0.500000000", "1.00000000"] in rows
 
     @pytest.mark.parametrize("args", [
         ["--alpha", "1000", "--theta", "0.5"],
