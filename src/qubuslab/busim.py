@@ -5,8 +5,8 @@ superposition sum_b c_b |b>|alpha_b>: each register pattern b drives the bus
 into one coherent state, so there is one branch per pattern.  Rotations,
 displacements and measurements of the bus all have closed forms, and since
 distinct patterns are orthogonal the branch weights are just |c_b|**2.  No
-Fock truncation is involved; amplitudes in the 1e3-1e4 range are handled by
-evaluating the quadrature and photon-number projections in the log domain.
+Fock truncation is involved; amplitudes up to about 1e154 (alpha**2 within the
+float range) are handled by evaluating the projections in the log domain.
 
 Conventions used throughout:
 
