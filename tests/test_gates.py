@@ -220,10 +220,8 @@ class TestBucketParityGate:
             assert not o.posterior.amplitudes[off_parity].any(), o.label
 
     # sha256 of each table's labels, probabilities, posterior amplitudes and
-    # corrections, computed once each branch's bus turned once by its net
-    # multiple of theta; before, the per-qubit rotations left the odd-bell
-    # posterior an imaginary residue up to 6.0e-17 and rounded the |00> and
-    # |11> buses twice
+    # corrections; each branch's bus turns once by its net multiple of theta,
+    # so the |00> and |11> buses round once and the odd-bell posterior is real
     @pytest.mark.parametrize("args, kwargs, digest", [
         ((2.0, 0.4), {},
          "b7be4e2f5da5a1bbc4480be4ab4aff6f5f5ff261132852a4e5f632c36f6dd2b6"),
@@ -259,8 +257,8 @@ BUCKET_INPUTS = [
 class TestExactRotationAtLargeAlpha:
     """Each branch's bus turns once, by its net multiple of theta.
 
-    Rotated once per qubit, a branch whose rotations cancel kept a residue
-    that grows with alpha, which split or emptied the heralded peaks.
+    Rotated once per qubit, a branch whose rotations cancel would keep a
+    residue that grows with alpha and splits or empties the heralded peaks.
     """
 
     @pytest.mark.parametrize("theta", [0.003, 1.0])
