@@ -42,6 +42,7 @@ __all__ = [
     "apply_conditional_rotation",
     "run_displacement_program",
     "homodyne_pdf",
+    "homodyne_outcomes",
     "homodyne_project",
     "measure_bucket",
     "bus_spread",
@@ -417,27 +418,19 @@ def _normal_cdf(t) -> float:
 
 
 def homodyne_pdf(state: HybridState, phi: float) -> PeakModel:
-    """Group branches into quadrature peaks for the X(phi) measurement."""
+    """Group branches into quadrature peaks for the X(phi) measurement: the
+    centre-sorted branches split where adjacent centres differ by more than
+    ``PEAK_GROUP_TOL``."""
     centers = 2.0 * np.real(state.bus * cmath.exp(-1j * phi))
     power = state.coeff.real**2 + state.coeff.imag**2
     order = np.argsort(centers, kind="stable")
     peaks = []
-    group: list[int] = []
-
-    def flush(group):
-        idx = np.array(group)
+    for idx in np.split(order, np.flatnonzero(np.diff(centers[order]) > PEAK_GROUP_TOL) + 1):
         weight = 0.0  # |c|**2 added one by one in pattern (= branch) order
         for w in power[np.sort(idx)].tolist():
             weight += w
         center = float(np.mean(centers[idx]))
         peaks.append(Peak(center, weight, frozenset(state.bits[idx].tolist())))
-
-    for i in order:
-        if group and centers[i] - centers[group[-1]] > PEAK_GROUP_TOL:
-            flush(group)
-            group = []
-        group.append(int(i))
-    flush(group)
     return PeakModel(phi=phi, peaks=tuple(peaks))
 
 
@@ -448,32 +441,27 @@ class HomodyneOutcome:
     peak: Peak
 
 
-def homodyne_project(state: HybridState, phi: float, index: int) -> HomodyneOutcome:
-    """Project on peak ``index`` of the X(phi) measurement.
+def homodyne_outcomes(state: HybridState, phi: float) -> tuple[HomodyneOutcome, ...]:
+    """Project on each peak of one X(phi) peak model, in peak order.
 
-    Keeps the peak's member branches, multiplies each coefficient by the
-    quadrature eigenfunction overlap evaluated at the peak center, and
-    renormalizes; the reported probability is the window mass including tail
-    leakage from the other peaks.
-    """
+    A projection keeps the peak's branches (found by bisection: patterns are
+    sorted and unique), weights each by the quadrature eigenfunction overlap
+    at the peak center and renormalizes.  The probability is the window mass,
+    tails of the other peaks included."""
     _check_normalized(state)
     model = homodyne_pdf(state, phi)
-    if not (isinstance(index, (int, np.integer)) and 0 <= index < len(model.peaks)):
+    return tuple(HomodyneOutcome(
+        model.window_probability(k),
+        _project_at(state, phi, peak.center, np.searchsorted(state.bits, sorted(peak.members))),
+        peak) for k, peak in enumerate(model.peaks))
+
+
+def homodyne_project(state: HybridState, phi: float, index: int) -> HomodyneOutcome:
+    """Outcome ``index`` of :func:`homodyne_outcomes`."""
+    outcomes = homodyne_outcomes(state, phi)
+    if not (isinstance(index, (int, np.integer)) and 0 <= index < len(outcomes)):
         raise ValueError(f"no peak with index {index!r}")
-    return _project_peak(state, model, int(index))
-
-
-def _project_peak(state: HybridState, model: PeakModel, index: int) -> HomodyneOutcome:
-    """Peak ``index`` of ``model`` (built from ``state``), as homodyne_project reports it."""
-    peak = model.peaks[index]
-    keep = np.isin(state.bits, np.fromiter(peak.members, dtype=np.int64))
-    if not keep.any():
-        raise ValueError("selected peak has no member branches")
-    return HomodyneOutcome(
-        probability=model.window_probability(index),
-        posterior=_project_at(state, model.phi, peak.center, keep),
-        peak=peak,
-    )
+    return outcomes[int(index)]
 
 
 def _dense(state: HybridState, weights, keep=slice(None)) -> np.ndarray:
@@ -483,8 +471,8 @@ def _dense(state: HybridState, weights, keep=slice(None)) -> np.ndarray:
     return amps
 
 
-def _project_at(state: HybridState, phi: float, x: float, keep: np.ndarray) -> QubitState:
-    idx = np.flatnonzero(keep)
+def _project_at(state: HybridState, phi: float, x: float, idx: np.ndarray) -> QubitState:
+    """Branches ``idx`` (ascending) weighted by their overlaps at x, renormalized."""
     overlaps = np.array([quadrature_overlap(x, complex(state.bus[i]), phi) for i in idx])
     amps = _dense(state, state.coeff[idx] * overlaps, idx)
     return QubitState(state.qubit_count, amps, normalize=True)

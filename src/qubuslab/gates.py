@@ -334,11 +334,9 @@ def _homodyne_outcomes(hybrid, phi, gate_time, classify, patterns=None):
     With ``patterns`` (the basis-pattern count of a uniform register) each
     outcome also gets its exact probability, members / patterns.
     """
-    busim._check_normalized(hybrid)
-    model = busim.homodyne_pdf(hybrid, phi)
     outcomes = []
-    for idx, peak in enumerate(model.peaks):
-        projected = busim._project_peak(hybrid, model, idx)
+    for projected in busim.homodyne_outcomes(hybrid, phi):
+        peak = projected.peak
         label = classify(peak.members, projected.posterior)
         target = _heralded_target(hybrid.qubit_count, label, peak.members)
         solved = None

@@ -804,6 +804,12 @@ def _random_peak_model(rng, count, shuffle):
     return busim.PeakModel(phi=0.0, peaks=tuple(peaks))
 
 
+def _ref_member_branches(state, peak):
+    """Indices of the branches whose pattern is one of the peak's members."""
+    return np.array([i for i, b in enumerate(state.bits.tolist()) if b in peak.members],
+                    dtype=np.int64)
+
+
 class TestWindowsMatchLoopReference:
     """Window masses skip only exactly-zero terms; projections keep the same branches."""
 
@@ -840,10 +846,10 @@ class TestWindowsMatchLoopReference:
             return
         phi = float(rng.uniform(0.0, math.pi))
         model = homodyne_pdf(state, phi)
-        for k, peak in enumerate(model.peaks):
-            keep = np.array([int(b) in peak.members for b in state.bits])
-            want = busim._project_at(state, phi, peak.center, keep)
-            got = busim._project_peak(state, model, k)
+        outcomes = busim.homodyne_outcomes(state, phi)
+        assert [o.peak for o in outcomes] == list(model.peaks)
+        for k, (peak, got) in enumerate(zip(model.peaks, outcomes)):
+            want = busim._project_at(state, phi, peak.center, _ref_member_branches(state, peak))
             assert got.posterior.amplitudes.tobytes() == want.amplitudes.tobytes()
             assert got.probability == _ref_window_probability(model, k)
 
@@ -904,15 +910,17 @@ class TestPeaksMatchGroupOverlapReference:
     @staticmethod
     def _check(state, phi):
         got, want = homodyne_pdf(state, phi), _ref_homodyne_pdf(state, phi)
-        assert len(got.peaks) == len(want.peaks)
+        outcomes = busim.homodyne_outcomes(state, phi)
+        assert len(got.peaks) == len(want.peaks) == len(outcomes)
         for k, (peak, ref) in enumerate(zip(got.peaks, want.peaks)):
             assert peak.members == ref.members
             assert _f64(peak.weight) == _f64(ref.weight)
             assert _f64(peak.center) == _f64(ref.center)
             assert _f64(got.window_probability(k)) == _f64(_ref_window_probability(want, k))
-            keep = np.isin(state.bits, sorted(ref.members))
-            posterior = busim._project_at(state, phi, ref.center, keep)
-            projected = busim._project_peak(state, got, k)
+            posterior = busim._project_at(state, phi, ref.center, _ref_member_branches(state, ref))
+            projected = outcomes[k]
+            assert projected.peak == peak
+            assert _f64(projected.probability) == _f64(_ref_window_probability(want, k))
             assert projected.posterior.amplitudes.tobytes() == posterior.amplitudes.tobytes()
 
     @pytest.mark.parametrize("n", range(2, 11))

@@ -291,6 +291,55 @@ class TestExactRotationAtLargeAlpha:
         assert back.bus[1] == 0 and back.bus[2] == 0
 
 
+def _random_register(seed, n):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return QubitState(n, amps / np.linalg.norm(amps))
+
+
+class TestHomodyneTableBytesPinned:
+    """The bytes of the homodyne tables, pinned by sha256.
+
+    Each digest covers every row's label, probability, window probability,
+    posterior amplitudes and corrections, in table order.
+    """
+
+    @staticmethod
+    def _digest(tables):
+        h = hashlib.sha256()
+        for table in tables:
+            for o in table:
+                h.update(o.label.encode())
+                h.update(np.float64(o.probability).tobytes())
+                h.update(np.float64(o.window_probability).tobytes())
+                h.update(o.posterior.amplitudes.tobytes())
+                h.update(repr([(c.qubit, c.op, c.angle) for c in o.corrections]).encode())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("alpha, theta, digest", [
+        (1000.0, 0.003, "c2868e38366a9948bcce7eb3062cf44aa50962194ca3d5732b383e41136c1f30"),
+        (3.0, 0.3, "14d6f61dde4955ee5f893d411fc9dbb9d77d54817e79d8cb2e83b7248d01b51d"),
+        (1e7, 0.5, "d59c59a9e9cf1f1c1dab3ff4b29bd4c35cb805c9b1dedd781ccc83fab8d7824e"),
+    ])
+    def test_cascades_and_parity_tables(self, alpha, theta, digest):
+        tables = [gates.cascade_outcomes(n, alpha, theta) for n in range(2, 9)]
+        tables.append(gates.momentum_parity_outcomes(alpha, theta))
+        tables.append(gates.position_parity_outcomes(alpha, theta))
+        assert self._digest(tables) == digest
+
+    def test_random_two_qubit_register(self):
+        state = _random_register(25, 2)
+        tables = [gates.momentum_parity_outcomes(3.0, 0.3, state),
+                  gates.position_parity_outcomes(3.0, 0.3, state)]
+        assert self._digest(tables) == (
+            "33a507a4e77fb4da46f8cf9d9251e54fbfd14932cc215aa58dc8a339f34f28a2")
+
+    def test_random_four_qubit_register(self):
+        tables = [gates.cascade_outcomes(4, 1000.0, 0.003, _random_register(26, 4))]
+        assert self._digest(tables) == (
+            "6611ed14db0dd5340a2c971937d515eb29e5d52d69402d9f62eadac414e242f6")
+
+
 class TestThreeQubitGate:
     def test_outcome_probabilities(self):
         outs = {o.label: o for o in gates.three_qubit_outcomes(1000.0, 0.003)}
