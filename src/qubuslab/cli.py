@@ -235,11 +235,12 @@ def _gate_table_command(name, alpha, theta, n_qubits, number_resolving, csv_path
         )
     _print_outcome_table(outcomes)
     budget = gates.error_budget(alpha, theta)
+    sep = budget.separation_parameter  # fixed point below 1e6, else exponent form
     click.echo(
         f"error budget: momentum {budget.p_err_momentum:.4e}, "
         f"position {budget.p_err_position:.4e}, "
         f"vacuum {budget.p_err_vacuum:.4e}, "
-        f"separation parameter {budget.separation_parameter:.4f}"
+        f"separation parameter {sep:.4{'f' if abs(sep) < 1e6 else 'e'}}"
         + ("" if budget.momentum_regime_ok else "  [below the alpha*sin(theta) >= pi regime]")
     )
     if csv_path:
@@ -284,9 +285,8 @@ def render_growth_jsonl(stats: growth.GrowthStats) -> str:
 
     The config is serialised once; each line fills one format over the
     sorted record keys from the columns' Python floats, whose repr is what
-    ``json`` writes for a finite float.  ``StrategyConfig`` rejects the
-    inputs that make a value non-finite, short of an overflow (a gate time
-    near the float maximum), which raises ValueError.
+    ``json`` writes for a finite float.  ``growth.simulate`` refuses a run
+    with a non-finite value; stats built another way raise ValueError here.
     """
     columns = {"trial": range(stats.config.trials)}
     for key, values in stats.columns().items():
@@ -439,6 +439,8 @@ def _series_value(name, L, p, t, metric):
 @click.option("--svg", "svg_path", type=click.Path(), default=None)
 def cmd_scaling(p, l_min, l_max, series_names, metric, gate_time, csv_path, svg_path):
     """Tabulate the closed-form scaling series over a range of lengths."""
+    if not (math.isfinite(gate_time) and gate_time > 0):
+        raise ValueError(f"gate_time must be finite and > 0, got {gate_time}")
     names = [s.strip() for s in series_names.split(",") if s.strip()]
     lc = analytics.critical_length(p)
     for name in names:

@@ -595,14 +595,19 @@ def simulate(config: StrategyConfig, threads: int = 1) -> GrowthStats:
     vertical-link kernels evaluate trials in chunks, a block of each
     trial's stream at a time, merge one draw of every trial per step.
     Trials run in the calling thread; ``threads`` is kept for callers that
-    pass ``threads=1`` and any other value is an error.
+    pass ``threads=1`` and any other value is an error.  A run with a
+    non-finite column (a gate time near the float maximum) raises ValueError.
     """
     if threads != 1:
         raise ValueError(
             f"trials run in the calling thread; threads must be 1, got {threads}"
         )
-    extras = {k: np.array(v, dtype=np.float64)
-              for k, v in _STRATEGIES[config.variant][0](config).items()}
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        extras = {k: np.array(v, dtype=np.float64)
+                  for k, v in _STRATEGIES[config.variant][0](config).items()}
+    for key, values in extras.items():
+        if not np.isfinite(values).all():
+            raise ValueError(f"non-finite {key} at gate_time {config.gate_time!r}")
     base = {k: extras.pop(k) for k in _BASE_METRICS}
     return GrowthStats(config=config, extras=extras, **base)
 

@@ -92,6 +92,10 @@ class TestCommandErrors:
          "alpha = 1e+200 is too large: its square overflows a float"),
         (["gate", "cascade", "--n", "4", "--alpha", "2e154", "--theta", "0.5"],
          "alpha = 2e+154 is too large: its square overflows a float"),
+        (["scaling", "--t", "-2"], "gate_time must be finite and > 0, got -2.0"),
+        (["scaling", "--t", "0"], "gate_time must be finite and > 0, got 0.0"),
+        (["scaling", "--t", "nan"], "gate_time must be finite and > 0, got nan"),
+        (["scaling", "--t", "inf", "--metric", "T"], "gate_time must be finite and > 0, got inf"),
     ], ids=["dc-k-and-off-grid-L", "dc-k-and-L", "scaling-reference-time",
             "scaling-seq-half", "scaling-empty-range", "chain-million", "cascade-million",
             "star-config-330-digits", "scaling-dc-overflow", "cascade-budget-overflow",
@@ -99,7 +103,8 @@ class TestCommandErrors:
             "bucket-photon-and-budget-overflow", "momentum-alpha-theta-inf",
             "bucket-photon-scale-overflow", "bucket-displacement-overflow",
             "position-alpha-overflow", "three-qubit-alpha-overflow",
-            "momentum-alpha-overflow", "cascade-alpha-overflow"])
+            "momentum-alpha-overflow", "cascade-alpha-overflow", "scaling-negative-time",
+            "scaling-zero-time", "scaling-nan-time", "scaling-inf-time"])
     def test_refused_before_any_work(self, runner, tmp_path, args, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 10**329}))
@@ -383,6 +388,16 @@ class TestGateCommand:
         rows = [line.split() for line in result.output.splitlines()]
         assert ["odd-bell", "0.500000000", "1.00000000"] in rows
 
+    @pytest.mark.parametrize("alpha, theta, shown", [
+        ("1.34e154", "0.5", "6.7000e+153"), ("1e6", "1", "1.0000e+06"),
+        ("999999.99", "1", "999999.9900"), ("1e6", "-1", "-1.0000e+06"),
+    ])
+    def test_separation_parameter_in_exponent_form_from_1e6(self, runner, alpha, theta, shown):
+        result = runner.invoke(
+            main, ["gate", "parity-momentum", "--alpha", alpha, "--theta", theta])
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[-1].endswith(f"separation parameter {shown}")
+
     @pytest.mark.parametrize("args", [
         ["--alpha", "1000", "--theta", "0.5"],
         ["--alpha", "1e4", "--theta", "0.5"],
@@ -487,6 +502,19 @@ class TestGrowthCommand:
         assert result.exit_code == 1
         assert "non-finite elapsed_rounds" in result.output
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("csv_name", [None, "t.csv"])
+    def test_overflowing_time_refused_without_jsonl(self, runner, tmp_path, csv_name):
+        """The run refuses the overflow, so stdout and CSV end as JSONL does."""
+        args = ["growth", "sequential", "--L", "11", "--trials", "50", "--t", "1e308"]
+        if csv_name:
+            args += ["--csv", str(tmp_path / csv_name)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.output.strip().splitlines() == [
+            "Error: non-finite elapsed_rounds at gate_time 1e+308"]
+        assert not list(tmp_path.iterdir())
 
     def test_config_file_round_cap_rejected(self, runner, tmp_path):
         cfg = tmp_path / "growth.json"

@@ -718,6 +718,17 @@ class TestTrialRecords:
         with pytest.raises(ValueError, match="non-finite elapsed_rounds"):
             render_growth_jsonl(bad)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("variant, extra", [
+        ("sequential", {"target_L": 11}), ("vertical_link", {}),
+        ("merge", {"target_L": 11}), ("divide_conquer", {"initial_qubits": 8, "rounds_k": 2}),
+    ])
+    def test_simulate_refuses_overflowing_gate_time(self, variant, extra):
+        config = StrategyConfig(variant=variant, p=0.75, trials=50, master_seed=1,
+                                gate_time=1e308, **extra)
+        with pytest.raises(ValueError, match=r"^non-finite elapsed_rounds at gate_time 1e\+308$"):
+            simulate(config)
+
 
 # ---------------------------------------------------------------------------
 # byte-identity with the per-trial scalar kernels
