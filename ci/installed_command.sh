@@ -1,0 +1,99 @@
+#!/usr/bin/env bash
+# The installed command as a user runs it: gate tables, refusals, growth and
+# the pinned JSONL digests.  QUBUSLAB names the command (default: qubuslab);
+# tests/test_ci_scripts.py runs this script with "python -m qubuslab.cli".
+# Output is captured in files before it is grepped, so a grep that stops
+# reading early cannot break a pipe under pipefail.
+set -euo pipefail
+QUBUSLAB=${QUBUSLAB:-qubuslab}
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+$QUBUSLAB verify --quick
+$QUBUSLAB gate three-qubit
+$QUBUSLAB gate cascade --n 12
+$QUBUSLAB gate cascade --n 3 --alpha 1 --theta 0 > "$tmp/out.txt"
+grep -q "pair success: 0" "$tmp/out.txt"
+# each branch's bus turns once, so at large alpha the odd-Bell peak stays
+# whole with no correction and the 6-qubit cascade keeps its 31/32
+$QUBUSLAB gate parity-momentum --alpha 1e7 --theta 0.5 > "$tmp/out.txt"
+grep -qE "^odd-bell +0\.500000000 1\.00000000 *$" "$tmp/out.txt"
+$QUBUSLAB gate cascade --n 6 --alpha 1e10 --theta 0.3 > "$tmp/out.txt"
+grep -q "^pair success: 31/32 " "$tmp/out.txt"
+# a ValueError raised in a command ends in one Error: line and exit 1
+status=0; $QUBUSLAB gate cascade --n 1 > "$tmp/err.txt" 2>&1 || status=$?
+test "$status" -eq 1
+grep -q "^Error:" "$tmp/err.txt"
+if grep -q Traceback "$tmp/err.txt"; then exit 1; fi
+$QUBUSLAB gate three-qubit --theta -0.003
+# bucket tables: seven resolved rows, each reaching its Bell state, and a click row
+$QUBUSLAB gate parity-bucket --alpha 2 --theta 0.4 --number-resolving > "$tmp/bucket.txt"
+test "$(grep -cE '^(odd-bell|even-bell-[0-9]+) ' "$tmp/bucket.txt")" -eq 7
+for label in odd-bell even-bell-1 even-bell-2 even-bell-3 even-bell-4 even-bell-5 even-bell-6; do
+  grep -qE "^$label +[0-9.]+ 1\.00000000( |\$)" "$tmp/bucket.txt"
+done
+$QUBUSLAB gate parity-bucket > "$tmp/bucket.txt"
+grep -q "^click " "$tmp/bucket.txt"
+# 14-qubit displacement programs close every loop and make the graph state
+# (the geometric-cz loop is always two qubits and ignores --n)
+for shape in star chain geometric-cz; do
+  $QUBUSLAB gate "$shape" --n 14 > "$tmp/$shape.txt"
+  grep -qx "stabilizer check: PASS" "$tmp/$shape.txt"
+  grep -qx "bus spread after sequence: 0.0" "$tmp/$shape.txt"
+done
+# a beta off the controlled-Z grid is one Error: line and exit 1; beta 0
+# gives every pair a zero coupling, which an edge must not accept
+for gate in "chain --n 4" "star --n 4" "geometric-cz"; do
+  for beta in 0.3 0; do
+    status=0; $QUBUSLAB gate $gate --beta $beta > "$tmp/err.txt" 2>&1 || status=$?
+    test "$status" -eq 1
+    grep -q "^Error:" "$tmp/err.txt"
+    if grep -q Traceback "$tmp/err.txt"; then exit 1; fi
+  done
+done
+# a config-file number is checked, not coerced: n = 4.7 is refused
+echo '{"n": 4.7}' > "$tmp/n.json"
+status=0; $QUBUSLAB gate chain --config "$tmp/n.json" > "$tmp/err.txt" 2>&1 || status=$?
+test "$status" -eq 1
+grep -q "^Error:" "$tmp/err.txt"
+if grep -q Traceback "$tmp/err.txt"; then exit 1; fi
+# divide and conquer takes one round count, a series must have a value at
+# the chosen metric that fits a float, a register must fit the dense path,
+# and a config file may hold only keys the command reads: one Error: line
+echo '{"bogus": 1, "gate_backend": "nope"}' > "$tmp/keys.json"
+# and a gate table whose squares (alpha theta)**2, alpha**2, or the bucket's
+# (2 alpha sin theta)**2 overflow a float is refused too, as is a scaling
+# gate time that is not finite and > 0 or that makes a series value
+# overflow, and a growth run whose gate time overflows its elapsed time
+for args in "growth divide_conquer --n 64 --k 3 --L 5" \
+            "scaling --metric T --series rus-pf-0.6" "gate chain --n 1000000" \
+            "scaling --p 1e-40 --series dc" \
+            "gate cascade --n 6 --alpha 1e300 --theta 1" \
+            "gate three-qubit --alpha 2 --theta 1e200" \
+            "gate parity-bucket --alpha 2 --theta 1e200" \
+            "gate parity-bucket --alpha 1e300 --theta 1" \
+            "gate parity-momentum --alpha 1e308 --theta 3" \
+            "gate parity-position --alpha 2e154 --theta 0.5" \
+            "gate three-qubit --alpha 2e154 --theta 0.5" \
+            "gate parity-momentum --alpha 1e200 --theta 1e-60" \
+            "gate cascade --n 4 --alpha 2e154 --theta 0.5" \
+            "scaling --t 0" "scaling --t nan" "scaling --metric T --t 1e308" \
+            "growth sequential --L 11 --trials 50 --t 1e308" \
+            "growth sequential --L 5 --config $tmp/keys.json" \
+            "gate chain --config $tmp/keys.json"; do
+  status=0; $QUBUSLAB $args > "$tmp/err.txt" 2>&1 || status=$?
+  test "$status" -eq 1
+  grep -q "^Error:" "$tmp/err.txt"
+  if grep -q Traceback "$tmp/err.txt"; then exit 1; fi
+done
+$QUBUSLAB growth sequential --L 21 --trials 2000 --seed 7
+# at p = 0.6 the minimal chain is 3 qubits, so chain builds take the halving branch
+$QUBUSLAB growth merge --p 0.6 --L 20 --trials 500 --seed 7 --jsonl "$tmp/m.jsonl"
+echo "0d3de6503fac21ddb0ac4e180c76267ff05ee02b5f14db6dad3962d406e9295f  $tmp/m.jsonl" | sha256sum -c -
+# minimal chains of 4 build in two levels, 0.37 time sums do not add
+# exactly, and most trials read three or more blocks of draws
+$QUBUSLAB growth merge --p 0.5 --L 41 --t 0.37 --trials 500 --seed 7 --jsonl "$tmp/m4.jsonl"
+echo "03f63b5aa47db06edb133b015e0350f927eae8b3c6fa59c15c75f93b66dd1cf8  $tmp/m4.jsonl" | sha256sum -c -
+# a fifth of these trials need a second block of draws
+$QUBUSLAB growth vertical_link --p 0.05 --trials 2000 --seed 7 --jsonl "$tmp/v.jsonl"
+echo "fc87d5c4d9ae4255a31b232100b45fdcbe5cd9f15da772b3f477537a9cf4a3a2  $tmp/v.jsonl" | sha256sum -c -

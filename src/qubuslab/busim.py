@@ -49,9 +49,7 @@ __all__ = [
     "extract_qubits",
     "quadrature_overlap",
     "fidelity",
-    "apply_z_phase",
     "z_phase_action",
-    "apply_pauli",
     "pauli_action",
 ]
 
@@ -140,23 +138,12 @@ def fidelity(a: QubitState, b: QubitState) -> float:
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
-def apply_z_phase(state: QubitState, qubit: int, angle: float) -> QubitState:
-    """diag(1, e^{i angle}) on one qubit."""
-    n = state.qubit_count
-    return QubitState(n, z_phase_action(state.amplitudes, np.arange(2**n), n, qubit, angle))
-
-
 def z_phase_action(amps, patterns, n: int, qubit: int, angle: float) -> np.ndarray:
     """Amplitudes of the bit ``patterns`` after diag(1, e^{i angle}) on one of n
-    qubits.  No norm check: the correction solver phases part of a register."""
+    qubits.  No norm check: the correction solver phases part of a register.
+    The exponential of each bit value is taken once and gathered by bit."""
     _check_qubit(qubit, n)
-    return amps * np.exp(1j * angle * ((patterns >> (n - 1 - qubit)) & 1))
-
-
-def apply_pauli(state: QubitState, qubit: int, pauli: str) -> QubitState:
-    n = state.qubit_count
-    _check_qubit(qubit, n)
-    return QubitState(n, pauli_action(state.amplitudes, n, qubit, pauli))
+    return amps * np.exp(1j * angle * np.arange(2))[(patterns >> (n - 1 - qubit)) & 1]
 
 
 def pauli_action(amps: np.ndarray, n: int, qubit: int, pauli: str) -> np.ndarray:
@@ -247,20 +234,24 @@ def _signs(bits: np.ndarray, qubit: int, n: int) -> np.ndarray:
 # overlaps
 
 
-def quadrature_overlap(x, beta: complex, phi: float):
-    """Eigenfunction overlap <x|beta> of the X(phi) quadrature.
+def quadrature_overlap(x, beta, phi: float):
+    """Eigenfunction overlap <x|beta> of the X(phi) quadrature, at a point or
+    points x, for one amplitude beta or an array of them.
 
     With b = beta e^{-i phi}, the convention is
     (2 pi)^{-1/4} exp(-(x - 2 Re b)^2 / 4 + i Im(b) x - i Im(b) Re(b)),
     which makes single-branch posteriors phase free and reproduces the
     closed-form coherent overlap <gamma|beta> when <gamma|x><x|beta> is
-    integrated over x.
+    integrated over x.  b is spelt out as Python's complex multiply (NumPy's
+    array multiply may fuse multiply-adds) and the square is libm's pow, so
+    an array of amplitudes gives each one's scalar result bit for bit.
     """
-    b = beta * cmath.exp(-1j * phi)
+    rot, beta = cmath.exp(-1j * phi), np.asarray(beta, dtype=np.complex128)
+    re = beta.real * rot.real - beta.imag * rot.imag
+    im = beta.real * rot.imag + beta.imag * rot.real
     x = np.asarray(x, dtype=np.float64)
-    logmag = -((x - 2.0 * b.real) ** 2) / 4.0
-    phase = b.imag * x - b.imag * b.real
-    return (2.0 * math.pi) ** -0.25 * np.exp(logmag + 1j * phase)
+    logmag = -np.float_power(x - 2.0 * re, 2) / 4.0
+    return (2.0 * math.pi) ** -0.25 * np.exp(logmag + 1j * (im * x - im * re))
 
 
 # ---------------------------------------------------------------------------
@@ -304,45 +295,52 @@ def run_displacement_program(state: HybridState, steps) -> HybridState:
     follow the module's displacement convention, and a single displacement is a
     one-step program.
 
-    Branches with the same open displacements share a class: their tuple
-    and its sum.  Each step finds the next class of every live (class, bit)
-    pair once, in Python, and the branches gather theirs.
+    Branches with the same start amplitude and the same open displacements
+    share a class: the start, the tuple and its sum.  Each step works out,
+    once per live (class, bit) pair and in Python floats, the phase
+    increment Im(d conj(gamma)) and the next class; the branches gather
+    both.  The start amplitudes are grouped only when they differ.
     """
     n = state.qubit_count
     gamma0 = state.bus
+    if (gamma0 == gamma0[0]).all():
+        starts, cls = [complex(gamma0[0])], np.zeros(gamma0.size, dtype=np.int64)
+    else:  # NumPy 2.0 changed the shape of the inverse
+        uniq, inverse = np.unique(gamma0, return_inverse=True)
+        starts, cls = uniq.tolist(), inverse.reshape(-1)
     phase = np.zeros(gamma0.size)
-    cls = np.zeros(gamma0.size, dtype=np.int64)
-    held, totals = [()], [0j]  # per class id
+    held = [(s, ()) for s in range(len(starts))]  # per class id: (start, open tuple)
+    totals = [0j] * len(starts)
     for qubit, beta in steps:
         if qubit is None:
-            bit = np.zeros(gamma0.size, dtype=np.int64)
+            key = 2 * cls
             values = np.full(2, complex(beta))
         else:
             _check_qubit(qubit, n)
-            bit = (state.bits >> (n - 1 - qubit)) & 1
+            key = 2 * cls + ((state.bits >> (n - 1 - qubit)) & 1)
             values = np.array([1.0, -1.0]) * complex(beta)  # as _signs(...) * beta
-        d = values[bit]
-        gamma = gamma0 + np.array(totals)[cls]
-        # Im(d conj(gamma)) and the coefficient product below are spelt out in
-        # real arithmetic, which rounds every product once: NumPy's array
-        # complex multiply may fuse multiply-adds and round differently from
-        # the textbook formula.
-        phase += d.real * -gamma.imag + d.imag * gamma.real
-        key = 2 * cls + bit
         counts = np.bincount(key)
+        inc = np.zeros(counts.size)
         trans = np.zeros(counts.size, dtype=np.int64)
         index: dict[tuple, tuple[int, complex]] = {}
         for k in np.flatnonzero(counts).tolist():
-            prev, v = held[k >> 1], complex(values[k & 1])
+            (s, prev), total, v = held[k >> 1], totals[k >> 1], complex(values[k & 1])
+            gamma = starts[s] + total
+            # Im(v conj(gamma)) and the coefficient product below are spelt
+            # out in real arithmetic, which rounds every product once, as the
+            # textbook formula does; NumPy's array complex multiply may fuse
+            # multiply-adds and round differently.
+            inc[k] = v.real * -gamma.imag + v.imag * gamma.real
             if -v in prev:
                 i = prev.index(-v)
                 nxt, total = prev[:i] + prev[i + 1:], 0j
                 for u in nxt:
                     total += u
             else:
-                nxt, total = prev + (v,), totals[k >> 1] + v
-            trans[k] = index.setdefault(nxt, (len(index), total))[0]
+                nxt, total = prev + (v,), total + v
+            trans[k] = index.setdefault((s, nxt), (len(index), total))[0]
         held, totals = list(index), [total for _, total in index.values()]
+        phase += inc[key]
         cls = trans[key]
     w = np.exp(1j * phase)
     c = state.coeff
@@ -473,7 +471,7 @@ def _dense(state: HybridState, weights, keep=slice(None)) -> np.ndarray:
 
 def _project_at(state: HybridState, phi: float, x: float, idx: np.ndarray) -> QubitState:
     """Branches ``idx`` (ascending) weighted by their overlaps at x, renormalized."""
-    overlaps = np.array([quadrature_overlap(x, complex(state.bus[i]), phi) for i in idx])
+    overlaps = quadrature_overlap(x, state.bus[idx], phi)
     amps = _dense(state, state.coeff[idx] * overlaps, idx)
     return QubitState(state.qubit_count, amps, normalize=True)
 

@@ -459,6 +459,8 @@ def cmd_scaling(p, l_min, l_max, series_names, metric, gate_time, csv_path, svg_
         for name in names:
             if L > below.get(name, -math.inf):
                 value = _series_value(name, float(L), p, gate_time, metric)
+                if not math.isfinite(value):
+                    raise ValueError(f"the {name} series is not finite at L = {L}: {value}")
                 rows.append({"L": L, "series": name, "value": repr(float(value))})
     if csv_path:
         _write_csv(csv_path, rows, ("L", "series", "value"))

@@ -493,8 +493,7 @@ def _entangled_with_rest(state: QubitState, qubit: int) -> bool:
     the product of the two squared Schmidt coefficients; rank 2 means it
     exceeds 1e-9 (it is 1/4 for a maximally entangled qubit).
     """
-    n = state.qubit_count
-    rows = np.moveaxis(state.amplitudes.reshape((2,) * n), qubit, 0).reshape(2, -1)
+    rows = state.amplitudes.reshape(2**qubit, 2, -1).swapaxes(0, 1).reshape(2, -1)
     a, d = np.vdot(rows[0], rows[0]).real, np.vdot(rows[1], rows[1]).real
     return a * d - abs(np.vdot(rows[0], rows[1])) ** 2 > 1e-9
 

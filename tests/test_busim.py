@@ -776,6 +776,163 @@ class TestBranchKernelsMatchLoopReference:
         assert np.float64(got).tobytes() == np.float64(_ref_spread(state.bus)).tobytes()
 
 
+def _per_branch_program(state, steps):
+    """The per-branch class kernel that worked out Im(d conj(gamma)) for every
+    branch at every step; the class kernel must give its bytes."""
+    n = state.qubit_count
+    gamma0 = state.bus
+    phase = np.zeros(gamma0.size)
+    cls = np.zeros(gamma0.size, dtype=np.int64)
+    held, totals = [()], [0j]  # per class id
+    for qubit, beta in steps:
+        if qubit is None:
+            bit = np.zeros(gamma0.size, dtype=np.int64)
+            values = np.full(2, complex(beta))
+        else:
+            bit = (state.bits >> (n - 1 - qubit)) & 1
+            values = np.array([1.0, -1.0]) * complex(beta)
+        d = values[bit]
+        gamma = gamma0 + np.array(totals)[cls]
+        phase += d.real * -gamma.imag + d.imag * gamma.real
+        key = 2 * cls + bit
+        counts = np.bincount(key)
+        trans = np.zeros(counts.size, dtype=np.int64)
+        index = {}
+        for k in np.flatnonzero(counts).tolist():
+            prev, v = held[k >> 1], complex(values[k & 1])
+            if -v in prev:
+                i = prev.index(-v)
+                nxt, total = prev[:i] + prev[i + 1:], 0j
+                for u in nxt:
+                    total += u
+            else:
+                nxt, total = prev + (v,), totals[k >> 1] + v
+            trans[k] = index.setdefault(nxt, (len(index), total))[0]
+        held, totals = list(index), [total for _, total in index.values()]
+        cls = trans[key]
+    w = np.exp(1j * phase)
+    c = state.coeff
+    coeff = np.empty_like(c)
+    coeff.real = c.real * w.real - c.imag * w.imag
+    coeff.imag = c.real * w.imag + c.imag * w.real
+    return coeff, gamma0 + np.array(totals)[cls]
+
+
+# start amplitudes that repeat, differ only in the sign of a zero part, or
+# are far apart, so branches start in shared and in separate classes
+_STARTS = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0.45 - 0.3j,
+           complex(-0.0, 1.25), complex(2.5, -0.0), -3.0 + 7.5j]
+
+
+def _mixed_start_state(rng, n):
+    """A sparse register whose branches start from a few shared bus amplitudes."""
+    size = 2**n
+    bits = rng.choice(size, int(rng.integers(1, size + 1)), replace=False)
+    coeff = rng.normal(size=bits.size) + 1j * rng.normal(size=bits.size)
+    pool = [_STARTS[i] for i in rng.choice(len(_STARTS), int(rng.integers(1, 5)), replace=False)]
+    bus = np.array([pool[i] for i in rng.integers(0, len(pool), bits.size)], dtype=np.complex128)
+    if rng.random() < 0.3:  # a few branches with a start of their own
+        few = rng.random(bits.size) < 0.25
+        bus[few] = rng.normal(size=few.sum()) + 1j * rng.normal(size=few.sum())
+    return HybridState(n, bits, coeff / np.linalg.norm(coeff), bus)
+
+
+def _cross_qubit_program(rng, n):
+    """Steps whose values repeat across qubits and the unconditional bus, so a
+    kick on one qubit closes an opposite one opened on another, as in
+    ``star_sequence(3, b)``; some loops are left open."""
+    b = float(rng.uniform(0.2, 1.5))
+    pool = [b, 1j * b, complex(b, -0.5 * b), complex(-0.0, b), complex(rng.normal(), rng.normal())]
+    steps = []
+    for _ in range(int(rng.integers(1, 12))):
+        q = None if rng.random() < 0.25 else int(rng.integers(n))
+        beta = pool[int(rng.integers(len(pool)))]
+        steps.append((q, beta if rng.random() < 0.5 else -beta))
+    return steps
+
+
+class TestClassKernelMatchesPerBranchKernel:
+    """run_displacement_program against the per-branch kernel, byte for byte."""
+
+    @pytest.mark.parametrize("seed", range(150))
+    def test_random_programs_mixed_starts(self, seed):
+        rng = np.random.default_rng([2606, seed])
+        n = int(rng.integers(1, 8))
+        state = _mixed_start_state(rng, n)
+        steps = (_cross_qubit_program(rng, n) if seed % 2
+                 else _random_program(rng, n, closed=bool(seed % 3)))
+        got = busim.run_displacement_program(state, steps)
+        assert _same_bytes((got.bits, got.coeff, got.bus),
+                           (state.bits, *_per_branch_program(state, steps)))
+
+    @pytest.mark.parametrize("maker", [gates.chain_sequence, gates.star_sequence])
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_graph_sequences(self, maker, n):
+        seq, _ = maker(n, math.sqrt(math.pi / 8))
+        state = attach_bus(QubitState.plus(n), 0.0)
+        got = busim.run_displacement_program(state, list(seq.steps))
+        assert _same_bytes((got.coeff, got.bus), _per_branch_program(state, list(seq.steps)))
+
+
+class TestZPhaseAction:
+    """Two exponentials gathered by bit give exp(1j * angle * bit)'s bytes."""
+
+    @pytest.mark.parametrize("angle", [0.0, -0.0, math.pi, -math.pi, 1e300, -1e300,
+                                       0.7, -2.9, 1e8 + 0.1])
+    def test_against_exponential_per_pattern(self, angle):
+        rng = np.random.default_rng(11)
+        for n in (1, 3, 6):
+            amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            amps[: 2**n // 2] = np.array([0j, complex(-0.0, 0.0), complex(0.0, -0.0),
+                                          complex(-0.0, -0.0)] * 2**n)[: 2**n // 2]
+            for patterns in (np.arange(2**n), np.sort(rng.choice(2**n, 2**n // 2 + 1,
+                                                                 replace=False))):
+                a = amps[: patterns.size]
+                for q in range(n):
+                    bit = (patterns >> (n - 1 - q)) & 1
+                    got = busim.z_phase_action(a, patterns, n, q, angle)
+                    assert got.tobytes() == (a * np.exp(1j * angle * bit)).tobytes()
+
+
+def _scalar_overlap(x, beta, phi):
+    """quadrature_overlap as it was for one amplitude at a time: Python's
+    complex multiply and a float64 scalar's ``** 2``."""
+    b = beta * cmath.exp(-1j * phi)
+    x = np.asarray(x, dtype=np.float64)
+    logmag = -((x - 2.0 * b.real) ** 2) / 4.0
+    phase = b.imag * x - b.imag * b.real
+    return (2.0 * math.pi) ** -0.25 * np.exp(logmag + 1j * phase)
+
+
+class TestProjectionMatchesPerBranchOverlaps:
+    """A peak's overlaps in one expression against one amplitude at a time."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_project_at(self, seed):
+        """Points near the branches' centres, where the overlaps neither
+        underflow nor round to 1: there a square by ``*`` in place of libm's
+        pow changes the bytes of a few projections."""
+        rng = np.random.default_rng([315, seed])
+        n = int(rng.integers(1, 7))
+        scale = float(rng.choice([1e-3, 1.0, 30.0, 1e5]))
+        bits = rng.choice(2**n, int(rng.integers(1, 2**n + 1)), replace=False)
+        coeff = rng.normal(size=bits.size) + 1j * rng.normal(size=bits.size)
+        bus = (rng.normal(size=bits.size) + 1j * rng.normal(size=bits.size)) * scale
+        bus[rng.random(bits.size) < 0.3] = complex(-0.0, 0.0)
+        state = HybridState(n, bits, coeff / np.linalg.norm(coeff), bus)
+        phi = float(rng.choice([0.0, math.pi / 2, rng.uniform(-7, 7)]))
+        idx = np.arange(state.bits.size)
+        centers = 2.0 * np.real(state.bus * cmath.exp(-1j * phi))
+        for x in rng.choice(centers, 40) + rng.normal(size=40) * 4.0:
+            overlaps = np.array([_scalar_overlap(float(x), complex(b), phi) for b in state.bus])
+            assert quadrature_overlap(float(x), state.bus, phi).tobytes() == overlaps.tobytes()
+            want = busim._dense(state, state.coeff * overlaps)
+            if np.linalg.norm(want) == 0.0:  # every overlap underflows
+                continue
+            got = busim._project_at(state, phi, float(x), idx)
+            assert got.amplitudes.tobytes() == (want / np.linalg.norm(want)).tobytes()
+
+
 def _ref_windows(model):
     """Decision windows rebuilt from the peak centres on every call."""
     centers = [p.center for p in model.peaks]

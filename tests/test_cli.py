@@ -96,6 +96,7 @@ class TestCommandErrors:
         (["scaling", "--t", "0"], "gate_time must be finite and > 0, got 0.0"),
         (["scaling", "--t", "nan"], "gate_time must be finite and > 0, got nan"),
         (["scaling", "--t", "inf", "--metric", "T"], "gate_time must be finite and > 0, got inf"),
+        (["scaling", "--metric", "T", "--t", "1e308"], "the dc series is not finite at L = 5: inf"),
     ], ids=["dc-k-and-off-grid-L", "dc-k-and-L", "scaling-reference-time",
             "scaling-seq-half", "scaling-empty-range", "chain-million", "cascade-million",
             "star-config-330-digits", "scaling-dc-overflow", "cascade-budget-overflow",
@@ -104,7 +105,8 @@ class TestCommandErrors:
             "bucket-photon-scale-overflow", "bucket-displacement-overflow",
             "position-alpha-overflow", "three-qubit-alpha-overflow",
             "momentum-alpha-overflow", "cascade-alpha-overflow", "scaling-negative-time",
-            "scaling-zero-time", "scaling-nan-time", "scaling-inf-time"])
+            "scaling-zero-time", "scaling-nan-time", "scaling-inf-time",
+            "scaling-time-overflow"])
     def test_refused_before_any_work(self, runner, tmp_path, args, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 10**329}))

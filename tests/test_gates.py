@@ -900,6 +900,18 @@ class TestProgramSteps:
         assert_allclose(out.coeff, want.coeff, atol=1e-15)
 
 
+def apply_z_phase(state, qubit, angle):
+    """diag(1, e^{i angle}) on one qubit of a register state."""
+    n = state.qubit_count
+    return QubitState(n, busim.z_phase_action(state.amplitudes, np.arange(2**n), n, qubit, angle))
+
+
+def apply_pauli(state, qubit, pauli):
+    """X, Y or Z on one qubit of a register state."""
+    n = state.qubit_count
+    return QubitState(n, busim.pauli_action(state.amplitudes, n, qubit, pauli))
+
+
 def _random_product(rng, n, spread=(0.2, 1.3)):
     """A product register with random phases, magnitudes cos and sin of ``spread``."""
     amps = np.ones(1, dtype=np.complex128)
@@ -921,7 +933,7 @@ class TestCorrectionSolver:
                            for q, a in zip(qubits, angles)]
             want = state
             for c in corrections:
-                want = busim.apply_z_phase(want, c.qubit, c.angle)
+                want = apply_z_phase(want, c.qubit, c.angle)
             got = gates.apply_corrections(state, corrections)
             assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
         with pytest.raises(ValueError):
@@ -929,7 +941,7 @@ class TestCorrectionSolver:
 
     def test_solves_pure_z_frame(self):
         state = QubitState.plus(2)
-        rotated = busim.apply_z_phase(busim.apply_z_phase(state, 0, 0.7), 1, -0.4)
+        rotated = apply_z_phase(apply_z_phase(state, 0, 0.7), 1, -0.4)
         corr = gates.solve_local_z_corrections(rotated, state)
         assert corr is not None
         assert fidelity(gates.apply_corrections(rotated, corr), state) >= 1 - 1e-12
@@ -950,7 +962,7 @@ class TestCorrectionSolver:
             plus = QubitState.plus(n)
             framed = plus
             for q in range(n):
-                framed = busim.apply_z_phase(framed, q, 3.0)
+                framed = apply_z_phase(framed, q, 3.0)
             corr = gates.solve_local_z_corrections(plus, framed)
             assert corr is not None, n
             assert fidelity(gates.apply_corrections(plus, corr), framed) >= 1 - 1e-12
@@ -963,7 +975,7 @@ class TestCorrectionSolver:
             for post in (QubitState.plus(n), _random_product(rng, n)):
                 framed = post
                 for q in (range(n) if zs == "all" else zs):
-                    framed = busim.apply_pauli(framed, q, "Z")
+                    framed = apply_pauli(framed, q, "Z")
                 corr = gates.solve_local_z_corrections(post, framed)
                 assert corr is not None, n
                 assert fidelity(gates.apply_corrections(post, corr), framed) >= 1 - 1e-12
@@ -985,7 +997,7 @@ class TestCorrectionSolver:
             post = QubitState(n, amps, normalize=True)
             framed = post
             for q in range(n):
-                framed = busim.apply_z_phase(framed, q, float(rng.uniform(-4, 4)))
+                framed = apply_z_phase(framed, q, float(rng.uniform(-4, 4)))
             corr = gates.solve_local_z_corrections(post, framed)
             assert corr is not None
             assert fidelity(gates.apply_corrections(post, corr), framed) >= 1 - 1e-12

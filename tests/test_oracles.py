@@ -107,8 +107,7 @@ def _graph_cases():
             for op in "ZX":
                 yield spec, busim.pauli_action(vec, n, q, op)
             for kick in (1e-7, 1e-3):
-                kicked = busim.apply_z_phase(busim.QubitState(n, vec), q, kick)
-                yield spec, kicked.amplitudes
+                yield spec, busim.z_phase_action(vec, np.arange(2**n), n, q, kick)
             rand = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
             yield spec, rand / np.linalg.norm(rand)
 
