@@ -41,6 +41,12 @@ for shape in star chain geometric-cz; do
   grep -qx "stabilizer check: PASS" "$tmp/$shape.txt"
   grep -qx "bus spread after sequence: 0.0" "$tmp/$shape.txt"
 done
+# a star checked against the chain's edges is a FAIL line and exit 1
+printf '0 1\n1 2\n2 3\n3 4\n' > "$tmp/chain5.txt"
+status=0; $QUBUSLAB gate star --n 5 --graph "$tmp/chain5.txt" > "$tmp/out.txt" 2>&1 || status=$?
+test "$status" -eq 1
+grep -qx "stabilizer check: FAIL" "$tmp/out.txt"
+if grep -q Traceback "$tmp/out.txt"; then exit 1; fi
 # a beta off the controlled-Z grid is one Error: line and exit 1; beta 0
 # gives every pair a zero coupling, which an edge must not accept
 for gate in "chain --n 4" "star --n 4" "geometric-cz"; do
@@ -64,7 +70,8 @@ echo '{"bogus": 1, "gate_backend": "nope"}' > "$tmp/keys.json"
 # and a gate table whose squares (alpha theta)**2, alpha**2, or the bucket's
 # (2 alpha sin theta)**2 overflow a float is refused too, as is a scaling
 # gate time that is not finite and > 0 or that makes a series value
-# overflow, and a growth run whose gate time overflows its elapsed time
+# overflow, a length range that starts below 1, and a growth run whose gate
+# time overflows its elapsed time
 for args in "growth divide_conquer --n 64 --k 3 --L 5" \
             "scaling --metric T --series rus-pf-0.6" "gate chain --n 1000000" \
             "scaling --p 1e-40 --series dc" \
@@ -78,6 +85,7 @@ for args in "growth divide_conquer --n 64 --k 3 --L 5" \
             "gate parity-momentum --alpha 1e200 --theta 1e-60" \
             "gate cascade --n 4 --alpha 2e154 --theta 0.5" \
             "scaling --t 0" "scaling --t nan" "scaling --metric T --t 1e308" \
+            "scaling --l-min 0" \
             "growth sequential --L 11 --trials 50 --t 1e308" \
             "growth sequential --L 5 --config $tmp/keys.json" \
             "gate chain --config $tmp/keys.json"; do

@@ -50,7 +50,6 @@ __all__ = [
     "quadrature_overlap",
     "fidelity",
     "z_phase_action",
-    "pauli_action",
 ]
 
 PEAK_GROUP_TOL = 1e-9
@@ -118,15 +117,6 @@ class QubitState:
     def plus(cls, n: int) -> "QubitState":
         return cls(n, np.full(2**n, 2.0 ** (-n / 2), dtype=np.complex128))
 
-    @classmethod
-    def basis(cls, n: int, bits: int) -> "QubitState":
-        amps = np.zeros(2**n, dtype=np.complex128)
-        amps[bits] = 1.0
-        return cls(n, amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def __repr__(self):
         return f"QubitState(n={self.qubit_count})"
 
@@ -144,23 +134,6 @@ def z_phase_action(amps, patterns, n: int, qubit: int, angle: float) -> np.ndarr
     The exponential of each bit value is taken once and gathered by bit."""
     _check_qubit(qubit, n)
     return amps * np.exp(1j * angle * np.arange(2))[(patterns >> (n - 1 - qubit)) & 1]
-
-
-def pauli_action(amps: np.ndarray, n: int, qubit: int, pauli: str) -> np.ndarray:
-    """Dense amplitudes after X, Y or Z on one qubit of an n-qubit vector.
-
-    No norm check: the dense oracles apply it to unnormalised projections.
-    """
-    idx = np.arange(2**n)
-    flip = idx ^ (1 << (n - 1 - qubit))
-    z_sign = 1 - 2 * ((idx >> (n - 1 - qubit)) & 1)
-    if pauli == "X":
-        return amps[flip]
-    if pauli == "Z":
-        return amps * z_sign
-    if pauli == "Y":
-        return amps[flip] * (1j * z_sign)
-    raise ValueError(f"unknown Pauli {pauli!r}")
 
 
 class HybridState:
@@ -372,13 +345,10 @@ class PeakModel:
     phi: float
     peaks: tuple
 
-    def windows(self):
-        """Decision windows: midpoints between adjacent centers."""
-        return list(self._windows)
-
     # computed once per model; a frozen dataclass still has an instance dict
     @functools.cached_property
     def _windows(self) -> tuple:
+        """Decision windows: midpoints between adjacent centers."""
         centers = [p.center for p in self.peaks]
         lows = [-math.inf] + [(a + b) / 2 for a, b in zip(centers, centers[1:])]
         highs = lows[1:] + [math.inf]
@@ -478,35 +448,26 @@ def _project_at(state: HybridState, phi: float, x: float, idx: np.ndarray) -> Qu
 
 @dataclass(frozen=True)
 class BucketOutcome:
-    outcome: str  # "vacuum" or "click"
     probability: float
-    posterior: QubitState | None  # None for a click
-    components: tuple = ()  # for "click": (n, probability, QubitState) per n > 0
+    posterior: QubitState | None
 
 
-def measure_bucket(state: HybridState, outcome: str) -> BucketOutcome:
-    """Photon detection on the bus: the vacuum or the click record.
+def measure_bucket(state: HybridState) -> BucketOutcome:
+    """Photon detection on the bus: the vacuum outcome.
 
     Vacuum keeps the branches whose bus amplitude is zero (within
     ``BUS_TOL``); the reported probability is the exact vacuum weight
     including the exponentially small contribution of displaced branches.
-    A click is the heralded-unknown-phase mixture, reported as its per-n
-    components: photon number n weights each branch by <n|bus>, evaluated
-    in the log domain, and the list ends once less than ``TAIL_TOL`` of the
-    weight is left.
+    A click is the heralded-unknown-phase mixture, whose per-n components
+    :func:`_photon_components` lists.
     """
-    if outcome not in ("vacuum", "click"):
-        raise ValueError(f"bucket outcome must be 'vacuum' or 'click', got {outcome!r}")
     _check_normalized(state)
     p_vac, posterior = _photon_projection(state, 0)
-    if outcome == "click":
-        components = tuple(_photon_components(state))
-        return BucketOutcome("click", 1.0 - p_vac, None, components)
     keep = np.abs(state.bus) <= BUS_TOL
     if keep.any():
         amps = _dense(state, state.coeff[keep], keep)
         posterior = QubitState(state.qubit_count, amps, normalize=True)
-    return BucketOutcome("vacuum", p_vac, posterior)
+    return BucketOutcome(p_vac, posterior)
 
 
 def _photon_projection(state: HybridState, n: int):

@@ -450,6 +450,8 @@ def cmd_scaling(p, l_min, l_max, series_names, metric, gate_time, csv_path, svg_
             )
         # a series with no value at this p and metric raises at any length
         _series_value(name, lc + 1.0, p, gate_time, metric)
+    if l_min < 1:
+        raise ValueError(f"--l-min {l_min} is below 1: a chain holds at least one qubit")
     if l_min > l_max:
         raise ValueError(f"empty length range: --l-min {l_min} is above --l-max {l_max}")
     # the longest length with no value: merge and seq grow only above L_c

@@ -399,8 +399,8 @@ def bucket_parity_outcomes(
     state, hybrid = _prepare(alpha, theta, state, (1, 1))
     hybrid = busim.run_displacement_program(hybrid, [(None, -complex(alpha))])
 
-    vac = busim.measure_bucket(hybrid, outcome="vacuum")
-    # measure_bucket's click components, computed only as far as the table reads
+    vac = busim.measure_bucket(hybrid)
+    # the click components, computed only as far as the table reads
     clicks = busim._photon_components(hybrid)
     outcomes = [
         GateOutcome(

@@ -13,11 +13,10 @@ reads which generators multiply to the observable off the destabilizers,
 with no elimination.  Both kinds of measurement find the rows that
 anticommute with the observable by XOR-ing the few columns of its support,
 not by a matrix product.  The remaining GF(2) linear algebra (the
-independence checks in ``validate`` and ``equals_up_to_corrections``,
-``canonical_form``, and deriving the destabilizers of a hand-built tableau
-once) runs through one Gauss-Jordan kernel, ``_row_reduce``; every row
-product takes its sign from ``_product_sign``, the Aaronson-Gottesman
-row-sum phase.
+independence check in ``equals_up_to_corrections``, ``canonical_form``,
+and deriving the destabilizers of a hand-built tableau once) runs through
+one Gauss-Jordan kernel, ``_row_reduce``; every row product takes its sign
+from ``_product_sign``, the Aaronson-Gottesman row-sum phase.
 
 Chain bookkeeping (which qubit sits where in which chain, dangling bonds)
 lives in a :class:`ChainRegistry` beside the tableau; the quantum state never
@@ -91,11 +90,6 @@ class GraphSpec:
         """Vertex 0 joined to every other vertex."""
         return cls.from_edges(n, [(0, v) for v in range(1, n)])
 
-    def neighbours(self, v: int):
-        return sorted(
-            b if a == v else a for a, b in self.edges if v in (a, b)
-        )
-
 
 def parse_edge_list(text: str, n: int | None = None) -> GraphSpec:
     """Read a graph from lines of "u v" pairs; blank lines and # comments ok."""
@@ -129,7 +123,7 @@ class StabilizerTableau:
     Rows of ``dx``/``dz`` are the destabilizers, unsigned, with
     ``dx @ z.T + dz @ x.T == I`` mod 2.  Deterministic measurements read the
     generator combination from them; the eliminations that remain are in
-    ``validate``, ``canonical_form`` and the rank certificate of
+    ``canonical_form`` and the rank certificate of
     ``equals_up_to_corrections``.
     ``graph_state`` sets them; a tableau built from ``x`` and ``z`` leaves
     them ``None`` and derives them on its first measurement.  The module's
@@ -161,15 +155,6 @@ class StabilizerTableau:
             (1 - 2 * int(s), "".join("IXZY"[b] for b in (xr + 2 * zr).tolist()))
             for s, xr, zr in zip(self.sign, self.x, self.z)
         ]
-
-    def validate(self) -> None:
-        anti = np.triu((self.x @ self.z.T + self.z @ self.x.T) % 2, 1)
-        if anti.any():
-            i, j = np.argwhere(anti)[0]
-            raise ValueError(f"generators {i} and {j} anticommute")
-        m = np.concatenate([self.x, self.z], axis=1) % 2
-        if len(_row_reduce(m, 2 * self.n)) != self.n:
-            raise ValueError("generators are not independent")
 
     def __repr__(self):
         gens = ", ".join(

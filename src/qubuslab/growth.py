@@ -96,7 +96,8 @@ class StrategyConfig:
     initial_qubits: int | None = None
     gate_time: float = 1.0
     max_rounds: int | None = None
-    gate_backend: str | None = None  # None (abstract p) or "three-qubit", sequential only
+    # None (abstract p) or "three-qubit", sequential only; p is then the table's rate
+    gate_backend: str | None = None
     alpha: float = 1000.0
     theta: float = 0.003
 
@@ -123,6 +124,13 @@ class StrategyConfig:
         if not (math.isfinite(self.alpha) and self.alpha > 0 and math.isfinite(self.theta)):
             raise ValueError(f"alpha must be finite and > 0 and theta finite, got "
                              f"alpha={self.alpha}, theta={self.theta}")
+        if self.gate_backend is not None:  # p is the rate the table's draws succeed at
+            table = gates.three_qubit_outcomes(self.alpha, self.theta)
+            rate = float(sum(o.exact_probability for o in table if _gate3_success(o.label)))
+            if abs(self.p - rate) > 1e-12:
+                raise ValueError(
+                    f"p = {self.p} is not the success rate {rate} of the three-qubit "
+                    f"table at alpha={self.alpha}, theta={self.theta}")
         if self.variant == "sequential":
             if self.target_L is None or self.target_L < 1:
                 raise ValueError("sequential growth needs target_L >= 1")
@@ -243,6 +251,11 @@ def _walk_blocks(seed: int, trials: int, width: int, step, chunk: int = _CHUNK) 
             counter += width // 4
 
 
+def _gate3_success(label: str) -> bool:
+    """Whether a three-qubit outcome extends the chain: GHZ or Bell."""
+    return label == "ghz" or label.startswith("bell")
+
+
 def _attempt_sampler(config: StrategyConfig):
     """Map an array of uniforms to arrays of (success, spare-bond) flags.
 
@@ -257,8 +270,7 @@ def _attempt_sampler(config: StrategyConfig):
         return lambda u: (u < config.p, None)
     outcomes = gates.three_qubit_outcomes(config.alpha, config.theta)
     cdf = gates.outcome_cdf(outcomes)
-    success = np.array([o.label == "ghz" or o.label.startswith("bell")
-                        for o in outcomes])
+    success = np.array([_gate3_success(o.label) for o in outcomes])
     spare = np.array([o.label == "ghz" for o in outcomes])
 
     def sample(u):

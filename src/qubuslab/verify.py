@@ -335,7 +335,7 @@ def _project_vec(vec, qubit, basis, n, sign):
 
     The vector is None when the outcome cannot occur.
     """
-    proj = 0.5 * (vec + sign * busim.pauli_action(vec, n, qubit, basis))
+    proj = 0.5 * (vec + sign * oracles.pauli_action(vec, n, qubit, basis))
     prob = float(np.vdot(proj, proj).real)
     return prob, proj / np.linalg.norm(proj) if prob else None
 

@@ -62,6 +62,9 @@ class TestCommandErrors:
          "no average growth for p <= 1/2; expectation diverges"),
         (["scaling", "--l-min", "500", "--l-max", "400"],
          "empty length range: --l-min 500 is above --l-max 400"),
+        (["scaling", "--l-min", "-3", "--l-max", "2", "--series", "rus-pf-0.6"],
+         "--l-min -3 is below 1: a chain holds at least one qubit"),
+        (["scaling", "--l-min", "0"], "--l-min 0 is below 1: a chain holds at least one qubit"),
         (["gate", "chain", "--n", "1000000"],
          "gate chain holds at most 20 qubits, got n = 1000000"),
         (["gate", "cascade", "--n", "1000000"],
@@ -98,7 +101,8 @@ class TestCommandErrors:
         (["scaling", "--t", "inf", "--metric", "T"], "gate_time must be finite and > 0, got inf"),
         (["scaling", "--metric", "T", "--t", "1e308"], "the dc series is not finite at L = 5: inf"),
     ], ids=["dc-k-and-off-grid-L", "dc-k-and-L", "scaling-reference-time",
-            "scaling-seq-half", "scaling-empty-range", "chain-million", "cascade-million",
+            "scaling-seq-half", "scaling-empty-range", "scaling-negative-length",
+            "scaling-zero-length", "chain-million", "cascade-million",
             "star-config-330-digits", "scaling-dc-overflow", "cascade-budget-overflow",
             "three-qubit-budget-overflow", "bucket-budget-overflow",
             "bucket-photon-and-budget-overflow", "momentum-alpha-theta-inf",

@@ -16,11 +16,18 @@ from numpy.testing import assert_allclose
 
 from qubuslab import busim, gates
 from qubuslab.busim import QubitState, fidelity
-from qubuslab.oracles import graph_state_vector
+from qubuslab.oracles import graph_state_vector, pauli_action
 
 ODD_BELL = QubitState(2, np.array([0, 1, 1, 0]) / math.sqrt(2))
 EVEN_BELL = QubitState(2, np.array([1, 0, 0, 1]) / math.sqrt(2))
 BETA_STAR = math.sqrt(math.pi / 8.0)
+
+
+def basis_state(n, bits):
+    """The register state |bits> of n qubits."""
+    amps = np.zeros(2**n, dtype=np.complex128)
+    amps[bits] = 1.0
+    return QubitState(n, amps)
 
 
 def corrected(outcome):
@@ -98,7 +105,7 @@ class TestMomentumParityGate:
         assert sampled.label in ("odd-bell", "product-00", "product-11")
 
     def test_product_input_is_certain(self):
-        out = gates.momentum_parity_outcomes(1000.0, 0.003, QubitState.basis(2, 0))
+        out = gates.momentum_parity_outcomes(1000.0, 0.003, basis_state(2, 0))
         assert len(out) == 1
         assert out[0].label == "product-00"
         assert out[0].probability == pytest.approx(1.0)
@@ -461,7 +468,7 @@ class TestCascade:
         assert gates._entangled_with_rest(bell_and_plus, 0)
         assert gates._entangled_with_rest(bell_and_plus, 1)
         assert not gates._entangled_with_rest(QubitState.plus(3), 0)
-        assert not gates._entangled_with_rest(QubitState.basis(3, 5), 2)
+        assert not gates._entangled_with_rest(basis_state(3, 5), 2)
         # qubit 0 pure, qubits 1 and 2 in a Bell pair
         split = QubitState(3, np.array([1, 0, 0, 1, 0, 0, 0, 0]) / math.sqrt(2.0))
         assert not gates._entangled_with_rest(split, 0)
@@ -709,7 +716,7 @@ class TestCompiledConditionalDisplacement:
 
     def test_plus_branch_lands_at_offset(self):
         alpha, theta = 0.9, 0.4
-        start = busim.attach_bus(QubitState.basis(1, 0), 0.25 - 0.1j)
+        start = busim.attach_bus(basis_state(1, 0), 0.25 - 0.1j)
         out = gates.conditional_displacement_by_rotations(start, 0, alpha, theta)
         assert out.bus[0] == pytest.approx(
             0.25 - 0.1j + 2j * alpha * math.sin(theta), abs=1e-12
@@ -909,7 +916,7 @@ def apply_z_phase(state, qubit, angle):
 def apply_pauli(state, qubit, pauli):
     """X, Y or Z on one qubit of a register state."""
     n = state.qubit_count
-    return QubitState(n, busim.pauli_action(state.amplitudes, n, qubit, pauli))
+    return QubitState(n, pauli_action(state.amplitudes, n, qubit, pauli))
 
 
 def _random_product(rng, n, spread=(0.2, 1.3)):

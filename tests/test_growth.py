@@ -109,6 +109,16 @@ class TestConfigValidation:
         StrategyConfig(variant="sequential", p=0.75, trials=3, master_seed=0,
                        target_L=7, gate_backend="three-qubit", theta=-0.003)
 
+    @pytest.mark.parametrize("p, theta, rate", [
+        (0.6, 0.003, 0.75), (0.5, 0.003, 0.75), (0.75 + 1e-9, 0.003, 0.75),
+        (0.75, 0.0, 0.0),  # theta = 0 heralds only "mixed", which never succeeds
+    ])
+    def test_backend_p_must_be_table_rate(self, p, theta, rate):
+        with pytest.raises(ValueError, match=f"p = {p} is not the success rate {rate} "):
+            StrategyConfig(variant="sequential", p=p, trials=3, master_seed=0,
+                           target_L=7, max_rounds=50, gate_backend="three-qubit",
+                           theta=theta)
+
     @pytest.mark.parametrize("target_L", [4, 10, 16])
     def test_divide_conquer_length_off_grid(self, target_L):
         with pytest.raises(ValueError, match=f"length {target_L} is not of the form"):
@@ -314,11 +324,11 @@ class TestGateSampler:
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(gates, "three_qubit_outcomes", spy)
         cfg = StrategyConfig(
             variant="sequential", p=0.75, trials=25, master_seed=2, target_L=7,
             gate_backend="three-qubit",
         )
+        monkeypatch.setattr(gates, "three_qubit_outcomes", spy)
         simulate(cfg)
         assert len(calls) == 1
         simulate(cfg)
@@ -990,6 +1000,8 @@ class TestAcrossTrialKernels:
         dict(p=0.75, target_L=1),  # done before the first attempt
     ], ids=lambda kw: "-".join(map(str, kw.values())))
     def test_sequential_across_blocks(self, kwargs, backend):
+        if backend:  # the backend's p is its table's success rate
+            kwargs = dict(kwargs, p=0.75)
         cfg = StrategyConfig(variant="sequential", trials=30 if backend else 150,
                              master_seed=2**63 + 11, gate_time=0.5,
                              gate_backend=backend, **kwargs)

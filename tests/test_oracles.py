@@ -1,10 +1,10 @@
-"""Dense oracles: the Pauli-string action, the graph-state check and the
-two-Gaussian tail.
+"""Dense oracles: the Pauli-string action, the graph-state vector and check,
+and the two-Gaussian tail.
 
 Each is compared with the route it replaced, kept here as a reference:
-the string loop that carried its own per-qubit action, the check that
-built a signed tableau and compared canonical forms, and SciPy's adaptive
-quadrature of the tail.
+the string loop that carried its own per-qubit action, the per-edge sign
+product, the check that built a signed tableau and compared canonical
+forms, and SciPy's adaptive quadrature of the tail.
 """
 
 import math
@@ -23,6 +23,7 @@ from qubuslab.oracles import (
     apply_pauli_string,
     graph_state_vector,
     is_graph_state,
+    pauli_action,
     state_stabilized_by,
     two_gaussian_misassignment,
 )
@@ -44,6 +45,17 @@ def _ref_apply_pauli_string(vec, pauli):
         elif ch == "Y":
             out = out[flip] * (1j * z_sign)
     return out
+
+
+def _ref_graph_state_vector(n, edges):
+    """|+>^n multiplied by -1.0 or 1.0 for each edge in turn."""
+    vec = np.full(2**n, 2.0 ** (-n / 2), dtype=np.complex128)
+    idx = np.arange(2**n)
+    for u, v in edges:
+        bu = (idx >> (n - 1 - u)) & 1
+        bv = (idx >> (n - 1 - v)) & 1
+        vec = vec * np.where((bu & bv) == 1, -1.0, 1.0)
+    return vec
 
 
 def _ref_stabilizer_signs(vec, paulis, tol=1e-9):
@@ -91,9 +103,32 @@ class TestApplyPauliString:
             apply_pauli_string(np.ones(4), "XW")
 
 
+class TestGraphStateVector:
+    def test_matches_per_edge_product(self):
+        rng = np.random.default_rng(23)
+        signed_zero = False
+        for n in range(1, 13):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            graphs = [
+                sorted(gs.GraphSpec.chain(n).edges),
+                sorted(gs.GraphSpec.star(n).edges),
+                [p for p in pairs if rng.random() < 0.4],
+            ]
+            for edges in graphs:
+                flipped = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+                extra = rng.integers(len(edges), size=3) if edges else []
+                repeated = flipped + [flipped[i] for i in extra]
+                for case in (edges, flipped, repeated, repeated[::-1]):
+                    want = _ref_graph_state_vector(n, case)
+                    assert graph_state_vector(n, case).tobytes() == want.tobytes(), (n, case)
+                    signed_zero = signed_zero or bool(np.signbit(want.imag).any())
+        # the product leaves -0.0 imaginary parts, and they are kept
+        assert signed_zero
+
+
 def _graph_cases():
     rng = np.random.default_rng(11)
-    for n in range(1, 8):
+    for n in range(1, 11):
         specs = [gs.GraphSpec.chain(n), gs.GraphSpec.star(n)]
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         keep = rng.random(len(pairs)) < 0.4
@@ -104,9 +139,12 @@ def _graph_cases():
             q = int(rng.integers(n))
             yield spec, vec
             yield spec, np.exp(0.83j) * vec
+            yield spec, 2.0 * vec
+            yield spec, 0.5 * vec
             for op in "ZX":
-                yield spec, busim.pauli_action(vec, n, q, op)
-            for kick in (1e-7, 1e-3):
+                yield spec, pauli_action(vec, n, q, op)
+            kicks = (1e-11, 1e-8, 1e-7, 1e-3) if n <= 6 else (1e-11, 1e-7, 1e-3)
+            for kick in kicks:
                 yield spec, busim.z_phase_action(vec, np.arange(2**n), n, q, kick)
             rand = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
             yield spec, rand / np.linalg.norm(rand)
@@ -122,10 +160,25 @@ class TestIsGraphState:
         # both verdicts occur, so agreement is not agreement on a constant
         assert True in verdicts and False in verdicts
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_multiples_and_small_kicks(self, n):
+        """A phase is accepted, a scale or a 1e-8 Z kick is not, a 1e-11 kick is."""
+        for spec in (gs.GraphSpec.chain(n), gs.GraphSpec.star(n)):
+            vec = graph_state_vector(n, sorted(spec.edges))
+            kicked = {kick: busim.z_phase_action(vec, np.arange(2**n), n, n - 1, kick)
+                      for kick in (1e-8, 1e-11)}
+            assert is_graph_state(np.exp(-2.1j) * vec, n, spec.edges)
+            assert is_graph_state(kicked[1e-11], n, spec.edges)
+            assert not is_graph_state(2.0 * vec, n, spec.edges)
+            assert not is_graph_state(0.5 * vec, n, spec.edges)
+            assert not is_graph_state(kicked[1e-8], n, spec.edges)
+
     def test_rejects_flipped_sign_and_other_graph(self):
         spec = gs.GraphSpec.chain(4)
         vec = graph_state_vector(4, sorted(spec.edges))
         assert is_graph_state(vec, 4, spec.edges)
+        # an edge given reversed or twice is still one edge
+        assert is_graph_state(vec, 4, [(1, 0), (2, 1), (1, 2), (3, 2)])
         assert not is_graph_state(apply_pauli_string(vec, "IZII"), 4, spec.edges)
         assert not is_graph_state(vec, 4, [(0, 1), (1, 2)])
 
