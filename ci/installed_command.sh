@@ -70,8 +70,9 @@ echo '{"bogus": 1, "gate_backend": "nope"}' > "$tmp/keys.json"
 # and a gate table whose squares (alpha theta)**2, alpha**2, or the bucket's
 # (2 alpha sin theta)**2 overflow a float is refused too, as is a scaling
 # gate time that is not finite and > 0 or that makes a series value
-# overflow, a length range that starts below 1, and a growth run whose gate
-# time overflows its elapsed time
+# overflow, a length range that starts below 1, a scaling request with no
+# series or no row in its range (before any file is written), and a growth
+# run whose gate time overflows its elapsed time
 for args in "growth divide_conquer --n 64 --k 3 --L 5" \
             "scaling --metric T --series rus-pf-0.6" "gate chain --n 1000000" \
             "scaling --p 1e-40 --series dc" \
@@ -85,7 +86,8 @@ for args in "growth divide_conquer --n 64 --k 3 --L 5" \
             "gate parity-momentum --alpha 1e200 --theta 1e-60" \
             "gate cascade --n 4 --alpha 2e154 --theta 0.5" \
             "scaling --t 0" "scaling --t nan" "scaling --metric T --t 1e308" \
-            "scaling --l-min 0" \
+            "scaling --l-min 0" "scaling --series , --svg $tmp/x.svg" \
+            "scaling --series rus-pf-0.6 --l-max 6 --csv $tmp/x.csv" \
             "growth sequential --L 11 --trials 50 --t 1e308" \
             "growth sequential --L 5 --config $tmp/keys.json" \
             "gate chain --config $tmp/keys.json"; do
@@ -94,6 +96,20 @@ for args in "growth divide_conquer --n 64 --k 3 --L 5" \
   grep -q "^Error:" "$tmp/err.txt"
   if grep -q Traceback "$tmp/err.txt"; then exit 1; fi
 done
+test ! -e "$tmp/x.svg" && test ! -e "$tmp/x.csv"
+# the closed-form tables at both metrics (the digests tests/test_cli.py pins)
+scaling="$QUBUSLAB scaling --l-min 1 --l-max 400 --series dc,merge,seq"
+$scaling --p 0.75 --metric N --csv "$tmp/s1.csv" > /dev/null
+$scaling --p 0.75 --metric T --t 0.37 --csv "$tmp/s2.csv" > /dev/null
+$scaling --p 0.6 --metric N --csv "$tmp/s3.csv" > /dev/null
+$scaling --p 0.6 --metric T --t 0.37 --csv "$tmp/s4.csv" > /dev/null
+echo "644079a1e29e015a6bc1c472f7c8e1c610a75702731bdea39864dfac391e1a1a  $tmp/s1.csv
+a9ca8a4cb5eb97845d6ab192d20b8c06f26cfbf499ca9c3b2aa5b9acc5cf8a32  $tmp/s2.csv
+8baa8c9241650beecc4ce72fa57594a1b65b67611768e2b76cefcfdf760e2ea6  $tmp/s3.csv
+26389016def2573c2ba0a6214f5fcac7dc516740058376f5f8c3c5cfc5925364  $tmp/s4.csv" | sha256sum -c -
+# a reference fit starts above its root: 185 L - 1115 is negative at L = 5, 6
+$QUBUSLAB scaling --series rus-pf-0.6 --l-max 7 > "$tmp/out.txt"
+test "$(tail -n +2 "$tmp/out.txt")" = "7,rus-pf-0.6,180.0"
 $QUBUSLAB growth sequential --L 21 --trials 2000 --seed 7
 # at p = 0.6 the minimal chain is 3 qubits, so chain builds take the halving branch
 $QUBUSLAB growth merge --p 0.6 --L 20 --trials 500 --seed 7 --jsonl "$tmp/m.jsonl"

@@ -10,12 +10,12 @@ engine in :mod:`qubuslab.growth` provides the empirical counterpart.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 __all__ = [
     "ScalingPoint",
-    "ComparisonSeries",
     "MergeScaling",
     "join_yield",
     "critical_length",
@@ -24,7 +24,7 @@ __all__ = [
     "dc_scaling",
     "seq_scaling",
     "vertical_cost",
-    "reference_series",
+    "SERIES",
     "dc_series_value",
     "dc_series_time",
     "merge_crossover",
@@ -42,19 +42,6 @@ class ScalingPoint:
     T: float | None
     series: str
     extras: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class ComparisonSeries:
-    """Affine reference line N(L) = slope * L + intercept."""
-
-    name: str
-    slope: float
-    intercept: float
-    note: str = ""
-
-    def value(self, L: float) -> float:
-        return self.slope * L + self.intercept
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +72,10 @@ def critical_length(p: float) -> float:
     """Chain length above which joining equal chains grows on average."""
     if not 0.0 < p <= 1.0:
         raise ValueError("success probability must lie in (0, 1]")
-    return 1.0 + 2.0 * (1.0 - p) / p
+    lc = 1.0 + 2.0 * (1.0 - p) / p
+    if math.isinf(lc):
+        raise ValueError(f"the critical length overflows a float at p = {p}")
+    return lc
 
 
 def minimal_chain_length(p: float) -> int:
@@ -283,40 +273,48 @@ def vertical_cost(p: float) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# reference series and quoted constants
+# the comparison series and quoted constants
 
 
-_SERIES = {
-    "rus-pf-0.6": ComparisonSeries(
-        "rus-pf-0.6", 185.0, -1115.0, "repeat-until-success, failure prob 0.6"
-    ),
-    "rus-pf-0.4": ComparisonSeries(
-        "rus-pf-0.4", 16.6, -47.7, "repeat-until-success, failure prob 0.4"
-    ),
-    "linear-optics-p-half": ComparisonSeries(
-        "linear-optics-p-half",
-        16.0,
-        -50.0,
-        "theoretical limit of linear optics: merge law at p = 1/2",
-    ),
-    "paper-8L-44/3": ComparisonSeries(
-        "paper-8L-44/3", 8.0, -44.0 / 3.0, "merge law at p = 3/4"
-    ),
-}
+@dataclass(frozen=True)
+class Series:
+    """Operations N(L, p), time T(L, p, t) (None if only counts are quoted),
+    and ``empty_upto(p)``, the longest length with no value."""
+
+    name: str
+    N: Callable[[float, float], float]
+    T: Callable[[float, float, float], float] | None
+    empty_upto: Callable[[float], float]
+
+    def start(self, p: float) -> int:
+        """The shortest whole length with a value; 1e-9 above ``empty_upto`` is still below."""
+        return math.floor(self.empty_upto(p) + 1e-9) + 1
 
 
-def reference_series(name: str) -> ComparisonSeries:
-    try:
-        return _SERIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown series {name!r}; known: {sorted(_SERIES)}"
-        ) from None
+def _fit(name: str, slope: float, intercept: float) -> Series:
+    """A quoted straight-line fit of operation counts, valued above its root."""
+    return Series(name, lambda L, p: slope * L + intercept, None, lambda p: -intercept / slope)
+
+
+SERIES = {s.name: s for s in (
+    # pairwise doubling, continuous in L; a chain of one qubit costs nothing
+    Series("dc", dc_series_value, lambda L, p, t: dc_series_time(L, t), lambda p: 1.0),
+    # merge and sequential adding grow only above the critical length
+    Series("merge", lambda L, p: scaling_point("merge", p, L).N,
+           lambda L, p, t: scaling_point("merge", p, L, t).T, critical_length),
+    Series("seq", lambda L, p: seq_scaling(L, p)[0],
+           lambda L, p, t: seq_scaling(L, p, t)[1], critical_length),
+    # repeat-until-success at failure probability 0.6 and 0.4
+    _fit("rus-pf-0.6", 185.0, -1115.0),
+    _fit("rus-pf-0.4", 16.6, -47.7),
+    # the theoretical limit of linear optics: the merge law at p = 1/2
+    _fit("linear-optics-p-half", 16.0, -50.0),
+)}
 
 
 def merge_crossover(p: float) -> float:
     """Length in [3, 10000] where pairwise doubling stops beating the merge law (ops)."""
-    f = lambda L: dc_series_value(L, p) - scaling_point("merge", p, L).N
+    f = lambda L: SERIES["dc"].N(L, p) - SERIES["merge"].N(L, p)
     lo, hi = 3.0, 10000.0
     if f(lo) >= 0 or f(hi) <= 0:
         raise ValueError("no crossover inside the bracket")

@@ -35,9 +35,10 @@ GATE_NAMES = (
     "chain",
 )
 
-# The largest registers the dense gate paths hold, by measurement on a
-# 2-vCPU Xeon: a 20-qubit star or chain program runs on 2**20 branches
-# (274 MB, 5 s), and the 13-qubit cascade table has 4**13 rows (551 MB, 2.4 s).
+# The largest registers the dense gate paths hold, timed as whole commands on a
+# 2-vCPU Xeon (Python 3.11, numpy 2.4): a 20-qubit star or chain program runs on
+# 2**20 branches (234 MB peak; star 1.9-2.1 s, chain 1.6-1.7 s), and the 13-qubit
+# cascade table has 4**13 rows (550 MB, 1.3-1.4 s).
 _MAX_PROGRAM_QUBITS = 20
 _MAX_CASCADE_QUBITS = 13
 
@@ -404,28 +405,6 @@ def cmd_growth(variant, p, target_l, rounds_k, initial_qubits, trials, seed,
 # scaling command
 
 
-_SCALING_SERIES = (
-    "dc", "merge", "seq", "rus-pf-0.6", "rus-pf-0.4", "linear-optics-p-half"
-)
-
-
-def _series_value(name, L, p, t, metric):
-    if name == "dc":
-        if metric == "N":
-            return analytics.dc_series_value(L, p)
-        return analytics.dc_series_time(L, t)
-    if name == "merge":
-        point = analytics.scaling_point("merge", p, L, t)
-        return point.N if metric == "N" else point.T
-    if name == "seq":
-        n_seq, t_seq = analytics.seq_scaling(L, p, t)
-        return n_seq if metric == "N" else t_seq
-    series = analytics.reference_series(name)
-    if metric != "N":
-        raise click.ClickException(f"series {name} only defines operation counts")
-    return series.value(L)
-
-
 @main.command("scaling")
 @click.option("--p", type=float, default=0.75, show_default=True)
 @click.option("--l-min", type=int, default=5, show_default=True)
@@ -442,28 +421,36 @@ def cmd_scaling(p, l_min, l_max, series_names, metric, gate_time, csv_path, svg_
     if not (math.isfinite(gate_time) and gate_time > 0):
         raise ValueError(f"gate_time must be finite and > 0, got {gate_time}")
     names = [s.strip() for s in series_names.split(",") if s.strip()]
+    known = ", ".join(analytics.SERIES)
+    if not names:
+        raise ValueError(f"--series {series_names!r} names no series; known: {known}")
+    series_value = lambda name, L: (analytics.SERIES[name].N(L, p) if metric == "N"
+                                    else analytics.SERIES[name].T(L, p, gate_time))
     lc = analytics.critical_length(p)
+    starts = {}
     for name in names:
-        if name not in _SCALING_SERIES:
-            raise click.ClickException(
-                f"unknown series {name!r}; known: {', '.join(_SCALING_SERIES)}"
-            )
+        if name not in analytics.SERIES:
+            raise ValueError(f"unknown series {name!r}; known: {known}")
+        if metric == "T" and analytics.SERIES[name].T is None:
+            raise ValueError(f"series {name} only defines operation counts")
         # a series with no value at this p and metric raises at any length
-        _series_value(name, lc + 1.0, p, gate_time, metric)
+        series_value(name, lc + 1.0)
+        starts[name] = analytics.SERIES[name].start(p)
     if l_min < 1:
         raise ValueError(f"--l-min {l_min} is below 1: a chain holds at least one qubit")
     if l_min > l_max:
         raise ValueError(f"empty length range: --l-min {l_min} is above --l-max {l_max}")
-    # the longest length with no value: merge and seq grow only above L_c
-    below = {"merge": lc + 1e-9, "seq": lc + 1e-9, "dc": 1}
     rows = []
     for L in range(l_min, l_max + 1):
         for name in names:
-            if L > below.get(name, -math.inf):
-                value = _series_value(name, float(L), p, gate_time, metric)
+            if L >= starts[name]:
+                value = series_value(name, float(L))
                 if not math.isfinite(value):
                     raise ValueError(f"the {name} series is not finite at L = {L}: {value}")
                 rows.append({"L": L, "series": name, "value": repr(float(value))})
+    if not rows:
+        raise ValueError(f"no series has a value at L = {l_min}..{l_max}: " + ", ".join(
+            f"{name} starts at L = {start}" for name, start in starts.items()))
     if csv_path:
         _write_csv(csv_path, rows, ("L", "series", "value"))
         click.echo(f"wrote {csv_path} ({len(rows)} rows)")

@@ -438,9 +438,11 @@ def check_monte_carlo(quick: bool = False) -> CriterionResult:
 
 def check_constants(quick: bool = False) -> CriterionResult:
     res = CriterionResult(8, "scaling constants and crossover")
+    dc, merge = analytics.SERIES["dc"], analytics.SERIES["merge"]
+    quoted = analytics.QUOTED_CONSTANTS
     for L in (2, 10, 100):
-        got = analytics.merge_scaling(L, 0.75).n_quoted_law
-        want = 8.0 * L - 44.0 / 3.0
+        got = merge.N(L, 0.75)
+        want = quoted["merge-law-p-3/4"].value * L + quoted["merge-intercept-p-3/4"].value
         res.check(abs(got - want) <= 1e-9, f"merge law p=3/4 at L={L}: {got:.6f}")
     V, NV = analytics.vertical_cost(0.75)
     res.check(
@@ -465,7 +467,7 @@ def check_constants(quick: bool = False) -> CriterionResult:
     table_cross = None
     prev = None
     for L in range(5, 401):
-        diff = analytics.dc_series_value(L, 0.75) - (8.0 * L - 44.0 / 3.0)
+        diff = dc.N(L, 0.75) - merge.N(L, 0.75)
         if prev is not None and prev < 0 <= diff:
             table_cross = L
             break

@@ -174,17 +174,73 @@ class TestVerticalCost:
 
 class TestReferenceSeries:
     def test_known_series(self):
-        assert an.reference_series("rus-pf-0.6").slope == 185.0
-        assert an.reference_series("rus-pf-0.6").intercept == -1115.0
-        assert an.reference_series("rus-pf-0.4").slope == 16.6
-        assert an.reference_series("paper-8L-44/3").value(10) == pytest.approx(
-            65.33333333, rel=1e-9
-        )
-        assert an.reference_series("linear-optics-p-half").value(10) == pytest.approx(110.0)
+        fit = an.SERIES["rus-pf-0.6"].N
+        assert fit(11, 0.75) - fit(10, 0.75) == 185.0
+        assert fit(0, 0.75) == -1115.0
+        assert an.SERIES["rus-pf-0.4"].N(11, 0.75) - an.SERIES["rus-pf-0.4"].N(10, 0.75) \
+            == pytest.approx(16.6)
+        assert an.SERIES["merge"].N(10, 0.75) == pytest.approx(65.33333333, rel=1e-9)
+        assert an.SERIES["linear-optics-p-half"].N(10, 0.5) == pytest.approx(110.0)
+        assert all(an.SERIES[name].T is None
+                   for name in ("rus-pf-0.6", "rus-pf-0.4", "linear-optics-p-half"))
 
     def test_unknown_series(self):
-        with pytest.raises(ValueError):
-            an.reference_series("mystery")
+        with pytest.raises(KeyError):
+            an.SERIES["mystery"]
+        assert list(an.SERIES) == [
+            "dc", "merge", "seq", "rus-pf-0.6", "rus-pf-0.4", "linear-optics-p-half"]
+
+
+# the quoted straight-line fits, as (slope, intercept)
+_FITS = {"rus-pf-0.6": (185.0, -1115.0), "rus-pf-0.4": (16.6, -47.7),
+         "linear-optics-p-half": (16.0, -50.0)}
+
+
+class TestSeriesTable:
+    """Each row of ``SERIES`` gives exactly what the function it wraps gives."""
+
+    @pytest.mark.parametrize("p", [0.6, 0.75, 0.9])
+    @pytest.mark.parametrize("t", [1.0, 0.37])
+    def test_rows_equal_their_functions(self, p, t):
+        rows = an.SERIES
+        for L in range(rows["dc"].start(p), 401):
+            assert rows["dc"].N(L, p) == an.dc_series_value(L, p)
+            assert rows["dc"].T(L, p, t) == an.dc_series_time(L, t)
+        for L in range(rows["merge"].start(p), 401):
+            point = an.scaling_point("merge", p, L, t)
+            assert rows["merge"].N(L, p) == point.N
+            assert rows["merge"].T(L, p, t) == point.T
+        for L in range(rows["seq"].start(p), 401):
+            assert (rows["seq"].N(L, p), rows["seq"].T(L, p, t)) == an.seq_scaling(L, p, t)
+        for name, (slope, intercept) in _FITS.items():
+            for L in range(rows[name].start(p), 401):
+                assert rows[name].N(L, p) == slope * L + intercept
+
+    @pytest.mark.parametrize("p", [0.5, 0.6, 0.75, 0.9])
+    def test_starts(self, p):
+        assert an.SERIES["dc"].start(p) == 2
+        assert an.SERIES["merge"].start(p) == an.minimal_chain_length(p)
+        assert an.SERIES["seq"].start(p) == an.minimal_chain_length(p)
+        starts = {name: an.SERIES[name].start(p) for name in _FITS}
+        assert starts == {"rus-pf-0.6": 7, "rus-pf-0.4": 3, "linear-optics-p-half": 4}
+        # a fit's first value is positive, and the length before it is at or below its root
+        for name, start in starts.items():
+            assert an.SERIES[name].N(start - 1, p) <= 0 < an.SERIES[name].N(start, p)
+
+    def test_merge_row_is_the_quoted_law_at_three_quarters(self):
+        for L in range(2, 401):
+            assert an.SERIES["merge"].N(L, 0.75) == pytest.approx(8.0 * L - 44.0 / 3.0,
+                                                                  abs=1e-11)
+
+    def test_start_at_a_rounded_critical_length(self):
+        """At p = 0.4, L_c = 4 rounds to 3.9999999999999996; L = 4 still has no value."""
+        assert an.critical_length(0.4) < 4.0 == an.minimal_chain_length(0.4)
+        assert an.SERIES["merge"].start(0.4) == 5
+        assert an.SERIES["seq"].start(0.4) == 5
+
+    def test_overflowing_critical_length_is_refused(self):
+        with pytest.raises(ValueError, match="critical length overflows"):
+            an.critical_length(1e-320)
 
 
 class TestCrossoverAndConstants:
@@ -192,9 +248,11 @@ class TestCrossoverAndConstants:
         assert an.merge_crossover(0.75) == pytest.approx(255.92141727672606, rel=1e-6)
 
     def test_dc_cheaper_below_crossover(self):
-        merge = an.reference_series("paper-8L-44/3")
-        assert an.dc_series_value(129, 0.75) < merge.value(129)
-        assert an.dc_series_value(257, 0.75) > merge.value(257)
+        dc, merge = an.SERIES["dc"], an.SERIES["merge"]
+        assert dc.N(129, 0.75) < merge.N(129, 0.75)
+        assert dc.N(257, 0.75) > merge.N(257, 0.75)
+        # the first whole length where doubling costs more is 256
+        assert dc.N(255, 0.75) < merge.N(255, 0.75) < merge.N(256, 0.75) < dc.N(256, 0.75)
 
     def test_flagged_constants_present(self):
         names = {c.name for c in an.flagged_constants()}

@@ -1,6 +1,7 @@
 """Command-line harness: outcome tables, file outputs, determinism, errors."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -27,6 +28,18 @@ def assert_one_line_error(result):
     assert isinstance(result.exception, SystemExit), result.exception
     assert "Error:" in result.output
     assert "Traceback" not in result.output
+
+
+_KNOWN = "dc, merge, seq, rus-pf-0.6, rus-pf-0.4, linear-optics-p-half"
+
+# sha256 of `scaling --l-min 1 --l-max 400 --series dc,merge,seq --csv` at
+# each (p, metric options); the same digests are pinned in ci/installed_command.sh
+_SCALING_CSV_SHA256 = {
+    ("0.75", "N"): "644079a1e29e015a6bc1c472f7c8e1c610a75702731bdea39864dfac391e1a1a",
+    ("0.75", "T --t 0.37"): "a9ca8a4cb5eb97845d6ab192d20b8c06f26cfbf499ca9c3b2aa5b9acc5cf8a32",
+    ("0.6", "N"): "8baa8c9241650beecc4ce72fa57594a1b65b67611768e2b76cefcfdf760e2ea6",
+    ("0.6", "T --t 0.37"): "26389016def2573c2ba0a6214f5fcac7dc516740058376f5f8c3c5cfc5925364",
+}
 
 
 class TestCommandErrors:
@@ -100,6 +113,18 @@ class TestCommandErrors:
         (["scaling", "--t", "nan"], "gate_time must be finite and > 0, got nan"),
         (["scaling", "--t", "inf", "--metric", "T"], "gate_time must be finite and > 0, got inf"),
         (["scaling", "--metric", "T", "--t", "1e308"], "the dc series is not finite at L = 5: inf"),
+        (["scaling", "--series", ","], f"--series ',' names no series; known: {_KNOWN}"),
+        (["scaling", "--series", ",", "--svg", "<tmp>/x.svg"],
+         f"--series ',' names no series; known: {_KNOWN}"),
+        (["scaling", "--series", ",", "--svg", "<tmp>/x.svg", "--csv", "<tmp>/x.csv"],
+         f"--series ',' names no series; known: {_KNOWN}"),
+        (["scaling", "--series", "rus-pf-0.6", "--l-max", "6", "--svg", "<tmp>/y.svg"],
+         "no series has a value at L = 5..6: rus-pf-0.6 starts at L = 7"),
+        (["scaling", "--series", "dc,linear-optics-p-half", "--l-min", "1", "--l-max", "1",
+          "--csv", "<tmp>/y.csv"],
+         "no series has a value at L = 1..1: dc starts at L = 2, linear-optics-p-half starts at L = 4"),
+        (["scaling", "--p", "1e-320", "--series", "merge"],
+         "the critical length overflows a float at p = 1e-320"),
     ], ids=["dc-k-and-off-grid-L", "dc-k-and-L", "scaling-reference-time",
             "scaling-seq-half", "scaling-empty-range", "scaling-negative-length",
             "scaling-zero-length", "chain-million", "cascade-million",
@@ -110,17 +135,21 @@ class TestCommandErrors:
             "position-alpha-overflow", "three-qubit-alpha-overflow",
             "momentum-alpha-overflow", "cascade-alpha-overflow", "scaling-negative-time",
             "scaling-zero-time", "scaling-nan-time", "scaling-inf-time",
-            "scaling-time-overflow"])
+            "scaling-time-overflow", "scaling-no-series", "scaling-no-series-svg",
+            "scaling-no-series-svg-csv", "scaling-no-row-svg", "scaling-no-row-csv",
+            "scaling-critical-length-overflow"])
     def test_refused_before_any_work(self, runner, tmp_path, args, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 10**329}))
-        args = [str(cfg) if a == "<n of 330 digits>" else a for a in args]
+        args = [str(cfg) if a == "<n of 330 digits>" else a.replace("<tmp>", str(tmp_path))
+                for a in args]
         start = time.perf_counter()
         result = runner.invoke(main, args)
         assert time.perf_counter() - start < 1.0
         assert result.exit_code == 1
         assert_one_line_error(result)
         assert result.output.strip().splitlines() == [f"Error: {message}"]
+        assert list(tmp_path.iterdir()) == [cfg]  # no file written
 
     @pytest.mark.parametrize("name, n, builder", [
         ("chain", 20, "chain_sequence"), ("star", 20, "star_sequence"),
@@ -681,6 +710,21 @@ class TestScalingCommand:
     def test_unknown_series(self, runner):
         result = runner.invoke(main, ["scaling", "--series", "nonsense"])
         assert result.exit_code != 0
+
+    def test_reference_fit_starts_above_its_root(self, runner):
+        """185 L - 1115 is negative at L = 5 and 6; its first row is L = 7."""
+        result = runner.invoke(main, ["scaling", "--series", "rus-pf-0.6", "--l-max", "7"])
+        assert result.exit_code == 0
+        assert result.output.splitlines() == ["L,series,value", "7,rus-pf-0.6,180.0"]
+
+    @pytest.mark.parametrize("p, metric", sorted(_SCALING_CSV_SHA256))
+    def test_pinned_csv_digests(self, runner, tmp_path, p, metric):
+        out = tmp_path / "table.csv"
+        result = runner.invoke(main, [
+            "scaling", "--l-min", "1", "--l-max", "400", "--series", "dc,merge,seq",
+            "--p", p, "--metric", *metric.split(), "--csv", str(out)])
+        assert result.exit_code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == _SCALING_CSV_SHA256[p, metric]
 
 
 # every command a user runs without the test dependencies: verify, each gate,
