@@ -71,8 +71,9 @@ echo '{"bogus": 1, "gate_backend": "nope"}' > "$tmp/keys.json"
 # (2 alpha sin theta)**2 overflow a float is refused too, as is a scaling
 # gate time that is not finite and > 0 or that makes a series value
 # overflow, a length range that starts below 1, a scaling request with no
-# series or no row in its range (before any file is written), and a growth
-# run whose gate time overflows its elapsed time
+# series or no row in its range (before any file is written), a growth
+# run whose gate time overflows its elapsed time, and a vertical link at a p
+# so small that a trial would expect 10**12 attempts
 for args in "growth divide_conquer --n 64 --k 3 --L 5" \
             "scaling --metric T --series rus-pf-0.6" "gate chain --n 1000000" \
             "scaling --p 1e-40 --series dc" \
@@ -89,6 +90,7 @@ for args in "growth divide_conquer --n 64 --k 3 --L 5" \
             "scaling --l-min 0" "scaling --series , --svg $tmp/x.svg" \
             "scaling --series rus-pf-0.6 --l-max 6 --csv $tmp/x.csv" \
             "growth sequential --L 11 --trials 50 --t 1e308" \
+            "growth vertical_link --p 1e-12 --trials 1" \
             "growth sequential --L 5 --config $tmp/keys.json" \
             "gate chain --config $tmp/keys.json"; do
   status=0; $QUBUSLAB $args > "$tmp/err.txt" 2>&1 || status=$?
@@ -118,6 +120,9 @@ echo "0d3de6503fac21ddb0ac4e180c76267ff05ee02b5f14db6dad3962d406e9295f  $tmp/m.j
 # exactly, and most trials read three or more blocks of draws
 $QUBUSLAB growth merge --p 0.5 --L 41 --t 0.37 --trials 500 --seed 7 --jsonl "$tmp/m4.jsonl"
 echo "03f63b5aa47db06edb133b015e0350f927eae8b3c6fa59c15c75f93b66dd1cf8  $tmp/m4.jsonl" | sha256sum -c -
-# a fifth of these trials need a second block of draws
+# a fifth of these trials need more than 32 draws, eight Philox blocks
 $QUBUSLAB growth vertical_link --p 0.05 --trials 2000 --seed 7 --jsonl "$tmp/v.jsonl"
 echo "fc87d5c4d9ae4255a31b232100b45fdcbe5cd9f15da772b3f477537a9cf4a3a2  $tmp/v.jsonl" | sha256sum -c -
+# p = 1/2: about one trial in sixteen reads a second Philox block
+$QUBUSLAB growth vertical_link --p 0.5 --trials 5000 --seed 7 --jsonl "$tmp/v2.jsonl"
+echo "ea86f6929f8a5bc28604a3ac29547600fb5217628b78d35bfc3bb1ab6fd057ab  $tmp/v2.jsonl" | sha256sum -c -

@@ -2,13 +2,16 @@
 
 Each trial owns a counter-based random stream keyed by (master_seed,
 trial_index), so a trial's result does not depend on which other trials run:
-the first M trials of an N-trial run equal an M-trial run.  The sequential,
-merge and vertical-link kernels evaluate chunks of trials at once, one row
-of uniforms per trial, each block of a trial's stream read from its own
-Philox counter.  A row of k doubles is the same k values as k scalar draws;
-merge steps its trials in lockstep, draw j of every trial from column j of
-its row.  Per-run work (the gate backend's outcome table, merge's
-automaton, divide and conquer's round lengths) is done once, not per trial.
+the first M trials of an N-trial run equal an M-trial run.  The sequential
+and merge kernels evaluate chunks of trials at once, one row of uniforms per
+trial, each block of a trial's stream read from its own Philox counter by
+rekeying one generator.  A row of k doubles is the same k values as k scalar
+draws; merge steps its trials in lockstep, draw j of every trial from column
+j of its row.  Vertical links and joins need no generator: the Philox4x64-10
+rounds, in NumPy, give any (trial, counter) block's doubles directly, so a
+pass over the live trials computes all their next blocks at once.  Per-run
+work (the gate backend's outcome table, merge's automaton, divide and
+conquer's round lengths) is done once, not per trial.
 
 Strategy rules (the accounting that the closed forms leave open) are stated
 in each simulator's docstring; disagreements between the simulated means and
@@ -39,16 +42,27 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _ZERO4 = (0, 0, 0, 0)
-# Trials go _CHUNK at a time, one row of _WIDTH uniforms each (fewer for
-# first-success counts, which are short), so temporaries stay near 1 MB.  A
-# width is a multiple of 4: Philox yields four doubles per counter step.
-# Merge steps every trial of a chunk once per draw, so it takes larger
-# chunks: 4096 rows ran 10**5 trials fastest of 512 to 8192.
+# Trials go _CHUNK at a time, one row of _WIDTH uniforms each, so
+# temporaries stay near 1 MB.  The width is a multiple of 4: Philox yields
+# four doubles per counter step.  Merge steps every trial of a chunk once per
+# draw, so it takes larger chunks: 4096 rows ran 10**5 trials fastest of 512
+# to 8192.  First-success counts compute _BLOCKS Philox blocks per call,
+# 256 KB of doubles: 8192 ran vertical links fastest of 2048 to 32768.
 _CHUNK = 512
 _MERGE_CHUNK = 4096
 _WIDTH = 256
-_FIRST_SUCCESS_WIDTH = 32
+_BLOCKS = 8192
 _NO_CAP = np.iinfo(np.int64).max
+# a vertical link takes 1/p attempts on average: a trial at p = 1e-6 reads
+# about 10**6 draws (0.05 s on a 2-vCPU Xeon), one at 1e-12 would not return
+_MIN_LINK_P = 1e-6
+# Philox4x64-10 (Salmon et al. 2011, "Parallel random numbers: as easy as
+# 1, 2, 3"), the generator behind np.random.Philox: its two round multipliers
+# and two key increments, and random()'s 53-bit conversion
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32, _U32, _U11 = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(11)
+_TO_UNIT = 1.0 / 9007199254740992.0
 
 
 def trial_rng(
@@ -83,6 +97,14 @@ def trial_rng(
     return rng
 
 
+def _check_p_and_trials(p: float, trials: int) -> None:
+    """Refuse a p outside (0, 1], nan included, and fewer than one trial."""
+    if not 0.0 < p <= 1.0:
+        raise ValueError("success probability must lie in (0, 1]")
+    if trials < 1:
+        raise ValueError("need at least one trial")
+
+
 @dataclass(frozen=True)
 class StrategyConfig:
     """One growth experiment: strategy variant, gate model and trial plan."""
@@ -109,10 +131,7 @@ class StrategyConfig:
             if f.type.startswith("int") and (value is not None or f.default is not None) and (
                     isinstance(value, bool) or not isinstance(value, (int, np.integer))):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
-        if not 0.0 < self.p <= 1.0:
-            raise ValueError("success probability must lie in (0, 1]")
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
+        _check_p_and_trials(self.p, self.trials)
         if not (math.isfinite(self.gate_time) and self.gate_time > 0):
             raise ValueError(f"gate_time must be finite and > 0, got {self.gate_time}")
         if self.max_rounds is not None and self.max_rounds < 1:
@@ -157,6 +176,10 @@ class StrategyConfig:
             if self.rounds_k is not None and self.rounds_k < 0:
                 raise ValueError("divide and conquer needs rounds_k >= 0")
             self.rounds()  # a target_L off the 2**(k-1) + 1 grid raises here
+        if self.variant == "vertical_link" and self.p < _MIN_LINK_P:
+            raise ValueError(
+                f"vertical_link at p = {self.p:g} expects 1/p = {1 / self.p:.3g} attempts "
+                f"per trial; p must be at least {_MIN_LINK_P:g}")
 
     def rounds(self) -> int:
         if self.variant != "divide_conquer":
@@ -228,18 +251,18 @@ class GrowthStats:
 # simulators: each returns the per-trial columns of one run
 
 
-def _walk_blocks(seed: int, trials: int, width: int, step, chunk: int = _CHUNK) -> None:
+def _walk_blocks(seed: int, trials: int, step, chunk: int = _CHUNK) -> None:
     """Feed each trial's stream to ``step`` one block at a time, across trials.
 
-    Block b of a trial is its uniforms b*width to (b+1)*width - 1, the values
-    as many scalar ``rng.random()`` draws give, read after rekeying one
-    generator through :func:`trial_rng` to Philox counter b*width/4.  Trials
+    Block b of a trial is its uniforms b*_WIDTH to (b+1)*_WIDTH - 1, the
+    values as many scalar ``rng.random()`` draws give, read after rekeying one
+    generator through :func:`trial_rng` to Philox counter b*_WIDTH/4.  Trials
     go ``chunk`` at a time; ``step(u, rows)`` consumes row r of u, a block of
     trial ``rows[r]``, and returns a mask of the rows that need their next
     block.
     """
     rng = np.random.Generator(np.random.Philox(0))  # rekeyed to each block
-    buf = np.empty((min(chunk, trials), width))
+    buf = np.empty((min(chunk, trials), _WIDTH))
     for start in range(0, trials, chunk):
         rows = np.arange(start, min(start + chunk, trials))
         counter = 0
@@ -248,7 +271,55 @@ def _walk_blocks(seed: int, trials: int, width: int, step, chunk: int = _CHUNK) 
             for row, i in zip(u, rows.tolist()):
                 trial_rng(seed, i, rng, counter).random(out=row)
             rows = rows[step(u, rows)]
-            counter += width // 4
+            counter += _WIDTH // 4
+
+
+def _mulhilo(a: np.ndarray, m: int):
+    """The high and low 64-bit words of a * m, for uint64 ``a``, from 32-bit halves."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    a_lo, a_hi = a & _LO32, a >> _U32
+    t = a_lo * m_lo
+    t >>= _U32
+    t += a_hi * m_lo  # (2**32 - 1)**2 + 2**32 - 1 < 2**64: no carry is lost
+    mid = t & _LO32
+    mid += a_lo * m_hi
+    mid >>= _U32
+    t >>= _U32
+    a_hi *= m_hi
+    a_hi += t
+    a_hi += mid
+    return a_hi, a * np.uint64(m)
+
+
+def _philox_uniforms(seed: int, trials: np.ndarray, counter: int, count: int) -> np.ndarray:
+    """Doubles 4*counter to 4*(counter + count) - 1 of each trial's stream.
+
+    Row r holds what ``trial_rng(seed, trials[r], counter=counter).random(4 *
+    count)`` gives, computed by the Philox4x64-10 rounds for every (trial,
+    counter) at once, with no generator: key words (trial, seed); block j at
+    counter words (counter + 1 + j, carry), since a Philox generator steps its
+    counter before each block; and (word >> 11) * 2**-53 per double.  Only
+    uint64 arrays and np.uint64 scalars meet, so nothing wraps in a scalar.
+    """
+    first = counter + 1
+    x0 = np.arange(count, dtype=np.uint64)[None, :]
+    x0 += np.uint64(first & _MASK64)
+    x1 = np.zeros((1, count), dtype=np.uint64)
+    if first + count > 1 << 64:  # blocks whose counter passed 2**64 - 1 carry
+        x1[:, (1 << 64) - first:] = 1
+    x2 = x3 = np.zeros((1, 1), dtype=np.uint64)
+    key0 = np.asarray(trials, dtype=np.uint64)[:, None]
+    for r in range(10):  # the counter words broadcast against the key rows
+        k0 = key0 + np.uint64(r * _PHILOX_W[0] & _MASK64)
+        k1 = np.uint64((int(seed) + r * _PHILOX_W[1]) & _MASK64)
+        hi0, lo0 = _mulhilo(x0, _PHILOX_M[0])
+        hi1, lo1 = _mulhilo(x2, _PHILOX_M[1])
+        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+    words = np.stack((x0, x1, x2, x3), axis=-1).reshape(key0.size, 4 * count)
+    words >>= _U11
+    uniforms = words.astype(np.float64)
+    uniforms *= _TO_UNIT
+    return uniforms
 
 
 def _gate3_success(label: str) -> bool:
@@ -322,7 +393,7 @@ def _sequential(config: StrategyConfig) -> dict:
         return (length[rows] < target) & (ops[rows] < cap)
 
     if target > 1:
-        _walk_blocks(config.master_seed, n, _WIDTH, step)
+        _walk_blocks(config.master_seed, n, step)
     return {
         "entangling_ops": ops,
         "elapsed_rounds": ops * config.gate_time,
@@ -527,7 +598,7 @@ def _merge(config: StrategyConfig) -> dict:
         save(slice(None))
         return state2[rows] < done2
 
-    _walk_blocks(config.master_seed, config.trials, _WIDTH, step, _MERGE_CHUNK)
+    _walk_blocks(config.master_seed, config.trials, step, _MERGE_CHUNK)
     ops, consumed = packed % _QUBITS, packed // _QUBITS
     final = length[state2 // 2]
     return {
@@ -543,17 +614,30 @@ def _failures_before_success(seed: int, trials: int, p: float, cap: int = _NO_CA
     """Per trial, the draws u >= p before its first u < p, at most ``cap``.
 
     Trial i counts what ``while fails < cap and rng.random() >= p`` counts
-    on its (seed, i) stream, _FIRST_SUCCESS_WIDTH draws at a time.
+    on its (seed, i) stream.  The live trials (every draw failed so far, the
+    cap not reached) have all read the same counters, so each pass reads the
+    next ``count`` counters of every one of them from
+    :func:`_philox_uniforms`, _BLOCKS blocks per call: one counter each while
+    more than _BLOCKS trials are live, _BLOCKS // live once fewer are, and no
+    more than the cap can use.  So every pass but the last does about
+    _BLOCKS blocks of work or more, and a lone trial at p = 1e-6 takes about
+    30 passes, not 250 000.
     """
     fails = np.zeros(trials, dtype=np.int64)
-
-    def step(u, rows):
-        hit = u < p
-        first = np.where(hit.any(axis=1), hit.argmax(axis=1), u.shape[1])
-        fails[rows] = np.minimum(fails[rows] + first, cap)
-        return (first == u.shape[1]) & (fails[rows] < cap)
-
-    _walk_blocks(seed, trials, _FIRST_SUCCESS_WIDTH, step)
+    live = np.arange(trials)
+    counter = 0
+    while live.size:
+        count = max(1, min(_BLOCKS // live.size, -(-(cap - 4 * counter) // 4)))
+        rows = max(1, _BLOCKS // count)
+        kept = []
+        for start in range(0, live.size, rows):
+            part = live[start:start + rows]
+            hit = _philox_uniforms(seed, part, counter, count) < p
+            first = np.where(hit.any(axis=1), hit.argmax(axis=1), 4 * count)
+            fails[part] = np.minimum(4 * counter + first, cap)
+            kept.append(part[(first == 4 * count) & (fails[part] < cap)])
+        live = np.concatenate(kept)
+        counter += count
     return fails
 
 
@@ -603,9 +687,10 @@ def simulate(config: StrategyConfig, threads: int = 1) -> GrowthStats:
     """Run the configured strategy over independent seeded trials.
 
     Trial i draws exactly the stream keyed by (master_seed, i) and lands
-    in slot i of the output, although the sequential, merge and
-    vertical-link kernels evaluate trials in chunks, a block of each
-    trial's stream at a time, merge one draw of every trial per step.
+    in slot i of the output, although the sequential and merge kernels
+    evaluate trials in chunks, a block of each trial's stream at a time,
+    merge one draw of every trial per step, and the vertical-link kernel
+    computes the next Philox blocks of every live trial in one pass.
     Trials run in the calling thread; ``threads`` is kept for callers that
     pass ``threads=1`` and any other value is an error.  A run with a
     non-finite column (a gate time near the float maximum) raises ValueError.
@@ -630,6 +715,7 @@ def join_pair_experiment(p: float, L: int, trials: int, seed: int) -> float:
     Terminates on the first success (final length 2 l - 1 at current size l)
     or on exhaustion (final length 0 after L failures).
     """
+    _check_p_and_trials(p, trials)
     if L < 1:
         raise ValueError("chain length must be at least 1")
     fails = _failures_before_success(seed, trials, p, cap=L)

@@ -125,6 +125,9 @@ class TestCommandErrors:
          "no series has a value at L = 1..1: dc starts at L = 2, linear-optics-p-half starts at L = 4"),
         (["scaling", "--p", "1e-320", "--series", "merge"],
          "the critical length overflows a float at p = 1e-320"),
+        (["growth", "vertical_link", "--p", "1e-12", "--trials", "1"],
+         "vertical_link at p = 1e-12 expects 1/p = 1e+12 attempts per trial; "
+         "p must be at least 1e-06"),
     ], ids=["dc-k-and-off-grid-L", "dc-k-and-L", "scaling-reference-time",
             "scaling-seq-half", "scaling-empty-range", "scaling-negative-length",
             "scaling-zero-length", "chain-million", "cascade-million",
@@ -137,7 +140,7 @@ class TestCommandErrors:
             "scaling-zero-time", "scaling-nan-time", "scaling-inf-time",
             "scaling-time-overflow", "scaling-no-series", "scaling-no-series-svg",
             "scaling-no-series-svg-csv", "scaling-no-row-svg", "scaling-no-row-csv",
-            "scaling-critical-length-overflow"])
+            "scaling-critical-length-overflow", "vertical-link-never-finishes"])
     def test_refused_before_any_work(self, runner, tmp_path, args, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 10**329}))

@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +145,15 @@ class TestConfigValidation:
             StrategyConfig(variant="divide_conquer", p=0.5, trials=10, master_seed=0,
                            initial_qubits=64, rounds_k=-1)
 
+    @pytest.mark.parametrize("p, attempts", [(1e-12, "1e+12"), (9.99e-7, "1e+06")])
+    def test_vertical_link_that_never_finishes(self, p, attempts):
+        """A trial expects 1/p attempts; below 1e-6 the run is refused."""
+        with pytest.raises(ValueError, match=re.escape(
+                f"vertical_link at p = {p:g} expects 1/p = {attempts} attempts per trial; "
+                "p must be at least 1e-06")):
+            StrategyConfig(variant="vertical_link", p=p, trials=1, master_seed=0)
+        StrategyConfig(variant="vertical_link", p=1e-6, trials=1, master_seed=0)
+
 
 class TestStrategyTable:
     def test_variant_order(self):
@@ -257,6 +268,22 @@ class TestRekeyedStream:
             assert _draws(rng) == _draws(fresh) == _draws(advanced), (seed, index)
         assert part_used >= len(pairs) // 2
 
+    @pytest.mark.parametrize("counter", [0, 1, 64, 2**40, 2**64 - 2, 2**64 - 1])
+    def test_philox_kernel_equals_rekeyed_stream(self, counter):
+        """The NumPy Philox4x64-10 rounds give trial_rng's doubles byte for byte,
+        across the carry into the second counter word, with no scalar wrap."""
+        pairs = self._pairs()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in dict.fromkeys(seed for seed, _ in pairs):
+                trials = [index for s, index in pairs if s == seed]
+                got = growth._philox_uniforms(
+                    seed, np.array(trials, dtype=np.uint64), counter, 3)
+                assert got.shape == (len(trials), 12)
+                for row, index in zip(got, trials):
+                    want = trial_rng(seed, index, counter=counter).random(12)
+                    assert row.tobytes() == want.tobytes(), (seed, index)
+
     @pytest.fixture
     def calls(self, monkeypatch):
         """The (seed, trial) of every ``growth.trial_rng`` call."""
@@ -271,15 +298,18 @@ class TestRekeyedStream:
         return calls
 
     def test_one_trial_rng_call_per_trial(self, calls):
+        """Sequential and divide and conquer rekey once per trial; vertical links
+        and joins compute their Philox blocks directly and rekey nothing."""
         for kwargs in PREFIX_CONFIGS:
             if kwargs["variant"] == "merge":  # rekeyed once per block: see below
                 continue
             calls.clear()
             simulate(StrategyConfig(p=0.75, trials=17, master_seed=4, **kwargs))
-            assert calls == [(4, i) for i in range(17)]
+            direct = kwargs["variant"] == "vertical_link"
+            assert calls == ([] if direct else [(4, i) for i in range(17)])
         calls.clear()
         growth.join_pair_experiment(0.75, 5, 23, seed=9)
-        assert calls == [(9, i) for i in range(23)]
+        assert calls == []
 
     def test_merge_rekeys_once_per_block(self, calls):
         """A merge trial is rekeyed to its own stream for each block it reads."""
@@ -566,6 +596,17 @@ class TestJoinPairExperiment:
 
     def test_deterministic_gate(self):
         assert growth.join_pair_experiment(1.0, 7, 50, seed=1) == 13.0
+
+    @pytest.mark.parametrize("p, trials, message", [
+        (1.5, 10, "success probability must lie in (0, 1]"),
+        (math.nan, 10, "success probability must lie in (0, 1]"),
+        (0.0, 10, "success probability must lie in (0, 1]"),
+        (0.75, 0, "need at least one trial"),
+        (0.75, -3, "need at least one trial"),
+    ])
+    def test_refuses_bad_input(self, p, trials, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            growth.join_pair_experiment(p, 5, trials, seed=1)
 
     def test_zero_growth_at_large_critical_ratio(self):
         """At p = 1/2 the mean joined length approaches 2L - 3: no net gain."""
@@ -988,7 +1029,14 @@ class TestAcrossTrialKernels:
     def test_vertical_rows_run_out(self, p):
         cfg = StrategyConfig(variant="vertical_link", p=p, trials=1500,
                              master_seed=19, gate_time=0.7)
-        assert (simulate(cfg).entangling_ops > growth._FIRST_SUCCESS_WIDTH).mean() > 0.1
+        assert (simulate(cfg).entangling_ops > 32).mean() > 0.1  # past their first 32 draws
+        _assert_equals_scalar_trials(cfg)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_vertical_lone_trial_at_small_p(self, seed):
+        """A lone trial takes _BLOCKS counters per pass, and this one several passes."""
+        cfg = StrategyConfig(variant="vertical_link", p=1e-5, trials=1, master_seed=seed)
+        assert simulate(cfg).entangling_ops[0] > 4 * growth._BLOCKS
         _assert_equals_scalar_trials(cfg)
 
     @pytest.mark.parametrize("backend", [None, "three-qubit"])
@@ -1097,6 +1145,6 @@ MULTI_BLOCK = {
 def test_multi_block_outputs_pinned(name):
     kwargs, digest = MULTI_BLOCK[name]
     stats = simulate(StrategyConfig(**kwargs))
-    width = growth._FIRST_SUCCESS_WIDTH if name.startswith("vertical") else growth._WIDTH
+    width = 32 if name.startswith("vertical") else growth._WIDTH
     assert (stats.entangling_ops > width).mean() > 0.15  # trials past block 0
     assert _stats_digest(stats) == digest
