@@ -11,7 +11,11 @@ trap 'rm -rf "$tmp"' EXIT
 
 $QUBUSLAB verify --quick
 $QUBUSLAB gate three-qubit
-$QUBUSLAB gate cascade --n 12
+# cascade tables at both separations, as the per-peak projection printed them
+$QUBUSLAB gate cascade --n 12 > "$tmp/c12.txt"
+$QUBUSLAB gate cascade --n 10 --alpha 3 --theta 0.3 > "$tmp/c10.txt"
+echo "4266b5c8a39b8e6e346954263c4e52877771cddfe5b2bf9fb277a1f5b42bbb02  $tmp/c12.txt
+19a4fa6364d4f37737dd4fb63fb68ff0954dd8a635f4b336f87e6c3432cbacb5  $tmp/c10.txt" | sha256sum -c -
 $QUBUSLAB gate cascade --n 3 --alpha 1 --theta 0 > "$tmp/out.txt"
 grep -q "pair success: 0" "$tmp/out.txt"
 # each branch's bus turns once, so at large alpha the odd-Bell peak stays

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -108,7 +109,7 @@ class QubitState:
             if nrm == 0:
                 raise ValueError("cannot normalize the zero vector")
             amps = amps / nrm
-        elif abs(nrm - 1.0) > 1e-6:
+        elif not abs(nrm - 1.0) <= 1e-6:  # a NaN norm fails too
             raise ValueError(f"amplitudes not normalized (norm={nrm!r})")
         self.qubit_count = qubit_count
         self.amplitudes = amps
@@ -140,8 +141,10 @@ class HybridState:
     """Superposition of (bit-pattern, coefficient, bus amplitude) branches.
 
     One branch per bit pattern, sorted by pattern: the constructor rejects a
-    repeated pattern and drops zero coefficients.  Instances are treated as
-    immutable: every operation returns a new state.
+    repeated pattern and drops zero coefficients.  Patterns that arrive
+    strictly increasing, as every operation passes them, are copied, not
+    sorted.  Instances are treated as immutable: every operation returns a
+    new state.
     """
 
     __slots__ = ("qubit_count", "bits", "coeff", "bus")
@@ -156,20 +159,27 @@ class HybridState:
             raise ValueError("bits, coeff and bus must have equal lengths")
         if bits.size == 0:
             raise ValueError("state needs at least one branch")
-        if bits.min() < 0 or bits.max() >= 2**qubit_count:
+        increasing = bool((bits[1:] > bits[:-1]).all())
+        if increasing:
+            bits, coeff, bus = bits.copy(), coeff.copy(), bus.copy()
+        else:
+            order = np.argsort(bits, kind="stable")
+            bits, coeff, bus = bits[order], coeff[order], bus[order]
+        if bits[0] < 0 or bits[-1] >= 2**qubit_count:
             raise ValueError("bit pattern out of range for register size")
-        order = np.argsort(bits, kind="stable")
-        bits, coeff, bus = bits[order], coeff[order], bus[order]
-        repeated = np.flatnonzero(bits[1:] == bits[:-1])
-        if repeated.size:
-            raise ValueError(f"bit pattern {int(bits[repeated[0]])} appears more than once")
+        if not increasing:
+            repeated = np.flatnonzero(bits[1:] == bits[:-1])
+            if repeated.size:
+                raise ValueError(f"bit pattern {int(bits[repeated[0]])} appears more than once")
         keep = coeff != 0
-        if not keep.any():
-            raise ValueError("all coefficients are zero; zero state")
+        if not keep.all():
+            if not keep.any():
+                raise ValueError("all coefficients are zero; zero state")
+            bits, coeff, bus = bits[keep], coeff[keep], bus[keep]
         self.qubit_count = qubit_count
-        self.bits = bits[keep]
-        self.coeff = coeff[keep]
-        self.bus = bus[keep]
+        self.bits = bits
+        self.coeff = coeff
+        self.bus = bus
 
     def branch_count(self) -> int:
         return int(self.bits.size)
@@ -194,7 +204,7 @@ def _check_qubit(q: int, n: int) -> None:
 
 def _check_normalized(state: HybridState) -> None:
     nrm = state.norm()
-    if abs(nrm - 1.0) > 1e-6:
+    if not abs(nrm - 1.0) <= 1e-6:  # a NaN norm fails too
         raise ValueError(f"state not normalized (norm={nrm!r})")
 
 
@@ -339,7 +349,8 @@ class PeakModel:
     """Gaussian-mixture model of a homodyne outcome distribution.
 
     Each peak is a unit-variance Gaussian; centers are 2 Re(bus e^{-i phi})
-    and weights are the summed |c|**2 of the member branches.
+    and weights are the summed |c|**2 of the member branches.  Peak k's
+    decision window runs between the midpoints to its neighbours.
     """
 
     phi: float
@@ -347,42 +358,78 @@ class PeakModel:
 
     # computed once per model; a frozen dataclass still has an instance dict
     @functools.cached_property
-    def _windows(self) -> tuple:
-        """Decision windows: midpoints between adjacent centers."""
-        centers = [p.center for p in self.peaks]
-        lows = [-math.inf] + [(a + b) / 2 for a, b in zip(centers, centers[1:])]
-        highs = lows[1:] + [math.inf]
-        return tuple(zip(lows, highs))
-
-    @functools.cached_property
-    def _centers(self) -> np.ndarray:
-        return np.array([p.center for p in self.peaks], dtype=np.float64)
+    def _masses(self) -> np.ndarray:
+        return _window_masses(np.array([p.center for p in self.peaks], dtype=np.float64),
+                              np.array([p.weight for p in self.peaks], dtype=np.float64))
 
     def window_probability(self, index: int) -> float:
-        """Chance of the outcome landing in peak ``index``'s window (all tails).
-
-        A peak more than 9 below the window has both CDFs round to 1.0, and
-        one more than 40 above it has both underflow to 0.0, so its term is
-        exactly 0.0 and is skipped.  The other terms add in peak order, one
-        by one: a NumPy sum adds in pairs and would round differently.
-        """
-        lo, hi = self._windows[index]
-        t_lo, t_hi = lo - self._centers, hi - self._centers  # CDF arguments
-        zero = ((t_lo > 9.0) & (t_hi > 9.0)) | (
-            (t_lo < -40.0) & (t_hi < -40.0))
-        total = 0.0
-        for j in np.flatnonzero(~zero).tolist():
-            p = self.peaks[j]
-            total += p.weight * (_normal_cdf(hi - p.center) - _normal_cdf(lo - p.center))
-        return total
+        """Chance of the outcome landing in peak ``index``'s window (all tails)."""
+        _check_peak_index(index, len(self.peaks))
+        return float(self._masses[index])
 
 
-def _normal_cdf(t) -> float:
-    if t == math.inf:
-        return 1.0
-    if t == -math.inf:
-        return 0.0
-    return 0.5 * math.erfc(-t / math.sqrt(2.0))
+def _check_peak_index(index, count: int) -> None:
+    if isinstance(index, bool) or not (isinstance(index, (int, np.integer)) and 0 <= index < count):
+        raise ValueError(f"no peak with index {index!r}")
+
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+# window masses are summed in blocks of windows of about this many terms
+_WINDOW_BLOCK_TERMS = 1 << 14
+
+
+def _window_masses(centers: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Every window's mass: the sum over peaks j, added one by one in peak
+    order, of w_j (Phi(hi - c_j) - Phi(lo - c_j)), in blocks of windows.
+
+    A peak with lo - c > 9 has both CDFs round to 1.0, and one with
+    hi - c < -40 has both underflow to 0.0, so its term is exactly 0.0 and
+    the sum skips it.  With the centres in order, the other peaks of a
+    window are one band, found by ``searchsorted``; otherwise every peak is
+    in every band.  A band may also hold a peak within rounding of those
+    cut-offs, or any peak in the second case, but that term is 0.0 too and
+    leaves the sum unchanged (for finite weights).  Each CDF is libm's erfc
+    of its own argument, as a scalar loop takes it.
+    """
+    count = centers.size
+    bounds = np.concatenate(([-math.inf], (centers[:-1] + centers[1:]) / 2, [math.inf]))
+    if (centers[1:] >= centers[:-1]).all() and (bounds[1:] >= bounds[:-1]).all():
+        start = np.searchsorted(centers, bounds[:-1] - 9.0)
+        width = np.searchsorted(centers, bounds[1:] + 40.0, "right") - start
+    else:
+        start, width = np.zeros(count, dtype=np.int64), np.full(count, count)
+    per_block = max(1, _WINDOW_BLOCK_TERMS // max(int(width.max(initial=0)), 1))
+    masses = np.empty(count)
+    for k0 in range(0, count, per_block):
+        k = slice(k0, k0 + per_block)
+        masses[k] = _band_sums(bounds[k0:k0 + per_block + 1], centers, weights, start[k], width[k])
+    return masses
+
+
+def _band_sums(bounds, centers, weights, start, width) -> np.ndarray:
+    """Masses of the windows between consecutive ``bounds``, window i summing
+    the peaks start[i] .. start[i] + width[i] - 1.
+
+    The CDFs at a boundary are worked out once, over the bands of the
+    windows on both sides.  Terms add along each row in peak order
+    (``add.accumulate`` is a running sum); the +0.0 past a band's end, and a
+    final +0.0, leave the sum as a running sum from 0.0 has it."""
+    if not width.any():
+        return np.zeros(start.size)
+    end = start + width
+    first = np.minimum(np.concatenate((start[:1], start)), np.concatenate((start, start[-1:])))
+    last = np.maximum(np.concatenate((end[:1], end)), np.concatenate((end, end[-1:])))
+    size = np.maximum(last - first, 0)
+    offset = np.cumsum(size) - size
+    peak = np.arange(size.sum()) - np.repeat(offset - first, size)
+    arg = -(np.repeat(bounds, size) - centers[peak]) / math.sqrt(2.0)
+    cdf = 0.5 * _erfc(arg).astype(np.float64)
+    band = np.arange(int(width.max()))
+    hi = cdf.take((offset[1:] + start - first[1:])[:, None] + band, mode="clip")
+    lo = cdf.take((offset[:-1] + start - first[:-1])[:, None] + band, mode="clip")
+    terms = weights.take(start[:, None] + band, mode="clip") * (hi - lo)
+    terms[band >= width[:, None]] = 0.0
+    return np.add.accumulate(terms, axis=1)[:, -1] + 0.0
 
 
 def homodyne_pdf(state: HybridState, phi: float) -> PeakModel:
@@ -415,35 +462,49 @@ def homodyne_outcomes(state: HybridState, phi: float) -> tuple[HomodyneOutcome, 
     A projection keeps the peak's branches (found by bisection: patterns are
     sorted and unique), weights each by the quadrature eigenfunction overlap
     at the peak center and renormalizes.  The probability is the window mass,
-    tails of the other peaks included."""
+    tails of the other peaks included.  Every overlap is one array
+    expression; the posteriors are the rows of one array, each divided in
+    place by its own norm."""
     _check_normalized(state)
     model = homodyne_pdf(state, phi)
-    return tuple(HomodyneOutcome(
-        model.window_probability(k),
-        _project_at(state, phi, peak.center, np.searchsorted(state.bits, sorted(peak.members))),
-        peak) for k, peak in enumerate(model.peaks))
+    peaks, masses = model.peaks, model._masses.tolist()  # before the posteriors exist
+    sizes = [len(peak.members) for peak in peaks]
+    patterns = np.fromiter(itertools.chain.from_iterable(peak.members for peak in peaks),
+                           np.int64, sum(sizes))
+    row = np.repeat(np.arange(len(peaks)), sizes)
+    idx = np.searchsorted(state.bits, patterns)
+    x = np.array([peak.center for peak in peaks], dtype=np.float64)[row]
+    amps = np.zeros((len(peaks), 2**state.qubit_count), dtype=np.complex128)
+    # each (row, pattern) once: += adds to 0.0, so a -0.0 part lands as +0.0
+    amps[row, patterns] += state.coeff[idx] * quadrature_overlap(x, state.bus[idx], phi)
+    return tuple(HomodyneOutcome(p, _normalized(state.qubit_count, a), peak)
+                 for p, a, peak in zip(masses, amps, peaks))
 
 
 def homodyne_project(state: HybridState, phi: float, index: int) -> HomodyneOutcome:
     """Outcome ``index`` of :func:`homodyne_outcomes`."""
     outcomes = homodyne_outcomes(state, phi)
-    if not (isinstance(index, (int, np.integer)) and 0 <= index < len(outcomes)):
-        raise ValueError(f"no peak with index {index!r}")
+    _check_peak_index(index, len(outcomes))
     return outcomes[int(index)]
 
 
 def _dense(state: HybridState, weights, keep=slice(None)) -> np.ndarray:
     """2**n amplitudes from branches ``keep``, added (a -0.0 weight lands as +0.0)."""
     amps = np.zeros(2**state.qubit_count, dtype=np.complex128)
-    np.add.at(amps, state.bits[keep], weights)
+    amps[state.bits[keep]] += weights  # patterns are unique
     return amps
 
 
-def _project_at(state: HybridState, phi: float, x: float, idx: np.ndarray) -> QubitState:
-    """Branches ``idx`` (ascending) weighted by their overlaps at x, renormalized."""
-    overlaps = quadrature_overlap(x, state.bus[idx], phi)
-    amps = _dense(state, state.coeff[idx] * overlaps, idx)
-    return QubitState(state.qubit_count, amps, normalize=True)
+def _normalized(n: int, amps: np.ndarray) -> QubitState:
+    """``amps`` divided in place by its norm: the bytes of
+    ``QubitState(n, amps, normalize=True)``, without the copy."""
+    nrm = float(np.linalg.norm(amps))
+    if nrm == 0:
+        raise ValueError("cannot normalize the zero vector")
+    amps /= nrm
+    state = object.__new__(QubitState)
+    state.qubit_count, state.amplitudes = n, amps
+    return state
 
 
 @dataclass(frozen=True)
@@ -513,13 +574,16 @@ def _photon_components(state: HybridState):
 
 
 def bus_spread(state: HybridState) -> float:
-    """Largest pairwise distance between branch bus amplitudes."""
+    """Largest pairwise distance between branch bus amplitudes: 0.0 at once
+    when every bus equals the first (a NaN equals nothing, so it is sorted)."""
+    if (state.bus == state.bus[0]).all():
+        return 0.0
     b = np.sort(state.bus)
     b = b[np.concatenate(([True], b[1:] != b[:-1]))]
     best = 0.0
     for i in range(0, b.size, 512):
         chunk = b[i : i + 512]
-        best = max(best, float(np.max(np.abs(chunk[None, :] - b[:, None]))))
+        best = float(np.maximum(best, np.max(np.abs(chunk[None, :] - b[:, None]))))  # NaN stays
     return best
 
 
@@ -531,8 +595,8 @@ def extract_qubits(state: HybridState) -> QubitState:
     are just the branch coefficients, renormalized.
     """
     spread = bus_spread(state)
-    if spread >= BUS_TOL:
+    if not spread < BUS_TOL:
         raise ValueError(
             f"bus still entangled with the register (spread {spread:.3e} >= {BUS_TOL:.3e})"
         )
-    return QubitState(state.qubit_count, _dense(state, state.coeff), normalize=True)
+    return _normalized(state.qubit_count, _dense(state, state.coeff))

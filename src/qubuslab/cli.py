@@ -38,7 +38,7 @@ GATE_NAMES = (
 # The largest registers the dense gate paths hold, timed as whole commands on a
 # 2-vCPU Xeon (Python 3.11, numpy 2.4): a 20-qubit star or chain program runs on
 # 2**20 branches (234 MB peak; star 1.9-2.1 s, chain 1.6-1.7 s), and the 13-qubit
-# cascade table has 4**13 rows (550 MB, 1.3-1.4 s).
+# cascade table has 4**13 rows (550 MB, 1.0-1.4 s).
 _MAX_PROGRAM_QUBITS = 20
 _MAX_CASCADE_QUBITS = 13
 

@@ -325,31 +325,31 @@ _TWO_QUBIT_LABELS = {frozenset(members): label for members, label in (
     ({3}, "product-11"), ({1}, "product-01"), ({2}, "product-10"))}
 
 
-def _homodyne_outcomes(hybrid, phi, gate_time, classify, patterns=None):
+def _homodyne_outcomes(hybrid, phi, gate_time, labels, patterns=None):
     """One outcome per peak of a single peak model of ``hybrid``.
 
-    ``classify(members, posterior)`` names a peak; :func:`_heralded_target`
-    gives the state it heralds, or None.
+    ``labels(projected)`` names every peak of the projected outcomes at once;
+    :func:`_heralded_target` gives the state a peak heralds, or None.
 
     With ``patterns`` (the basis-pattern count of a uniform register) each
     outcome also gets its exact probability, members / patterns.
     """
+    projected = busim.homodyne_outcomes(hybrid, phi)
     outcomes = []
-    for projected in busim.homodyne_outcomes(hybrid, phi):
-        peak = projected.peak
-        label = classify(peak.members, projected.posterior)
+    for o, label in zip(projected, labels(projected)):
+        peak = o.peak
         target = _heralded_target(hybrid.qubit_count, label, peak.members)
         solved = None
         if target is not None:
-            solved = solve_local_z_corrections(projected.posterior, target)
+            solved = solve_local_z_corrections(o.posterior, target)
         outcomes.append(
             GateOutcome(
                 label=label,
                 probability=peak.weight,
-                posterior=projected.posterior,
+                posterior=o.posterior,
                 corrections=solved or (),
                 gate_time=gate_time,
-                window_probability=projected.probability,
+                window_probability=o.probability,
                 exact_probability=None if patterns is None else Fraction(len(peak.members), patterns),
                 target=target,
             )
@@ -357,11 +357,51 @@ def _homodyne_outcomes(hybrid, phi, gate_time, classify, patterns=None):
     return tuple(outcomes)
 
 
+def _pairs_entangled(n: int, projected) -> np.ndarray:
+    """Per homodyne outcome: qubits 0 and 1 both entangled with the rest,
+    read from each posterior at its peak's members only, all peaks at once."""
+    members = [sorted(o.peak.members) for o in projected]
+    peak = np.repeat(np.arange(len(members)), [len(m) for m in members])
+    bits = np.fromiter(itertools.chain.from_iterable(members), np.int64, peak.size)
+    amps = np.concatenate([o.posterior.amplitudes[m] for o, m in zip(projected, members)])
+    return _entangled_with_rest(n, (0, 1), peak, bits, amps)
+
+
+def _entangled_with_rest(n: int, qubits, peak, bits, amps) -> np.ndarray:
+    """Per peak, whether every one of ``qubits`` has Schmidt rank 2 against
+    the rest of the register.
+
+    Peak p's unit state is ``amps`` on patterns ``bits`` where ``peak`` is p,
+    ordered by peak, then pattern.  For a qubit's rows (bit 0, bit 1) with
+    Gram matrix G, det G is the product of the two squared Schmidt
+    coefficients; rank 2 means it exceeds 1e-9 (it is 1/4 for a maximally
+    entangled qubit).  The off-diagonal pairs each pattern with its partner
+    that has the qubit's bit set, if the peak holds it.
+    """
+    count = int(peak[-1]) + 1
+    key = (peak << n) | bits
+    power = amps.real**2 + amps.imag**2
+    total = np.bincount(peak, power, count)
+    entangled = np.ones(count, dtype=bool)
+    for qubit in qubits:
+        mask = 1 << (n - 1 - qubit)
+        low = (bits & mask) == 0
+        a = np.bincount(peak, power * low, count)
+        partner = np.minimum(np.searchsorted(key, key | mask), key.size - 1)
+        pair = low & (key[partner] == (key | mask))
+        cross = amps[pair].conj() * amps[partner[pair]]
+        re = np.bincount(peak[pair], cross.real, count)
+        im = np.bincount(peak[pair], cross.imag, count)
+        entangled &= a * (total - a) - (re**2 + im**2) > 1e-9
+    return entangled
+
+
 def _parity_outcomes(alpha, theta, state, phi):
     """Both qubits rotate the bus by +-theta; X(phi) is then measured."""
     _, hybrid = _prepare(alpha, theta, state, (1, 1))
     return _homodyne_outcomes(
-        hybrid, phi, 2.0, lambda members, _: _TWO_QUBIT_LABELS.get(members, "mixed"))
+        hybrid, phi, 2.0,
+        lambda projected: [_TWO_QUBIT_LABELS.get(o.peak.members, "mixed") for o in projected])
 
 
 def momentum_parity_outcomes(alpha, theta, state: QubitState | None = None):
@@ -472,7 +512,7 @@ def cascade_pair_success(outcomes) -> Fraction:
     )
 
 
-def _cascade_label(n: int, members: list[int], posterior: QubitState) -> str:
+def _cascade_label(n: int, members: list[int], entangled: bool) -> str:
     if len(members) == 1:
         return "product-" + format(members[0], f"0{n}b")
     pair_patterns = {((b >> (n - 1)) & 1, (b >> (n - 2)) & 1) for b in members}
@@ -481,21 +521,7 @@ def _cascade_label(n: int, members: list[int], posterior: QubitState) -> str:
         return f"bell-q3-{third}"
     if len(members) == 2 and members[0] + members[1] == 2**n - 1:
         return "ghz"
-    if _entangled_with_rest(posterior, 0) and _entangled_with_rest(posterior, 1):
-        return "entangled"
-    return "mixed"
-
-
-def _entangled_with_rest(state: QubitState, qubit: int) -> bool:
-    """Schmidt rank 2 of ``qubit`` against the rest of the register.
-
-    For a unit vector whose rows (qubit = 0, 1) have Gram matrix G, det G is
-    the product of the two squared Schmidt coefficients; rank 2 means it
-    exceeds 1e-9 (it is 1/4 for a maximally entangled qubit).
-    """
-    rows = state.amplitudes.reshape(2**qubit, 2, -1).swapaxes(0, 1).reshape(2, -1)
-    a, d = np.vdot(rows[0], rows[0]).real, np.vdot(rows[1], rows[1]).real
-    return a * d - abs(np.vdot(rows[0], rows[1])) ** 2 > 1e-9
+    return "entangled" if entangled else "mixed"
 
 
 def cascade_outcomes(n: int, alpha, theta, state: QubitState | None = None):
@@ -507,10 +533,11 @@ def cascade_outcomes(n: int, alpha, theta, state: QubitState | None = None):
     _, hybrid = _prepare(alpha, theta, state, _cascade_schedule(n))
     gate_time = float(cascade_gate_time(n))
 
-    def classify(members: frozenset, posterior: QubitState) -> str:
-        return _cascade_label(n, sorted(members), posterior)
+    def labels(projected) -> list[str]:
+        return [_cascade_label(n, sorted(o.peak.members), entangled)
+                for o, entangled in zip(projected, _pairs_entangled(n, projected).tolist())]
 
-    return _homodyne_outcomes(hybrid, math.pi / 2.0, gate_time, classify, patterns)
+    return _homodyne_outcomes(hybrid, math.pi / 2.0, gate_time, labels, patterns)
 
 
 def three_qubit_outcomes(alpha, theta, state: QubitState | None = None):

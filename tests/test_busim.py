@@ -922,15 +922,67 @@ class TestProjectionMatchesPerBranchOverlaps:
         state = HybridState(n, bits, coeff / np.linalg.norm(coeff), bus)
         phi = float(rng.choice([0.0, math.pi / 2, rng.uniform(-7, 7)]))
         idx = np.arange(state.bits.size)
+        n = state.qubit_count
         centers = 2.0 * np.real(state.bus * cmath.exp(-1j * phi))
         for x in rng.choice(centers, 40) + rng.normal(size=40) * 4.0:
             overlaps = np.array([_scalar_overlap(float(x), complex(b), phi) for b in state.bus])
             assert quadrature_overlap(float(x), state.bus, phi).tobytes() == overlaps.tobytes()
-            want = busim._dense(state, state.coeff * overlaps)
+            want = _ref_dense(state, state.coeff * overlaps)
             if np.linalg.norm(want) == 0.0:  # every overlap underflows
                 continue
-            got = busim._project_at(state, phi, float(x), idx)
+            got = _ref_project_at(state, phi, float(x), idx)
             assert got.amplitudes.tobytes() == (want / np.linalg.norm(want)).tobytes()
+            # the in-place division of the batched pass gives the same bytes
+            dense = busim._dense(state, state.coeff * quadrature_overlap(float(x), state.bus, phi))
+            got = busim._normalized(n, dense)
+            assert got.amplitudes.tobytes() == (want / np.linalg.norm(want)).tobytes()
+            assert got.amplitudes is dense
+
+
+def _ref_dense(state, weights, keep=slice(None)):
+    """2**n amplitudes from branches ``keep``, by ``np.add.at`` as the per-peak pass built them."""
+    amps = np.zeros(2**state.qubit_count, dtype=np.complex128)
+    np.add.at(amps, state.bits[keep], weights)
+    return amps
+
+
+def _ref_project_at(state, phi, x, idx):
+    """Branches ``idx`` (ascending) weighted by their overlaps at x, renormalized:
+    the per-peak projection that the batched pass replaced."""
+    overlaps = quadrature_overlap(x, state.bus[idx], phi)
+    amps = _ref_dense(state, state.coeff[idx] * overlaps, idx)
+    return QubitState(state.qubit_count, amps, normalize=True)
+
+
+def _ref_normal_cdf(t):
+    if t == math.inf:
+        return 1.0
+    if t == -math.inf:
+        return 0.0
+    return 0.5 * math.erfc(-t / math.sqrt(2.0))
+
+
+def _ref_window_sum(model, index):
+    """The per-window sum that the one-pass window masses replaced: the peaks
+    whose term is not exactly 0.0, added in peak order in a Python loop."""
+    lo, hi = _ref_windows(model)[index]
+    centers = np.array([p.center for p in model.peaks], dtype=np.float64)
+    t_lo, t_hi = lo - centers, hi - centers
+    zero = ((t_lo > 9.0) & (t_hi > 9.0)) | ((t_lo < -40.0) & (t_hi < -40.0))
+    total = 0.0
+    for j in np.flatnonzero(~zero).tolist():
+        p = model.peaks[j]
+        total += p.weight * (_ref_normal_cdf(hi - p.center) - _ref_normal_cdf(lo - p.center))
+    return total
+
+
+def _ref_homodyne_outcomes(state, phi):
+    """The per-peak projection pass that the batched pass replaced."""
+    model = homodyne_pdf(state, phi)
+    return tuple(busim.HomodyneOutcome(
+        _ref_window_sum(model, k),
+        _ref_project_at(state, phi, peak.center, np.searchsorted(state.bits, sorted(peak.members))),
+        peak) for k, peak in enumerate(model.peaks))
 
 
 def _ref_windows(model):
@@ -946,7 +998,7 @@ def _ref_window_probability(model, index):
     lo, hi = _ref_windows(model)[index]
     total = 0.0
     for p in model.peaks:
-        total += p.weight * (busim._normal_cdf(hi - p.center) - busim._normal_cdf(lo - p.center))
+        total += p.weight * (_ref_normal_cdf(hi - p.center) - _ref_normal_cdf(lo - p.center))
     return total
 
 
@@ -975,7 +1027,6 @@ class TestWindowsMatchLoopReference:
     def test_cascade_models(self, n, alpha, theta):
         _, hybrid = gates._prepare(alpha, theta, None, gates._cascade_schedule(n))
         model = homodyne_pdf(hybrid, math.pi / 2)
-        assert list(model._windows) == _ref_windows(model)
         for k in range(len(model.peaks)):
             assert model.window_probability(k) == _ref_window_probability(model, k)
 
@@ -1004,7 +1055,7 @@ class TestWindowsMatchLoopReference:
         outcomes = busim.homodyne_outcomes(state, phi)
         assert [o.peak for o in outcomes] == list(model.peaks)
         for k, (peak, got) in enumerate(zip(model.peaks, outcomes)):
-            want = busim._project_at(state, phi, peak.center, _ref_member_branches(state, peak))
+            want = _ref_project_at(state, phi, peak.center, _ref_member_branches(state, peak))
             assert got.posterior.amplitudes.tobytes() == want.amplitudes.tobytes()
             assert got.probability == _ref_window_probability(model, k)
 
@@ -1072,7 +1123,7 @@ class TestPeaksMatchGroupOverlapReference:
             assert _f64(peak.weight) == _f64(ref.weight)
             assert _f64(peak.center) == _f64(ref.center)
             assert _f64(got.window_probability(k)) == _f64(_ref_window_probability(want, k))
-            posterior = busim._project_at(state, phi, ref.center, _ref_member_branches(state, ref))
+            posterior = _ref_project_at(state, phi, ref.center, _ref_member_branches(state, ref))
             projected = outcomes[k]
             assert projected.peak == peak
             assert _f64(projected.probability) == _f64(_ref_window_probability(want, k))
@@ -1092,3 +1143,220 @@ class TestPeaksMatchGroupOverlapReference:
         for _ in range(20):
             state = _random_hybrid(rng, int(rng.integers(1, 7)))
             self._check(state, float(rng.uniform(0.0, math.pi)))
+
+
+# ---------------------------------------------------------------------------
+# the batched homodyne pass against the per-peak pass it replaced
+
+
+def _grouped_state(rng, n):
+    """A sparse register on a few shared start amplitudes, then a random
+    program, so that peaks hold one, two or many patterns."""
+    state = _mixed_start_state(rng, n)
+    if rng.random() < 0.7:
+        state = run_displacement_program(state, _cross_qubit_program(rng, n))
+    return state
+
+
+class TestBatchedOutcomesMatchPerPeakReference:
+    """homodyne_outcomes against one projection and one window loop per peak, byte for byte."""
+
+    @staticmethod
+    def _check(state, phi):
+        got, want = busim.homodyne_outcomes(state, phi), _ref_homodyne_outcomes(state, phi)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.peak == w.peak
+            assert _f64(g.probability) == _f64(w.probability)
+            assert g.posterior.qubit_count == w.posterior.qubit_count
+            assert g.posterior.amplitudes.tobytes() == w.posterior.amplitudes.tobytes()
+        return got
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_states(self, seed):
+        rng = np.random.default_rng([3131, seed])
+        n = int(rng.integers(1, 11))
+        state = _grouped_state(rng, n)
+        phi = float(rng.choice([0.0, math.pi / 2, rng.uniform(-7.0, 7.0)]))
+        self._check(state, phi)
+
+    def test_random_states_include_wide_peaks(self):
+        """The sweep above reaches peaks of three or more members."""
+        widest = 0
+        for seed in range(40):
+            rng = np.random.default_rng([3131, seed])
+            n = int(rng.integers(1, 11))
+            state = _grouped_state(rng, n)
+            phi = float(rng.choice([0.0, math.pi / 2, rng.uniform(-7.0, 7.0)]))
+            widest = max(widest, *(len(p.members) for p in homodyne_pdf(state, phi).peaks))
+        assert widest >= 3
+
+    @pytest.mark.parametrize("n", [3, 7, 10])
+    def test_random_registers_on_cascades(self, n):
+        rng = np.random.default_rng([3132, n])
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        amps[rng.random(2**n) < 0.4] = 0.0
+        register = QubitState(n, amps / np.linalg.norm(amps))
+        for alpha, theta in [(1000.0, 0.003), (3.0, 0.3), (1.0, 0.0)]:
+            _, hybrid = gates._prepare(alpha, theta, register, gates._cascade_schedule(n))
+            self._check(hybrid, float(rng.uniform(0.0, math.pi)))
+
+    def test_posteriors_are_unit_rows_of_one_array(self):
+        _, hybrid = gates._prepare(1000.0, 0.003, None, gates._cascade_schedule(6))
+        outcomes = busim.homodyne_outcomes(hybrid, math.pi / 2)
+        base = outcomes[0].posterior.amplitudes.base
+        assert base is not None and base.shape == (len(outcomes), 2**6)
+        for o in outcomes:
+            assert o.posterior.amplitudes.base is base
+            assert np.linalg.norm(o.posterior.amplitudes) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestWindowMassesInBlocks:
+    """Window masses summed in blocks of windows equal the per-window loop."""
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 14])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_models(self, seed, block, monkeypatch):
+        monkeypatch.setattr(busim, "_WINDOW_BLOCK_TERMS", block)
+        rng = np.random.default_rng([3133, seed])
+        model = _random_peak_model(rng, int(rng.integers(1, 300)), shuffle=seed % 3 == 0)
+        for k in range(len(model.peaks)):
+            assert _f64(model.window_probability(k)) == _f64(_ref_window_sum(model, k))
+            assert _f64(model.window_probability(k)) == _f64(_ref_window_probability(model, k))
+
+    def test_overlapping_peaks_span_many_blocks(self):
+        """Every peak within a few widths of every window: each band is the
+        whole model, so 400 windows take several blocks of 2**14 terms."""
+        rng = np.random.default_rng(3134)
+        centers = np.sort(rng.uniform(-4.0, 4.0, 400))
+        weights = rng.random(400)
+        weights = weights / weights.sum()
+        model = busim.PeakModel(0.0, tuple(busim.Peak(float(c), float(w), frozenset({k}))
+                                           for k, (c, w) in enumerate(zip(centers, weights))))
+        for k in range(len(model.peaks)):
+            assert _f64(model.window_probability(k)) == _f64(_ref_window_sum(model, k))
+
+    def test_equal_and_huge_centres(self):
+        """Repeated centres, centres whose midpoints overflow, and a -0.0
+        weight, as the loop sums them."""
+        for centers in ([0.0, 0.0, 0.0, 5.0], [-1.7e308, 1e308, 1.7e308], [-0.0, 0.0, 1e-300]):
+            model = busim.PeakModel(0.0, tuple(busim.Peak(c, 0.25, frozenset({k}))
+                                               for k, c in enumerate(centers)))
+            with np.errstate(over="ignore"):
+                for k in range(len(centers)):
+                    assert _f64(model.window_probability(k)) == _f64(_ref_window_sum(model, k))
+        # a sum of -0.0 terms is +0.0 when it starts from 0.0
+        model = busim.PeakModel(0.0, (busim.Peak(0.0, -0.0, frozenset({0})),))
+        assert _f64(model.window_probability(0)) == _f64(_ref_window_sum(model, 0)) == _f64(0.0)
+
+
+    @pytest.mark.parametrize("gap", [18.0, 80.0])
+    def test_peaks_at_the_cut_offs(self, gap):
+        """Peaks within rounding of 9 below or 40 above a window: where
+        ``searchsorted`` and the loop's test disagree, the term is 0.0."""
+        rng = np.random.default_rng([3136, int(gap)])
+        for _ in range(300):
+            c0 = float(rng.uniform(-50.0, 50.0))
+            centers = [c0, c0 + gap + float(rng.normal()) * 1e-14, c0 + 2 * gap]
+            model = busim.PeakModel(0.0, tuple(busim.Peak(c, 1 / 3, frozenset({k}))
+                                               for k, c in enumerate(centers)))
+            for k in range(3):
+                assert _f64(model.window_probability(k)) == _f64(_ref_window_sum(model, k))
+
+
+class TestPeakIndexChecks:
+    """A peak index is an int (not a bool) in 0 .. len - 1."""
+
+    @pytest.mark.parametrize("index", [-1, 3, True, False, 1.0, np.bool_(True)])
+    def test_window_probability_refuses(self, index):
+        model = homodyne_pdf(two_qubit_rotated(), math.pi / 2)
+        assert len(model.peaks) == 3
+        with pytest.raises(ValueError, match=f"no peak with index {index!r}"):
+            model.window_probability(index)
+
+    def test_window_probability_takes_numpy_ints(self):
+        model = homodyne_pdf(two_qubit_rotated(), math.pi / 2)
+        assert model.window_probability(np.int64(2)) == model.window_probability(2)
+
+    @pytest.mark.parametrize("index", [True, False])
+    def test_homodyne_project_refuses_bools(self, index):
+        with pytest.raises(ValueError, match=f"no peak with index {index!r}"):
+            homodyne_project(two_qubit_rotated(), math.pi / 2, index)
+
+
+class TestNonFiniteNorms:
+    def test_qubit_state_refuses_nan(self):
+        with pytest.raises(ValueError, match="amplitudes not normalized"):
+            QubitState(2, [math.nan, 0, 0, 0])
+
+    def test_cascade_never_sees_a_nan_register(self):
+        with pytest.raises(ValueError, match="amplitudes not normalized"):
+            gates.cascade_outcomes(2, 3.0, 0.3, state=QubitState(2, [math.nan, 0, 0, 0]))
+
+    def test_measurements_refuse_nan_coefficient(self):
+        state = HybridState(1, [0, 1], [math.nan, 0.5], [0.0, 1.0])
+        with pytest.raises(ValueError, match="state not normalized"):
+            busim.homodyne_outcomes(state, math.pi / 2)
+        with pytest.raises(ValueError, match="state not normalized"):
+            measure_bucket(state)
+
+
+class TestSortedConstructorPath:
+    """Strictly increasing patterns skip the sort and keep every check."""
+
+    def test_repeats_out_of_range_and_zero_state(self):
+        with pytest.raises(ValueError, match="bit pattern 1 appears more than once"):
+            HybridState(2, [0, 1, 1, 2], [0.5] * 4, [0.0] * 4)
+        with pytest.raises(ValueError, match="out of range"):
+            HybridState(2, [0, 1, 4], [0.5] * 3, [0.0] * 3)
+        with pytest.raises(ValueError, match="out of range"):
+            HybridState(2, [-1, 0, 1], [0.5] * 3, [0.0] * 3)
+        with pytest.raises(ValueError, match="zero state"):
+            HybridState(2, [0, 1, 3], [0.0] * 3, [0.0] * 3)
+
+    def test_zero_coefficients_dropped(self):
+        state = HybridState(2, [0, 1, 2, 3], [0.0, 0.6, 0.0, 0.8j], [1.0, 2.0, 3.0, 4.0])
+        assert state.bits.tolist() == [1, 3]
+        assert state.coeff.tolist() == [0.6, 0.8j]
+        assert state.bus.tolist() == [2.0, 4.0]
+
+    @pytest.mark.parametrize("coeff", [[0.6, 0.8, 0.0], [0.6, 0.8, 0.1]])
+    def test_owns_its_arrays(self, coeff):
+        bits = np.array([0, 2, 3], dtype=np.int64)
+        coeff = np.array(coeff, dtype=np.complex128)
+        bus = np.array([1.0, 2.0, 3.0], dtype=np.complex128)
+        state = HybridState(2, bits, coeff, bus)
+        for mine, theirs in ((state.bits, bits), (state.coeff, coeff), (state.bus, bus)):
+            assert not np.shares_memory(mine, theirs)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_sorted_and_shuffled_inputs_agree(self, seed):
+        rng = np.random.default_rng([3135, seed])
+        state = _random_hybrid(rng, int(rng.integers(1, 8)))
+        order = rng.permutation(state.bits.size)
+        shuffled = HybridState(state.qubit_count, state.bits[order], state.coeff[order],
+                               state.bus[order])
+        again = HybridState(state.qubit_count, state.bits, state.coeff, state.bus)
+        for other in (shuffled, again):
+            assert _same_bytes((other.bits, other.coeff, other.bus),
+                               (state.bits, state.coeff, state.bus))
+
+
+class TestSpreadShortcut:
+    def test_equal_buses_with_signed_zero_parts(self):
+        for value in (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)):
+            bus = np.array([0j, complex(-0.0, -0.0), value, complex(-0.0, 0.0)] * 5)
+            state = HybridState(5, np.arange(bus.size), np.ones(bus.size), bus)
+            assert _f64(bus_spread(state)) == _f64(_ref_spread(state.bus)) == _f64(0.0)
+        state = HybridState(3, np.arange(8), np.ones(8), np.full(8, complex(2.5, -0.0)))
+        assert _f64(bus_spread(state)) == _f64(0.0)
+
+    @pytest.mark.parametrize("size", [1, 2, 9, 700])
+    def test_nan_bus_is_nan_and_not_extracted(self, size):
+        bus = np.full(size, 0.3 + 0.1j)
+        bus[size // 2] = complex(math.nan, 0.0)
+        state = HybridState(10, np.arange(size), np.full(size, size ** -0.5), bus)
+        assert math.isnan(bus_spread(state))
+        assert size == 1 or math.isnan(_ref_spread(state.bus))
+        with pytest.raises(ValueError, match="bus still entangled"):
+            extract_qubits(state)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -304,6 +305,23 @@ def _random_register(seed, n):
     return QubitState(n, amps / np.linalg.norm(amps))
 
 
+def _rank_two(state, *qubits):
+    """Schmidt rank 2 of every one of ``qubits`` in a register state, by the
+    member-amplitude test."""
+    bits = np.flatnonzero(state.amplitudes)
+    peak = np.zeros(bits.size, dtype=np.int64)
+    amps = state.amplitudes[bits]
+    return bool(gates._entangled_with_rest(state.qubit_count, qubits, peak, bits, amps)[0])
+
+
+def _dense_rank_two(state, qubit):
+    """The dense test the member-amplitude one replaced: det of the Gram matrix
+    of the qubit's two rows over every pattern of the rest exceeds 1e-9."""
+    rows = state.amplitudes.reshape(2**qubit, 2, -1).swapaxes(0, 1).reshape(2, -1)
+    a, d = np.vdot(rows[0], rows[0]).real, np.vdot(rows[1], rows[1]).real
+    return bool(a * d - abs(np.vdot(rows[0], rows[1])) ** 2 > 1e-9)
+
+
 class TestHomodyneTableBytesPinned:
     """The bytes of the homodyne tables, pinned by sha256.
 
@@ -345,6 +363,22 @@ class TestHomodyneTableBytesPinned:
         tables = [gates.cascade_outcomes(4, 1000.0, 0.003, _random_register(26, 4))]
         assert self._digest(tables) == (
             "6611ed14db0dd5340a2c971937d515eb29e5d52d69402d9f62eadac414e242f6")
+
+
+class TestTableMemory:
+    def test_cascade_peak_stays_near_its_posteriors(self):
+        """A table holds its posteriors and little else: no second
+        (peaks x 2**n) array is built beside them.  The traced peak is about
+        1.07x the posterior bytes; a copy of them would make it 2x or more."""
+        tracemalloc.start()
+        try:
+            table = gates.cascade_outcomes(10, 1000.0, 0.003)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        posteriors = sum(o.posterior.amplitudes.nbytes for o in table)
+        assert posteriors == 513 * 2**10 * 16
+        assert peak <= 1.25 * posteriors
 
 
 class TestThreeQubitGate:
@@ -456,23 +490,40 @@ class TestCascade:
         """One qubit of the pair in a basis state: the peak is mixed, not entangled."""
         amps = np.zeros(16)
         amps[list(members)] = 0.5
-        assert gates._cascade_label(4, list(members), QubitState(4, amps)) == "mixed"
+        entangled = _rank_two(QubitState(4, amps), 0, 1)
+        assert gates._cascade_label(4, list(members), entangled) == "mixed"
 
     def test_ghz_times_plus_is_entangled(self):
         amps = np.zeros(16)
         amps[[0, 1, 14, 15]] = 0.5  # (|000> + |111>)/sqrt(2) on qubits 0-2, |+> on 3
-        assert gates._cascade_label(4, [0, 1, 14, 15], QubitState(4, amps)) == "entangled"
+        entangled = _rank_two(QubitState(4, amps), 0, 1)
+        assert gates._cascade_label(4, [0, 1, 14, 15], entangled) == "entangled"
 
     def test_rank_test_on_known_states(self):
         bell_and_plus = QubitState(3, np.array([1, 1, 0, 0, 0, 0, 1, 1]) / 2.0)
-        assert gates._entangled_with_rest(bell_and_plus, 0)
-        assert gates._entangled_with_rest(bell_and_plus, 1)
-        assert not gates._entangled_with_rest(QubitState.plus(3), 0)
-        assert not gates._entangled_with_rest(basis_state(3, 5), 2)
+        assert _rank_two(bell_and_plus, 0)
+        assert _rank_two(bell_and_plus, 1)
+        assert not _rank_two(QubitState.plus(3), 0)
+        assert not _rank_two(basis_state(3, 5), 2)
         # qubit 0 pure, qubits 1 and 2 in a Bell pair
         split = QubitState(3, np.array([1, 0, 0, 1, 0, 0, 0, 0]) / math.sqrt(2.0))
-        assert not gates._entangled_with_rest(split, 0)
-        assert gates._entangled_with_rest(split, 1)
+        assert not _rank_two(split, 0)
+        assert _rank_two(split, 1)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_member_gram_matches_dense_rank(self, seed):
+        """The batched decision from member amplitudes equals the dense rank test
+        on every peak, on registers whose peaks hold up to 2**n patterns."""
+        rng = np.random.default_rng([3030, seed])
+        n = int(rng.integers(2, 8))
+        alpha, theta = [(1000.0, 0.003), (3.0, 0.3), (1.0, 0.0), (30.0, 0.05)][seed % 4]
+        state = None if seed % 3 == 0 else _random_register(seed, n)
+        _, hybrid = gates._prepare(alpha, theta, state, gates._cascade_schedule(n))
+        projected = busim.homodyne_outcomes(hybrid, float(rng.uniform(0.0, math.pi)))
+        got = gates._pairs_entangled(n, projected)
+        want = [_dense_rank_two(o.posterior, 0) and _dense_rank_two(o.posterior, 1)
+                for o in projected]
+        assert got.tolist() == want
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_ghz_target(self, n):
