@@ -44,6 +44,12 @@ class ScalingPoint:
     extras: dict = field(default_factory=dict)
 
 
+def _check_probability(p: float) -> None:
+    """Refuse a success probability outside (0, 1], nan included."""
+    if not 0.0 < p <= 1.0:
+        raise ValueError("success probability must lie in (0, 1]")
+
+
 # ---------------------------------------------------------------------------
 # pairwise joins
 
@@ -56,8 +62,7 @@ def join_yield(L: int, p: float, mode: str = "approx") -> float:
     """
     if L < 1:
         raise ValueError("chain length must be at least 1")
-    if not 0.0 < p <= 1.0:
-        raise ValueError("success probability must lie in (0, 1]")
+    _check_probability(p)
     if mode == "approx":
         return 2.0 * L - 1.0 - 2.0 * (1.0 - p) / p
     if mode == "exact-sum":
@@ -70,8 +75,7 @@ def join_yield(L: int, p: float, mode: str = "approx") -> float:
 
 def critical_length(p: float) -> float:
     """Chain length above which joining equal chains grows on average."""
-    if not 0.0 < p <= 1.0:
-        raise ValueError("success probability must lie in (0, 1]")
+    _check_probability(p)
     lc = 1.0 + 2.0 * (1.0 - p) / p
     if math.isinf(lc):
         raise ValueError(f"the critical length overflows a float at p = {p}")
@@ -246,8 +250,7 @@ def seq_scaling(L: float, p: float, t: float = 1.0) -> tuple:
     closed forms correspond to different retry accountings and are both
     exposed; the Monte Carlo engine reports which one its rules reproduce.
     """
-    if not 0.0 < p <= 1.0:
-        raise ValueError("success probability must lie in (0, 1]")
+    _check_probability(p)
     if p <= 0.5:
         raise ValueError("no average growth for p <= 1/2; expectation diverges")
     n_seq = (L - 1.0) / (2.0 * p - 1.0)
@@ -265,8 +268,7 @@ def vertical_cost(p: float) -> tuple:
     N_V = 2 N[V] + 1/p composes the merge law N[L] of ``merge_scaling``
     (``n_quoted_law``); N_V is None for a p with no stored merge law.
     """
-    if not 0.0 < p <= 1.0:
-        raise ValueError("success probability must lie in (0, 1]")
+    _check_probability(p)
     V = 2.0 * (1.0 / p + 1.0)
     n_v = merge_scaling(V, p).n_quoted_law
     return V, None if n_v is None else 2.0 * n_v + 1.0 / p

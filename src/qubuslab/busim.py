@@ -108,6 +108,8 @@ class QubitState:
         if normalize:
             if nrm == 0:
                 raise ValueError("cannot normalize the zero vector")
+            if not math.isfinite(nrm):
+                raise ValueError(f"cannot normalize amplitudes of norm {nrm!r}")
             amps = amps / nrm
         elif not abs(nrm - 1.0) <= 1e-6:  # a NaN norm fails too
             raise ValueError(f"amplitudes not normalized (norm={nrm!r})")
@@ -159,6 +161,8 @@ class HybridState:
             raise ValueError("bits, coeff and bus must have equal lengths")
         if bits.size == 0:
             raise ValueError("state needs at least one branch")
+        if not np.isfinite(bus).all():
+            raise ValueError("bus amplitudes must be finite")
         increasing = bool((bits[1:] > bits[:-1]).all())
         if increasing:
             bits, coeff, bus = bits.copy(), coeff.copy(), bus.copy()

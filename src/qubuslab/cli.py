@@ -17,44 +17,47 @@ import json
 import math
 import re
 import warnings
+from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 import click
 import numpy as np
 
 from . import analytics, busim, gates, graphstab, growth, oracles
 
-GATE_NAMES = (
-    "parity-momentum",
-    "parity-position",
-    "parity-bucket",
-    "three-qubit",
-    "cascade",
-    "geometric-cz",
-    "star",
-    "chain",
-)
 
-# The largest registers the dense gate paths hold, timed as whole commands on a
-# 2-vCPU Xeon (Python 3.11, numpy 2.4): a 20-qubit star or chain program runs on
-# 2**20 branches (234 MB peak; star 1.9-2.1 s, chain 1.6-1.7 s), and the 13-qubit
-# cascade table has 4**13 rows (550 MB, 1.0-1.4 s).
-_MAX_PROGRAM_QUBITS = 20
-_MAX_CASCADE_QUBITS = 13
+class _Gate(NamedTuple):
+    build: Callable  # table gate: (alpha, theta, n, number_resolving); program: (n, beta)
+    quadrature: str | None  # the peaks whose overlap warns; None: no warning
+    default_n: int
+    limit: float  # the largest register
+    graph: Callable | None = None  # a program gate's GraphSpec constructor
 
-GROWTH_CSV_COLUMNS = (
-    "variant",
-    "p",
-    "L",
-    "trials",
-    "mean_ops",
-    "ci_ops",
-    "mean_time",
-    "ci_time",
-    "mean_wasted",
-    "analytic_ops",
-    "z_score",
-)
+
+# One row per gate; each builder looks ``gates`` up when called, so a patched
+# builder is the one run.  The limits are the largest registers the dense gate
+# paths hold, timed as whole commands on a 2-vCPU Xeon (Python 3.11, numpy
+# 2.4): a 20-qubit star or chain program runs on 2**20 branches (234 MB peak;
+# star 1.9-2.1 s, chain 1.6-1.7 s), and the 13-qubit cascade table has 4**13
+# rows (550 MB, 1.0-1.4 s).
+_GATES = {
+    "parity-momentum": _Gate(lambda a, t, n, nr: gates.momentum_parity_outcomes(a, t),
+                             "momentum", 5, math.inf),
+    "parity-position": _Gate(lambda a, t, n, nr: gates.position_parity_outcomes(a, t),
+                             "position", 5, math.inf),
+    "parity-bucket": _Gate(lambda a, t, n, nr: gates.bucket_parity_outcomes(
+        a, t, number_resolving=nr, n_max=6), None, 5, math.inf),
+    "three-qubit": _Gate(lambda a, t, n, nr: gates.three_qubit_outcomes(a, t),
+                         "momentum", 3, math.inf),
+    "cascade": _Gate(lambda a, t, n, nr: gates.cascade_outcomes(n, a, t), "momentum", 3, 13),
+    "geometric-cz": _Gate(lambda n, beta: gates.geometric_cz(beta, 1j * beta), None, 5,
+                          math.inf, graphstab.GraphSpec.chain),
+    "star": _Gate(lambda n, beta: gates.star_sequence(n, beta), None, 5, 20,
+                  graphstab.GraphSpec.star),
+    "chain": _Gate(lambda n, beta: gates.chain_sequence(n, beta), None, 5, 20,
+                   graphstab.GraphSpec.chain),
+}
 
 
 def parse_amount(text: str) -> float:
@@ -139,27 +142,21 @@ def _print_outcome_table(outcomes):
 
 
 def _outcome_rows(outcomes):
-    for o in outcomes:
-        yield {
-            "label": o.label,
-            "probability": repr(o.probability),
-            "window_probability": ""
-            if o.window_probability is None
-            else repr(o.window_probability),
-            "gate_time": o.gate_time,
-        }
+    return [{"label": o.label, "probability": repr(o.probability),
+             "window_probability": "" if o.window_probability is None
+             else repr(o.window_probability),
+             "gate_time": o.gate_time} for o in outcomes]
 
 
-def _write_csv(path, rows, columns):
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+def _write_csv(fh, rows):
+    """Write ``rows`` as CSV under a header of the first row's keys."""
+    writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 @main.command("gate")
-@click.argument("name", type=click.Choice(GATE_NAMES))
+@click.argument("name", type=click.Choice(list(_GATES)))
 @click.option("--alpha", type=float, default=None, help="Bus amplitude.")
 @click.option("--theta", type=float, default=None, help="Per-qubit rotation angle.")
 @click.option("--beta", type=str, default=None, help="Displacement, e.g. sqrt(pi/8).")
@@ -172,6 +169,7 @@ def _write_csv(path, rows, columns):
 def cmd_gate(name, alpha, theta, beta, n_qubits, number_resolving, graph_file,
              csv_path, config_path):
     """Print the exhaustive outcome table and error budget of one gate."""
+    gate = _GATES[name]
     cfg = _merged_config(config_path, alpha=alpha, theta=theta, beta=beta, n=n_qubits)
     alpha = _config_number(cfg, "alpha", 1000.0)
     theta = _config_number(cfg, "theta", 0.003)
@@ -180,26 +178,23 @@ def cmd_gate(name, alpha, theta, beta, n_qubits, number_resolving, graph_file,
         raise click.BadParameter(f"alpha must be positive and finite, got {alpha!r}")
     if not math.isfinite(theta):
         raise click.BadParameter(f"theta must be finite, got {theta!r}")
-    n_qubits = _config_number(cfg, "n", 3 if name in ("three-qubit", "cascade") else 5, int)
-    limit = {"star": _MAX_PROGRAM_QUBITS, "chain": _MAX_PROGRAM_QUBITS,
-             "cascade": _MAX_CASCADE_QUBITS}.get(name, math.inf)
-    if n_qubits > limit:
-        raise ValueError(f"gate {name} holds at most {limit} qubits, got n = {n_qubits}")
+    n_qubits = _config_number(cfg, "n", gate.default_n, int)
+    if n_qubits > gate.limit:
+        raise ValueError(f"gate {name} holds at most {gate.limit} qubits, got n = {n_qubits}")
     beta_val = parse_amount(str(cfg.get("beta", "sqrt(pi/8)")))
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        if name in ("parity-momentum", "parity-position", "parity-bucket",
-                    "three-qubit", "cascade"):
-            _gate_table_command(name, alpha, theta, n_qubits, number_resolving,
+        if gate.graph is None:
+            _gate_table_command(name, gate, alpha, theta, n_qubits, number_resolving,
                                 csv_path)
         else:
-            _geometric_command(name, beta_val, n_qubits, graph_file)
+            _geometric_command(gate, beta_val, n_qubits, graph_file)
         for w in caught:
             click.echo(f"warning: {w.message}", err=True)
 
 
-def _gate_table_command(name, alpha, theta, n_qubits, number_resolving, csv_path):
+def _gate_table_command(name, gate, alpha, theta, n_qubits, number_resolving, csv_path):
     # every square a table computes must fit a float: the printed error budget
     # squares alpha*theta, every table's overlap or displacement phase squares
     # alpha, and the bucket gate counts photons up to (2 alpha sin theta)**2
@@ -209,31 +204,17 @@ def _gate_table_command(name, alpha, theta, n_qubits, number_resolving, csv_path
     for label, x in scales.items():
         if not math.isfinite(x * x):
             raise ValueError(f"{label} = {x:.4g} is too large: its square overflows a float")
-    quadrature = "position" if name == "parity-position" else "momentum"
-    if name != "parity-bucket":
-        gates._warn_if_unresolved(alpha, theta, quadrature)
-    if name == "parity-momentum":
-        outcomes = gates.momentum_parity_outcomes(alpha, theta)
-    elif name == "parity-position":
-        outcomes = gates.position_parity_outcomes(alpha, theta)
-    elif name == "parity-bucket":
-        outcomes = gates.bucket_parity_outcomes(
-            alpha, theta, number_resolving=number_resolving, n_max=6
-        )
-    elif name == "three-qubit":
-        outcomes = gates.three_qubit_outcomes(alpha, theta)
-    else:
-        outcomes = gates.cascade_outcomes(n_qubits, alpha, theta)
+    if gate.quadrature is not None:
+        gates._warn_if_unresolved(alpha, theta, gate.quadrature)
+    outcomes = gate.build(alpha, theta, n_qubits, number_resolving)
+    if name == "cascade":
         click.echo(
             f"pair success: {gates.cascade_pair_success(outcomes)} "
             f"(gate time {gates.cascade_gate_time(n_qubits)} units)"
         )
     if csv_path:
-        _write_csv(
-            csv_path,
-            _outcome_rows(outcomes),
-            ("label", "probability", "window_probability", "gate_time"),
-        )
+        with open(csv_path, "w", newline="") as fh:
+            _write_csv(fh, _outcome_rows(outcomes))
     _print_outcome_table(outcomes)
     budget = gates.error_budget(alpha, theta)
     sep = budget.separation_parameter  # fixed point below 1e6, else exponent form
@@ -248,27 +229,17 @@ def _gate_table_command(name, alpha, theta, n_qubits, number_resolving, csv_path
         click.echo(f"wrote {csv_path}")
 
 
-def _geometric_command(name, beta_val, n_qubits, graph_file):
-    if name == "geometric-cz":
-        n_qubits = 2
-        seq, corrections = gates.geometric_cz(beta_val, 1j * beta_val)
-    else:
-        maker = gates.star_sequence if name == "star" else gates.chain_sequence
-        seq, corrections = maker(n_qubits, beta_val)
+def _geometric_command(gate, beta_val, n_qubits, graph_file):
+    seq, corrections = gate.build(n_qubits, beta_val)
     if corrections is None:
         raise ValueError(f"beta {beta_val!r} is off the gate grid: beta**2 must be "
                          "an odd multiple of pi/8 for the couplings to be controlled-Z")
-    out = gates.run_sequence(
-        busim.attach_bus(busim.QubitState.plus(n_qubits), 0.0), seq
-    )
+    n_qubits = seq.register_size  # geometric-cz acts on two qubits whatever n is
+    out = gates.run_sequence(busim.attach_bus(busim.QubitState.plus(n_qubits), 0.0), seq)
     spread = busim.bus_spread(out)
     state = gates.apply_corrections(busim.extract_qubits(out), corrections)
-    if graph_file:
-        spec = graphstab.parse_edge_list(Path(graph_file).read_text(), n=n_qubits)
-    elif name == "star":
-        spec = graphstab.GraphSpec.star(n_qubits)
-    else:
-        spec = graphstab.GraphSpec.chain(n_qubits)
+    spec = (graphstab.parse_edge_list(Path(graph_file).read_text(), n=n_qubits)
+            if graph_file else gate.graph(n_qubits))
     ok = oracles.is_graph_state(state.amplitudes, spec.n, spec.edges)
     click.echo(f"interactions: {len(seq.steps)} (two per qubit)")
     click.echo(f"bus spread after sequence: {spread!r}")
@@ -331,23 +302,19 @@ def _growth_report(stats: growth.GrowthStats):
         if row.metric == "entangling_ops":
             z = f"{row.z:.4f}"
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=GROWTH_CSV_COLUMNS)
-    writer.writeheader()
-    writer.writerow(
-        {
-            "variant": cfg.variant,
-            "p": repr(cfg.p),
-            "L": cfg.target_L if point is None else point.L,
-            "trials": cfg.trials,
-            "mean_ops": repr(summary["entangling_ops"].mean),
-            "ci_ops": repr(summary["entangling_ops"].ci95),
-            "mean_time": repr(summary["elapsed_rounds"].mean),
-            "ci_time": repr(summary["elapsed_rounds"].ci95),
-            "mean_wasted": repr(summary["qubits_wasted"].mean),
-            "analytic_ops": analytic_ops,
-            "z_score": z,
-        }
-    )
+    _write_csv(buf, [{
+        "variant": cfg.variant,
+        "p": repr(cfg.p),
+        "L": cfg.target_L if point is None else point.L,
+        "trials": cfg.trials,
+        "mean_ops": repr(summary["entangling_ops"].mean),
+        "ci_ops": repr(summary["entangling_ops"].ci95),
+        "mean_time": repr(summary["elapsed_rounds"].mean),
+        "ci_time": repr(summary["elapsed_rounds"].ci95),
+        "mean_wasted": repr(summary["qubits_wasted"].mean),
+        "analytic_ops": analytic_ops,
+        "z_score": z,
+    }])
     return buf.getvalue(), rows
 
 
@@ -452,7 +419,8 @@ def cmd_scaling(p, l_min, l_max, series_names, metric, gate_time, csv_path, svg_
         raise ValueError(f"no series has a value at L = {l_min}..{l_max}: " + ", ".join(
             f"{name} starts at L = {start}" for name, start in starts.items()))
     if csv_path:
-        _write_csv(csv_path, rows, ("L", "series", "value"))
+        with open(csv_path, "w", newline="") as fh:
+            _write_csv(fh, rows)
         click.echo(f"wrote {csv_path} ({len(rows)} rows)")
     else:
         click.echo("L,series,value")

@@ -188,19 +188,12 @@ class GateErrorBudget:
     separation_parameter: float
     momentum_regime_ok: bool
 
-    def __post_init__(self):
-        if not (0.0 <= self.p_err_momentum <= 0.5 + 1e-12):
-            raise ValueError("momentum error outside [0, 1/2]")
-        if not (0.0 <= self.p_err_position <= 0.5 + 1e-12):
-            raise ValueError("position error outside [0, 1/2]")
-        if not (0.0 <= self.p_err_vacuum <= 1.0 + 1e-12):
-            raise ValueError("vacuum error outside [0, 1]")
-
 
 def error_budget(alpha: float, theta: float) -> GateErrorBudget:
     """Evaluate the three closed-form error expressions at (alpha, theta)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not (math.isfinite(alpha) and alpha > 0 and math.isfinite(theta)):
+        raise ValueError(f"alpha must be finite and > 0 and theta finite, got "
+                         f"alpha={alpha}, theta={theta}")
     # a negative theta mirrors the peaks and keeps their separation
     spread = abs(alpha * math.sin(theta))
     return GateErrorBudget(

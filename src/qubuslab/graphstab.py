@@ -140,13 +140,12 @@ class StabilizerTableau:
         self.sign = np.zeros(n, dtype=np.uint8) if sign is None else np.array(sign, dtype=np.uint8)
         self.dx = self.dz = None
 
-    def copy(self, destabilizers: bool = True) -> "StabilizerTableau":
-        """A copy sharing no array; ``destabilizers=False`` leaves them None."""
+    def copy(self) -> "StabilizerTableau":
+        """A copy sharing no array."""
         out = object.__new__(StabilizerTableau)
         out.n = self.n
         out.x, out.z, out.sign = self.x.copy(), self.z.copy(), self.sign.copy()
-        keep = destabilizers and self.dx is not None
-        out.dx, out.dz = (self.dx.copy(), self.dz.copy()) if keep else (None, None)
+        out.dx, out.dz = (None, None) if self.dx is None else (self.dx.copy(), self.dz.copy())
         return out
 
     def generator_strings(self):
@@ -769,8 +768,7 @@ def equals_up_to_corrections(
     if tab.n != spec.n:
         raise ValueError("qubit counts differ")
     n = tab.n
-    # destabilizers are not read, so only x, z and sign are copied
-    corrected = tab.copy(destabilizers=False)
+    corrected = tab.copy()
     _correct(corrected, corrections)
     x, z = corrected.x, corrected.z
     cols = np.ascontiguousarray(x.T)  # cols[v]: which rows hold X on v

@@ -99,8 +99,7 @@ def trial_rng(
 
 def _check_p_and_trials(p: float, trials: int) -> None:
     """Refuse a p outside (0, 1], nan included, and fewer than one trial."""
-    if not 0.0 < p <= 1.0:
-        raise ValueError("success probability must lie in (0, 1]")
+    analytics._check_probability(p)
     if trials < 1:
         raise ValueError("need at least one trial")
 
@@ -234,17 +233,6 @@ class GrowthStats:
         cfg = asdict(self.config)
         cfg["accounting"] = {"rules": _STRATEGIES[self.config.variant][1]}
         return cfg
-
-    def trial_records(self):
-        """One JSON-ready record per trial, carrying the full config."""
-        cfg = self.record_config()
-        columns = self.columns()
-        for i in range(self.config.trials):
-            yield {
-                "trial": i,
-                **{k: float(v[i]) for k, v in columns.items()},
-                "config": cfg,
-            }
 
 
 # ---------------------------------------------------------------------------

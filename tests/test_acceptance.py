@@ -35,6 +35,7 @@ Stated tolerances (asserted inside the checks):
 import time
 
 import numpy as np
+import pytest
 
 from qubuslab import growth, verify
 
@@ -113,3 +114,30 @@ def test_criterion_9_discrepancy_flags():
 
 def test_criterion_10_determinism():
     _run(verify.check_determinism)
+
+
+@pytest.mark.parametrize("change", ["value", "sign-of-zero", "extra-column"])
+def test_criterion_10_fails_when_the_prefix_run_differs(monkeypatch, change):
+    """The M-trial run's columns must equal the N-trial run's first M entries
+    byte for byte, under the same keys: one entry off by a value or only by
+    the sign of a zero, or one column more, fails the check."""
+    kernel, rules, compared = growth._STRATEGIES["sequential"]
+
+    def altered(config):
+        columns = kernel(config)
+        if config.trials == 100:  # the prefix run of the quick check
+            if change == "value":
+                columns["entangling_ops"][7] += 1.0
+            elif change == "sign-of-zero":
+                danglers = np.array(columns["spare_danglers"], dtype=np.float64)
+                assert danglers[7] == 0.0
+                danglers[7] = -0.0
+                columns["spare_danglers"] = danglers
+            else:
+                columns["extra"] = np.zeros(config.trials)
+        return columns
+
+    monkeypatch.setitem(growth._STRATEGIES, "sequential", (altered, rules, compared))
+    result = verify.check_determinism(quick=True)
+    assert result.status == "fail"
+    assert any("first 100 of 500 trials" in line for line in result.details)

@@ -1300,6 +1300,26 @@ class TestNonFiniteNorms:
         with pytest.raises(ValueError, match="state not normalized"):
             measure_bucket(state)
 
+    @pytest.mark.parametrize("amps", [
+        [math.nan, 0, 0, 0], [math.inf, 0, 0, 0], [1.0, complex(0, -math.inf), 0, 0],
+        [1e200, 1e200, 0, 0],  # finite amplitudes whose norm overflows
+    ])
+    def test_normalize_refuses_non_finite_norm(self, amps):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="cannot normalize amplitudes of norm"):
+                QubitState(2, amps, normalize=True)
+
+    def test_normalize_names_the_zero_vector(self):
+        with pytest.raises(ValueError, match="cannot normalize the zero vector"):
+            QubitState(2, [0, 0, 0, 0], normalize=True)
+
+    @pytest.mark.parametrize("bus", [math.nan, math.inf, complex(0, -math.inf),
+                                     complex(math.nan, 0)])
+    @pytest.mark.parametrize("bits", [[0, 1], [1, 0]])  # the sorted and the sorting path
+    def test_hybrid_state_refuses_non_finite_bus(self, bits, bus):
+        with pytest.raises(ValueError, match="bus amplitudes must be finite"):
+            HybridState(1, bits, [0.6, 0.8], [0.0, bus])
+
 
 class TestSortedConstructorPath:
     """Strictly increasing patterns skip the sort and keep every check."""
@@ -1355,7 +1375,12 @@ class TestSpreadShortcut:
     def test_nan_bus_is_nan_and_not_extracted(self, size):
         bus = np.full(size, 0.3 + 0.1j)
         bus[size // 2] = complex(math.nan, 0.0)
-        state = HybridState(10, np.arange(size), np.full(size, size ** -0.5), bus)
+        with pytest.raises(ValueError, match="bus amplitudes must be finite"):
+            HybridState(10, np.arange(size), np.full(size, size ** -0.5), bus)
+        # a bus made NaN after the constructor's check still reads as entangled
+        state = HybridState(10, np.arange(size), np.full(size, size ** -0.5),
+                            np.full(size, 0.3 + 0.1j))
+        state.bus[:] = bus
         assert math.isnan(bus_spread(state))
         assert size == 1 or math.isnan(_ref_spread(state.bus))
         with pytest.raises(ValueError, match="bus still entangled"):

@@ -15,7 +15,7 @@ from click.testing import CliRunner
 
 import qubuslab
 from qubuslab import analytics, gates, growth
-from qubuslab.cli import GROWTH_CSV_COLUMNS, main, parse_amount
+from qubuslab.cli import main, parse_amount
 
 
 @pytest.fixture
@@ -482,6 +482,57 @@ class TestGateCommand:
         assert "1.3499e-03" in result.output
 
 
+_POSITION_WARNING = ("warning: position peaks poorly separated at alpha=1000.0, "
+                     "theta=0.003: misassignment error 0.498\n")
+
+
+class TestGateOutputsPinned:
+    """sha256 of each gate's stdout (run with ``--csv gate.csv``) and of the CSV
+    file it writes (None: no file), with its stderr, as the per-name code
+    wrote them before the gates became one table."""
+
+    PINS = {
+        ("parity-momentum",): (
+            "03c6f1e62e1fcf2be19c029e161793de8f2707818fc69955df048b34c8915230",
+            "d59b60fd46f7069c115c4078b0c91194b07c01143070ad9a8fab7fc35aaaeebe", ""),
+        ("parity-position",): (
+            "23990acbaa89d6e7a8bac6a99ed7ba3e8fe9807a72e3edb560d37bd4fa32df68",
+            "e5b432092f37804e602dcbeb1d643010ece5c8142c2da7c475960a681189972b",
+            _POSITION_WARNING),
+        ("parity-bucket",): (
+            "9c547d1e1ebeb3700704a653ca8050570e519a25361d4e77a6789b5195f8dbb4",
+            "ba2164326f1fff53605f6d5b04e48d561107b6308d9ccba047dee1b6b5507cb6", ""),
+        ("three-qubit",): (
+            "693df024fd2c50d18dcdba3270ef1a76176756262ada23233db62782f1493376",
+            "f0e316d05cfefc05a43717124f9d3a269dd857f3173fe9b953fdb59ba06c5d4d", ""),
+        ("cascade",): (
+            "ba29b0cb0b742d6472a9dc9fbcaf4c7ecbad8ce14077b48e8a566253a9b8b961",
+            "f0e316d05cfefc05a43717124f9d3a269dd857f3173fe9b953fdb59ba06c5d4d", ""),
+        ("geometric-cz",): (
+            "85db5027a036c6c8ca9091927c6e6962b2410321c2e63c9cc7a903a62b70aaf2", None, ""),
+        ("star",): (
+            "7fdcaf4e2eda5d07b65547862855cab4640651425f73f6fe1a8d2628873b798f", None, ""),
+        ("chain",): (
+            "7fdcaf4e2eda5d07b65547862855cab4640651425f73f6fe1a8d2628873b798f", None, ""),
+        ("parity-bucket", "--alpha", "2", "--theta", "0.4", "--number-resolving"): (
+            "1d71e219cb5f052c3d476ec2144d2a8fc508f354f5aaffef779ace80880e72f7",
+            "3a9793fb31a2710b6393c436ae29002dcb69e59fcb4802dcd87394c86f6645b5", ""),
+    }
+
+    @pytest.mark.parametrize("args", list(PINS), ids=" ".join)
+    def test_bytes_pinned(self, runner, tmp_path, args):
+        stdout, csv_digest, stderr = self.PINS[args]
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            result = runner.invoke(main, ["gate", *args, "--csv", "gate.csv"])
+            written = Path("gate.csv")
+            got_csv = (hashlib.sha256(written.read_bytes()).hexdigest()
+                       if written.exists() else None)
+        assert result.exit_code == 0, result.output
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == stdout
+        assert got_csv == csv_digest
+        assert result.stderr == stderr
+
+
 class TestGrowthCommand:
     def test_vertical_run_csv_columns(self, runner, tmp_path):
         out = tmp_path / "agg.csv"
@@ -492,7 +543,9 @@ class TestGrowthCommand:
         )
         assert result.exit_code == 0
         rows = list(csv.DictReader(out.open()))
-        assert list(rows[0]) == list(GROWTH_CSV_COLUMNS)
+        assert list(rows[0]) == [
+            "variant", "p", "L", "trials", "mean_ops", "ci_ops", "mean_time", "ci_time",
+            "mean_wasted", "analytic_ops", "z_score"]
         assert float(rows[0]["mean_ops"]) == pytest.approx(4.0 / 3.0, rel=0.05)
 
     def test_sequential_stats_and_jsonl(self, runner, tmp_path):

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -90,6 +91,17 @@ class TestErrorBudget:
     def test_alpha_positive_required(self):
         with pytest.raises(ValueError):
             gates.error_budget(0.0, 0.1)
+
+    @pytest.mark.parametrize("alpha, theta", [
+        (math.nan, 0.003), (math.inf, 0.1), (-math.inf, 0.1), (-1.0, 0.1),
+        (1000.0, math.nan), (1000.0, math.inf), (1000.0, -math.inf),
+    ])
+    def test_non_finite_inputs_named(self, alpha, theta):
+        """A refusal names both inputs, not a derived value or a math domain."""
+        message = (f"alpha must be finite and > 0 and theta finite, "
+                   f"got alpha={alpha}, theta={theta}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gates.error_budget(alpha, theta)
 
 
 class TestMomentumParityGate:

@@ -701,12 +701,25 @@ class TestCompareToAnalytic:
             )
 
 
+def _trial_records(stats):
+    """One JSON-ready record per trial, carrying the full config: the reference
+    that ``cli.render_growth_jsonl`` writes line by line."""
+    cfg = stats.record_config()
+    columns = stats.columns()
+    for i in range(stats.config.trials):
+        yield {
+            "trial": i,
+            **{k: float(v[i]) for k, v in columns.items()},
+            "config": cfg,
+        }
+
+
 class TestTrialRecords:
     def test_records_carry_config(self):
         cfg = StrategyConfig(
             variant="vertical_link", p=0.5, trials=3, master_seed=2
         )
-        records = list(simulate(cfg).trial_records())
+        records = list(_trial_records(simulate(cfg)))
         assert len(records) == 3
         assert records[0]["config"]["variant"] == "vertical_link"
         assert records[2]["trial"] == 2
@@ -715,7 +728,7 @@ class TestTrialRecords:
     def test_records_carry_accounting_rules(self):
         assert "accounting" not in {f.name for f in dataclasses.fields(StrategyConfig)}
         cfg = StrategyConfig(variant="merge", p=0.75, trials=2, master_seed=2, target_L=21)
-        for record in simulate(cfg).trial_records():
+        for record in _trial_records(simulate(cfg)):
             assert record["config"]["accounting"] == {
                 "rules": growth._STRATEGIES["merge"][1]}
 
@@ -757,7 +770,7 @@ class TestTrialRecords:
                             (kernel, rules + " (50% {of} %s)", compared))
         stats = simulate(StrategyConfig(p=0.75, trials=300, master_seed=3,
                                         gate_time=0.1, **kwargs))
-        want = "\n".join(json.dumps(r, sort_keys=True) for r in stats.trial_records())
+        want = "\n".join(json.dumps(r, sort_keys=True) for r in _trial_records(stats))
         assert render_growth_jsonl(stats) == want + "\n"
 
     def test_jsonl_refuses_non_finite_values(self):
