@@ -39,11 +39,11 @@ done
 $QUBUSLAB gate parity-bucket > "$tmp/bucket.txt"
 grep -q "^click " "$tmp/bucket.txt"
 # 14-qubit displacement programs close every loop and make the graph state
-# (the geometric-cz loop is always two qubits and ignores --n)
-for shape in star chain geometric-cz; do
-  $QUBUSLAB gate "$shape" --n 14 > "$tmp/$shape.txt"
-  grep -qx "stabilizer check: PASS" "$tmp/$shape.txt"
-  grep -qx "bus spread after sequence: 0.0" "$tmp/$shape.txt"
+# (the geometric-cz loop is always two qubits and refuses --n)
+for shape in "star --n 14" "chain --n 14" geometric-cz; do
+  $QUBUSLAB gate $shape > "$tmp/out.txt"
+  grep -qx "stabilizer check: PASS" "$tmp/out.txt"
+  grep -qx "bus spread after sequence: 0.0" "$tmp/out.txt"
 done
 # a star checked against the chain's edges is a FAIL line and exit 1
 printf '0 1\n1 2\n2 3\n3 4\n' > "$tmp/chain5.txt"
@@ -77,7 +77,8 @@ echo '{"bogus": 1, "gate_backend": "nope"}' > "$tmp/keys.json"
 # overflow, a length range that starts below 1, a scaling request with no
 # series or no row in its range (before any file is written), a growth
 # run whose gate time overflows its elapsed time, and a vertical link at a p
-# so small that a trial would expect 10**12 attempts
+# so small that a trial would expect 10**12 attempts; a gate refuses an
+# option it does not read (before any file is written)
 for args in "growth divide_conquer --n 64 --k 3 --L 5" \
             "scaling --metric T --series rus-pf-0.6" "gate chain --n 1000000" \
             "scaling --p 1e-40 --series dc" \
@@ -96,7 +97,10 @@ for args in "growth divide_conquer --n 64 --k 3 --L 5" \
             "growth sequential --L 11 --trials 50 --t 1e308" \
             "growth vertical_link --p 1e-12 --trials 1" \
             "growth sequential --L 5 --config $tmp/keys.json" \
-            "gate chain --config $tmp/keys.json"; do
+            "gate chain --config $tmp/keys.json" \
+            "gate star --csv $tmp/x.csv" "gate cascade --beta 0.3" \
+            "gate chain --alpha 3" "gate parity-momentum --number-resolving" \
+            "gate three-qubit --n 4"; do
   status=0; $QUBUSLAB $args > "$tmp/err.txt" 2>&1 || status=$?
   test "$status" -eq 1
   grep -q "^Error:" "$tmp/err.txt"

@@ -29,9 +29,9 @@ from . import analytics, busim, gates, graphstab, growth, oracles
 
 class _Gate(NamedTuple):
     build: Callable  # table gate: (alpha, theta, n, number_resolving); program: (n, beta)
-    quadrature: str | None  # the peaks whose overlap warns; None: no warning
-    default_n: int
-    limit: float  # the largest register
+    reads: tuple  # the options the gate reads, beside --config; any other is refused
+    quadrature: str | None = None  # the peaks whose overlap warns; None: no warning
+    n: tuple | None = None  # (default, largest) register, when the gate reads n
     graph: Callable | None = None  # a program gate's GraphSpec constructor
 
 
@@ -41,22 +41,24 @@ class _Gate(NamedTuple):
 # 2.4): a 20-qubit star or chain program runs on 2**20 branches (234 MB peak;
 # star 1.9-2.1 s, chain 1.6-1.7 s), and the 13-qubit cascade table has 4**13
 # rows (550 MB, 1.0-1.4 s).
+_TABLE_READS = ("alpha", "theta", "csv")
 _GATES = {
     "parity-momentum": _Gate(lambda a, t, n, nr: gates.momentum_parity_outcomes(a, t),
-                             "momentum", 5, math.inf),
+                             _TABLE_READS, "momentum"),
     "parity-position": _Gate(lambda a, t, n, nr: gates.position_parity_outcomes(a, t),
-                             "position", 5, math.inf),
+                             _TABLE_READS, "position"),
     "parity-bucket": _Gate(lambda a, t, n, nr: gates.bucket_parity_outcomes(
-        a, t, number_resolving=nr, n_max=6), None, 5, math.inf),
+        a, t, number_resolving=nr, n_max=6), _TABLE_READS + ("number_resolving",)),
     "three-qubit": _Gate(lambda a, t, n, nr: gates.three_qubit_outcomes(a, t),
-                         "momentum", 3, math.inf),
-    "cascade": _Gate(lambda a, t, n, nr: gates.cascade_outcomes(n, a, t), "momentum", 3, 13),
-    "geometric-cz": _Gate(lambda n, beta: gates.geometric_cz(beta, 1j * beta), None, 5,
-                          math.inf, graphstab.GraphSpec.chain),
-    "star": _Gate(lambda n, beta: gates.star_sequence(n, beta), None, 5, 20,
-                  graphstab.GraphSpec.star),
-    "chain": _Gate(lambda n, beta: gates.chain_sequence(n, beta), None, 5, 20,
-                   graphstab.GraphSpec.chain),
+                         _TABLE_READS, "momentum"),
+    "cascade": _Gate(lambda a, t, n, nr: gates.cascade_outcomes(n, a, t), _TABLE_READS + ("n",),
+                     "momentum", (3, 13)),
+    "geometric-cz": _Gate(lambda n, beta: gates.geometric_cz(beta, 1j * beta), ("beta", "graph"),
+                          graph=graphstab.GraphSpec.chain),
+    "star": _Gate(lambda n, beta: gates.star_sequence(n, beta), ("beta", "graph", "n"),
+                  n=(5, 20), graph=graphstab.GraphSpec.star),
+    "chain": _Gate(lambda n, beta: gates.chain_sequence(n, beta), ("beta", "graph", "n"),
+                   n=(5, 20), graph=graphstab.GraphSpec.chain),
 }
 
 
@@ -160,17 +162,40 @@ def _write_csv(fh, rows):
 @click.option("--alpha", type=float, default=None, help="Bus amplitude.")
 @click.option("--theta", type=float, default=None, help="Per-qubit rotation angle.")
 @click.option("--beta", type=str, default=None, help="Displacement, e.g. sqrt(pi/8).")
-@click.option("--n", "n_qubits", type=int, default=None, help="Register size.")
-@click.option("--number-resolving", is_flag=True, help="Resolve photon numbers.")
-@click.option("--graph", "graph_file", type=click.Path(exists=True), default=None,
+@click.option("--n", type=int, default=None, help="Register size.")
+@click.option("--number-resolving", is_flag=True, default=None, help="Resolve photon numbers.")
+@click.option("--graph", type=click.Path(exists=True), default=None,
               help="Edge-list file ('u v' per line) to check a geometric gate against.")
-@click.option("--csv", "csv_path", type=click.Path(), default=None)
+@click.option("--csv", type=click.Path(), default=None)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-def cmd_gate(name, alpha, theta, beta, n_qubits, number_resolving, graph_file,
-             csv_path, config_path):
+def cmd_gate(name, config_path, **options):
     """Print the exhaustive outcome table and error budget of one gate."""
     gate = _GATES[name]
-    cfg = _merged_config(config_path, alpha=alpha, theta=theta, beta=beta, n=n_qubits)
+    unread = ", ".join(f"--{key.replace('_', '-')}" for key, value in options.items()
+                       if value is not None and key not in gate.reads)
+    if unread:
+        raise ValueError(f"gate {name} does not read {unread}")
+    # a config file may hold the numbers the gate reads, and nothing else
+    cfg = _merged_config(config_path, **{key: options[key] for key in gate.reads
+                                         if key in ("alpha", "theta", "beta", "n")})
+    n_qubits = None
+    if "n" in gate.reads:
+        n_qubits = _config_number(cfg, "n", gate.n[0], int)
+        if n_qubits > gate.n[1]:
+            raise ValueError(f"gate {name} holds at most {gate.n[1]} qubits, got n = {n_qubits}")
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if gate.graph is None:
+            _gate_table_command(name, gate, cfg, n_qubits, options["number_resolving"],
+                                options["csv"])
+        else:
+            _geometric_command(gate, cfg, n_qubits, options["graph"])
+        for w in caught:
+            click.echo(f"warning: {w.message}", err=True)
+
+
+def _gate_table_command(name, gate, cfg, n_qubits, number_resolving, csv_path):
     alpha = _config_number(cfg, "alpha", 1000.0)
     theta = _config_number(cfg, "theta", 0.003)
     # checked here, not left to error_budget: the bucket gate prints its table first
@@ -178,23 +203,6 @@ def cmd_gate(name, alpha, theta, beta, n_qubits, number_resolving, graph_file,
         raise click.BadParameter(f"alpha must be positive and finite, got {alpha!r}")
     if not math.isfinite(theta):
         raise click.BadParameter(f"theta must be finite, got {theta!r}")
-    n_qubits = _config_number(cfg, "n", gate.default_n, int)
-    if n_qubits > gate.limit:
-        raise ValueError(f"gate {name} holds at most {gate.limit} qubits, got n = {n_qubits}")
-    beta_val = parse_amount(str(cfg.get("beta", "sqrt(pi/8)")))
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        if gate.graph is None:
-            _gate_table_command(name, gate, alpha, theta, n_qubits, number_resolving,
-                                csv_path)
-        else:
-            _geometric_command(gate, beta_val, n_qubits, graph_file)
-        for w in caught:
-            click.echo(f"warning: {w.message}", err=True)
-
-
-def _gate_table_command(name, gate, alpha, theta, n_qubits, number_resolving, csv_path):
     # every square a table computes must fit a float: the printed error budget
     # squares alpha*theta, every table's overlap or displacement phase squares
     # alpha, and the bucket gate counts photons up to (2 alpha sin theta)**2
@@ -229,12 +237,13 @@ def _gate_table_command(name, gate, alpha, theta, n_qubits, number_resolving, cs
         click.echo(f"wrote {csv_path}")
 
 
-def _geometric_command(gate, beta_val, n_qubits, graph_file):
+def _geometric_command(gate, cfg, n_qubits, graph_file):
+    beta_val = parse_amount(str(cfg.get("beta", "sqrt(pi/8)")))
     seq, corrections = gate.build(n_qubits, beta_val)
     if corrections is None:
         raise ValueError(f"beta {beta_val!r} is off the gate grid: beta**2 must be "
                          "an odd multiple of pi/8 for the couplings to be controlled-Z")
-    n_qubits = seq.register_size  # geometric-cz acts on two qubits whatever n is
+    n_qubits = seq.register_size  # geometric-cz reads no n: it acts on two qubits
     out = gates.run_sequence(busim.attach_bus(busim.QubitState.plus(n_qubits), 0.0), seq)
     spread = busim.bus_spread(out)
     state = gates.apply_corrections(busim.extract_qubits(out), corrections)

@@ -8,11 +8,12 @@ outcome, so growth simulations can keep one seeded stream per trial.
 
 Beside its stabilizers a tableau keeps destabilizer rows, as Aaronson and
 Gottesman do (quant-ph/0406196): destabilizer i anticommutes with generator
-i and commutes with every other generator.  A deterministic measurement
-reads which generators multiply to the observable off the destabilizers,
-with no elimination.  Both kinds of measurement find the rows that
-anticommute with the observable by XOR-ing the few columns of its support,
-not by a matrix product.  The remaining GF(2) linear algebra (the
+i and commutes with every other generator.  Both kinds sit in one [x|z] bit
+matrix and a Pauli is one [x|z] bit vector, so one pass, XOR-ing the few
+columns of an observable's support, finds every row that anticommutes with
+it.  A random outcome multiplies those rows by one generator in one XOR; a
+deterministic one reads its generator factors off its destabilizers, with
+no elimination.  The remaining GF(2) linear algebra (the
 independence check in ``equals_up_to_corrections``, ``canonical_form``,
 and deriving the destabilizers of a hand-built tableau once) runs through
 one Gauss-Jordan kernel, ``_row_reduce``; every row product takes its sign
@@ -117,35 +118,42 @@ def parse_edge_list(text: str, n: int | None = None) -> GraphSpec:
 class StabilizerTableau:
     """n commuting, independent Pauli generators with signs.
 
-    Row i of ``x``/``z`` holds the symplectic bits of generator i; ``sign``
-    is 0 for +1 and 1 for -1.
+    One uint8 matrix ``m`` holds the tableau as Aaronson and Gottesman lay
+    it out: columns [x | z], rows 0..n-1 the generators and rows n..2n-1
+    the destabilizers.  ``sign`` is the generators' signs, 0 for +1 and 1
+    for -1.  Destabilizers carry none, and satisfy ``dx @ z.T + dz @ x.T ==
+    I`` mod 2.  ``x``, ``z``, ``dx`` and ``dz`` are views of ``m`` taken at
+    each access, so writing to one writes to the tableau.
 
-    Rows of ``dx``/``dz`` are the destabilizers, unsigned, with
-    ``dx @ z.T + dz @ x.T == I`` mod 2.  Deterministic measurements read the
-    generator combination from them; the eliminations that remain are in
-    ``canonical_form`` and the rank certificate of
-    ``equals_up_to_corrections``.
-    ``graph_state`` sets them; a tableau built from ``x`` and ``z`` leaves
-    them ``None`` and derives them on its first measurement.  The module's
-    operations keep them in step: set them back to ``None`` after editing
-    ``x`` or ``z`` by hand.
+    ``graph_state`` builds all 2n rows.  A tableau built from ``x`` and
+    ``z`` holds the generator rows alone (``dx`` and ``dz`` are ``None``)
+    until its first measurement appends the derived destabilizers in a new
+    ``m``.  The module's operations keep the rows in step: drop the
+    destabilizers (``tab.m = tab.m[:tab.n]``) after editing ``x`` or ``z``.
     """
 
-    __slots__ = ("n", "x", "z", "sign", "dx", "dz")
+    __slots__ = ("n", "m", "sign")
 
     def __init__(self, n: int, x=None, z=None, sign=None):
         self.n = n
-        self.x = np.zeros((n, n), dtype=np.uint8) if x is None else np.array(x, dtype=np.uint8)
-        self.z = np.zeros((n, n), dtype=np.uint8) if z is None else np.array(z, dtype=np.uint8)
-        self.sign = np.zeros(n, dtype=np.uint8) if sign is None else np.array(sign, dtype=np.uint8)
-        self.dx = self.dz = None
+        self.m = np.zeros((n, 2 * n), dtype=np.uint8)
+        self.sign = np.zeros(n, dtype=np.uint8)
+        for name, value, target in (("x", x, self.x), ("z", z, self.z), ("sign", sign, self.sign)):
+            if value is not None:
+                bits = np.asarray(value)
+                if bits.shape != target.shape or not np.isin(bits, (0, 1)).all():
+                    raise ValueError(f"{name} must be a {target.shape} array of 0s and 1s")
+                target[...] = bits
+
+    x = property(lambda t: t.m[:t.n, :t.n])
+    z = property(lambda t: t.m[:t.n, t.n:])
+    dx = property(lambda t: t.m[t.n:, :t.n] if len(t.m) > t.n else None)
+    dz = property(lambda t: t.m[t.n:, t.n:] if len(t.m) > t.n else None)
 
     def copy(self) -> "StabilizerTableau":
         """A copy sharing no array."""
         out = object.__new__(StabilizerTableau)
-        out.n = self.n
-        out.x, out.z, out.sign = self.x.copy(), self.z.copy(), self.sign.copy()
-        out.dx, out.dz = (None, None) if self.dx is None else (self.dx.copy(), self.dz.copy())
+        out.n, out.m, out.sign = self.n, self.m.copy(), self.sign.copy()
         return out
 
     def generator_strings(self):
@@ -214,31 +222,28 @@ def _product_sign(rows: np.ndarray, source: np.ndarray, n: int) -> np.ndarray:
 
 
 def _derive_destabilizers(tab: StabilizerTableau) -> None:
-    """Set destabilizers for hand-built generators, with one elimination.
+    """Append destabilizers to hand-built generators, with one elimination.
 
     Row-reducing [z | x | I] gives E [z | x] = R, with R's pivot column
     p_k zero outside row k; a matrix D whose column p_k is row k of E
     then has D [z | x]^T = I, which is the duality dx z^T + dz x^T = I.
     """
     n = tab.n
-    m = np.concatenate([tab.z, tab.x, np.eye(n, dtype=np.uint8)], axis=1) % 2
-    pivots = _row_reduce(m, 2 * n)
+    e = np.concatenate([tab.z, tab.x, np.eye(n, dtype=np.uint8)], axis=1)
+    pivots = _row_reduce(e, 2 * n)
     if len(pivots) != n:
         raise ValueError("generators are not independent")
-    d = np.zeros((n, 2 * n), dtype=np.uint8)
-    d[:, pivots] = m[:, 2 * n:].T
-    tab.dx, tab.dz = d[:, :n], d[:, n:]
+    tab.m = np.concatenate([tab.m, np.zeros_like(tab.m)])
+    tab.m[n:, pivots] = e[:, 2 * n:].T
 
 
 def graph_state(spec: GraphSpec) -> StabilizerTableau:
     """Generators X_v prod_{u ~ v} Z_u with + signs; destabilizers Z_v."""
     tab = StabilizerTableau(spec.n)
-    np.fill_diagonal(tab.x, 1)
+    tab.m = np.eye(2 * spec.n, dtype=np.uint8)  # rows X_v, then rows Z_v
     if spec.edges:
         u, v = np.array(list(spec.edges)).T
         tab.z[u, v] = tab.z[v, u] = 1
-    tab.dx = np.zeros_like(tab.x)
-    tab.dz = np.eye(spec.n, dtype=np.uint8)
     return tab
 
 
@@ -252,10 +257,9 @@ def _check_qubit(n: int, qubit: int) -> None:
 
 
 def _hadamard(tab: StabilizerTableau, qubit: int) -> None:
-    tab.sign ^= tab.x[:, qubit] & tab.z[:, qubit]
-    tab.x[:, qubit], tab.z[:, qubit] = tab.z[:, qubit].copy(), tab.x[:, qubit].copy()
-    if tab.dx is not None:
-        tab.dx[:, qubit], tab.dz[:, qubit] = tab.dz[:, qubit].copy(), tab.dx[:, qubit].copy()
+    n = tab.n
+    tab.sign ^= tab.m[:n, qubit] & tab.m[:n, n + qubit]
+    tab.m[:, [qubit, n + qubit]] = tab.m[:, [n + qubit, qubit]]
 
 
 def _pauli(tab: StabilizerTableau, qubit: int, pauli: str) -> None:
@@ -266,9 +270,9 @@ def _pauli(tab: StabilizerTableau, qubit: int, pauli: str) -> None:
     if pauli not in ("X", "Y", "Z"):
         raise ValueError(f"unknown Pauli {pauli!r}")
     if pauli != "Z":  # X and Y flip the generators with a Z bit on the qubit
-        tab.sign ^= tab.z[:, qubit]
+        tab.sign ^= tab.m[:tab.n, tab.n + qubit]
     if pauli != "X":  # Z and Y flip those with an X bit
-        tab.sign ^= tab.x[:, qubit]
+        tab.sign ^= tab.m[:tab.n, qubit]
 
 
 def _correct(tab: StabilizerTableau, corrections) -> None:
@@ -292,15 +296,15 @@ def apply_corrections(tab: StabilizerTableau, corrections) -> StabilizerTableau:
 # measurements
 
 
-def _string_to_bits(n: int, pauli: dict[int, str]):
-    xt = np.zeros(n, dtype=np.uint8)
-    zt = np.zeros(n, dtype=np.uint8)
+def _string_to_bits(n: int, pauli: dict[int, str]) -> np.ndarray:
+    """The [x|z] bit vector of a Pauli given as {qubit: "X" | "Y" | "Z"}."""
+    bits = np.zeros(2 * n, dtype=np.uint8)
     for q, ch in pauli.items():
         _check_qubit(n, q)
         if ch not in ("X", "Y", "Z"):
             raise ValueError(f"unknown Pauli {ch!r}")
-        xt[q], zt[q] = ch != "Z", ch != "X"
-    return xt, zt
+        bits[q], bits[n + q] = ch != "Z", ch != "X"
+    return bits
 
 
 def measure_pauli_string(
@@ -315,9 +319,9 @@ def measure_pauli_string(
     the generator group; random outcomes need ``forced`` or ``rng``.  A
     tableau without destabilizers gets them here, once, on the input.
     """
-    xt, zt = _string_to_bits(tab.n, pauli)
+    bits = _string_to_bits(tab.n, pauli)
     tab = _owned_copy(tab)
-    return _measure(tab, xt, zt, forced, rng), tab
+    return _measure(tab, bits, forced, rng), tab
 
 
 def _owned_copy(tab: StabilizerTableau) -> StabilizerTableau:
@@ -327,68 +331,57 @@ def _owned_copy(tab: StabilizerTableau) -> StabilizerTableau:
     return tab.copy()
 
 
-def _measure(tab: StabilizerTableau, xt, zt, forced=None, rng=None) -> int:
-    """Measure the Pauli [xt|zt] on ``tab`` in place; returns the outcome."""
-    hits = _anticommuting(tab.x, tab.z, xt, zt)
-    if hits.size:
-        p = int(hits[0])
-        rest = hits[1:]
-        xz = np.concatenate([tab.x[hits], tab.z[hits]], axis=1)
-        tab.sign[rest] ^= tab.sign[p] ^ _product_sign(xz[1:], xz[0], tab.n)
-        tab.x[rest] ^= tab.x[p]
-        tab.z[rest] ^= tab.z[p]
-        # Aaronson-Gottesman: destabilizer p becomes the old generator p, and
-        # every other destabilizer that anticommutes with the observable
-        # takes a factor of it, which keeps the duality with the new rows.
-        drows = _anticommuting(tab.dx, tab.dz, xt, zt)
-        drows = drows[drows != p]
-        tab.dx[p], tab.dz[p] = tab.x[p], tab.z[p]
-        tab.dx[drows] ^= tab.x[p]
-        tab.dz[drows] ^= tab.z[p]
-        if forced is None:
-            if rng is None:
-                raise ValueError("random measurement outcome needs forced or rng")
-            outcome = 1 if rng.integers(2) == 0 else -1
-        else:
-            outcome = int(forced)
-            if outcome not in (1, -1):
-                raise ValueError("forced outcome must be +1 or -1")
-        tab.x[p] = xt
-        tab.z[p] = zt
-        tab.sign[p] = 0 if outcome == 1 else 1
+def _measure(tab: StabilizerTableau, bits, forced=None, rng=None) -> int:
+    """Measure the Pauli ``bits`` ([x|z]) on ``tab`` in place; returns the outcome."""
+    n = tab.n
+    hits = _anticommuting(tab.m, bits)  # ascending, so generator rows come first
+    if not hits.size or hits[0] >= n:
+        outcome = _deterministic_sign(tab, bits, hits - n)
+        if forced is not None and int(forced) != outcome:
+            raise ValueError(f"outcome is deterministic ({outcome:+d}); cannot force {forced:+d}")
         return outcome
-    outcome = _deterministic_sign(tab, xt, zt)
-    if forced is not None and int(forced) != outcome:
-        raise ValueError(
-            f"outcome is deterministic ({outcome:+d}); cannot force {forced:+d}"
-        )
+    if forced is None:
+        if rng is None:
+            raise ValueError("random measurement outcome needs forced or rng")
+        outcome = 1 if rng.integers(2) == 0 else -1
+    else:
+        outcome = int(forced)
+        if outcome not in (1, -1):
+            raise ValueError("forced outcome must be +1 or -1")
+    p, rest = int(hits[0]), hits[1:]
+    gens = rest[rest < n]
+    tab.sign[gens] ^= tab.sign[p] ^ _product_sign(tab.m[gens], tab.m[p], n)
+    # Aaronson-Gottesman: every other row that anticommutes with the
+    # observable takes a factor of generator p, which keeps the duality;
+    # destabilizer p becomes generator p, and generator p the observable
+    tab.m[rest] ^= tab.m[p]
+    tab.m[n + p] = tab.m[p]
+    tab.m[p] = bits
+    tab.sign[p] = 0 if outcome == 1 else 1
     return outcome
 
 
-def _anticommuting(x, z, xt, zt) -> np.ndarray:
-    """Rows of [x|z] that anticommute with the Pauli [xt|zt].
+def _anticommuting(m: np.ndarray, bits) -> np.ndarray:
+    """Rows of ``m`` ([x|z] Paulis) that anticommute with the Pauli ``bits``.
 
-    The symplectic product needs only the columns of the Pauli's support,
-    so it XORs those few columns instead of running a matrix product.
+    The symplectic product meets each X bit of the Pauli with the rows' Z
+    column on that qubit and each Z bit with their X column, so it XORs
+    those few columns instead of running a matrix product.
     """
-    parity = np.zeros(len(x), dtype=np.uint8)
-    for q in np.flatnonzero(zt).tolist():
-        parity ^= x[:, q]
-    for q in np.flatnonzero(xt).tolist():
-        parity ^= z[:, q]
-    return np.flatnonzero(parity)
+    n = len(bits) // 2
+    cols = (np.flatnonzero(bits) + n) % (2 * n)
+    return np.flatnonzero(np.bitwise_xor.reduce(m[:, cols], axis=1))
 
 
-def _deterministic_sign(tab: StabilizerTableau, xt, zt) -> int:
-    """Sign of a Pauli that commutes with every generator.
+def _deterministic_sign(tab: StabilizerTableau, bits, used) -> int:
+    """Sign of the Pauli ``bits``, which commutes with every generator.
 
     Generator i is a factor exactly when the Pauli anticommutes with
-    destabilizer i; the combination is unique because the generators are
-    independent.
+    destabilizer i, that is when i is in ``used``; the combination is unique
+    because the generators are independent.
     """
-    used = _anticommuting(tab.dx, tab.dz, xt, zt)
-    rows = np.concatenate([tab.x[used], tab.z[used]], axis=1)
-    if not np.array_equal(np.bitwise_xor.reduce(rows, axis=0), np.concatenate([xt, zt])):
+    rows = tab.m[used]
+    if not np.array_equal(np.bitwise_xor.reduce(rows, axis=0), bits):
         raise ValueError("measured Pauli neither commutes into nor hits the group")
     before = np.zeros_like(rows)  # product of the rows ahead of each row
     before[1:] = np.bitwise_xor.accumulate(rows, axis=0)[:-1]
@@ -404,8 +397,6 @@ def measure_pauli(
     rng: np.random.Generator | None = None,
 ):
     """Single-qubit X, Y or Z measurement; returns (outcome, tableau)."""
-    if basis not in ("X", "Y", "Z"):
-        raise ValueError(f"basis must be X, Y or Z, got {basis!r}")
     return measure_pauli_string(tab, {qubit: basis}, forced=forced, rng=rng)
 
 
@@ -682,7 +673,7 @@ def fuse(
     tab = _owned_copy(tab)
     corrections = []
     for positions, sign in projections:
-        _measure(tab, *_string_to_bits(tab.n, {qubits[p]: "Z" for p in positions}), forced=sign)
+        _measure(tab, _string_to_bits(tab.n, {qubits[p]: "Z" for p in positions}), forced=sign)
         if step is not None and sign == -1:
             last = qubits[positions[-1]]
             fixes = [(last, "X")] if len(positions) == 2 else []
@@ -736,7 +727,7 @@ def recover_failure(
 
 def canonical_form(tab: StabilizerTableau) -> tuple:
     """Row-reduced echelon form (with signs) of the generator group."""
-    m = np.concatenate([tab.x, tab.z], axis=1)
+    m = tab.m[:tab.n].copy()
     sign = tab.sign.copy()
     _row_reduce(m, 2 * tab.n, sign)
     return tuple(sorted((int(s),) + tuple(row.tolist()) for s, row in zip(sign, m)))
@@ -767,9 +758,7 @@ def equals_up_to_corrections(
     """
     if tab.n != spec.n:
         raise ValueError("qubit counts differ")
-    n = tab.n
-    corrected = tab.copy()
-    _correct(corrected, corrections)
+    corrected = apply_corrections(tab, corrections)
     x, z = corrected.x, corrected.z
     cols = np.ascontiguousarray(x.T)  # cols[v]: which rows hold X on v
     want_z = np.zeros_like(cols)
@@ -783,4 +772,4 @@ def equals_up_to_corrections(
     half_y = (x & z).sum(axis=1) // 2 % 2
     if not np.array_equal(corrected.sign, inside ^ half_y):
         return False
-    return len(_row_reduce(x, n)) == n
+    return len(_row_reduce(x, tab.n)) == tab.n

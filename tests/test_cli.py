@@ -283,8 +283,8 @@ class TestGateCommand:
         assert [row[0] for row in rows if row[0] in ("mixed", "entangled")] == ["mixed"]
 
     def test_three_qubit_bell_rows_show_fidelity(self, runner):
-        for name in ("three-qubit", "cascade"):
-            result = runner.invoke(main, ["gate", name, "--n", "3"])
+        for name in ("three-qubit", "cascade"):  # the cascade's default n is 3
+            result = runner.invoke(main, ["gate", name])
             assert result.exit_code == 0, result.output
             rows = [line.split() for line in result.output.splitlines()]
             fids = {row[0]: row[2] for row in rows if row[0].startswith("bell-q3")}
@@ -321,9 +321,9 @@ class TestGateCommand:
             "import sys\n"
             "import qubuslab.cli\n"
             "assert 'scipy' not in sys.modules, 'import'\n"
-            "for name in ('chain', 'star', 'geometric-cz'):\n"
+            "for name, *n in (('chain', '--n', '4'), ('star', '--n', '4'), ('geometric-cz',)):\n"
             "    try:\n"
-            "        qubuslab.cli.main(['gate', name, '--n', '4'])\n"
+            "        qubuslab.cli.main(['gate', name, *n])\n"
             "    except SystemExit as exc:\n"
             "        assert exc.code in (0, None), exc.code\n"
             "    assert 'scipy' not in sys.modules, name\n"
@@ -482,14 +482,83 @@ class TestGateCommand:
         assert "1.3499e-03" in result.output
 
 
+# What each gate reads, beside --config, with a value that every gate that
+# reads the option runs with.  Written out here, not read from the command's
+# table, so that the test checks the table.
+_TABLE_GATE = {"--alpha": "3", "--theta": "0.3", "--csv": "<tmp>/x.csv"}
+_PROGRAM_GATE = {"--beta": "sqrt(pi/8)", "--graph": "<tmp>/graph.txt"}
+_GATE_READS = {
+    "parity-momentum": _TABLE_GATE,
+    "parity-position": _TABLE_GATE,
+    "parity-bucket": {**_TABLE_GATE, "--number-resolving": None},
+    "three-qubit": _TABLE_GATE,
+    "cascade": {**_TABLE_GATE, "--n": "4"},
+    "geometric-cz": _PROGRAM_GATE,
+    "star": {**_PROGRAM_GATE, "--n": "4"},
+    "chain": {**_PROGRAM_GATE, "--n": "4"},
+}
+_GATE_GRAPHS = {"geometric-cz": "0 1\n", "star": "0 1\n0 2\n0 3\n", "chain": "0 1\n1 2\n2 3\n"}
+_ANY_OPTION = {**_TABLE_GATE, **_PROGRAM_GATE, "--n": "4", "--number-resolving": None}
+
+
+def _option_args(options, tmp_path):
+    args = []
+    for flag in options:
+        value = _ANY_OPTION[flag]
+        args += [flag] if value is None else [flag, value.replace("<tmp>", str(tmp_path))]
+    return args
+
+
+class TestGateReadsOnlyItsOptions:
+    """``gate`` refuses, in one Error: line naming it, every option and config
+    key that the chosen gate does not read, before it writes anything."""
+
+    @pytest.mark.parametrize("name, flag", [
+        (name, flag) for name, reads in _GATE_READS.items()
+        for flag in _ANY_OPTION if flag not in reads])
+    def test_unread_option_refused(self, runner, tmp_path, name, flag):
+        (tmp_path / "graph.txt").write_text("0 1\n")
+        result = runner.invoke(main, ["gate", name, *_option_args([flag], tmp_path)])
+        assert result.exit_code == 1
+        assert_one_line_error(result)
+        assert result.output.splitlines() == [f"Error: gate {name} does not read {flag}"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["graph.txt"]
+
+    def test_every_unread_option_named(self, runner, tmp_path):
+        result = runner.invoke(main, ["gate", "geometric-cz", "--number-resolving", "--n", "14",
+                                      "--alpha", "3", "--csv", str(tmp_path / "x.csv")])
+        assert result.output.splitlines() == [  # in the order they were given
+            "Error: gate geometric-cz does not read --number-resolving, --n, --alpha, --csv"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name, key", [
+        (name, key) for name, reads in _GATE_READS.items()
+        for key in ("alpha", "theta", "beta", "n") if f"--{key}" not in reads])
+    def test_unread_config_key_refused(self, runner, tmp_path, name, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 4}))
+        result = runner.invoke(main, ["gate", name, "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            f"Error: config keys this command does not read: {key}"]
+
+    @pytest.mark.parametrize("name", _GATE_READS)
+    def test_every_read_option_runs(self, runner, tmp_path, name):
+        (tmp_path / "graph.txt").write_text(_GATE_GRAPHS.get(name, ""))
+        result = runner.invoke(main, ["gate", name, *_option_args(_GATE_READS[name], tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "x.csv").exists() == ("--csv" in _GATE_READS[name])
+
+
 _POSITION_WARNING = ("warning: position peaks poorly separated at alpha=1000.0, "
                      "theta=0.003: misassignment error 0.498\n")
 
 
 class TestGateOutputsPinned:
-    """sha256 of each gate's stdout (run with ``--csv gate.csv``) and of the CSV
-    file it writes (None: no file), with its stderr, as the per-name code
-    wrote them before the gates became one table."""
+    """sha256 of each gate's stdout and of the CSV file it writes with
+    ``--csv gate.csv``, with its stderr, as the per-name code wrote them before
+    the gates became one table.  The program gates (CSV None) write no CSV and
+    refuse ``--csv``, so they run without it."""
 
     PINS = {
         ("parity-momentum",): (
@@ -523,7 +592,8 @@ class TestGateOutputsPinned:
     def test_bytes_pinned(self, runner, tmp_path, args):
         stdout, csv_digest, stderr = self.PINS[args]
         with runner.isolated_filesystem(temp_dir=tmp_path):
-            result = runner.invoke(main, ["gate", *args, "--csv", "gate.csv"])
+            csv = ["--csv", "gate.csv"] if csv_digest is not None else []
+            result = runner.invoke(main, ["gate", *args, *csv])
             written = Path("gate.csv")
             got_csv = (hashlib.sha256(written.read_bytes()).hexdigest()
                        if written.exists() else None)

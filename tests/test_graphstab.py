@@ -6,6 +6,7 @@ algebra.
 """
 
 import copy
+import hashlib
 import itertools
 import math
 
@@ -1135,7 +1136,9 @@ class TestKernelMatchesLoopReference:
 # kept as the reference for deterministic outcomes.
 
 
-def _ref_deterministic_sign(tab, xt, zt):
+def _ref_deterministic_sign(tab, bits, used=None):
+    """The elimination; it finds its own generators, so ``used`` goes unread."""
+    xt, zt = bits[:tab.n], bits[tab.n:]
     m = np.concatenate([tab.x, tab.z], axis=1) % 2
     target = np.concatenate([xt, zt]) % 2
     combo = _ref_solve(m.T, target)
@@ -1225,8 +1228,24 @@ class TestDestabilizerMeasurement:
 
     @staticmethod
     def _is_deterministic(tab, pauli):
-        xt, zt = gs._string_to_bits(tab.n, pauli)
+        bits = gs._string_to_bits(tab.n, pauli)
+        xt, zt = bits[:tab.n], bits[tab.n:]
         return not ((tab.x @ zt + tab.z @ xt) % 2).any()
+
+    @pytest.mark.parametrize("pauli, forced", [({1: "X", 2: "Y"}, -1), ({0: "X", 1: "Z"}, None)],
+                             ids=["random", "deterministic"])
+    def test_one_anticommutation_pass(self, monkeypatch, pauli, forced):
+        """A measurement reads generator and destabilizer rows in one pass."""
+        passes = []
+        real = gs._anticommuting
+
+        def counted(m, bits):
+            passes.append(m.shape)
+            return real(m, bits)
+
+        monkeypatch.setattr(gs, "_anticommuting", counted)
+        gs.measure_pauli_string(gs.graph_state(gs.GraphSpec.chain(4)), pauli, forced=forced)
+        assert passes == [(8, 8)]
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_sequences_on_graph_states(self, seed, monkeypatch):
@@ -1361,6 +1380,32 @@ class TestHandBuiltTableau:
                 assert _duality_holds(built) and _duality_holds(got[1])
                 built, tab = got[1], want[1]
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"x": [[1]], "z": [[0]]}, "x"),  # (1, 1) rows for two qubits
+        ({"x": [1, 0]}, "x"),  # one row, which would fill every row
+        ({"x": [[2, 0], [0, 1]]}, "x"),
+        ({"x": [[1, 0], [0, 0.5]]}, "x"),
+        ({"x": [[1, 0], [0, -1]]}, "x"),
+        ({"z": [[0, 0], [1, 0], [0, 1]]}, "z"),
+        ({"z": [[0, np.nan], [1, 0]]}, "z"),
+        ({"sign": [0, 0, 1]}, "sign"),
+        ({"sign": [[0, 1]]}, "sign"),
+        ({"sign": [0, 3]}, "sign"),
+        ({"sign": 1}, "sign"),
+    ])
+    def test_malformed_arrays_refused(self, kwargs, name):
+        """x and z must be (n, n) bits and sign (n,) bits; commutation and
+        independence are not checked here."""
+        shape = r"\(2,\)" if name == "sign" else r"\(2, 2\)"
+        with pytest.raises(ValueError, match=rf"^{name} must be a {shape} array of 0s and 1s$"):
+            gs.StabilizerTableau(2, **kwargs)
+
+    def test_bits_of_any_dtype_accepted(self):
+        tab = gs.StabilizerTableau(2, x=np.array([[True, False], [False, True]]),
+                                   z=[[0.0, 1.0], [1.0, 0.0]], sign=np.array([1, 0], np.int64))
+        assert tab.generator_strings() == [(-1, "XZ"), (1, "ZX")]
+        assert tab.m.dtype == tab.sign.dtype == np.uint8 and tab.dx is None
+
     def test_dependent_generators_raise(self):
         tab = gs.StabilizerTableau(
             3,
@@ -1461,15 +1506,17 @@ class TestRegistryDanglingBonds:
                         r"\[3\] have degree > 1")
 
 
-def _grow(rng, check=None):
-    """Fuse fresh chains of 1-4 qubits at random chain ends, anchors included.
+def _grow(rng, check=None, lengths=None):
+    """Fuse fresh chains at random chain ends, anchors included.
 
+    The chains have ``lengths``, or 4-11 random lengths of 1-4 qubits.
     Every end qubit (degree <= 1, on a backbone) of the chains grown so far
     can take role a or b, and c is always a fresh chain.  Failures are
     followed by ``recover_failure`` on each fused qubit.  ``check(tab, reg,
     measured)`` runs after every fusion.  Returns the last three.
     """
-    lengths = [int(v) for v in rng.integers(1, 5, size=int(rng.integers(4, 12)))]
+    if lengths is None:
+        lengths = [int(v) for v in rng.integers(1, 5, size=int(rng.integers(4, 12)))]
     reg, spec = gs.ChainRegistry.disjoint_chains(lengths)
     tab = gs.graph_state(spec)
     fresh = list(range(1, len(lengths)))  # chain ids not fused yet
@@ -1519,6 +1566,45 @@ class TestRegistryGraphAtAnyEnd:
         for seed in range(16 * block, 16 * block + 16):
             _grow(np.random.default_rng([13, seed]), check)
         assert any(anchors)
+
+
+class TestTableauBytesPinned:
+    """sha256 of x, z, sign, dx and dz, and of every fusion's variant, label
+    and corrections, after seeded ``fuse`` and ``recover_failure`` sequences on
+    chain registers of 64-192 qubits.  The pins were taken from the tableau
+    of four arrays (x, z, dx, dz) that the one [x|z] matrix replaced."""
+
+    PINS = {
+        0: "b440fa0bc46779bd5e1e4a8edf5df39b8fd467e8706fcfa7eebc9d2b7c0327a6",
+        1: "97c6e2b1798ddb6ad2d2d6dd8809d8488f1789d4c37c86b3e98966c3d6edf62a",
+        2: "65d714cab1a215d0b03ed24796c9541b847b1bba83ac2c674473ff4b6abc22ea",
+        3: "88ff5cb8ac5c674eed55af9f908b8ad14fb4c12b5210e6c4e87adc0526f9b227",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINS))
+    def test_grown_register(self, seed, monkeypatch):
+        fusions = []
+        fuse = gs.fuse
+
+        def recorded(tab, qubits, variant, outcome, registry):
+            label, tab, corrections = fuse(tab, qubits, variant, outcome, registry)
+            fusions.append((variant, label, corrections))
+            return label, tab, corrections
+
+        monkeypatch.setattr(gs, "fuse", recorded)
+        rng = np.random.default_rng([31, seed])
+        lengths = [int(v) for v in rng.integers(1, 6, size=int(rng.integers(30, 60)))]
+        tab, reg, measured = _grow(rng, lengths=lengths)
+        assert 64 <= tab.n <= 192
+        assert {variant for variant, _, _ in fusions} == {"parity-2", "gate-3"}
+        assert any(corrections for _, _, corrections in fusions)
+        assert gs.equals_up_to_corrections(tab, _implied_graph(reg, tab.n),
+                                           _to_plus(measured))
+        digest = hashlib.sha256()
+        for a in (tab.x, tab.z, tab.sign, tab.dx, tab.dz):
+            digest.update(a.tobytes())
+        digest.update(repr(fusions).encode())
+        assert digest.hexdigest() == self.PINS[seed]
 
 
 class TestRegistryInvariantAtAnyEnd:
