@@ -9,7 +9,12 @@ QUBUSLAB=${QUBUSLAB:-qubuslab}
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-$QUBUSLAB verify --quick
+# the suite passes, printing one flag: line for each flagged quoted constant
+$QUBUSLAB verify --quick > "$tmp/verify.txt"
+for name in minimal-build-cost-p-1/2 vertical-ops-p-1/2 vacuum-error-alpha-theta-2; do
+  test "$(grep -c "^    flag: $name: " "$tmp/verify.txt")" -eq 1
+done
+test "$(tail -n 1 "$tmp/verify.txt")" = "result: all criteria pass (flags are expected findings)"
 $QUBUSLAB gate three-qubit
 # cascade tables at both separations, as the per-peak projection printed them
 $QUBUSLAB gate cascade --n 12 > "$tmp/c12.txt"

@@ -38,10 +38,11 @@ for name, row in analytics.SERIES.items():
     print(f"  {name:<22} {row.start(P):>5} {row.N(100, P):>9.1f} {time:>7}")
 
 print("\nQuoted constants:")
+marks = {"reproduced": "  ok", "flagged": "FLAG", None: "  --"}  # None: stored only
 for const in analytics.QUOTED_CONSTANTS.values():
-    mark = "FLAG" if const.status == "flagged" else "  ok"
-    print(f"  [{mark}] {const.name} = {const.value}")
-    if const.status == "flagged":
+    status = const.status
+    print(f"  [{marks[status]}] {const.name} = {const.value}")
+    if status == "flagged":
         print(f"         {const.note}")
 
 out = Path("scaling_comparison.svg")  # in the working directory

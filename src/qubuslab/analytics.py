@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from fractions import Fraction
+
+from . import gates
 
 __all__ = [
     "ScalingPoint",
@@ -98,8 +99,8 @@ class MergeScaling:
 
     ``n_sum_floor``/``n_sum_ceil`` evaluate the printed operation count with
     the non-integral sum limit log2(L0 - 1) + 1 truncated down or up;
-    ``n_quoted_law`` uses the quoted per-chain build cost when one is stored
-    (14 at p = 1/2), otherwise the floor sum.  ``t_sum_ceil`` is the time
+    ``n_quoted_law`` uses the stored per-chain build cost (the quoted one at
+    p = 1/2) and is None for a p with none.  ``t_sum_ceil`` is the time
     law under the ceiling reading, which reproduces the quoted p = 1/2 time law.
     """
 
@@ -133,10 +134,7 @@ def merge_scaling(L: float, p: float, t: float = 1.0) -> MergeScaling:
         raise ValueError(f"no average growth below the critical length {lc}")
     n_floor = merge_n_law(L, p, L0, _power_sum(2.0 / p, L0, math.floor) / 2.0)
     n_ceil = merge_n_law(L, p, L0, _power_sum(2.0 / p, L0, math.ceil) / 2.0)
-    quoted = None
-    key = (p, L0)
-    if key in _QUOTED_BUILD_COSTS:
-        quoted = merge_n_law(L, p, L0, _QUOTED_BUILD_COSTS[key])
+    n0 = _QUOTED_BUILD_COSTS.get((p, L0))
     log_term = math.log2((L - lc) / (L0 - lc))
     t_ceil = t * _power_sum(1.0 / p, L0, math.ceil) + (t / p) * log_term
     return MergeScaling(
@@ -145,17 +143,9 @@ def merge_scaling(L: float, p: float, t: float = 1.0) -> MergeScaling:
         L0=L0,
         n_sum_floor=n_floor,
         n_sum_ceil=n_ceil,
-        n_quoted_law=quoted,
+        n_quoted_law=None if n0 is None else merge_n_law(L, p, L0, n0),
         t_sum_ceil=t_ceil,
     )
-
-
-# quoted minimal-chain build costs keyed by (p, L0); 14 does not follow from
-# the printed sum (floor gives 10, ceiling 42) and is stored as quoted
-_QUOTED_BUILD_COSTS = {
-    (0.5, 4): 14.0,
-    (0.75, 2): Fraction(4, 3),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +265,85 @@ def vertical_cost(p: float) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# the comparison series and quoted constants
+# the quoted constants and the comparison series
+
+EXACT = 1e-9  # the tolerance of a figure printed exactly
+
+
+@dataclass(frozen=True)
+class QuotedConstant:
+    """A number the paper prints, beside a call into the code of its law
+    (None for a figure stored for tables only) and the tolerance of the
+    comparison: ``EXACT`` for an exact figure, half the last printed digit
+    for a rounded one.  The code must also give ``formula``, where set, within
+    ``EXACT``.  ``note`` is the cause of a gap, None on a row that reproduces.
+    """
+
+    name: str
+    value: float
+    code: Callable[[], float] | None = None
+    tol: float = EXACT
+    formula: float | None = None
+    note: str | None = None
+
+    @property
+    def status(self) -> str | None:
+        """"reproduced" when the code gives the value within ``tol``, else "flagged"."""
+        if self.code is None:
+            return None
+        return "reproduced" if abs(self.code() - self.value) <= self.tol else "flagged"
+
+
+def _merge_line(p: float) -> tuple:
+    """(slope, intercept) of the merge law at p, read at its first two lengths."""
+    L0 = minimal_chain_length(p)
+    n0, n1 = SERIES["merge"].N(L0, p), SERIES["merge"].N(L0 + 1, p)
+    return n1 - n0, n0 - L0 * (n1 - n0)
+
+
+QUOTED_CONSTANTS = {c.name: c for c in (
+    # 8L - 44/3 follows from the build cost 4/3 = 1/p at L0 = 2
+    QuotedConstant("merge-law-p-3/4", 8.0, lambda: _merge_line(0.75)[0]),
+    QuotedConstant("merge-intercept-p-3/4", -44.0 / 3.0, lambda: _merge_line(0.75)[1]),
+    # 16L - 50 takes the quoted build cost 14 as given
+    QuotedConstant("merge-law-p-1/2-slope", 16.0, lambda: _merge_line(0.5)[0]),
+    QuotedConstant("merge-intercept-p-1/2", -50.0, lambda: _merge_line(0.5)[1]),
+    # the merge law at L0 is the build cost; the code's is the printed sum
+    QuotedConstant(
+        "minimal-build-cost-p-1/2", 14.0, lambda: merge_scaling(4, 0.5).n_sum_floor,
+        note="quoted ops to build the minimal chain at p = 1/2; the printed sum "
+        "gives 10 (floor limit) or 42 (ceiling), and 14 matches the "
+        "time sum for a 5-qubit chain instead",
+    ),
+    # V = 2(1/p + 1) is 14/3 up to the rounding of two float operations
+    QuotedConstant("vertical-qubits-p-3/4", 14.0 / 3.0, lambda: vertical_cost(0.75)[0],
+                   tol=1e-12),
+    # 2 N[14/3] + 4/3 with N[L] = 8L - 44/3, printed rounded
+    QuotedConstant("vertical-ops-p-3/4", 46.7, lambda: vertical_cost(0.75)[1],
+                   tol=0.05, formula=140.0 / 3.0),
+    QuotedConstant(
+        "vertical-ops-p-1/2", 70.0, lambda: vertical_cost(0.5)[1], formula=94.0,
+        note="composing V = 6 with N[L] = 16L - 50 gives 2*46 + 2 = 94, not 70",
+    ),
+    QuotedConstant(
+        "vacuum-error-alpha-theta-2", 3e-4,
+        lambda: gates.error_budget(2000.0, 0.001).p_err_vacuum, tol=5e-5,
+        note="quoted false-vacuum probability at alpha*theta = 2; the stated "
+        "formula exp(-4 |alpha theta|^2) evaluates to e^-16 = 1.13e-7",
+    ),
+    # the comparison scheme's vertical-link ops at failure probability 0.2
+    QuotedConstant("rus-vertical-ops-pf-0.2", 32.5),
+)}
+
+
+def flagged_constants():
+    return [c for c in QUOTED_CONSTANTS.values() if c.status == "flagged"]
+
+
+# minimal-chain build costs keyed by (p, L0): the quoted one at p = 1/2, and
+# 1/p at L0 = 2, where the printed sum has one term
+_QUOTED_BUILD_COSTS = {(0.5, 4): QUOTED_CONSTANTS["minimal-build-cost-p-1/2"].value,
+                       (0.75, 2): 4.0 / 3.0}
 
 
 @dataclass(frozen=True)
@@ -310,7 +378,8 @@ SERIES = {s.name: s for s in (
     _fit("rus-pf-0.6", 185.0, -1115.0),
     _fit("rus-pf-0.4", 16.6, -47.7),
     # the theoretical limit of linear optics: the merge law at p = 1/2
-    _fit("linear-optics-p-half", 16.0, -50.0),
+    _fit("linear-optics-p-half", QUOTED_CONSTANTS["merge-law-p-1/2-slope"].value,
+         QUOTED_CONSTANTS["merge-intercept-p-1/2"].value),
 )}
 
 
@@ -327,74 +396,6 @@ def merge_crossover(p: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-@dataclass(frozen=True)
-class QuotedConstant:
-    name: str
-    value: float
-    status: str  # "reproduced" or "flagged"
-    note: str
-
-
-QUOTED_CONSTANTS = {
-    "merge-law-p-3/4": QuotedConstant(
-        "merge-law-p-3/4",
-        8.0,
-        "reproduced",
-        "slope of 8L - 44/3; follows from build cost 4/3 = 1/p at L0 = 2",
-    ),
-    "merge-intercept-p-3/4": QuotedConstant(
-        "merge-intercept-p-3/4",
-        -44.0 / 3.0,
-        "reproduced",
-        "intercept of the p = 3/4 merge law",
-    ),
-    "merge-law-p-1/2-slope": QuotedConstant(
-        "merge-law-p-1/2-slope",
-        16.0,
-        "reproduced",
-        "slope of 16L - 50, taking the quoted build cost 14 as given",
-    ),
-    "minimal-build-cost-p-1/2": QuotedConstant(
-        "minimal-build-cost-p-1/2",
-        14.0,
-        "flagged",
-        "quoted ops to build the minimal chain at p = 1/2; the printed sum "
-        "gives 10 (floor limit) or 42 (ceiling), and 14 matches the "
-        "time sum for a 5-qubit chain instead",
-    ),
-    "vertical-ops-p-3/4": QuotedConstant(
-        "vertical-ops-p-3/4",
-        46.7,
-        "reproduced",
-        "2 N[14/3] + 4/3 with N[L] = 8L - 44/3 equals 140/3 = 46.67",
-    ),
-    "vertical-ops-p-1/2": QuotedConstant(
-        "vertical-ops-p-1/2",
-        70.0,
-        "flagged",
-        "composing V = 6 with N[L] = 16L - 50 gives 2*46 + 2 = 94, not 70",
-    ),
-    "vacuum-error-alpha-theta-2": QuotedConstant(
-        "vacuum-error-alpha-theta-2",
-        3e-4,
-        "flagged",
-        "quoted false-vacuum probability at alpha*theta = 2; the stated "
-        "formula exp(-4 |alpha theta|^2) evaluates to e^-16 = 1.13e-7",
-    ),
-    "rus-vertical-ops-pf-0.2": QuotedConstant(
-        "rus-vertical-ops-pf-0.2",
-        32.5,
-        "reproduced",
-        "quoted vertical-link ops of the comparison scheme at failure "
-        "probability 0.2; stored for tables only",
-    ),
-}
-
-
-def flagged_constants():
-    return [c for c in QUOTED_CONSTANTS.values() if c.status == "flagged"]
 
 
 def scaling_point(variant: str, p: float, L: int | None = None, t: float = 1.0,

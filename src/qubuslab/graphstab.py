@@ -709,14 +709,14 @@ def recover_failure(
     """
     if end_qubit not in registry.chain_of and end_qubit not in registry.danglers:
         raise ValueError(f"qubit {end_qubit} is on no chain; nothing to recover")
-    if not registry.is_end(end_qubit):
+    neighbours = registry.neighbours(end_qubit)
+    if len(neighbours) > 1:
         raise ValueError(
             f"qubit {end_qubit} has degree > 1; interior recovery is unsupported"
         )
-    neighbour = registry.neighbour(end_qubit)
     outcome, tab = measure_pauli(tab, end_qubit, "Z", forced=forced, rng=rng)
-    if outcome == -1 and neighbour is not None:
-        _correct(tab, [(neighbour, "Z")])
+    if outcome == -1 and neighbours:
+        _correct(tab, [(neighbours[0], "Z")])
     registry.remove(end_qubit)
     return outcome, tab
 

@@ -150,9 +150,10 @@ def check_bucket_gate(quick: bool = False) -> CriterionResult:
         f = busim.fidelity(gates.apply_corrections(o.posterior, o.corrections), tgt)
         res.check(f >= 1.0 - 1e-12, f"n={n} corrected posterior fidelity {f:.15f}")
     budget = gates.error_budget(2.0 / theta, theta)  # alpha theta = 2
+    formula = math.exp(-4.0 * 2.0**2)  # exp(-4 (alpha theta)^2) = e^-16
     res.check(
-        abs(budget.p_err_vacuum - math.exp(-16.0)) <= 1e-12 * math.exp(-16.0) + 1e-300,
-        f"vacuum error at alpha*theta=2 equals e^-16 = {math.exp(-16.0):.6e}",
+        abs(budget.p_err_vacuum - formula) <= 1e-12 * formula + 1e-300,
+        f"vacuum error at alpha*theta=2 equals e^-16 = {formula:.6e}",
     )
     # report all three readings side by side: small-angle formula, exact
     # overlap at a weak-interaction working point, and the quoted value
@@ -160,12 +161,10 @@ def check_bucket_gate(quick: bool = False) -> CriterionResult:
     exact_overlap = math.exp(-4.0 * a_small**2 * math.sin(t_small) ** 2)
     quoted = analytics.QUOTED_CONSTANTS["vacuum-error-alpha-theta-2"]
     res.note(
-        f"false-vacuum readings at separation 2: formula {math.exp(-16.0):.4e}, "
+        f"false-vacuum readings at separation 2: formula {formula:.4e}, "
         f"exact overlap (alpha={a_small:g}, theta={t_small:g}) {exact_overlap:.4e}, "
         f"quoted {quoted.value:.1e}"
     )
-    res.check(quoted.status == "flagged", "quoted 3e-4 value carried as a flag")
-    res.note(f"flag: {quoted.note}")
     return res
 
 
@@ -366,7 +365,7 @@ def check_monte_carlo(quick: bool = False) -> CriterionResult:
     jp_trials = 1_000 if quick else 50_000
     mean_join = growth.join_pair_experiment(0.75, 10, jp_trials, seed=11)
     exact = analytics.join_yield(10, 0.75, "exact-sum")
-    # binomial-style spread of the join outcome, measured from the samples
+    # spread of the join outcome, from its exact pmf over f = 0..10 failures
     samples = np.array(
         [2.0 * (10 - f) - 1.0 if f < 10 else 0.0 for f in range(11)]
     )
@@ -436,29 +435,40 @@ def check_monte_carlo(quick: bool = False) -> CriterionResult:
 # 8. quoted constants and the crossover
 
 
+def _check_rows(res: CriterionResult, status: str) -> None:
+    """Check the quoted-constant rows of one status: the code against each
+    row's formula value, and the row's cause against its status."""
+    for c in analytics.QUOTED_CONSTANTS.values():
+        if c.status != status:
+            continue
+        got = c.code()
+        if c.formula is not None:
+            res.check(abs(got - c.formula) <= analytics.EXACT,
+                      f"{c.name}: code gives {got!r}, the formula's {c.formula!r}")
+        if (c.note is None) != (status == "reproduced"):
+            res.fail(f"{c.name} is {status} with cause {c.note!r}; "
+                     "a gap has a cause, a reproducing row has none")
+        elif status == "reproduced":
+            res.check(abs(got - c.value) <= c.tol,
+                      f"{c.name}: code gives {got!r}, quoted {c.value!r} (tol {c.tol:g})")
+        else:
+            res.note(f"flag: {c.name}: {c.note}")
+
+
 def check_constants(quick: bool = False) -> CriterionResult:
     res = CriterionResult(8, "scaling constants and crossover")
     dc, merge = analytics.SERIES["dc"], analytics.SERIES["merge"]
     quoted = analytics.QUOTED_CONSTANTS
-    for L in (2, 10, 100):
-        got = merge.N(L, 0.75)
-        want = quoted["merge-law-p-3/4"].value * L + quoted["merge-intercept-p-3/4"].value
-        res.check(abs(got - want) <= 1e-9, f"merge law p=3/4 at L={L}: {got:.6f}")
-    V, NV = analytics.vertical_cost(0.75)
-    res.check(
-        abs(V - 14.0 / 3.0) <= 1e-12 and abs(NV - 140.0 / 3.0) <= 1e-9,
-        f"vertical composition p=3/4: V={V:.6f}, N_V={NV:.6f} == 140/3",
-    )
-    for L in (4, 10):
-        law = analytics.merge_scaling(L, 0.5).n_quoted_law
-        res.check(
-            abs(law - (16.0 * L - 50.0)) <= 1e-9,
-            f"stored merge law p=1/2 at L={L}: {law:.1f}",
-        )
-    res.check(
-        analytics.QUOTED_CONSTANTS["minimal-build-cost-p-1/2"].value == 14.0,
-        "stored quoted build cost 14 at p=1/2",
-    )
+    _check_rows(res, "reproduced")
+    # each merge law at several lengths, from its slope and intercept rows
+    for p, slope, intercept, lengths in (
+        (0.75, "merge-law-p-3/4", "merge-intercept-p-3/4", (2, 10, 100)),
+        (0.5, "merge-law-p-1/2-slope", "merge-intercept-p-1/2", (4, 10)),
+    ):
+        for L in lengths:
+            got = merge.N(L, p)
+            want = quoted[slope].value * L + quoted[intercept].value
+            res.check(abs(got - want) <= analytics.EXACT, f"merge law p={p} at L={L}: {got:.6f}")
     cross = analytics.merge_crossover(0.75)
     res.check(
         200.0 <= cross <= 300.0, f"ops crossover at L = {cross:.1f} inside [200, 300]"
@@ -484,20 +494,8 @@ def check_constants(quick: bool = False) -> CriterionResult:
 
 
 def check_flags(quick: bool = False) -> CriterionResult:
-    res = CriterionResult(9, "known-discrepancy flags", status="flag")
-    flags = {c.name: c for c in analytics.flagged_constants()}
-    res.check(
-        "vacuum-error-alpha-theta-2" in flags,
-        "false-vacuum quote 3e-4 flagged (formula gives e^-16 = 1.13e-7)",
-    )
-    res.check(
-        "vertical-ops-p-1/2" in flags,
-        "vertical-ops quote 70 flagged (composition gives 94)",
-    )
-    V, NV = analytics.vertical_cost(0.5)
-    res.check(abs(NV - 94.0) <= 1e-9, f"composed vertical ops at p=1/2: {NV:.1f}")
-    for c in flags.values():
-        res.note(f"flag: {c.name}: {c.note}")
+    res = CriterionResult(9, "known-discrepancy flags")
+    _check_rows(res, "flagged")
     if res.status != "fail":
         res.status = "flag"
     return res

@@ -3,7 +3,7 @@
 The checks live in qubuslab.verify so the same code backs ``qubuslab
 verify``; here each criterion is asserted individually and its pass/fail
 line printed.  Criterion 9 is expected to land on "flag": it exists to
-report the two quoted-constant discrepancies without failing.
+report the three quoted-constant discrepancies without failing.
 
 Stated tolerances (asserted inside the checks):
   1. parity outcome probabilities exact to 1e-12, posterior fidelity 1-1e-12,
@@ -24,20 +24,27 @@ Stated tolerances (asserted inside the checks):
      10 s; join experiment within 3 stderr of the exact sum; vertical-link
      qubits within 1% of 2(1/p+1); pairwise-discard survivor counts within
      3 stderr for k = 1..8;
-  8. merge law 8L - 44/3 and vertical composition 140/3 exact; stored
-     p = 1/2 law 16L - 50 with build cost 14; ops crossover inside
-     [200, 300];
-  9. the e^-16 vs 3e-4 and 94 vs 70 discrepancies reported as flags;
+  8. each reproducing row of ``analytics.QUOTED_CONSTANTS`` at its
+     tolerance (1e-9 for an exact figure, 1e-12 for V = 14/3, half the last
+     printed digit for a rounded one) and against its formula value (140/3
+     behind 46.7) to 1e-9; the merge laws 8L - 44/3 and 16L - 50, from their
+     slope and intercept rows, to 1e-9 at L = 2, 10, 100 and L = 4, 10; ops
+     crossover inside [200, 300];
+  9. each flagged row printed with its cause, and against its formula
+     value (94 beside the quoted 70) to 1e-9.  Criteria 8 and 9 fail a row
+     whose status and cause disagree: a gap with no cause, or a cause left
+     on a row that reproduces;
  10. seeded determinism: two runs give byte-identical CSV and JSONL, and the
      first M trials of an N-trial run equal an M-trial run.
 """
 
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 
-from qubuslab import growth, verify
+from qubuslab import analytics, gates, growth, verify
 
 
 def _run(check, max_seconds=None):
@@ -110,6 +117,56 @@ def test_criterion_9_discrepancy_flags():
     notes = "\n".join(result.details)
     assert "e^-16" in notes
     assert "94, not 70" in notes
+
+
+def _fails(result):
+    assert result.status == "fail"
+    return [line for line in result.details if line.startswith("FAIL: ")]
+
+
+_OFF_FORMULA = "FAIL: vertical-ops-p-3/4: code gives {!r}, the formula's 46.666666666666664"
+
+
+@pytest.mark.parametrize("drift, check, lines", [
+    # off the formula's 140/3 but inside the 0.05 of the printed 46.7
+    (-0.01, verify.check_constants, [_OFF_FORMULA]),
+    # past the 0.05 as well, so a gap with no cause
+    (-0.02, verify.check_flags, [
+        _OFF_FORMULA, "FAIL: vertical-ops-p-3/4 is flagged with cause None; a gap has a "
+        "cause, a reproducing row has none"]),
+])
+def test_criteria_8_9_fail_when_a_row_drifts(monkeypatch, drift, check, lines):
+    """The drift is made in the code the row calls, not in its tolerance."""
+    vertical_cost = analytics.vertical_cost
+
+    def drifted(p):
+        V, N_V = vertical_cost(p)
+        return V, N_V + drift if p == 0.75 else N_V
+
+    monkeypatch.setattr(analytics, "vertical_cost", drifted)
+    assert _fails(check()) == [line.format(drifted(0.75)[1]) for line in lines]
+
+
+def test_criterion_8_fails_a_closed_gap_that_keeps_its_cause(monkeypatch):
+    """The false vacuum reaching the quoted 3e-4 leaves its cause standing."""
+    error_budget = gates.error_budget
+    monkeypatch.setattr(gates, "error_budget", lambda alpha, theta: dataclasses.replace(
+        error_budget(alpha, theta), p_err_vacuum=3e-4))
+    row = analytics.QUOTED_CONSTANTS["vacuum-error-alpha-theta-2"]
+    assert row.status == "reproduced"
+    assert _fails(verify.check_constants()) == [
+        f"FAIL: vacuum-error-alpha-theta-2 is reproduced with cause {row.note!r}; "
+        "a gap has a cause, a reproducing row has none"]
+    assert verify.check_flags().status == "flag"
+
+
+def test_criterion_9_fails_a_gap_with_no_cause(monkeypatch):
+    row = analytics.QUOTED_CONSTANTS["minimal-build-cost-p-1/2"]
+    monkeypatch.setitem(analytics.QUOTED_CONSTANTS, row.name,
+                        dataclasses.replace(row, note=None))
+    assert _fails(verify.check_flags()) == [
+        "FAIL: minimal-build-cost-p-1/2 is flagged with cause None; a gap has a cause, "
+        "a reproducing row has none"]
 
 
 def test_criterion_10_determinism():

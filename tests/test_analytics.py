@@ -255,13 +255,65 @@ class TestCrossoverAndConstants:
         assert dc.N(255, 0.75) < merge.N(255, 0.75) < merge.N(256, 0.75) < dc.N(256, 0.75)
 
     def test_flagged_constants_present(self):
-        names = {c.name for c in an.flagged_constants()}
-        assert "vacuum-error-alpha-theta-2" in names
-        assert "vertical-ops-p-1/2" in names
-        assert "minimal-build-cost-p-1/2" in names
+        names = [c.name for c in an.flagged_constants()]
+        assert names == ["minimal-build-cost-p-1/2", "vertical-ops-p-1/2",
+                         "vacuum-error-alpha-theta-2"]
+
+    def test_computed_statuses(self):
+        """Every row with code reproduces but the three flagged ones; a row
+        has a cause exactly when it is flagged."""
+        flagged = {"minimal-build-cost-p-1/2", "vertical-ops-p-1/2",
+                   "vacuum-error-alpha-theta-2"}
+        for name, c in an.QUOTED_CONSTANTS.items():
+            assert c.name == name
+            if c.code is None:
+                assert c.status is None
+            else:
+                assert c.status == ("flagged" if name in flagged else "reproduced"), name
+            assert (c.note is None) == (c.status != "flagged"), name
+
+    def test_status_follows_the_code(self, monkeypatch):
+        """A status is worked out on each read from the code the row calls."""
+        row = an.QUOTED_CONSTANTS["vertical-ops-p-3/4"]
+        vertical_cost = an.vertical_cost
+        for drift, status in ((-0.01, "reproduced"), (-0.02, "flagged")):
+            monkeypatch.setattr(an, "vertical_cost",
+                                lambda p: (vertical_cost(p)[0], 140.0 / 3.0 + drift))
+            assert row.status == status
+        monkeypatch.setattr(an, "vertical_cost", lambda p: (6.0, 70.0))
+        assert an.QUOTED_CONSTANTS["vertical-ops-p-1/2"].status == "reproduced"
+
+    def test_formulas_behind_the_quoted_figures(self):
+        rows = an.QUOTED_CONSTANTS
+        assert rows["vertical-ops-p-3/4"].code() == pytest.approx(140.0 / 3.0, abs=1e-12)
+        assert rows["vertical-ops-p-3/4"].formula == 140.0 / 3.0
+        assert rows["vertical-ops-p-1/2"].code() == pytest.approx(94.0, abs=1e-12)
+        assert rows["vertical-ops-p-1/2"].formula == 94.0
+        assert rows["minimal-build-cost-p-1/2"].code() == 10.0
+        assert rows["vacuum-error-alpha-theta-2"].code() == math.exp(-16.0)
+
+    def test_tolerances(self):
+        tol = {c.name: c.tol for c in an.QUOTED_CONSTANTS.values()}
+        # half the last printed digit of a rounded figure, 1e-9 for an exact one
+        assert tol.pop("vertical-ops-p-3/4") == 0.05
+        assert tol.pop("vacuum-error-alpha-theta-2") == 5e-5
+        assert tol.pop("vertical-qubits-p-3/4") == 1e-12
+        assert set(tol.values()) == {an.EXACT} == {1e-9}
+
+    def test_quoted_figures_feed_the_laws(self):
+        """The p = 1/2 build cost, slope and intercept are read from their rows."""
+        rows = an.QUOTED_CONSTANTS
+        assert an._QUOTED_BUILD_COSTS[0.5, 4] is rows["minimal-build-cost-p-1/2"].value
+        fit = an.SERIES["linear-optics-p-half"].N
+        slope, intercept = (rows[name].value
+                            for name in ("merge-law-p-1/2-slope", "merge-intercept-p-1/2"))
+        for L in (4, 10, 400):
+            assert fit(L, 0.5) == slope * L + intercept == an.merge_scaling(L, 0.5).n_quoted_law
 
     def test_rus_vertical_constant_stored(self):
-        assert an.QUOTED_CONSTANTS["rus-vertical-ops-pf-0.2"].value == 32.5
+        row = an.QUOTED_CONSTANTS["rus-vertical-ops-pf-0.2"]
+        assert row.value == 32.5
+        assert row.code is None and row.status is None and row.note is None
 
 
 class TestScalingPoint:

@@ -916,6 +916,25 @@ class TestVerifyCommand:
         assert result.exit_code == 0, result.output
         assert "criterion 10" in result.output
         assert "FAIL" not in result.output.replace("FLAG", "")
-        # the two quoted-constant discrepancies are reported, not failed
+        # the three quoted-constant discrepancies are reported, not failed
         assert "e^-16" in result.output
         assert "94, not 70" in result.output
+        assert "flag: minimal-build-cost-p-1/2: " in result.output
+
+    def test_row_whose_status_and_cause_disagree_fails(self, runner, monkeypatch):
+        """A flagged row whose code comes to give the quoted value, while it
+        keeps its cause, is a FAIL line and exit 1."""
+        from qubuslab import verify
+
+        vertical_cost = analytics.vertical_cost
+        monkeypatch.setattr(analytics, "vertical_cost",
+                            lambda p: (6.0, 70.0) if p == 0.5 else vertical_cost(p))
+        monkeypatch.setattr(verify, "CRITERIA", (verify.check_constants, verify.check_flags))
+        result = runner.invoke(main, ["verify", "--quick"])
+        assert result.exit_code == 1
+        fails = [line for line in result.output.splitlines() if "FAIL:" in line]
+        assert fails == ["    FAIL: vertical-ops-p-1/2: code gives 70.0, the formula's 94.0",
+                         "    FAIL: vertical-ops-p-1/2 is reproduced with cause 'composing "
+                         "V = 6 with N[L] = 16L - 50 gives 2*46 + 2 = 94, not 70'; a gap has "
+                         "a cause, a reproducing row has none"]
+        assert result.output.splitlines()[-1] == "result: FAIL"
