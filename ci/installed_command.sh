@@ -125,6 +125,9 @@ a9ca8a4cb5eb97845d6ab192d20b8c06f26cfbf499ca9c3b2aa5b9acc5cf8a32  $tmp/s2.csv
 # a reference fit starts above its root: 185 L - 1115 is negative at L = 5, 6
 $QUBUSLAB scaling --series rus-pf-0.6 --l-max 7 > "$tmp/out.txt"
 test "$(tail -n +2 "$tmp/out.txt")" = "7,rus-pf-0.6,180.0"
+# at p = 0.4 the critical length 4 reads 3.9999999999999996; merge starts at 5
+$QUBUSLAB scaling --p 0.4 --series merge --l-max 6 > "$tmp/out.txt"
+test "$(cat "$tmp/out.txt")" = "$(printf 'L,series,value\n5,merge,77.5\n6,merge,157.49999999999997')"
 $QUBUSLAB growth sequential --L 21 --trials 2000 --seed 7
 # at p = 0.6 the minimal chain is 3 qubits, so chain builds take the halving branch
 $QUBUSLAB growth merge --p 0.6 --L 20 --trials 500 --seed 7 --jsonl "$tmp/m.jsonl"

@@ -5,6 +5,8 @@ ambiguous (a non-integral sum limit) or disagrees with a quoted constant,
 both readings are computed and the disagreement is carried as a flag in
 ``QUOTED_CONSTANTS`` instead of being silently repaired; the Monte Carlo
 engine in :mod:`qubuslab.growth` provides the empirical counterpart.
+One rule gives the first whole length above a bound (L0 and each series'
+first length), one the build cost of a minimal chain, so no law is None.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ class ScalingPoint:
 
     L: float
     p: float
-    N: float | None
-    T: float | None
+    N: float
+    T: float
     series: str
     extras: dict = field(default_factory=dict)
 
@@ -83,10 +85,16 @@ def critical_length(p: float) -> float:
     return lc
 
 
+def _first_above(bound: float) -> int:
+    """The first whole length above ``bound``; 1e-9 above it is still below, so
+    a bound that rounds just below a whole number (L_c = 4 at p = 0.4 reads
+    3.9999999999999996) does not make that number the answer."""
+    return math.floor(bound + 1e-9) + 1
+
+
 def minimal_chain_length(p: float) -> int:
-    """Smallest integer chain length strictly above the critical length."""
-    lc = critical_length(p)
-    return int(math.floor(lc)) + 1
+    """L0, the first whole chain length above the critical length."""
+    return _first_above(critical_length(p))
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +107,10 @@ class MergeScaling:
 
     ``n_sum_floor``/``n_sum_ceil`` evaluate the printed operation count with
     the non-integral sum limit log2(L0 - 1) + 1 truncated down or up;
-    ``n_quoted_law`` uses the stored per-chain build cost (the quoted one at
-    p = 1/2) and is None for a p with none.  ``t_sum_ceil`` is the time
-    law under the ceiling reading, which reproduces the quoted p = 1/2 time law.
+    ``n_law`` takes the build cost of one minimal chain: the quoted 14 at
+    (p, L0) = (1/2, 4), else the floor reading's (1/p at L0 = 2).
+    ``t_sum_ceil`` is the time law under the ceiling reading, which
+    reproduces the quoted p = 1/2 time law.
     """
 
     L: float
@@ -109,7 +118,7 @@ class MergeScaling:
     L0: int
     n_sum_floor: float
     n_sum_ceil: float
-    n_quoted_law: float | None
+    n_law: float
     t_sum_ceil: float
 
 
@@ -127,24 +136,24 @@ def merge_n_law(L: float, p: float, L0: int, n0: float) -> float:
 
 
 def merge_scaling(L: float, p: float, t: float = 1.0) -> MergeScaling:
-    """Expected operations and time to merge minimal chains up to length L."""
+    """Expected operations and time to merge minimal chains up to length L.
+
+    The printed law divides by L0 - L_c, so it has a pole, evaluated as printed,
+    where L_c sits just below a whole number: at p = 0.5000001, L_c = 2.9999996
+    makes L0 = 3, and N(10, p) jumps from 110.0 at p = 1/2 to 1.05e8."""
     lc = critical_length(p)
     L0 = minimal_chain_length(p)
     if L <= lc:
         raise ValueError(f"no average growth below the critical length {lc}")
-    n_floor = merge_n_law(L, p, L0, _power_sum(2.0 / p, L0, math.floor) / 2.0)
-    n_ceil = merge_n_law(L, p, L0, _power_sum(2.0 / p, L0, math.ceil) / 2.0)
-    n0 = _QUOTED_BUILD_COSTS.get((p, L0))
+    n0_floor = _power_sum(2.0 / p, L0, math.floor) / 2.0
+    n0 = QUOTED_CONSTANTS["minimal-build-cost-p-1/2"].value if (p, L0) == (0.5, 4) else n0_floor
     log_term = math.log2((L - lc) / (L0 - lc))
-    t_ceil = t * _power_sum(1.0 / p, L0, math.ceil) + (t / p) * log_term
     return MergeScaling(
-        L=L,
-        p=p,
-        L0=L0,
-        n_sum_floor=n_floor,
-        n_sum_ceil=n_ceil,
-        n_quoted_law=None if n0 is None else merge_n_law(L, p, L0, n0),
-        t_sum_ceil=t_ceil,
+        L=L, p=p, L0=L0,
+        n_sum_floor=merge_n_law(L, p, L0, n0_floor),
+        n_sum_ceil=merge_n_law(L, p, L0, _power_sum(2.0 / p, L0, math.ceil) / 2.0),
+        n_law=merge_n_law(L, p, L0, n0),
+        t_sum_ceil=t * _power_sum(1.0 / p, L0, math.ceil) + (t / p) * log_term,
     )
 
 
@@ -256,12 +265,11 @@ def vertical_cost(p: float) -> tuple:
     """(mean qubits consumed V, entangling ops N_V) for one vertical link.
 
     N_V = 2 N[V] + 1/p composes the merge law N[L] of ``merge_scaling``
-    (``n_quoted_law``); N_V is None for a p with no stored merge law.
+    (``n_law``).
     """
     _check_probability(p)
     V = 2.0 * (1.0 / p + 1.0)
-    n_v = merge_scaling(V, p).n_quoted_law
-    return V, None if n_v is None else 2.0 * n_v + 1.0 / p
+    return V, 2.0 * merge_scaling(V, p).n_law + 1.0 / p
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +348,6 @@ def flagged_constants():
     return [c for c in QUOTED_CONSTANTS.values() if c.status == "flagged"]
 
 
-# minimal-chain build costs keyed by (p, L0): the quoted one at p = 1/2, and
-# 1/p at L0 = 2, where the printed sum has one term
-_QUOTED_BUILD_COSTS = {(0.5, 4): QUOTED_CONSTANTS["minimal-build-cost-p-1/2"].value,
-                       (0.75, 2): 4.0 / 3.0}
-
-
 @dataclass(frozen=True)
 class Series:
     """Operations N(L, p), time T(L, p, t) (None if only counts are quoted),
@@ -357,8 +359,8 @@ class Series:
     empty_upto: Callable[[float], float]
 
     def start(self, p: float) -> int:
-        """The shortest whole length with a value; 1e-9 above ``empty_upto`` is still below."""
-        return math.floor(self.empty_upto(p) + 1e-9) + 1
+        """The shortest whole length with a value."""
+        return _first_above(self.empty_upto(p))
 
 
 def _fit(name: str, slope: float, intercept: float) -> Series:
@@ -384,9 +386,9 @@ SERIES = {s.name: s for s in (
 
 
 def merge_crossover(p: float) -> float:
-    """Length in [3, 10000] where pairwise doubling stops beating the merge law (ops)."""
+    """Length in [L0, 10000] where pairwise doubling stops beating the merge law (ops)."""
     f = lambda L: SERIES["dc"].N(L, p) - SERIES["merge"].N(L, p)
-    lo, hi = 3.0, 10000.0
+    lo, hi = float(SERIES["merge"].start(p)), 10000.0
     if f(lo) >= 0 or f(hi) <= 0:
         raise ValueError("no crossover inside the bracket")
     for _ in range(200):
@@ -404,10 +406,9 @@ def scaling_point(variant: str, p: float, L: int | None = None, t: float = 1.0,
     if variant == "sequential":
         n_seq, t_seq = seq_scaling(L, p, t)
         return ScalingPoint(L=L, p=p, N=n_seq, T=t_seq, series="sequential")
-    if variant == "merge":  # the quoted law where one is stored, else the floor sum
+    if variant == "merge":
         ms = merge_scaling(L, p, t=t)
-        nval = ms.n_quoted_law if ms.n_quoted_law is not None else ms.n_sum_floor
-        return ScalingPoint(L=L, p=p, N=nval, T=ms.t_sum_ceil, series="merge")
+        return ScalingPoint(L=L, p=p, N=ms.n_law, T=ms.t_sum_ceil, series="merge")
     if variant == "divide_conquer":
         vals = dc_scaling(p, n, k=k, L=L, t=t)
         return ScalingPoint(

@@ -305,7 +305,7 @@ def _growth_report(stats: growth.GrowthStats):
     summary = stats.summary()
     point = _analytic_point(cfg)
     rows = () if point is None else growth.compare_to_analytic(stats, point)
-    analytic_ops = "" if point is None or point.N is None else repr(point.N)
+    analytic_ops = "" if point is None else repr(point.N)
     z = ""
     for row in rows:
         if row.metric == "entangling_ops":

@@ -189,11 +189,16 @@ class GateErrorBudget:
     momentum_regime_ok: bool
 
 
-def error_budget(alpha: float, theta: float) -> GateErrorBudget:
-    """Evaluate the three closed-form error expressions at (alpha, theta)."""
+def _check_alpha_theta(alpha: float, theta: float) -> None:
+    """Refuse an alpha that is not finite and > 0, or a theta that is not finite."""
     if not (math.isfinite(alpha) and alpha > 0 and math.isfinite(theta)):
         raise ValueError(f"alpha must be finite and > 0 and theta finite, got "
                          f"alpha={alpha}, theta={theta}")
+
+
+def error_budget(alpha: float, theta: float) -> GateErrorBudget:
+    """Evaluate the three closed-form error expressions at (alpha, theta)."""
+    _check_alpha_theta(alpha, theta)
     # a negative theta mirrors the peaks and keeps their separation
     spread = abs(alpha * math.sin(theta))
     return GateErrorBudget(

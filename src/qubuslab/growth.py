@@ -139,9 +139,7 @@ class StrategyConfig:
             raise ValueError(f"unknown gate backend {self.gate_backend!r}")
         if self.gate_backend is not None and self.variant != "sequential":
             raise ValueError("only sequential growth runs on a gate backend")
-        if not (math.isfinite(self.alpha) and self.alpha > 0 and math.isfinite(self.theta)):
-            raise ValueError(f"alpha must be finite and > 0 and theta finite, got "
-                             f"alpha={self.alpha}, theta={self.theta}")
+        gates._check_alpha_theta(self.alpha, self.theta)
         if self.gate_backend is not None:  # p is the rate the table's draws succeed at
             table = gates.three_qubit_outcomes(self.alpha, self.theta)
             rate = float(sum(o.exact_probability for o in table if _gate3_success(o.label)))
@@ -160,12 +158,9 @@ class StrategyConfig:
         if self.variant == "merge":
             if self.target_L is None:
                 raise ValueError("merge growth needs target_L")
-            lc = analytics.critical_length(self.p)
-            if self.target_L <= lc:
-                raise ValueError(
-                    f"target length {self.target_L} is not above the "
-                    f"critical length {lc}; no average growth"
-                )
+            if self.target_L < analytics.minimal_chain_length(self.p):
+                raise ValueError(f"target length {self.target_L} is not above the critical "
+                                 f"length {analytics.critical_length(self.p)}; no average growth")
         if self.variant == "divide_conquer":
             if self.initial_qubits is None or self.initial_qubits < 2:
                 raise ValueError("divide and conquer needs initial_qubits >= 2")
@@ -748,18 +743,15 @@ def compare_to_analytic(stats: GrowthStats, point: ScalingPoint):
     columns = stats.columns()
     rows = []
     for metric, key in _STRATEGIES[cfg.variant][2]:
-        analytic_value = analytic[key]
-        if analytic_value is None:
-            continue
         values = columns[metric]
         summ = MetricSummary.from_samples(values)
         stderr = math.sqrt(summ.variance / values.size)
-        z = z_score(summ.mean - analytic_value, stderr)
+        z = z_score(summ.mean - analytic[key], stderr)
         rows.append(
             ComparisonRow(
                 metric=metric,
                 empirical=summ.mean,
-                analytic=float(analytic_value),
+                analytic=float(analytic[key]),
                 stderr=stderr,
                 z=z,
                 status="pass" if abs(z) <= 3.0 else "flag",

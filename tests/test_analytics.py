@@ -1,5 +1,6 @@
 """Closed-form evaluators: worked values, invariants, quoted-constant flags."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -60,13 +61,13 @@ class TestCriticalLength:
 class TestMergeScaling:
     def test_three_quarter_law(self):
         ms = an.merge_scaling(10, 0.75)
-        assert ms.n_quoted_law == pytest.approx(8 * 10 - 44 / 3, rel=1e-12)
+        assert ms.n_law == pytest.approx(8 * 10 - 44 / 3, rel=1e-12)
         # the printed sum agrees at p = 3/4 where its limit is integral
-        assert ms.n_sum_floor == pytest.approx(ms.n_quoted_law, rel=1e-12)
+        assert ms.n_sum_floor == pytest.approx(ms.n_law, rel=1e-12)
 
     def test_half_law_uses_quoted_build_cost(self):
         ms = an.merge_scaling(10, 0.5)
-        assert ms.n_quoted_law == pytest.approx(16 * 10 - 50)
+        assert ms.n_law == pytest.approx(16 * 10 - 50)
         assert an.merge_n_law(4, 0.5, 4, 14.0) == pytest.approx(14.0)
 
     def test_half_sum_readings_differ_from_law(self):
@@ -75,7 +76,7 @@ class TestMergeScaling:
         ms = an.merge_scaling(10, 0.5)
         assert ms.n_sum_floor == pytest.approx(12 * 10 - 38)
         assert ms.n_sum_ceil == pytest.approx(44 * 10 - 134)
-        assert ms.n_sum_floor != pytest.approx(ms.n_quoted_law)
+        assert ms.n_sum_floor != pytest.approx(ms.n_law)
 
     def test_time_ceiling_matches_quoted_form(self):
         ms = an.merge_scaling(10, 0.5)
@@ -166,10 +167,14 @@ class TestVerticalCost:
     @pytest.mark.parametrize("p", [0.5, 0.75])
     def test_composes_merge_law(self, p):
         V, NV = an.vertical_cost(p)
-        assert NV == 2.0 * an.merge_scaling(V, p).n_quoted_law + 1.0 / p
+        assert NV == 2.0 * an.merge_scaling(V, p).n_law + 1.0 / p
 
     def test_no_stored_law(self):
-        assert an.vertical_cost(0.6) == (2.0 * (1.0 / 0.6 + 1.0), None)
+        """Where no build cost is quoted, N_V composes the floor reading's law."""
+        V, NV = an.vertical_cost(0.6)
+        assert V == 2.0 * (1.0 / 0.6 + 1.0)
+        assert NV == 2.0 * an.merge_scaling(V, 0.6).n_sum_floor + 1.0 / 0.6
+        assert NV == pytest.approx(78.33333333333337, rel=1e-12)
 
 
 class TestReferenceSeries:
@@ -233,19 +238,83 @@ class TestSeriesTable:
                                                                   abs=1e-11)
 
     def test_start_at_a_rounded_critical_length(self):
-        """At p = 0.4, L_c = 4 rounds to 3.9999999999999996; L = 4 still has no value."""
-        assert an.critical_length(0.4) < 4.0 == an.minimal_chain_length(0.4)
-        assert an.SERIES["merge"].start(0.4) == 5
+        """At p = 0.4, L_c = 4 rounds to 3.9999999999999996; L = 4 still has no
+        value, minimal chains are 5 long, and the law does not divide by 4e-16."""
+        assert an.critical_length(0.4) < 4.0
+        assert an.minimal_chain_length(0.4) == an.SERIES["merge"].start(0.4) == 5
         assert an.SERIES["seq"].start(0.4) == 5
+        assert an.SERIES["merge"].N(5, 0.4) == 77.5
+        assert an.merge_scaling(12, 0.4).n_law == 637.4999999999998
 
     def test_overflowing_critical_length_is_refused(self):
         with pytest.raises(ValueError, match="critical length overflows"):
             an.critical_length(1e-320)
 
 
+# every p = k/1000, and every p = 2/(m + 1), whose critical length is m
+_GRID = [k / 1000 for k in range(1, 1001)] + [2 / (m + 1) for m in range(1, 201)]
+
+
+class TestOneRule:
+    """L0 and the build cost of one minimal chain are each decided once."""
+
+    def test_minimal_chain_is_the_series_start(self):
+        for p in _GRID:
+            L0 = an.minimal_chain_length(p)
+            assert L0 == an.SERIES["merge"].start(p), p
+            if p > 0.5:
+                assert L0 == an.SERIES["seq"].start(p), p
+
+    def test_critical_length_of_two_over_m_plus_one(self):
+        for m in range(1, 201):
+            assert an.minimal_chain_length(2 / (m + 1)) == m + 1, m
+
+    def test_vertical_cost_composes_the_merge_row(self):
+        for p in _GRID:
+            V, NV = an.vertical_cost(p)
+            assert NV == 2 * an.SERIES["merge"].N(V, p) + 1 / p, p
+            assert math.isfinite(NV), p
+
+    def test_vertical_cost_at_every_hundredth(self):
+        assert all(math.isfinite(an.vertical_cost(k / 100)[1]) for k in range(1, 101))
+        assert an.vertical_cost(0.75)[1] == 46.66666666666664
+        assert an.vertical_cost(0.5)[1] == 94.0
+
+    def test_build_cost_at_two_is_inverse_probability(self, monkeypatch):
+        """Every build cost the laws take at L0 = 2 is 1.0 / p, bit for bit."""
+        costs = []
+        merge_n_law = an.merge_n_law
+        monkeypatch.setattr(an, "merge_n_law", lambda L, p, L0, n0: (
+            costs.append(n0), merge_n_law(L, p, L0, n0))[1])
+        for p in _GRID:
+            if an.minimal_chain_length(p) == 2:
+                costs.clear()
+                an.merge_scaling(10, p)
+                assert costs and all(n0 == 1.0 / p for n0 in costs), p
+
+    def test_law_pole_just_above_one_half(self):
+        """Just above p = 1/2, L_c = 2.9999996 sits below 3: L0 drops to 3 and the
+        printed law divides by 4e-7.  The pole is the law's own, kept as printed."""
+        assert an.minimal_chain_length(0.5) == 4
+        assert an.minimal_chain_length(0.5000001) == 3
+        assert an.SERIES["merge"].N(10, 0.5) == 110.0
+        assert an.SERIES["merge"].N(10, 0.5000001) == pytest.approx(1.05e8, rel=1e-3)
+
+
 class TestCrossoverAndConstants:
     def test_crossover_location(self):
         assert an.merge_crossover(0.75) == pytest.approx(255.92141727672606, rel=1e-6)
+
+    @pytest.mark.parametrize("p", [0.5, 0.4, 0.3])
+    def test_crossover_at_or_below_one_half(self, p):
+        """The bracket starts at L0, where the merge law has its first value."""
+        cross = an.merge_crossover(p)
+        assert an.SERIES["merge"].start(p) < cross < 10000.0
+        dc, merge = an.SERIES["dc"], an.SERIES["merge"]
+        assert dc.N(cross - 1e-6, p) < merge.N(cross - 1e-6, p)
+        assert dc.N(cross + 1e-6, p) > merge.N(cross + 1e-6, p)
+        if p == 0.5:
+            assert cross == pytest.approx(22.695359714832662, rel=1e-9)
 
     def test_dc_cheaper_below_crossover(self):
         dc, merge = an.SERIES["dc"], an.SERIES["merge"]
@@ -300,15 +369,20 @@ class TestCrossoverAndConstants:
         assert tol.pop("vertical-qubits-p-3/4") == 1e-12
         assert set(tol.values()) == {an.EXACT} == {1e-9}
 
-    def test_quoted_figures_feed_the_laws(self):
+    def test_quoted_figures_feed_the_laws(self, monkeypatch):
         """The p = 1/2 build cost, slope and intercept are read from their rows."""
         rows = an.QUOTED_CONSTANTS
-        assert an._QUOTED_BUILD_COSTS[0.5, 4] is rows["minimal-build-cost-p-1/2"].value
+        assert not hasattr(an, "_QUOTED_BUILD_COSTS")
         fit = an.SERIES["linear-optics-p-half"].N
         slope, intercept = (rows[name].value
                             for name in ("merge-law-p-1/2-slope", "merge-intercept-p-1/2"))
         for L in (4, 10, 400):
-            assert fit(L, 0.5) == slope * L + intercept == an.merge_scaling(L, 0.5).n_quoted_law
+            assert fit(L, 0.5) == slope * L + intercept == an.merge_scaling(L, 0.5).n_law
+        # the law at L0 is the build cost, read from its row on each call
+        assert an.merge_scaling(4, 0.5).n_law == rows["minimal-build-cost-p-1/2"].value
+        monkeypatch.setitem(rows, "minimal-build-cost-p-1/2",
+                            dataclasses.replace(rows["minimal-build-cost-p-1/2"], value=15.0))
+        assert an.merge_scaling(4, 0.5).n_law == 15.0
 
     def test_rus_vertical_constant_stored(self):
         row = an.QUOTED_CONSTANTS["rus-vertical-ops-pf-0.2"]

@@ -631,6 +631,15 @@ class TestGrowthCommand:
         assert records[0]["config"]["p"] == 0.75
         assert records[0]["config"]["target_L"] == 21
 
+    def test_merge_at_a_rounded_critical_length(self, runner, tmp_path):
+        """At p = 0.4, L_c = 4 reads 3.9999999999999996: minimal chains are 5
+        long, so the law is 637.5 at L = 12, not 3.15e17 from dividing by 4e-16."""
+        out = tmp_path / "m.csv"
+        result = runner.invoke(main, ["growth", "merge", "--p", "0.4", "--L", "12",
+                                      "--trials", "50", "--seed", "1", "--csv", str(out)])
+        assert result.exit_code == 0, result.output
+        assert next(csv.DictReader(out.open()))["analytic_ops"] == "637.4999999999998"
+
     def test_rejected_config_exits_nonzero(self, runner):
         result = runner.invoke(
             main, ["growth", "sequential", "--p", "0.4", "--L", "10",
@@ -842,6 +851,13 @@ class TestScalingCommand:
         result = runner.invoke(main, ["scaling", "--series", "rus-pf-0.6", "--l-max", "7"])
         assert result.exit_code == 0
         assert result.output.splitlines() == ["L,series,value", "7,rus-pf-0.6,180.0"]
+
+    def test_merge_starts_above_a_rounded_critical_length(self, runner):
+        result = runner.invoke(main, ["scaling", "--p", "0.4", "--series", "merge",
+                                      "--l-max", "6"])
+        assert result.exit_code == 0
+        assert result.output.splitlines() == [
+            "L,series,value", "5,merge,77.5", "6,merge,157.49999999999997"]
 
     @pytest.mark.parametrize("p, metric", sorted(_SCALING_CSV_SHA256))
     def test_pinned_csv_digests(self, runner, tmp_path, p, metric):

@@ -35,6 +35,19 @@ class TestConfigValidation:
             StrategyConfig(
                 variant="merge", p=0.5, trials=10, master_seed=0, target_L=3
             )
+        # L_c = 4 rounds to 3.9999999999999996 at p = 0.4, and 4 is not above it
+        with pytest.raises(ValueError, match="not above the critical length 3.9999999999999996"):
+            StrategyConfig(variant="merge", p=0.4, trials=10, master_seed=0, target_L=4)
+
+    def test_merge_refusal_is_the_minimal_chain(self):
+        """A merge target of L0 is accepted and L0 - 1 refused, at every p = k/1000
+        and every p = 2/(m + 1), whose critical length is m."""
+        for p in [k / 1000 for k in range(1, 1001)] + [2 / (m + 1) for m in range(1, 201)]:
+            L0 = analytics.minimal_chain_length(p)
+            StrategyConfig(variant="merge", p=p, trials=1, master_seed=0, target_L=L0)
+            with pytest.raises(ValueError, match="critical length"):
+                StrategyConfig(variant="merge", p=p, trials=1, master_seed=0,
+                               target_L=L0 - 1)
 
     def test_bad_probability(self):
         with pytest.raises(ValueError):
@@ -101,8 +114,10 @@ class TestConfigValidation:
         (1000.0, math.nan), (1000.0, -math.inf),
     ])
     def test_bad_alpha_or_theta(self, alpha, theta):
+        message = (f"alpha must be finite and > 0 and theta finite, "
+                   f"got alpha={alpha}, theta={theta}")
         for backend in (None, "three-qubit"):
-            with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 StrategyConfig(variant="sequential", p=0.75, trials=3, master_seed=0,
                                target_L=7, gate_backend=backend, alpha=alpha,
                                theta=theta)
@@ -866,6 +881,7 @@ class TestMergeBlockDraws:
         (0.4, 10),  # minimal chains of 5
     ])
     def test_equals_scalar_draws(self, p, L):
+        assert analytics.minimal_chain_length(p) == {0.6: 3, 0.75: 2, 0.9: 2, 0.5: 4, 0.4: 5}[p]
         for gate_time in (0.1, 0.37):  # time sums that do not add exactly
             cfg = StrategyConfig(
                 variant="merge", p=p, trials=150, master_seed=2**63 + 17, target_L=L,
