@@ -7,5 +7,6 @@ QUBUSLAB=${QUBUSLAB:-qubuslab}
 $QUBUSLAB verify --quick
 $QUBUSLAB gate parity-bucket
 $QUBUSLAB gate chain --n 6
+$QUBUSLAB gate star --n 6
 $QUBUSLAB growth merge --L 21 --trials 500
 $QUBUSLAB scaling

@@ -140,11 +140,13 @@ def merge_scaling(L: float, p: float, t: float = 1.0) -> MergeScaling:
 
     The printed law divides by L0 - L_c, so it has a pole, evaluated as printed,
     where L_c sits just below a whole number: at p = 0.5000001, L_c = 2.9999996
-    makes L0 = 3, and N(10, p) jumps from 110.0 at p = 1/2 to 1.05e8."""
+    makes L0 = 3, and N(10, p) jumps from 110.0 at p = 1/2 to 1.05e8.  Below
+    L0 the law would extrapolate to negative counts, so L < L0 is refused."""
     lc = critical_length(p)
     L0 = minimal_chain_length(p)
-    if L <= lc:
-        raise ValueError(f"no average growth below the critical length {lc}")
+    if L < L0:
+        raise ValueError(f"length {L} is below the minimal chain length {L0}, the first "
+                         f"whole length above the critical length {lc}; no average growth")
     n0_floor = _power_sum(2.0 / p, L0, math.floor) / 2.0
     n0 = QUOTED_CONSTANTS["minimal-build-cost-p-1/2"].value if (p, L0) == (0.5, 4) else n0_floor
     log_term = math.log2((L - lc) / (L0 - lc))

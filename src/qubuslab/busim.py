@@ -23,6 +23,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import cmath
+import collections
 import functools
 import itertools
 import math
@@ -42,6 +43,7 @@ __all__ = [
     "attach_bus",
     "apply_conditional_rotation",
     "run_displacement_program",
+    "phase_form",
     "homodyne_pdf",
     "homodyne_outcomes",
     "homodyne_project",
@@ -335,6 +337,120 @@ def run_displacement_program(state: HybridState, steps) -> HybridState:
     coeff.real = c.real * w.real - c.imag * w.imag
     coeff.imag = c.real * w.imag + c.imag * w.real
     return HybridState(n, state.bits, coeff, gamma0 + np.array(totals)[cls])
+
+
+def phase_form(n: int, steps):
+    """(global, h, J) of a closed program of (qubit | None, beta) steps, else None.
+
+    A step closes the first open displacement of its own qubit (or of the
+    bus, for None) equal to its negation, else opens one; the program is
+    closed when none is left open.  Then every branch's displacements cancel
+    (:func:`run_displacement_program` closes a branch's opposite value
+    whichever qubit opened it, which leaves nothing open either), its bus
+    returns to its start, and the register picks up
+    exp(i (global + sum_a h_a Z_a + sum_{a<b} J_ab Z_a Z_b)) whatever the
+    start.  Step k adds Im(beta_k conj(beta_j)) for every step j still open:
+    to J_ab when j and k are on qubits a != b, to h_a when one of them is on
+    the bus, and to the global phase when both are on one qubit or on the bus
+    (a closed pair's terms cancel, so only open steps add).  Zero terms are
+    left out, so h and J hold only what met a nonzero area.  A non-finite
+    displacement makes no phase form.  Cost: O(steps * open displacements).
+    """
+    held, glob, h, J = {}, 0.0, {}, {}  # qubit | None -> open displacements in opening order
+    for q, beta in steps:
+        if q is not None:
+            _check_qubit(q, n)
+        beta = complex(beta)
+        if not cmath.isfinite(beta):
+            return None
+        for a, values in held.items():
+            for v in values:
+                x = (beta * v.conjugate()).imag
+                if x == 0.0:
+                    continue
+                if a == q:
+                    glob += x
+                elif a is None or q is None:
+                    k = q if a is None else a
+                    h[k] = h.get(k, 0.0) + x
+                else:
+                    pair = (min(a, q), max(a, q))
+                    J[pair] = J.get(pair, 0.0) + x
+        mine = held.setdefault(q, [])
+        if -beta in mine:
+            mine.remove(-beta)
+            if not mine:
+                del held[q]
+        else:
+            mine.append(beta)
+    return None if held else (glob, h, J)
+
+
+@functools.cache
+def _bit_counts() -> np.ndarray:
+    """Set bits of every 16-bit pattern (uint8), built on first use."""
+    byte = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)
+    return (byte[:, None] + byte[None, :]).reshape(-1)
+
+
+def _parity_passes(pairs) -> dict:
+    """Per pair (a, b), a < b: the pass that reads Z_a Z_b's parity, and the
+    qubit whose bit holds it there.  A ("distance", d) pass XORs the patterns
+    with themselves shifted by d, so b's bit holds a ^ b for every pair at
+    distance d; a ("vertex", v) pass XORs them with v's bit, so the other
+    end's bit holds the parity for every pair at v.  Every pair goes by its
+    distance (one pass for a chain), or by its busier end (one for a star),
+    whichever takes fewer passes."""
+    by_distance = {(a, b): (("distance", b - a), b) for a, b in pairs}
+    degree = collections.Counter(itertools.chain.from_iterable(pairs))
+    by_vertex = {(a, b): (("vertex", a), b) if degree[a] >= degree[b] else (("vertex", b), a)
+                 for a, b in pairs}
+    passes = lambda rule: len({key for key, _ in rule.values()})
+    return by_distance if passes(by_distance) <= passes(by_vertex) else by_vertex
+
+
+def _pass_bits(bits: np.ndarray, n: int, key) -> np.ndarray:
+    kind, k = key
+    if kind == "distance":
+        return bits ^ (bits >> k)
+    if kind == "vertex":
+        return bits ^ -((bits >> (n - 1 - k)) & 1)
+    return bits
+
+
+def _run_phase_form(state: HybridState, form) -> HybridState:
+    """A closed program run from its :func:`phase_form`: each branch's
+    coefficient times exp(i phase), its bus the start plus 0j (the kernel's
+    bytes, a -0.0 part landing as +0.0).
+
+    With Z = 1 - 2x for a term's odd bit x (a's bit for h_a, a ^ b for
+    J_ab), the phase is global + sum c - 2 sum c x.  Terms of equal value c
+    form a group, whose part is c times its count of odd terms; the counts
+    are popcounts of masked patterns, one per pass of :func:`_parity_passes`
+    (h terms read the patterns as they are).  Each group's factor is
+    gathered from the exponentials of its count's few values.
+    """
+    glob, h, J = form
+    n, bits = state.qubit_count, state.bits
+    terms = [(c, ("bits", 0), a) for a, c in h.items()]
+    terms += [(J[pair], key, r) for pair, (key, r) in _parity_passes(list(J)).items()]
+    groups = {}  # value -> pass key -> mask of the bits that hold its terms' parities
+    for c, key, r in terms:
+        masks = groups.setdefault(c, {})
+        masks[key] = masks.get(key, 0) | 1 << (n - 1 - r)
+    table, passes = _bit_counts(), {}
+    w = np.full(bits.size, cmath.exp(1j * (glob + sum(c for c, _, _ in terms))))
+    for c, masks in groups.items():
+        count = np.zeros(bits.size, dtype=np.int64)  # the group's odd terms per branch
+        for key, mask in masks.items():
+            if key not in passes:
+                passes[key] = _pass_bits(bits, n, key)
+            for shift in range(0, mask.bit_length(), 16):
+                if chunk := (mask >> shift) & 0xFFFF:
+                    count += table.take((passes[key] >> shift) & chunk)
+        size = sum(mask.bit_count() for mask in masks.values())
+        w *= np.exp(-2j * c * np.arange(size + 1)).take(count)
+    return HybridState(n, bits, state.coeff * w, state.bus + 0j)
 
 
 # ---------------------------------------------------------------------------

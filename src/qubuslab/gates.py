@@ -271,10 +271,23 @@ class InteractionSequence:
 
 
 def run_sequence(state: HybridState, sequence: InteractionSequence) -> HybridState:
-    """Run a program exactly: a closed loop restores the bus amplitude bit for bit."""
+    """Run a program exactly: a closed loop restores the bus amplitude bit for bit.
+
+    A closed program (the displacements on each qubit, and those on the bus,
+    cancel: :func:`busim.phase_form` is not None) acts on the register as the
+    geometric phase exp(i (global + sum h_a Z_a + sum J_ab Z_a Z_b)), worked
+    out once from its steps and evaluated on every pattern; the couplings are
+    the ones the builders' corrections read.  Its bits and bus are
+    :func:`busim.run_displacement_program`'s bytes and its coefficients agree
+    with the kernel's within 1e-12.  Every other program runs through the
+    kernel itself.
+    """
     if state.qubit_count != sequence.register_size:
         raise ValueError("register size mismatch")
-    return busim.run_displacement_program(state, sequence.steps)
+    form = busim.phase_form(state.qubit_count, sequence.steps)
+    if form is None:
+        return busim.run_displacement_program(state, sequence.steps)
+    return busim._run_phase_form(state, form)
 
 
 # ---------------------------------------------------------------------------
@@ -547,36 +560,6 @@ def three_qubit_outcomes(alpha, theta, state: QubitState | None = None):
 # measurement-free geometric gates
 
 
-def _zz_couplings(loop) -> dict | None:
-    """J of a closed loop, whose register action is exp(i sum J_ab Z_a Z_b); else None.
-
-    J_ab sums Im(beta_k conj(beta_j)) over (qubit, beta) steps j < k on
-    qubits a != b.  A step closes its qubit's first open displacement equal
-    to -beta; a closed pair's terms cancel, so only open ones add, and
-    all-zero pairs are left out.  This per-qubit rule is stricter than
-    :func:`busim.run_displacement_program`'s, which closes a branch's open
-    displacement of opposite value whichever qubit opened it (in
-    ``star_sequence(3, b)`` branch 001's step on qubit 2 closes qubit 1's),
-    so a loop closed per qubit is closed on every branch.
-    """
-    held, coupling = {}, {}  # qubit -> open displacements in opening order; pair -> J
-    for q, beta in loop:
-        for a, values in held.items():
-            for v in values if a != q else ():
-                x = (beta * v.conjugate()).imag
-                if x != 0.0:
-                    pair = (min(a, q), max(a, q))
-                    coupling[pair] = coupling.get(pair, 0.0) + x
-        mine = held.setdefault(q, [])
-        if -beta in mine:
-            mine.remove(-beta)
-            if not mine:
-                del held[q]
-        else:
-            mine.append(beta)
-    return None if held else coupling
-
-
 def _geometric_gate(n: int, loop, edges):
     """A builder's loop as a sequence, and the Z phases that make it ``edges``.
 
@@ -584,9 +567,10 @@ def _geometric_gate(n: int, loop, edges):
     up to Z(2 J) on both ends) and exp(2 i J) = 1 on every other pair.
     """
     seq = InteractionSequence(n, tuple(loop))
-    coupling = _zz_couplings(loop)
-    if coupling is None:
+    form = busim.phase_form(n, loop)
+    if form is None:
         return seq, None
+    coupling = form[2]
     totals = [0.0] * n
     for a, b in edges:
         phi = coupling.pop((a, b), 0.0)

@@ -207,7 +207,15 @@ def check_geometric(quick: bool = False) -> CriterionResult:
             (gates.chain_sequence, graphstab.GraphSpec.chain(n)),
         ):
             seq, corrections = maker(n, b)
-            out = gates.run_sequence(busim.attach_bus(busim.QubitState.plus(n), 0.7), seq)
+            start = busim.attach_bus(busim.QubitState.plus(n), 0.7)
+            out = gates.run_sequence(start, seq)
+            # the phase form against the branch kernel it replaces
+            kernel = busim.run_displacement_program(start, seq.steps)
+            same = (out.bits.tobytes(), out.bus.tobytes()) == (kernel.bits.tobytes(),
+                                                               kernel.bus.tobytes())
+            gap = float(np.max(np.abs(out.coeff - kernel.coeff))) if same else math.inf
+            res.check(gap <= 1e-12, f"{maker.__name__}(n={n}) against the kernel: bits and bus "
+                      f"bytes {'equal' if same else 'differ'}, coefficients within {gap:.1e}")
             spread = busim.bus_spread(out)
             if spread != 0.0:
                 res.fail(f"{maker.__name__}(n={n}) bus spread {spread!r}")

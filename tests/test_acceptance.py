@@ -44,7 +44,7 @@ import time
 import numpy as np
 import pytest
 
-from qubuslab import analytics, gates, growth, verify
+from qubuslab import analytics, busim, gates, growth, verify
 
 
 def _run(check, max_seconds=None):
@@ -79,6 +79,26 @@ def test_criterion_4_bucket_gate():
 
 def test_criterion_5_geometric_sequences():
     _run(verify.check_geometric, max_seconds=5.0)
+
+
+def test_criterion_5_fails_a_flipped_coupling(monkeypatch):
+    """One J with its sign flipped still makes a graph state with the
+    corrections it implies, so only the kernel cross-check can catch it."""
+    phase_form = busim.phase_form
+
+    def flipped(n, steps):
+        form = phase_form(n, steps)
+        if not (form and form[2]):
+            return form
+        glob, h, J = form
+        pair = next(iter(J))
+        return glob, h, {**J, pair: -J[pair]}
+
+    monkeypatch.setattr(busim, "phase_form", flipped)
+    fails = _fails(verify.check_geometric())
+    assert len(fails) == 6
+    assert all(" against the kernel: bits and bus bytes equal, coefficients within" in line
+               for line in fails)
 
 
 def test_criterion_6_stabilizer_oracle():

@@ -275,6 +275,18 @@ class TestOneRule:
             assert NV == 2 * an.SERIES["merge"].N(V, p) + 1 / p, p
             assert math.isfinite(NV), p
 
+    def test_merge_law_refuses_lengths_below_the_minimal_chain(self):
+        """Below L0 the law extrapolates: N(4, 0.4) would be -2.5.  The vertical
+        link's V = 2/p + 2 never falls below L0, so it is never refused."""
+        with pytest.raises(ValueError, match="length 4 is below the minimal chain length 5,"):
+            an.merge_scaling(4, 0.4)
+        for p in _GRID:
+            L0 = an.minimal_chain_length(p)
+            assert an.vertical_cost(p)[0] >= L0, p
+            with pytest.raises(ValueError, match=f"below the minimal chain length {L0},"):
+                an.merge_scaling(L0 - 0.5, p)
+            assert an.merge_scaling(L0, p).n_law > 0, p
+
     def test_vertical_cost_at_every_hundredth(self):
         assert all(math.isfinite(an.vertical_cost(k / 100)[1]) for k in range(1, 101))
         assert an.vertical_cost(0.75)[1] == 46.66666666666664

@@ -705,6 +705,28 @@ def _old_zz_corrections(pairs, n):
     )
 
 
+def _ref_zz_couplings(loop) -> dict | None:
+    """The per-qubit J rule the phase form extends, as it stood on its own:
+    J_ab sums Im(beta_k conj(beta_j)) over steps j < k on qubits a != b, with
+    only still-open j adding and all-zero pairs left out; None unless closed."""
+    held, coupling = {}, {}
+    for q, beta in loop:
+        for a, values in held.items():
+            for v in values if a != q else ():
+                x = (beta * v.conjugate()).imag
+                if x != 0.0:
+                    pair = (min(a, q), max(a, q))
+                    coupling[pair] = coupling.get(pair, 0.0) + x
+        mine = held.setdefault(q, [])
+        if -beta in mine:
+            mine.remove(-beta)
+            if not mine:
+                del held[q]
+        else:
+            mine.append(beta)
+    return None if held else coupling
+
+
 class TestDerivedCouplings:
     def test_match_branch_kernel_on_random_programs(self):
         """Derived J against run_displacement_program's relative branch phases."""
@@ -712,8 +734,9 @@ class TestDerivedCouplings:
         worst = 0.0
         for trial in range(300):
             n, loop = _random_closed_loop(rng)
-            coupling = gates._zz_couplings(loop)
-            assert coupling is not None
+            form = busim.phase_form(n, loop)
+            assert form is not None
+            coupling = form[2]
             bus = 0.0 if trial % 2 else complex(*rng.normal(size=2))
             out = busim.run_displacement_program(
                 busim.attach_bus(QubitState.plus(n), bus), loop)
@@ -726,7 +749,7 @@ class TestDerivedCouplings:
 
     def test_open_loop_has_no_corrections(self):
         loop = [(0, 0.5), (1, 0.5j), (0, -0.5)]
-        assert gates._zz_couplings(loop) is None
+        assert busim.phase_form(2, loop) is None
         assert gates._geometric_gate(2, loop, [(0, 1)])[1] is None
 
     def test_non_edge_coupling_must_be_a_global_phase(self):
@@ -753,10 +776,48 @@ class TestDerivedCouplings:
             assert corrections is not None
             assert repr(corrections) == repr(_old_zz_corrections(pairs, n))
 
+    @pytest.mark.parametrize("maker", [gates.chain_sequence, gates.star_sequence])
+    def test_builders_couplings_are_the_per_qubit_rule(self, maker):
+        """J of the builders' loops is the per-qubit rule's, bit for bit, with no
+        field and no global phase."""
+        for n in range(2, 12):
+            steps = list(maker(n, BETA_STAR)[0].steps)
+            glob, h, J = busim.phase_form(n, steps)
+            assert (glob, h) == (0.0, {})
+            assert repr(J) == repr(_ref_zz_couplings(steps))
+
+    def test_random_loops_couplings_are_the_per_qubit_rule(self):
+        rng = np.random.default_rng(2025)
+        for _ in range(200):
+            n, loop = _random_closed_loop(rng)
+            assert repr(busim.phase_form(n, loop)[2]) == repr(_ref_zz_couplings(loop))
+
+    @pytest.mark.parametrize("maker, key", [(gates.chain_sequence, ("distance", 1)),
+                                            (gates.star_sequence, ("vertex", 0))])
+    def test_builders_couplings_take_one_pass(self, maker, key):
+        """A chain's pairs are all at distance 1 and a star's all meet qubit 0."""
+        J = busim.phase_form(9, maker(9, BETA_STAR)[0].steps)[2]
+        assert {k for k, _ in busim._parity_passes(list(J)).values()} == {key}
+
+    def test_unclosed_qubit_has_no_phase_form(self):
+        steps = list(gates.chain_sequence(4, BETA_STAR)[0].steps)
+        assert busim.phase_form(4, steps) is not None
+        assert busim.phase_form(4, steps[:-1]) is None
+        assert busim.phase_form(4, steps + [(2, 0.5)]) is None
+
+    def test_unclosed_bus_step_has_no_phase_form(self):
+        steps = list(gates.star_sequence(3, BETA_STAR)[0].steps) + [(None, 0.3 - 0.1j)]
+        assert busim.phase_form(3, steps) is None
+        assert busim.phase_form(3, steps + [(None, -0.3 + 0.1j)]) is not None
+
+    @pytest.mark.parametrize("value", [math.inf, complex(0.0, -math.inf), math.nan])
+    def test_non_finite_step_has_no_phase_form(self, value):
+        assert busim.phase_form(1, [(0, value), (0, -value)]) is None
+
     def test_zero_terms_are_not_stored(self):
         """Leaves of a star never couple, so no leaf pair is held."""
         seq, _ = gates.star_sequence(40, BETA_STAR)
-        coupling = gates._zz_couplings(list(seq.steps))
+        coupling = busim.phase_form(40, seq.steps)[2]
         assert sorted(coupling) == [(0, q) for q in range(1, 40)]
 
 
@@ -907,6 +968,42 @@ def _same_run_bytes(a, b):
         b.bits.tobytes(), b.coeff.tobytes(), b.bus.tobytes())
 
 
+def _agrees_with_kernel(got, want):
+    """The phase form's contract: bits and bus bytes identical, coefficients within 1e-12."""
+    return ((got.bits.tobytes(), got.bus.tobytes()) == (want.bits.tobytes(), want.bus.tobytes())
+            and float(np.max(np.abs(got.coeff - want.coeff))) <= 1e-12)
+
+
+def _closed_cross_qubit_program(rng, n):
+    """A closed program whose values repeat across qubits and bus (None) steps,
+    so a kick on one qubit meets an equal or opposite one on another; each
+    opened (qubit, beta) is closed by (qubit, -beta), some at once, the rest
+    at the end in random order."""
+    b = float(rng.uniform(0.2, 1.5))
+    pool = [b, 1j * b, complex(b, -0.5 * b), complex(-0.0, b), complex(rng.normal(), rng.normal())]
+    opened, steps = [], []
+    for _ in range(int(rng.integers(1, 10))):
+        if opened and rng.random() < 0.4:
+            q, beta = opened.pop(int(rng.integers(len(opened))))
+            steps.append((q, -beta))
+        q = None if rng.random() < 0.25 else int(rng.integers(n))
+        beta = pool[int(rng.integers(len(pool)))]
+        beta = beta if rng.random() < 0.5 else -beta
+        steps.append((q, beta))
+        opened.append((q, beta))
+    steps += [(q, -beta) for q, beta in (opened[k] for k in rng.permutation(len(opened)))]
+    return steps
+
+
+def _mixed_start_state(rng, n):
+    """A sparse register whose branches start on a few buses, signed zeros included."""
+    bits = np.sort(rng.choice(2**n, int(rng.integers(1, 2**n + 1)), replace=False))
+    coeff = rng.normal(size=bits.size) + 1j * rng.normal(size=bits.size)
+    starts = np.array([0.0, complex(-0.0, -0.0), 0.45 - 0.3j, complex(*rng.normal(size=2))])
+    return busim.HybridState(n, bits, coeff / np.linalg.norm(coeff),
+                             starts[rng.integers(0, starts.size, bits.size)])
+
+
 class TestProgramSteps:
     """A program's steps are its builder's (qubit, beta) loop, run as they are."""
 
@@ -926,13 +1023,14 @@ class TestProgramSteps:
             assert all(type(q) is int and type(b) is complex for q, b in seq.steps)
 
     @pytest.mark.parametrize("maker", [gates.chain_sequence, gates.star_sequence])
-    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("n", range(2, 17))
     def test_run_sequence_is_the_displacement_program(self, maker, n):
+        """A closed program's phase form agrees with the kernel."""
         seq, _ = maker(n, BETA_STAR)
         for bus in (0.0, 0.45 - 0.3j):
             state = busim.attach_bus(QubitState.plus(n), bus)
-            assert _same_run_bytes(gates.run_sequence(state, seq),
-                                   busim.run_displacement_program(state, seq.steps))
+            assert _agrees_with_kernel(gates.run_sequence(state, seq),
+                                       busim.run_displacement_program(state, seq.steps))
 
     def test_geometric_cz_runs_as_its_program(self):
         rng = np.random.default_rng(23)
@@ -942,8 +1040,47 @@ class TestProgramSteps:
             v = rng.normal(size=4) + 1j * rng.normal(size=4)
             state = busim.attach_bus(QubitState(2, v, normalize=True),
                                      complex(*rng.normal(size=2)))
-            assert _same_run_bytes(gates.run_sequence(state, seq),
+            assert _agrees_with_kernel(gates.run_sequence(state, seq),
+                                       busim.run_displacement_program(state, seq.steps))
+
+    @pytest.mark.parametrize("maker", [gates.chain_sequence, gates.star_sequence])
+    def test_sparse_register_past_sixteen_qubits(self, maker):
+        """Patterns wider than one gather of the 16-bit popcount table."""
+        rng = np.random.default_rng(36)
+        n = 20
+        bits = np.sort(rng.choice(2**n, 600, replace=False))
+        coeff = rng.normal(size=bits.size) + 1j * rng.normal(size=bits.size)
+        state = busim.HybridState(n, bits, coeff / np.linalg.norm(coeff),
+                                  np.full(bits.size, 0.45 - 0.3j))
+        seq, _ = maker(n, BETA_STAR)
+        assert _agrees_with_kernel(gates.run_sequence(state, seq),
                                    busim.run_displacement_program(state, seq.steps))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_closed_programs_agree(self, seed):
+        """Mixed starts, bus steps and values repeated across qubits."""
+        rng = np.random.default_rng([3535, seed])
+        n = int(rng.integers(1, 8))
+        steps = _closed_cross_qubit_program(rng, n)
+        assert busim.phase_form(n, steps) is not None
+        state = _mixed_start_state(rng, n)
+        assert _agrees_with_kernel(
+            gates.run_sequence(state, gates.InteractionSequence(n, tuple(steps))),
+            busim.run_displacement_program(state, steps))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_open_program_runs_as_the_kernel(self, seed):
+        """One displacement left open: no phase form, the kernel's bytes exactly."""
+        rng = np.random.default_rng([3536, seed])
+        n = int(rng.integers(1, 8))
+        steps = _closed_cross_qubit_program(rng, n)
+        steps.insert(int(rng.integers(len(steps) + 1)),
+                     (None if seed % 2 else int(rng.integers(n)), complex(0.3, -0.2)))
+        assert busim.phase_form(n, steps) is None
+        state = _mixed_start_state(rng, n)
+        assert _same_run_bytes(
+            gates.run_sequence(state, gates.InteractionSequence(n, tuple(steps))),
+            busim.run_displacement_program(state, steps))
 
     def test_empty_program_refused(self):
         with pytest.raises(ValueError, match="at least one interaction"):
