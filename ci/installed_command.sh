@@ -35,8 +35,14 @@ test "$status" -eq 1
 grep -q "^Error:" "$tmp/err.txt"
 if grep -q Traceback "$tmp/err.txt"; then exit 1; fi
 $QUBUSLAB gate three-qubit --theta -0.003
-# bucket tables: seven resolved rows, each reaching its Bell state, and a click row
-$QUBUSLAB gate parity-bucket --alpha 2 --theta 0.4 --number-resolving > "$tmp/bucket.txt"
+# bucket tables: seven resolved rows, each reaching its Bell state, and a click
+# row; the resolved table (less its "wrote" line) and its CSV as the solver
+# printed them one row at a time
+$QUBUSLAB gate parity-bucket --alpha 2 --theta 0.4 --number-resolving --csv "$tmp/bucket.csv" \
+  > "$tmp/bucket.txt"
+grep -v '^wrote ' "$tmp/bucket.txt" > "$tmp/bucket-table.txt"
+echo "ba6bff07a634e7221bba45334c81f5bc6e9e23551990057d636b46f19202a024  $tmp/bucket-table.txt
+3a9793fb31a2710b6393c436ae29002dcb69e59fcb4802dcd87394c86f6645b5  $tmp/bucket.csv" | sha256sum -c -
 test "$(grep -cE '^(odd-bell|even-bell-[0-9]+) ' "$tmp/bucket.txt")" -eq 7
 for label in odd-bell even-bell-1 even-bell-2 even-bell-3 even-bell-4 even-bell-5 even-bell-6; do
   grep -qE "^$label +[0-9.]+ 1\.00000000( |\$)" "$tmp/bucket.txt"

@@ -35,7 +35,7 @@ show("1. Joint state after the two conditional rotations")
 state = busim.init_plus_state(2, ALPHA)
 state = busim.apply_conditional_rotation(state, 0, THETA)
 state = busim.apply_conditional_rotation(state, 1, THETA)
-for bits, (coeff, bus) in state.branch_map().items():
+for bits, coeff, bus in zip(state.bits.tolist(), state.coeff.tolist(), state.bus.tolist()):
     print(f"  |{bits:02b}>  coeff {coeff:.3f}  bus angle {np.angle(bus):+.4f} rad")
 print(f"  bus spread: {busim.bus_spread(state):.4f} (entangled with the register)")
 

@@ -346,10 +346,6 @@ QUOTED_CONSTANTS = {c.name: c for c in (
 )}
 
 
-def flagged_constants():
-    return [c for c in QUOTED_CONSTANTS.values() if c.status == "flagged"]
-
-
 @dataclass(frozen=True)
 class Series:
     """Operations N(L, p), time T(L, p, t) (None if only counts are quoted),

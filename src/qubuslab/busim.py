@@ -27,7 +27,8 @@ import collections
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -192,12 +193,6 @@ class HybridState:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeff))
-
-    def branch_map(self) -> dict[int, tuple[complex, complex]]:
-        return {
-            int(b): (complex(c), complex(u))
-            for b, c, u in zip(self.bits, self.coeff, self.bus)
-        }
 
     def __repr__(self):
         return f"HybridState(n={self.qubit_count}, branches={self.branch_count()})"
@@ -475,6 +470,9 @@ class PeakModel:
 
     phi: float
     peaks: tuple
+    # set by homodyne_pdf: per member branch, peak by peak in pattern order,
+    # its peak and its branch index
+    _branches: tuple | None = field(default=None, repr=False, compare=False)
 
     # computed once per model; a frozen dataclass still has an instance dict
     @functools.cached_property
@@ -555,18 +553,31 @@ def _band_sums(bounds, centers, weights, start, width) -> np.ndarray:
 def homodyne_pdf(state: HybridState, phi: float) -> PeakModel:
     """Group branches into quadrature peaks for the X(phi) measurement: the
     centre-sorted branches split where adjacent centres differ by more than
-    ``PEAK_GROUP_TOL``."""
+    ``PEAK_GROUP_TOL``.
+
+    The peaks of one size are worked out together, one pass per size: a
+    (peaks x size) array of member branches in centre order gives the
+    centres by ``np.mean`` along its rows, and the same rows sorted into
+    pattern (= branch) order give the weights, the members' |c|**2 added one
+    by one (``add.accumulate`` is a running sum)."""
     centers = 2.0 * np.real(state.bus * cmath.exp(-1j * phi))
     power = state.coeff.real**2 + state.coeff.imag**2
     order = np.argsort(centers, kind="stable")
-    peaks = []
-    for idx in np.split(order, np.flatnonzero(np.diff(centers[order]) > PEAK_GROUP_TOL) + 1):
-        weight = 0.0  # |c|**2 added one by one in pattern (= branch) order
-        for w in power[np.sort(idx)].tolist():
-            weight += w
-        center = float(np.mean(centers[idx]))
-        peaks.append(Peak(center, weight, frozenset(state.bits[idx].tolist())))
-    return PeakModel(phi=phi, peaks=tuple(peaks))
+    cuts = np.flatnonzero(np.diff(centers[order]) > PEAK_GROUP_TOL) + 1
+    bounds = np.concatenate(([0], cuts, [order.size]))
+    sizes = np.diff(bounds)
+    center, weight = np.empty(sizes.size), np.empty(sizes.size)
+    branch = np.empty_like(order)  # peak by peak, in pattern order
+    for size in set(sizes.tolist()):
+        peak = np.flatnonzero(sizes == size)
+        slots = bounds[peak, None] + np.arange(size)
+        center[peak] = np.mean(centers[order[slots]], axis=1)
+        branch[slots] = np.sort(order[slots], axis=1)
+        weight[peak] = np.add.accumulate(power[branch[slots]], axis=1)[:, -1]
+    patterns = state.bits[branch].tolist()
+    peaks = tuple(Peak(c, w, frozenset(patterns[a:b])) for c, w, a, b in
+                  zip(center.tolist(), weight.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()))
+    return PeakModel(phi, peaks, (np.repeat(np.arange(sizes.size), sizes), branch))
 
 
 @dataclass(frozen=True)
@@ -579,26 +590,39 @@ class HomodyneOutcome:
 def homodyne_outcomes(state: HybridState, phi: float) -> tuple[HomodyneOutcome, ...]:
     """Project on each peak of one X(phi) peak model, in peak order.
 
-    A projection keeps the peak's branches (found by bisection: patterns are
-    sorted and unique), weights each by the quadrature eigenfunction overlap
-    at the peak center and renormalizes.  The probability is the window mass,
-    tails of the other peaks included.  Every overlap is one array
-    expression; the posteriors are the rows of one array, each divided in
-    place by its own norm."""
+    A projection keeps the peak's branches, weights each by the quadrature
+    eigenfunction overlap at the peak center and renormalizes.  The
+    probability is the window mass, tails of the other peaks included."""
+    projected = _projections(state, phi)
+    n = state.qubit_count
+    return tuple(HomodyneOutcome(p, _wrap(n, a), peak) for p, a, peak in
+                 zip(projected.masses, projected.posteriors, projected.model.peaks))
+
+
+class _Projection(NamedTuple):
+    model: PeakModel
+    masses: list  # window masses, peak by peak
+    posteriors: np.ndarray  # (peaks x 2**n), unit rows
+    # per member branch, peak by peak in pattern order: its peak and its pattern
+    row: np.ndarray
+    patterns: np.ndarray
+
+
+def _projections(state: HybridState, phi: float) -> _Projection:
+    """Every peak of one X(phi) model projected at once.  Every overlap is
+    one array expression, and the posteriors are divided once by a column of
+    row norms."""
     _check_normalized(state)
     model = homodyne_pdf(state, phi)
-    peaks, masses = model.peaks, model._masses.tolist()  # before the posteriors exist
-    sizes = [len(peak.members) for peak in peaks]
-    patterns = np.fromiter(itertools.chain.from_iterable(peak.members for peak in peaks),
-                           np.int64, sum(sizes))
-    row = np.repeat(np.arange(len(peaks)), sizes)
-    idx = np.searchsorted(state.bits, patterns)
-    x = np.array([peak.center for peak in peaks], dtype=np.float64)[row]
-    amps = np.zeros((len(peaks), 2**state.qubit_count), dtype=np.complex128)
+    masses = model._masses.tolist()  # before the posteriors exist
+    row, branch = model._branches
+    patterns = state.bits[branch]
+    x = np.array([peak.center for peak in model.peaks], dtype=np.float64)[row]
+    amps = np.zeros((len(model.peaks), 2**state.qubit_count), dtype=np.complex128)
     # each (row, pattern) once: += adds to 0.0, so a -0.0 part lands as +0.0
-    amps[row, patterns] += state.coeff[idx] * quadrature_overlap(x, state.bus[idx], phi)
-    return tuple(HomodyneOutcome(p, _normalized(state.qubit_count, a), peak)
-                 for p, a, peak in zip(masses, amps, peaks))
+    amps[row, patterns] += state.coeff[branch] * quadrature_overlap(x, state.bus[branch], phi)
+    _divide_rows_by_norms(amps)
+    return _Projection(model, masses, amps, row, patterns)
 
 
 def homodyne_project(state: HybridState, phi: float, index: int) -> HomodyneOutcome:
@@ -615,13 +639,22 @@ def _dense(state: HybridState, weights, keep=slice(None)) -> np.ndarray:
     return amps
 
 
-def _normalized(n: int, amps: np.ndarray) -> QubitState:
-    """``amps`` divided in place by its norm: the bytes of
-    ``QubitState(n, amps, normalize=True)``, without the copy."""
-    nrm = float(np.linalg.norm(amps))
-    if nrm == 0:
+def _divide_rows_by_norms(amps: np.ndarray) -> None:
+    """Divide each row of ``amps`` in place by its norm, the bytes of
+    ``QubitState(n, row, normalize=True)`` for every row, without a copy.
+
+    A row's squared norm is the pair of BLAS dots that ``np.linalg.norm``
+    takes, over its real and its imaginary parts: a stacked matmul of
+    (1 x 2**n) by (2**n x 1) views makes one such dot per row."""
+    re, im = amps.real, amps.imag
+    norms = np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
+    if not norms.all():
         raise ValueError("cannot normalize the zero vector")
-    amps /= nrm
+    amps /= norms[:, None]
+
+
+def _wrap(n: int, amps: np.ndarray) -> QubitState:
+    """A register state on unit-norm ``amps`` as they are, unchecked."""
     state = object.__new__(QubitState)
     state.qubit_count, state.amplitudes = n, amps
     return state
@@ -643,7 +676,7 @@ def measure_bucket(state: HybridState) -> BucketOutcome:
     :func:`_photon_components` lists.
     """
     _check_normalized(state)
-    p_vac, posterior = _photon_projection(state, 0)
+    (p_vac, posterior), = _photon_projections(state, 0, 1)
     keep = np.abs(state.bus) <= BUS_TOL
     if keep.any():
         amps = _dense(state, state.coeff[keep], keep)
@@ -651,42 +684,52 @@ def measure_bucket(state: HybridState) -> BucketOutcome:
     return BucketOutcome(p_vac, posterior)
 
 
-def _photon_projection(state: HybridState, n: int):
-    """Exact weight and posterior of the photon-number outcome n."""
-    b = state.bus
-    absb = np.abs(b)
-    if n == 0:
-        log_mag = -0.5 * absb**2
-    else:  # a bus within BUS_TOL of 0 is the vacuum, as measure_bucket keeps it
-        with np.errstate(divide="ignore"):
-            log_mag = -0.5 * absb**2 + n * np.where(absb > BUS_TOL, np.log(absb), -np.inf)
-        log_mag = log_mag - 0.5 * math.lgamma(n + 1)
-    phase = n * np.angle(b)
-    top = float(np.max(log_mag))
-    if top == -math.inf:
-        return 0.0, None
-    w = np.exp(log_mag - top + 1j * phase)
-    amps = _dense(state, state.coeff * w)
-    nrm2 = float(np.vdot(amps, amps).real)
-    prob = nrm2 * math.exp(2.0 * top)
-    if nrm2 == 0.0:
-        return prob, None
-    return prob, QubitState(state.qubit_count, amps / math.sqrt(nrm2))
+# photon numbers worked out together in one pass of the click components
+_PHOTON_PASS = 256
+
+
+def _photon_projections(state: HybridState, first: int, stop: int):
+    """Yield the exact weight and posterior of each photon-number outcome
+    first .. stop - 1, from one (outcomes x branches) log-magnitude pass.
+
+    A posterior is built when its outcome is read, so the pass stops where
+    its reader stops."""
+    n = np.arange(first, stop)[:, None]
+    absb = np.abs(state.bus)
+    vacuum = -0.5 * absb**2
+    # a bus within BUS_TOL of 0 is the vacuum, as measure_bucket keeps it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_b = np.where(absb > BUS_TOL, np.log(absb), -np.inf)
+        half_lgamma = np.array([[0.5 * math.lgamma(k + 1)] for k in range(first, stop)])
+        log_mag = np.where(n > 0, vacuum + n * log_b - half_lgamma, vacuum)
+    top = np.max(log_mag, axis=1)
+    # a row of -inf (no branch holds a photon) keeps its zeros: weight 0.0, no posterior
+    shift = np.where(top > -math.inf, top, 0.0)[:, None]
+    w = np.exp(log_mag - shift + 1j * (n * np.angle(state.bus)))
+    amps = np.zeros((n.size, 2**state.qubit_count), dtype=np.complex128)
+    amps[:, state.bits] += state.coeff * w  # patterns are unique: -0.0 parts land as +0.0
+    # each row's <amps|amps>, the BLAS dot that np.vdot takes, one per row
+    nrm2 = (amps.conj()[:, None, :] @ amps[:, :, None])[:, 0, 0].real
+    for t, norm2, a in zip(top.tolist(), nrm2.tolist(), amps):
+        posterior = None if norm2 == 0.0 else QubitState(state.qubit_count, a / math.sqrt(norm2))
+        yield norm2 * math.exp(2.0 * t), posterior
 
 
 def _photon_components(state: HybridState):
     """Yield a click's (n, probability, posterior) for n = 1, 2, ... until less
-    than ``TAIL_TOL`` of the weight is left past the largest mean photon number."""
+    than ``TAIL_TOL`` of the weight is left past the largest mean photon number.
+    The photon numbers are worked out in passes of up to ``_PHOTON_PASS``."""
     lam = float(np.max(np.abs(state.bus)) ** 2)
     n_max = int(lam + 12.0 * math.sqrt(lam + 1.0) + 25.0)
     total = 0.0
-    for n in range(n_max + 1):
-        pn, post = _photon_projection(state, n)
-        if n > 0 and post is not None:
-            yield n, pn, post
-        total += pn
-        if 1.0 - total < TAIL_TOL and n > lam:
-            return
+    for first in range(0, n_max + 1, _PHOTON_PASS):
+        stop = min(first + _PHOTON_PASS, n_max + 1)
+        for n, (pn, post) in enumerate(_photon_projections(state, first, stop), first):
+            if n > 0 and post is not None:
+                yield n, pn, post
+            total += pn
+            if 1.0 - total < TAIL_TOL and n > lam:
+                return
 
 
 # ---------------------------------------------------------------------------
@@ -719,4 +762,6 @@ def extract_qubits(state: HybridState) -> QubitState:
         raise ValueError(
             f"bus still entangled with the register (spread {spread:.3e} >= {BUS_TOL:.3e})"
         )
-    return _normalized(state.qubit_count, _dense(state, state.coeff))
+    amps = _dense(state, state.coeff)
+    _divide_rows_by_norms(amps[None])
+    return _wrap(state.qubit_count, amps)

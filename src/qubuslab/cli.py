@@ -308,7 +308,7 @@ def _growth_report(stats: growth.GrowthStats):
     analytic_ops = "" if point is None else repr(point.N)
     z = ""
     for row in rows:
-        if row.metric == "entangling_ops":
+        if row.metric == "entangling_ops" and row.z is not None:
             z = f"{row.z:.4f}"
     buf = io.StringIO()
     _write_csv(buf, [{
@@ -368,9 +368,11 @@ def cmd_growth(variant, p, target_l, rounds_k, initial_qubits, trials, seed,
         Path(csv_path).write_text(text)
     click.echo(text.rstrip())
     for row in rows:
+        verdict = ("one trial has no spread, so no z" if row.z is None
+                   else f"z = {row.z:+.2f}, {row.status}")
         click.echo(
             f"  {row.metric}: empirical {row.empirical:.4f} vs analytic "
-            f"{row.analytic:.4f} (z = {row.z:+.2f}, {row.status})"
+            f"{row.analytic:.4f} ({verdict})"
         )
     for path in (jsonl_path, csv_path):
         if path:

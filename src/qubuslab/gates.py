@@ -16,6 +16,7 @@ global phase.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import warnings
@@ -82,41 +83,61 @@ def apply_corrections(state: QubitState, corrections) -> QubitState:
     return QubitState(n, amps)
 
 
-def solve_local_z_corrections(posterior: QubitState, target: QubitState):
-    """Per-qubit Z phases mapping posterior onto target up to a global phase.
+def solve_local_z_corrections(posteriors, targets) -> list:
+    """Per-qubit Z phases mapping each posterior onto its target up to a
+    global phase: one entry per (posterior, target) pair of one register
+    size, a tuple of corrections or None.
 
-    Works on the common support of the two states.  The amplitude ratios'
-    angles are unwrapped onto sums of per-qubit steps read from single-bit
-    flips of the support (see :func:`_unwrapped_angles`), then one
-    least-squares solve fits a phase per qubit.  Returns None when the
-    supports differ, the magnitudes disagree, or the fitted phases do not
+    A pair works on its common support, and the pairs that share a support
+    are solved together.  The amplitude ratios' angles are unwrapped onto
+    sums of per-qubit steps read from single-bit flips of the support (see
+    :func:`_unwrapped_angles`), then one least-squares solve, with one
+    right-hand side per pair, fits a phase per qubit.  A pair gets None when
+    its supports differ, the magnitudes disagree, or the fitted phases do not
     reproduce the ratios.  A phase with |e^{i d} - 1| <= ``Z_SOLVE_TOL`` is
     least-squares residue and is left out.
     """
-    n = posterior.qubit_count
-    a = posterior.amplitudes
-    t = target.amplitudes
-    support = np.flatnonzero(np.abs(a) > Z_SOLVE_TOL)
-    if not np.array_equal(support, np.flatnonzero(np.abs(t) > Z_SOLVE_TOL)):
-        return None
-    ratios = t[support] / a[support]
-    if np.max(np.abs(np.abs(ratios) - np.abs(ratios[0]))) > 1e-6:
-        return None
+    solved = [None] * len(posteriors)
+    if not solved:
+        return solved
+    n = posteriors[0].qubit_count
+    a = np.array([p.amplitudes for p in posteriors])
+    t = np.array([q.amplitudes for q in targets])
+    inside = np.abs(a) > Z_SOLVE_TOL
+    agree = (inside == (np.abs(t) > Z_SOLVE_TOL)).all(axis=1)
+    shared = {}  # support -> the pairs on it
+    for i in np.flatnonzero(agree).tolist():
+        shared.setdefault(inside[i].tobytes(), []).append(i)
+    for pairs in shared.values():
+        support = np.flatnonzero(inside[pairs[0]])
+        for i, corrections in zip(pairs, _solve_on_support(
+                n, support, a[pairs][:, support], t[pairs][:, support])):
+            solved[i] = corrections
+    return solved
+
+
+def _solve_on_support(n, support, a, t) -> list:
+    """:func:`solve_local_z_corrections` for pairs whose posteriors ``a`` and
+    targets ``t`` are (pairs x support) amplitudes on one support."""
+    ratios = t / a
+    size = np.abs(ratios)
+    fits = ~(np.max(np.abs(size - size[:, :1]), axis=1) > 1e-6)  # a NaN fits, as it always has
+    if not fits.all():
+        a, t, ratios = a[fits], t[fits], ratios[fits]
     bits = (support[:, None] >> np.arange(n - 1, -1, -1)) & 1
     rows = (bits - bits[0]).astype(np.float64)
-    phis = _unwrapped_angles(support, ratios / ratios[0], rows)
-    deltas, *_ = np.linalg.lstsq(rows, phis, rcond=None)
-    if not _phases_match(a, t, support, deltas, n):
-        return None
-    return tuple(
-        Correction(q, "phase", float(d))
-        for q, d in enumerate(deltas)
-        if abs(cmath.exp(1j * d) - 1.0) > Z_SOLVE_TOL
-    )
+    phis = _unwrapped_angles(support, ratios / ratios[:, :1], rows)
+    deltas = np.linalg.lstsq(rows, phis.T, rcond=None)[0].T
+    fitted = iter([
+        tuple(Correction(q, "phase", x) for q, x in enumerate(d)
+              if abs(cmath.exp(1j * x) - 1.0) > Z_SOLVE_TOL) if match else None
+        for d, match in zip(deltas.tolist(), _phases_match(a, t, bits, deltas).tolist())])
+    return [next(fitted) if ok else None for ok in fits.tolist()]
 
 
 def _unwrapped_angles(support, r, rows):
-    """Angles of ``r`` shifted by multiples of 2 pi onto sums of qubit steps.
+    """Angles of each row of ``r`` shifted by multiples of 2 pi onto sums of
+    qubit steps.
 
     A qubit's step is the angle across the first pair of support patterns
     that differ in that qubit alone (``support`` is sorted, so the pair's
@@ -133,16 +154,20 @@ def _unwrapped_angles(support, r, rows):
     partner = index[support[:, None] ^ (1 << np.arange(n - 1, -1, -1))]
     i = np.argmax(partner >= 0, axis=0)
     j = partner[i, np.arange(n)]
-    step = np.where(j >= 0, np.angle(r[j] / r[i]), 0.0)
-    return phis + 2.0 * np.pi * np.round((rows @ step - phis) / (2.0 * np.pi))
+    step = np.where(j >= 0, np.angle(r[:, j] / r[:, i]), 0.0)
+    sums = (rows @ step[:, :, None])[:, :, 0]  # one matrix-vector product per row, as alone
+    return phis + 2.0 * np.pi * np.round((sums - phis) / (2.0 * np.pi))
 
 
-def _phases_match(a, t, support, deltas, n) -> bool:
-    corrected = a[support]
-    for q, d in enumerate(deltas):
-        corrected = busim.z_phase_action(corrected, support, n, q, d)
-    g = t[support[0]] / corrected[0]
-    return bool(np.max(np.abs(g * corrected - t[support])) <= math.sqrt(Z_SOLVE_TOL))
+def _phases_match(a, t, bits, deltas) -> np.ndarray:
+    """Per row: the fitted phases on ``a`` reach ``t`` up to a global phase,
+    the phases applied qubit by qubit, as :func:`apply_corrections` does."""
+    factors = np.exp(1j * deltas[:, :, None] * np.arange(2))
+    corrected = a
+    for q, bit in enumerate(bits.T):
+        corrected = corrected * factors[:, q, bit]
+    g = t[:, :1] / corrected[:, :1]
+    return np.max(np.abs(g * corrected - t), axis=1) <= math.sqrt(Z_SOLVE_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +294,12 @@ class InteractionSequence:
             if q is not None and not 0 <= q < self.register_size:
                 raise ValueError(f"qubit {q} outside register")
 
+    # derived once per program; a frozen dataclass still has an instance dict
+    @functools.cached_property
+    def form(self):
+        """The program's :func:`busim.phase_form`: (global, h, J), or None."""
+        return busim.phase_form(self.register_size, self.steps)
+
 
 def run_sequence(state: HybridState, sequence: InteractionSequence) -> HybridState:
     """Run a program exactly: a closed loop restores the bus amplitude bit for bit.
@@ -284,10 +315,9 @@ def run_sequence(state: HybridState, sequence: InteractionSequence) -> HybridSta
     """
     if state.qubit_count != sequence.register_size:
         raise ValueError("register size mismatch")
-    form = busim.phase_form(state.qubit_count, sequence.steps)
-    if form is None:
+    if sequence.form is None:
         return busim.run_displacement_program(state, sequence.steps)
-    return busim._run_phase_form(state, form)
+    return busim._run_phase_form(state, sequence.form)
 
 
 # ---------------------------------------------------------------------------
@@ -339,43 +369,47 @@ _TWO_QUBIT_LABELS = {frozenset(members): label for members, label in (
 def _homodyne_outcomes(hybrid, phi, gate_time, labels, patterns=None):
     """One outcome per peak of a single peak model of ``hybrid``.
 
-    ``labels(projected)`` names every peak of the projected outcomes at once;
-    :func:`_heralded_target` gives the state a peak heralds, or None.
+    ``labels(projected)`` names every peak of the projection at once, from
+    the arrays of :func:`busim._projections`; :func:`_heralded_target` gives
+    the state a peak heralds, or None, and one solver call corrects every
+    heralded posterior.
 
     With ``patterns`` (the basis-pattern count of a uniform register) each
     outcome also gets its exact probability, members / patterns.
     """
-    projected = busim.homodyne_outcomes(hybrid, phi)
-    outcomes = []
-    for o, label in zip(projected, labels(projected)):
-        peak = o.peak
-        target = _heralded_target(hybrid.qubit_count, label, peak.members)
-        solved = None
-        if target is not None:
-            solved = solve_local_z_corrections(o.posterior, target)
-        outcomes.append(
-            GateOutcome(
-                label=label,
-                probability=peak.weight,
-                posterior=o.posterior,
-                corrections=solved or (),
-                gate_time=gate_time,
-                window_probability=o.probability,
-                exact_probability=None if patterns is None else Fraction(len(peak.members), patterns),
-                target=target,
-            )
+    n = hybrid.qubit_count
+    projected = busim._projections(hybrid, phi)
+    model, names = projected.model, labels(projected)
+    posteriors = [busim._wrap(n, a) for a in projected.posteriors]
+    targets = [_heralded_target(n, label, peak.members) for label, peak in zip(names, model.peaks)]
+    heralded = [k for k, target in enumerate(targets) if target is not None]
+    corrections = [()] * len(targets)
+    for k, solved in zip(heralded, solve_local_z_corrections(
+            [posteriors[k] for k in heralded], [targets[k] for k in heralded])):
+        corrections[k] = solved or ()
+    sizes = [len(peak.members) for peak in model.peaks]
+    exact = {} if patterns is None else {m: Fraction(m, patterns) for m in set(sizes)}
+    return tuple(
+        GateOutcome(
+            label=label,
+            probability=peak.weight,
+            posterior=posterior,
+            corrections=fix,
+            gate_time=gate_time,
+            window_probability=mass,
+            exact_probability=exact.get(size),
+            target=target,
         )
-    return tuple(outcomes)
+        for label, peak, posterior, fix, mass, size, target in
+        zip(names, model.peaks, posteriors, corrections, projected.masses, sizes, targets)
+    )
 
 
 def _pairs_entangled(n: int, projected) -> np.ndarray:
-    """Per homodyne outcome: qubits 0 and 1 both entangled with the rest,
+    """Per peak of a projection: qubits 0 and 1 both entangled with the rest,
     read from each posterior at its peak's members only, all peaks at once."""
-    members = [sorted(o.peak.members) for o in projected]
-    peak = np.repeat(np.arange(len(members)), [len(m) for m in members])
-    bits = np.fromiter(itertools.chain.from_iterable(members), np.int64, peak.size)
-    amps = np.concatenate([o.posterior.amplitudes[m] for o, m in zip(projected, members)])
-    return _entangled_with_rest(n, (0, 1), peak, bits, amps)
+    row, patterns = projected.row, projected.patterns
+    return _entangled_with_rest(n, (0, 1), row, patterns, projected.posteriors[row, patterns])
 
 
 def _entangled_with_rest(n: int, qubits, peak, bits, amps) -> np.ndarray:
@@ -412,7 +446,8 @@ def _parity_outcomes(alpha, theta, state, phi):
     _, hybrid = _prepare(alpha, theta, state, (1, 1))
     return _homodyne_outcomes(
         hybrid, phi, 2.0,
-        lambda projected: [_TWO_QUBIT_LABELS.get(o.peak.members, "mixed") for o in projected])
+        lambda projected: [_TWO_QUBIT_LABELS.get(peak.members, "mixed")
+                           for peak in projected.model.peaks])
 
 
 def momentum_parity_outcomes(alpha, theta, state: QubitState | None = None):
@@ -463,18 +498,20 @@ def bucket_parity_outcomes(
         )
     ]
     if number_resolving:
-        for n, pn, post in itertools.islice(clicks, n_max):
-            target = _bell_even(1 if n % 2 == 0 else -1)
-            outcomes.append(
-                GateOutcome(
-                    label=f"even-bell-{n}",
-                    probability=pn,
-                    posterior=post,
-                    corrections=solve_local_z_corrections(post, target) or (),
-                    gate_time=2.0,
-                    target=target,
-                )
+        rows = list(itertools.islice(clicks, n_max))
+        targets = [_bell_even(1 if n % 2 == 0 else -1) for n, _, _ in rows]
+        solved = solve_local_z_corrections([post for _, _, post in rows], targets)
+        outcomes += [
+            GateOutcome(
+                label=f"even-bell-{n}",
+                probability=pn,
+                posterior=post,
+                corrections=corrections or (),
+                gate_time=2.0,
+                target=target,
             )
+            for (n, pn, post), target, corrections in zip(rows, targets, solved)
+        ]
     else:
         first = next(clicks, None)
         outcomes.append(
@@ -523,16 +560,22 @@ def cascade_pair_success(outcomes) -> Fraction:
     )
 
 
-def _cascade_label(n: int, members: list[int], entangled: bool) -> str:
-    if len(members) == 1:
-        return "product-" + format(members[0], f"0{n}b")
-    pair_patterns = {((b >> (n - 1)) & 1, (b >> (n - 2)) & 1) for b in members}
-    if n == 3 and pair_patterns == {(0, 1), (1, 0)}:
-        third = members[0] & 1
-        return f"bell-q3-{third}"
-    if len(members) == 2 and members[0] + members[1] == 2**n - 1:
-        return "ghz"
-    return "entangled" if entangled else "mixed"
+def _cascade_labels(n: int, row, patterns, entangled) -> list[str]:
+    """Every peak's label, from its members: ``patterns`` peak by peak in
+    pattern order, ``row`` each one's peak, ``entangled`` per peak."""
+    sizes = np.bincount(row, minlength=len(entangled))
+    starts = np.cumsum(sizes) - sizes
+    # the values that (qubit 0, qubit 1) take on a peak's members, as bits
+    pairs = np.bitwise_or.reduceat(1 << (patterns >> (n - 2)), starts)
+    ghz = (sizes == 2) & (np.add.reduceat(patterns, starts) == 2**n - 1)
+    return [
+        "product-" + format(b, f"0{n}b") if size == 1
+        else f"bell-q3-{b & 1}" if n == 3 and pair == 0b0110  # only 01 and 10
+        else "ghz" if is_ghz
+        else "entangled" if is_entangled else "mixed"
+        for size, b, pair, is_ghz, is_entangled in zip(
+            sizes.tolist(), patterns[starts].tolist(), pairs.tolist(), ghz.tolist(), entangled)
+    ]
 
 
 def cascade_outcomes(n: int, alpha, theta, state: QubitState | None = None):
@@ -545,8 +588,8 @@ def cascade_outcomes(n: int, alpha, theta, state: QubitState | None = None):
     gate_time = float(cascade_gate_time(n))
 
     def labels(projected) -> list[str]:
-        return [_cascade_label(n, sorted(o.peak.members), entangled)
-                for o, entangled in zip(projected, _pairs_entangled(n, projected).tolist())]
+        return _cascade_labels(n, projected.row, projected.patterns,
+                               _pairs_entangled(n, projected).tolist())
 
     return _homodyne_outcomes(hybrid, math.pi / 2.0, gate_time, labels, patterns)
 
@@ -567,10 +610,9 @@ def _geometric_gate(n: int, loop, edges):
     up to Z(2 J) on both ends) and exp(2 i J) = 1 on every other pair.
     """
     seq = InteractionSequence(n, tuple(loop))
-    form = busim.phase_form(n, loop)
-    if form is None:
+    if seq.form is None:
         return seq, None
-    coupling = form[2]
+    coupling = dict(seq.form[2])
     totals = [0.0] * n
     for a, b in edges:
         phi = coupling.pop((a, b), 0.0)

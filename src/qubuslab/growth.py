@@ -716,8 +716,8 @@ class ComparisonRow:
     empirical: float
     analytic: float
     stderr: float
-    z: float
-    status: str  # "pass" or "flag"
+    z: float | None  # None for one trial, which has no spread
+    status: str  # "pass", "flag", or "no spread" for one trial
 
 
 def z_score(diff: float, stderr: float) -> float:
@@ -730,7 +730,8 @@ def compare_to_analytic(stats: GrowthStats, point: ScalingPoint):
 
     |z| <= 3 is a pass; larger deviations are flagged, never raised: several
     printed laws are known not to match their own strategy rules, and the
-    flags are how those discrepancies surface.
+    flags are how those discrepancies surface.  One trial has no spread to
+    measure a miss against, so it gets no z.
     """
     cfg = stats.config
     if point.series != cfg.variant:
@@ -746,7 +747,7 @@ def compare_to_analytic(stats: GrowthStats, point: ScalingPoint):
         values = columns[metric]
         summ = MetricSummary.from_samples(values)
         stderr = math.sqrt(summ.variance / values.size)
-        z = z_score(summ.mean - analytic[key], stderr)
+        z = None if values.size == 1 else z_score(summ.mean - analytic[key], stderr)
         rows.append(
             ComparisonRow(
                 metric=metric,
@@ -754,7 +755,7 @@ def compare_to_analytic(stats: GrowthStats, point: ScalingPoint):
                 analytic=float(analytic[key]),
                 stderr=stderr,
                 z=z,
-                status="pass" if abs(z) <= 3.0 else "flag",
+                status="no spread" if z is None else "pass" if abs(z) <= 3.0 else "flag",
             )
         )
     return rows

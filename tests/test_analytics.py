@@ -336,7 +336,7 @@ class TestCrossoverAndConstants:
         assert dc.N(255, 0.75) < merge.N(255, 0.75) < merge.N(256, 0.75) < dc.N(256, 0.75)
 
     def test_flagged_constants_present(self):
-        names = [c.name for c in an.flagged_constants()]
+        names = [c.name for c in an.QUOTED_CONSTANTS.values() if c.status == "flagged"]
         assert names == ["minimal-build-cost-p-1/2", "vertical-ops-p-1/2",
                          "vacuum-error-alpha-theta-2"]
 

@@ -45,6 +45,12 @@ def two_qubit_rotated(alpha=2.0, theta=0.4):
     return apply_conditional_rotation(state, 1, theta)
 
 
+
+def _branch_map(state):
+    """pattern -> (coefficient, bus) of every branch."""
+    return {b: (c, u) for b, c, u in
+            zip(state.bits.tolist(), state.coeff.tolist(), state.bus.tolist())}
+
 class TestPhysicalParams:
     def test_derived_fields_exact(self):
         p = PhysicalParams.from_coupling(g=1.2e6, delta=3.0e9, t_int=2.0e-6)
@@ -69,7 +75,7 @@ class TestInitPlusState:
 
     def test_vacuum_bus_single_qubit(self):
         state = init_plus_state(1, 0.0)
-        assert state.branch_map() == {
+        assert _branch_map(state) == {
             0: (pytest.approx(1 / math.sqrt(2)), 0j),
             1: (pytest.approx(1 / math.sqrt(2)), 0j),
         }
@@ -87,7 +93,7 @@ class TestConditionalRotation:
         """Two per-qubit kicks of theta rotate |00> by +2 theta and |11> by -2."""
         alpha, theta = 2.0, 0.4
         state = two_qubit_rotated(alpha, theta)
-        buses = {b: u for b, (_, u) in state.branch_map().items()}
+        buses = {b: u for b, (_, u) in _branch_map(state).items()}
         assert buses[0] == pytest.approx(alpha * np.exp(2j * theta))
         assert buses[1] == pytest.approx(alpha)
         assert buses[2] == pytest.approx(alpha)
@@ -123,7 +129,7 @@ class TestConditionalDisplacement:
     def test_vacuum_start_real_kick(self):
         state = init_plus_state(1, 0.0)
         moved = run_displacement_program(state, [(0, 0.8)])
-        branches = moved.branch_map()
+        branches = _branch_map(moved)
         assert branches[0] == (pytest.approx(1 / math.sqrt(2)), pytest.approx(0.8))
         assert branches[1] == (pytest.approx(1 / math.sqrt(2)), pytest.approx(-0.8))
 
@@ -143,7 +149,7 @@ class TestConditionalDisplacement:
         assert bus_spread(state) < 1e-12
         assert_allclose(state.bus, start, atol=1e-12)
         area = 2.0 * np.imag(np.conj(b1) * b2)
-        for bits, (coeff, _) in state.branch_map().items():
+        for bits, (coeff, _) in _branch_map(state).items():
             s0 = 1 - 2 * ((bits >> 1) & 1)
             s1 = 1 - 2 * (bits & 1)
             assert coeff / 0.5 == pytest.approx(np.exp(1j * area * s0 * s1), abs=1e-12)
@@ -153,7 +159,7 @@ class TestUnconditionalDisplacement:
     def test_back_displacement_reaches_vacuum(self):
         alpha, theta = 2.0, 0.4
         state = run_displacement_program(two_qubit_rotated(alpha, theta), [(None, -alpha)])
-        buses = {b: u for b, (_, u) in state.branch_map().items()}
+        buses = {b: u for b, (_, u) in _branch_map(state).items()}
         assert buses[0] == pytest.approx(alpha * (np.exp(2j * theta) - 1))
         assert buses[3] == pytest.approx(alpha * (np.exp(-2j * theta) - 1))
         assert abs(buses[1]) < 1e-12 and abs(buses[2]) < 1e-12
@@ -300,6 +306,60 @@ class TestMeasureBucket:
         total = measure_bucket(state).probability
         total += sum(p for _, p, _ in busim._photon_components(state))
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def _ref_photon_projection(state, n):
+    """Weight and posterior of photon number n, one number at a time: the
+    per-number projection that the one-pass photon numbers replaced."""
+    absb = np.abs(state.bus)
+    if n == 0:
+        log_mag = -0.5 * absb**2
+    else:
+        with np.errstate(divide="ignore"):
+            log_mag = -0.5 * absb**2 + n * np.where(absb > busim.BUS_TOL, np.log(absb), -np.inf)
+        log_mag = log_mag - 0.5 * math.lgamma(n + 1)
+    top = float(np.max(log_mag))
+    if top == -math.inf:
+        return 0.0, None
+    amps = busim._dense(state, state.coeff * np.exp(log_mag - top + 1j * (n * np.angle(state.bus))))
+    nrm2 = float(np.vdot(amps, amps).real)
+    prob = nrm2 * math.exp(2.0 * top)
+    return prob, None if nrm2 == 0.0 else QubitState(state.qubit_count, amps / math.sqrt(nrm2))
+
+
+def _ref_photon_components(state):
+    lam = float(np.max(np.abs(state.bus)) ** 2)
+    total = 0.0
+    for n in range(int(lam + 12.0 * math.sqrt(lam + 1.0) + 25.0) + 1):
+        pn, post = _ref_photon_projection(state, n)
+        if n > 0 and post is not None:
+            yield n, pn, post
+        total += pn
+        if 1.0 - total < busim.TAIL_TOL and n > lam:
+            return
+
+
+class TestPhotonPassMatchesPerNumberLoop:
+    """A click's components from passes over photon numbers, byte for byte."""
+
+    @pytest.mark.parametrize("alpha, theta, state", [
+        (2.0, 0.4, None), (1.5, 0.5, None), (0.01, 0.3, None),
+        # about 240 mean photons: the list runs on into a second pass
+        (12.0, 0.7, None), (2.5, 0.45, (0.6, 0.3, 0.2j, -0.714)),
+    ])
+    def test_components(self, alpha, theta, state):
+        if state is not None:
+            state = QubitState(2, np.array(state), normalize=True)
+        _, hybrid = gates._prepare(alpha, theta, state, (1, 1))
+        hybrid = run_displacement_program(hybrid, [(None, -alpha)])
+        got = list(busim._photon_components(hybrid))
+        want = list(_ref_photon_components(hybrid))
+        assert [(n, _f64(p), post.amplitudes.tobytes()) for n, p, post in got] == [
+            (n, _f64(p), post.amplitudes.tobytes()) for n, p, post in want]
+        vacuum = measure_bucket(hybrid)
+        assert _f64(vacuum.probability) == _f64(_ref_photon_projection(hybrid, 0)[0])
+        if alpha == 12.0:
+            assert got[-1][0] > busim._PHOTON_PASS
 
 
 class TestBusSpreadAndExtraction:
@@ -934,9 +994,11 @@ class TestProjectionMatchesPerBranchOverlaps:
             assert got.amplitudes.tobytes() == (want / np.linalg.norm(want)).tobytes()
             # the in-place division of the batched pass gives the same bytes
             dense = busim._dense(state, state.coeff * quadrature_overlap(float(x), state.bus, phi))
-            got = busim._normalized(n, dense)
-            assert got.amplitudes.tobytes() == (want / np.linalg.norm(want)).tobytes()
-            assert got.amplitudes is dense
+            rows = np.stack([dense, dense[::-1]])
+            busim._divide_rows_by_norms(rows)
+            assert rows[0].tobytes() == (want / np.linalg.norm(want)).tobytes()
+            flipped = want[::-1].copy()
+            assert rows[1].tobytes() == (flipped / np.linalg.norm(flipped)).tobytes()
 
 
 def _ref_dense(state, weights, keep=slice(None)):
@@ -1156,6 +1218,46 @@ def _grouped_state(rng, n):
     if rng.random() < 0.7:
         state = run_displacement_program(state, _cross_qubit_program(rng, n))
     return state
+
+
+def _ref_peak_loop(state, phi):
+    """The per-peak pass that the one-pass-per-size peak model replaced."""
+    centers = 2.0 * np.real(state.bus * cmath.exp(-1j * phi))
+    power = state.coeff.real**2 + state.coeff.imag**2
+    order = np.argsort(centers, kind="stable")
+    peaks = []
+    for idx in np.split(order, np.flatnonzero(np.diff(centers[order]) > busim.PEAK_GROUP_TOL) + 1):
+        weight = 0.0
+        for w in power[np.sort(idx)].tolist():
+            weight += w
+        peaks.append(busim.Peak(float(np.mean(centers[idx])), weight,
+                                frozenset(state.bits[idx].tolist())))
+    return peaks
+
+
+class TestPeakPassesMatchPerPeakLoop:
+    """Centres, weights and members of every peak size, signed zeros included."""
+
+    @pytest.mark.parametrize("zeros", [(-0.0,), (-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0),
+                                       (-0.0,) * 3, (-0.0, 0.0, -0.0) * 3 + (-1e-300,)])
+    def test_signed_zero_centres(self, zeros):
+        rng = np.random.default_rng([4343, len(zeros)] + [int(np.signbit(z)) for z in zeros])
+        centers = list(zeros)
+        for k, size in enumerate((1, 2, 3, 9, 17)):  # away from zero, within one peak each
+            centers += list(5.0 * (k + 1) * (-1) ** k + rng.uniform(-4e-10, 4e-10, size))
+        n = (len(centers) - 1).bit_length()
+        bits = rng.permutation(2**n)[:len(centers)]
+        coeff = rng.normal(size=len(centers)) + 1j * rng.normal(size=len(centers))
+        bus = np.array([complex(c / 2, -0.0) for c in centers])
+        state = HybridState(n, bits, coeff / np.linalg.norm(coeff), bus)
+        model = homodyne_pdf(state, 0.0)
+        signed = 2.0 * np.real(state.bus * cmath.exp(-0.0j))
+        assert (np.signbit(signed) & (signed == 0.0)).sum() == sum(
+            z == 0.0 and np.signbit(z) for z in zeros)
+        assert sorted(len(p.members) for p in model.peaks) == sorted([len(zeros), 1, 2, 3, 9, 17])
+        want = _ref_peak_loop(state, 0.0)
+        assert [(p.members, _f64(p.center), _f64(p.weight)) for p in model.peaks] == [
+            (p.members, _f64(p.center), _f64(p.weight)) for p in want]
 
 
 class TestBatchedOutcomesMatchPerPeakReference:

@@ -640,6 +640,19 @@ class TestGrowthCommand:
         assert result.exit_code == 0, result.output
         assert next(csv.DictReader(out.open()))["analytic_ops"] == "637.4999999999998"
 
+    def test_one_trial_has_no_z(self, runner, tmp_path):
+        """One trial has no spread: the CSV leaves z_score empty and each
+        comparison line says so, where a zero spread once printed z = +inf."""
+        out = tmp_path / "one.csv"
+        result = runner.invoke(main, ["growth", "sequential", "--p", "0.75", "--L", "5",
+                                      "--trials", "1", "--seed", "1", "--csv", str(out)])
+        assert result.exit_code == 0, result.output
+        assert next(csv.DictReader(out.open()))["z_score"] == ""
+        lines = [line for line in result.output.splitlines() if "vs analytic" in line]
+        assert len(lines) == 2
+        assert all(line.endswith("(one trial has no spread, so no z)") for line in lines)
+        assert "inf" not in result.output
+
     def test_rejected_config_exits_nonzero(self, runner):
         result = runner.invoke(
             main, ["growth", "sequential", "--p", "0.4", "--L", "10",

@@ -503,13 +503,15 @@ class TestCascade:
         amps = np.zeros(16)
         amps[list(members)] = 0.5
         entangled = _rank_two(QubitState(4, amps), 0, 1)
-        assert gates._cascade_label(4, list(members), entangled) == "mixed"
+        labels = gates._cascade_labels(4, np.zeros(4, int), np.array(members), [entangled])
+        assert labels == ["mixed"]
 
     def test_ghz_times_plus_is_entangled(self):
         amps = np.zeros(16)
         amps[[0, 1, 14, 15]] = 0.5  # (|000> + |111>)/sqrt(2) on qubits 0-2, |+> on 3
         entangled = _rank_two(QubitState(4, amps), 0, 1)
-        assert gates._cascade_label(4, [0, 1, 14, 15], entangled) == "entangled"
+        members = np.array([0, 1, 14, 15])
+        assert gates._cascade_labels(4, np.zeros(4, int), members, [entangled]) == ["entangled"]
 
     def test_rank_test_on_known_states(self):
         bell_and_plus = QubitState(3, np.array([1, 1, 0, 0, 0, 0, 1, 1]) / 2.0)
@@ -531,10 +533,10 @@ class TestCascade:
         alpha, theta = [(1000.0, 0.003), (3.0, 0.3), (1.0, 0.0), (30.0, 0.05)][seed % 4]
         state = None if seed % 3 == 0 else _random_register(seed, n)
         _, hybrid = gates._prepare(alpha, theta, state, gates._cascade_schedule(n))
-        projected = busim.homodyne_outcomes(hybrid, float(rng.uniform(0.0, math.pi)))
+        projected = busim._projections(hybrid, float(rng.uniform(0.0, math.pi)))
         got = gates._pairs_entangled(n, projected)
-        want = [_dense_rank_two(o.posterior, 0) and _dense_rank_two(o.posterior, 1)
-                for o in projected]
+        want = [_dense_rank_two(QubitState(n, a), 0) and _dense_rank_two(QubitState(n, a), 1)
+                for a in projected.posteriors]
         assert got.tolist() == want
 
     @pytest.mark.parametrize("n", range(2, 7))
@@ -929,7 +931,7 @@ class TestChainSequence:
                 done_second.add(q)
                 # bus must be identical across sign assignments of finished qubits
                 buses = {}
-                for bits, (_, bus) in state.branch_map().items():
+                for bits, bus in zip(state.bits.tolist(), state.bus.tolist()):
                     key = tuple(
                         (bits >> (n - 1 - q)) & 1
                         for q in range(n)
@@ -1129,6 +1131,12 @@ def _random_product(rng, n, spread=(0.2, 1.3)):
     return QubitState(n, amps, normalize=True)
 
 
+def _solve_one(posterior, target):
+    """The solver on a batch of one pair."""
+    (solved,) = gates.solve_local_z_corrections([posterior], [target])
+    return solved
+
+
 class TestCorrectionSolver:
     def test_corrections_equal_one_phase_at_a_time(self):
         """One amplitude array holds the bytes of one apply_z_phase per correction."""
@@ -1149,19 +1157,19 @@ class TestCorrectionSolver:
     def test_solves_pure_z_frame(self):
         state = QubitState.plus(2)
         rotated = apply_z_phase(apply_z_phase(state, 0, 0.7), 1, -0.4)
-        corr = gates.solve_local_z_corrections(rotated, state)
+        corr = _solve_one(rotated, state)
         assert corr is not None
         assert fidelity(gates.apply_corrections(rotated, corr), state) >= 1 - 1e-12
 
     def test_rejects_unreachable_target(self):
         plus = QubitState.plus(2)
         bell = EVEN_BELL
-        assert gates.solve_local_z_corrections(plus, bell) is None
+        assert _solve_one(plus, bell) is None
 
     def test_rejects_non_local_phases(self):
         """Same support and magnitudes, but a CZ sign no local phase makes."""
         cz = QubitState(2, np.array([1, 1, 1, -1]) / 2.0)
-        assert gates.solve_local_z_corrections(QubitState.plus(2), cz) is None
+        assert _solve_one(QubitState.plus(2), cz) is None
 
     def test_wrapped_z_frame_solved(self):
         """Phase 3.0 on every qubit wraps the pattern phases (6.0 -> -0.28)."""
@@ -1170,7 +1178,7 @@ class TestCorrectionSolver:
             framed = plus
             for q in range(n):
                 framed = apply_z_phase(framed, q, 3.0)
-            corr = gates.solve_local_z_corrections(plus, framed)
+            corr = _solve_one(plus, framed)
             assert corr is not None, n
             assert fidelity(gates.apply_corrections(plus, corr), framed) >= 1 - 1e-12
 
@@ -1183,7 +1191,7 @@ class TestCorrectionSolver:
                 framed = post
                 for q in (range(n) if zs == "all" else zs):
                     framed = apply_pauli(framed, q, "Z")
-                corr = gates.solve_local_z_corrections(post, framed)
+                corr = _solve_one(post, framed)
                 assert corr is not None, n
                 assert fidelity(gates.apply_corrections(post, corr), framed) >= 1 - 1e-12
 
@@ -1205,7 +1213,7 @@ class TestCorrectionSolver:
             framed = post
             for q in range(n):
                 framed = apply_z_phase(framed, q, float(rng.uniform(-4, 4)))
-            corr = gates.solve_local_z_corrections(post, framed)
+            corr = _solve_one(post, framed)
             assert corr is not None
             assert fidelity(gates.apply_corrections(post, corr), framed) >= 1 - 1e-12
 
@@ -1225,7 +1233,8 @@ class TestCorrectionSolver:
                              for b in support], dtype=np.float64)
             deltas, *_ = np.linalg.lstsq(rows - rows[0], np.angle(ratios / ratios[0]),
                                          rcond=None)
-            if not gates._phases_match(a, t, support, deltas, n):
+            bits = (support[:, None] >> np.arange(n - 1, -1, -1)) & 1
+            if not gates._phases_match(a[support][None], t[support][None], bits, deltas[None])[0]:
                 return ()
             return tuple(gates.Correction(q, "phase", float(d))
                          for q, d in enumerate(deltas)
@@ -1251,6 +1260,116 @@ class TestCorrectionSolver:
 
     def test_partial_support(self):
         post = QubitState(2, np.array([0, 1, 1j, 0]) / math.sqrt(2))
-        corr = gates.solve_local_z_corrections(post, ODD_BELL)
+        corr = _solve_one(post, ODD_BELL)
         assert corr is not None
         assert fidelity(gates.apply_corrections(post, corr), ODD_BELL) >= 1 - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the batched solver against the per-row solver it replaced
+
+
+def _ref_solve(posterior, target):
+    """One (posterior, target) pair solved alone: the per-row solver that
+    the batched one replaced, as it was."""
+    n = posterior.qubit_count
+    a, t = posterior.amplitudes, target.amplitudes
+    support = np.flatnonzero(np.abs(a) > gates.Z_SOLVE_TOL)
+    if not np.array_equal(support, np.flatnonzero(np.abs(t) > gates.Z_SOLVE_TOL)):
+        return None
+    ratios = t[support] / a[support]
+    if np.max(np.abs(np.abs(ratios) - np.abs(ratios[0]))) > 1e-6:
+        return None
+    bits = (support[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    rows = (bits - bits[0]).astype(np.float64)
+    r = ratios / ratios[0]
+    phis = np.angle(r)
+    index = np.full(1 << n, -1)
+    index[support] = np.arange(support.size)
+    partner = index[support[:, None] ^ (1 << np.arange(n - 1, -1, -1))]
+    i = np.argmax(partner >= 0, axis=0)
+    j = partner[i, np.arange(n)]
+    step = np.where(j >= 0, np.angle(r[j] / r[i]), 0.0)
+    phis = phis + 2.0 * np.pi * np.round((rows @ step - phis) / (2.0 * np.pi))
+    deltas, *_ = np.linalg.lstsq(rows, phis, rcond=None)
+    corrected = a[support]
+    for q, d in enumerate(deltas):
+        corrected = busim.z_phase_action(corrected, support, n, q, d)
+    g = t[support[0]] / corrected[0]
+    if not np.max(np.abs(g * corrected - t[support])) <= math.sqrt(gates.Z_SOLVE_TOL):
+        return None
+    return tuple(gates.Correction(q, "phase", float(d)) for q, d in enumerate(deltas)
+                 if abs(cmath.exp(1j * d) - 1.0) > gates.Z_SOLVE_TOL)
+
+
+def _correction_bytes(solved):
+    """A solver answer with every angle as its float's bytes."""
+    return None if solved is None else [(c.qubit, np.float64(c.angle).tobytes()) for c in solved]
+
+
+def _check_batch(posteriors, targets):
+    """The batched answers, each the per-row solver's, byte for byte."""
+    got = gates.solve_local_z_corrections(posteriors, targets)
+    want = [_ref_solve(p, t) for p, t in zip(posteriors, targets)]
+    assert [_correction_bytes(g) for g in got] == [_correction_bytes(w) for w in want]
+    return got
+
+
+class TestBatchedSolverMatchesPerRow:
+    @pytest.mark.parametrize("alpha, theta", BUCKET_INPUTS + [(2.0, 0.4), (1.5, 0.5)])
+    def test_resolving_bucket_tables(self, alpha, theta):
+        n_max = None if alpha < 10 else 6
+        outs = gates.bucket_parity_outcomes(alpha, theta, number_resolving=True, n_max=n_max)
+        rows = [o for o in outs if o.label.startswith("even-bell-")]
+        assert len(rows) >= 6
+        for o in rows:
+            assert _correction_bytes(o.corrections) == _correction_bytes(
+                _ref_solve(o.posterior, o.target) or ())
+        # the table's rows share one support, so they made one batch
+        _check_batch([o.posterior for o in rows], [o.target for o in rows])
+
+    def test_random_two_qubit_registers(self):
+        """Random supports, magnitudes and Z frames on two qubits, in one
+        batch; a third of the targets carry a CZ sign, which fails wherever
+        the support holds all four patterns."""
+        rng = np.random.default_rng(4242)
+        posteriors, targets = [], []
+        for k in range(60):
+            amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+            amps[rng.random(4) < 0.3] = 0.0
+            if not amps.any():
+                amps[int(rng.integers(4))] = 1.0
+            post = QubitState(2, amps, normalize=True)
+            target = post
+            for q in range(2):
+                target = apply_z_phase(target, q, float(rng.uniform(-4, 4)))
+            if k % 3 == 0:
+                target = QubitState(2, target.amplitudes * np.array([1, 1, 1, -1]))
+            posteriors.append(post)
+            targets.append(target)
+        got = _check_batch(posteriors, targets)
+        assert sum(g is None for g in got) >= 5 and sum(g is not None for g in got) >= 40
+
+    def test_heralded_cascade_rows(self):
+        checked = 0
+        for n in range(2, 9):
+            for alpha, theta in ((1000.0, 0.003), (437.0, 0.0071)):
+                for o in gates.cascade_outcomes(n, alpha, theta):
+                    if o.target is not None:
+                        assert _correction_bytes(o.corrections) == _correction_bytes(
+                            _ref_solve(o.posterior, o.target) or ())
+                        _check_batch([o.posterior], [o.target])
+                        checked += 1
+        assert checked >= 2 * 7 + 4  # one ghz row per table, two more bell rows at n = 3
+
+    def test_rows_failing_support_and_magnitude_checks(self):
+        """Failing rows beside passing ones get None and change no other row."""
+        plus = QubitState.plus(2)
+        framed = apply_z_phase(apply_z_phase(plus, 0, 0.7), 1, -2.9)
+        uneven = QubitState(2, np.array([1, 1, 1, 2]) / math.sqrt(7))
+        cz = QubitState(2, np.array([1, 1, 1, -1]) / 2.0)
+        posteriors = [plus, plus, plus, ODD_BELL, plus, QubitState(2, ODD_BELL.amplitudes * 1j)]
+        targets = [framed, EVEN_BELL, uneven, plus, cz, ODD_BELL]
+        got = _check_batch(posteriors, targets)
+        assert [g is None for g in got] == [False, True, True, True, True, False]
+        assert gates.solve_local_z_corrections([], []) == []

@@ -701,6 +701,14 @@ class TestCompareToAnalytic:
         )
         assert rows[0].z == 0.0 and rows[0].status == "pass"
 
+    def test_one_trial_has_no_z(self):
+        """Even an exact match on one trial is no test: no spread, no z."""
+        for p in (0.75, 1.0):
+            cfg = StrategyConfig(variant="sequential", p=p, trials=1, master_seed=1, target_L=10)
+            rows = growth.compare_to_analytic(
+                simulate(cfg), analytics.scaling_point("sequential", p, L=10))
+            assert rows and all(r.z is None and r.status == "no spread" for r in rows)
+
     def test_mismatched_parameters_rejected(self):
         cfg = StrategyConfig(
             variant="sequential", p=0.75, trials=10, master_seed=1, target_L=10
