@@ -89,13 +89,16 @@ def solve_local_z_corrections(posteriors, targets) -> list:
     size, a tuple of corrections or None.
 
     A pair works on its common support, and the pairs that share a support
-    are solved together.  The amplitude ratios' angles are unwrapped onto
-    sums of per-qubit steps read from single-bit flips of the support (see
-    :func:`_unwrapped_angles`), then one least-squares solve, with one
-    right-hand side per pair, fits a phase per qubit.  A pair gets None when
-    its supports differ, the magnitudes disagree, or the fitted phases do not
-    reproduce the ratios.  A phase with |e^{i d} - 1| <= ``Z_SOLVE_TOL`` is
-    least-squares residue and is left out.
+    of fewer than 8 patterns are solved together.  On 8 or more, LAPACK's
+    solve of several right-hand sides differs in the last bits from the
+    solve of one, so each pair there is solved alone and its answer never
+    depends on the pairs beside it.  The amplitude ratios' angles are
+    unwrapped onto sums of per-qubit steps read from single-bit flips of the
+    support (see :func:`_unwrapped_angles`), then one least-squares solve,
+    with one right-hand side per pair, fits a phase per qubit.  A pair gets
+    None when its supports differ, the magnitudes disagree, or the fitted
+    phases do not reproduce the ratios.  A phase with |e^{i d} - 1| <=
+    ``Z_SOLVE_TOL`` is least-squares residue and is left out.
     """
     solved = [None] * len(posteriors)
     if not solved:
@@ -110,9 +113,10 @@ def solve_local_z_corrections(posteriors, targets) -> list:
         shared.setdefault(inside[i].tobytes(), []).append(i)
     for pairs in shared.values():
         support = np.flatnonzero(inside[pairs[0]])
-        for i, corrections in zip(pairs, _solve_on_support(
-                n, support, a[pairs][:, support], t[pairs][:, support])):
-            solved[i] = corrections
+        for batch in [pairs] if support.size < 8 else [[i] for i in pairs]:
+            for i, corrections in zip(batch, _solve_on_support(
+                    n, support, a[batch][:, support], t[batch][:, support])):
+                solved[i] = corrections
     return solved
 
 

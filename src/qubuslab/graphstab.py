@@ -17,7 +17,8 @@ no elimination.  The remaining GF(2) linear algebra (the
 independence check in ``equals_up_to_corrections``, ``canonical_form``,
 and deriving the destabilizers of a hand-built tableau once) runs through
 one Gauss-Jordan kernel, ``_row_reduce``; every row product takes its sign
-from ``_product_sign``, the Aaronson-Gottesman row-sum phase.
+from ``_product_sign``, the Aaronson-Gottesman row-sum phase, read per qubit
+from one 16-entry table of their g.
 
 Chain bookkeeping (which qubit sits where in which chain, dangling bonds)
 lives in a :class:`ChainRegistry` beside the tableau; the quantum state never
@@ -202,20 +203,30 @@ def _row_reduce(m: np.ndarray, pivot_cols: int, sign=None) -> list:
     return pivots
 
 
+def _g_table() -> np.ndarray:
+    """Aaronson and Gottesman's g for one qubit of a row product, at each
+    code 8 x1 + 4 z1 + 2 x2 + z2 of that qubit's bits in the two factors."""
+    x1, z1, x2, z2 = np.arange(16) >> np.arange(3, -1, -1)[:, None] & 1
+    # g is +1 on the cyclic pairs XY, YZ, ZX and -1 on YX, ZY, XZ; the bits
+    # are 0/1, so ~ only needs its lowest bit
+    plus = (x1 & z2 & (z1 ^ x2)) | (z1 & x2 & ~(x1 | z2))
+    minus = (z1 & x2 & (x1 ^ z2)) | (x1 & z2 & ~(z1 | x2))
+    return (plus - minus).astype(np.int8)
+
+
+_G = _g_table()
+
+
 def _product_sign(rows: np.ndarray, source: np.ndarray, n: int) -> np.ndarray:
     """Sign bit that the phase of each product rows[k] * source contributes.
 
     ``rows`` and ``source`` hold [x|z] bits (``source`` broadcasts).  The
     phase is the sum over qubits of Aaronson and Gottesman's g, in units of
-    i; commuting factors give 0 or 2 mod 4, that is sign bit 0 or 1.
+    i, read from ``_G`` at each qubit's code; commuting factors give 0 or 2
+    mod 4, that is sign bit 0 or 1.
     """
-    x1, z1 = rows[..., :n], rows[..., n:]
-    x2, z2 = source[..., :n], source[..., n:]
-    # g is +1 on the cyclic pairs XY, YZ, ZX and -1 on YX, ZY, XZ; the bits
-    # are 0/1, so ~ only needs its lowest bit
-    plus = (x1 & z2 & (z1 ^ x2)) | (z1 & x2 & ~(x1 | z2))
-    minus = (z1 & x2 & (x1 ^ z2)) | (x1 & z2 & ~(z1 | x2))
-    g = (plus.sum(axis=-1, dtype=np.int64) - minus.sum(axis=-1, dtype=np.int64)) % 4
+    code = (rows[..., :n] << 3) | (rows[..., n:] << 2) | ((source[..., :n] << 1) | source[..., n:])
+    g = _G[code].sum(axis=-1, dtype=np.int64) % 4
     if (g % 2).any():
         raise AssertionError("row product produced an imaginary sign")
     return (g // 2).astype(np.uint8)
@@ -258,8 +269,11 @@ def _check_qubit(n: int, qubit: int) -> None:
 
 def _hadamard(tab: StabilizerTableau, qubit: int) -> None:
     n = tab.n
-    tab.sign ^= tab.m[:n, qubit] & tab.m[:n, n + qubit]
-    tab.m[:, [qubit, n + qubit]] = tab.m[:, [n + qubit, qubit]]
+    x, z = tab.m[:, qubit], tab.m[:, n + qubit]
+    tab.sign ^= x[:n] & z[:n]
+    swap = x.copy()
+    x[:] = z
+    z[:] = swap
 
 
 def _pauli(tab: StabilizerTableau, qubit: int, pauli: str) -> None:
@@ -332,12 +346,21 @@ def _owned_copy(tab: StabilizerTableau) -> StabilizerTableau:
 
 
 def _measure(tab: StabilizerTableau, bits, forced=None, rng=None) -> int:
-    """Measure the Pauli ``bits`` ([x|z]) on ``tab`` in place; returns the outcome."""
+    """Measure the Pauli ``bits`` ([x|z]) on ``tab`` in place; returns the outcome.
+
+    ``forced`` must be the integer +1 or -1, NumPy integers included; a bool,
+    float or string is refused before any change.
+    """
+    if forced is not None and (
+            isinstance(forced, bool) or not isinstance(forced, (int, np.integer))
+            or forced not in (1, -1)):
+        raise ValueError("forced outcome must be +1 or -1")
     n = tab.n
     hits = _anticommuting(tab.m, bits)  # ascending, so generator rows come first
-    if not hits.size or hits[0] >= n:
+    split = int(hits.searchsorted(n))  # the generator rows among them
+    if not split:
         outcome = _deterministic_sign(tab, bits, hits - n)
-        if forced is not None and int(forced) != outcome:
+        if forced is not None and forced != outcome:
             raise ValueError(f"outcome is deterministic ({outcome:+d}); cannot force {forced:+d}")
         return outcome
     if forced is None:
@@ -346,15 +369,15 @@ def _measure(tab: StabilizerTableau, bits, forced=None, rng=None) -> int:
         outcome = 1 if rng.integers(2) == 0 else -1
     else:
         outcome = int(forced)
-        if outcome not in (1, -1):
-            raise ValueError("forced outcome must be +1 or -1")
-    p, rest = int(hits[0]), hits[1:]
-    gens = rest[rest < n]
-    tab.sign[gens] ^= tab.sign[p] ^ _product_sign(tab.m[gens], tab.m[p], n)
+    p = int(hits[0])
+    if split > 1:
+        gens = hits[1:split]
+        tab.sign[gens] ^= tab.sign[p] ^ _product_sign(tab.m[gens], tab.m[p], n)
     # Aaronson-Gottesman: every other row that anticommutes with the
     # observable takes a factor of generator p, which keeps the duality;
     # destabilizer p becomes generator p, and generator p the observable
-    tab.m[rest] ^= tab.m[p]
+    if len(hits) > 1:
+        tab.m[hits[1:]] ^= tab.m[p]
     tab.m[n + p] = tab.m[p]
     tab.m[p] = bits
     tab.sign[p] = 0 if outcome == 1 else 1
@@ -366,11 +389,14 @@ def _anticommuting(m: np.ndarray, bits) -> np.ndarray:
 
     The symplectic product meets each X bit of the Pauli with the rows' Z
     column on that qubit and each Z bit with their X column, so it XORs
-    those few columns instead of running a matrix product.
+    those few columns instead of running a matrix product; a Pauli with one
+    such column reads it alone.
     """
     n = len(bits) // 2
-    cols = (np.flatnonzero(bits) + n) % (2 * n)
-    return np.flatnonzero(np.bitwise_xor.reduce(m[:, cols], axis=1))
+    cols = (bits.nonzero()[0] + n) % (2 * n)
+    if len(cols) == 1:
+        return m[:, cols[0]].nonzero()[0]
+    return np.bitwise_xor.reduce(m[:, cols], axis=1).nonzero()[0]
 
 
 def _deterministic_sign(tab: StabilizerTableau, bits, used) -> int:
@@ -378,14 +404,17 @@ def _deterministic_sign(tab: StabilizerTableau, bits, used) -> int:
 
     Generator i is a factor exactly when the Pauli anticommutes with
     destabilizer i, that is when i is in ``used``; the combination is unique
-    because the generators are independent.
+    because the generators are independent.  One factor times the identity
+    adds no phase, so only two or more factors take a product-sign pass.
     """
     rows = tab.m[used]
     if not np.array_equal(np.bitwise_xor.reduce(rows, axis=0), bits):
         raise ValueError("measured Pauli neither commutes into nor hits the group")
-    before = np.zeros_like(rows)  # product of the rows ahead of each row
-    before[1:] = np.bitwise_xor.accumulate(rows, axis=0)[:-1]
-    sign = int(tab.sign[used].sum()) + int(_product_sign(before, rows, tab.n).sum())
+    sign = int(tab.sign[used].sum())
+    if len(rows) > 1:
+        before = np.zeros_like(rows)  # product of the rows ahead of each row
+        before[1:] = np.bitwise_xor.accumulate(rows, axis=0)[:-1]
+        sign += int(_product_sign(before, rows, tab.n).sum())
     return 1 - 2 * (sign % 2)
 
 

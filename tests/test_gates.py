@@ -1373,3 +1373,24 @@ class TestBatchedSolverMatchesPerRow:
         got = _check_batch(posteriors, targets)
         assert [g is None for g in got] == [False, True, True, True, True, False]
         assert gates.solve_local_z_corrections([], []) == []
+
+    def test_pair_answer_independent_of_its_batch(self):
+        """Three Z-framed 3-5-qubit registers on full supports (8-32
+        patterns) solved in one batch get the bytes that each gets alone:
+        no pair's corrections depend on the pairs beside it."""
+        rng = np.random.default_rng(5151)
+        for _ in range(200):
+            n = int(rng.integers(3, 6))
+            posteriors, targets = [], []
+            for _ in range(3):
+                post = QubitState(n, rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n),
+                                  normalize=True)
+                target = post
+                for q in range(n):
+                    target = apply_z_phase(target, q, float(rng.uniform(-4, 4)))
+                posteriors.append(post)
+                targets.append(target)
+            got = gates.solve_local_z_corrections(posteriors, targets)
+            assert all(g is not None for g in got)
+            assert [_correction_bytes(g) for g in got] == [
+                _correction_bytes(_solve_one(p, t)) for p, t in zip(posteriors, targets)]

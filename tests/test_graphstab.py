@@ -166,6 +166,33 @@ class TestMeasurePauli:
         with pytest.raises(ValueError):
             gs.measure_pauli(tab, 0, "Q")
 
+    @pytest.mark.parametrize("forced", [1.9, -1.2, 1.0, -1.0, np.float64(1.0), 1 + 0j, True,
+                                        False, np.True_, "1", "-1", 2, 0, -2])
+    @pytest.mark.parametrize("pauli", [{1: "X"}, {0: "Z", 1: "X", 2: "Z"}],
+                             ids=["random", "deterministic"])
+    def test_forced_must_be_an_integer_plus_or_minus_one(self, pauli, forced):
+        """Floats, bools and strings are refused, not truncated by int()."""
+        tab = gs.graph_state(gs.GraphSpec.chain(3))
+        bits = gs._string_to_bits(3, pauli)
+        before = _tableau_bytes(tab)
+        for measure in (lambda: gs.measure_pauli_string(tab, pauli, forced=forced),
+                        lambda: gs._measure(tab, bits, forced=forced)):
+            with pytest.raises(ValueError, match=r"^forced outcome must be \+1 or -1$"):
+                measure()
+            assert _tableau_bytes(tab) == before
+
+    @pytest.mark.parametrize("forced", [1, -1, np.int64(1), np.int8(-1), np.uint8(1)])
+    def test_forced_integers_accepted(self, forced):
+        tab = gs.graph_state(gs.GraphSpec.chain(3))
+        outcome, _ = gs.measure_pauli(tab, 1, "X", forced=forced)
+        assert outcome == forced and type(outcome) is int
+        stabilizer = {0: "Z", 1: "X", 2: "Z"}  # deterministic, +1
+        if forced == 1:
+            assert gs.measure_pauli_string(tab, stabilizer, forced=forced)[0] == 1
+        else:
+            with pytest.raises(ValueError, match=r"deterministic \(\+1\); cannot force -1$"):
+                gs.measure_pauli_string(tab, stabilizer, forced=forced)
+
     def test_z_then_conditional_z_recovers_chain(self):
         """Measuring out a chain end leaves the shorter chain after repair."""
         tab = gs.graph_state(gs.GraphSpec.chain(3))
@@ -373,6 +400,22 @@ class TestRecoverFailure:
         reg, spec = gs.ChainRegistry.disjoint_chains([3])
         with pytest.raises(ValueError):
             gs.recover_failure(gs.graph_state(spec), 1, reg)
+
+    @pytest.mark.parametrize("forced", [-1.7, 0.9, 1.0, True, np.False_, "-1", 2])
+    def test_forced_must_be_an_integer_plus_or_minus_one(self, forced):
+        """A refused outcome changes neither the tableau nor the registry."""
+        reg, spec = gs.ChainRegistry.disjoint_chains([4])
+        tab = gs.graph_state(spec)
+        before = _tableau_bytes(tab), _registry_state(reg)
+        with pytest.raises(ValueError, match=r"^forced outcome must be \+1 or -1$"):
+            gs.recover_failure(tab, 3, reg, forced=forced)
+        assert (_tableau_bytes(tab), _registry_state(reg)) == before
+
+    @pytest.mark.parametrize("forced", [np.int64(-1), np.int32(1)])
+    def test_forced_numpy_integer_accepted(self, forced):
+        reg, spec = gs.ChainRegistry.disjoint_chains([4])
+        outcome, _ = gs.recover_failure(gs.graph_state(spec), 3, reg, forced=forced)
+        assert outcome == forced and reg.backbones[0] == [0, 1, 2]
 
     def test_repeated_recovery_terminates_in_plus(self):
         reg, spec = gs.ChainRegistry.disjoint_chains([5])
@@ -1863,6 +1906,155 @@ class TestProductSignMatchesInt64Reference:
                     sign(a, b, n)
                 messages.append(str(err.value))
             assert messages[0] == messages[1] == "row product produced an imaginary sign"
+
+
+# The measurement kernels as they were before the g table, the single-column
+# read and the one-row deterministic sign, kept as references
+# (``_ref_measure_sign`` was ``_deterministic_sign``): the module's kernels
+# must leave equal bytes, outcomes and errors.
+
+
+def _ref_measure(tab, bits, forced=None, rng=None) -> int:
+    n = tab.n
+    hits = _ref_anticommuting(tab.m, bits)  # ascending, so generator rows come first
+    if not hits.size or hits[0] >= n:
+        outcome = _ref_measure_sign(tab, bits, hits - n)
+        if forced is not None and int(forced) != outcome:
+            raise ValueError(f"outcome is deterministic ({outcome:+d}); cannot force {forced:+d}")
+        return outcome
+    if forced is None:
+        if rng is None:
+            raise ValueError("random measurement outcome needs forced or rng")
+        outcome = 1 if rng.integers(2) == 0 else -1
+    else:
+        outcome = int(forced)
+        if outcome not in (1, -1):
+            raise ValueError("forced outcome must be +1 or -1")
+    p, rest = int(hits[0]), hits[1:]
+    gens = rest[rest < n]
+    tab.sign[gens] ^= tab.sign[p] ^ _ref_product_sign(tab.m[gens], tab.m[p], n)
+    tab.m[rest] ^= tab.m[p]
+    tab.m[n + p] = tab.m[p]
+    tab.m[p] = bits
+    tab.sign[p] = 0 if outcome == 1 else 1
+    return outcome
+
+
+def _ref_anticommuting(m, bits):
+    n = len(bits) // 2
+    cols = (np.flatnonzero(bits) + n) % (2 * n)
+    return np.flatnonzero(np.bitwise_xor.reduce(m[:, cols], axis=1))
+
+
+def _ref_measure_sign(tab, bits, used):
+    rows = tab.m[used]
+    if not np.array_equal(np.bitwise_xor.reduce(rows, axis=0), bits):
+        raise ValueError("measured Pauli neither commutes into nor hits the group")
+    before = np.zeros_like(rows)  # product of the rows ahead of each row
+    before[1:] = np.bitwise_xor.accumulate(rows, axis=0)[:-1]
+    sign = int(tab.sign[used].sum()) + int(_ref_product_sign(before, rows, tab.n).sum())
+    return 1 - 2 * (sign % 2)
+
+
+def _ref_hadamard(tab, qubit):
+    n = tab.n
+    tab.sign ^= tab.m[:n, qubit] & tab.m[:n, n + qubit]
+    tab.m[:, [qubit, n + qubit]] = tab.m[:, [n + qubit, qubit]]
+
+
+class TestMeasurementKernelsMatchReference:
+    """Seeded sequences of measurements, Hadamards and Paulis on graph-state
+    tableaux of 2-40 qubits, run once through the module's kernels and once
+    through the references above.  After every step the two tableaux hold
+    equal ``m`` and ``sign`` bytes, and the step gave equal outcomes or equal
+    error messages."""
+
+    def test_g_table_matches_loop_phase(self):
+        assert gs._G.shape == (16,) and gs._G.dtype == np.int8
+        for code in range(16):
+            x1, z1, x2, z2 = (np.array([code >> s & 1]) for s in (3, 2, 1, 0))
+            assert gs._G[code] % 4 == _ref_phase(x1, z1, x2, z2), code
+
+    @staticmethod
+    def _step(new, ref, run_new, run_ref):
+        got = []
+        for tab, run in ((new, run_new), (ref, run_ref)):
+            try:
+                got.append(run(tab))
+            except ValueError as err:
+                got.append(("ValueError", str(err)))
+        assert got[0] == got[1]
+        assert new.m.tobytes() == ref.m.tobytes()
+        assert new.sign.tobytes() == ref.sign.tobytes()
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_sequences(self, seed):
+        rng = np.random.default_rng([37, seed])
+        spec = _random_graph(rng, 2, 40)
+        n = spec.n
+        new, ref = gs.graph_state(spec), gs.graph_state(spec)
+        outcomes_new, outcomes_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        seen = set()
+        for _ in range(max(4 * n, 40)):
+            r = rng.random()
+            if r < 0.8:
+                if r < 0.5:  # X, Y or Z on one, two or three qubits
+                    qubits = rng.choice(n, size=int(rng.integers(1, min(3, n) + 1)),
+                                        replace=False)
+                    bits = gs._string_to_bits(n, {int(q): "XYZ"[int(rng.integers(3))]
+                                                  for q in qubits})
+                    seen.add(f"{len(qubits)} qubits")
+                else:  # a product of 0-4 generators: deterministic
+                    k = int(rng.integers(0, min(4, n) + 1))
+                    rows = new.m[rng.choice(n, size=k, replace=False)]
+                    bits = np.bitwise_xor.reduce(rows, axis=0) if k else np.zeros(2 * n, np.uint8)
+                hits = _ref_anticommuting(ref.m, bits)
+                if hits.size and hits[0] < n:
+                    seen.add("random")
+                else:
+                    seen.add(f"deterministic, {min(hits.size, 2)} rows")
+                forced = [None, 1, -1][int(rng.integers(3))]
+                self._step(new, ref,
+                           lambda t: gs._measure(t, bits, forced, outcomes_new),
+                           lambda t: _ref_measure(t, bits, forced, outcomes_ref))
+            elif r < 0.9:
+                q = int(rng.integers(n))
+                self._step(new, ref, lambda t: gs._hadamard(t, q), lambda t: _ref_hadamard(t, q))
+            else:
+                q, ch = int(rng.integers(n)), "XYZ"[int(rng.integers(3))]
+                self._step(new, ref, lambda t: gs._pauli(t, q, ch), lambda t: gs._pauli(t, q, ch))
+        assert seen >= {"random", "deterministic, 0 rows", "deterministic, 1 rows",
+                        "deterministic, 2 rows", "1 qubits", "2 qubits"}, seen
+        validate(new)
+
+
+class TestMeasurementCountsPinned:
+    """Work counts of ``TestTableauBytesPinned``'s four grown registers: the
+    measurements, the anticommutation passes (one per measurement) and the
+    product-sign calls, with no GF(2) elimination.  A change that moves a
+    count updates its pin and says why."""
+
+    COUNTS = {  # seed -> (measurements, anticommutation passes, product signs)
+        0: (110, 110, 12),
+        1: (70, 70, 20),
+        2: (71, 71, 20),
+        3: (101, 101, 13),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(COUNTS))
+    def test_grown_register(self, seed, monkeypatch):
+        counts = dict.fromkeys(("_measure", "_anticommuting", "_product_sign"), 0)
+        for name in counts:
+            def counted(*args, real=getattr(gs, name), name=name, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(gs, name, counted)
+        monkeypatch.setattr(gs, "_row_reduce", _no_elimination)
+        rng = np.random.default_rng([31, seed])
+        lengths = [int(v) for v in rng.integers(1, 6, size=int(rng.integers(30, 60)))]
+        _grow(rng, lengths=lengths)
+        assert counts["_anticommuting"] == counts["_measure"]
+        assert tuple(counts.values()) == self.COUNTS[seed]
 
 
 def _tableau_bytes(tab):
