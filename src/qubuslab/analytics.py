@@ -11,9 +11,12 @@ first length), one the build cost of a minimal chain, so no law is None.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import gates
 
@@ -25,6 +28,7 @@ __all__ = [
     "minimal_chain_length",
     "merge_scaling",
     "dc_scaling",
+    "dc_rule_moments",
     "seq_scaling",
     "vertical_cost",
     "SERIES",
@@ -222,6 +226,77 @@ def dc_scaling(
         "N_dc": N_dc,
         "T_dc": T_dc,
     }
+
+
+@functools.lru_cache(maxsize=1)
+def _log_factorials(size: int) -> np.ndarray:
+    """log m! for m = 0..size - 1, built on first use (never at import)."""
+    return np.fromiter(map(math.lgamma, range(1, size + 1)), float, size)
+
+
+def dc_rule_moments(p: float, n: int, k: int) -> dict:
+    """Exact per-round moments of divide and conquer as ``growth`` simulates it.
+
+    A pool of c >= 2 chains pairs floor(c/2) of them and keeps
+    Binomial(floor(c/2), p) joined chains; a pool of 0 or 1 chains stops
+    pairing, and a lone chain keeps the length of the round in which it
+    stopped.  So the odd chain out of a pool is lost, and the mean falls below
+    n (p/2)^k.  The law of the pools still pairing is propagated round by
+    round: each binomial row is cut to mean +- (10 sigma + 10), the 10 for
+    the heavier-than-normal tails of a row with a small mean, and normalised;
+    pool sizes of probability below 1e-17 are dropped.  Returns the mean and
+    variance of surviving chains ("C", "C_var") and qubits ("Q", "Q_var"),
+    arrays over rounds 0..k.
+    """
+    _check_probability(p)
+    if n < 2:
+        raise ValueError("divide and conquer needs n >= 2")
+    if k < 0:
+        raise ValueError("round index must be nonnegative")
+    log_fact = _log_factorials(1 << (n // 2).bit_length())
+    log_p = math.log(p)
+    log_q = math.log1p(-p) if p < 1.0 else -math.inf
+    pools, probs = np.array([n]), np.array([1.0])  # the pools still pairing
+    lone_mass, lone_length = [], []  # lone chains, by the round they stopped in
+    out = {key: np.zeros(k + 1) for key in ("C", "C_var", "Q", "Q_var")}
+    for j in range(k + 1):
+        length = float(dc_round_length(j)) if pools.size else 0.0
+        if j and pools.size:
+            sizes = np.zeros(pools.max() // 2 + 1)
+            half = pools // 2
+            spread = 10.0 * np.sqrt(half * (p * (1.0 - p))) + 10.0
+            lo = np.maximum(0, np.floor(half * p - spread)).astype(np.int64)
+            hi = np.minimum(half, np.ceil(half * p + spread)).astype(np.int64)
+            width = int((hi - lo).max()) + 1
+            step = max(1, (1 << 20) // width)  # about 2**20 entries at a time
+            for start in range(0, pools.size, step):
+                h, first = half[start:start + step, None], lo[start:start + step, None]
+                m = first + np.arange(width)
+                inside = m <= hi[start:start + step, None]
+                m = np.minimum(m, h)
+                fails = h - m
+                row = log_fact[h] - log_fact[m] - log_fact[fails] + m * log_p
+                row += np.multiply(fails, log_q, out=np.zeros(row.shape), where=fails > 0)
+                pmf = np.exp(row, where=inside, out=np.zeros(row.shape))
+                pmf *= (probs[start:start + step] / pmf.sum(axis=1))[:, None]
+                sizes += np.bincount(m[inside], pmf[inside], minlength=sizes.size)
+            lone_mass.append(sizes[1])
+            lone_length.append(length)
+            keep = np.flatnonzero(sizes[2:] >= 1e-17) + 2
+            pools, probs = keep, sizes[keep]
+        chains = np.concatenate((pools, np.ones(len(lone_mass))))
+        qubits = np.concatenate((pools * length, lone_length))
+        weight = np.concatenate((probs, lone_mass))
+        dead = 1.0 - weight.sum()  # an empty pool: no chains, no qubits
+        for key, values in (("C", chains), ("Q", qubits)):
+            mean = weight @ values
+            out[key][j] = mean
+            out[key + "_var"][j] = weight @ (values - mean) ** 2 + dead * mean**2
+        if not pools.size:  # no pool pairs again, so the moments stay
+            for values in out.values():
+                values[j + 1:] = values[j]
+            break
+    return out
 
 
 def dc_series_value(L: float, p: float) -> float:

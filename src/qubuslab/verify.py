@@ -14,6 +14,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 
@@ -398,45 +399,55 @@ def check_monte_carlo(quick: bool = False) -> CriterionResult:
             f"of {target:.4f}",
         )
 
-    # Pairwise-discard strategy: one cascade run per p, compared round by
-    # round.  The literal pairing rules carry a small parity deficit (an odd
-    # pool strands one chain; by round 8 the survivor count sits about 0.17
-    # below n (p/2)^k at p = 1/2 -- measured at 4e4 trials and surfaced in
-    # the growth tests), so the trial count is kept where 3 stderr covers it
-    # comfortably.  The seed is pinned: the check is a fixed draw of a
-    # statistic whose max-over-rounds sits near the tolerance by design.
-    dc_trials = 48
-    n0 = 2**16
-    for p in (0.5, 0.75):
-        cfgd = growth.StrategyConfig(
-            variant="divide_conquer",
-            p=p,
-            trials=dc_trials,
-            master_seed=0,
-            initial_qubits=n0,
-            rounds_k=8,
-        )
-        sd = growth.simulate(cfgd)
-        worst = 0.0
-        for k in range(1, 9):
-            vals = analytics.dc_scaling(p, n0, k=k)
-            for metric, expect in (
-                (f"chains_round_{k}", vals["C"]),
-                (f"qubits_round_{k}", vals["Q"]),
-            ):
-                values = sd.extras[metric]
-                stderr = float(np.std(values, ddof=1)) / math.sqrt(values.size)
-                z = growth.z_score(float(np.mean(values)) - expect, stderr)
-                worst = max(worst, abs(z))
-                if abs(z) > 3.0:
-                    res.fail(
-                        f"dc p={p} round {k} {metric}: z={z:.2f} "
-                        f"(emp {float(np.mean(values)):.2f} vs {expect:.2f})"
-                    )
-        res.note(
-            f"dc p={p}: C and Q within 3 stderr for k = 1..8 (worst |z| = {worst:.2f})"
-        )
+    _check_dc_rounds(res, seeds=(0,))
+    if res.status != "fail":
+        res.status = "flag"
     return res
+
+
+# the divide-and-conquer comparisons of one run share one bound: Bonferroni
+# over (p, round, chains | qubits), two-sided, family-wise error 1e-6
+_DC_P, _DC_N, _DC_ROUNDS, _DC_TRIALS = (0.5, 0.75), 2**16, 8, 10_000
+_DC_FAMILY_ERROR = 1e-6
+
+
+def _check_dc_rounds(res: CriterionResult, seeds) -> None:
+    """Divide and conquer from 2**16 qubits at each seed: the chains and
+    qubits of every round 1..8, at p = 1/2 and 3/4, against the exact law of
+    the rule as simulated, under one family-wise bound; and a flag line for
+    the gap between the rule and the paper's n (p/2)^k at round 8."""
+    comparisons = 2 * len(_DC_P) * _DC_ROUNDS
+    bound = NormalDist().inv_cdf(1.0 - _DC_FAMILY_ERROR / (2 * comparisons))
+    for p in _DC_P:
+        exact = analytics.dc_rule_moments(p, _DC_N, _DC_ROUNDS)
+        for seed in seeds:
+            stats = growth.simulate(growth.StrategyConfig(
+                variant="divide_conquer", p=p, trials=_DC_TRIALS, master_seed=seed,
+                initial_qubits=_DC_N, rounds_k=_DC_ROUNDS))
+            worst = 0.0
+            for k in range(1, _DC_ROUNDS + 1):
+                for metric, key in ((f"chains_round_{k}", "C"), (f"qubits_round_{k}", "Q")):
+                    values = stats.extras[metric]
+                    mean = float(np.mean(values))
+                    stderr = float(np.std(values, ddof=1)) / math.sqrt(values.size)
+                    z = growth.z_score(mean - exact[key][k], stderr)
+                    worst = max(worst, abs(z))
+                    if abs(z) > bound:
+                        res.fail(f"dc p={p} seed {seed} round {k} {metric}: z={z:.2f} "
+                                 f"(emp {mean:.4f} vs the rule's {exact[key][k]:.4f})")
+            res.note(
+                f"dc p={p} seed {seed}: C and Q of rounds 1..{_DC_ROUNDS} within "
+                f"|z| <= {bound:.2f} of the rule's exact law (worst |z| = {worst:.2f}, "
+                f"{_DC_TRIALS} trials; Bonferroni over {comparisons} comparisons, "
+                f"family-wise {_DC_FAMILY_ERROR:g})")
+        survivors = stats.extras[f"chains_round_{_DC_ROUNDS}"]
+        paper = analytics.dc_scaling(p, _DC_N, k=_DC_ROUNDS)["C"]
+        stderr = float(np.std(survivors, ddof=1)) / math.sqrt(survivors.size)
+        z = growth.z_score(float(np.mean(survivors)) - paper, stderr)
+        res.note(
+            f"flag: dc-survivors-p-{p}: n (p/2)^k = {paper:.4f} at round {_DC_ROUNDS}, "
+            f"the rule's exact mean {exact['C'][_DC_ROUNDS]:.4f}; seed {seed} sits at "
+            f"z = {z:+.2f} from n (p/2)^k: an odd pool strands one chain each round")
 
 
 # ---------------------------------------------------------------------------

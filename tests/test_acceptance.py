@@ -22,8 +22,10 @@ Stated tolerances (asserted inside the checks):
      100 random cases;
   7. sequential mean ops within 1% of (L-1)/(2p-1) at 1e5 trials in under
      10 s; join experiment within 3 stderr of the exact sum; vertical-link
-     qubits within 1% of 2(1/p+1); pairwise-discard survivor counts within
-     3 stderr for k = 1..8;
+     qubits within 1% of 2(1/p+1); pairwise-discard chains and qubits of
+     rounds 1..8 at 1e4 trials per p within |z| <= 5.53 of the rule's exact
+     law (Bonferroni over the 32 comparisons, family-wise 1e-6), for any
+     seed, with the gap to n (p/2)^k printed as a flag line;
   8. each reproducing row of ``analytics.QUOTED_CONSTANTS`` at its
      tolerance (1e-9 for an exact figure, 1e-12 for V = 14/3, half the last
      printed digit for a rounded one) and against its formula value (140/3
@@ -108,6 +110,17 @@ def test_criterion_6_stabilizer_oracle():
 def test_criterion_7_monte_carlo():
     result = _run(verify.check_monte_carlo)
     assert any("within 1% of 80" in line for line in result.details)
+
+
+def test_criterion_7_dc_rounds_pass_for_seeds_0_to_9():
+    """Every round against the rule's exact law passes at seeds 0-9 alike."""
+    result = verify.CriterionResult(7, "divide and conquer rounds")
+    verify._check_dc_rounds(result, seeds=range(10))
+    assert result.status == "pass", "\n".join(result.details)
+    summaries = [line for line in result.details if "within |z| <= 5.53" in line]
+    assert len(summaries) == 20
+    flags = [line for line in result.details if line.startswith("flag: dc-survivors-p-")]
+    assert len(flags) == 2
 
 
 def test_criterion_7_fails_samples_with_no_spread(monkeypatch):

@@ -2,7 +2,11 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -125,6 +129,84 @@ class TestDcScaling:
     def test_time_is_round_count(self):
         vals = an.dc_scaling(0.5, 256, k=5)
         assert vals["T_dc"] == pytest.approx(1 + math.log2(vals["L"] - 1))
+
+
+def _dc_rule_by_enumeration(p: Fraction, n: int, k: int) -> list:
+    """(E C, Var C, E Q, Var Q) per round 0..k, in exact fractions, from the
+    law of (chains, length) with every binomial outcome enumerated."""
+    law, rows = {(n, 1): Fraction(1)}, []
+    for j in range(k + 1):
+        if j:
+            after = {}
+            for (c, length), w in law.items():
+                if c < 2:  # a pool of 0 or 1 chains stops pairing
+                    after[c, length] = after.get((c, length), 0) + w
+                    continue
+                for m in range(c // 2 + 1):
+                    key = (m, an.dc_round_length(j))
+                    after[key] = after.get(key, 0) + w * math.comb(c // 2, m) * (
+                        p**m * (1 - p) ** (c // 2 - m))
+            law = after
+        row = []
+        for value in (lambda c, length: c, lambda c, length: c * length):
+            mean = sum(w * value(*s) for s, w in law.items())
+            row += [mean, sum(w * value(*s) ** 2 for s, w in law.items()) - mean**2]
+        rows.append(row)
+    return rows
+
+
+class TestDcRuleMoments:
+    @pytest.mark.parametrize("p, n, k", [
+        (Fraction(1, 2), 37, 7), (Fraction(3, 4), 64, 8), (Fraction(9, 10), 2, 3),
+        (Fraction(1, 20), 500, 3), (Fraction(1), 64, 8), (Fraction(3, 5), 11, 0),
+    ])
+    def test_equals_enumeration(self, p, n, k):
+        got = an.dc_rule_moments(float(p), n, k)
+        for j, want in enumerate(_dc_rule_by_enumeration(p, n, k)):
+            row = [got[key][j] for key in ("C", "C_var", "Q", "Q_var")]
+            assert row == pytest.approx([float(w) for w in want], rel=1e-11, abs=1e-14)
+
+    def test_means_below_the_paper_law(self):
+        """The odd chain out of every pool is lost: 15.8335 and 0.8875 in
+        place of 16 and 1 at p = 1/2, 25.3292 in place of 25.6289 at 3/4."""
+        half, three_quarters = an.dc_rule_moments(0.5, 2**16, 8), an.dc_rule_moments(
+            0.75, 2**16, 8)
+        assert round(half["C"][6], 4) == 15.8335 and round(half["C"][8], 4) == 0.8875
+        assert round(three_quarters["C"][8], 4) == 25.3292
+        for p, got in ((0.5, half), (0.75, three_quarters)):
+            assert got["C"][0] == 2**16 and got["C_var"][0] == 0.0
+            # 2**16 is even, so round 1 strands nothing
+            assert got["C"][1] == pytest.approx(an.dc_scaling(p, 2**16, k=1)["C"], rel=1e-14)
+            for j in range(2, 9):
+                law = an.dc_scaling(p, 2**16, k=j)
+                assert got["C"][j] < law["C"] and got["Q"][j] < law["Q"]
+
+    def test_rounds_after_the_pools_run_dry(self):
+        got = an.dc_rule_moments(0.9, 8, 40)
+        assert all((values[4:] == values[4]).all() for values in got.values())
+
+    @pytest.mark.parametrize("args, match", [
+        ((0.5, 1, 3), "n >= 2"), ((0.5, 64, -1), "nonnegative"),
+        ((0.0, 64, 3), "success probability"), ((float("nan"), 64, 3), "success probability"),
+    ])
+    def test_refusals(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            an.dc_rule_moments(*args)
+
+    def test_not_built_at_import_nor_called_by_a_growth_run(self):
+        """Neither import nor simulate, scaling_point and compare_to_analytic
+        build the log m! table, so a growth run never pays for the exact law."""
+        code = ("import qubuslab.analytics as an, qubuslab.verify\n"
+                "from qubuslab import growth\n"
+                "cfg = growth.StrategyConfig('divide_conquer', 0.5, 50, 1, "
+                "initial_qubits=256, rounds_k=4)\n"
+                "point = an.scaling_point('divide_conquer', 0.5, n=256, k=4)\n"
+                "growth.compare_to_analytic(growth.simulate(cfg), point)\n"
+                "print(an._log_factorials.cache_info().currsize)")
+        src = Path(an.__file__).resolve().parents[1]
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+        assert out.stdout == "0\n"
 
 
 class TestSeqScaling:
