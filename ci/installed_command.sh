@@ -87,9 +87,10 @@ echo '{"bogus": 1, "gate_backend": "nope"}' > "$tmp/keys.json"
 # gate time that is not finite and > 0 or that makes a series value
 # overflow, a length range that starts below 1, a scaling request with no
 # series or no row in its range (before any file is written), a growth
-# run whose gate time overflows its elapsed time, and a vertical link at a p
-# so small that a trial would expect 10**12 attempts; a gate refuses an
-# option it does not read (before any file is written)
+# run whose gate time overflows its elapsed time, a vertical link at a p
+# so small that a trial would expect 10**12 attempts, and a merge run whose
+# law expects more ops per trial than its budget; a gate refuses an option
+# it does not read (before any file is written)
 for args in "growth divide_conquer --n 64 --k 3 --L 5" \
             "scaling --metric T --series rus-pf-0.6" "gate chain --n 1000000" \
             "scaling --p 1e-40 --series dc" \
@@ -107,6 +108,7 @@ for args in "growth divide_conquer --n 64 --k 3 --L 5" \
             "scaling --series rus-pf-0.6 --l-max 6 --csv $tmp/x.csv" \
             "growth sequential --L 11 --trials 50 --t 1e308" \
             "growth vertical_link --p 1e-12 --trials 1" \
+            "growth merge --p 0.1 --L 50 --trials 1 --seed 1" \
             "growth sequential --L 5 --config $tmp/keys.json" \
             "gate chain --config $tmp/keys.json" \
             "gate star --csv $tmp/x.csv" "gate cascade --beta 0.3" \
@@ -142,6 +144,10 @@ echo "0d3de6503fac21ddb0ac4e180c76267ff05ee02b5f14db6dad3962d406e9295f  $tmp/m.j
 # exactly, and most trials read three or more blocks of draws
 $QUBUSLAB growth merge --p 0.5 --L 41 --t 0.37 --trials 500 --seed 7 --jsonl "$tmp/m4.jsonl"
 echo "03f63b5aa47db06edb133b015e0350f927eae8b3c6fa59c15c75f93b66dd1cf8  $tmp/m4.jsonl" | sha256sum -c -
+# divide and conquer draws from one stream per block of 1024 trials, and
+# a run draws every block whole: these 1500 trials read two blocks' streams
+$QUBUSLAB growth divide_conquer --p 0.75 --n 1024 --k 6 --trials 1500 --seed 7 --jsonl "$tmp/d.jsonl"
+echo "1b3bedec4bf45eb52193feb38f727e5d800b90af76171ce5d887eb3e02f77ac1  $tmp/d.jsonl" | sha256sum -c -
 # a fifth of these trials need more than 32 draws, eight Philox blocks
 $QUBUSLAB growth vertical_link --p 0.05 --trials 2000 --seed 7 --jsonl "$tmp/v.jsonl"
 echo "fc87d5c4d9ae4255a31b232100b45fdcbe5cd9f15da772b3f477537a9cf4a3a2  $tmp/v.jsonl" | sha256sum -c -

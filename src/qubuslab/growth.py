@@ -1,13 +1,18 @@
 """Seeded Monte Carlo for chain-growth strategies.
 
-Each trial owns a counter-based random stream keyed by (master_seed,
-trial_index), so a trial's result does not depend on which other trials run:
+Every random stream is counter-based, a Philox generator keyed by
+(master_seed, index).  A sequential, merge or vertical-link trial owns the
+stream keyed by its trial index; divide and conquer draws a fixed block of
+_DC_BLOCK trials from the stream keyed by the block index, and always
+simulates a block whole.  So results do not depend on how many trials run:
 the first M trials of an N-trial run equal an M-trial run.  The sequential
 and merge kernels evaluate chunks of trials at once, one row of uniforms per
 trial, each block of a trial's stream read from its own Philox counter by
 rekeying one generator.  A row of k doubles is the same k values as k scalar
 draws; merge steps its trials in lockstep, draw j of every trial from column
-j of its row.  Vertical links and joins need no generator: the Philox4x64-10
+j of its row.  Divide and conquer makes one vectorised binomial call per
+round over a block's pools, the draws of as many scalar calls in trial
+order.  Vertical links and joins need no generator: the Philox4x64-10
 rounds, in NumPy, give any (trial, counter) block's doubles directly, so a
 pass over the live trials computes all their next blocks at once.  Per-run
 work (the gate backend's outcome table, merge's automaton, divide and
@@ -49,6 +54,11 @@ _ZERO4 = (0, 0, 0, 0)
 # to 8192.  First-success counts compute _BLOCKS Philox blocks per call,
 # 256 KB of doubles: 8192 ran vertical links fastest of 2048 to 32768.
 _CHUNK = 512
+# divide and conquer's trials per stream, part of its seed contract: another
+# size draws other values.  Blocks of 1024 to 4096 ran 10**5 trials within
+# 15 % of each other, 256 and 512 up to 25 % slower; a short run pays for a
+# whole block, so the smallest of the fast sizes
+_DC_BLOCK = 1024
 _MERGE_CHUNK = 4096
 _WIDTH = 256
 _BLOCKS = 8192
@@ -56,6 +66,9 @@ _NO_CAP = np.iinfo(np.int64).max
 # a vertical link takes 1/p attempts on average: a trial at p = 1e-6 reads
 # about 10**6 draws (0.05 s on a 2-vCPU Xeon), one at 1e-12 would not return
 _MIN_LINK_P = 1e-6
+# merge steps its trials in lockstep at about 15 us per op of the longest
+# trial (2-vCPU Xeon): a law of 10**6 ops per trial is a run of 15 s or more
+_MERGE_OPS_BUDGET = 10**6
 # Philox4x64-10 (Salmon et al. 2011, "Parallel random numbers: as easy as
 # 1, 2, 3"), the generator behind np.random.Philox: its two round multipliers
 # and two key increments, and random()'s 53-bit conversion
@@ -161,6 +174,14 @@ class StrategyConfig:
             if self.target_L < analytics.minimal_chain_length(self.p):
                 raise ValueError(f"target length {self.target_L} is not above the critical "
                                  f"length {analytics.critical_length(self.p)}; no average growth")
+            try:
+                ops = analytics.SERIES["merge"].N(self.target_L, self.p)
+            except OverflowError:
+                ops = math.inf
+            if ops > _MERGE_OPS_BUDGET:
+                raise ValueError(
+                    f"merge at p = {self.p:g} and L = {self.target_L} expects {ops:.3g} ops "
+                    f"per trial by its law; the budget is {_MERGE_OPS_BUDGET:.3g} ops per trial")
         if self.variant == "divide_conquer":
             if self.initial_qubits is None or self.initial_qubits < 2:
                 raise ValueError("divide and conquer needs initial_qubits >= 2")
@@ -394,23 +415,32 @@ def _divide_conquer(config: StrategyConfig) -> dict:
     The odd chain out of a pool of three or more is stranded as waste (an
     equal-length partner can never appear again), while a lone chain simply
     waits unchanged.  Survivor counts are binomial, so a trial runs at the
-    aggregate level: one scalar ``rng.binomial`` per round that pairs
-    chains.  Time is one gate_time per round.
+    aggregate level.  Trials go in blocks of _DC_BLOCK, block b drawing from
+    the stream keyed by (master_seed, b): each round makes one
+    ``rng.binomial`` call over the block's pools that still pair, in trial
+    order, the draws that as many scalar calls in that order make.  A run
+    simulates every block whole and keeps its first ``trials`` rows, so a
+    shorter run is a prefix of a longer one.  Time is one gate_time per round.
     """
     n, p, k = config.initial_qubits, config.p, config.rounds()
+    blocks = -(-config.trials // _DC_BLOCK)
     # survivors[i, j]: trial i's chains after round j (column 0: n bare qubits)
-    survivors = np.empty((config.trials, k + 1), dtype=np.int64)
+    survivors = np.empty((blocks * _DC_BLOCK, k + 1), dtype=np.int64)
     survivors[:, 0] = n
-    rng = np.random.Generator(np.random.Philox(0))  # rekeyed to each trial's stream
-    binomial = rng.binomial
-    for i in range(config.trials):
-        trial_rng(config.master_seed, i, rng)
-        row = survivors[i]
-        chains = n
+    rng = np.random.Generator(np.random.Philox(0))  # rekeyed to each block's stream
+    for b in range(blocks):
+        trial_rng(config.master_seed, b, rng)
+        rows = survivors[b * _DC_BLOCK:(b + 1) * _DC_BLOCK]
+        chains = np.full(_DC_BLOCK, n)
         for j in range(1, k + 1):
-            if chains > 1:
-                chains = binomial(chains // 2, p)
-            row[j] = chains  # a lone chain waits; an empty pool stays empty
+            # a lone chain waits and an empty pool stays empty
+            pairing = np.flatnonzero(chains > 1)
+            if not pairing.size:  # so no pool pairs again
+                rows[:, j:] = chains[:, None]
+                break
+            chains[pairing] = rng.binomial(chains[pairing] // 2, p)
+            rows[:, j] = chains
+    survivors = survivors[:config.trials]
     before = survivors[:, :-1]
     paired = before > 1
     # pools only shrink, so the rounds that paired come first and their count
@@ -669,11 +699,13 @@ VARIANTS = tuple(_STRATEGIES)
 def simulate(config: StrategyConfig, threads: int = 1) -> GrowthStats:
     """Run the configured strategy over independent seeded trials.
 
-    Trial i draws exactly the stream keyed by (master_seed, i) and lands
-    in slot i of the output, although the sequential and merge kernels
+    Trial i lands in slot i of the output.  It draws exactly the stream
+    keyed by (master_seed, i), although the sequential and merge kernels
     evaluate trials in chunks, a block of each trial's stream at a time,
     merge one draw of every trial per step, and the vertical-link kernel
-    computes the next Philox blocks of every live trial in one pass.
+    computes the next Philox blocks of every live trial in one pass; a
+    divide-and-conquer trial draws from the stream of its block,
+    (master_seed, i // _DC_BLOCK), in trial order within each round.
     Trials run in the calling thread; ``threads`` is kept for callers that
     pass ``threads=1`` and any other value is an error.  A run with a
     non-finite column (a gate time near the float maximum) raises ValueError.

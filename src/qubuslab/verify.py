@@ -538,13 +538,26 @@ def check_determinism(quick: bool = False) -> CriterionResult:
     ]
     res.check(outputs[0][0] == outputs[1][0], "aggregate CSV byte-identical")
     res.check(outputs[0][1] == outputs[1][1], "per-trial JSONL byte-identical")
-    head = trials // 5
-    prefix = growth.simulate(replace(cfg, trials=head)).columns()
-    full = runs[0].columns()
-    same = list(prefix) == list(full) and all(
-        prefix[k].tobytes() == full[k][:head].tobytes() for k in full)
-    res.check(same, f"first {head} of {trials} trials equal a {head}-trial run")
+    _check_prefix(res, runs[0], trials // 5)
+    # divide and conquer draws per block of trials: a head that ends inside a
+    # block, past the first
+    block = growth._DC_BLOCK
+    dc = growth.StrategyConfig(variant="divide_conquer", p=0.75, trials=3 * block,
+                               master_seed=99, initial_qubits=2**10, rounds_k=6)
+    _check_prefix(res, growth.simulate(dc), block + block // 3)
     return res
+
+
+def _check_prefix(res: CriterionResult, full: growth.GrowthStats, head: int) -> None:
+    """The first ``head`` trials of ``full`` equal a ``head``-trial run, byte
+    for byte, under the same keys."""
+    cfg = full.config
+    prefix = growth.simulate(replace(cfg, trials=head)).columns()
+    columns = full.columns()
+    same = list(prefix) == list(columns) and all(
+        prefix[k].tobytes() == columns[k][:head].tobytes() for k in columns)
+    res.check(same, f"{cfg.variant}: first {head} of {cfg.trials} trials equal a "
+                    f"{head}-trial run")
 
 
 CRITERIA = (

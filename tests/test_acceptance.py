@@ -37,7 +37,8 @@ Stated tolerances (asserted inside the checks):
      whose status and cause disagree: a gap with no cause, or a cause left
      on a row that reproduces;
  10. seeded determinism: two runs give byte-identical CSV and JSONL, and the
-     first M trials of an N-trial run equal an M-trial run.
+     first M trials of an N-trial run equal an M-trial run, for sequential
+     growth and for divide and conquer with M inside a block of trials.
 """
 
 import dataclasses
@@ -231,3 +232,22 @@ def test_criterion_10_fails_when_the_prefix_run_differs(monkeypatch, change):
     result = verify.check_determinism(quick=True)
     assert result.status == "fail"
     assert any("first 100 of 500 trials" in line for line in result.details)
+
+
+def test_criterion_10_fails_a_divide_conquer_prefix_cut_inside_a_block(monkeypatch):
+    """A head run whose last, partial block is drawn differently fails."""
+    kernel, rules, compared = growth._STRATEGIES["divide_conquer"]
+    block = growth._DC_BLOCK
+    head = block + block // 3
+    assert head % block
+
+    def altered(config):
+        columns = kernel(config)
+        if config.trials == head:
+            columns["surviving_chains"][head - 1] += 1
+        return columns
+
+    monkeypatch.setitem(growth._STRATEGIES, "divide_conquer", (altered, rules, compared))
+    result = verify.check_determinism(quick=True)
+    assert [line for line in result.details if line.startswith("FAIL")] == [
+        f"FAIL: divide_conquer: first {head} of {3 * block} trials equal a {head}-trial run"]

@@ -128,6 +128,9 @@ class TestCommandErrors:
         (["growth", "vertical_link", "--p", "1e-12", "--trials", "1"],
          "vertical_link at p = 1e-12 expects 1/p = 1e+12 attempts per trial; "
          "p must be at least 1e-06"),
+        (["growth", "merge", "--p", "0.1", "--L", "50", "--trials", "1", "--seed", "1"],
+         "merge at p = 0.1 and L = 50 expects 5.22e+07 ops per trial by its law; "
+         "the budget is 1e+06 ops per trial"),
     ], ids=["dc-k-and-off-grid-L", "dc-k-and-L", "scaling-reference-time",
             "scaling-seq-half", "scaling-empty-range", "scaling-negative-length",
             "scaling-zero-length", "chain-million", "cascade-million",
@@ -140,7 +143,8 @@ class TestCommandErrors:
             "scaling-zero-time", "scaling-nan-time", "scaling-inf-time",
             "scaling-time-overflow", "scaling-no-series", "scaling-no-series-svg",
             "scaling-no-series-svg-csv", "scaling-no-row-svg", "scaling-no-row-csv",
-            "scaling-critical-length-overflow", "vertical-link-never-finishes"])
+            "scaling-critical-length-overflow", "vertical-link-never-finishes",
+            "merge-over-budget"])
     def test_refused_before_any_work(self, runner, tmp_path, args, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 10**329}))

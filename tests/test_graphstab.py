@@ -718,10 +718,6 @@ def _registry_state(reg):
     )
 
 
-def _tableau_bytes(tab):
-    return tuple(getattr(tab, name).tobytes() for name in ("x", "z", "sign", "dx", "dz"))
-
-
 def _assert_refused(tab, reg, qubits, variant, outcome, match, fuse=None):
     """``fuse`` raises a ValueError matching ``match`` and changes nothing."""
     before = _registry_state(reg), _tableau_bytes(tab)

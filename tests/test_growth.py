@@ -40,14 +40,44 @@ class TestConfigValidation:
             StrategyConfig(variant="merge", p=0.4, trials=10, master_seed=0, target_L=4)
 
     def test_merge_refusal_is_the_minimal_chain(self):
-        """A merge target of L0 is accepted and L0 - 1 refused, at every p = k/1000
-        and every p = 2/(m + 1), whose critical length is m."""
+        """A merge target of L0 is accepted (or refused only by the ops budget)
+        and L0 - 1 refused, at every p = k/1000 and every p = 2/(m + 1), whose
+        critical length is m."""
         for p in [k / 1000 for k in range(1, 1001)] + [2 / (m + 1) for m in range(1, 201)]:
             L0 = analytics.minimal_chain_length(p)
-            StrategyConfig(variant="merge", p=p, trials=1, master_seed=0, target_L=L0)
+            try:
+                StrategyConfig(variant="merge", p=p, trials=1, master_seed=0, target_L=L0)
+            except ValueError as err:
+                assert str(err).endswith("the budget is 1e+06 ops per trial"), err
             with pytest.raises(ValueError, match="critical length"):
                 StrategyConfig(variant="merge", p=p, trials=1, master_seed=0,
                                target_L=L0 - 1)
+
+    def test_merge_ops_budget(self):
+        """A merge run is refused exactly where its law expects more ops per
+        trial than the budget, and the refusal names both counts."""
+        refused = []
+        for L in (10, 41, 400):
+            for p in (k / 100 for k in range(1, 101)):
+                if L < analytics.minimal_chain_length(p):
+                    continue
+                ops = analytics.SERIES["merge"].N(L, p)
+                if ops <= growth._MERGE_OPS_BUDGET:
+                    StrategyConfig(variant="merge", p=p, trials=1, master_seed=0, target_L=L)
+                    continue
+                refused.append((p, L))
+                with pytest.raises(ValueError) as err:
+                    StrategyConfig(variant="merge", p=p, trials=1, master_seed=0, target_L=L)
+                assert str(err.value) == (
+                    f"merge at p = {p:g} and L = {L} expects {ops:.3g} ops per trial by "
+                    "its law; the budget is 1e+06 ops per trial")
+        assert growth._MERGE_OPS_BUDGET == 10**6
+        # (0.2, 400) took 34 s for 10 trials at 2.26 M ops each
+        assert (0.2, 400) in refused and (0.23, 400) not in refused
+        assert (0.15, 41) not in refused and (0.13, 41) in refused
+        with pytest.raises(ValueError, match="expects inf ops per trial"):
+            StrategyConfig(variant="merge", p=1e-10, trials=1, master_seed=0,
+                           target_L=20000000002)
 
     def test_bad_probability(self):
         with pytest.raises(ValueError):
@@ -313,15 +343,19 @@ class TestRekeyedStream:
         return calls
 
     def test_one_trial_rng_call_per_trial(self, calls):
-        """Sequential and divide and conquer rekey once per trial; vertical links
-        and joins compute their Philox blocks directly and rekey nothing."""
+        """Sequential rekeys once per trial and divide and conquer once per
+        block of trials; vertical links and joins compute their Philox blocks
+        directly and rekey nothing."""
+        block = growth._DC_BLOCK
         for kwargs in PREFIX_CONFIGS:
             if kwargs["variant"] == "merge":  # rekeyed once per block: see below
                 continue
-            calls.clear()
-            simulate(StrategyConfig(p=0.75, trials=17, master_seed=4, **kwargs))
-            direct = kwargs["variant"] == "vertical_link"
-            assert calls == ([] if direct else [(4, i) for i in range(17)])
+            for trials in (17, 2 * block + 1):
+                calls.clear()
+                simulate(StrategyConfig(p=0.75, trials=trials, master_seed=4, **kwargs))
+                want = {"vertical_link": [], "divide_conquer": [(4, 0), (4, 1), (4, 2)][
+                    :-(-trials // block)]}.get(kwargs["variant"], [(4, i) for i in range(trials)])
+                assert calls == want
         calls.clear()
         growth.join_pair_experiment(0.75, 5, 23, seed=9)
         assert calls == []
@@ -504,7 +538,21 @@ class TestDivideConquer:
         stderr = stats.extras["surviving_chains"].std(ddof=1) / math.sqrt(3_000)
         # mean-field 1.0; the literal rules sit a parity deficit below it
         assert mean_c == pytest.approx(1.0, abs=0.35)
-        assert stats.final_length[stats.extras["surviving_chains"] > 0][0] == 2**9 + 1
+        # a pool pairs in round j while it holds two chains or more, and pools
+        # only shrink, so its chains have the length of the last round it paired
+        # in: dc_round_length(10) if it paired in all ten, dc_round_length(r) if
+        # it stopped at round r
+        chains = np.stack([np.full(cfg.trials, 2**20)] + [
+            stats.extras[f"chains_round_{j}"] for j in range(1, 11)], axis=1)
+        paired = np.cumsum(chains[:, :-1] > 1, axis=1)
+        for j in range(1, 11):
+            length = [analytics.dc_round_length(r) for r in paired[:, j - 1]]
+            assert np.array_equal(stats.extras[f"qubits_round_{j}"], chains[:, j] * length)
+        live = stats.extras["surviving_chains"] > 0
+        stopped = paired[:, -1]
+        assert (live & (stopped == 10)).any() and (live & (stopped < 10)).any()
+        assert np.array_equal(stats.final_length[live],
+                              [analytics.dc_round_length(r) for r in stopped[live]])
 
     def test_parity_deficit_is_surfaced_not_absorbed(self):
         """At high precision the odd-pool stranding shows up as a flag."""
@@ -756,12 +804,13 @@ class TestTrialRecords:
                 "rules": growth._STRATEGIES["merge"][1]}
 
     # sha256 of render_growth_jsonl as written while StrategyConfig still had
-    # an accounting field (p = 0.75, 20 trials, master seed 3)
+    # an accounting field (p = 0.75, 20 trials, master seed 3); divide and
+    # conquer's as written when its trials first drew from per-block streams
     JSONL_SHA256 = {
         "sequential": (dict(target_L=9),
                        "4a39da357fd24b1bc0519baef03e4ccbb8ca9ac8ce288b7f7ce22962f1c2d4a7"),
         "divide_conquer": (dict(initial_qubits=64, rounds_k=3),
-                           "68958cce64dba5f47e2cf5eca565d95ff26914ce6840f36d6cd30230d370f6e9"),
+                           "86671aab1453f1e5e4e29523154b252bbe2d032f34bd4fdc3bc28c9feffe5f1b"),
         "merge": (dict(target_L=21),
                   "4663f64f575ab01e766baaa8158b37f465fff6518b4e5b72898bf305179fde65"),
         "vertical_link": ({},
@@ -993,47 +1042,56 @@ def _scalar_vertical_trial(config, rng):
     }
 
 
-def _scalar_dc_trial(config, rng):
-    """Divide and conquer as written with one record dict per trial."""
-    n = config.initial_qubits
-    chains = n
-    length = 1
-    ops = 0
-    per_round = {}
-    for j in range(1, config.rounds() + 1):
-        if chains > 1:
-            pairs = chains // 2
-            ops += pairs
-            chains = int(rng.binomial(pairs, config.p))
-            if chains:
-                length = analytics.dc_round_length(j)
-        per_round[f"chains_round_{j}"] = chains
-        per_round[f"qubits_round_{j}"] = chains * length
-    return {
-        "entangling_ops": ops,
-        "elapsed_rounds": config.rounds() * config.gate_time,
+def _scalar_dc_block(config, rng):
+    """One block of divide and conquer trials as written, one record dict per
+    trial: each round makes one scalar binomial call per pool that still
+    pairs, in trial order, on the block's stream."""
+    n, rounds = config.initial_qubits, config.rounds()
+    records = []
+    for _ in range(growth._DC_BLOCK):
+        records.append({"chains": n, "length": 1, "ops": 0})
+    for j in range(1, rounds + 1):
+        for rec in records:
+            if rec["chains"] > 1:
+                pairs = rec["chains"] // 2
+                rec["ops"] += pairs
+                rec["chains"] = int(rng.binomial(pairs, config.p))
+                if rec["chains"]:
+                    rec["length"] = analytics.dc_round_length(j)
+            rec[f"chains_round_{j}"] = rec["chains"]
+            rec[f"qubits_round_{j}"] = rec["chains"] * rec["length"]
+    return [{
+        "entangling_ops": rec.pop("ops"),
+        "elapsed_rounds": rounds * config.gate_time,
         "qubits_consumed": n,
-        "qubits_wasted": n - chains * length,
-        "final_length": length if chains else 0,
-        "surviving_chains": chains,
-        "surviving_qubits": chains * length,
-        **per_round,
-    }
+        "qubits_wasted": n - rec["chains"] * rec["length"],
+        "final_length": rec["length"] if rec["chains"] else 0,
+        "surviving_chains": rec["chains"],
+        "surviving_qubits": rec.pop("chains") * rec.pop("length"),
+        **rec,
+    } for rec in records]
 
 
 _SCALAR_TRIALS = {
     "sequential": _scalar_sequential_record,
     "merge": _scalar_merge_trial,
-    "divide_conquer": _scalar_dc_trial,
     "vertical_link": _scalar_vertical_trial,
 }
 
 
 def _assert_equals_scalar_trials(cfg):
-    """Every column of simulate(cfg) equals the scalar loop, trial by trial."""
+    """Every column of simulate(cfg) equals the scalar loop, trial by trial:
+    on each trial's (seed, trial) stream, or for divide and conquer on each
+    block's (seed, block) stream, every block run whole."""
     columns = simulate(cfg).columns()
-    want = [_SCALAR_TRIALS[cfg.variant](cfg, trial_rng(cfg.master_seed, i))
-            for i in range(cfg.trials)]
+    if cfg.variant == "divide_conquer":
+        blocks = range(-(-cfg.trials // growth._DC_BLOCK))
+        want = [rec for b in blocks
+                for rec in _scalar_dc_block(cfg, trial_rng(cfg.master_seed, b))]
+        want = want[:cfg.trials]
+    else:
+        want = [_SCALAR_TRIALS[cfg.variant](cfg, trial_rng(cfg.master_seed, i))
+                for i in range(cfg.trials)]
     assert list(columns) == list(want[0])
     for key, values in columns.items():
         assert values.dtype == np.float64
@@ -1102,9 +1160,22 @@ class TestAcrossTrialKernels:
             variant="divide_conquer", trials=300, master_seed=29, gate_time=0.7,
             **kwargs))
 
+    @pytest.mark.parametrize(
+        "trials", [growth._DC_BLOCK - 1, growth._DC_BLOCK, growth._DC_BLOCK + 1])
+    @pytest.mark.parametrize("kwargs", [
+        dict(p=0.5, initial_qubits=2**16, rounds_k=8),
+        dict(p=0.6, initial_qubits=1000, rounds_k=12),  # pools run dry
+        dict(p=0.9, initial_qubits=2, rounds_k=3),  # a lone chain waits
+    ], ids=lambda kw: "-".join(map(str, kw.values())))
+    def test_divide_conquer_block_boundaries(self, kwargs, trials):
+        _assert_equals_scalar_trials(StrategyConfig(
+            variant="divide_conquer", trials=trials, master_seed=2**63 + 7,
+            gate_time=0.3, **kwargs))
+
 
 # sha256 of every output array of simulate, computed before the trial streams
-# were rekeyed onto one generator per run; the runs must stay byte-identical
+# were rekeyed onto one generator per run (divide and conquer's when its
+# trials first drew from per-block streams); the runs must stay byte-identical
 GOLDEN = {
     "sequential": (
         dict(variant="sequential", p=0.75, trials=2000, master_seed=2**63 + 5,
@@ -1132,7 +1203,7 @@ GOLDEN = {
     "divide_conquer": (
         dict(variant="divide_conquer", p=0.5, trials=500, master_seed=11,
              initial_qubits=2**16, rounds_k=8),
-        "acfb55b0dd05d9214192a8d3dd5f0ebfcef1699d8b844806f515d0f95faba719",
+        "cabb487235b81dca1abcdfed92c3dd5e0283c01bb51eb52984c9096f8d21ae53",
     ),
     "vertical_link": (
         dict(variant="vertical_link", p=0.75, trials=3000, master_seed=2**63),
