@@ -423,45 +423,45 @@ def _divide_conquer(config: StrategyConfig) -> dict:
     shorter run is a prefix of a longer one.  Time is one gate_time per round.
     """
     n, p, k = config.initial_qubits, config.p, config.rounds()
-    blocks = -(-config.trials // _DC_BLOCK)
-    # survivors[i, j]: trial i's chains after round j (column 0: n bare qubits)
-    survivors = np.empty((blocks * _DC_BLOCK, k + 1), dtype=np.int64)
-    survivors[:, 0] = n
+    trials, blocks = config.trials, -(-config.trials // _DC_BLOCK)
+    # chains[j, i], qubits[j, i]: trial i's survivors after round j, each as
+    # long as the last round its pool paired in (row 0: n bare qubits)
+    chains = np.empty((k + 1, blocks * _DC_BLOCK), dtype=np.int64)
+    qubits = np.empty_like(chains)
+    chains[0] = qubits[0] = n
+    ops = np.zeros(chains.shape[1], dtype=np.int64)
+    length = np.ones(chains.shape[1], dtype=np.int64)
     rng = np.random.Generator(np.random.Philox(0))  # rekeyed to each block's stream
     for b in range(blocks):
         trial_rng(config.master_seed, b, rng)
-        rows = survivors[b * _DC_BLOCK:(b + 1) * _DC_BLOCK]
-        chains = np.full(_DC_BLOCK, n)
+        rows = slice(b * _DC_BLOCK, (b + 1) * _DC_BLOCK)
+        pool, pairs, size = chains[0, rows].copy(), ops[rows], length[rows]
         for j in range(1, k + 1):
             # a lone chain waits and an empty pool stays empty
-            pairing = np.flatnonzero(chains > 1)
+            pairing = np.flatnonzero(pool > 1)
             if not pairing.size:  # so no pool pairs again
-                rows[:, j:] = chains[:, None]
+                chains[j:, rows] = pool
+                qubits[j:, rows] = pool * size
                 break
-            chains[pairing] = rng.binomial(chains[pairing] // 2, p)
-            rows[:, j] = chains
-    survivors = survivors[:config.trials]
-    before = survivors[:, :-1]
-    paired = before > 1
-    # pools only shrink, so the rounds that paired come first and their count
-    # is the round whose length the survivors have (an empty pool has none)
-    grown = np.zeros(survivors.shape, dtype=np.int64)
-    np.cumsum(paired, axis=1, out=grown[:, 1:])
-    length = np.array([analytics.dc_round_length(j) for j in range(k + 1)])[grown]
-    qubits = survivors * length
-    chains, final_qubits = survivors[:, -1], qubits[:, -1]
+            half = pool[pairing] // 2
+            pairs[pairing] += half
+            pool[pairing] = rng.binomial(half, p)
+            size[pairing] = analytics.dc_round_length(j)
+            chains[j, rows] = pool
+            np.multiply(pool, size, out=qubits[j, rows])
+    final, final_qubits = chains[k, :trials], qubits[k, :trials]
     columns = {
-        "entangling_ops": np.sum(before // 2, axis=1, where=paired),
-        "elapsed_rounds": np.full(config.trials, k * config.gate_time),
-        "qubits_consumed": np.full(config.trials, n),
+        "entangling_ops": ops[:trials],
+        "elapsed_rounds": np.full(trials, k * config.gate_time),
+        "qubits_consumed": np.full(trials, n),
         "qubits_wasted": n - final_qubits,
-        "final_length": np.where(chains > 0, length[:, -1], 0),
-        "surviving_chains": chains,
+        "final_length": np.where(final > 0, length[:trials], 0),
+        "surviving_chains": final,
         "surviving_qubits": final_qubits,
     }
     for j in range(1, k + 1):
-        columns[f"chains_round_{j}"] = survivors[:, j]
-        columns[f"qubits_round_{j}"] = qubits[:, j]
+        columns[f"chains_round_{j}"] = chains[j, :trials]
+        columns[f"qubits_round_{j}"] = qubits[j, :trials]
     return columns
 
 
