@@ -30,6 +30,7 @@ __all__ = [
     "dc_scaling",
     "dc_rule_moments",
     "seq_scaling",
+    "seq_rule_pmf",
     "vertical_cost",
     "SERIES",
     "dc_series_value",
@@ -332,6 +333,68 @@ def seq_scaling(L: float, p: float, t: float = 1.0) -> tuple:
     n_seq = (L - 1.0) / (2.0 * p - 1.0)
     t_seq = t * (L - 1.0) / p
     return n_seq, t_seq
+
+
+# the exact sequential law drops the mass past its last term once a bound on
+# that mass is below _SEQ_TAIL, and refuses a law that needs more terms than
+# _SEQ_TERMS (about 50 MB of temporaries): p just above 1/2 with no cap
+_SEQ_TAIL = 1e-15
+_SEQ_TERMS = 1 << 20
+
+
+def seq_rule_pmf(p: float, L: int, max_rounds: int | None = None) -> tuple:
+    """Exact law of a sequential trial's entangling ops as ``growth`` simulates it.
+
+    A trial takes T ops, the first time the unrestricted +-1 walk from length
+    1 reaches L, or max_rounds when T would pass it: ops = min(T, max_rounds).
+    By the hitting-time (ballot) theorem (Feller vol. 1, ch. III), with
+    a = L - 1, P(T = n) = (a/n) C(n, (n+a)/2) p^((n+a)/2) q^((n-a)/2) for
+    n >= a of a's parity; the terms come in log space from the log m! table,
+    built on first use.  The ratio of term f + 1 (f failures) to term f,
+    pq (a+2f)(a+2f+1) / ((f+1)(a+f+1)), is 4pq plus a fraction whose numerator
+    a^2 - 3a - 4 - 6f falls with f: it falls to 4pq and stays below.  So the
+    mass past term f is at most that term times R/(1 - R), R the larger of its
+    ratio and 4pq, and the terms stop once that bound is below 1e-15.  Under a
+    cap the terms stop before it and the rest of the mass sits at the cap
+    (for p <= 1/2, the walks that never reach L), so p <= 1/2 needs a cap.
+    Returns (ops, pmf) as arrays.
+    """
+    _check_probability(p)
+    if L < 1:
+        raise ValueError(f"length {L} is below 1; a chain holds a qubit")
+    if max_rounds is None and p <= 0.5:
+        raise ValueError("no average growth for p <= 1/2; the law needs max_rounds")
+    if max_rounds is not None and max_rounds < 1:
+        raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
+    a = L - 1
+    cap = max_rounds if max_rounds is not None else math.inf
+    if a == 0 or p == 1.0 or cap <= a:  # one value: a, or the cap that cuts every walk
+        return np.array([min(a, cap)], dtype=np.int64), np.array([1.0])
+    last = math.inf if max_rounds is None else (max_rounds - a - 1) // 2  # last term below the cap
+    pq, rho = p * (1.0 - p), 4.0 * p * (1.0 - p)
+    count = 256
+    while True:
+        count = int(min(count, last + 1))
+        f = np.arange(count)
+        n = a + 2 * f
+        log_fact = _log_factorials(1 << int(n[-1]).bit_length())
+        terms = np.exp(np.log(a / n) + log_fact[n] - log_fact[a + f] - log_fact[f]
+                       + (a + f) * math.log(p) + f * math.log1p(-p))
+        R = np.maximum(pq * n * (n + 1) / ((f + 1) * (a + f + 1)), rho)
+        below = np.flatnonzero((R < 1.0) & (terms * R < _SEQ_TAIL * (1.0 - R)))
+        if below.size or count == last + 1:
+            break
+        if 2 * count > _SEQ_TERMS:
+            raise ValueError(f"the exact law at p = {p} and L = {L} needs more than "
+                             f"{_SEQ_TERMS} terms")
+        count *= 2
+    ops, pmf = n, terms
+    if below.size:
+        ops, pmf = n[:below[0] + 1], terms[:below[0] + 1]
+    if max_rounds is not None and (p <= 0.5 or not below.size):
+        ops = np.append(ops, cap)
+        pmf = np.append(pmf, max(0.0, 1.0 - math.fsum(pmf)))
+    return ops.astype(np.int64), pmf
 
 
 # ---------------------------------------------------------------------------

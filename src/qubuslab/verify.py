@@ -357,19 +357,7 @@ def check_monte_carlo(quick: bool = False) -> CriterionResult:
     trials = 1_000 if quick else 100_000
     tol = 0.05 if quick else 0.01
 
-    t0 = time.perf_counter()
-    cfg = growth.StrategyConfig(
-        variant="sequential", p=0.75, trials=trials, master_seed=7, target_L=41
-    )
-    stats = growth.simulate(cfg)
-    elapsed = time.perf_counter() - t0
-    mean_ops = float(np.mean(stats.entangling_ops))
-    res.check(
-        abs(mean_ops - 80.0) <= 80.0 * tol,
-        f"sequential mean ops {mean_ops:.3f} within {tol:.0%} of 80 "
-        f"({elapsed:.1f}s, {trials} trials)",
-    )
-    res.check(elapsed < 10.0, f"sequential run took {elapsed:.1f}s < 10s")
+    _check_sequential(res, seeds=(7,), trials=trials)
 
     jp_trials = 1_000 if quick else 50_000
     mean_join = growth.join_pair_experiment(0.75, 10, jp_trials, seed=11)
@@ -405,10 +393,46 @@ def check_monte_carlo(quick: bool = False) -> CriterionResult:
     return res
 
 
-# the divide-and-conquer comparisons of one run share one bound: Bonferroni
-# over (p, round, chains | qubits), two-sided, family-wise error 1e-6
+# the comparisons of one run against an exact law share one bound: Bonferroni
+# over them, two-sided, family-wise error 1e-6; for divide and conquer over
+# (p, round, chains | qubits), for sequential over the means of ops and ops**2
+_FAMILY_ERROR = 1e-6
 _DC_P, _DC_N, _DC_ROUNDS, _DC_TRIALS = (0.5, 0.75), 2**16, 8, 10_000
-_DC_FAMILY_ERROR = 1e-6
+
+
+def _bonferroni(comparisons: int) -> float:
+    """The |z| bound each of ``comparisons`` two-sided tests gets."""
+    return NormalDist().inv_cdf(1.0 - _FAMILY_ERROR / (2 * comparisons))
+
+
+def _check_sequential(res: CriterionResult, seeds, trials: int = 100_000) -> None:
+    """Sequential growth to L = 41 at p = 3/4 at each seed: the means of ops
+    and of ops**2 against the exact law of the rule as simulated, with exact
+    standard errors from its moments (E ops**4 for ops**2), under one
+    family-wise bound; and each run within 10 s."""
+    ops, pmf = analytics.seq_rule_pmf(0.75, 41)
+    m1, m2, m4 = (float(pmf @ ops.astype(np.float64) ** j) for j in (1, 2, 4))
+    exact = (("ops", m1, math.sqrt((m2 - m1**2) / trials)),
+             ("ops**2", m2, math.sqrt((m4 - m2**2) / trials)))
+    bound = _bonferroni(len(exact))
+    for seed in seeds:
+        t0 = time.perf_counter()
+        stats = growth.simulate(growth.StrategyConfig(
+            variant="sequential", p=0.75, trials=trials, master_seed=seed, target_L=41))
+        elapsed = time.perf_counter() - t0
+        values = stats.entangling_ops
+        zs = []
+        for (name, want, stderr), got in zip(exact, (values.mean(), (values**2).mean())):
+            zs.append(growth.z_score(float(got) - want, stderr))
+            if abs(zs[-1]) > bound:
+                res.fail(f"sequential seed {seed} mean {name}: z={zs[-1]:.2f} "
+                         f"(emp {got:.4f} vs the rule's {want:.4f})")
+        res.note(
+            f"sequential seed {seed}: mean ops and ops**2 within |z| <= {bound:.2f} of "
+            f"the rule's exact law ({m1:.4f}, {m2:.2f}; z = {zs[0]:+.2f}, {zs[1]:+.2f}; "
+            f"{trials} trials; Bonferroni over {len(exact)} comparisons, family-wise "
+            f"{_FAMILY_ERROR:g})")
+        res.check(elapsed < 10.0, f"sequential run took {elapsed:.1f}s < 10s")
 
 
 def _check_dc_rounds(res: CriterionResult, seeds) -> None:
@@ -417,7 +441,7 @@ def _check_dc_rounds(res: CriterionResult, seeds) -> None:
     the rule as simulated, under one family-wise bound; and a flag line for
     the gap between the rule and the paper's n (p/2)^k at round 8."""
     comparisons = 2 * len(_DC_P) * _DC_ROUNDS
-    bound = NormalDist().inv_cdf(1.0 - _DC_FAMILY_ERROR / (2 * comparisons))
+    bound = _bonferroni(comparisons)
     for p in _DC_P:
         exact = analytics.dc_rule_moments(p, _DC_N, _DC_ROUNDS)
         for seed in seeds:
@@ -439,7 +463,7 @@ def _check_dc_rounds(res: CriterionResult, seeds) -> None:
                 f"dc p={p} seed {seed}: C and Q of rounds 1..{_DC_ROUNDS} within "
                 f"|z| <= {bound:.2f} of the rule's exact law (worst |z| = {worst:.2f}, "
                 f"{_DC_TRIALS} trials; Bonferroni over {comparisons} comparisons, "
-                f"family-wise {_DC_FAMILY_ERROR:g})")
+                f"family-wise {_FAMILY_ERROR:g})")
         survivors = stats.extras[f"chains_round_{_DC_ROUNDS}"]
         paper = analytics.dc_scaling(p, _DC_N, k=_DC_ROUNDS)["C"]
         stderr = float(np.std(survivors, ddof=1)) / math.sqrt(survivors.size)

@@ -20,8 +20,10 @@ Stated tolerances (asserted inside the checks):
      fixes the dense vector with sign +1), under 5 seconds;
   6. tableau vs dense oracle on all small scenarios, fusion length law on
      100 random cases;
-  7. sequential mean ops within 1% of (L-1)/(2p-1) at 1e5 trials in under
-     10 s; join experiment within 3 stderr of the exact sum; vertical-link
+  7. sequential means of ops and ops**2 to L = 41 at p = 3/4 within |z| <= 5.03
+     of the rule's exact first-passage law (Bonferroni over the 2
+     comparisons, family-wise 1e-6, exact standard errors from the law's
+     moments) at 1e5 trials in under 10 s, for any seed; join experiment within 3 stderr of the exact sum; vertical-link
      qubits within 1% of 2(1/p+1); pairwise-discard chains and qubits of
      rounds 1..8 at 1e4 trials per p within |z| <= 5.53 of the rule's exact
      law (Bonferroni over the 32 comparisons, family-wise 1e-6), for any
@@ -110,7 +112,18 @@ def test_criterion_6_stabilizer_oracle():
 
 def test_criterion_7_monte_carlo():
     result = _run(verify.check_monte_carlo)
-    assert any("within 1% of 80" in line for line in result.details)
+    assert any(line.startswith("sequential seed 7: mean ops and ops**2 within |z| <= 5.03")
+               for line in result.details)
+
+
+def test_criterion_7_sequential_passes_for_seeds_0_to_9():
+    """Both means against the rule's exact law pass at seeds 0-9 alike."""
+    result = verify.CriterionResult(7, "sequential growth")
+    verify._check_sequential(result, seeds=range(10))
+    assert result.status == "pass", "\n".join(result.details)
+    summaries = [line for line in result.details if "within |z| <= 5.03" in line]
+    assert len(summaries) == 10
+    assert all("(80.0000, 6640.00; " in line for line in summaries)
 
 
 def test_criterion_7_dc_rounds_pass_for_seeds_0_to_9():

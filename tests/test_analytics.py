@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qubuslab import analytics as an
@@ -195,12 +196,16 @@ class TestDcRuleMoments:
 
     def test_not_built_at_import_nor_called_by_a_growth_run(self):
         """Neither import nor simulate, scaling_point and compare_to_analytic
-        build the log m! table, so a growth run never pays for the exact law."""
+        build the log m! table, so a divide-and-conquer or sequential growth
+        run never pays for an exact law."""
         code = ("import qubuslab.analytics as an, qubuslab.verify\n"
                 "from qubuslab import growth\n"
                 "cfg = growth.StrategyConfig('divide_conquer', 0.5, 50, 1, "
                 "initial_qubits=256, rounds_k=4)\n"
                 "point = an.scaling_point('divide_conquer', 0.5, n=256, k=4)\n"
+                "growth.compare_to_analytic(growth.simulate(cfg), point)\n"
+                "cfg = growth.StrategyConfig('sequential', 0.75, 50, 1, target_L=21)\n"
+                "point = an.scaling_point('sequential', 0.75, L=21)\n"
                 "growth.compare_to_analytic(growth.simulate(cfg), point)\n"
                 "print(an._log_factorials.cache_info().currsize)")
         src = Path(an.__file__).resolve().parents[1]
@@ -228,6 +233,75 @@ class TestSeqScaling:
     def test_non_growing_rejected(self):
         with pytest.raises(ValueError):
             an.seq_scaling(10, 0.5)
+
+
+def _seq_rule_by_enumeration(p: Fraction, L: int, steps: int, cap: int | None) -> dict:
+    """P(ops = n) in exact fractions, from the walk from length 1 stepped
+    ``steps`` times with its mass at L absorbed: P(T = n) for n <= steps,
+    and under a cap (steps = cap) the mass still walking at the cap."""
+    walking, law = {1: Fraction(1)}, {}
+    if L == 1:
+        return {0: Fraction(1)}
+    for n in range(1, steps + 1):
+        after = {}
+        for length, w in walking.items():
+            for step, chance in ((1, p), (-1, 1 - p)):
+                after[length + step] = after.get(length + step, 0) + w * chance
+        if after.get(L):
+            law[n] = after.pop(L)
+        walking = {length: w for length, w in after.items() if w}
+    if cap is not None and walking:
+        law[cap] = law.get(cap, 0) + sum(walking.values())
+    return law
+
+
+class TestSeqRulePmf:
+    @pytest.mark.parametrize("p, L, cap", [
+        (Fraction(1, 2), 30, 50), (Fraction(1, 3), 4, 40), (Fraction(9, 10), 2, 7),
+        (Fraction(3, 5), 11, 11),  # one value below the cap: n = 10
+        (Fraction(3, 4), 41, 40),  # a cap below L - 1 cuts every walk
+        (Fraction(3, 4), 6, 200),
+        (Fraction(9, 10), 6, 200),  # the terms stop before the cap
+        (Fraction(1), 10, None), (Fraction(3, 4), 1, None),
+        (Fraction(3, 4), 6, None), (Fraction(11, 20), 3, None),
+    ])
+    def test_equals_enumeration(self, p, L, cap):
+        ops, pmf = an.seq_rule_pmf(float(p), L, cap)
+        assert ops.dtype == np.int64 and (np.diff(ops) > 0).all()
+        steps = 60 if cap is None else cap
+        want = _seq_rule_by_enumeration(p, L, steps, cap)
+        if (p, L, cap) == (Fraction(9, 10), 6, 200):
+            assert ops[-1] < cap
+        got = dict(zip(ops.tolist(), pmf.tolist()))
+        for n in range(steps + 1):
+            assert got.get(n, 0.0) == pytest.approx(float(want.get(n, 0)), rel=1e-12,
+                                                    abs=1e-15), n
+        assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("p, L", [(0.75, 41), (0.55, 300), (0.9, 2), (0.6, 101)])
+    def test_moments_of_the_hitting_time(self, p, L):
+        """Mean (L-1)/(2p-1) and variance 4pq(L-1)/(2p-1)^3: 80 and 240 at
+        (3/4, 41)."""
+        ops, pmf = an.seq_rule_pmf(p, L)
+        mean = pmf @ ops
+        assert mean == pytest.approx((L - 1) / (2 * p - 1), rel=1e-12)
+        assert pmf @ (ops - mean) ** 2 == pytest.approx(
+            4 * p * (1 - p) * (L - 1) / (2 * p - 1) ** 3, rel=1e-10)
+
+    def test_capped_walk_rarely_reaches(self):
+        """At p = 1/2 a walk from 1 reaches 30 within 50 ops with chance 2.39e-5."""
+        ops, pmf = an.seq_rule_pmf(0.5, 30, 50)
+        assert ops[-1] == 50 and round(math.fsum(pmf[:-1]), 7) == 2.39e-5
+
+    @pytest.mark.parametrize("args, match", [
+        ((0.5, 30), "needs max_rounds"), ((0.75, 0), "below 1"),
+        ((0.75, 10, 0), "at least 1"), ((float("nan"), 10), "success probability"),
+        ((0.51, 10), "more than 1024 terms"),
+    ])
+    def test_refusals(self, args, match, monkeypatch):
+        monkeypatch.setattr(an, "_SEQ_TERMS", 1024)  # p = 0.51 needs 66997
+        with pytest.raises(ValueError, match=match):
+            an.seq_rule_pmf(*args)
 
 
 class TestVerticalCost:

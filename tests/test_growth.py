@@ -6,6 +6,7 @@ import json
 import math
 import re
 import warnings
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -494,6 +495,21 @@ class TestSequential:
         assert_allclose(
             stats.qubits_consumed, stats.final_length + stats.qubits_wasted
         )
+
+    def test_capped_mean_ops_against_the_exact_law(self):
+        """At p = 1/2, L = 30 and a cap of 50, mean ops against the exact law
+        of min(T, 50) at seeds 0-9, under one Bonferroni bound over the ten
+        seeds (family-wise 1e-6), with the law's own standard error."""
+        ops, pmf = analytics.seq_rule_pmf(0.5, 30, 50)
+        mean = pmf @ ops
+        trials = 100_000
+        stderr = math.sqrt(pmf @ (ops - mean) ** 2 / trials)
+        bound = NormalDist().inv_cdf(1 - 1e-6 / (2 * 10))
+        for seed in range(10):
+            cfg = StrategyConfig(variant="sequential", p=0.5, trials=trials,
+                                 master_seed=seed, target_L=30, max_rounds=50)
+            got = simulate(cfg).entangling_ops.mean()
+            assert abs(got - mean) <= bound * stderr, (seed, got, mean)
 
     def test_length_drift_after_k_rounds(self):
         """Interim walk position has mean 1 + k (2p - 1)."""
