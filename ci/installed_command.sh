@@ -136,7 +136,16 @@ test "$(tail -n +2 "$tmp/out.txt")" = "7,rus-pf-0.6,180.0"
 # at p = 0.4 the critical length 4 reads 3.9999999999999996; merge starts at 5
 $QUBUSLAB scaling --p 0.4 --series merge --l-max 6 > "$tmp/out.txt"
 test "$(cat "$tmp/out.txt")" = "$(printf 'L,series,value\n5,merge,77.5\n6,merge,157.49999999999997')"
-$QUBUSLAB growth sequential --L 21 --trials 2000 --seed 7
+# sequential growth draws from one stream per block of 64 trials: these 2000
+# trials read 32 blocks' streams, each block's first pass in one draw
+$QUBUSLAB growth sequential --L 21 --trials 2000 --seed 7 --jsonl "$tmp/s.jsonl"
+echo "f56beadde98acfb7c2ffb1a40f151f2b98ce7c45c5d72d649905730d3800a282  $tmp/s.jsonl" | sha256sum -c -
+# capped walks at p = 1/2: nine in ten read a third pass or later, each pass
+# of a row from its own Philox counter
+echo '{"max_rounds": 700}' > "$tmp/cap.json"
+$QUBUSLAB growth sequential --p 0.5 --L 30 --config "$tmp/cap.json" --trials 500 --seed 7 \
+  --jsonl "$tmp/s2.jsonl"
+echo "3973b7ee18de23b733c5e7d0d5d884049c986faa5e348a3f15a4b2f25f1c8f69  $tmp/s2.jsonl" | sha256sum -c -
 # at p = 0.6 the minimal chain is 3 qubits, so chain builds take the halving branch
 $QUBUSLAB growth merge --p 0.6 --L 20 --trials 500 --seed 7 --jsonl "$tmp/m.jsonl"
 echo "0d3de6503fac21ddb0ac4e180c76267ff05ee02b5f14db6dad3962d406e9295f  $tmp/m.jsonl" | sha256sum -c -

@@ -1,22 +1,25 @@
 """Seeded Monte Carlo for chain-growth strategies.
 
 Every random stream is counter-based, a Philox generator keyed by
-(master_seed, index).  A sequential, merge or vertical-link trial owns the
-stream keyed by its trial index; divide and conquer draws a fixed block of
-_DC_BLOCK trials from the stream keyed by the block index, and always
-simulates a block whole.  So results do not depend on how many trials run:
-the first M trials of an N-trial run equal an M-trial run.  The sequential
-and merge kernels evaluate chunks of trials at once, one row of uniforms per
-trial, each block of a trial's stream read from its own Philox counter by
-rekeying one generator.  A row of k doubles is the same k values as k scalar
-draws; merge steps its trials in lockstep, draw j of every trial from column
-j of its row.  Divide and conquer makes one vectorised binomial call per
-round over a block's pools, the draws of as many scalar calls in trial
-order.  Vertical links and joins need no generator: the Philox4x64-10
-rounds, in NumPy, give any (trial, counter) block's doubles directly, so a
-pass over the live trials computes all their next blocks at once.  Per-run
-work (the gate backend's outcome table, merge's automaton, divide and
-conquer's round lengths) is done once, not per trial.
+(master_seed, index).  A merge or vertical-link trial owns the stream keyed
+by its trial index; sequential growth keys one stream per block of
+_SEQ_BLOCK trials and divide and conquer one per block of _DC_BLOCK trials,
+by the block index.  A trial's draws depend on its index alone (divide and
+conquer simulates every block whole), so results do not depend on how many
+trials run: the first M trials of an N-trial run equal an M-trial run.  The
+sequential and merge kernels share one walker, :func:`_walk_blocks`, which
+steps chunks of trials in passes, one row of uniforms per trial and pass,
+read by one address rule from the Philox counter of its row and pass by
+rekeying one generator: a sequential block's first pass is one contiguous
+draw, merge's rows are blocks of one trial.  A row of k doubles is the same k
+values as k scalar draws; merge steps its trials in lockstep, draw j of every
+trial from column j of its row.  Divide and conquer makes one vectorised
+binomial call per round over a block's pools, the draws of as many scalar
+calls in trial order.  Vertical links and joins need no generator: the
+Philox4x64-10 rounds, in NumPy, give any (trial, counter) block's doubles
+directly, so a pass over the live trials computes all their next blocks at
+once.  Per-run work (the gate backend's outcome table, merge's automaton,
+divide and conquer's round lengths) is done once, not per trial.
 
 Strategy rules (the accounting that the closed forms leave open) are stated
 in each simulator's docstring; disagreements between the simulated means and
@@ -47,12 +50,13 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _ZERO4 = (0, 0, 0, 0)
-# Trials go _CHUNK at a time, one row of _WIDTH uniforms each, so
-# temporaries stay near 1 MB.  The width is a multiple of 4: Philox yields
-# four doubles per counter step.  Merge steps every trial of a chunk once per
-# draw, so it takes larger chunks: 4096 rows ran 10**5 trials fastest of 512
-# to 8192.  First-success counts compute _BLOCKS Philox blocks per call,
-# 256 KB of doubles: 8192 ran vertical links fastest of 2048 to 32768.
+# Trials go _CHUNK (sequential) or _MERGE_CHUNK (merge) at a time, one row of
+# _SEQ_WIDTH or _WIDTH uniforms each per pass, so temporaries stay near 1 MB.
+# A width is a multiple of 4: Philox yields four doubles per counter step.
+# Merge steps every trial of a chunk once per draw, so it takes larger chunks:
+# 4096 rows ran 10**5 trials fastest of 512 to 8192.  First-success counts
+# compute _BLOCKS Philox blocks per call, 256 KB of doubles: 8192 ran vertical
+# links fastest of 2048 to 32768.
 _CHUNK = 512
 # divide and conquer's trials per stream, part of its seed contract: another
 # size draws other values.  Blocks of 1024 to 4096 ran 10**5 trials within
@@ -61,6 +65,14 @@ _CHUNK = 512
 _DC_BLOCK = 1024
 _MERGE_CHUNK = 4096
 _WIDTH = 256
+# sequential's trials per stream and uniforms per row and pass, both part of
+# its seed contract.  At p = 3/4, L = 41 (80 ops on average), medians of 15
+# runs of 5000 trials on a 2-vCPU Xeon: width 128 took 7.0 ms, 64 took 14.6 ms
+# (most walks need a second pass, one rekey per row) and 256 took 12.6 ms
+# (draws no walk reads); blocks of 32 to 256 rows ran within 10 % of each
+# other, and a short run draws only its own rows of its last block
+_SEQ_BLOCK = 64
+_SEQ_WIDTH = 128
 _BLOCKS = 8192
 _NO_CAP = np.iinfo(np.int64).max
 # a vertical link takes 1/p attempts on average: a trial at p = 1e-6 reads
@@ -255,27 +267,35 @@ class GrowthStats:
 # simulators: each returns the per-trial columns of one run
 
 
-def _walk_blocks(seed: int, trials: int, step, chunk: int = _CHUNK) -> None:
-    """Feed each trial's stream to ``step`` one block at a time, across trials.
+def _walk_blocks(seed: int, trials: int, step, width: int, block: int, chunk: int) -> None:
+    """Feed each trial's uniforms to ``step`` ``width`` at a time, across trials.
 
-    Block b of a trial is its uniforms b*_WIDTH to (b+1)*_WIDTH - 1, the
-    values as many scalar ``rng.random()`` draws give, read after rekeying one
-    generator through :func:`trial_rng` to Philox counter b*_WIDTH/4.  Trials
-    go ``chunk`` at a time; ``step(u, rows)`` consumes row r of u, a block of
-    trial ``rows[r]``, and returns a mask of the rows that need their next
-    block.
+    Row i at pass k reads ``width`` doubles of the stream keyed by (seed,
+    i // block) from Philox counter (k*block + i % block)*width/4, the values
+    as many scalar ``rng.random()`` draws there give.  So pass 0 of a block
+    of rows is one contiguous draw after one rekey of one generator through
+    :func:`trial_rng`, and a later pass rekeys each live row at its own
+    counter.  Row i's draws depend on i alone, so the first M rows of a run
+    are an M-trial run.  Trials go ``chunk`` (a multiple of ``block``) at a
+    time; ``step(u, rows)`` consumes row r of u, the next ``width`` uniforms
+    of trial ``rows[r]``, and returns a mask of the rows that need another
+    pass.
     """
-    rng = np.random.Generator(np.random.Philox(0))  # rekeyed to each block
-    buf = np.empty((min(chunk, trials), _WIDTH))
+    rng = np.random.Generator(np.random.Philox(0))  # rekeyed to each block or row
+    buf = np.empty((min(chunk, trials), width))
     for start in range(0, trials, chunk):
         rows = np.arange(start, min(start + chunk, trials))
-        counter = 0
+        for lo in range(0, rows.size, block):
+            trial_rng(seed, (start + lo) // block, rng).random(out=buf[lo:lo + block])
+        passes = 0
         while rows.size:
             u = buf[:rows.size]
-            for row, i in zip(u, rows.tolist()):
-                trial_rng(seed, i, rng, counter).random(out=row)
+            if passes:
+                counters = (passes * block + rows % block) * (width // 4)
+                for row, b, counter in zip(u, (rows // block).tolist(), counters.tolist()):
+                    trial_rng(seed, b, rng, counter).random(out=row)
             rows = rows[step(u, rows)]
-            counter += _WIDTH // 4
+            passes += 1
 
 
 def _mulhilo(a: np.ndarray, m: int):
@@ -366,11 +386,12 @@ def _sequential(config: StrategyConfig) -> dict:
     variant (which sits about one operation lower at p = 3/4, L = 41).
     Time advances by gate_time per attempt.
 
-    Each trial's uniforms come _WIDTH at a time, mapped by
+    Trial i's uniforms come _SEQ_WIDTH a pass from :func:`_walk_blocks`,
+    from the stream of its block of _SEQ_BLOCK trials, mapped by
     :func:`_attempt_sampler` to success and spare-bond flags; the walk is
     their running sum along the row.  A trial stops at the first attempt
     that reaches the target or at ``max_rounds`` attempts, and otherwise
-    takes its next block.
+    takes another pass.
     """
     n, target = config.trials, config.target_L
     cap = _NO_CAP if config.max_rounds is None else config.max_rounds
@@ -378,17 +399,17 @@ def _sequential(config: StrategyConfig) -> dict:
     ops = np.zeros(n, dtype=np.int64)
     length = np.ones(n, dtype=np.int64)
     danglers = np.zeros(n, dtype=np.int64)
-    attempt = np.arange(1, _WIDTH + 1, dtype=np.int16)
+    attempt = np.arange(1, _SEQ_WIDTH + 1, dtype=np.int16)
 
     def step(u, rows):
         success, spare = sample(u)
         # the walk's move over a row's first k attempts, 2 (successes) - k,
-        # stays within +-_WIDTH whatever the length, so int16 holds it
+        # stays within +-_SEQ_WIDTH whatever the length, so int16 holds it
         moved = np.cumsum(success, axis=1, dtype=np.int16)
         moved *= 2
         moved -= attempt
         reached = moved >= (target - length[rows])[:, None]
-        stop = np.where(reached.any(axis=1), reached.argmax(axis=1) + 1, _WIDTH)
+        stop = np.where(reached.any(axis=1), reached.argmax(axis=1) + 1, _SEQ_WIDTH)
         np.minimum(stop, cap - ops[rows], out=stop)
         ops[rows] += stop
         length[rows] += moved[np.arange(rows.size), stop - 1]
@@ -397,7 +418,7 @@ def _sequential(config: StrategyConfig) -> dict:
         return (length[rows] < target) & (ops[rows] < cap)
 
     if target > 1:
-        _walk_blocks(config.master_seed, n, step)
+        _walk_blocks(config.master_seed, n, step, _SEQ_WIDTH, _SEQ_BLOCK, _CHUNK)
     return {
         "entangling_ops": ops,
         "elapsed_rounds": ops * config.gate_time,
@@ -611,7 +632,7 @@ def _merge(config: StrategyConfig) -> dict:
         save(slice(None))
         return state2[rows] < done2
 
-    _walk_blocks(config.master_seed, config.trials, step, _MERGE_CHUNK)
+    _walk_blocks(config.master_seed, config.trials, step, _WIDTH, 1, _MERGE_CHUNK)
     ops, consumed = packed % _QUBITS, packed // _QUBITS
     final = length[state2 // 2]
     return {
@@ -699,13 +720,16 @@ VARIANTS = tuple(_STRATEGIES)
 def simulate(config: StrategyConfig, threads: int = 1) -> GrowthStats:
     """Run the configured strategy over independent seeded trials.
 
-    Trial i lands in slot i of the output.  It draws exactly the stream
-    keyed by (master_seed, i), although the sequential and merge kernels
-    evaluate trials in chunks, a block of each trial's stream at a time,
-    merge one draw of every trial per step, and the vertical-link kernel
-    computes the next Philox blocks of every live trial in one pass; a
-    divide-and-conquer trial draws from the stream of its block,
-    (master_seed, i // _DC_BLOCK), in trial order within each round.
+    Trial i lands in slot i of the output.  A merge or vertical-link trial
+    draws exactly the stream keyed by (master_seed, i), although merge
+    evaluates trials in chunks, a block of each trial's stream at a time and
+    one draw of every trial per step, and the vertical-link kernel computes
+    the next Philox blocks of every live trial in one pass.  A sequential
+    trial reads pass k of its walk from the stream (master_seed,
+    i // _SEQ_BLOCK) at Philox counter (k _SEQ_BLOCK + i % _SEQ_BLOCK)
+    _SEQ_WIDTH / 4, and a divide-and-conquer trial draws from the stream of
+    its block, (master_seed, i // _DC_BLOCK), in trial order within each
+    round.
     Trials run in the calling thread; ``threads`` is kept for callers that
     pass ``threads=1`` and any other value is an error.  A run with a
     non-finite column (a gate time near the float maximum) raises ValueError.

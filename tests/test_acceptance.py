@@ -40,7 +40,8 @@ Stated tolerances (asserted inside the checks):
      on a row that reproduces;
  10. seeded determinism: two runs give byte-identical CSV and JSONL, and the
      first M trials of an N-trial run equal an M-trial run, for sequential
-     growth and for divide and conquer with M inside a block of trials.
+     growth and for divide and conquer, each with M inside a block of trials
+     past the first.
 """
 
 import dataclasses
@@ -226,10 +227,13 @@ def test_criterion_10_fails_when_the_prefix_run_differs(monkeypatch, change):
     byte for byte, under the same keys: one entry off by a value or only by
     the sign of a zero, or one column more, fails the check."""
     kernel, rules, compared = growth._STRATEGIES["sequential"]
+    block = growth._SEQ_BLOCK
+    head = block + block // 3  # the prefix run of the quick check
+    assert head % block
 
     def altered(config):
         columns = kernel(config)
-        if config.trials == 100:  # the prefix run of the quick check
+        if config.trials == head:
             if change == "value":
                 columns["entangling_ops"][7] += 1.0
             elif change == "sign-of-zero":
@@ -244,7 +248,7 @@ def test_criterion_10_fails_when_the_prefix_run_differs(monkeypatch, change):
     monkeypatch.setitem(growth._STRATEGIES, "sequential", (altered, rules, compared))
     result = verify.check_determinism(quick=True)
     assert result.status == "fail"
-    assert any("first 100 of 500 trials" in line for line in result.details)
+    assert any(f"first {head} of 500 trials" in line for line in result.details)
 
 
 def test_criterion_10_fails_a_divide_conquer_prefix_cut_inside_a_block(monkeypatch):

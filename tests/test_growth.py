@@ -239,6 +239,22 @@ class TestTrialRng:
         assert not np.allclose(a, b)
 
 
+def _sequential_rekeys(seed, ops):
+    """The (seed, stream) of each rekey of a sequential run, chunk by chunk:
+    one per block of rows on pass 0, then one per row still walking on each
+    later pass (row i is live on pass k while its ops pass k _SEQ_WIDTH)."""
+    block, width, chunk = growth._SEQ_BLOCK, growth._SEQ_WIDTH, growth._CHUNK
+    want = []
+    for start in range(0, ops.size, chunk):
+        part = ops[start:start + chunk]
+        want += [(seed, b) for b in range(start // block, -(-(start + part.size) // block))]
+        k = 1
+        while (part > k * width).any():
+            want += [(seed, (start + r) // block) for r in np.flatnonzero(part > k * width)]
+            k += 1
+    return want
+
+
 def _draws(rng):
     """One of each draw the growth kernels and NumPy's samplers make."""
     return (
@@ -344,22 +360,26 @@ class TestRekeyedStream:
         return calls
 
     def test_one_trial_rng_call_per_trial(self, calls):
-        """Sequential rekeys once per trial and divide and conquer once per
-        block of trials; vertical links and joins compute their Philox blocks
+        """Sequential rekeys once per block of trials on a row's first pass and
+        once per live row on each later pass, divide and conquer once per block
+        of trials; vertical links and joins compute their Philox blocks
         directly and rekey nothing."""
         block = growth._DC_BLOCK
-        for kwargs in PREFIX_CONFIGS:
+        capped = dict(variant="sequential", target_L=30, max_rounds=300)
+        for kwargs in [*PREFIX_CONFIGS, capped]:
             if kwargs["variant"] == "merge":  # rekeyed once per block: see below
                 continue
             for trials in (17, 2 * block + 1):
                 calls.clear()
-                simulate(StrategyConfig(p=0.75, trials=trials, master_seed=4, **kwargs))
+                p = 0.5 if kwargs is capped else 0.75
+                stats = simulate(StrategyConfig(p=p, trials=trials, master_seed=4, **kwargs))
                 if kwargs["variant"] == "vertical_link":
                     assert calls == []
                 elif kwargs["variant"] == "divide_conquer":
                     assert calls == [(4, b) for b in range(-(-trials // block))]
                 else:
-                    assert calls == [(4, i) for i in range(trials)]
+                    assert calls == _sequential_rekeys(4, stats.entangling_ops)
+        assert len(calls) > 2 * block // growth._SEQ_BLOCK + 2 * block  # passes 1 and 2
         calls.clear()
         growth.join_pair_experiment(0.75, 5, 23, seed=9)
         assert calls == []
@@ -824,10 +844,11 @@ class TestTrialRecords:
 
     # sha256 of render_growth_jsonl as written while StrategyConfig still had
     # an accounting field (p = 0.75, 20 trials, master seed 3); divide and
-    # conquer's as written when its trials first drew from per-block streams
+    # conquer's and sequential's as written when their trials first drew from
+    # per-block streams
     JSONL_SHA256 = {
         "sequential": (dict(target_L=9),
-                       "4a39da357fd24b1bc0519baef03e4ccbb8ca9ac8ce288b7f7ce22962f1c2d4a7"),
+                       "a7ec431551b7c8d098837fdd2dafb0a4095babd3075b34267dceb9c69284dd79"),
         "divide_conquer": (dict(initial_qubits=64, rounds_k=3),
                            "86671aab1453f1e5e4e29523154b252bbe2d032f34bd4fdc3bc28c9feffe5f1b"),
         "merge": (dict(target_L=21),
@@ -984,23 +1005,30 @@ class TestMergeBlockDraws:
             assert stats.final_length[i] == length
 
 
-def _scalar_sequential_trial(config, rng):
-    """The sequential walk as written with one draw per attempt."""
+def _scalar_sequential_trial(config, i):
+    """Sequential trial i as written with one draw per attempt.  Its draws
+    follow the walker's address rule: pass k's _SEQ_WIDTH draws come from the
+    stream keyed by (seed, i // _SEQ_BLOCK) at Philox counter
+    (k * _SEQ_BLOCK + i % _SEQ_BLOCK) * _SEQ_WIDTH / 4."""
+    block, width = growth._SEQ_BLOCK, growth._SEQ_WIDTH
     if config.gate_backend is None:
-        def attempt():
+        def attempt(rng):
             return rng.random() < config.p, False
     else:
         outcomes = gates.three_qubit_outcomes(config.alpha, config.theta)
         probs = np.array([o.probability for o in outcomes])
 
-        def attempt():
+        def attempt(rng):
             o = outcomes[rng.choice(len(probs), p=probs / probs.sum())]
             return o.label == "ghz" or o.label.startswith("bell"), o.label == "ghz"
     length, ops, danglers = 1, 0, 0
     while length < config.target_L:
         if config.max_rounds is not None and ops >= config.max_rounds:
             break
-        ok, spare = attempt()
+        if ops % width == 0:  # pass ops // width starts
+            counter = (ops // width * block + i % block) * width // 4
+            rng = trial_rng(config.master_seed, i // block, counter=counter)
+        ok, spare = attempt(rng)
         ops += 1
         length += 1 if ok else -1
         danglers += spare
@@ -1010,9 +1038,9 @@ def _scalar_sequential_trial(config, rng):
 class TestSequentialBlockWalk:
     @pytest.mark.parametrize("kwargs", [
         dict(p=0.75, target_L=41),
-        dict(p=0.55, target_L=300),  # walks span several 256-blocks
+        dict(p=0.55, target_L=300),  # walks span several passes
         dict(p=0.5, target_L=30, max_rounds=50),
-        dict(p=0.5, target_L=30, max_rounds=256),
+        dict(p=0.5, target_L=30, max_rounds=growth._SEQ_WIDTH),
         dict(p=0.5, target_L=60, max_rounds=700),
         dict(p=0.75, target_L=11, gate_backend="three-qubit"),
         dict(p=0.75, target_L=15, max_rounds=20, gate_backend="three-qubit"),
@@ -1022,17 +1050,31 @@ class TestSequentialBlockWalk:
                              gate_time=0.5, **kwargs)
         stats = simulate(cfg)
         for i in range(cfg.trials):
-            ops, length, danglers = _scalar_sequential_trial(
-                cfg, trial_rng(cfg.master_seed, i))
+            ops, length, danglers = _scalar_sequential_trial(cfg, i)
             assert stats.entangling_ops[i] == ops
             assert stats.elapsed_rounds[i] == ops * cfg.gate_time
             assert stats.final_length[i] == length
             assert stats.qubits_wasted[i] == 1 + ops - length
             assert stats.extras["spare_danglers"][i] == danglers
 
+    @pytest.mark.parametrize("trials", [
+        growth._SEQ_BLOCK - 1, growth._SEQ_BLOCK, growth._SEQ_BLOCK + 1,
+        growth._CHUNK + growth._SEQ_BLOCK // 2,  # a chunk boundary, a part block after it
+    ])
+    def test_block_and_chunk_boundaries(self, trials):
+        """Capped walks at p = 1/2 past their second pass, across block and
+        chunk boundaries."""
+        cfg = StrategyConfig(variant="sequential", p=0.5, target_L=60, max_rounds=700,
+                             trials=trials, master_seed=41)
+        stats = simulate(cfg)
+        assert (stats.entangling_ops > 2 * growth._SEQ_WIDTH).mean() > 0.5
+        for i in range(trials):
+            ops, length, _ = _scalar_sequential_trial(cfg, i)
+            assert (stats.entangling_ops[i], stats.final_length[i]) == (ops, length)
 
-def _scalar_sequential_record(config, rng):
-    ops, length, danglers = _scalar_sequential_trial(config, rng)
+
+def _scalar_sequential_record(config, i):
+    ops, length, danglers = _scalar_sequential_trial(config, i)
     return {
         "entangling_ops": ops,
         "elapsed_rounds": ops * config.gate_time,
@@ -1089,17 +1131,20 @@ def _scalar_dc_block(config, rng):
     } for rec in records]
 
 
+# each takes (config, trial index): merge and vertical links read the stream
+# keyed by (seed, trial)
 _SCALAR_TRIALS = {
     "sequential": _scalar_sequential_record,
-    "merge": _scalar_merge_trial,
-    "vertical_link": _scalar_vertical_trial,
+    "merge": lambda cfg, i: _scalar_merge_trial(cfg, trial_rng(cfg.master_seed, i)),
+    "vertical_link": lambda cfg, i: _scalar_vertical_trial(cfg, trial_rng(cfg.master_seed, i)),
 }
 
 
 def _assert_equals_scalar_trials(cfg):
     """Every column of simulate(cfg) equals the scalar loop, trial by trial:
-    on each trial's (seed, trial) stream, or for divide and conquer on each
-    block's (seed, block) stream, every block run whole."""
+    on each trial's (seed, trial) stream, for sequential growth by the
+    walker's address rule, or for divide and conquer on each block's
+    (seed, block) stream, every block run whole."""
     columns = simulate(cfg).columns()
     if cfg.variant == "divide_conquer":
         blocks = range(-(-cfg.trials // growth._DC_BLOCK))
@@ -1107,8 +1152,7 @@ def _assert_equals_scalar_trials(cfg):
                 for rec in _scalar_dc_block(cfg, trial_rng(cfg.master_seed, b))]
         want = want[:cfg.trials]
     else:
-        want = [_SCALAR_TRIALS[cfg.variant](cfg, trial_rng(cfg.master_seed, i))
-                for i in range(cfg.trials)]
+        want = [_SCALAR_TRIALS[cfg.variant](cfg, i) for i in range(cfg.trials)]
     assert list(columns) == list(want[0])
     for key, values in columns.items():
         assert values.dtype == np.float64
@@ -1167,6 +1211,21 @@ class TestAcrossTrialKernels:
                              gate_backend=backend, **kwargs)
         _assert_equals_scalar_trials(cfg)
 
+    @pytest.mark.parametrize("backend, trials", [
+        (None, growth._SEQ_BLOCK - 1), (None, growth._SEQ_BLOCK),
+        (None, growth._SEQ_BLOCK + 1), ("three-qubit", growth._SEQ_BLOCK + 1),
+    ])
+    def test_sequential_block_boundaries(self, backend, trials):
+        """Walks that reach L or the cap past their second pass, by the
+        walker's address rule."""
+        cfg = StrategyConfig(variant="sequential", p=0.75, target_L=150, max_rounds=300,
+                             trials=trials, master_seed=2**63 + 13, gate_time=0.5,
+                             gate_backend=backend)
+        ops = simulate(cfg).entangling_ops
+        assert (ops > 2 * growth._SEQ_WIDTH).mean() > 0.5
+        assert 0 < (ops == 300).mean() < 1
+        _assert_equals_scalar_trials(cfg)
+
     @pytest.mark.parametrize("kwargs", [
         dict(p=0.6, initial_qubits=1000, rounds_k=12),  # pools run dry
         dict(p=0.9, initial_qubits=37, rounds_k=0),
@@ -1191,23 +1250,24 @@ class TestAcrossTrialKernels:
 
 
 # sha256 of every output array of simulate, computed before the trial streams
-# were rekeyed onto one generator per run (divide and conquer's when its
-# trials first drew from per-block streams); the runs must stay byte-identical
+# were rekeyed onto one generator per run (divide and conquer's and
+# sequential's when their trials first drew from per-block streams); the runs
+# must stay byte-identical
 GOLDEN = {
     "sequential": (
         dict(variant="sequential", p=0.75, trials=2000, master_seed=2**63 + 5,
              target_L=41),
-        "b741155e8db90f53bc91eceb2d806b661abae6716d7736eb3d49e424f9dede97",
+        "48948dccac8da3e4fa540d619b6d19ff5441da1fd706cbc7f278f0fea3a87bf0",
     ),
     "sequential-capped": (
         dict(variant="sequential", p=0.5, trials=300, master_seed=17, target_L=30,
              max_rounds=50),
-        "195a6a19fea11828002a27523e30860b423abde96cd0f23822380b238a96310e",
+        "d95e1f49ba89216833cc8df80fb23397b9283f1690eb64e8b7fdf1aeb9fc8fbb",
     ),
     "sequential-three-qubit": (
         dict(variant="sequential", p=0.75, trials=60, master_seed=2**64 - 1,
              target_L=11, gate_backend="three-qubit"),
-        "9984682fc03786a1dd8e8393fba267c3a45c8cab3390129d8666b2836c8d13c2",
+        "40bc77415143f9dafc03ebcf52656ecf3cc1613147518c6f93dce59684c4271a",
     ),
     "merge": (
         dict(variant="merge", p=0.75, trials=300, master_seed=2**63 + 9, target_L=41),
@@ -1248,6 +1308,7 @@ def test_simulate_outputs_pinned(name):
 
 # sha256 as for GOLDEN, of runs whose trials read later blocks, computed while
 # a later block was reached by rekeying to counter 0 and advancing the counter
+# (sequential's when its trials first drew from per-block streams)
 MULTI_BLOCK = {
     "merge-p0.5": (
         dict(variant="merge", p=0.5, trials=400, master_seed=23, target_L=41,
@@ -1261,7 +1322,7 @@ MULTI_BLOCK = {
     "sequential-capped-p0.55": (
         dict(variant="sequential", p=0.55, trials=300, master_seed=31, target_L=300,
              max_rounds=700),
-        "fd7f3b926ecc6a6006406393e97cf979cdb12a3802dbd7d3fa5ab0b6567f324f",
+        "007fa0e321616d1703eb1119238b8697aa354a0f23981be8521069cb08d9f44e",
     ),
 }
 
@@ -1270,6 +1331,7 @@ MULTI_BLOCK = {
 def test_multi_block_outputs_pinned(name):
     kwargs, digest = MULTI_BLOCK[name]
     stats = simulate(StrategyConfig(**kwargs))
-    width = 32 if name.startswith("vertical") else growth._WIDTH
-    assert (stats.entangling_ops > width).mean() > 0.15  # trials past block 0
+    width = {"merge": growth._WIDTH, "vertical_link": 32,
+             "sequential": growth._SEQ_WIDTH}[stats.config.variant]
+    assert (stats.entangling_ops > width).mean() > 0.15  # trials past their first pass
     assert _stats_digest(stats) == digest
