@@ -89,8 +89,9 @@ echo '{"bogus": 1, "gate_backend": "nope"}' > "$tmp/keys.json"
 # series or no row in its range (before any file is written), a growth
 # run whose gate time overflows its elapsed time, a vertical link at a p
 # so small that a trial would expect 10**12 attempts, and a merge run whose
-# law expects more ops per trial than its budget; a gate refuses an option
-# it does not read (before any file is written)
+# law expects more ops per trial than its budget, a divide and conquer run
+# whose round lengths overflow an int64; a gate refuses an option it does not
+# read (before any file is written)
 for args in "growth divide_conquer --n 64 --k 3 --L 5" \
             "scaling --metric T --series rus-pf-0.6" "gate chain --n 1000000" \
             "scaling --p 1e-40 --series dc" \
@@ -109,6 +110,7 @@ for args in "growth divide_conquer --n 64 --k 3 --L 5" \
             "growth sequential --L 11 --trials 50 --t 1e308" \
             "growth vertical_link --p 1e-12 --trials 1" \
             "growth merge --p 0.1 --L 50 --trials 1 --seed 1" \
+            "growth divide_conquer --n 64 --k 2000 --trials 3" \
             "growth sequential --L 5 --config $tmp/keys.json" \
             "gate chain --config $tmp/keys.json" \
             "gate star --csv $tmp/x.csv" "gate cascade --beta 0.3" \

@@ -202,7 +202,11 @@ class StrategyConfig:
                                  "and target_L")
             if self.rounds_k is not None and self.rounds_k < 0:
                 raise ValueError("divide and conquer needs rounds_k >= 0")
-            self.rounds()  # a target_L off the 2**(k-1) + 1 grid raises here
+            k = self.rounds()  # a target_L off the 2**(k-1) + 1 grid raises here
+            if k > 63:  # 2**62 + 1 is the last round length an int64 holds
+                raise ValueError(f"divide and conquer needs rounds_k <= 63; round {k}'s "
+                                 f"chains of 2**{k - 1} + 1 qubits overflow the int64 "
+                                 "length column")
         if self.variant == "vertical_link" and self.p < _MIN_LINK_P:
             raise ValueError(
                 f"vertical_link at p = {self.p:g} expects 1/p = {1 / self.p:.3g} attempts "

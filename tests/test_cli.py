@@ -131,6 +131,9 @@ class TestCommandErrors:
         (["growth", "merge", "--p", "0.1", "--L", "50", "--trials", "1", "--seed", "1"],
          "merge at p = 0.1 and L = 50 expects 5.22e+07 ops per trial by its law; "
          "the budget is 1e+06 ops per trial"),
+        (["growth", "divide_conquer", "--n", "64", "--k", "2000", "--trials", "3"],
+         "divide and conquer needs rounds_k <= 63; round 2000's chains of 2**1999 + 1 "
+         "qubits overflow the int64 length column"),
     ], ids=["dc-k-and-off-grid-L", "dc-k-and-L", "scaling-reference-time",
             "scaling-seq-half", "scaling-empty-range", "scaling-negative-length",
             "scaling-zero-length", "chain-million", "cascade-million",
@@ -144,7 +147,7 @@ class TestCommandErrors:
             "scaling-time-overflow", "scaling-no-series", "scaling-no-series-svg",
             "scaling-no-series-svg-csv", "scaling-no-row-svg", "scaling-no-row-csv",
             "scaling-critical-length-overflow", "vertical-link-never-finishes",
-            "merge-over-budget"])
+            "merge-over-budget", "dc-rounds-past-int64"])
     def test_refused_before_any_work(self, runner, tmp_path, args, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 10**329}))

@@ -191,6 +191,22 @@ class TestConfigValidation:
             StrategyConfig(variant="divide_conquer", p=0.5, trials=10, master_seed=0,
                            initial_qubits=64, rounds_k=-1)
 
+    @pytest.mark.parametrize("rounds, k", [
+        (dict(rounds_k=64), 64), (dict(rounds_k=2000), 2000),
+        (dict(target_L=2**63 + 1), 64),
+    ])
+    def test_round_length_must_fit_int64(self, rounds, k):
+        """Round k's chains are 2**(k-1) + 1 long; past k = 63 that is no int64."""
+        with pytest.raises(ValueError, match=re.escape(
+                f"divide and conquer needs rounds_k <= 63; round {k}'s chains of "
+                f"2**{k - 1} + 1 qubits overflow the int64 length column")):
+            StrategyConfig(variant="divide_conquer", p=0.5, trials=3, master_seed=0,
+                           initial_qubits=64, **rounds)
+        for rounds in (dict(rounds_k=63), dict(target_L=2**62 + 1)):
+            cfg = StrategyConfig(variant="divide_conquer", p=0.5, trials=3, master_seed=0,
+                                 initial_qubits=64, **rounds)
+            assert simulate(cfg).final_length.max() <= 2**62 + 1
+
     @pytest.mark.parametrize("p, attempts", [(1e-12, "1e+12"), (9.99e-7, "1e+06")])
     def test_vertical_link_that_never_finishes(self, p, attempts):
         """A trial expects 1/p attempts; below 1e-6 the run is refused."""
