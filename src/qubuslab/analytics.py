@@ -351,13 +351,13 @@ def seq_rule_pmf(p: float, L: int, max_rounds: int | None = None) -> tuple:
     a = L - 1, P(T = n) = (a/n) C(n, (n+a)/2) p^((n+a)/2) q^((n-a)/2) for
     n >= a of a's parity; the terms come in log space from the log m! table,
     built on first use.  The ratio of term f + 1 (f failures) to term f,
-    pq (a+2f)(a+2f+1) / ((f+1)(a+f+1)), is 4pq plus a fraction whose numerator
-    a^2 - 3a - 4 - 6f falls with f: it falls to 4pq and stays below.  So the
-    mass past term f is at most that term times R/(1 - R), R the larger of its
-    ratio and 4pq, and the terms stop once that bound is below 1e-15.  Under a
-    cap the terms stop before it and the rest of the mass sits at the cap
-    (for p <= 1/2, the walks that never reach L), so p <= 1/2 needs a cap.
-    Returns (ops, pmf) as arrays.
+    pq (a+2f)(a+2f+1) / ((f+1)(a+f+1)), is 4pq + pq (a^2 - 3a - 4 - 6f) /
+    ((f+1)(a+f+1)): it falls with f while above 4pq and stays below once
+    there, so no later ratio exceeds R, the larger of term f's ratio and 4pq,
+    and the mass past term f is at most that term times R/(1 - R).  The terms
+    stop once that bound is below 1e-15.  Under a cap the terms stop before
+    it and the rest of the mass sits at the cap (for p <= 1/2, the walks that
+    never reach L), so p <= 1/2 needs a cap.  Returns (ops, pmf) as arrays.
     """
     _check_probability(p)
     if L < 1:

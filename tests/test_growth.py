@@ -1073,21 +1073,6 @@ class TestSequentialBlockWalk:
             assert stats.qubits_wasted[i] == 1 + ops - length
             assert stats.extras["spare_danglers"][i] == danglers
 
-    @pytest.mark.parametrize("trials", [
-        growth._SEQ_BLOCK - 1, growth._SEQ_BLOCK, growth._SEQ_BLOCK + 1,
-        growth._CHUNK + growth._SEQ_BLOCK // 2,  # a chunk boundary, a part block after it
-    ])
-    def test_block_and_chunk_boundaries(self, trials):
-        """Capped walks at p = 1/2 past their second pass, across block and
-        chunk boundaries."""
-        cfg = StrategyConfig(variant="sequential", p=0.5, target_L=60, max_rounds=700,
-                             trials=trials, master_seed=41)
-        stats = simulate(cfg)
-        assert (stats.entangling_ops > 2 * growth._SEQ_WIDTH).mean() > 0.5
-        for i in range(trials):
-            ops, length, _ = _scalar_sequential_trial(cfg, i)
-            assert (stats.entangling_ops[i], stats.final_length[i]) == (ops, length)
-
 
 def _scalar_sequential_record(config, i):
     ops, length, danglers = _scalar_sequential_trial(config, i)
@@ -1230,10 +1215,11 @@ class TestAcrossTrialKernels:
     @pytest.mark.parametrize("backend, trials", [
         (None, growth._SEQ_BLOCK - 1), (None, growth._SEQ_BLOCK),
         (None, growth._SEQ_BLOCK + 1), ("three-qubit", growth._SEQ_BLOCK + 1),
+        (None, growth._CHUNK + growth._SEQ_BLOCK // 2),  # a part block past a chunk
     ])
     def test_sequential_block_boundaries(self, backend, trials):
         """Walks that reach L or the cap past their second pass, by the
-        walker's address rule."""
+        walker's address rule, across block and chunk boundaries."""
         cfg = StrategyConfig(variant="sequential", p=0.75, target_L=150, max_rounds=300,
                              trials=trials, master_seed=2**63 + 13, gate_time=0.5,
                              gate_backend=backend)
