@@ -31,6 +31,8 @@ __all__ = [
     "dc_rule_moments",
     "seq_scaling",
     "seq_rule_pmf",
+    "link_rule_pmf",
+    "merge_rule_law",
     "vertical_cost",
     "SERIES",
     "dc_series_value",
@@ -395,6 +397,83 @@ def seq_rule_pmf(p: float, L: int, max_rounds: int | None = None) -> tuple:
         ops = np.append(ops, cap)
         pmf = np.append(pmf, max(0.0, 1.0 - math.fsum(pmf)))
     return ops.astype(np.int64), pmf
+
+
+def link_rule_pmf(p: float, cap: int | None = None) -> tuple:
+    """Exact law of the failed attempts F before a first success, as ``growth``
+    draws them: P(F = f) = q^f p, geometric.  A vertical link takes F + 1 ops
+    and 4 + 2F qubits.  Under a cap (a join of two L-chains, cap L) the terms
+    stop at cap - 1 and the mass q^cap sits at the cap: the join ends at length
+    2(L - F) - 1, or 0 at F = L.  With no cap the terms stop once the tail
+    q^(f+1) is below 1e-15, and a law that needs more than 2**20 terms is
+    refused.  Returns (fails, pmf) as arrays.
+    """
+    _check_probability(p)
+    if cap is not None and cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
+    q = 1.0 - p
+    count = 1 if q == 0.0 else math.ceil(math.log(_SEQ_TAIL) / math.log1p(-p))
+    if cap is not None:
+        count = min(count, cap)
+    elif count > _SEQ_TERMS:
+        raise ValueError(f"the exact law at p = {p} needs more than {_SEQ_TERMS} terms")
+    fails = np.arange(count)
+    pmf = p * q ** fails
+    if cap is not None and count == cap:
+        fails, pmf = np.append(fails, cap), np.append(pmf, q**cap)
+    return fails, pmf
+
+
+# merge propagation stops once the live mass is below _MERGE_TAIL, and refuses
+# a law that needs more than _MERGE_STEPS ops
+_MERGE_TAIL = 1e-15
+_MERGE_STEPS = 1 << 20
+
+
+def merge_rule_law(p: float, next_state, qubits, length, live: int) -> dict:
+    """Exact law of a merge trial as ``growth`` simulates it, by propagation.
+
+    A trial is an absorbing Markov chain (Kemeny & Snell 1960) over the
+    automaton's own tables: a draw from live state s (s < ``live``) leads to
+    state ``next_state[2 s + ok]`` with chance p for ok = 1 and q for ok = 0,
+    consumes ``qubits[2 s + ok]`` qubits and is one op; a state s >= ``live``
+    absorbs with final length ``length[s]``.  From state 0 the state
+    distribution is carried op by op, with the first and second qubit moments
+    of each state alongside it, until the live mass is below 1e-15.  The mass
+    absorbed at op n is P(ops = n).  Returns the ops and their pmf as arrays,
+    the mean and second moment of the qubits consumed, and the final lengths
+    and their pmf, normalised over the absorbed mass.
+    """
+    _check_probability(p)
+    q = 1.0 - p
+    source = np.repeat(np.arange(live), 2)
+    target = np.asarray(next_state[:2 * live])
+    spent = np.asarray(qubits[:2 * live], dtype=np.float64)
+    chance = np.tile([q, p], live)
+    states = len(length)
+    mass, first, second = (np.zeros(live) for _ in range(3))
+    mass[0] = 1.0
+    ended = np.zeros((3, states - live))
+    pmf = []
+    while mass.sum() >= _MERGE_TAIL:
+        if len(pmf) == _MERGE_STEPS:
+            raise ValueError(f"the exact merge law at p = {p} needs more than "
+                             f"{_MERGE_STEPS} ops of propagation")
+        m0, m1 = chance * mass[source], chance * first[source]
+        m2 = chance * second[source] + spent * (2.0 * m1 + spent * m0)
+        m1 += spent * m0
+        moved = [np.bincount(target, m, minlength=states) for m in (m0, m1, m2)]
+        pmf.append(moved[0][live:].sum())
+        ended += [m[live:] for m in moved]
+        mass, first, second = (m[:live] for m in moved)
+    lengths = np.asarray(length[live:])
+    values = np.unique(lengths[ended[0] > 0])
+    by_length = np.bincount(np.searchsorted(values, lengths), ended[0], minlength=values.size)
+    return {
+        "ops": np.arange(1, len(pmf) + 1), "ops_pmf": np.array(pmf),
+        "qubits": float(ended[1].sum()), "qubits_sq": float(ended[2].sum()),
+        "lengths": values, "length_pmf": by_length[:values.size] / by_length.sum(),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ the printed laws are surfaced by :func:`compare_to_analytic` as flags.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields, asdict
 
@@ -498,8 +499,9 @@ _ZERO, _SINK, _TIME, _NODE0 = 0, 1, 2, 3
 _QUBITS = 1 << 32
 
 
-def _merge_automaton(config: StrategyConfig):
-    """The merge rule's reachable control states, as transition tables.
+@functools.lru_cache(maxsize=16)
+def _merge_automaton(L0: int, target: int):
+    """The merge rule's reachable control states, as read-only transition tables.
 
     A trial builds minimal chains of L0 qubits without recycling.  A 2-chain
     is two bare qubits fused, retried until it succeeds; a longer chain of
@@ -519,9 +521,9 @@ def _merge_automaton(config: StrategyConfig):
     [a, r, x, y, w]: the draw sets register w to r + (a + (max(x, y) +
     gate_time)), the recursive build's sums in its order.  A node's first
     attempt reads the zero register as a, a 2-chain or a join reads it as
-    x and y, and a finished chain adds to the trial's time as r.
+    x and y, and a finished chain adds to the trial's time as r.  Built once
+    per (L0, target) and shared by every run and by the rule's exact law.
     """
-    L0, target = analytics.minimal_chain_length(config.p), config.target_L
     program = []  # post-order nodes: (child columns or None, first position)
 
     def lay(length):
@@ -582,9 +584,11 @@ def _merge_automaton(config: StrategyConfig):
     order = sorted(range(len(queue)), key=lambda i: queue[i][0] == "done")
     index, reward, columns = zip(*(moves[2 * i + ok] for i in order for ok in (0, 1)))
     length = [queue[i][1] if queue[i][0] == "done" else 0 for i in order]
-    return (2 * np.argsort(order)[list(index)], np.array(reward, dtype=np.int64),
-            np.array(columns).T.copy(), np.array(length, dtype=np.int64),
-            2 * length.count(0), _NODE0 + len(program))
+    tables = (2 * np.argsort(order)[list(index)], np.array(reward, dtype=np.int64),
+              np.array(columns).T.copy(), np.array(length, dtype=np.int64))
+    for table in tables:
+        table.flags.writeable = False
+    return (*tables, 2 * length.count(0), _NODE0 + len(program))
 
 
 def _merge(config: StrategyConfig) -> dict:
@@ -596,7 +600,8 @@ def _merge(config: StrategyConfig) -> dict:
     registers; a finished trial sits in its absorbing state, which writes
     only the sink, until its rows are dropped.
     """
-    nxt2, reward, columns, length, done2, width = _merge_automaton(config)
+    nxt2, reward, columns, length, done2, width = _merge_automaton(
+        analytics.minimal_chain_length(config.p), config.target_L)
     p, t = config.p, config.gate_time
     state2 = np.zeros(config.trials, dtype=np.int64)
     packed = np.zeros(config.trials, dtype=np.int64)
@@ -758,12 +763,17 @@ def join_pair_experiment(p: float, L: int, trials: int, seed: int) -> float:
     Terminates on the first success (final length 2 l - 1 at current size l)
     or on exhaustion (final length 0 after L failures).
     """
+    # integer lengths, so the sum is exact in any order
+    return float(np.sum(_join_lengths(p, L, trials, seed))) / trials
+
+
+def _join_lengths(p: float, L: int, trials: int, seed: int) -> np.ndarray:
+    """Each trial's final length in :func:`join_pair_experiment`."""
     _check_p_and_trials(p, trials)
     if L < 1:
         raise ValueError("chain length must be at least 1")
     fails = _failures_before_success(seed, trials, p, cap=L)
-    # integer lengths, so the sum is exact in any order
-    return float(np.sum(np.where(fails == L, 0, 2 * (L - fails) - 1))) / trials
+    return np.where(fails == L, 0, 2 * (L - fails) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -355,38 +355,10 @@ def _project_vec(vec, qubit, basis, n, sign):
 def check_monte_carlo(quick: bool = False) -> CriterionResult:
     res = CriterionResult(7, "Monte Carlo vs closed forms")
     trials = 1_000 if quick else 100_000
-    tol = 0.05 if quick else 0.01
-
     _check_sequential(res, seeds=(7,), trials=trials)
-
-    jp_trials = 1_000 if quick else 50_000
-    mean_join = growth.join_pair_experiment(0.75, 10, jp_trials, seed=11)
-    exact = analytics.join_yield(10, 0.75, "exact-sum")
-    # spread of the join outcome, from its exact pmf over f = 0..10 failures
-    samples = np.array(
-        [2.0 * (10 - f) - 1.0 if f < 10 else 0.0 for f in range(11)]
-    )
-    probs = np.array([0.75 * 0.25**f for f in range(10)] + [0.25**10])
-    var = float(np.sum(probs * samples**2) - (np.sum(probs * samples)) ** 2)
-    stderr = math.sqrt(var / jp_trials)
-    res.check(
-        abs(mean_join - exact) <= 3.0 * stderr,
-        f"join mean {mean_join:.4f} within 3 stderr ({3 * stderr:.4f}) of {exact:.4f}",
-    )
-
-    for p in (0.75, 0.5):
-        cfgv = growth.StrategyConfig(
-            variant="vertical_link", p=p, trials=trials, master_seed=13
-        )
-        sv = growth.simulate(cfgv)
-        mean_q = float(np.mean(sv.qubits_consumed))
-        target = 2.0 * (1.0 / p + 1.0)
-        res.check(
-            abs(mean_q - target) <= target * tol,
-            f"vertical link p={p}: mean qubits {mean_q:.4f} within {tol:.0%} "
-            f"of {target:.4f}",
-        )
-
+    _check_join(res, seeds=(11,), trials=1_000 if quick else 50_000)
+    _check_links(res, seeds=(13,), trials=trials)
+    _check_merge(res, seeds=(5,), trials=2_000 if quick else _MERGE_TRIALS)
     _check_dc_rounds(res, seeds=(0,))
     if res.status != "fail":
         res.status = "flag"
@@ -395,9 +367,13 @@ def check_monte_carlo(quick: bool = False) -> CriterionResult:
 
 # the comparisons of one run against an exact law share one bound: Bonferroni
 # over them, two-sided, family-wise error 1e-6; for divide and conquer over
-# (p, round, chains | qubits), for sequential over the means of ops and ops**2
+# (p, round, chains | qubits), for the others over the means of their columns
+# and of their squares
 _FAMILY_ERROR = 1e-6
 _DC_P, _DC_N, _DC_ROUNDS, _DC_TRIALS = (0.5, 0.75), 2**16, 8, 10_000
+_JOIN_P, _JOIN_L = 0.75, 10
+_LINK_P = (0.75, 0.5)
+_MERGE_P, _MERGE_L, _MERGE_TRIALS = 0.75, 41, 20_000
 
 
 def _bonferroni(comparisons: int) -> float:
@@ -405,34 +381,106 @@ def _bonferroni(comparisons: int) -> float:
     return NormalDist().inv_cdf(1.0 - _FAMILY_ERROR / (2 * comparisons))
 
 
+def _pmf_rows(name: str, values, pmf) -> list:
+    """(name, exact mean, exact variance) of a column and of its square, from
+    the column's law: the square's variance needs the fourth moment."""
+    m1, m2, m4 = (float(pmf @ np.asarray(values, dtype=np.float64) ** j) for j in (1, 2, 4))
+    return [(name, m1, m2 - m1**2), (name + "**2", m2, m4 - m2**2)]
+
+
+def _compare(res: CriterionResult, what: str, rows, columns) -> None:
+    """Each column's sample mean against its exact (name, mean, variance) row,
+    the standard error from the exact variance, under one family-wise bound;
+    a failure line per miss and one summary note."""
+    bound = _bonferroni(len(rows))
+    zs = []
+    for (name, want, var), got in zip(rows, columns):
+        mean = float(np.mean(got))
+        zs.append(growth.z_score(mean - want, math.sqrt(var / got.size)))
+        if abs(zs[-1]) > bound:
+            res.fail(f"{what} mean {name}: z={zs[-1]:.2f} (emp {mean:.4f} vs the rule's "
+                     f"{want:.4f})")
+    names = [name for name, _, _ in rows]
+    wants = ", ".join(f"{want:.2f}" if name.endswith("**2") else f"{want:.4f}"
+                      for name, want, _ in rows)
+    res.note(
+        f"{what}: mean {', '.join(names[:-1])} and {names[-1]} within |z| <= {bound:.2f} "
+        f"of the rule's exact law ({wants}; z = {', '.join(f'{z:+.2f}' for z in zs)}; "
+        f"{columns[0].size} trials; Bonferroni over {len(rows)} comparisons, family-wise "
+        f"{_FAMILY_ERROR:g})")
+
+
 def _check_sequential(res: CriterionResult, seeds, trials: int = 100_000) -> None:
     """Sequential growth to L = 41 at p = 3/4 at each seed: the means of ops
-    and of ops**2 against the exact law of the rule as simulated, with exact
-    standard errors from its moments (E ops**4 for ops**2), under one
-    family-wise bound; and each run within 10 s."""
-    ops, pmf = analytics.seq_rule_pmf(0.75, 41)
-    m1, m2, m4 = (float(pmf @ ops.astype(np.float64) ** j) for j in (1, 2, 4))
-    exact = (("ops", m1, math.sqrt((m2 - m1**2) / trials)),
-             ("ops**2", m2, math.sqrt((m4 - m2**2) / trials)))
-    bound = _bonferroni(len(exact))
+    and of ops**2 against the exact law of the rule as simulated; and each
+    run within 10 s."""
+    rows = _pmf_rows("ops", *analytics.seq_rule_pmf(0.75, 41))
     for seed in seeds:
         t0 = time.perf_counter()
         stats = growth.simulate(growth.StrategyConfig(
             variant="sequential", p=0.75, trials=trials, master_seed=seed, target_L=41))
         elapsed = time.perf_counter() - t0
-        values = stats.entangling_ops
-        zs = []
-        for (name, want, stderr), got in zip(exact, (values.mean(), (values**2).mean())):
-            zs.append(growth.z_score(float(got) - want, stderr))
-            if abs(zs[-1]) > bound:
-                res.fail(f"sequential seed {seed} mean {name}: z={zs[-1]:.2f} "
-                         f"(emp {got:.4f} vs the rule's {want:.4f})")
-        res.note(
-            f"sequential seed {seed}: mean ops and ops**2 within |z| <= {bound:.2f} of "
-            f"the rule's exact law ({m1:.4f}, {m2:.2f}; z = {zs[0]:+.2f}, {zs[1]:+.2f}; "
-            f"{trials} trials; Bonferroni over {len(exact)} comparisons, family-wise "
-            f"{_FAMILY_ERROR:g})")
+        ops = stats.entangling_ops
+        _compare(res, f"sequential seed {seed}", rows, (ops, ops**2))
         res.check(elapsed < 10.0, f"sequential run took {elapsed:.1f}s < 10s")
+
+
+def _check_join(res: CriterionResult, seeds, trials: int = 50_000) -> None:
+    """Two 10-chains joined at p = 3/4 at each seed: the means of the final
+    length and of its square against the geometric law cut at L."""
+    fails, pmf = analytics.link_rule_pmf(_JOIN_P, cap=_JOIN_L)
+    rows = _pmf_rows("length", np.where(fails == _JOIN_L, 0, 2 * (_JOIN_L - fails) - 1), pmf)
+    for seed in seeds:
+        length = growth._join_lengths(_JOIN_P, _JOIN_L, trials, seed).astype(np.float64)
+        _compare(res, f"join p={_JOIN_P} L={_JOIN_L} seed {seed}", rows, (length, length**2))
+
+
+def _check_links(res: CriterionResult, seeds, trials: int = 100_000) -> None:
+    """Vertical links at p = 3/4 and 1/2 at each seed: the means of the
+    qubits consumed and of their square against the geometric law; ops are
+    one more than the failures, so they carry no other information."""
+    for p in _LINK_P:
+        fails, pmf = analytics.link_rule_pmf(p)
+        rows = _pmf_rows("qubits", 4 + 2 * fails, pmf)
+        for seed in seeds:
+            qubits = growth.simulate(growth.StrategyConfig(
+                variant="vertical_link", p=p, trials=trials, master_seed=seed)).qubits_consumed
+            _compare(res, f"vertical link p={p} seed {seed}", rows, (qubits, qubits**2))
+
+
+def _merge_law(p: float, L: int) -> dict:
+    """The merge rule's exact law, propagated over the tables the kernel runs."""
+    next2, reward, _, length, done2, _ = growth._merge_automaton(
+        analytics.minimal_chain_length(p), L)
+    return analytics.merge_rule_law(p, next2 // 2, reward // growth._QUBITS, length, done2 // 2)
+
+
+def _check_merge(res: CriterionResult, seeds, trials: int = _MERGE_TRIALS) -> None:
+    """Merge growth to L = 41 at p = 3/4 at each seed: the means of ops,
+    ops**2, qubits and final length against the exact law of the rule,
+    propagated over its automaton; and a flag line for the gap between the
+    rule and the printed law 8L - 44/3."""
+    law = _merge_law(_MERGE_P, _MERGE_L)
+    ops = _pmf_rows("ops", law["ops"], law["ops_pmf"])
+    length = _pmf_rows("final_length", law["lengths"], law["length_pmf"])[0]
+    rows = [*ops, ("qubits", law["qubits"], law["qubits_sq"] - law["qubits"] ** 2), length]
+    L0 = analytics.minimal_chain_length(_MERGE_P)
+    for seed in seeds:
+        stats = growth.simulate(growth.StrategyConfig(
+            variant="merge", p=_MERGE_P, trials=trials, master_seed=seed, target_L=_MERGE_L))
+        values = stats.entangling_ops
+        _compare(res, f"merge p={_MERGE_P} L={_MERGE_L} seed {seed}", rows,
+                 (values, values**2, stats.qubits_consumed, stats.final_length))
+        res.check(L0 > 2 or np.array_equal(stats.elapsed_rounds, values * stats.config.gate_time),
+                  f"merge seed {seed}: time = ops t at L0 = {L0}; above L0 = 2 a chain build "
+                  "takes the slower half's time, and time has no exact value here")
+    paper = analytics.SERIES["merge"].N(_MERGE_L, _MERGE_P)
+    z = growth.z_score(float(np.mean(values)) - paper, math.sqrt(rows[0][2] / values.size))
+    res.note(
+        f"flag: merge-ops-p-{_MERGE_P}: 8L - 44/3 = {paper:.2f} at L = {_MERGE_L}, the "
+        f"rule's exact mean {rows[0][1]:.3f}; seed {seed} sits at z = {z:+.2f} from 8L - 44/3: "
+        "the law nets L0 - L_c of length per join cycle, while the rule's failed join "
+        "keeps the shrunk partner and tries again")
 
 
 def _check_dc_rounds(res: CriterionResult, seeds) -> None:

@@ -23,8 +23,13 @@ Stated tolerances (asserted inside the checks):
   7. sequential means of ops and ops**2 to L = 41 at p = 3/4 within |z| <= 5.03
      of the rule's exact first-passage law (Bonferroni over the 2
      comparisons, family-wise 1e-6, exact standard errors from the law's
-     moments) at 1e5 trials in under 10 s, for any seed; join experiment within 3 stderr of the exact sum; vertical-link
-     qubits within 1% of 2(1/p+1); pairwise-discard chains and qubits of
+     moments) at 1e5 trials in under 10 s, for any seed; the same bound on
+     the means of the join's final length and its square (5e4 trials) and of
+     the vertical link's qubits and their square at p = 3/4 and 1/2 (1e5
+     trials) against the geometric law, and on the means of merge's ops,
+     ops**2, qubits and final length at (3/4, 41) against the law propagated
+     over its automaton (|z| <= 5.16, 4 comparisons, 2e4 trials), with the
+     gap to 8L - 44/3 printed as a flag line; pairwise-discard chains and qubits of
      rounds 1..8 at 1e4 trials per p within |z| <= 5.53 of the rule's exact
      law (Bonferroni over the 32 comparisons, family-wise 1e-6), for any
      seed, with the gap to n (p/2)^k printed as a flag line;
@@ -45,6 +50,7 @@ Stated tolerances (asserted inside the checks):
 """
 
 import dataclasses
+import math
 import time
 
 import numpy as np
@@ -113,8 +119,61 @@ def test_criterion_6_stabilizer_oracle():
 
 def test_criterion_7_monte_carlo():
     result = _run(verify.check_monte_carlo)
-    assert any(line.startswith("sequential seed 7: mean ops and ops**2 within |z| <= 5.03")
-               for line in result.details)
+    for start in ("sequential seed 7: mean ops and ops**2 within |z| <= 5.03",
+                  "join p=0.75 L=10 seed 11: mean length and length**2 within |z| <= 5.03",
+                  "vertical link p=0.75 seed 13: mean qubits and qubits**2 within |z| <= 5.03",
+                  "vertical link p=0.5 seed 13: mean qubits and qubits**2 within |z| <= 5.03",
+                  "merge p=0.75 L=41 seed 5: mean ops, ops**2, qubits and final_length "
+                  "within |z| <= 5.16",
+                  "flag: merge-ops-p-0.75: 8L - 44/3 = 313.33 at L = 41, the rule's exact "
+                  "mean 229.018; seed 5 sits at z = -2"):
+        assert sum(line.startswith(start) for line in result.details) == 1, start
+
+
+@pytest.mark.parametrize("check, lines, law", [
+    (verify._check_join, 10, "(18.3333, 337.89; "),
+    (verify._check_links, 20, None),
+    (verify._check_merge, 10, "(229.0181, 55850.00, 237.6961, 41.0000; "),
+], ids=["join", "vertical_link", "merge"])
+def test_criterion_7_exact_laws_pass_for_seeds_0_to_9(check, lines, law):
+    """The join, vertical-link and merge lines against their rules' exact laws
+    pass at seeds 0-9 alike."""
+    result = verify.CriterionResult(7, check.__name__)
+    check(result, seeds=range(10))
+    assert result.status == "pass", "\n".join(result.details)
+    summaries = [line for line in result.details if " of the rule's exact law (" in line]
+    assert len(summaries) == lines
+    assert law is None or all(law in line for line in summaries)
+
+
+@pytest.mark.parametrize("check, moments", [
+    (verify._check_sequential, 2), (verify._check_join, 2), (verify._check_links, 2),
+    (verify._check_merge, 4),
+], ids=["sequential", "join", "vertical_link", "merge"])
+def test_criterion_7_fails_a_moment_off_by_its_bound(check, moments, monkeypatch):
+    """One moment of a law moved by the bound times its standard error fails
+    its line on the side away from the sample and passes on the other, so
+    each line fails once over the two signs; a moment with no spread (merge's
+    final length, always L at L0 = 2) cannot move."""
+    compare = verify._compare
+    for j in range(moments):
+        fails, moved = [], set()
+        for sign in (1, -1):
+            def shifted(res, what, rows, columns, sign=sign):
+                name, want, var = rows[j]
+                moved.add((name, var > 0))
+                move = verify._bonferroni(len(rows)) * math.sqrt(var / columns[0].size)
+                rows = [*rows[:j], (name, want + sign * move, var), *rows[j + 1:]]
+                compare(res, what, rows, columns)
+
+            monkeypatch.setattr(verify, "_compare", shifted)
+            result = verify.CriterionResult(7, check.__name__)
+            check(result, seeds=(0,), trials=2_000)
+            fails += [line for line in result.details if line.startswith("FAIL: ")]
+        [(name, spread)] = moved
+        lines = 2 if check is verify._check_links else 1  # one line per p
+        assert len(fails) == (lines if spread else 0), fails
+        assert all(f" mean {name}: z=" in line for line in fails)
 
 
 def test_criterion_7_sequential_passes_for_seeds_0_to_9():

@@ -304,6 +304,64 @@ class TestSeqRulePmf:
             an.seq_rule_pmf(*args)
 
 
+class TestLinkRulePmf:
+    @pytest.mark.parametrize("p", [1.0, 0.75, 0.5, 0.1])
+    def test_geometric_moments(self, p):
+        """E F = q/p and Var F = q/p^2, so qubits 4 + 2F average 2(1/p + 1)."""
+        fails, pmf = an.link_rule_pmf(p)
+        q = 1.0 - p
+        assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-14)
+        assert pmf @ fails == pytest.approx(q / p, rel=1e-12, abs=1e-15)
+        assert pmf @ (fails - q / p) ** 2 == pytest.approx(q / p**2, rel=1e-10, abs=1e-15)
+        assert pmf @ (4 + 2 * fails) == pytest.approx(2.0 * (1.0 / p + 1.0), rel=1e-12)
+
+    @pytest.mark.parametrize("p, L", [(0.75, 10), (0.5, 3), (0.05, 40), (1.0, 7)])
+    def test_join_law_against_the_printed_sum(self, p, L):
+        """The printed sum runs to i = L, where it adds -p q^L: the rule ends
+        there at length 0 with chance q^L."""
+        fails, pmf = an.link_rule_pmf(p, cap=L)
+        assert fails.tolist() == list(range(L + 1)) or p == 1.0
+        assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-14)
+        length = np.where(fails == L, 0, 2 * (L - fails) - 1)
+        printed = an.join_yield(L, p, "exact-sum") + p * (1 - p) ** L
+        assert pmf @ length == pytest.approx(printed, rel=1e-12)
+
+    @pytest.mark.parametrize("args, match", [
+        ((0.0,), "success probability"), ((0.5, 0), "at least 1"),
+        ((1e-6,), "more than 1048576 terms"),
+    ])
+    def test_refusals(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            an.link_rule_pmf(*args)
+
+
+class TestMergeRuleLaw:
+    def test_geometric_automaton(self):
+        """One live state that a success leaves for length 5, two qubits a
+        draw: ops are geometric from 1, with mean 1/p, and qubits twice ops."""
+        p = 0.3
+        law = an.merge_rule_law(p, np.array([0, 1]), np.array([2, 2]), np.array([0, 5]), 1)
+        ops, pmf = law["ops"], law["ops_pmf"]
+        assert pmf[:4] == pytest.approx(p * (1 - p) ** np.arange(4), rel=1e-12)
+        assert pmf @ ops == pytest.approx(1 / p, rel=1e-12)
+        assert law["qubits"] == pytest.approx(2 / p, rel=1e-12)
+        assert law["qubits_sq"] == pytest.approx(4 * (2 - p) / p**2, rel=1e-12)
+        assert law["lengths"].tolist() == [5] and law["length_pmf"].tolist() == [1.0]
+
+    @pytest.mark.parametrize("args, match", [
+        ((0.0, [0, 0], [0, 0], [0, 1], 1), "success probability"),
+        ((0.5, [0, 0], [0, 0], [0, 1], 1), "more than 64 ops"),  # never absorbs
+    ])
+    def test_refusals(self, args, match, monkeypatch):
+        monkeypatch.setattr(an, "_MERGE_STEPS", 64)
+        with pytest.raises(ValueError, match=match):
+            an.merge_rule_law(*args)
+
+    def test_reads_no_growth(self):
+        """The law takes the automaton's tables; analytics imports no growth."""
+        assert "growth" not in vars(an)
+
+
 class TestVerticalCost:
     def test_three_quarter_composition(self):
         V, NV = an.vertical_cost(0.75)

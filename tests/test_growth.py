@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qubuslab import analytics, gates, growth
+from qubuslab import analytics, gates, growth, verify
 from qubuslab.growth import StrategyConfig, simulate, trial_rng
 
 
@@ -689,6 +689,39 @@ class TestMerge:
         assert set(stats.qubits_consumed.tolist()) == {2.0 + 2.0 * 10}
         assert set(stats.entangling_ops.tolist()) == {1.0 + 2.0 * 10}
         assert set(stats.qubits_wasted.tolist()) == {10.0}
+
+
+class TestMergeAutomaton:
+    def test_built_once_per_minimal_chain_and_target(self):
+        """Runs at one (L0, target_L), whatever their p, seed or gate time, and
+        the rule's exact law read one set of read-only tables."""
+        growth._merge_automaton.cache_clear()
+        cfg = StrategyConfig(variant="merge", p=0.75, trials=5, master_seed=1, target_L=20)
+        simulate(cfg)
+        simulate(dataclasses.replace(cfg, p=0.8, master_seed=2, gate_time=0.5))
+        verify._merge_law(0.75, 20)
+        assert growth._merge_automaton.cache_info().misses == 1
+        simulate(dataclasses.replace(cfg, target_L=21))
+        assert growth._merge_automaton.cache_info().misses == 2
+        tables = growth._merge_automaton(2, 20)[:4]
+        assert not any(table.flags.writeable for table in tables)
+
+    def test_exact_law_at_a_deterministic_gate(self):
+        """At p = 1 a trial takes 21 ops and 22 qubits to L = 12: see
+        TestMerge.test_deterministic_gate_cost."""
+        law = verify._merge_law(1.0, 12)
+        assert law["ops"][law["ops_pmf"] > 0].tolist() == [21]
+        assert law["ops_pmf"].sum() == 1.0
+        assert (law["qubits"], law["qubits_sq"]) == (22.0, 484.0)
+        assert law["lengths"].tolist() == [12] and law["length_pmf"].tolist() == [1.0]
+
+    @pytest.mark.parametrize("p, L, ops, qubits", [
+        (0.75, 41, 229.0181, 237.6961), (0.6, 20, 191.8323, 244.6765),
+    ])
+    def test_exact_means(self, p, L, ops, qubits):
+        law = verify._merge_law(p, L)
+        assert round(float(law["ops_pmf"] @ law["ops"]), 4) == ops
+        assert round(law["qubits"], 4) == qubits
 
 
 class TestJoinPairExperiment:
