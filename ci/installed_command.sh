@@ -89,7 +89,8 @@ echo '{"bogus": 1, "gate_backend": "nope"}' > "$tmp/keys.json"
 # series or no row in its range (before any file is written), a growth
 # run whose gate time overflows its elapsed time, a vertical link at a p
 # so small that a trial would expect 10**12 attempts, and a merge run whose
-# law expects more ops per trial than its budget, a divide and conquer run
+# law expects more ops per trial than its budget, a sequential run just above
+# p = 1/2 whose law expects 2e9 ops per trial, a divide and conquer run
 # whose round lengths overflow an int64; a gate refuses an option it does not
 # read (before any file is written)
 for args in "growth divide_conquer --n 64 --k 3 --L 5" \
@@ -110,6 +111,7 @@ for args in "growth divide_conquer --n 64 --k 3 --L 5" \
             "growth sequential --L 11 --trials 50 --t 1e308" \
             "growth vertical_link --p 1e-12 --trials 1" \
             "growth merge --p 0.1 --L 50 --trials 1 --seed 1" \
+            "growth sequential --p 0.5000001 --L 400 --trials 200" \
             "growth divide_conquer --n 64 --k 2000 --trials 3" \
             "growth sequential --L 5 --config $tmp/keys.json" \
             "gate chain --config $tmp/keys.json" \
@@ -148,20 +150,28 @@ echo '{"max_rounds": 700}' > "$tmp/cap.json"
 $QUBUSLAB growth sequential --p 0.5 --L 30 --config "$tmp/cap.json" --trials 500 --seed 7 \
   --jsonl "$tmp/s2.jsonl"
 echo "3973b7ee18de23b733c5e7d0d5d884049c986faa5e348a3f15a4b2f25f1c8f69  $tmp/s2.jsonl" | sha256sum -c -
-# at p = 0.6 the minimal chain is 3 qubits, so chain builds take the halving branch
+# merge draws from one stream per block of 64 trials, 256 uniforms a row and
+# pass; at p = 0.6 the minimal chain is 3 qubits, so chain builds take the
+# halving branch
 $QUBUSLAB growth merge --p 0.6 --L 20 --trials 500 --seed 7 --jsonl "$tmp/m.jsonl"
-echo "0d3de6503fac21ddb0ac4e180c76267ff05ee02b5f14db6dad3962d406e9295f  $tmp/m.jsonl" | sha256sum -c -
+echo "d1e5af05a584243c31602fb74404c24f9a6f9c6ab3379012146c56e0f21f9f01  $tmp/m.jsonl" | sha256sum -c -
 # minimal chains of 4 build in two levels, 0.37 time sums do not add
-# exactly, and most trials read three or more blocks of draws
+# exactly, and most trials read three or more passes of draws
 $QUBUSLAB growth merge --p 0.5 --L 41 --t 0.37 --trials 500 --seed 7 --jsonl "$tmp/m4.jsonl"
-echo "03f63b5aa47db06edb133b015e0350f927eae8b3c6fa59c15c75f93b66dd1cf8  $tmp/m4.jsonl" | sha256sum -c -
+echo "bbc582b39718123c764628435fbd12687fa47840456e8596296e70b584fdc831  $tmp/m4.jsonl" | sha256sum -c -
 # divide and conquer draws from one stream per block of 1024 trials, and
 # a run draws every block whole: these 1500 trials read two blocks' streams
 $QUBUSLAB growth divide_conquer --p 0.75 --n 1024 --k 6 --trials 1500 --seed 7 --jsonl "$tmp/d.jsonl"
 echo "1b3bedec4bf45eb52193feb38f727e5d800b90af76171ce5d887eb3e02f77ac1  $tmp/d.jsonl" | sha256sum -c -
-# a fifth of these trials need more than 32 draws, eight Philox blocks
+# vertical links read rows of 4 ceil(1/(2p)) uniforms from one stream per
+# block of 64 trials: at p = 0.05 (rows of 40) one trial in eight reads a
+# second pass
 $QUBUSLAB growth vertical_link --p 0.05 --trials 2000 --seed 7 --jsonl "$tmp/v.jsonl"
-echo "fc87d5c4d9ae4255a31b232100b45fdcbe5cd9f15da772b3f477537a9cf4a3a2  $tmp/v.jsonl" | sha256sum -c -
-# p = 1/2: about one trial in sixteen reads a second Philox block
+echo "1e263f6b8973b7bb289299830dc88f3c163bba236538a1c2199a440120a3f8ea  $tmp/v.jsonl" | sha256sum -c -
+# p = 1/2: rows of 8, and about one trial in three hundred reads a second pass
 $QUBUSLAB growth vertical_link --p 0.5 --trials 5000 --seed 7 --jsonl "$tmp/v2.jsonl"
-echo "ea86f6929f8a5bc28604a3ac29547600fb5217628b78d35bfc3bb1ab6fd057ab  $tmp/v2.jsonl" | sha256sum -c -
+echo "4ec3652ccd3b66f7b51eee44f7738ddfc1d3816a2446f52cc5ff9aa99dd05410  $tmp/v2.jsonl" | sha256sum -c -
+# p = 0.01: rows of 200; one trial in eight reads a second pass, one in forty
+# a third
+$QUBUSLAB growth vertical_link --p 0.01 --trials 2000 --seed 7 --jsonl "$tmp/v3.jsonl"
+echo "5c2cdd4ccb417fcf6fae230845019556a412829226453a579e7375872fc96dc4  $tmp/v3.jsonl" | sha256sum -c -

@@ -1,25 +1,24 @@
 """Seeded Monte Carlo for chain-growth strategies.
 
 Every random stream is counter-based, a Philox generator keyed by
-(master_seed, index).  A merge or vertical-link trial owns the stream keyed
-by its trial index; sequential growth keys one stream per block of
-_SEQ_BLOCK trials and divide and conquer one per block of _DC_BLOCK trials,
-by the block index.  A trial's draws depend on its index alone (divide and
-conquer simulates every block whole), so results do not depend on how many
-trials run: the first M trials of an N-trial run equal an M-trial run.  The
-sequential and merge kernels share one walker, :func:`_walk_blocks`, which
-steps chunks of trials in passes, one row of uniforms per trial and pass,
-read by one address rule from the Philox counter of its row and pass by
-rekeying one generator: a sequential block's first pass is one contiguous
-draw, merge's rows are blocks of one trial.  A row of k doubles is the same k
-values as k scalar draws; merge steps its trials in lockstep, draw j of every
-trial from column j of its row.  Divide and conquer makes one vectorised
-binomial call per round over a block's pools, the draws of as many scalar
-calls in trial order.  Vertical links and joins need no generator: the
-Philox4x64-10 rounds, in NumPy, give any (trial, counter) block's doubles
-directly, so a pass over the live trials computes all their next blocks at
-once.  Per-run work (the gate backend's outcome table, merge's automaton,
-divide and conquer's round lengths) is done once, not per trial.
+(master_seed, index) (Salmon et al. 2011, "Parallel random numbers: as easy
+as 1, 2, 3").  Divide and conquer keys one stream per block of _DC_BLOCK
+trials and makes one vectorised binomial call per round over a block's
+pools, the draws of as many scalar calls in trial order.  Every other
+variant keys one stream per block of _BLOCK trials and reads it through one
+walker, :func:`_walk_blocks`, which steps chunks of trials in passes, one row
+of uniforms per trial and pass, by one address rule from the Philox counter
+of the row and pass: pass k of a block is one contiguous counter range, read
+in one draw while enough of its rows are live.  The variants differ in the
+row width alone: _SEQ_WIDTH for sequential growth, _MERGE_WIDTH for merge,
+and :func:`_link_width` (about 2/p) for vertical links and joins.  A row of
+k doubles is the same k values as k scalar draws; merge steps its trials in
+lockstep, draw j of every trial from column j of its row.  A trial's draws
+depend on its index alone (divide and conquer simulates every block whole),
+so results do not depend on how many trials run: the first M trials of an
+N-trial run equal an M-trial run.  Per-run work (the gate backend's outcome
+table, merge's automaton, divide and conquer's round lengths) is done once,
+not per trial, and the table and the automaton once per input.
 
 Strategy rules (the accounting that the closed forms leave open) are stated
 in each simulator's docstring; disagreements between the simulated means and
@@ -52,43 +51,50 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _ZERO4 = (0, 0, 0, 0)
 # Trials go _CHUNK (sequential) or _MERGE_CHUNK (merge) at a time, one row of
-# _SEQ_WIDTH or _WIDTH uniforms each per pass, so temporaries stay near 1 MB.
-# A width is a multiple of 4: Philox yields four doubles per counter step.
-# Merge steps every trial of a chunk once per draw, so it takes larger chunks:
-# 4096 rows ran 10**5 trials fastest of 512 to 8192.  First-success counts
-# compute _BLOCKS Philox blocks per call, 256 KB of doubles: 8192 ran vertical
-# links fastest of 2048 to 32768.
+# _SEQ_WIDTH or _MERGE_WIDTH uniforms each per pass, so temporaries stay near
+# 1 MB.  A width is a multiple of 4: Philox yields four doubles per counter
+# step.  Merge steps every trial of a chunk once per draw, so it takes larger
+# chunks: 4096 rows ran 10**5 trials fastest of 512 to 8192.
 _CHUNK = 512
+_MERGE_CHUNK = 4096
 # divide and conquer's trials per stream, part of its seed contract: another
 # size draws other values.  Blocks of 1024 to 4096 ran 10**5 trials within
 # 15 % of each other, 256 and 512 up to 25 % slower; a short run pays for a
 # whole block, so the smallest of the fast sizes
 _DC_BLOCK = 1024
-_MERGE_CHUNK = 4096
-_WIDTH = 256
-# sequential's trials per stream and uniforms per row and pass, both part of
-# its seed contract.  At p = 3/4, L = 41 (80 ops on average), medians of 15
-# runs of 5000 trials on a 2-vCPU Xeon: width 128 took 7.0 ms, 64 took 14.6 ms
-# (most walks need a second pass, one rekey per row) and 256 took 12.6 ms
-# (draws no walk reads); blocks of 32 to 256 rows ran within 10 % of each
-# other, and a short run draws only its own rows of its last block
-_SEQ_BLOCK = 64
+# the walker's trials per stream, for every variant but divide and conquer,
+# and the widths, all part of the seed contract.  At p = 3/4, L = 41 (80 ops
+# on average), medians of 15 runs of 5000 sequential trials on a 2-vCPU Xeon:
+# width 128 took 7.0 ms, 64 took 14.6 ms (most walks need a second pass) and
+# 256 took 12.6 ms (draws no walk reads); blocks of 32 to 256 rows ran within
+# 10 % of each other, and a short run draws only its own rows of its last
+# block.  Merge at (3/4, 41), five runs of 1000 trials: blocks of 64 rows took
+# 58.7 ms at width 256, against 71.3 ms for a stream per trial; blocks of 256
+# took 59.1 ms, and width 128 was 16 % slower at (1/2, 41).  Vertical links
+# at 5000 trials: blocks of 32 to 256 rows ran within 15 % of each other from
+# p = 3/4 to 10**-3
+_BLOCK = 64
 _SEQ_WIDTH = 128
-_BLOCKS = 8192
+_MERGE_WIDTH = 256
+# a later pass draws a block's whole range in one call while at least
+# 1/_LIVE_SHARE of its rows are live, and rekeys each live row once fewer
+# are.  Medians of 5 runs on a 2-vCPU Xeon (capped sequential p = 1/2, L = 30,
+# cap 700, 2000 trials; merge (3/4, 41), 1000 trials): shares 1/2 to 1/64
+# ran within noise, 15.7-16.6 ms and 11.5-12.4 ms, while drawing whole blocks
+# only when every row is live took 30.4 and 16.9 ms
+_LIVE_SHARE = 4
+# a vertical link or join reads _link_width(p) uniforms a row and pass, about
+# 2/p, and a chunk of about _LINK_CHUNK of them
+_LINK_CHUNK = 1 << 17
 _NO_CAP = np.iinfo(np.int64).max
 # a vertical link takes 1/p attempts on average: a trial at p = 1e-6 reads
 # about 10**6 draws (0.05 s on a 2-vCPU Xeon), one at 1e-12 would not return
 _MIN_LINK_P = 1e-6
-# merge steps its trials in lockstep at about 15 us per op of the longest
-# trial (2-vCPU Xeon): a law of 10**6 ops per trial is a run of 15 s or more
-_MERGE_OPS_BUDGET = 10**6
-# Philox4x64-10 (Salmon et al. 2011, "Parallel random numbers: as easy as
-# 1, 2, 3"), the generator behind np.random.Philox: its two round multipliers
-# and two key increments, and random()'s 53-bit conversion
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_LO32, _U32, _U11 = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(11)
-_TO_UNIT = 1.0 / 9007199254740992.0
+# the ops per trial a sequential or merge run may expect by its law: merge
+# steps its trials in lockstep at about 15 us per op of the longest trial
+# (2-vCPU Xeon), so 10**6 ops per trial is a run of 15 s or more, and a
+# sequential trial at p = 0.5000001, L = 400 (2e9 ops) took 0.46 s per 4e5 ops
+_OPS_BUDGET = 10**6
 
 
 def trial_rng(
@@ -167,8 +173,7 @@ class StrategyConfig:
             raise ValueError("only sequential growth runs on a gate backend")
         gates._check_alpha_theta(self.alpha, self.theta)
         if self.gate_backend is not None:  # p is the rate the table's draws succeed at
-            table = gates.three_qubit_outcomes(self.alpha, self.theta)
-            rate = float(sum(o.exact_probability for o in table if _gate3_success(o.label)))
+            rate = _gate3_table(self.alpha, self.theta)[0]
             if abs(self.p - rate) > 1e-12:
                 raise ValueError(
                     f"p = {self.p} is not the success rate {rate} of the three-qubit "
@@ -181,6 +186,8 @@ class StrategyConfig:
                     "sequential growth with p <= 1/2 does not terminate on "
                     "average; set max_rounds to cap trials"
                 )
+            drift = (self.target_L - 1) / (2 * self.p - 1) if self.p > 0.5 else math.inf
+            self._check_ops_budget(min(drift, self.max_rounds or math.inf))
         if self.variant == "merge":
             if self.target_L is None:
                 raise ValueError("merge growth needs target_L")
@@ -191,10 +198,7 @@ class StrategyConfig:
                 ops = analytics.SERIES["merge"].N(self.target_L, self.p)
             except OverflowError:
                 ops = math.inf
-            if ops > _MERGE_OPS_BUDGET:
-                raise ValueError(
-                    f"merge at p = {self.p:g} and L = {self.target_L} expects {ops:.3g} ops "
-                    f"per trial by its law; the budget is {_MERGE_OPS_BUDGET:.3g} ops per trial")
+            self._check_ops_budget(ops)
         if self.variant == "divide_conquer":
             if self.initial_qubits is None or self.initial_qubits < 2:
                 raise ValueError("divide and conquer needs initial_qubits >= 2")
@@ -212,6 +216,14 @@ class StrategyConfig:
             raise ValueError(
                 f"vertical_link at p = {self.p:g} expects 1/p = {1 / self.p:.3g} attempts "
                 f"per trial; p must be at least {_MIN_LINK_P:g}")
+
+    def _check_ops_budget(self, ops: float) -> None:
+        """Refuse a run whose law expects more than _OPS_BUDGET ops per trial."""
+        if ops > _OPS_BUDGET:
+            raise ValueError(
+                f"{self.variant} at p = {float(self.p)!r} and L = {self.target_L} expects "
+                f"{ops:.3g} ops per trial by its law; the budget is {_OPS_BUDGET:.3g} ops "
+                "per trial")
 
     def rounds(self) -> int:
         if self.variant != "divide_conquer":
@@ -277,17 +289,20 @@ def _walk_blocks(seed: int, trials: int, step, width: int, block: int, chunk: in
 
     Row i at pass k reads ``width`` doubles of the stream keyed by (seed,
     i // block) from Philox counter (k*block + i % block)*width/4, the values
-    as many scalar ``rng.random()`` draws there give.  So pass 0 of a block
-    of rows is one contiguous draw after one rekey of one generator through
-    :func:`trial_rng`, and a later pass rekeys each live row at its own
-    counter.  Row i's draws depend on i alone, so the first M rows of a run
-    are an M-trial run.  Trials go ``chunk`` (a multiple of ``block``) at a
-    time; ``step(u, rows)`` consumes row r of u, the next ``width`` uniforms
-    of trial ``rows[r]``, and returns a mask of the rows that need another
-    pass.
+    as many scalar ``rng.random()`` draws there give.  So pass k of a block
+    of rows is one contiguous counter range, (k*block)*width/4 up to
+    (k*block + block)*width/4: pass 0 is one draw after one rekey of one
+    generator through :func:`trial_rng`, and a later pass is one draw too
+    while at least 1/_LIVE_SHARE of the block's rows are live, and a rekey
+    per live row at its own counter once fewer are.  Row i's draws depend on
+    i alone, so the first M rows of a run are an M-trial run.  Trials go
+    ``chunk`` (a multiple of ``block``) at a time; ``step(u, rows)`` consumes
+    row r of u, the next ``width`` uniforms of trial ``rows[r]``, and returns
+    a mask of the rows that need another pass.
     """
     rng = np.random.Generator(np.random.Philox(0))  # rekeyed to each block or row
     buf = np.empty((min(chunk, trials), width))
+    whole = np.empty((block, width))  # a later pass of one block
     for start in range(0, trials, chunk):
         rows = np.arange(start, min(start + chunk, trials))
         for lo in range(0, rows.size, block):
@@ -296,64 +311,42 @@ def _walk_blocks(seed: int, trials: int, step, width: int, block: int, chunk: in
         while rows.size:
             u = buf[:rows.size]
             if passes:
-                counters = (passes * block + rows % block) * (width // 4)
-                for row, b, counter in zip(u, (rows // block).tolist(), counters.tolist()):
-                    trial_rng(seed, b, rng, counter).random(out=row)
+                blocks, offsets = np.divmod(rows, block)
+                cuts = [0, *(np.flatnonzero(np.diff(blocks)) + 1).tolist(), rows.size]
+                for lo, hi in zip(cuts[:-1], cuts[1:]):
+                    b, part = int(blocks[lo]), offsets[lo:hi]
+                    if _LIVE_SHARE * (hi - lo) >= block:  # from the first live row on
+                        first = int(part[0])
+                        drawn = whole[:int(part[-1]) + 1 - first]
+                        counter = (passes * block + first) * (width // 4)
+                        trial_rng(seed, b, rng, counter).random(out=drawn)
+                        u[lo:hi] = drawn[part - first]
+                        continue
+                    for r, offset in zip(range(lo, hi), part.tolist()):
+                        counter = (passes * block + offset) * (width // 4)
+                        trial_rng(seed, b, rng, counter).random(out=u[r])
             rows = rows[step(u, rows)]
             passes += 1
-
-
-def _mulhilo(a: np.ndarray, m: int):
-    """The high and low 64-bit words of a * m, for uint64 ``a``, from 32-bit halves."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    a_lo, a_hi = a & _LO32, a >> _U32
-    t = a_lo * m_lo
-    t >>= _U32
-    t += a_hi * m_lo  # (2**32 - 1)**2 + 2**32 - 1 < 2**64: no carry is lost
-    mid = t & _LO32
-    mid += a_lo * m_hi
-    mid >>= _U32
-    t >>= _U32
-    a_hi *= m_hi
-    a_hi += t
-    a_hi += mid
-    return a_hi, a * np.uint64(m)
-
-
-def _philox_uniforms(seed: int, trials: np.ndarray, counter: int, count: int) -> np.ndarray:
-    """Doubles 4*counter to 4*(counter + count) - 1 of each trial's stream.
-
-    Row r holds what ``trial_rng(seed, trials[r], counter=counter).random(4 *
-    count)`` gives, computed by the Philox4x64-10 rounds for every (trial,
-    counter) at once, with no generator: key words (trial, seed); block j at
-    counter words (counter + 1 + j, carry), since a Philox generator steps its
-    counter before each block; and (word >> 11) * 2**-53 per double.  Only
-    uint64 arrays and np.uint64 scalars meet, so nothing wraps in a scalar.
-    """
-    first = counter + 1
-    x0 = np.arange(count, dtype=np.uint64)[None, :]
-    x0 += np.uint64(first & _MASK64)
-    x1 = np.zeros((1, count), dtype=np.uint64)
-    if first + count > 1 << 64:  # blocks whose counter passed 2**64 - 1 carry
-        x1[:, (1 << 64) - first:] = 1
-    x2 = x3 = np.zeros((1, 1), dtype=np.uint64)
-    key0 = np.asarray(trials, dtype=np.uint64)[:, None]
-    for r in range(10):  # the counter words broadcast against the key rows
-        k0 = key0 + np.uint64(r * _PHILOX_W[0] & _MASK64)
-        k1 = np.uint64((int(seed) + r * _PHILOX_W[1]) & _MASK64)
-        hi0, lo0 = _mulhilo(x0, _PHILOX_M[0])
-        hi1, lo1 = _mulhilo(x2, _PHILOX_M[1])
-        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
-    words = np.stack((x0, x1, x2, x3), axis=-1).reshape(key0.size, 4 * count)
-    words >>= _U11
-    uniforms = words.astype(np.float64)
-    uniforms *= _TO_UNIT
-    return uniforms
 
 
 def _gate3_success(label: str) -> bool:
     """Whether a three-qubit outcome extends the chain: GHZ or Bell."""
     return label == "ghz" or label.startswith("bell")
+
+
+@functools.lru_cache(maxsize=64)
+def _gate3_table(alpha: float, theta: float) -> tuple:
+    """The three-qubit table at (alpha, theta) as sampling arrays, built once
+    per pair on first use: the exact success rate (GHZ or Bell), the table's
+    :func:`gates.outcome_cdf`, and read-only success and spare-bond flags per
+    outcome."""
+    outcomes = gates.three_qubit_outcomes(alpha, theta)
+    rate = float(sum(o.exact_probability for o in outcomes if _gate3_success(o.label)))
+    arrays = (gates.outcome_cdf(outcomes), np.array([_gate3_success(o.label) for o in outcomes]),
+              np.array([o.label == "ghz" for o in outcomes]))
+    for array in arrays:
+        array.flags.writeable = False
+    return (rate, *arrays)
 
 
 def _attempt_sampler(config: StrategyConfig):
@@ -364,14 +357,11 @@ def _attempt_sampler(config: StrategyConfig):
     :func:`gates.outcome_cdf`, as ``rng.choice(p=...)`` does, so a block
     picks what as many scalar choices would: GHZ is a success with a spare
     dangling bond, Bell a plain success and the product outcomes failures.
-    The table is built once per call.
+    The table is built once per (alpha, theta).
     """
     if config.gate_backend is None:
         return lambda u: (u < config.p, None)
-    outcomes = gates.three_qubit_outcomes(config.alpha, config.theta)
-    cdf = gates.outcome_cdf(outcomes)
-    success = np.array([_gate3_success(o.label) for o in outcomes])
-    spare = np.array([o.label == "ghz" for o in outcomes])
+    _, cdf, success, spare = _gate3_table(config.alpha, config.theta)
 
     def sample(u):
         k = cdf.searchsorted(u, side="right")
@@ -392,7 +382,7 @@ def _sequential(config: StrategyConfig) -> dict:
     Time advances by gate_time per attempt.
 
     Trial i's uniforms come _SEQ_WIDTH a pass from :func:`_walk_blocks`,
-    from the stream of its block of _SEQ_BLOCK trials, mapped by
+    from the stream of its block of _BLOCK trials, mapped by
     :func:`_attempt_sampler` to success and spare-bond flags; the walk is
     their running sum along the row.  A trial stops at the first attempt
     that reaches the target or at ``max_rounds`` attempts, and otherwise
@@ -423,7 +413,7 @@ def _sequential(config: StrategyConfig) -> dict:
         return (length[rows] < target) & (ops[rows] < cap)
 
     if target > 1:
-        _walk_blocks(config.master_seed, n, step, _SEQ_WIDTH, _SEQ_BLOCK, _CHUNK)
+        _walk_blocks(config.master_seed, n, step, _SEQ_WIDTH, _BLOCK, _CHUNK)
     return {
         "entangling_ops": ops,
         "elapsed_rounds": ops * config.gate_time,
@@ -594,11 +584,12 @@ def _merge_automaton(L0: int, target: int):
 def _merge(config: StrategyConfig) -> dict:
     """Merge trials in lockstep through the rule's automaton.
 
-    Step j of every live trial reads uniform j of its own stream, so trial i
-    gives what one scalar draw per op on the (seed, i) stream gives.  Each
-    trial holds a state (times 2), packed rewards and a row of float
-    registers; a finished trial sits in its absorbing state, which writes
-    only the sink, until its rows are dropped.
+    Step j of every live trial reads draw j of its own row of uniforms, so
+    trial i gives what one scalar draw per op gives on the draws the walker's
+    address rule gives it, _MERGE_WIDTH a pass from the stream of its block
+    of _BLOCK trials.  Each trial holds a state (times 2), packed rewards and
+    a row of float registers; a finished trial sits in its absorbing state,
+    which writes only the sink, until its rows are dropped.
     """
     nxt2, reward, columns, length, done2, width = _merge_automaton(
         analytics.minimal_chain_length(config.p), config.target_L)
@@ -641,7 +632,7 @@ def _merge(config: StrategyConfig) -> dict:
         save(slice(None))
         return state2[rows] < done2
 
-    _walk_blocks(config.master_seed, config.trials, step, _WIDTH, 1, _MERGE_CHUNK)
+    _walk_blocks(config.master_seed, config.trials, step, _MERGE_WIDTH, _BLOCK, _MERGE_CHUNK)
     ops, consumed = packed % _QUBITS, packed // _QUBITS
     final = length[state2 // 2]
     return {
@@ -653,34 +644,39 @@ def _merge(config: StrategyConfig) -> dict:
     }
 
 
+def _link_width(p: float) -> int:
+    """Uniforms per row and pass of a vertical link or a join, part of their
+    seed contract: 4 ceil(1/(2p)), about 2/p, clamped to 8..4096, so nearly
+    nine trials in ten end on their first pass and a small p takes few
+    passes.  Medians of 5 runs of 5000 trials on a 2-vCPU Xeon: rows of about
+    2/p took 2.6 ms at p = 0.1 and 8.8 ms at 0.01, rows of about 1/p 3.5 and
+    9.7 ms, of about 3/p 1.9 and 10.1 ms but 40 ms at 10**-3 (2000 trials)
+    against 25 ms."""
+    return min(4096, max(8, 4 * math.ceil(0.5 / p)))
+
+
 def _failures_before_success(seed: int, trials: int, p: float, cap: int = _NO_CAP):
     """Per trial, the draws u >= p before its first u < p, at most ``cap``.
 
     Trial i counts what ``while fails < cap and rng.random() >= p`` counts
-    on its (seed, i) stream.  The live trials (every draw failed so far, the
-    cap not reached) have all read the same counters, so each pass reads the
-    next ``count`` counters of every one of them from
-    :func:`_philox_uniforms`, _BLOCKS blocks per call: one counter each while
-    more than _BLOCKS trials are live, _BLOCKS // live once fewer are, and no
-    more than the cap can use.  So every pass but the last does about
-    _BLOCKS blocks of work or more, and a lone trial at p = 1e-6 takes about
-    30 passes, not 250 000.
+    on the draws :func:`_walk_blocks` gives row i, with blocks of _BLOCK
+    rows and :func:`_link_width` uniforms a row and pass; a row is live until
+    a draw succeeds or the cap is reached.
     """
+    width = _link_width(p)
     fails = np.zeros(trials, dtype=np.int64)
-    live = np.arange(trials)
-    counter = 0
-    while live.size:
-        count = max(1, min(_BLOCKS // live.size, -(-(cap - 4 * counter) // 4)))
-        rows = max(1, _BLOCKS // count)
-        kept = []
-        for start in range(0, live.size, rows):
-            part = live[start:start + rows]
-            hit = _philox_uniforms(seed, part, counter, count) < p
-            first = np.where(hit.any(axis=1), hit.argmax(axis=1), 4 * count)
-            fails[part] = np.minimum(4 * counter + first, cap)
-            kept.append(part[(first == 4 * count) & (fails[part] < cap)])
-        live = np.concatenate(kept)
-        counter += count
+
+    def step(u, rows):
+        hit = u < p
+        first = hit.argmax(axis=1)
+        missed = ~hit[np.arange(rows.size), first]
+        first[missed] = width
+        total = np.minimum(fails[rows] + first, cap)
+        fails[rows] = total
+        return missed & (total < cap)
+
+    chunk = max(_BLOCK, _LINK_CHUNK // width // _BLOCK * _BLOCK)
+    _walk_blocks(seed, trials, step, width, _BLOCK, chunk)
     return fails
 
 
@@ -729,16 +725,13 @@ VARIANTS = tuple(_STRATEGIES)
 def simulate(config: StrategyConfig, threads: int = 1) -> GrowthStats:
     """Run the configured strategy over independent seeded trials.
 
-    Trial i lands in slot i of the output.  A merge or vertical-link trial
-    draws exactly the stream keyed by (master_seed, i), although merge
-    evaluates trials in chunks, a block of each trial's stream at a time and
-    one draw of every trial per step, and the vertical-link kernel computes
-    the next Philox blocks of every live trial in one pass.  A sequential
-    trial reads pass k of its walk from the stream (master_seed,
-    i // _SEQ_BLOCK) at Philox counter (k _SEQ_BLOCK + i % _SEQ_BLOCK)
-    _SEQ_WIDTH / 4, and a divide-and-conquer trial draws from the stream of
-    its block, (master_seed, i // _DC_BLOCK), in trial order within each
-    round.
+    Trial i lands in slot i of the output.  A sequential, merge or
+    vertical-link trial reads pass k of its draws from the stream
+    (master_seed, i // _BLOCK) at Philox counter (k _BLOCK + i % _BLOCK) w/4,
+    with w = _SEQ_WIDTH, _MERGE_WIDTH or _link_width(p); merge evaluates its
+    trials in chunks, one draw of every trial per step.  A divide-and-conquer
+    trial draws from the stream of its block, (master_seed, i // _DC_BLOCK),
+    in trial order within each round.
     Trials run in the calling thread; ``threads`` is kept for callers that
     pass ``threads=1`` and any other value is an error.  A run with a
     non-finite column (a gate time near the float maximum) raises ValueError.

@@ -612,7 +612,7 @@ def check_determinism(quick: bool = False) -> CriterionResult:
     res.check(outputs[0][1] == outputs[1][1], "per-trial JSONL byte-identical")
     # sequential growth keys a stream per block of trials: a head of about a
     # fifth of the run that ends inside a block, past the first
-    block = growth._SEQ_BLOCK
+    block = growth._BLOCK
     _check_prefix(res, runs[0], trials // 5 // block * block + block // 3)
     # divide and conquer draws per block of trials: a head that ends inside a
     # block, past the first

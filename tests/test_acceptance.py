@@ -286,7 +286,7 @@ def test_criterion_10_fails_when_the_prefix_run_differs(monkeypatch, change):
     byte for byte, under the same keys: one entry off by a value or only by
     the sign of a zero, or one column more, fails the check."""
     kernel, rules, compared = growth._STRATEGIES["sequential"]
-    block = growth._SEQ_BLOCK
+    block = growth._BLOCK
     head = block + block // 3  # the prefix run of the quick check
     assert head % block
 

@@ -131,6 +131,9 @@ class TestCommandErrors:
         (["growth", "merge", "--p", "0.1", "--L", "50", "--trials", "1", "--seed", "1"],
          "merge at p = 0.1 and L = 50 expects 5.22e+07 ops per trial by its law; "
          "the budget is 1e+06 ops per trial"),
+        (["growth", "sequential", "--p", "0.5000001", "--L", "400", "--trials", "200"],
+         "sequential at p = 0.5000001 and L = 400 expects 2e+09 ops per trial by its law; "
+         "the budget is 1e+06 ops per trial"),
         (["growth", "divide_conquer", "--n", "64", "--k", "2000", "--trials", "3"],
          "divide and conquer needs rounds_k <= 63; round 2000's chains of 2**1999 + 1 "
          "qubits overflow the int64 length column"),
@@ -147,7 +150,7 @@ class TestCommandErrors:
             "scaling-time-overflow", "scaling-no-series", "scaling-no-series-svg",
             "scaling-no-series-svg-csv", "scaling-no-row-svg", "scaling-no-row-csv",
             "scaling-critical-length-overflow", "vertical-link-never-finishes",
-            "merge-over-budget", "dc-rounds-past-int64"])
+            "merge-over-budget", "sequential-over-budget", "dc-rounds-past-int64"])
     def test_refused_before_any_work(self, runner, tmp_path, args, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 10**329}))

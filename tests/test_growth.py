@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import re
+import time
 import warnings
 from statistics import NormalDist
 
@@ -63,7 +64,7 @@ class TestConfigValidation:
                 if L < analytics.minimal_chain_length(p):
                     continue
                 ops = analytics.SERIES["merge"].N(L, p)
-                if ops <= growth._MERGE_OPS_BUDGET:
+                if ops <= growth._OPS_BUDGET:
                     StrategyConfig(variant="merge", p=p, trials=1, master_seed=0, target_L=L)
                     continue
                 refused.append((p, L))
@@ -72,13 +73,45 @@ class TestConfigValidation:
                 assert str(err.value) == (
                     f"merge at p = {p:g} and L = {L} expects {ops:.3g} ops per trial by "
                     "its law; the budget is 1e+06 ops per trial")
-        assert growth._MERGE_OPS_BUDGET == 10**6
+        assert growth._OPS_BUDGET == 10**6
         # (0.2, 400) took 34 s for 10 trials at 2.26 M ops each
         assert (0.2, 400) in refused and (0.23, 400) not in refused
         assert (0.15, 41) not in refused and (0.13, 41) in refused
         with pytest.raises(ValueError, match="expects inf ops per trial"):
             StrategyConfig(variant="merge", p=1e-10, trials=1, master_seed=0,
                            target_L=20000000002)
+
+    @pytest.mark.parametrize("cap", [None, 700, 10**6, 10**6 + 1])
+    def test_sequential_ops_budget(self, cap):
+        """A sequential run is refused exactly where min((L-1)/(2p-1), cap)
+        passes the merge budget, in the merge refusal's words."""
+        refused = []
+        for L in (10, 41, 400):
+            for p in (k / 100 for k in range(1, 101)):
+                if p <= 0.5 and cap is None:
+                    continue
+                ops = min((L - 1) / (2 * p - 1) if p > 0.5 else math.inf, cap or math.inf)
+                kwargs = dict(variant="sequential", p=p, trials=1, master_seed=0, target_L=L,
+                              max_rounds=cap)
+                if ops <= growth._OPS_BUDGET:
+                    StrategyConfig(**kwargs)
+                    continue
+                refused.append((p, L))
+                with pytest.raises(ValueError) as err:
+                    StrategyConfig(**kwargs)
+                assert str(err.value) == (
+                    f"sequential at p = {p!r} and L = {L} expects {ops:.3g} ops per trial "
+                    "by its law; the budget is 1e+06 ops per trial")
+        assert len(refused) == (150 if cap == 10**6 + 1 else 0)
+
+    def test_sequential_just_above_half_refused_fast(self):
+        """The law expects 2.0e9 ops per trial; the run took over 60 s."""
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape(
+                "sequential at p = 0.5000001 and L = 400 expects 2e+09 ops per trial")):
+            StrategyConfig(variant="sequential", p=0.5000001, trials=200, master_seed=0,
+                           target_L=400)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_bad_probability(self):
         with pytest.raises(ValueError):
@@ -255,18 +288,20 @@ class TestTrialRng:
         assert not np.allclose(a, b)
 
 
-def _sequential_rekeys(seed, ops):
-    """The (seed, stream) of each rekey of a sequential run, chunk by chunk:
-    one per block of rows on pass 0, then one per row still walking on each
-    later pass (row i is live on pass k while its ops pass k _SEQ_WIDTH)."""
-    block, width, chunk = growth._SEQ_BLOCK, growth._SEQ_WIDTH, growth._CHUNK
-    want = []
-    for start in range(0, ops.size, chunk):
-        part = ops[start:start + chunk]
+def _walker_rekeys(seed, draws, width, chunk):
+    """The (seed, stream) of each rekey of a walker run, chunk by chunk: one
+    per block of rows on pass 0, then on each later pass one per block whose
+    live rows reach 1/_LIVE_SHARE of it and one per live row of the others
+    (row i is live on pass k while its draws pass k ``width``)."""
+    block, want = growth._BLOCK, []
+    for start in range(0, draws.size, chunk):
+        part = draws[start:start + chunk]
         want += [(seed, b) for b in range(start // block, -(-(start + part.size) // block))]
         k = 1
         while (part > k * width).any():
-            want += [(seed, (start + r) // block) for r in np.flatnonzero(part > k * width)]
+            live = start + np.flatnonzero(part > k * width)
+            for b, n in zip(*(a.tolist() for a in np.unique(live // block, return_counts=True))):
+                want += [(seed, b)] * (1 if growth._LIVE_SHARE * n >= block else n)
             k += 1
     return want
 
@@ -346,69 +381,104 @@ class TestRekeyedStream:
             assert _draws(rng) == _draws(fresh) == _draws(advanced), (seed, index)
         assert part_used >= len(pairs) // 2
 
-    @pytest.mark.parametrize("counter", [0, 1, 64, 2**40, 2**64 - 2, 2**64 - 1])
-    def test_philox_kernel_equals_rekeyed_stream(self, counter):
-        """The NumPy Philox4x64-10 rounds give trial_rng's doubles byte for byte,
-        across the carry into the second counter word, with no scalar wrap."""
-        pairs = self._pairs()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for seed in dict.fromkeys(seed for seed, _ in pairs):
-                trials = [index for s, index in pairs if s == seed]
-                got = growth._philox_uniforms(
-                    seed, np.array(trials, dtype=np.uint64), counter, 3)
-                assert got.shape == (len(trials), 12)
-                for row, index in zip(got, trials):
-                    want = trial_rng(seed, index, counter=counter).random(12)
-                    assert row.tobytes() == want.tobytes(), (seed, index)
-
     @pytest.fixture
     def calls(self, monkeypatch):
-        """The (seed, trial) of every ``growth.trial_rng`` call."""
-        calls = []
-        real = growth.trial_rng
+        """The (seed, stream) of every ``growth.trial_rng`` call, and the
+        (width, chunk) of every walker run."""
+        calls, walks = [], []
+        real, walk = growth.trial_rng, growth._walk_blocks
 
         def spy(*args, **kwargs):
             calls.append(args[:2])
             return real(*args, **kwargs)
 
+        def walk_spy(seed, trials, step, width, block, chunk):
+            walks.append((width, chunk))
+            assert block == growth._BLOCK
+            return walk(seed, trials, step, width, block, chunk)
+
         monkeypatch.setattr(growth, "trial_rng", spy)
-        return calls
+        monkeypatch.setattr(growth, "_walk_blocks", walk_spy)
+        return calls, walks
 
     def test_one_trial_rng_call_per_trial(self, calls):
-        """Sequential rekeys once per block of trials on a row's first pass and
-        once per live row on each later pass, divide and conquer once per block
-        of trials; vertical links and joins compute their Philox blocks
-        directly and rekey nothing."""
+        """Every variant but divide and conquer rekeys once per block of trials
+        on a row's first pass, then once per block or once per live row on
+        each later pass, by the live share; divide and conquer rekeys once per
+        block of trials."""
+        calls, walks = calls
         block = growth._DC_BLOCK
         capped = dict(variant="sequential", target_L=30, max_rounds=300)
-        for kwargs in [*PREFIX_CONFIGS, capped]:
-            if kwargs["variant"] == "merge":  # rekeyed once per block: see below
-                continue
+        links = dict(variant="vertical_link")
+        passes = 0
+        for kwargs in [*PREFIX_CONFIGS, capped, links]:
             for trials in (17, 2 * block + 1):
                 calls.clear()
-                p = 0.5 if kwargs is capped else 0.75
+                walks.clear()
+                p = 0.5 if kwargs is capped else 0.05 if kwargs is links else 0.75
                 stats = simulate(StrategyConfig(p=p, trials=trials, master_seed=4, **kwargs))
-                if kwargs["variant"] == "vertical_link":
-                    assert calls == []
-                elif kwargs["variant"] == "divide_conquer":
+                if kwargs["variant"] == "divide_conquer":
                     assert calls == [(4, b) for b in range(-(-trials // block))]
-                else:
-                    assert calls == _sequential_rekeys(4, stats.entangling_ops)
-        assert len(calls) > 2 * block // growth._SEQ_BLOCK + 2 * block  # passes 1 and 2
+                    assert walks == []
+                    continue
+                [(width, chunk)] = walks
+                assert width == {"sequential": growth._SEQ_WIDTH,
+                                 "merge": growth._MERGE_WIDTH}.get(
+                                     kwargs["variant"], growth._link_width(p))
+                assert calls == _walker_rekeys(4, stats.entangling_ops, width, chunk)
+                passes += len(calls) > -(-trials // growth._BLOCK)
+        assert passes == 4  # the capped and the vertical-link runs read later passes
+        draws = np.minimum(growth._failures_before_success(9, 300, 0.05, 50) + 1, 50)
         calls.clear()
-        growth.join_pair_experiment(0.75, 5, 23, seed=9)
-        assert calls == []
+        growth.join_pair_experiment(0.05, 50, 300, seed=9)
+        assert (draws > growth._link_width(0.05)).any()
+        assert calls == _walker_rekeys(9, draws, *walks[-1])
 
     def test_merge_rekeys_once_per_block(self, calls):
-        """A merge trial is rekeyed to its own stream for each block it reads."""
-        cfg = StrategyConfig(variant="merge", p=0.5, target_L=41, trials=17, master_seed=4)
+        """A merge run rekeys once per block of trials on pass 0, then once per
+        block while a quarter of its rows are live and once per live row after."""
+        calls, walks = calls
+        cfg = StrategyConfig(variant="merge", p=0.5, target_L=41, trials=150, master_seed=4)
         ops = simulate(cfg).entangling_ops
-        assert (ops > 2 * growth._WIDTH).any()  # some trials read three blocks
-        assert {seed for seed, _ in calls} == {4}
-        assert list(dict.fromkeys(i for _, i in calls)) == list(range(17))
-        blocks = -(-ops.astype(int) // growth._WIDTH)
-        assert [calls.count((4, i)) for i in range(17)] == blocks.tolist()
+        assert (ops > 2 * growth._MERGE_WIDTH).any()  # some trials read three passes
+        assert calls == _walker_rekeys(4, ops, growth._MERGE_WIDTH, walks[0][1])
+        # the live rows of each block on each later pass: some blocks draw whole
+        width, block = growth._MERGE_WIDTH, growth._BLOCK
+        live = [n for k in range(1, int(ops.max()) // width + 1)
+                for n in np.bincount(np.flatnonzero(ops > k * width) // block).tolist() if n]
+        assert min(live) * growth._LIVE_SHARE < block <= max(live) * growth._LIVE_SHARE
+
+
+@pytest.mark.parametrize("width", sorted({
+    growth._SEQ_WIDTH, growth._MERGE_WIDTH,
+    *(growth._link_width(p) for p in (1.0, 0.1, 0.01, 1e-3, 1e-6))}))
+def test_row_and_pass_ranges_do_not_overlap(width):
+    """Each (row, pass) of a walk reads its own slice of its block's stream:
+    row r of a block at pass k gets doubles (k B + r) W to (k B + r + 1) W of
+    one contiguous draw, for every variant's width W, and no double is read
+    twice.  Rows drop after pass 0 so that pass 1 draws whole blocks and
+    after pass 1 so that pass 2 rekeys rows; chunks of one block."""
+    block, seed, passes = growth._BLOCK, 2**63 + 1, 3
+    trials = 2 * block + 7
+    seen, count = {}, np.zeros(trials, dtype=int)
+
+    def step(u, rows):
+        for row, values in zip(rows.tolist(), u):
+            seen[row, count[row]] = values.copy()
+            count[row] += 1
+        keep = [(row % 3 != 0) if count[row] == 1 else (row % 7 == 1) for row in rows.tolist()]
+        return np.array(keep) & (count[rows] < passes)
+
+    growth._walk_blocks(seed, trials, step, width, block, block)
+    assert {k for _, k in seen} == set(range(passes))
+    for b in range(-(-trials // block)):
+        stream = trial_rng(seed, b).random(passes * block * width)
+        stream = stream.reshape(passes, block, width)
+        for (row, k), values in seen.items():
+            if row // block == b:
+                assert values.tobytes() == stream[k, row % block].tobytes(), (row, k)
+    values = np.concatenate(list(seen.values()))
+    assert np.unique(values).size == values.size
 
 
 class TestGateSampler:
@@ -435,7 +505,9 @@ class TestGateSampler:
             picks = trial_rng(seed, 3).choice(len(probs), size=5000, p=probs)
             assert got == [classes[k] for k in picks.tolist()], seed
 
-    def test_table_built_once_per_simulate_call(self, monkeypatch):
+    def test_table_built_once_per_alpha_theta(self, monkeypatch):
+        """The config's rate check and every run at one (alpha, theta) read one
+        table, built on first use; its arrays are read-only."""
         calls = []
         real = gates.three_qubit_outcomes
 
@@ -443,15 +515,20 @@ class TestGateSampler:
             calls.append(args)
             return real(*args, **kwargs)
 
+        growth._gate3_table.cache_clear()
+        monkeypatch.setattr(gates, "three_qubit_outcomes", spy)
         cfg = StrategyConfig(
             variant="sequential", p=0.75, trials=25, master_seed=2, target_L=7,
             gate_backend="three-qubit",
         )
-        monkeypatch.setattr(gates, "three_qubit_outcomes", spy)
-        simulate(cfg)
         assert len(calls) == 1
         simulate(cfg)
-        assert len(calls) == 2
+        simulate(dataclasses.replace(cfg, master_seed=3))
+        assert len(calls) == 1
+        simulate(dataclasses.replace(cfg, alpha=2000.0, theta=0.0015))
+        assert calls == [(1000.0, 0.003), (2000.0, 0.0015)]
+        _, *arrays = growth._gate3_table(1000.0, 0.003)
+        assert not any(array.flags.writeable for array in arrays)
 
     def test_bad_table_rejected(self, monkeypatch):
         real = gates.three_qubit_outcomes
@@ -461,9 +538,12 @@ class TestGateSampler:
             table[0] = dataclasses.replace(table[0], probability=-0.5)
             return tuple(table)
 
+        growth._gate3_table.cache_clear()
         monkeypatch.setattr(gates, "three_qubit_outcomes", skewed)
         with pytest.raises(ValueError, match="not a distribution"):
             growth._attempt_sampler(self.CONFIG)
+        monkeypatch.undo()
+        growth._attempt_sampler(self.CONFIG)  # no skewed table was kept
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown gate backend"):
@@ -727,13 +807,14 @@ class TestMergeAutomaton:
 class TestJoinPairExperiment:
     @pytest.mark.parametrize("p, L, seed", [
         (0.75, 10, 5), (0.5, 3, 8), (0.9, 4, 2**63),
-        (0.05, 40, 3), (0.05, 100, 4),  # caps past the first block of draws
+        (0.05, 40, 3), (0.05, 100, 4),  # caps past the first pass of draws
     ])
     def test_equals_fresh_stream_per_trial(self, p, L, seed):
-        """The rekeyed run equals the loop that builds trial_rng(seed, i) anew."""
+        """The walker's run equals the loop that builds each pass's stream
+        anew by the address rule."""
         total = 0.0
         for i in range(3000):
-            rng = trial_rng(seed, i)
+            rng = _AddressedDraws(seed, i, growth._link_width(p))
             fails = 0
             while fails < L and rng.random() >= p:
                 fails += 1
@@ -892,18 +973,17 @@ class TestTrialRecords:
                 "rules": growth._STRATEGIES["merge"][1]}
 
     # sha256 of render_growth_jsonl as written while StrategyConfig still had
-    # an accounting field (p = 0.75, 20 trials, master seed 3); divide and
-    # conquer's and sequential's as written when their trials first drew from
-    # per-block streams
+    # an accounting field (p = 0.75, 20 trials, master seed 3); each variant's
+    # as written when its trials first drew from per-block streams
     JSONL_SHA256 = {
         "sequential": (dict(target_L=9),
                        "a7ec431551b7c8d098837fdd2dafb0a4095babd3075b34267dceb9c69284dd79"),
         "divide_conquer": (dict(initial_qubits=64, rounds_k=3),
                            "86671aab1453f1e5e4e29523154b252bbe2d032f34bd4fdc3bc28c9feffe5f1b"),
         "merge": (dict(target_L=21),
-                  "4663f64f575ab01e766baaa8158b37f465fff6518b4e5b72898bf305179fde65"),
+                  "f9ff53b10a4ee01c10931c5101309b7d0ed3fe6b16859f06f97c0679a5682f3e"),
         "vertical_link": ({},
-                          "7f4d7aedd3707c2bf48d2e5f356a92afd98a7da303b04bcc4789cde16c407f3e"),
+                          "802c7ba0b6e6e2866b11ae2d3c142dc4e387d8229675b39c87f4565e2a5506de"),
     }
 
     @pytest.mark.parametrize("variant", list(JSONL_SHA256))
@@ -957,6 +1037,30 @@ class TestTrialRecords:
 
 # ---------------------------------------------------------------------------
 # byte-identity with the per-trial scalar kernels
+
+
+class _AddressedDraws:
+    """Trial i's draws one at a time by the walker's address rule: pass k's
+    ``width`` draws come from the stream keyed by (seed, i // _BLOCK) at
+    Philox counter (k * _BLOCK + i % _BLOCK) * width / 4, each pass's
+    generator built anew.  ``random`` and ``choice`` read one draw each."""
+
+    def __init__(self, seed, i, width):
+        self.seed, self.i, self.width, self.drawn = seed, i, width, 0
+
+    def _next(self):
+        if self.drawn % self.width == 0:  # pass drawn // width starts
+            block = growth._BLOCK
+            counter = (self.drawn // self.width * block + self.i % block) * self.width // 4
+            self.rng = trial_rng(self.seed, self.i // block, counter=counter)
+        self.drawn += 1
+        return self.rng
+
+    def random(self):
+        return self._next().random()
+
+    def choice(self, *args, **kwargs):
+        return self._next().choice(*args, **kwargs)
 
 
 def _scalar_build_chain_dc(length, p, rng, t):
@@ -1019,7 +1123,7 @@ def _scalar_merge_trial(config, rng):
 
 
 class TestMergeBlockDraws:
-    """The lockstep merge kernel equals the scalar trial on each trial's stream."""
+    """The lockstep merge kernel equals the scalar trial on each trial's draws."""
 
     @pytest.mark.parametrize("p, L", [
         (0.6, 20), (0.75, 41), (0.9, 30),
@@ -1036,7 +1140,7 @@ class TestMergeBlockDraws:
             _assert_equals_scalar_trials(cfg)
             if p == 0.5:
                 ops = simulate(cfg).entangling_ops
-                assert (ops > 2 * growth._WIDTH).mean() > 0.5
+                assert (ops > 2 * growth._MERGE_WIDTH).mean() > 0.5
 
     @pytest.mark.parametrize("length", [2, 3, 5, 9])
     def test_chain_build_equals_scalar_draws(self, length):
@@ -1047,7 +1151,8 @@ class TestMergeBlockDraws:
         assert analytics.minimal_chain_length(p) == length
         stats = simulate(cfg)
         for i in range(cfg.trials):
-            ops, time, qubits = _scalar_build_chain_dc(length, p, trial_rng(3, i), 0.37)
+            draws = _AddressedDraws(3, i, growth._MERGE_WIDTH)
+            ops, time, qubits = _scalar_build_chain_dc(length, p, draws, 0.37)
             assert stats.entangling_ops[i] == ops
             assert stats.elapsed_rounds[i] == time
             assert stats.qubits_consumed[i] == qubits
@@ -1055,11 +1160,9 @@ class TestMergeBlockDraws:
 
 
 def _scalar_sequential_trial(config, i):
-    """Sequential trial i as written with one draw per attempt.  Its draws
-    follow the walker's address rule: pass k's _SEQ_WIDTH draws come from the
-    stream keyed by (seed, i // _SEQ_BLOCK) at Philox counter
-    (k * _SEQ_BLOCK + i % _SEQ_BLOCK) * _SEQ_WIDTH / 4."""
-    block, width = growth._SEQ_BLOCK, growth._SEQ_WIDTH
+    """Sequential trial i as written with one draw per attempt, _SEQ_WIDTH
+    draws a pass by the walker's address rule."""
+    rng = _AddressedDraws(config.master_seed, i, growth._SEQ_WIDTH)
     if config.gate_backend is None:
         def attempt(rng):
             return rng.random() < config.p, False
@@ -1074,9 +1177,6 @@ def _scalar_sequential_trial(config, i):
     while length < config.target_L:
         if config.max_rounds is not None and ops >= config.max_rounds:
             break
-        if ops % width == 0:  # pass ops // width starts
-            counter = (ops // width * block + i % block) * width // 4
-            rng = trial_rng(config.master_seed, i // block, counter=counter)
         ok, spare = attempt(rng)
         ops += 1
         length += 1 if ok else -1
@@ -1165,20 +1265,20 @@ def _scalar_dc_block(config, rng):
     } for rec in records]
 
 
-# each takes (config, trial index): merge and vertical links read the stream
-# keyed by (seed, trial)
+# each takes (config, trial index) and reads its draws by the address rule
 _SCALAR_TRIALS = {
     "sequential": _scalar_sequential_record,
-    "merge": lambda cfg, i: _scalar_merge_trial(cfg, trial_rng(cfg.master_seed, i)),
-    "vertical_link": lambda cfg, i: _scalar_vertical_trial(cfg, trial_rng(cfg.master_seed, i)),
+    "merge": lambda cfg, i: _scalar_merge_trial(
+        cfg, _AddressedDraws(cfg.master_seed, i, growth._MERGE_WIDTH)),
+    "vertical_link": lambda cfg, i: _scalar_vertical_trial(
+        cfg, _AddressedDraws(cfg.master_seed, i, growth._link_width(cfg.p))),
 }
 
 
 def _assert_equals_scalar_trials(cfg):
     """Every column of simulate(cfg) equals the scalar loop, trial by trial:
-    on each trial's (seed, trial) stream, for sequential growth by the
-    walker's address rule, or for divide and conquer on each block's
-    (seed, block) stream, every block run whole."""
+    on each trial's draws by the walker's address rule, or for divide and
+    conquer on each block's (seed, block) stream, every block run whole."""
     columns = simulate(cfg).columns()
     if cfg.variant == "divide_conquer":
         blocks = range(-(-cfg.trials // growth._DC_BLOCK))
@@ -1219,15 +1319,55 @@ class TestAcrossTrialKernels:
     def test_vertical_rows_run_out(self, p):
         cfg = StrategyConfig(variant="vertical_link", p=p, trials=1500,
                              master_seed=19, gate_time=0.7)
-        assert (simulate(cfg).entangling_ops > 32).mean() > 0.1  # past their first 32 draws
+        ops = simulate(cfg).entangling_ops
+        assert (ops > growth._link_width(p)).mean() > 0.1  # past their first pass
         _assert_equals_scalar_trials(cfg)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_vertical_chunk_boundaries(self, offset):
+        width = growth._link_width(0.01)
+        chunk = growth._LINK_CHUNK // width // growth._BLOCK * growth._BLOCK
+        assert growth._BLOCK < chunk < 1000
+        _assert_equals_scalar_trials(StrategyConfig(
+            variant="vertical_link", p=0.01, trials=chunk + offset, master_seed=2**63 + 7,
+            gate_time=0.3))
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_vertical_lone_trial_at_small_p(self, seed):
-        """A lone trial takes _BLOCKS counters per pass, and this one several passes."""
+        """A lone trial at p = 1e-5 reads 4096 draws a pass, and this one
+        several passes, each a rekey of its own row."""
         cfg = StrategyConfig(variant="vertical_link", p=1e-5, trials=1, master_seed=seed)
-        assert simulate(cfg).entangling_ops[0] > 4 * growth._BLOCKS
+        assert growth._link_width(cfg.p) == 4096
+        assert simulate(cfg).entangling_ops[0] > 3 * 4096
         _assert_equals_scalar_trials(cfg)
+
+    @pytest.mark.parametrize(
+        "trials", [growth._BLOCK - 1, growth._BLOCK, growth._BLOCK + 1])
+    @pytest.mark.parametrize("kwargs", [
+        dict(variant="merge", p=0.5, target_L=41),
+        dict(variant="vertical_link", p=0.05),
+    ], ids=lambda kw: kw["variant"])
+    def test_block_boundaries(self, kwargs, trials):
+        _assert_equals_scalar_trials(StrategyConfig(
+            trials=trials, master_seed=2**63 + 13, gate_time=0.3, **kwargs))
+
+    @pytest.mark.parametrize("share", [1, 4, 64])
+    @pytest.mark.parametrize("kwargs", [
+        dict(variant="sequential", p=0.5, target_L=60, max_rounds=700),
+        dict(variant="merge", p=0.5, target_L=41),
+        dict(variant="vertical_link", p=0.05),
+    ], ids=lambda kw: kw["variant"])
+    def test_blocks_cross_the_live_share(self, kwargs, share, monkeypatch):
+        """A later pass that draws a block whole gives each live row the draws
+        a rekey of that row gives: at share 1 blocks draw whole only while
+        every row lives, at 64 while any does, and at 4 they cross from one
+        to the other between passes."""
+        monkeypatch.setattr(growth, "_LIVE_SHARE", share)
+        cfg = StrategyConfig(trials=2 * growth._BLOCK + 9, master_seed=2**63 + 5,
+                             gate_time=0.3, **kwargs)
+        _assert_equals_scalar_trials(cfg)
+        _assert_equals_scalar_trials(dataclasses.replace(cfg, trials=cfg.trials - 40))
+
 
     @pytest.mark.parametrize("backend", [None, "three-qubit"])
     @pytest.mark.parametrize("kwargs", [
@@ -1246,9 +1386,9 @@ class TestAcrossTrialKernels:
         _assert_equals_scalar_trials(cfg)
 
     @pytest.mark.parametrize("backend, trials", [
-        (None, growth._SEQ_BLOCK - 1), (None, growth._SEQ_BLOCK),
-        (None, growth._SEQ_BLOCK + 1), ("three-qubit", growth._SEQ_BLOCK + 1),
-        (None, growth._CHUNK + growth._SEQ_BLOCK // 2),  # a part block past a chunk
+        (None, growth._BLOCK - 1), (None, growth._BLOCK),
+        (None, growth._BLOCK + 1), ("three-qubit", growth._BLOCK + 1),
+        (None, growth._CHUNK + growth._BLOCK // 2),  # a part block past a chunk
     ])
     def test_sequential_block_boundaries(self, backend, trials):
         """Walks that reach L or the cap past their second pass, by the
@@ -1284,10 +1424,8 @@ class TestAcrossTrialKernels:
             gate_time=0.3, **kwargs))
 
 
-# sha256 of every output array of simulate, computed before the trial streams
-# were rekeyed onto one generator per run (divide and conquer's and
-# sequential's when their trials first drew from per-block streams); the runs
-# must stay byte-identical
+# sha256 of every output array of simulate, computed when each variant's
+# trials first drew from per-block streams; the runs must stay byte-identical
 GOLDEN = {
     "sequential": (
         dict(variant="sequential", p=0.75, trials=2000, master_seed=2**63 + 5,
@@ -1306,11 +1444,11 @@ GOLDEN = {
     ),
     "merge": (
         dict(variant="merge", p=0.75, trials=300, master_seed=2**63 + 9, target_L=41),
-        "94c99b154452516071dfc4dcaa0480159a302084342d3817c34fa740a167c1b8",
+        "2b0c12978c9efea6d7b9414437775651b4ef75e17c01069bf1cd089cec0cdbb6",
     ),
     "merge-p0.6": (
         dict(variant="merge", p=0.6, trials=100, master_seed=3, target_L=20),
-        "0c76bd9c2ca27318c8ba29a999bacdd46a187de6203ae77795db321ed535d63d",
+        "345827d138b4dd6a00e246d559ee6e02dc72ee77cf3a561706ec2415958b2bab",
     ),
     "divide_conquer": (
         dict(variant="divide_conquer", p=0.5, trials=500, master_seed=11,
@@ -1319,7 +1457,7 @@ GOLDEN = {
     ),
     "vertical_link": (
         dict(variant="vertical_link", p=0.75, trials=3000, master_seed=2**63),
-        "215db683b6c3a963048416ddb84812a9d6f204eb6e464674f7edf04929d434a8",
+        "f8153bb956557a1da3d232003202fec7e31cf57f0fb06456c0ff45875cf99d59",
     ),
 }
 
@@ -1341,18 +1479,17 @@ def test_simulate_outputs_pinned(name):
     assert _stats_digest(simulate(StrategyConfig(**kwargs))) == digest
 
 
-# sha256 as for GOLDEN, of runs whose trials read later blocks, computed while
-# a later block was reached by rekeying to counter 0 and advancing the counter
-# (sequential's when its trials first drew from per-block streams)
+# sha256 as for GOLDEN, of runs whose trials read later passes, computed when
+# each variant's trials first drew from per-block streams
 MULTI_BLOCK = {
     "merge-p0.5": (
         dict(variant="merge", p=0.5, trials=400, master_seed=23, target_L=41,
              gate_time=0.37),
-        "02ce61f911e7fd7dbcb2e11f22859e9ce774994d5e8a33126a9e291c2bdad5f2",
+        "8ea5c7e390172529d860e5d21a2be69ce079f5e1e08de04b8420f6b67436a7de",
     ),
     "vertical_link-p0.05": (
         dict(variant="vertical_link", p=0.05, trials=3000, master_seed=2**63 + 1),
-        "82491c739ae167e4e51181a4ed5e201ba2bf7cbb24685cac1e1c8a9b5e74a749",
+        "f16d6105c722b50dd96529f83ec4f3767959ed1bd54af118ebf3dd0b6f45dfa4",
     ),
     "sequential-capped-p0.55": (
         dict(variant="sequential", p=0.55, trials=300, master_seed=31, target_L=300,
@@ -1366,7 +1503,9 @@ MULTI_BLOCK = {
 def test_multi_block_outputs_pinned(name):
     kwargs, digest = MULTI_BLOCK[name]
     stats = simulate(StrategyConfig(**kwargs))
-    width = {"merge": growth._WIDTH, "vertical_link": 32,
-             "sequential": growth._SEQ_WIDTH}[stats.config.variant]
-    assert (stats.entangling_ops > width).mean() > 0.15  # trials past their first pass
+    width, share = {"merge": (growth._MERGE_WIDTH, 0.15),
+                    # a row of about 2/p draws: e**-2 of the trials pass it
+                    "vertical_link": (growth._link_width(0.05), 0.1),
+                    "sequential": (growth._SEQ_WIDTH, 0.15)}[stats.config.variant]
+    assert (stats.entangling_ops > width).mean() > share  # trials past their first pass
     assert _stats_digest(stats) == digest
