@@ -337,11 +337,12 @@ def seq_scaling(L: float, p: float, t: float = 1.0) -> tuple:
     return n_seq, t_seq
 
 
-# the exact sequential law drops the mass past its last term once a bound on
-# that mass is below _SEQ_TAIL, and refuses a law that needs more terms than
-# _SEQ_TERMS (about 50 MB of temporaries): p just above 1/2 with no cap
-_SEQ_TAIL = 1e-15
-_SEQ_TERMS = 1 << 20
+# an exact law drops the mass past its last term (or op) once a bound on that
+# mass is below _LAW_TAIL, and refuses a law that needs more terms than
+# _LAW_TERMS (for the sequential law about 50 MB of temporaries, p just above
+# 1/2 with no cap)
+_LAW_TAIL = 1e-15
+_LAW_TERMS = 1 << 20
 
 
 def seq_rule_pmf(p: float, L: int, max_rounds: int | None = None) -> tuple:
@@ -383,12 +384,12 @@ def seq_rule_pmf(p: float, L: int, max_rounds: int | None = None) -> tuple:
         terms = np.exp(np.log(a / n) + log_fact[n] - log_fact[a + f] - log_fact[f]
                        + (a + f) * math.log(p) + f * math.log1p(-p))
         R = np.maximum(pq * n * (n + 1) / ((f + 1) * (a + f + 1)), rho)
-        below = np.flatnonzero((R < 1.0) & (terms * R < _SEQ_TAIL * (1.0 - R)))
+        below = np.flatnonzero((R < 1.0) & (terms * R < _LAW_TAIL * (1.0 - R)))
         if below.size or count == last + 1:
             break
-        if 2 * count > _SEQ_TERMS:
+        if 2 * count > _LAW_TERMS:
             raise ValueError(f"the exact law at p = {p} and L = {L} needs more than "
-                             f"{_SEQ_TERMS} terms")
+                             f"{_LAW_TERMS} terms")
         count *= 2
     ops, pmf = n, terms
     if below.size:
@@ -400,80 +401,60 @@ def seq_rule_pmf(p: float, L: int, max_rounds: int | None = None) -> tuple:
 
 
 def link_rule_pmf(p: float, cap: int | None = None) -> tuple:
-    """Exact law of the failed attempts F before a first success, as ``growth``
-    draws them: P(F = f) = q^f p, geometric.  A vertical link takes F + 1 ops
-    and 4 + 2F qubits.  Under a cap (a join of two L-chains, cap L) the terms
-    stop at cap - 1 and the mass q^cap sits at the cap: the join ends at length
-    2(L - F) - 1, or 0 at F = L.  With no cap the terms stop once the tail
-    q^(f+1) is below 1e-15, and a law that needs more than 2**20 terms is
-    refused.  Returns (fails, pmf) as arrays.
-    """
+    """Exact law (fails, pmf) of the failed attempts F before a first
+    success, as ``growth`` draws them: P(F = f) = q^f p.  A vertical link
+    takes F + 1 ops and 4 + 2F qubits.  A join of two L-chains caps F at L,
+    with mass q^L there, and ends at length 2(L - F) - 1, or 0 at F = L.
+    With no cap the terms stop once the tail q^(f+1) is below 1e-15; a law
+    that needs more than 2**20 terms is refused."""
     _check_probability(p)
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
-    q = 1.0 - p
-    count = 1 if q == 0.0 else math.ceil(math.log(_SEQ_TAIL) / math.log1p(-p))
-    if cap is not None:
-        count = min(count, cap)
-    elif count > _SEQ_TERMS:
-        raise ValueError(f"the exact law at p = {p} needs more than {_SEQ_TERMS} terms")
-    fails = np.arange(count)
-    pmf = p * q ** fails
-    if cap is not None and count == cap:
-        fails, pmf = np.append(fails, cap), np.append(pmf, q**cap)
+    count = 1 if p == 1.0 else math.ceil(math.log(_LAW_TAIL) / math.log1p(-p))
+    if cap is None and count > _LAW_TERMS:
+        raise ValueError(f"the exact law at p = {p} needs more than {_LAW_TERMS} terms")
+    fails = np.arange(count if cap is None else min(count, cap + 1))
+    pmf = p * (1.0 - p) ** fails
+    if cap is not None and fails.size == cap + 1:
+        pmf[-1] = (1.0 - p) ** cap
     return fails, pmf
-
-
-# merge propagation stops once the live mass is below _MERGE_TAIL, and refuses
-# a law that needs more than _MERGE_STEPS ops
-_MERGE_TAIL = 1e-15
-_MERGE_STEPS = 1 << 20
 
 
 def merge_rule_law(p: float, next_state, qubits, length, live: int) -> dict:
     """Exact law of a merge trial as ``growth`` simulates it, by propagation.
 
-    A trial is an absorbing Markov chain (Kemeny & Snell 1960) over the
-    automaton's own tables: a draw from live state s (s < ``live``) leads to
-    state ``next_state[2 s + ok]`` with chance p for ok = 1 and q for ok = 0,
-    consumes ``qubits[2 s + ok]`` qubits and is one op; a state s >= ``live``
-    absorbs with final length ``length[s]``.  From state 0 the state
-    distribution is carried op by op, with the first and second qubit moments
-    of each state alongside it, until the live mass is below 1e-15.  The mass
-    absorbed at op n is P(ops = n).  Returns the ops and their pmf as arrays,
-    the mean and second moment of the qubits consumed, and the final lengths
-    and their pmf, normalised over the absorbed mass.
+    A trial is an absorbing Markov chain (Kemeny & Snell 1960) on the
+    automaton's own tables: a draw from live state s < ``live`` is one op,
+    leads to state ``next_state[2 s + ok]`` (ok = 1 with chance p) and
+    consumes ``qubits[2 s + ok]`` qubits; a state s >= ``live`` absorbs with
+    final length ``length[s]``.  From state 0 the mass of each state, with
+    its first and second qubit moments, is carried op by op until the live
+    mass is below 1e-15 (and refused past 2**20 ops); the mass absorbed at
+    op n is P(ops = n).  Returns the ops and their pmf, the mean and second
+    moment of the qubits, and the final lengths and their pmf.
     """
     _check_probability(p)
-    q = 1.0 - p
-    source = np.repeat(np.arange(live), 2)
-    target = np.asarray(next_state[:2 * live])
-    spent = np.asarray(qubits[:2 * live], dtype=np.float64)
-    chance = np.tile([q, p], live)
-    states = len(length)
-    mass, first, second = (np.zeros(live) for _ in range(3))
-    mass[0] = 1.0
-    ended = np.zeros((3, states - live))
+    rows = np.arange(2 * live)
+    chance, spent = np.where(rows % 2, p, 1.0 - p), np.asarray(qubits[:2 * live], float)
+    law = np.zeros((3, len(length)))  # per state: mass, qubits x mass, qubits**2 x mass
+    law[0, 0] = 1.0
     pmf = []
-    while mass.sum() >= _MERGE_TAIL:
-        if len(pmf) == _MERGE_STEPS:
+    while law[0, :live].sum() >= _LAW_TAIL:
+        if len(pmf) == _LAW_TERMS:
             raise ValueError(f"the exact merge law at p = {p} needs more than "
-                             f"{_MERGE_STEPS} ops of propagation")
-        m0, m1 = chance * mass[source], chance * first[source]
-        m2 = chance * second[source] + spent * (2.0 * m1 + spent * m0)
-        m1 += spent * m0
-        moved = [np.bincount(target, m, minlength=states) for m in (m0, m1, m2)]
-        pmf.append(moved[0][live:].sum())
-        ended += [m[live:] for m in moved]
-        mass, first, second = (m[:live] for m in moved)
-    lengths = np.asarray(length[live:])
-    values = np.unique(lengths[ended[0] > 0])
-    by_length = np.bincount(np.searchsorted(values, lengths), ended[0], minlength=values.size)
-    return {
-        "ops": np.arange(1, len(pmf) + 1), "ops_pmf": np.array(pmf),
-        "qubits": float(ended[1].sum()), "qubits_sq": float(ended[2].sum()),
-        "lengths": values, "length_pmf": by_length[:values.size] / by_length.sum(),
-    }
+                             f"{_LAW_TERMS} ops of propagation")
+        m0, m1, m2 = chance * law[:, rows // 2]
+        moved = [m0, m1 + spent * m0, m2 + spent * (2.0 * m1 + spent * m0)]
+        moved = np.array([np.bincount(next_state[:2 * live], m, len(length)) for m in moved])
+        pmf.append(moved[0, live:].sum())
+        moved[:, live:] += law[:, live:]
+        law = moved
+    lengths, where = np.unique(length[live:], return_inverse=True)
+    by_length = np.bincount(where, law[0, live:])
+    return {"ops": np.arange(1, len(pmf) + 1), "ops_pmf": np.array(pmf),
+            "qubits": law[1, live:].sum(), "qubits_sq": law[2, live:].sum(),
+            "lengths": lengths[by_length > 0], "length_pmf": by_length[by_length > 0]
+            / by_length.sum()}
 
 
 # ---------------------------------------------------------------------------

@@ -63,28 +63,24 @@ _MERGE_CHUNK = 4096
 # whole block, so the smallest of the fast sizes
 _DC_BLOCK = 1024
 # the walker's trials per stream, for every variant but divide and conquer,
-# and the widths, all part of the seed contract.  At p = 3/4, L = 41 (80 ops
-# on average), medians of 15 runs of 5000 sequential trials on a 2-vCPU Xeon:
-# width 128 took 7.0 ms, 64 took 14.6 ms (most walks need a second pass) and
-# 256 took 12.6 ms (draws no walk reads); blocks of 32 to 256 rows ran within
-# 10 % of each other, and a short run draws only its own rows of its last
-# block.  Merge at (3/4, 41), five runs of 1000 trials: blocks of 64 rows took
-# 58.7 ms at width 256, against 71.3 ms for a stream per trial; blocks of 256
-# took 59.1 ms, and width 128 was 16 % slower at (1/2, 41).  Vertical links
-# at 5000 trials: blocks of 32 to 256 rows ran within 15 % of each other from
-# p = 3/4 to 10**-3
+# and its widths, all part of the seed contract.  Medians on a 2-vCPU Xeon:
+# 5000 sequential trials at (3/4, 41) took 7.0 ms at width 128, 14.6 ms at 64
+# (most walks need a second pass) and 12.6 ms at 256 (draws no walk reads);
+# blocks of 32 to 256 rows ran within 10 % of each other.  Five merge runs of
+# 1000 trials at (3/4, 41) took 58.7 ms in blocks of 64 at width 256, 71.3 ms
+# with a stream per trial; width 128 was 16 % slower at (1/2, 41)
 _BLOCK = 64
 _SEQ_WIDTH = 128
 _MERGE_WIDTH = 256
 # a later pass draws a block's whole range in one call while at least
 # 1/_LIVE_SHARE of its rows are live, and rekeys each live row once fewer
-# are.  Medians of 5 runs on a 2-vCPU Xeon (capped sequential p = 1/2, L = 30,
-# cap 700, 2000 trials; merge (3/4, 41), 1000 trials): shares 1/2 to 1/64
-# ran within noise, 15.7-16.6 ms and 11.5-12.4 ms, while drawing whole blocks
-# only when every row is live took 30.4 and 16.9 ms
+# are.  Medians of 5 runs (capped sequential p = 1/2, L = 30, cap 700, 2000
+# trials; merge (3/4, 41), 1000 trials): shares 1/2 to 1/64 ran within noise,
+# 15.7-16.6 ms and 11.5-12.4 ms; whole blocks only while every row is live
+# took 30.4 and 16.9 ms
 _LIVE_SHARE = 4
-# a vertical link or join reads _link_width(p) uniforms a row and pass, about
-# 2/p, and a chunk of about _LINK_CHUNK of them
+# a vertical link or join reads _link_width(p) uniforms a row and pass, and a
+# chunk of about _LINK_CHUNK of them
 _LINK_CHUNK = 1 << 17
 _NO_CAP = np.iinfo(np.int64).max
 # a vertical link takes 1/p attempts on average: a trial at p = 1e-6 reads
@@ -644,15 +640,15 @@ def _merge(config: StrategyConfig) -> dict:
     }
 
 
-def _link_width(p: float) -> int:
+def _link_width(p: float, cap: int = _NO_CAP) -> int:
     """Uniforms per row and pass of a vertical link or a join, part of their
-    seed contract: 4 ceil(1/(2p)), about 2/p, clamped to 8..4096, so nearly
-    nine trials in ten end on their first pass and a small p takes few
-    passes.  Medians of 5 runs of 5000 trials on a 2-vCPU Xeon: rows of about
-    2/p took 2.6 ms at p = 0.1 and 8.8 ms at 0.01, rows of about 1/p 3.5 and
-    9.7 ms, of about 3/p 1.9 and 10.1 ms but 40 ms at 10**-3 (2000 trials)
-    against 25 ms."""
-    return min(4096, max(8, 4 * math.ceil(0.5 / p)))
+    seed contract: 4 ceil(1/(2p)), about 2/p, so nearly nine trials in ten
+    end on their first pass, but no more than 4096 and, for a join capped at
+    L draws, than 4 ceil(L/4), and no fewer than 8.  Medians of 5 runs of
+    5000 trials on a 2-vCPU Xeon: rows of about 2/p took 2.6 ms at p = 0.1
+    and 8.8 ms at 0.01, rows of about 1/p 3.5 and 9.7 ms, of about 3/p 1.9
+    and 10.1 ms but 40 ms at 10**-3 (2000 trials) against 25 ms."""
+    return max(8, min(4096, 4 * math.ceil(0.5 / p), 4 * -(-cap // 4)))
 
 
 def _failures_before_success(seed: int, trials: int, p: float, cap: int = _NO_CAP):
@@ -663,7 +659,7 @@ def _failures_before_success(seed: int, trials: int, p: float, cap: int = _NO_CA
     rows and :func:`_link_width` uniforms a row and pass; a row is live until
     a draw succeeds or the cap is reached.
     """
-    width = _link_width(p)
+    width = _link_width(p, cap)
     fails = np.zeros(trials, dtype=np.int64)
 
     def step(u, rows):

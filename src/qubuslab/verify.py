@@ -367,8 +367,7 @@ def check_monte_carlo(quick: bool = False) -> CriterionResult:
 
 # the comparisons of one run against an exact law share one bound: Bonferroni
 # over them, two-sided, family-wise error 1e-6; for divide and conquer over
-# (p, round, chains | qubits), for the others over the means of their columns
-# and of their squares
+# (p, round, chains | qubits), for the others over one line's means
 _FAMILY_ERROR = 1e-6
 _DC_P, _DC_N, _DC_ROUNDS, _DC_TRIALS = (0.5, 0.75), 2**16, 8, 10_000
 _JOIN_P, _JOIN_L = 0.75, 10
@@ -382,18 +381,16 @@ def _bonferroni(comparisons: int) -> float:
 
 
 def _pmf_rows(name: str, values, pmf) -> list:
-    """(name, exact mean, exact variance) of a column and of its square, from
-    the column's law: the square's variance needs the fourth moment."""
+    """(name, exact mean, exact variance) of a column and of its square."""
     m1, m2, m4 = (float(pmf @ np.asarray(values, dtype=np.float64) ** j) for j in (1, 2, 4))
     return [(name, m1, m2 - m1**2), (name + "**2", m2, m4 - m2**2)]
 
 
 def _compare(res: CriterionResult, what: str, rows, columns) -> None:
-    """Each column's sample mean against its exact (name, mean, variance) row,
-    the standard error from the exact variance, under one family-wise bound;
-    a failure line per miss and one summary note."""
-    bound = _bonferroni(len(rows))
-    zs = []
+    """Each column's mean against its exact (name, mean, variance) row, with
+    the exact standard error, under one family-wise bound: a failure line
+    per miss and one note that states the bound."""
+    bound, zs = _bonferroni(len(rows)), []
     for (name, want, var), got in zip(rows, columns):
         mean = float(np.mean(got))
         zs.append(growth.z_score(mean - want, math.sqrt(var / got.size)))
@@ -401,33 +398,29 @@ def _compare(res: CriterionResult, what: str, rows, columns) -> None:
             res.fail(f"{what} mean {name}: z={zs[-1]:.2f} (emp {mean:.4f} vs the rule's "
                      f"{want:.4f})")
     names = [name for name, _, _ in rows]
-    wants = ", ".join(f"{want:.2f}" if name.endswith("**2") else f"{want:.4f}"
-                      for name, want, _ in rows)
-    res.note(
-        f"{what}: mean {', '.join(names[:-1])} and {names[-1]} within |z| <= {bound:.2f} "
-        f"of the rule's exact law ({wants}; z = {', '.join(f'{z:+.2f}' for z in zs)}; "
-        f"{columns[0].size} trials; Bonferroni over {len(rows)} comparisons, family-wise "
-        f"{_FAMILY_ERROR:g})")
+    wants = ", ".join(f"{w:.2f}" if n.endswith("**2") else f"{w:.4f}" for n, w, _ in rows)
+    res.note(f"{what}: mean {', '.join(names[:-1])} and {names[-1]} within |z| <= "
+             f"{bound:.2f} of the rule's exact law ({wants}; z = "
+             f"{', '.join(f'{z:+.2f}' for z in zs)}; {columns[0].size} trials; Bonferroni "
+             f"over {len(rows)} comparisons, family-wise {_FAMILY_ERROR:g})")
 
 
 def _check_sequential(res: CriterionResult, seeds, trials: int = 100_000) -> None:
-    """Sequential growth to L = 41 at p = 3/4 at each seed: the means of ops
-    and of ops**2 against the exact law of the rule as simulated; and each
-    run within 10 s."""
+    """Sequential growth to L = 41 at p = 3/4 at each seed against the exact
+    law of its walk: the means of ops and ops**2; and each run within 10 s."""
     rows = _pmf_rows("ops", *analytics.seq_rule_pmf(0.75, 41))
     for seed in seeds:
         t0 = time.perf_counter()
-        stats = growth.simulate(growth.StrategyConfig(
-            variant="sequential", p=0.75, trials=trials, master_seed=seed, target_L=41))
+        ops = growth.simulate(growth.StrategyConfig(
+            "sequential", 0.75, trials, seed, target_L=41)).entangling_ops
         elapsed = time.perf_counter() - t0
-        ops = stats.entangling_ops
         _compare(res, f"sequential seed {seed}", rows, (ops, ops**2))
         res.check(elapsed < 10.0, f"sequential run took {elapsed:.1f}s < 10s")
 
 
 def _check_join(res: CriterionResult, seeds, trials: int = 50_000) -> None:
-    """Two 10-chains joined at p = 3/4 at each seed: the means of the final
-    length and of its square against the geometric law cut at L."""
+    """Two 10-chains joined at p = 3/4 at each seed against the geometric law
+    cut at L: the means of the final length and of its square."""
     fails, pmf = analytics.link_rule_pmf(_JOIN_P, cap=_JOIN_L)
     rows = _pmf_rows("length", np.where(fails == _JOIN_L, 0, 2 * (_JOIN_L - fails) - 1), pmf)
     for seed in seeds:
@@ -436,15 +429,15 @@ def _check_join(res: CriterionResult, seeds, trials: int = 50_000) -> None:
 
 
 def _check_links(res: CriterionResult, seeds, trials: int = 100_000) -> None:
-    """Vertical links at p = 3/4 and 1/2 at each seed: the means of the
-    qubits consumed and of their square against the geometric law; ops are
-    one more than the failures, so they carry no other information."""
+    """Vertical links at p = 3/4 and 1/2 at each seed against the geometric
+    law: the means of the qubits and of their square (ops add nothing: they
+    are (qubits - 2) / 2)."""
     for p in _LINK_P:
         fails, pmf = analytics.link_rule_pmf(p)
         rows = _pmf_rows("qubits", 4 + 2 * fails, pmf)
         for seed in seeds:
             qubits = growth.simulate(growth.StrategyConfig(
-                variant="vertical_link", p=p, trials=trials, master_seed=seed)).qubits_consumed
+                "vertical_link", p, trials, seed)).qubits_consumed
             _compare(res, f"vertical link p={p} seed {seed}", rows, (qubits, qubits**2))
 
 
@@ -456,31 +449,28 @@ def _merge_law(p: float, L: int) -> dict:
 
 
 def _check_merge(res: CriterionResult, seeds, trials: int = _MERGE_TRIALS) -> None:
-    """Merge growth to L = 41 at p = 3/4 at each seed: the means of ops,
-    ops**2, qubits and final length against the exact law of the rule,
-    propagated over its automaton; and a flag line for the gap between the
-    rule and the printed law 8L - 44/3."""
+    """Merge to L = 41 at p = 3/4 at each seed against the exact law of its
+    rule: the means of ops, ops**2, qubits and final length; and a flag line
+    for the gap to the printed law 8L - 44/3.  L0 = 2 there, so time is ops t."""
     law = _merge_law(_MERGE_P, _MERGE_L)
-    ops = _pmf_rows("ops", law["ops"], law["ops_pmf"])
-    length = _pmf_rows("final_length", law["lengths"], law["length_pmf"])[0]
-    rows = [*ops, ("qubits", law["qubits"], law["qubits_sq"] - law["qubits"] ** 2), length]
-    L0 = analytics.minimal_chain_length(_MERGE_P)
+    rows = [*_pmf_rows("ops", law["ops"], law["ops_pmf"]),
+            ("qubits", law["qubits"], law["qubits_sq"] - law["qubits"] ** 2),
+            _pmf_rows("final_length", law["lengths"], law["length_pmf"])[0]]
     for seed in seeds:
         stats = growth.simulate(growth.StrategyConfig(
-            variant="merge", p=_MERGE_P, trials=trials, master_seed=seed, target_L=_MERGE_L))
-        values = stats.entangling_ops
+            "merge", _MERGE_P, trials, seed, target_L=_MERGE_L))
+        ops = stats.entangling_ops
         _compare(res, f"merge p={_MERGE_P} L={_MERGE_L} seed {seed}", rows,
-                 (values, values**2, stats.qubits_consumed, stats.final_length))
-        res.check(L0 > 2 or np.array_equal(stats.elapsed_rounds, values * stats.config.gate_time),
-                  f"merge seed {seed}: time = ops t at L0 = {L0}; above L0 = 2 a chain build "
-                  "takes the slower half's time, and time has no exact value here")
+                 (ops, ops**2, stats.qubits_consumed, stats.final_length))
+        res.check(np.array_equal(stats.elapsed_rounds, ops), f"merge seed {seed}: time = "
+                  "ops t at L0 = 2; above L0 = 2 a build takes the slower half's time, and "
+                  "time has no exact value")
     paper = analytics.SERIES["merge"].N(_MERGE_L, _MERGE_P)
-    z = growth.z_score(float(np.mean(values)) - paper, math.sqrt(rows[0][2] / values.size))
-    res.note(
-        f"flag: merge-ops-p-{_MERGE_P}: 8L - 44/3 = {paper:.2f} at L = {_MERGE_L}, the "
-        f"rule's exact mean {rows[0][1]:.3f}; seed {seed} sits at z = {z:+.2f} from 8L - 44/3: "
-        "the law nets L0 - L_c of length per join cycle, while the rule's failed join "
-        "keeps the shrunk partner and tries again")
+    z = growth.z_score(float(np.mean(ops)) - paper, math.sqrt(rows[0][2] / ops.size))
+    res.note(f"flag: merge-ops-p-{_MERGE_P}: 8L - 44/3 = {paper:.2f} at L = {_MERGE_L}, the "
+             f"rule's exact mean {rows[0][1]:.3f}; seed {seed} sits at z = {z:+.2f} from "
+             "8L - 44/3: the law nets L0 - L_c of length per join cycle, while the rule's "
+             "failed join keeps the shrunk partner and tries again")
 
 
 def _check_dc_rounds(res: CriterionResult, seeds) -> None:

@@ -299,7 +299,7 @@ class TestSeqRulePmf:
         ((0.51, 10), "more than 1024 terms"),
     ])
     def test_refusals(self, args, match, monkeypatch):
-        monkeypatch.setattr(an, "_SEQ_TERMS", 1024)  # p = 0.51 needs 66997
+        monkeypatch.setattr(an, "_LAW_TERMS", 1024)  # p = 0.51 needs 66997
         with pytest.raises(ValueError, match=match):
             an.seq_rule_pmf(*args)
 
@@ -353,7 +353,7 @@ class TestMergeRuleLaw:
         ((0.5, [0, 0], [0, 0], [0, 1], 1), "more than 64 ops"),  # never absorbs
     ])
     def test_refusals(self, args, match, monkeypatch):
-        monkeypatch.setattr(an, "_MERGE_STEPS", 64)
+        monkeypatch.setattr(an, "_LAW_TERMS", 64)
         with pytest.raises(ValueError, match=match):
             an.merge_rule_law(*args)
 

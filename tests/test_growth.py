@@ -449,6 +449,16 @@ class TestRekeyedStream:
         assert min(live) * growth._LIVE_SHARE < block <= max(live) * growth._LIVE_SHARE
 
 
+def test_link_width_rule():
+    """4 ceil(1/(2p)) uniforms a row, 8 to 4096, and a join's rows no wider
+    than its cap rounded up to a multiple of 4."""
+    widths = {p: growth._link_width(p) for p in (1.0, 0.75, 0.5, 0.1, 0.01, 1e-3, 1e-4, 1e-6)}
+    assert widths == {1.0: 8, 0.75: 8, 0.5: 8, 0.1: 20, 0.01: 200, 1e-3: 2000,
+                      1e-4: 4096, 1e-6: 4096}
+    assert [growth._link_width(1e-3, L) for L in (1, 8, 10, 12, 13, 5000)] == [
+        8, 8, 12, 12, 16, 2000]
+
+
 @pytest.mark.parametrize("width", sorted({
     growth._SEQ_WIDTH, growth._MERGE_WIDTH,
     *(growth._link_width(p) for p in (1.0, 0.1, 0.01, 1e-3, 1e-6))}))
@@ -795,6 +805,19 @@ class TestMergeAutomaton:
         assert (law["qubits"], law["qubits_sq"]) == (22.0, 484.0)
         assert law["lengths"].tolist() == [12] and law["length_pmf"].tolist() == [1.0]
 
+    def test_no_law_from_a_growth_run(self, monkeypatch):
+        """simulate, compare_to_analytic and scaling_point call no exact law."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("an exact law was called")
+
+        for name in ("merge_rule_law", "link_rule_pmf", "seq_rule_pmf", "dc_rule_moments"):
+            monkeypatch.setattr(analytics, name, refuse)
+        for kwargs in (dict(variant="merge", target_L=20), dict(variant="vertical_link")):
+            stats = simulate(StrategyConfig(p=0.75, trials=50, master_seed=1, **kwargs))
+            point = analytics.scaling_point(kwargs["variant"], 0.75, L=kwargs.get("target_L"))
+            growth.compare_to_analytic(stats, point)
+        growth.join_pair_experiment(0.75, 10, 50, seed=1)
+
     @pytest.mark.parametrize("p, L, ops, qubits", [
         (0.75, 41, 229.0181, 237.6961), (0.6, 20, 191.8323, 244.6765),
     ])
@@ -808,13 +831,14 @@ class TestJoinPairExperiment:
     @pytest.mark.parametrize("p, L, seed", [
         (0.75, 10, 5), (0.5, 3, 8), (0.9, 4, 2**63),
         (0.05, 40, 3), (0.05, 100, 4),  # caps past the first pass of draws
+        (1e-3, 10, 6),  # rows as wide as the cap, not 2/p
     ])
     def test_equals_fresh_stream_per_trial(self, p, L, seed):
         """The walker's run equals the loop that builds each pass's stream
         anew by the address rule."""
         total = 0.0
         for i in range(3000):
-            rng = _AddressedDraws(seed, i, growth._link_width(p))
+            rng = _AddressedDraws(seed, i, growth._link_width(p, L))
             fails = 0
             while fails < L and rng.random() >= p:
                 fails += 1
