@@ -434,27 +434,29 @@ def merge_rule_law(p: float, next_state, qubits, length, live: int) -> dict:
     moment of the qubits, and the final lengths and their pmf.
     """
     _check_probability(p)
-    rows = np.arange(2 * live)
+    rows, states = np.arange(2 * live), len(length)
+    source, target = rows // 2, np.asarray(next_state[:2 * live])
     chance, spent = np.where(rows % 2, p, 1.0 - p), np.asarray(qubits[:2 * live], float)
-    law = np.zeros((3, len(length)))  # per state: mass, qubits x mass, qubits**2 x mass
+    target = np.concatenate([target, target + states, target + 2 * states])
+    law = np.zeros((3, states))  # per state: mass, qubits x mass, qubits**2 x mass
     law[0, 0] = 1.0
     pmf = []
     while law[0, :live].sum() >= _LAW_TAIL:
         if len(pmf) == _LAW_TERMS:
             raise ValueError(f"the exact merge law at p = {p} needs more than "
                              f"{_LAW_TERMS} ops of propagation")
-        m0, m1, m2 = chance * law[:, rows // 2]
-        moved = [m0, m1 + spent * m0, m2 + spent * (2.0 * m1 + spent * m0)]
-        moved = np.array([np.bincount(next_state[:2 * live], m, len(length)) for m in moved])
+        m0, m1, m2 = chance * law[:, source]
+        moved = np.concatenate([m0, m1 + spent * m0, m2 + spent * (2.0 * m1 + spent * m0)])
+        moved = np.bincount(target, moved, 3 * states).reshape(3, states)
         pmf.append(moved[0, live:].sum())
         moved[:, live:] += law[:, live:]
         law = moved
     lengths, where = np.unique(length[live:], return_inverse=True)
     by_length = np.bincount(where, law[0, live:])
+    seen = by_length > 0
     return {"ops": np.arange(1, len(pmf) + 1), "ops_pmf": np.array(pmf),
             "qubits": law[1, live:].sum(), "qubits_sq": law[2, live:].sum(),
-            "lengths": lengths[by_length > 0], "length_pmf": by_length[by_length > 0]
-            / by_length.sum()}
+            "lengths": lengths[seen], "length_pmf": by_length[seen] / by_length.sum()}
 
 
 # ---------------------------------------------------------------------------
