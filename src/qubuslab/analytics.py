@@ -420,21 +420,21 @@ def link_rule_pmf(p: float, cap: int | None = None) -> tuple:
     return fails, pmf
 
 
-def merge_rule_law(p: float, next_state, qubits, length, live: int) -> dict:
+def merge_rule_law(p: float, next_state, qubits, live: int) -> dict:
     """Exact law of a merge trial as ``growth`` simulates it, by propagation.
 
     A trial is an absorbing Markov chain (Kemeny & Snell 1960) on the
-    automaton's own tables: a draw from live state s < ``live`` is one op,
-    leads to state ``next_state[2 s + ok]`` (ok = 1 with chance p) and
-    consumes ``qubits[2 s + ok]`` qubits; a state s >= ``live`` absorbs with
-    final length ``length[s]``.  From state 0 the mass of each state, with
-    its first and second qubit moments, is carried op by op until the live
-    mass is below 1e-15 (and refused past 2**20 ops); the mass absorbed at
-    op n is P(ops = n).  Returns the ops and their pmf, the mean and second
-    moment of the qubits, and the final lengths and their pmf.
+    automaton's own tables, two rows per state: a draw from live state s <
+    ``live`` is one op, leads to state ``next_state[2 s + ok]`` (ok = 1 with
+    chance p) and consumes ``qubits[2 s + ok]`` qubits; a state s >= ``live``
+    absorbs.  From state 0 the mass of each state, with its first and second
+    qubit moments, is carried op by op until the live mass is below 1e-15
+    (and refused past 2**20 ops); the mass absorbed at op n is P(ops = n).
+    Returns the ops and their pmf, and the mean and second moment of the
+    qubits.
     """
     _check_probability(p)
-    rows, states = np.arange(2 * live), len(length)
+    rows, states = np.arange(2 * live), len(next_state) // 2
     source, target = rows // 2, np.asarray(next_state[:2 * live])
     chance, spent = np.where(rows % 2, p, 1.0 - p), np.asarray(qubits[:2 * live], float)
     target = np.concatenate([target, target + states, target + 2 * states])
@@ -451,12 +451,8 @@ def merge_rule_law(p: float, next_state, qubits, length, live: int) -> dict:
         pmf.append(moved[0, live:].sum())
         moved[:, live:] += law[:, live:]
         law = moved
-    lengths, where = np.unique(length[live:], return_inverse=True)
-    by_length = np.bincount(where, law[0, live:])
-    seen = by_length > 0
     return {"ops": np.arange(1, len(pmf) + 1), "ops_pmf": np.array(pmf),
-            "qubits": law[1, live:].sum(), "qubits_sq": law[2, live:].sum(),
-            "lengths": lengths[seen], "length_pmf": by_length[seen] / by_length.sum()}
+            "qubits": law[1, live:].sum(), "qubits_sq": law[2, live:].sum()}
 
 
 # ---------------------------------------------------------------------------

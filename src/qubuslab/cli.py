@@ -464,7 +464,7 @@ def cmd_scaling(p, l_min, l_max, series_names, metric, gate_time, csv_path, svg_
 
 
 @main.command("verify")
-@click.option("--quick", is_flag=True, help="Reduced trial counts, 5% tolerances.")
+@click.option("--quick", is_flag=True, help="Reduced trial counts.")
 def cmd_verify(quick):
     """Run the full cross-verification suite; nonzero exit only on failure."""
     from . import verify

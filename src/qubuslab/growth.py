@@ -72,13 +72,16 @@ _DC_BLOCK = 1024
 _BLOCK = 64
 _SEQ_WIDTH = 128
 _MERGE_WIDTH = 256
-# a later pass draws a block's whole range in one call while at least
-# 1/_LIVE_SHARE of its rows are live, and rekeys each live row once fewer
-# are.  Medians of 5 runs (capped sequential p = 1/2, L = 30, cap 700, 2000
-# trials; merge (3/4, 41), 1000 trials): shares 1/2 to 1/64 ran within noise,
-# 15.7-16.6 ms and 11.5-12.4 ms; whole blocks only while every row is live
-# took 30.4 and 16.9 ms
-_LIVE_SHARE = 4
+# a later pass draws a block's range from its first to its last live row in
+# one call while at least 1/_LIVE_SHARE of its rows are live, and rekeys each
+# live row once fewer are.  Medians on a 2-vCPU Xeon, share 2 against a range
+# draw only while every row is live (1) and against one always (64):
+# sequential capped at 700 (p = 1/2, L = 30, 2000 trials) 16.7 ms against
+# 28.4 and 15.5, capped at 5000 (0.55, 300) 83 against 103 and 79; vertical
+# links at p = 10**-3 (width 2000, 2000 trials) 25 against 25 and 41, at
+# 10**-4 (width 4096, 500 trials) 43 against 37 and 84; share 4 ran 50 there
+# and both ran the bench's configs within noise
+_LIVE_SHARE = 2
 # a vertical link or join reads _link_width(p) uniforms a row and pass, and a
 # chunk of about _LINK_CHUNK of them
 _LINK_CHUNK = 1 << 17
@@ -86,10 +89,11 @@ _NO_CAP = np.iinfo(np.int64).max
 # a vertical link takes 1/p attempts on average: a trial at p = 1e-6 reads
 # about 10**6 draws (0.05 s on a 2-vCPU Xeon), one at 1e-12 would not return
 _MIN_LINK_P = 1e-6
-# the ops per trial a sequential or merge run may expect by its law: merge
-# steps its trials in lockstep at about 15 us per op of the longest trial
-# (2-vCPU Xeon), so 10**6 ops per trial is a run of 15 s or more, and a
-# sequential trial at p = 0.5000001, L = 400 (2e9 ops) took 0.46 s per 4e5 ops
+# the ops per trial a sequential or merge run may expect by its law, or a
+# capped sequential walk run up to: merge steps its trials in lockstep at
+# about 15 us per op of the longest trial (2-vCPU Xeon), so 10**6 ops per
+# trial is a run of 15 s or more, and a sequential trial at p = 0.5000001,
+# L = 400 (2e9 ops) took 0.46 s per 4e5 ops
 _OPS_BUDGET = 10**6
 
 
@@ -182,8 +186,12 @@ class StrategyConfig:
                     "sequential growth with p <= 1/2 does not terminate on "
                     "average; set max_rounds to cap trials"
                 )
+            # the walk's mean ops, and a bound on the mean of a capped walk
             drift = (self.target_L - 1) / (2 * self.p - 1) if self.p > 0.5 else math.inf
-            self._check_ops_budget(min(drift, self.max_rounds or math.inf))
+            if drift <= (self.max_rounds or math.inf):
+                self._check_ops_budget(drift)
+            else:
+                self._check_ops_budget(self.max_rounds, "may run up to", "by its max_rounds")
         if self.variant == "merge":
             if self.target_L is None:
                 raise ValueError("merge growth needs target_L")
@@ -213,12 +221,13 @@ class StrategyConfig:
                 f"vertical_link at p = {self.p:g} expects 1/p = {1 / self.p:.3g} attempts "
                 f"per trial; p must be at least {_MIN_LINK_P:g}")
 
-    def _check_ops_budget(self, ops: float) -> None:
-        """Refuse a run whose law expects more than _OPS_BUDGET ops per trial."""
+    def _check_ops_budget(self, ops: float, verb: str = "expects",
+                          source: str = "by its law") -> None:
+        """Refuse a run whose ops per trial, by its law or its cap, pass _OPS_BUDGET."""
         if ops > _OPS_BUDGET:
             raise ValueError(
-                f"{self.variant} at p = {float(self.p)!r} and L = {self.target_L} expects "
-                f"{ops:.3g} ops per trial by its law; the budget is {_OPS_BUDGET:.3g} ops "
+                f"{self.variant} at p = {float(self.p)!r} and L = {self.target_L} {verb} "
+                f"{ops:.3g} ops per trial {source}; the budget is {_OPS_BUDGET:.3g} ops "
                 "per trial")
 
     def rounds(self) -> int:
@@ -289,12 +298,13 @@ def _walk_blocks(seed: int, trials: int, step, width: int, block: int, chunk: in
     of rows is one contiguous counter range, (k*block)*width/4 up to
     (k*block + block)*width/4: pass 0 is one draw after one rekey of one
     generator through :func:`trial_rng`, and a later pass is one draw too
-    while at least 1/_LIVE_SHARE of the block's rows are live, and a rekey
-    per live row at its own counter once fewer are.  Row i's draws depend on
-    i alone, so the first M rows of a run are an M-trial run.  Trials go
-    ``chunk`` (a multiple of ``block``) at a time; ``step(u, rows)`` consumes
-    row r of u, the next ``width`` uniforms of trial ``rows[r]``, and returns
-    a mask of the rows that need another pass.
+    (from the first to the last live row) while at least 1/_LIVE_SHARE of
+    the block's rows are live, and a rekey per live row at its own counter
+    once fewer are.  Row i's draws depend on i alone, so the first M rows of
+    a run are an M-trial run.  Trials go ``chunk`` (a multiple of ``block``)
+    at a time; ``step(u, rows)`` consumes row r of u, the next ``width``
+    uniforms of trial ``rows[r]``, and returns a mask of the rows that need
+    another pass.
     """
     rng = np.random.Generator(np.random.Philox(0))  # rekeyed to each block or row
     buf = np.empty((min(chunk, trials), width))

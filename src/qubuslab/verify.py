@@ -443,28 +443,28 @@ def _check_links(res: CriterionResult, seeds, trials: int = 100_000) -> None:
 
 def _merge_law(p: float, L: int) -> dict:
     """The merge rule's exact law, propagated over the tables the kernel runs."""
-    next2, reward, _, length, done2, _ = growth._merge_automaton(
-        analytics.minimal_chain_length(p), L)
-    return analytics.merge_rule_law(p, next2 // 2, reward // growth._QUBITS, length, done2 // 2)
+    next2, reward, _, _, done2, _ = growth._merge_automaton(analytics.minimal_chain_length(p), L)
+    return analytics.merge_rule_law(p, next2 // 2, reward // growth._QUBITS, done2 // 2)
 
 
 def _check_merge(res: CriterionResult, seeds, trials: int = _MERGE_TRIALS) -> None:
     """Merge to L = 41 at p = 3/4 at each seed against the exact law of its
-    rule: the means of ops, ops**2, qubits and final length; and a flag line
-    for the gap to the printed law 8L - 44/3.  L0 = 2 there, so time is ops t."""
+    rule: the means of ops, ops**2 and qubits; every final length is L and
+    time is ops t, as L0 = 2 there; and a flag line for the gap to the
+    printed law 8L - 44/3."""
     law = _merge_law(_MERGE_P, _MERGE_L)
     rows = [*_pmf_rows("ops", law["ops"], law["ops_pmf"]),
-            ("qubits", law["qubits"], law["qubits_sq"] - law["qubits"] ** 2),
-            _pmf_rows("final_length", law["lengths"], law["length_pmf"])[0]]
+            ("qubits", law["qubits"], law["qubits_sq"] - law["qubits"] ** 2)]
     for seed in seeds:
         stats = growth.simulate(growth.StrategyConfig(
             "merge", _MERGE_P, trials, seed, target_L=_MERGE_L))
         ops = stats.entangling_ops
         _compare(res, f"merge p={_MERGE_P} L={_MERGE_L} seed {seed}", rows,
-                 (ops, ops**2, stats.qubits_consumed, stats.final_length))
-        res.check(np.array_equal(stats.elapsed_rounds, ops), f"merge seed {seed}: time = "
-                  "ops t at L0 = 2; above L0 = 2 a build takes the slower half's time, and "
-                  "time has no exact value")
+                 (ops, ops**2, stats.qubits_consumed))
+        res.check(np.all(stats.final_length == _MERGE_L) and np.array_equal(
+            stats.elapsed_rounds, ops), f"merge seed {seed}: every final length is "
+            f"{_MERGE_L} and time is ops t at L0 = 2; above L0 = 2 a build takes the "
+            "slower half's time, and time has no exact value")
     paper = analytics.SERIES["merge"].N(_MERGE_L, _MERGE_P)
     z = growth.z_score(float(np.mean(ops)) - paper, math.sqrt(rows[0][2] / ops.size))
     res.note(f"flag: merge-ops-p-{_MERGE_P}: 8L - 44/3 = {paper:.2f} at L = {_MERGE_L}, the "

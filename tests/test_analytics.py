@@ -340,17 +340,16 @@ class TestMergeRuleLaw:
         """One live state that a success leaves for length 5, two qubits a
         draw: ops are geometric from 1, with mean 1/p, and qubits twice ops."""
         p = 0.3
-        law = an.merge_rule_law(p, np.array([0, 1]), np.array([2, 2]), np.array([0, 5]), 1)
+        law = an.merge_rule_law(p, np.array([0, 1, 1, 1]), np.array([2, 2, 0, 0]), 1)
         ops, pmf = law["ops"], law["ops_pmf"]
         assert pmf[:4] == pytest.approx(p * (1 - p) ** np.arange(4), rel=1e-12)
         assert pmf @ ops == pytest.approx(1 / p, rel=1e-12)
         assert law["qubits"] == pytest.approx(2 / p, rel=1e-12)
         assert law["qubits_sq"] == pytest.approx(4 * (2 - p) / p**2, rel=1e-12)
-        assert law["lengths"].tolist() == [5] and law["length_pmf"].tolist() == [1.0]
 
     @pytest.mark.parametrize("args, match", [
-        ((0.0, [0, 0], [0, 0], [0, 1], 1), "success probability"),
-        ((0.5, [0, 0], [0, 0], [0, 1], 1), "more than 64 ops"),  # never absorbs
+        ((0.0, [0, 0, 1, 1], [0, 0, 0, 0], 1), "success probability"),
+        ((0.5, [0, 0, 1, 1], [0, 0, 0, 0], 1), "more than 64 ops"),  # never absorbs
     ])
     def test_refusals(self, args, match, monkeypatch):
         monkeypatch.setattr(an, "_LAW_TERMS", 64)

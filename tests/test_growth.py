@@ -84,13 +84,15 @@ class TestConfigValidation:
     @pytest.mark.parametrize("cap", [None, 700, 10**6, 10**6 + 1])
     def test_sequential_ops_budget(self, cap):
         """A sequential run is refused exactly where min((L-1)/(2p-1), cap)
-        passes the merge budget, in the merge refusal's words."""
+        passes the merge budget, in the merge refusal's words where the law
+        is below the cap, and as a bound where the cap is."""
         refused = []
         for L in (10, 41, 400):
             for p in (k / 100 for k in range(1, 101)):
                 if p <= 0.5 and cap is None:
                     continue
-                ops = min((L - 1) / (2 * p - 1) if p > 0.5 else math.inf, cap or math.inf)
+                drift = (L - 1) / (2 * p - 1) if p > 0.5 else math.inf
+                ops = min(drift, cap or math.inf)
                 kwargs = dict(variant="sequential", p=p, trials=1, master_seed=0, target_L=L,
                               max_rounds=cap)
                 if ops <= growth._OPS_BUDGET:
@@ -99,9 +101,10 @@ class TestConfigValidation:
                 refused.append((p, L))
                 with pytest.raises(ValueError) as err:
                     StrategyConfig(**kwargs)
-                assert str(err.value) == (
-                    f"sequential at p = {p!r} and L = {L} expects {ops:.3g} ops per trial "
-                    "by its law; the budget is 1e+06 ops per trial")
+                said = ("expects {:.3g} ops per trial by its law" if ops == drift else
+                        "may run up to {:.3g} ops per trial by its max_rounds").format(ops)
+                assert str(err.value) == (f"sequential at p = {p!r} and L = {L} {said}; the "
+                                          "budget is 1e+06 ops per trial")
         assert len(refused) == (150 if cap == 10**6 + 1 else 0)
 
     def test_sequential_just_above_half_refused_fast(self):
@@ -803,7 +806,6 @@ class TestMergeAutomaton:
         assert law["ops"][law["ops_pmf"] > 0].tolist() == [21]
         assert law["ops_pmf"].sum() == 1.0
         assert (law["qubits"], law["qubits_sq"]) == (22.0, 484.0)
-        assert law["lengths"].tolist() == [12] and law["length_pmf"].tolist() == [1.0]
 
     def test_no_law_from_a_growth_run(self, monkeypatch):
         """simulate, compare_to_analytic and scaling_point call no exact law."""
