@@ -439,7 +439,8 @@ class TestRekeyedStream:
 
     def test_merge_rekeys_once_per_block(self, calls):
         """A merge run rekeys once per block of trials on pass 0, then once per
-        block while a quarter of its rows are live and once per live row after."""
+        block while 1/_LIVE_SHARE of its rows are live and once per live row
+        after."""
         calls, walks = calls
         cfg = StrategyConfig(variant="merge", p=0.5, target_L=41, trials=150, master_seed=4)
         ops = simulate(cfg).entangling_ops
@@ -1377,7 +1378,7 @@ class TestAcrossTrialKernels:
         _assert_equals_scalar_trials(StrategyConfig(
             trials=trials, master_seed=2**63 + 13, gate_time=0.3, **kwargs))
 
-    @pytest.mark.parametrize("share", [1, 4, 64])
+    @pytest.mark.parametrize("share", [1, 2, 4, 64])
     @pytest.mark.parametrize("kwargs", [
         dict(variant="sequential", p=0.5, target_L=60, max_rounds=700),
         dict(variant="merge", p=0.5, target_L=41),
@@ -1386,8 +1387,8 @@ class TestAcrossTrialKernels:
     def test_blocks_cross_the_live_share(self, kwargs, share, monkeypatch):
         """A later pass that draws a block whole gives each live row the draws
         a rekey of that row gives: at share 1 blocks draw whole only while
-        every row lives, at 64 while any does, and at 4 they cross from one
-        to the other between passes."""
+        every row lives, at 64 while any does, and at 2 (the walker's) and 4
+        they cross from one to the other between passes."""
         monkeypatch.setattr(growth, "_LIVE_SHARE", share)
         cfg = StrategyConfig(trials=2 * growth._BLOCK + 9, master_seed=2**63 + 5,
                              gate_time=0.3, **kwargs)
