@@ -10,8 +10,10 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 # the suite passes, printing one flag: line for each flagged quoted constant
+# and for each printed growth law that criterion 7's table flags
 $QUBUSLAB verify --quick > "$tmp/verify.txt"
-for name in minimal-build-cost-p-1/2 vertical-ops-p-1/2 vacuum-error-alpha-theta-2; do
+for name in minimal-build-cost-p-1/2 vertical-ops-p-1/2 vacuum-error-alpha-theta-2 \
+            merge-ops-p-0.75 dc-survivors-p-0.5 dc-survivors-p-0.75; do
   test "$(grep -c "^    flag: $name: " "$tmp/verify.txt")" -eq 1
 done
 test "$(tail -n 1 "$tmp/verify.txt")" = "result: all criteria pass (flags are expected findings)"
@@ -88,7 +90,7 @@ echo '{"bogus": 1, "gate_backend": "nope"}' > "$tmp/keys.json"
 # overflow, a length range that starts below 1, a scaling request with no
 # series or no row in its range (before any file is written), a growth
 # run whose gate time overflows its elapsed time, a vertical link at a p
-# so small that a trial would expect 10**12 attempts, and a merge run whose
+# so small that a trial would expect 10**12 ops, and a merge run whose
 # law expects more ops per trial than its budget, a sequential run just above
 # p = 1/2 whose law expects 2e9 ops per trial, a divide and conquer run
 # whose round lengths overflow an int64; a gate refuses an option it does not

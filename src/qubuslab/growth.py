@@ -27,6 +27,7 @@ the printed laws are surfaced by :func:`compare_to_analytic` as flags.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass, field, fields, asdict
@@ -86,14 +87,12 @@ _LIVE_SHARE = 2
 # chunk of about _LINK_CHUNK of them
 _LINK_CHUNK = 1 << 17
 _NO_CAP = np.iinfo(np.int64).max
-# a vertical link takes 1/p attempts on average: a trial at p = 1e-6 reads
-# about 10**6 draws (0.05 s on a 2-vCPU Xeon), one at 1e-12 would not return
-_MIN_LINK_P = 1e-6
-# the ops per trial a sequential or merge run may expect by its law, or a
-# capped sequential walk run up to: merge steps its trials in lockstep at
-# about 15 us per op of the longest trial (2-vCPU Xeon), so 10**6 ops per
-# trial is a run of 15 s or more, and a sequential trial at p = 0.5000001,
-# L = 400 (2e9 ops) took 0.46 s per 4e5 ops
+# the ops per trial a sequential, merge or vertical-link run may expect by
+# its law, or a capped sequential walk run up to: merge steps its trials in
+# lockstep at about 15 us per op of the longest trial (2-vCPU Xeon), so
+# 10**6 ops per trial is a run of 15 s or more, a sequential trial at
+# p = 0.5000001, L = 400 (2e9 ops) took 0.46 s per 4e5 ops, and a vertical
+# link at p = 1e-6 (10**6 ops) about 0.05 s
 _OPS_BUDGET = 10**6
 
 
@@ -216,19 +215,17 @@ class StrategyConfig:
                 raise ValueError(f"divide and conquer needs rounds_k <= 63; round {k}'s "
                                  f"chains of 2**{k - 1} + 1 qubits overflow the int64 "
                                  "length column")
-        if self.variant == "vertical_link" and self.p < _MIN_LINK_P:
-            raise ValueError(
-                f"vertical_link at p = {self.p:g} expects 1/p = {1 / self.p:.3g} attempts "
-                f"per trial; p must be at least {_MIN_LINK_P:g}")
+        if self.variant == "vertical_link":  # a link takes 1/p ops on average
+            self._check_ops_budget(1 / self.p)
 
     def _check_ops_budget(self, ops: float, verb: str = "expects",
                           source: str = "by its law") -> None:
         """Refuse a run whose ops per trial, by its law or its cap, pass _OPS_BUDGET."""
         if ops > _OPS_BUDGET:
+            at = "" if self.target_L is None else f" and L = {self.target_L}"
             raise ValueError(
-                f"{self.variant} at p = {float(self.p)!r} and L = {self.target_L} {verb} "
-                f"{ops:.3g} ops per trial {source}; the budget is {_OPS_BUDGET:.3g} ops "
-                "per trial")
+                f"{self.variant} at p = {float(self.p)!r}{at} {verb} {ops:.3g} ops per "
+                f"trial {source}; the budget is {_OPS_BUDGET:.3g} ops per trial")
 
     def rounds(self) -> int:
         if self.variant != "divide_conquer":
@@ -281,7 +278,7 @@ class GrowthStats:
     def record_config(self) -> dict:
         """The config each per-trial record carries, with its accounting rules."""
         cfg = asdict(self.config)
-        cfg["accounting"] = {"rules": _STRATEGIES[self.config.variant][1]}
+        cfg["accounting"] = {"rules": _STRATEGIES[self.config.variant].rules}
         return cfg
 
 
@@ -706,23 +703,61 @@ def _vertical_link(config: StrategyConfig) -> dict:
     }
 
 
+def _pmf_rows(column: str, values, pmf) -> list:
+    """(column, exact mean, exact variance) of a column and of its square."""
+    m1, m2, m4 = (float(pmf @ np.asarray(values, dtype=np.float64) ** j) for j in (1, 2, 4))
+    return [(column, m1, m2 - m1**2), (column + "**2", m2, m4 - m2**2)]
+
+
+def _merge_law(config: StrategyConfig) -> list:
+    """Ops, ops**2 and qubits, propagated over the tables the kernel runs."""
+    next2, reward, _, _, done2, _ = _merge_automaton(
+        analytics.minimal_chain_length(config.p), config.target_L)
+    law = analytics.merge_rule_law(config.p, next2 // 2, reward // _QUBITS, done2 // 2)
+    return [*_pmf_rows("entangling_ops", law["ops"], law["ops_pmf"]),
+            ("qubits_consumed", law["qubits"], law["qubits_sq"] - law["qubits"] ** 2)]
+
+
+def _dc_law(config: StrategyConfig) -> list:
+    """Chains and qubits of every round 1..k."""
+    k = config.rounds()
+    law = analytics.dc_rule_moments(config.p, config.initial_qubits, k)
+    return [(f"{name}_round_{j}", float(law[key][j]), float(law[key + "_var"][j]))
+            for j in range(1, k + 1) for name, key in (("chains", "C"), ("qubits", "Q"))]
+
+
+def _link_law(config: StrategyConfig) -> list:
+    """Qubits, 4 + 2F over the geometric failures F (ops, F + 1, add nothing)."""
+    fails, pmf = analytics.link_rule_pmf(config.p)
+    return _pmf_rows("qubits_consumed", 4 + 2 * fails, pmf)
+
+
 # One row per strategy: its kernel, the one-line accounting rule each
-# per-trial record carries, and the columns compared with its closed forms,
-# as (column, "N" | "T" | a ScalingPoint.extras key), in report order.
+# per-trial record carries, the columns compared with its closed forms, as
+# (column, "N" | "T" | a ScalingPoint.extras key) in report order, and its
+# exact law: law(config) gives the rule's (column, mean, variance) rows as
+# simulated, "c**2" the square of column c, only when called; no growth run
+# calls it.
+_Strategy = collections.namedtuple("_Strategy", "kernel rules compared law")
 _STRATEGIES = {
-    "sequential": (_sequential, "one fresh qubit and one attempt per round; success +1, "
-                   "failure loses the fresh qubit and the measured-out end; unrestricted walk",
-                   (("entangling_ops", "N"), ("elapsed_rounds", "T"))),
-    "merge": (_merge, "minimal chains built by halving without recycling, then joined to "
-              "the main chain; a failed join shrinks both parties by one",
-              (("entangling_ops", "N"), ("elapsed_rounds", "T"))),
-    "divide_conquer": (_divide_conquer, "equal-length pairs each round, failures "
-                       "discarded; odd chain out stranded as waste, a lone chain waits",
-                       (("surviving_chains", "C"), ("surviving_qubits", "Q"),
-                        ("qubits_wasted", "W"), ("entangling_ops", "N"))),
-    "vertical_link": (_vertical_link, "two qubits per chain up front, one more per chain "
-                      "per failed attempt; success measures out the two dangling qubits",
-                      (("qubits_consumed", "V"), ("entangling_ops", "N"))),
+    "sequential": _Strategy(
+        _sequential, "one fresh qubit and one attempt per round; success +1, failure loses "
+        "the fresh qubit and the measured-out end; unrestricted walk",
+        (("entangling_ops", "N"), ("elapsed_rounds", "T")), lambda config: _pmf_rows(
+            "entangling_ops", *analytics.seq_rule_pmf(config.p, config.target_L,
+                                                      config.max_rounds))),
+    "merge": _Strategy(
+        _merge, "minimal chains built by halving without recycling, then joined to the main "
+        "chain; a failed join shrinks both parties by one",
+        (("entangling_ops", "N"), ("elapsed_rounds", "T")), _merge_law),
+    "divide_conquer": _Strategy(
+        _divide_conquer, "equal-length pairs each round, failures discarded; odd chain out "
+        "stranded as waste, a lone chain waits", (("surviving_chains", "C"),
+        ("surviving_qubits", "Q"), ("qubits_wasted", "W"), ("entangling_ops", "N")), _dc_law),
+    "vertical_link": _Strategy(
+        _vertical_link, "two qubits per chain up front, one more per chain per failed "
+        "attempt; success measures out the two dangling qubits",
+        (("qubits_consumed", "V"), ("entangling_ops", "N")), _link_law),
 }
 
 VARIANTS = tuple(_STRATEGIES)
@@ -748,7 +783,7 @@ def simulate(config: StrategyConfig, threads: int = 1) -> GrowthStats:
         )
     with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
         extras = {k: np.array(v, dtype=np.float64)
-                  for k, v in _STRATEGIES[config.variant][0](config).items()}
+                  for k, v in _STRATEGIES[config.variant].kernel(config).items()}
     for key, values in extras.items():
         if not np.isfinite(values).all():
             raise ValueError(f"non-finite {key} at gate_time {config.gate_time!r}")
@@ -812,7 +847,7 @@ def compare_to_analytic(stats: GrowthStats, point: ScalingPoint):
     analytic = {"N": point.N, "T": point.T, **point.extras}
     columns = stats.columns()
     rows = []
-    for metric, key in _STRATEGIES[cfg.variant][2]:
+    for metric, key in _STRATEGIES[cfg.variant].compared:
         values = columns[metric]
         summ = MetricSummary.from_samples(values)
         stderr = math.sqrt(summ.variance / values.size)

@@ -9,6 +9,7 @@ formulas they came from; never a failure) or ``fail``.  The command line
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import time
@@ -354,25 +355,92 @@ def _project_vec(vec, qubit, basis, n, sign):
 
 def check_monte_carlo(quick: bool = False) -> CriterionResult:
     res = CriterionResult(7, "Monte Carlo vs closed forms")
-    trials = 1_000 if quick else 100_000
-    _check_sequential(res, seeds=(7,), trials=trials)
-    _check_join(res, seeds=(11,), trials=1_000 if quick else 50_000)
-    _check_links(res, seeds=(13,), trials=trials)
-    _check_merge(res, seeds=(5,), trials=2_000 if quick else _MERGE_TRIALS)
-    _check_dc_rounds(res, seeds=(0,))
+    for row in _mc_table():
+        _check_row(res, row, row.config.master_seed, row.quick if quick else row.config.trials)
     if res.status != "fail":
         res.status = "flag"
     return res
 
 
 # the comparisons of one run against an exact law share one bound: Bonferroni
-# over them, two-sided, family-wise error 1e-6; for divide and conquer over
-# (p, round, chains | qubits), for the others over one line's means
+# over them, two-sided, family-wise error 1e-6
 _FAMILY_ERROR = 1e-6
-_DC_P, _DC_N, _DC_ROUNDS, _DC_TRIALS = (0.5, 0.75), 2**16, 8, 10_000
-_JOIN_P, _JOIN_L = 0.75, 10
-_LINK_P = (0.75, 0.5)
-_MERGE_P, _MERGE_L, _MERGE_TRIALS = 0.75, 41, 20_000
+# the names a line gives a column; any other column by its words
+_NAMES = {"entangling_ops": "ops", "qubits_consumed": "qubits"}
+
+
+@dataclass(frozen=True)
+class _Join:
+    """Two L-chains joined at p, retried and shrunk on failure."""
+
+    p: float
+    L: int
+    trials: int
+    master_seed: int
+
+
+# A line of criterion 7: its label, its run (a StrategyConfig or the join, at
+# its seed and full trial count) and the run's quick trial count, then
+# optionally a flag for a printed law's gap to the rule's exact mean, (name,
+# column, law, where it is read, its value there, cause), and an exact check
+# of the run, also(columns, seconds, seed) -> (ok, line).
+_Row = collections.namedtuple("_Row", "what config quick flag also", defaults=(None, None))
+
+
+def _mc_table() -> tuple:
+    """Criterion 7's rows, each checked at its seed against its rule's exact law."""
+    strategy, n, k = growth.StrategyConfig, 2**16, 8
+    merge = strategy("merge", 0.75, 20_000, 5, target_L=41)
+    return (
+        _Row("sequential", strategy("sequential", 0.75, 100_000, 7, target_L=41), 1_000,
+             also=lambda columns, seconds, seed: (
+                 seconds < 10.0, f"sequential run took {seconds:.1f}s < 10s")),
+        _Row("join p=0.75 L=10", _Join(0.75, 10, 50_000, 11), 1_000),
+        *(_Row(f"vertical link p={p}", strategy("vertical_link", p, 100_000, 13), 1_000)
+          for p in (0.75, 0.5)),
+        _Row("merge p=0.75 L=41", merge, 2_000, flag=(
+            "merge-ops", "entangling_ops", "8L - 44/3", f"L = {merge.target_L}",
+            analytics.SERIES["merge"].N(merge.target_L, merge.p), "the law nets L0 - L_c of "
+            "length per join cycle, while the rule's failed join keeps the shrunk partner "
+            "and tries again"), also=lambda columns, seconds, seed: (
+                np.all(columns["final_length"] == merge.target_L) and np.array_equal(
+                    columns["elapsed_rounds"], columns["entangling_ops"]),
+                f"merge seed {seed}: every final length is {merge.target_L} and time is ops t "
+                "at L0 = 2; above L0 = 2 a build takes the slower half's time, and time has "
+                "no exact value")),
+        *(_Row(f"dc p={p}", strategy("divide_conquer", p, 10_000, 0, initial_qubits=n,
+                                     rounds_k=k), 10_000, flag=(
+            "dc-survivors", f"chains_round_{k}", "n (p/2)^k", f"round {k}",
+            analytics.dc_scaling(p, n, k=k)["C"], "an odd pool strands one chain each round"))
+          for p in (0.5, 0.75)),
+    )
+
+
+def _check_row(res: CriterionResult, row: _Row, seed: int, trials: int) -> None:
+    """A run of ``row`` at ``seed`` and ``trials`` against its rule's exact
+    law, then the row's exact check and its flag."""
+    cfg = replace(row.config, trials=trials, master_seed=seed)
+    join, t0 = isinstance(cfg, _Join), time.perf_counter()
+    columns = ({"length": growth._join_lengths(cfg.p, cfg.L, trials, seed).astype(float)}
+               if join else growth.simulate(cfg).columns())
+    seconds = time.perf_counter() - t0
+    if join:  # the geometric law of the failures, cut at L
+        fails, pmf = analytics.link_rule_pmf(cfg.p, cap=cfg.L)
+        law = growth._pmf_rows("length", np.where(fails == cfg.L, 0, 2 * (cfg.L - fails) - 1),
+                               pmf)
+    else:
+        law = growth._STRATEGIES[cfg.variant].law(cfg)
+    _compare(res, f"{row.what} seed {seed}", law, columns)
+    if row.also:
+        res.check(*row.also(columns, seconds, seed))
+    if row.flag:
+        name, column, printed, where, value, cause = row.flag
+        [(mean, var)] = [(m, v) for c, m, v in law if c == column]
+        got = columns[column]
+        z = growth.z_score(float(np.mean(got)) - value, math.sqrt(var / got.size))
+        res.note(f"flag: {name}-p-{cfg.p}: {printed} = {value:.5g} at {where}, the rule's "
+                 f"exact mean {mean:.6g}; seed {seed} sits at z = {z:+.2f} from {printed}: "
+                 f"{cause}")
 
 
 def _bonferroni(comparisons: int) -> float:
@@ -380,136 +448,25 @@ def _bonferroni(comparisons: int) -> float:
     return NormalDist().inv_cdf(1.0 - _FAMILY_ERROR / (2 * comparisons))
 
 
-def _pmf_rows(name: str, values, pmf) -> list:
-    """(name, exact mean, exact variance) of a column and of its square."""
-    m1, m2, m4 = (float(pmf @ np.asarray(values, dtype=np.float64) ** j) for j in (1, 2, 4))
-    return [(name, m1, m2 - m1**2), (name + "**2", m2, m4 - m2**2)]
-
-
-def _compare(res: CriterionResult, what: str, rows, columns) -> None:
-    """Each column's mean against its exact (name, mean, variance) row, with
-    the exact standard error, under one family-wise bound: a failure line
-    per miss and one note that states the bound."""
-    bound, zs = _bonferroni(len(rows)), []
-    for (name, want, var), got in zip(rows, columns):
+def _compare(res: CriterionResult, what: str, law, columns: dict) -> None:
+    """The mean of each law row's column against its exact (name, mean,
+    variance), with the exact standard error, under one family-wise bound: a
+    failure line per miss and one note that states the bound."""
+    bound, zs, names = _bonferroni(len(law)), [], []
+    for name, want, var in law:
+        base = name.removesuffix("**2")  # "c**2" is the square of column c
+        names.append(_NAMES.get(base, base.replace("_", " ")) + name[len(base):])
+        got = columns[base] ** (1 if base == name else 2)
         mean = float(np.mean(got))
         zs.append(growth.z_score(mean - want, math.sqrt(var / got.size)))
         if abs(zs[-1]) > bound:
-            res.fail(f"{what} mean {name}: z={zs[-1]:.2f} (emp {mean:.4f} vs the rule's "
+            res.fail(f"{what} mean {names[-1]}: z={zs[-1]:.2f} (emp {mean:.4f} vs the rule's "
                      f"{want:.4f})")
-    names = [name for name, _, _ in rows]
-    wants = ", ".join(f"{w:.2f}" if n.endswith("**2") else f"{w:.4f}" for n, w, _ in rows)
+    wants = ", ".join(f"{w:.2f}" if n.endswith("**2") else f"{w:.4f}" for n, w, _ in law)
     res.note(f"{what}: mean {', '.join(names[:-1])} and {names[-1]} within |z| <= "
              f"{bound:.2f} of the rule's exact law ({wants}; z = "
-             f"{', '.join(f'{z:+.2f}' for z in zs)}; {columns[0].size} trials; Bonferroni "
-             f"over {len(rows)} comparisons, family-wise {_FAMILY_ERROR:g})")
-
-
-def _check_sequential(res: CriterionResult, seeds, trials: int = 100_000) -> None:
-    """Sequential growth to L = 41 at p = 3/4 at each seed against the exact
-    law of its walk: the means of ops and ops**2; and each run within 10 s."""
-    rows = _pmf_rows("ops", *analytics.seq_rule_pmf(0.75, 41))
-    for seed in seeds:
-        t0 = time.perf_counter()
-        ops = growth.simulate(growth.StrategyConfig(
-            "sequential", 0.75, trials, seed, target_L=41)).entangling_ops
-        elapsed = time.perf_counter() - t0
-        _compare(res, f"sequential seed {seed}", rows, (ops, ops**2))
-        res.check(elapsed < 10.0, f"sequential run took {elapsed:.1f}s < 10s")
-
-
-def _check_join(res: CriterionResult, seeds, trials: int = 50_000) -> None:
-    """Two 10-chains joined at p = 3/4 at each seed against the geometric law
-    cut at L: the means of the final length and of its square."""
-    fails, pmf = analytics.link_rule_pmf(_JOIN_P, cap=_JOIN_L)
-    rows = _pmf_rows("length", np.where(fails == _JOIN_L, 0, 2 * (_JOIN_L - fails) - 1), pmf)
-    for seed in seeds:
-        length = growth._join_lengths(_JOIN_P, _JOIN_L, trials, seed).astype(np.float64)
-        _compare(res, f"join p={_JOIN_P} L={_JOIN_L} seed {seed}", rows, (length, length**2))
-
-
-def _check_links(res: CriterionResult, seeds, trials: int = 100_000) -> None:
-    """Vertical links at p = 3/4 and 1/2 at each seed against the geometric
-    law: the means of the qubits and of their square (ops add nothing: they
-    are (qubits - 2) / 2)."""
-    for p in _LINK_P:
-        fails, pmf = analytics.link_rule_pmf(p)
-        rows = _pmf_rows("qubits", 4 + 2 * fails, pmf)
-        for seed in seeds:
-            qubits = growth.simulate(growth.StrategyConfig(
-                "vertical_link", p, trials, seed)).qubits_consumed
-            _compare(res, f"vertical link p={p} seed {seed}", rows, (qubits, qubits**2))
-
-
-def _merge_law(p: float, L: int) -> dict:
-    """The merge rule's exact law, propagated over the tables the kernel runs."""
-    next2, reward, _, _, done2, _ = growth._merge_automaton(analytics.minimal_chain_length(p), L)
-    return analytics.merge_rule_law(p, next2 // 2, reward // growth._QUBITS, done2 // 2)
-
-
-def _check_merge(res: CriterionResult, seeds, trials: int = _MERGE_TRIALS) -> None:
-    """Merge to L = 41 at p = 3/4 at each seed against the exact law of its
-    rule: the means of ops, ops**2 and qubits; every final length is L and
-    time is ops t, as L0 = 2 there; and a flag line for the gap to the
-    printed law 8L - 44/3."""
-    law = _merge_law(_MERGE_P, _MERGE_L)
-    rows = [*_pmf_rows("ops", law["ops"], law["ops_pmf"]),
-            ("qubits", law["qubits"], law["qubits_sq"] - law["qubits"] ** 2)]
-    for seed in seeds:
-        stats = growth.simulate(growth.StrategyConfig(
-            "merge", _MERGE_P, trials, seed, target_L=_MERGE_L))
-        ops = stats.entangling_ops
-        _compare(res, f"merge p={_MERGE_P} L={_MERGE_L} seed {seed}", rows,
-                 (ops, ops**2, stats.qubits_consumed))
-        res.check(np.all(stats.final_length == _MERGE_L) and np.array_equal(
-            stats.elapsed_rounds, ops), f"merge seed {seed}: every final length is "
-            f"{_MERGE_L} and time is ops t at L0 = 2; above L0 = 2 a build takes the "
-            "slower half's time, and time has no exact value")
-    paper = analytics.SERIES["merge"].N(_MERGE_L, _MERGE_P)
-    z = growth.z_score(float(np.mean(ops)) - paper, math.sqrt(rows[0][2] / ops.size))
-    res.note(f"flag: merge-ops-p-{_MERGE_P}: 8L - 44/3 = {paper:.2f} at L = {_MERGE_L}, the "
-             f"rule's exact mean {rows[0][1]:.3f}; seed {seed} sits at z = {z:+.2f} from "
-             "8L - 44/3: the law nets L0 - L_c of length per join cycle, while the rule's "
-             "failed join keeps the shrunk partner and tries again")
-
-
-def _check_dc_rounds(res: CriterionResult, seeds) -> None:
-    """Divide and conquer from 2**16 qubits at each seed: the chains and
-    qubits of every round 1..8, at p = 1/2 and 3/4, against the exact law of
-    the rule as simulated, under one family-wise bound; and a flag line for
-    the gap between the rule and the paper's n (p/2)^k at round 8."""
-    comparisons = 2 * len(_DC_P) * _DC_ROUNDS
-    bound = _bonferroni(comparisons)
-    for p in _DC_P:
-        exact = analytics.dc_rule_moments(p, _DC_N, _DC_ROUNDS)
-        for seed in seeds:
-            stats = growth.simulate(growth.StrategyConfig(
-                variant="divide_conquer", p=p, trials=_DC_TRIALS, master_seed=seed,
-                initial_qubits=_DC_N, rounds_k=_DC_ROUNDS))
-            worst = 0.0
-            for k in range(1, _DC_ROUNDS + 1):
-                for metric, key in ((f"chains_round_{k}", "C"), (f"qubits_round_{k}", "Q")):
-                    values = stats.extras[metric]
-                    mean = float(np.mean(values))
-                    stderr = float(np.std(values, ddof=1)) / math.sqrt(values.size)
-                    z = growth.z_score(mean - exact[key][k], stderr)
-                    worst = max(worst, abs(z))
-                    if abs(z) > bound:
-                        res.fail(f"dc p={p} seed {seed} round {k} {metric}: z={z:.2f} "
-                                 f"(emp {mean:.4f} vs the rule's {exact[key][k]:.4f})")
-            res.note(
-                f"dc p={p} seed {seed}: C and Q of rounds 1..{_DC_ROUNDS} within "
-                f"|z| <= {bound:.2f} of the rule's exact law (worst |z| = {worst:.2f}, "
-                f"{_DC_TRIALS} trials; Bonferroni over {comparisons} comparisons, "
-                f"family-wise {_FAMILY_ERROR:g})")
-        survivors = stats.extras[f"chains_round_{_DC_ROUNDS}"]
-        paper = analytics.dc_scaling(p, _DC_N, k=_DC_ROUNDS)["C"]
-        stderr = float(np.std(survivors, ddof=1)) / math.sqrt(survivors.size)
-        z = growth.z_score(float(np.mean(survivors)) - paper, stderr)
-        res.note(
-            f"flag: dc-survivors-p-{p}: n (p/2)^k = {paper:.4f} at round {_DC_ROUNDS}, "
-            f"the rule's exact mean {exact['C'][_DC_ROUNDS]:.4f}; seed {seed} sits at "
-            f"z = {z:+.2f} from n (p/2)^k: an odd pool strands one chain each round")
+             f"{', '.join(f'{z:+.2f}' for z in zs)}; {got.size} trials; Bonferroni "
+             f"over {len(law)} comparisons, family-wise {_FAMILY_ERROR:g})")
 
 
 # ---------------------------------------------------------------------------

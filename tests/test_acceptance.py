@@ -20,19 +20,18 @@ Stated tolerances (asserted inside the checks):
      fixes the dense vector with sign +1), under 5 seconds;
   6. tableau vs dense oracle on all small scenarios, fusion length law on
      100 random cases;
-  7. sequential means of ops and ops**2 to L = 41 at p = 3/4 within |z| <= 5.03
-     of the rule's exact first-passage law (Bonferroni over the 2
-     comparisons, family-wise 1e-6, exact standard errors from the law's
-     moments) at 1e5 trials in under 10 s, for any seed; the same bound on
-     the means of the join's final length and its square (5e4 trials) and of
-     the vertical link's qubits and their square at p = 3/4 and 1/2 (1e5
-     trials) against the geometric law, and on the means of merge's ops,
-     ops**2 and qubits at (3/4, 41) against the law propagated over its
-     automaton (|z| <= 5.10, 3 comparisons, 2e4 trials), every final length
-     41, with the gap to 8L - 44/3 printed as a flag line; pairwise-discard chains and qubits of
-     rounds 1..8 at 1e4 trials per p within |z| <= 5.53 of the rule's exact
-     law (Bonferroni over the 32 comparisons, family-wise 1e-6), for any
-     seed, with the gap to n (p/2)^k printed as a flag line;
+  7. one table of runs, each against the exact law of its rule with exact
+     standard errors from the law's moments, under one Bonferroni bound per
+     line (family-wise 1e-6), for any seed: sequential ops and ops**2 to
+     L = 41 at p = 3/4 (1e5 trials, |z| <= 5.03, in under 10 s); the join's
+     final length and its square (5e4 trials) and the vertical link's qubits
+     and their square at p = 3/4 and 1/2 (1e5 trials) against the geometric
+     law (|z| <= 5.03); merge's ops, ops**2 and qubits at (3/4, 41) against
+     the law propagated over its automaton (|z| <= 5.10, 2e4 trials), every
+     final length 41, with the gap to 8L - 44/3 printed as a flag line;
+     pairwise-discard chains and qubits of rounds 1..8 at 1e4 trials per p
+     (|z| <= 5.41 over the 16 comparisons of a p), with the gap to
+     n (p/2)^k printed as a flag line;
   8. each reproducing row of ``analytics.QUOTED_CONSTANTS`` at its
      tolerance (1e-9 for an exact figure, 1e-12 for V = 14/3, half the last
      printed digit for a rounded one) and against its formula value (140/3
@@ -50,6 +49,7 @@ Stated tolerances (asserted inside the checks):
 """
 
 import dataclasses
+import functools
 import math
 import time
 
@@ -126,109 +126,134 @@ def test_criterion_7_monte_carlo():
                   "merge p=0.75 L=41 seed 5: mean ops, ops**2 and qubits within |z| <= 5.10",
                   "ok: merge seed 5: every final length is 41 and time is ops t",
                   "flag: merge-ops-p-0.75: 8L - 44/3 = 313.33 at L = 41, the rule's exact "
-                  "mean 229.018; seed 5 sits at z = -2"):
+                  "mean 229.018; seed 5 sits at z = -2",
+                  "dc p=0.5 seed 0: mean chains round 1, qubits round 1, chains round 2,",
+                  "dc p=0.75 seed 0: mean chains round 1, qubits round 1, chains round 2,",
+                  "flag: dc-survivors-p-0.5: n (p/2)^k = 1 at round 8, the rule's exact "
+                  "mean 0.887545; seed 0 sits at z = -14.",
+                  "flag: dc-survivors-p-0.75: n (p/2)^k = 25.629 at round 8, the rule's "
+                  "exact mean 25.3292; seed 0 sits at z = -9."):
         assert sum(line.startswith(start) for line in result.details) == 1, start
+    assert sum("within |z| <= 5.41 of the rule's exact law" in line and "Bonferroni over 16 "
+               "comparisons" in line for line in result.details) == 2
 
 
-@pytest.mark.parametrize("check, lines, law", [
-    (verify._check_join, 10, "(18.3333, 337.89; "),
-    (verify._check_links, 20, None),
-    (verify._check_merge, 10, "(229.0181, 55850.00, 237.6961; "),
-], ids=["join", "vertical_link", "merge"])
-def test_criterion_7_exact_laws_pass_for_seeds_0_to_9(check, lines, law):
-    """The join, vertical-link and merge lines against their rules' exact laws
-    pass at seeds 0-9 alike."""
-    result = verify.CriterionResult(7, check.__name__)
-    check(result, seeds=range(10))
+_VARIANTS = ("sequential", "join", "vertical_link", "merge", "divide_conquer")
+
+
+def _table_rows(variant):
+    """The rows of criterion 7's table that run ``variant``, or the join."""
+    return [row for row in verify._mc_table() if variant == (
+        "join" if isinstance(row.config, verify._Join) else row.config.variant)]
+
+
+@pytest.fixture
+def laws_once(monkeypatch):
+    """Each strategy's exact law computed once per config up to its trials and
+    seed, which it does not read, as the sweeps below ask for it many times."""
+    for variant, row in growth._STRATEGIES.items():
+        law = functools.lru_cache(row.law)
+        monkeypatch.setitem(growth._STRATEGIES, variant, row._replace(
+            law=lambda cfg, law=law: law(dataclasses.replace(cfg, trials=1, master_seed=0))))
+
+
+@pytest.mark.parametrize("variant, bound, law", [
+    ("sequential", 5.03, "(80.0000, 6640.00; "),
+    ("join", 5.03, "(18.3333, 337.89; "),
+    ("vertical_link", 5.03, None),
+    ("merge", 5.10, "(229.0181, 55850.00, 237.6961; "),
+    ("divide_conquer", 5.41, None),
+], ids=_VARIANTS)
+def test_criterion_7_rows_pass_for_seeds_0_to_9(variant, bound, law, laws_once):
+    """Every row of the table against its rule's exact law passes at seeds
+    0-9 alike, at its full trial count, and prints its flag at each seed."""
+    rows = _table_rows(variant)
+    result = verify.CriterionResult(7, variant)
+    for row in rows:
+        for seed in range(10):
+            verify._check_row(result, row, seed, row.config.trials)
     assert result.status == "pass", "\n".join(result.details)
     summaries = [line for line in result.details if " of the rule's exact law (" in line]
-    assert len(summaries) == lines
+    assert len(summaries) == 10 * len(rows)
+    assert all(f"within |z| <= {bound:.2f} " in line for line in summaries)
     assert law is None or all(law in line for line in summaries)
+    flags = [line for line in result.details if line.startswith("flag: ")]
+    assert len(flags) == 10 * sum(row.flag is not None for row in rows)
 
 
-@pytest.mark.parametrize("check, moments", [
-    (verify._check_sequential, 2), (verify._check_join, 2), (verify._check_links, 2),
-    (verify._check_merge, 3),
-], ids=["sequential", "join", "vertical_link", "merge"])
-def test_criterion_7_fails_a_moment_off_by_its_bound(check, moments, monkeypatch):
-    """One moment of a law moved by the bound times its standard error fails
-    its line on the side away from the sample and passes on the other, so
-    each line fails once over the two signs."""
+@pytest.mark.parametrize("variant", _VARIANTS)
+def test_criterion_7_fails_a_moment_off_by_its_bound(variant, monkeypatch, laws_once):
+    """Each moment of each row's law moved by the bound times its standard
+    error fails the row's line on the side away from the sample and passes
+    on the other, so each line fails once over the two signs."""
     compare = verify._compare
-    for j in range(moments):
-        fails, moved = [], set()
-        for sign in (1, -1):
-            def shifted(res, what, rows, columns, sign=sign):
-                name, want, var = rows[j]
-                moved.add(name)
-                move = verify._bonferroni(len(rows)) * math.sqrt(var / columns[0].size)
-                rows = [*rows[:j], (name, want + sign * move, var), *rows[j + 1:]]
-                compare(res, what, rows, columns)
+    for row in _table_rows(variant):
+        j, moments = 0, 1
+        while j < moments:
+            fails, moved = [], []
+            for sign in (1, -1):
+                def shifted(res, what, law, columns, sign=sign):
+                    nonlocal moments
+                    moments = len(law)
+                    name, want, var = law[j]
+                    trials = columns[name.removesuffix("**2")].size
+                    want += sign * verify._bonferroni(len(law)) * math.sqrt(var / trials)
+                    moved.append(f"vs the rule's {want:.4f})")
+                    compare(res, what, [*law[:j], (name, want, var), *law[j + 1:]], columns)
 
-            monkeypatch.setattr(verify, "_compare", shifted)
-            result = verify.CriterionResult(7, check.__name__)
-            check(result, seeds=(0,), trials=2_000)
-            fails += [line for line in result.details if line.startswith("FAIL: ")]
-        [name] = moved
-        lines = 2 if check is verify._check_links else 1  # one line per p
-        assert len(fails) == lines, fails
-        assert all(f" mean {name}: z=" in line for line in fails)
+                monkeypatch.setattr(verify, "_compare", shifted)
+                result = verify.CriterionResult(7, variant)
+                verify._check_row(result, row, 0, row.quick)
+                fails += [line for line in result.details if line.startswith("FAIL: ")]
+            assert len(fails) == 1, (row.what, j, fails)
+            assert fails[0].startswith(f"FAIL: {row.what} seed 0 mean ")
+            assert fails[0].endswith(tuple(moved))
+            j += 1
+
+
+def _merge_row():
+    [row] = _table_rows("merge")
+    return row
 
 
 def test_criterion_7_fails_a_merge_final_length_off_target(monkeypatch):
     """Merge's final length has no spread at L0 = 2, so it is checked equal to
     L outside the family-wise bound: one trial one short fails it."""
-    kernel, rules, compared = growth._STRATEGIES["merge"]
+    strategy = growth._STRATEGIES["merge"]
 
     def short(config):
-        columns = kernel(config)
+        columns = strategy.kernel(config)
         columns["final_length"][0] -= 1
         return columns
 
-    monkeypatch.setitem(growth._STRATEGIES, "merge", (short, rules, compared))
+    monkeypatch.setitem(growth._STRATEGIES, "merge", strategy._replace(kernel=short))
     result = verify.CriterionResult(7, "merge")
-    verify._check_merge(result, seeds=(0,), trials=2_000)
+    verify._check_row(result, _merge_row(), 0, 2_000)
     assert [line for line in result.details if line.startswith("FAIL: ")] == [
         "FAIL: merge seed 0: every final length is 41 and time is ops t at L0 = 2; above "
         "L0 = 2 a build takes the slower half's time, and time has no exact value"]
 
 
-def test_criterion_7_sequential_passes_for_seeds_0_to_9():
-    """Both means against the rule's exact law pass at seeds 0-9 alike."""
-    result = verify.CriterionResult(7, "sequential growth")
-    verify._check_sequential(result, seeds=range(10))
-    assert result.status == "pass", "\n".join(result.details)
-    summaries = [line for line in result.details if "within |z| <= 5.03" in line]
-    assert len(summaries) == 10
-    assert all("(80.0000, 6640.00; " in line for line in summaries)
-
-
-def test_criterion_7_dc_rounds_pass_for_seeds_0_to_9():
-    """Every round against the rule's exact law passes at seeds 0-9 alike."""
-    result = verify.CriterionResult(7, "divide and conquer rounds")
-    verify._check_dc_rounds(result, seeds=range(10))
-    assert result.status == "pass", "\n".join(result.details)
-    summaries = [line for line in result.details if "within |z| <= 5.53" in line]
-    assert len(summaries) == 20
-    flags = [line for line in result.details if line.startswith("flag: dc-survivors-p-")]
-    assert len(flags) == 2
-
-
 def test_criterion_7_fails_samples_with_no_spread(monkeypatch):
-    """Survivor counts that never vary and miss the law fail with z = inf."""
-    kernel, rules, compared = growth._STRATEGIES["divide_conquer"]
+    """Survivor counts that never vary and miss the law fail: the standard
+    error is the law's, so a constant column gives a large finite z."""
+    strategy = growth._STRATEGIES["divide_conquer"]
 
     def constant(config):
-        columns = kernel(config)
+        columns = strategy.kernel(config)
         for key in columns:
             if key.startswith(("chains_round_", "qubits_round_")):
                 columns[key] = np.full(config.trials, 7)
         return columns
 
-    monkeypatch.setitem(growth._STRATEGIES, "divide_conquer", (constant, rules, compared))
+    monkeypatch.setitem(growth._STRATEGIES, "divide_conquer",
+                        strategy._replace(kernel=constant))
     result = verify.check_monte_carlo(quick=True)
     assert result.status == "fail"
-    assert any("round 1 chains_round_1: z=inf" in line for line in result.details)
+    # (7 - 2**15 p) / sqrt(2**15 p q / 10**4) at p = 1/2
+    z = (7 - 16384) / math.sqrt(8192 / 10_000)
+    assert f"FAIL: dc p=0.5 seed 0 mean chains round 1: z={z:.2f} (emp 7.0000 vs the " \
+           "rule's 16384.0000)" in result.details
 
 
 def test_criterion_8_constants_and_crossover():
@@ -302,13 +327,13 @@ def test_criterion_10_fails_when_the_prefix_run_differs(monkeypatch, change):
     """The M-trial run's columns must equal the N-trial run's first M entries
     byte for byte, under the same keys: one entry off by a value or only by
     the sign of a zero, or one column more, fails the check."""
-    kernel, rules, compared = growth._STRATEGIES["sequential"]
+    strategy = growth._STRATEGIES["sequential"]
     block = growth._BLOCK
     head = block + block // 3  # the prefix run of the quick check
     assert head % block
 
     def altered(config):
-        columns = kernel(config)
+        columns = strategy.kernel(config)
         if config.trials == head:
             if change == "value":
                 columns["entangling_ops"][7] += 1.0
@@ -321,7 +346,7 @@ def test_criterion_10_fails_when_the_prefix_run_differs(monkeypatch, change):
                 columns["extra"] = np.zeros(config.trials)
         return columns
 
-    monkeypatch.setitem(growth._STRATEGIES, "sequential", (altered, rules, compared))
+    monkeypatch.setitem(growth._STRATEGIES, "sequential", strategy._replace(kernel=altered))
     result = verify.check_determinism(quick=True)
     assert result.status == "fail"
     assert any(f"first {head} of 500 trials" in line for line in result.details)
@@ -329,18 +354,19 @@ def test_criterion_10_fails_when_the_prefix_run_differs(monkeypatch, change):
 
 def test_criterion_10_fails_a_divide_conquer_prefix_cut_inside_a_block(monkeypatch):
     """A head run whose last, partial block is drawn differently fails."""
-    kernel, rules, compared = growth._STRATEGIES["divide_conquer"]
+    strategy = growth._STRATEGIES["divide_conquer"]
     block = growth._DC_BLOCK
     head = block + block // 3
     assert head % block
 
     def altered(config):
-        columns = kernel(config)
+        columns = strategy.kernel(config)
         if config.trials == head:
             columns["surviving_chains"][head - 1] += 1
         return columns
 
-    monkeypatch.setitem(growth._STRATEGIES, "divide_conquer", (altered, rules, compared))
+    monkeypatch.setitem(growth._STRATEGIES, "divide_conquer",
+                        strategy._replace(kernel=altered))
     result = verify.check_determinism(quick=True)
     assert [line for line in result.details if line.startswith("FAIL")] == [
         f"FAIL: divide_conquer: first {head} of {3 * block} trials equal a {head}-trial run"]

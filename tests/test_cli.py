@@ -126,8 +126,8 @@ class TestCommandErrors:
         (["scaling", "--p", "1e-320", "--series", "merge"],
          "the critical length overflows a float at p = 1e-320"),
         (["growth", "vertical_link", "--p", "1e-12", "--trials", "1"],
-         "vertical_link at p = 1e-12 expects 1/p = 1e+12 attempts per trial; "
-         "p must be at least 1e-06"),
+         "vertical_link at p = 1e-12 expects 1e+12 ops per trial by its law; "
+         "the budget is 1e+06 ops per trial"),
         (["growth", "merge", "--p", "0.1", "--L", "50", "--trials", "1", "--seed", "1"],
          "merge at p = 0.1 and L = 50 expects 5.22e+07 ops per trial by its law; "
          "the budget is 1e+06 ops per trial"),

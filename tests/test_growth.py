@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qubuslab import analytics, gates, growth, verify
+from qubuslab import analytics, gates, growth
 from qubuslab.growth import StrategyConfig, simulate, trial_rng
 
 
@@ -243,13 +243,15 @@ class TestConfigValidation:
                                  initial_qubits=64, **rounds)
             assert simulate(cfg).final_length.max() <= 2**62 + 1
 
-    @pytest.mark.parametrize("p, attempts", [(1e-12, "1e+12"), (9.99e-7, "1e+06")])
-    def test_vertical_link_that_never_finishes(self, p, attempts):
-        """A trial expects 1/p attempts; below 1e-6 the run is refused."""
-        with pytest.raises(ValueError, match=re.escape(
-                f"vertical_link at p = {p:g} expects 1/p = {attempts} attempts per trial; "
-                "p must be at least 1e-06")):
-            StrategyConfig(variant="vertical_link", p=p, trials=1, master_seed=0)
+    @pytest.mark.parametrize("p, ops", [(1e-12, "1e+12"), (9.99e-7, "1e+06")])
+    def test_vertical_link_that_never_finishes(self, p, ops):
+        """A trial expects 1/p ops, so the ops budget refuses p below 1e-6:
+        1/p is exactly 10**6 at 1e-6, and above it at the next float down."""
+        for p, ops in ((p, ops), (float(np.nextafter(1e-6, 0)), "1e+06")):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"vertical_link at p = {p!r} expects {ops} ops per trial by its law; "
+                    "the budget is 1e+06 ops per trial")):
+                StrategyConfig(variant="vertical_link", p=p, trials=1, master_seed=0)
         StrategyConfig(variant="vertical_link", p=1e-6, trials=1, master_seed=0)
 
 
@@ -270,7 +272,7 @@ class TestStrategyTable:
         stats = simulate(cfg)
         point = analytics.scaling_point(variant, 0.75, L=cfg.target_L,
                                         n=cfg.initial_qubits, k=cfg.rounds_k)
-        for column, key in growth._STRATEGIES[variant][2]:
+        for column, key in growth._STRATEGIES[variant].compared:
             assert column in stats.columns()
             assert key in {"N", "T", *point.extras}
         assert [row.metric for row in growth.compare_to_analytic(stats, point)] == rows
@@ -785,6 +787,12 @@ class TestMerge:
         assert set(stats.qubits_wasted.tolist()) == {10.0}
 
 
+def _merge_law(p, L):
+    """The merge row's exact law at (p, L)."""
+    cfg = StrategyConfig(variant="merge", p=p, trials=1, master_seed=0, target_L=L)
+    return growth._STRATEGIES["merge"].law(cfg)
+
+
 class TestMergeAutomaton:
     def test_built_once_per_minimal_chain_and_target(self):
         """Runs at one (L0, target_L), whatever their p, seed or gate time, and
@@ -793,7 +801,7 @@ class TestMergeAutomaton:
         cfg = StrategyConfig(variant="merge", p=0.75, trials=5, master_seed=1, target_L=20)
         simulate(cfg)
         simulate(dataclasses.replace(cfg, p=0.8, master_seed=2, gate_time=0.5))
-        verify._merge_law(0.75, 20)
+        _merge_law(0.75, 20)
         assert growth._merge_automaton.cache_info().misses == 1
         simulate(dataclasses.replace(cfg, target_L=21))
         assert growth._merge_automaton.cache_info().misses == 2
@@ -803,10 +811,9 @@ class TestMergeAutomaton:
     def test_exact_law_at_a_deterministic_gate(self):
         """At p = 1 a trial takes 21 ops and 22 qubits to L = 12: see
         TestMerge.test_deterministic_gate_cost."""
-        law = verify._merge_law(1.0, 12)
-        assert law["ops"][law["ops_pmf"] > 0].tolist() == [21]
-        assert law["ops_pmf"].sum() == 1.0
-        assert (law["qubits"], law["qubits_sq"]) == (22.0, 484.0)
+        assert _merge_law(1.0, 12) == [("entangling_ops", 21.0, 0.0),
+                                       ("entangling_ops**2", 441.0, 0.0),
+                                       ("qubits_consumed", 22.0, 0.0)]
 
     def test_no_law_from_a_growth_run(self, monkeypatch):
         """simulate, compare_to_analytic and scaling_point call no exact law."""
@@ -825,9 +832,8 @@ class TestMergeAutomaton:
         (0.75, 41, 229.0181, 237.6961), (0.6, 20, 191.8323, 244.6765),
     ])
     def test_exact_means(self, p, L, ops, qubits):
-        law = verify._merge_law(p, L)
-        assert round(float(law["ops_pmf"] @ law["ops"]), 4) == ops
-        assert round(law["qubits"], 4) == qubits
+        (_, got_ops, _), _, (_, got_qubits, _) = _merge_law(p, L)
+        assert (round(got_ops, 4), round(got_qubits, 4)) == (ops, qubits)
 
 
 class TestJoinPairExperiment:
@@ -997,7 +1003,7 @@ class TestTrialRecords:
         cfg = StrategyConfig(variant="merge", p=0.75, trials=2, master_seed=2, target_L=21)
         for record in _trial_records(simulate(cfg)):
             assert record["config"]["accounting"] == {
-                "rules": growth._STRATEGIES["merge"][1]}
+                "rules": growth._STRATEGIES["merge"].rules}
 
     # sha256 of render_growth_jsonl as written while StrategyConfig still had
     # an accounting field (p = 0.75, 20 trials, master seed 3); each variant's
@@ -1033,9 +1039,9 @@ class TestTrialRecords:
         from qubuslab.cli import render_growth_jsonl
 
         # format characters in the config text are written as they are
-        kernel, rules, compared = growth._STRATEGIES[kwargs["variant"]]
+        strategy = growth._STRATEGIES[kwargs["variant"]]
         monkeypatch.setitem(growth._STRATEGIES, kwargs["variant"],
-                            (kernel, rules + " (50% {of} %s)", compared))
+                            strategy._replace(rules=strategy.rules + " (50% {of} %s)"))
         stats = simulate(StrategyConfig(p=0.75, trials=300, master_seed=3,
                                         gate_time=0.1, **kwargs))
         want = "\n".join(json.dumps(r, sort_keys=True) for r in _trial_records(stats))
