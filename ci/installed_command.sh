@@ -157,10 +157,10 @@ echo "3973b7ee18de23b733c5e7d0d5d884049c986faa5e348a3f15a4b2f25f1c8f69  $tmp/s2.
 # halving branch
 $QUBUSLAB growth merge --p 0.6 --L 20 --trials 500 --seed 7 --jsonl "$tmp/m.jsonl"
 echo "d1e5af05a584243c31602fb74404c24f9a6f9c6ab3379012146c56e0f21f9f01  $tmp/m.jsonl" | sha256sum -c -
-# minimal chains of 4 build in two levels, 0.37 time sums do not add
-# exactly, and most trials read three or more passes of draws
+# minimal chains of 4 build in two levels, time is whole gate slots times
+# 0.37, and most trials read three or more passes of draws
 $QUBUSLAB growth merge --p 0.5 --L 41 --t 0.37 --trials 500 --seed 7 --jsonl "$tmp/m4.jsonl"
-echo "bbc582b39718123c764628435fbd12687fa47840456e8596296e70b584fdc831  $tmp/m4.jsonl" | sha256sum -c -
+echo "caf230ae952b960a84400ff11dc159e93bfab06e9a286c3f73cc900eb9661406  $tmp/m4.jsonl" | sha256sum -c -
 # divide and conquer draws from one stream per block of 1024 trials, and
 # a run draws every block whole: these 1500 trials read two blocks' streams
 $QUBUSLAB growth divide_conquer --p 0.75 --n 1024 --k 6 --trials 1500 --seed 7 --jsonl "$tmp/d.jsonl"

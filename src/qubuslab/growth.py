@@ -12,8 +12,10 @@ of the row and pass: pass k of a block is one contiguous counter range, read
 in one draw while enough of its rows are live.  The variants differ in the
 row width alone: _SEQ_WIDTH for sequential growth, _MERGE_WIDTH for merge,
 and :func:`_link_width` (about 2/p) for vertical links and joins.  A row of
-k doubles is the same k values as k scalar draws; merge steps its trials in
-lockstep, draw j of every trial from column j of its row.  A trial's draws
+k doubles is the same k values as k scalar draws; merge packs a row's
+u < p into bytes and steps every trial through its rule's automaton a group
+of up to 8 draws per table lookup.  Time is a whole count of gate slots
+times gate_time in every variant.  A trial's draws
 depend on its index alone (divide and conquer simulates every block whole),
 so results do not depend on how many trials run: the first M trials of an
 N-trial run equal an M-trial run.  Per-run work (the gate backend's outcome
@@ -54,8 +56,9 @@ _ZERO4 = (0, 0, 0, 0)
 # Trials go _CHUNK (sequential) or _MERGE_CHUNK (merge) at a time, one row of
 # _SEQ_WIDTH or _MERGE_WIDTH uniforms each per pass, so temporaries stay near
 # 1 MB.  A width is a multiple of 4: Philox yields four doubles per counter
-# step.  Merge steps every trial of a chunk once per draw, so it takes larger
-# chunks: 4096 rows ran 10**5 trials fastest of 512 to 8192.
+# step.  Merge steps every trial of a chunk once per table lookup, so it
+# takes larger chunks: 10**5 trials at (3/4, 41) and 2 10**4 at (1/2, 41)
+# ran fastest at 4096 and 8192 rows of 1024 to 8192 (2-vCPU Xeon).
 _CHUNK = 512
 _MERGE_CHUNK = 4096
 # divide and conquer's trials per stream, part of its seed contract: another
@@ -88,9 +91,9 @@ _LIVE_SHARE = 2
 _LINK_CHUNK = 1 << 17
 _NO_CAP = np.iinfo(np.int64).max
 # the ops per trial a sequential, merge or vertical-link run may expect by
-# its law, or a capped sequential walk run up to: merge steps its trials in
-# lockstep at about 15 us per op of the longest trial (2-vCPU Xeon), so
-# 10**6 ops per trial is a run of 15 s or more, a sequential trial at
+# its law, or a capped sequential walk run up to.  On a 2-vCPU Xeon a lone
+# merge trial took 0.7 us per op at L0 = 2 and about 6 us at L0 = 4 and 6,
+# so 10**6 ops is 0.7 s to 6 s or more; a sequential trial at
 # p = 0.5000001, L = 400 (2e9 ops) took 0.46 s per 4e5 ops, and a vertical
 # link at p = 1e-6 (10**6 ops) about 0.05 s
 _OPS_BUDGET = 10**6
@@ -484,12 +487,22 @@ def _divide_conquer(config: StrategyConfig) -> dict:
     return columns
 
 
-# merge's float registers: a constant zero, a sink for the writes of finished
-# trials, the trial's time, then one accumulator per node of the chain build
-_ZERO, _SINK, _TIME, _NODE0 = 0, 1, 2, 3
 # a merge reward packs ops + qubits * _QUBITS; a trial would need 2**32 draws
 # to carry ops into qubits
 _QUBITS = 1 << 32
+# merge's slot registers, each a count of gate slots plus one: a constant 1,
+# a sink for the writes of joins, then one per node of the chain build
+_ONE, _SINK, _NODE0 = 0, 1, 2
+# merge steps a trial B draws per lookup of its group tables, B the largest of
+# 8, 4, 2 and 1 that keeps them to _GROUP_ROWS (state, pattern) rows of 12
+# bytes, 12 MiB at most: B = 8 up to 4096 states (every L0 = 2 target up to
+# 1024), and B = 2 at (0.2, 400), 97 599 states in 4.7 MB
+_GROUP_ROWS = 1 << 20
+# merge above L0 = 2 reads its slot registers' columns _SLOT_BLOCK draws at
+# a time, 5 _SLOT_BLOCK words a row.  Blocks of 16 and 32 ran 1000 trials at
+# (0.6, 20), (1/2, 41) and (0.4, 10) within 4 % of each other, 64 up to 20 %
+# slower (2-vCPU Xeon)
+_SLOT_BLOCK = 32
 
 
 @functools.lru_cache(maxsize=16)
@@ -510,12 +523,14 @@ def _merge_automaton(L0: int, target: int):
     unfinished nodes that have attempted, as a bit mask, main length or None
     before the main chain exists); a join state is (main, partner length);
     an absorbing state is (final length,).  Row k = 2 state + (u < p) gives
-    the next state (times 2), the packed reward and five register columns
-    [a, r, x, y, w]: the draw sets register w to r + (a + (max(x, y) +
-    gate_time)), the recursive build's sums in its order.  A node's first
-    attempt reads the zero register as a, a 2-chain or a join reads it as
-    x and y, and a finished chain adds to the trial's time as r.  Built once
-    per (L0, target) and shared by every run and by the rule's exact law.
+    the next state (times 2), the packed reward and five slot-register
+    columns [a, x, y, w, end]: the draw sets register w to a + max(x, y),
+    registers holding gate slots plus one, so a node's attempt adds one slot
+    to the slower half's.  A node's first attempt reads the constant 1 as a,
+    and a 2-chain or a join reads it as x and y; end marks a draw that adds
+    w - 1 to the trial's slots, a join (w = 2) or a build's last attempt.
+    Built once per (L0, target) and shared by every run and by the rule's
+    exact law.
     """
     program = []  # post-order nodes: (child columns or None, first position)
 
@@ -540,7 +555,7 @@ def _merge_automaton(L0: int, target: int):
     def step(state, ok):
         """(next state, reward, register columns) of one draw from ``state``."""
         if state[0] == "done":
-            return state, 0, (_ZERO, _ZERO, _ZERO, _ZERO, _SINK)
+            return state, 0, (_ONE, _ONE, _ONE, _SINK, 0)
         if state[0] == "join":
             _, main, partner = state
             if ok:
@@ -549,19 +564,19 @@ def _merge_automaton(L0: int, target: int):
                 after = ("join", main - 1, partner - 1)
             else:
                 after = loop_test(main - 1)
-            return after, 1, (_TIME, _ZERO, _ZERO, _ZERO, _TIME)
+            return after, 1, (_ONE, _ONE, _ONE, _SINK, 1)
         _, pos, tried, main = state
         children, first = program[pos]
         node, bit = _NODE0 + pos, 1 << pos
-        x, y = children or (_ZERO, _ZERO)
-        a = node if tried & bit else _ZERO
+        x, y = children or (_ONE, _ONE)
+        a = node if tried & bit else _ONE
         reward = 1 if children else 1 + 2 * _QUBITS
         if not ok:
-            return ("build", first, tried | bit, main), reward, (a, _ZERO, x, y, node)
+            return ("build", first, tried | bit, main), reward, (a, x, y, node, 0)
         if pos < root:
-            return ("build", pos + 1, tried & ~bit, main), reward, (a, _ZERO, x, y, node)
+            return ("build", pos + 1, tried & ~bit, main), reward, (a, x, y, node, 0)
         after = loop_test(L0) if main is None else ("join", main, L0)
-        return after, reward, (a, _TIME, x, y, _TIME)
+        return after, reward, (a, x, y, node, 1)
 
     start = ("build", 0, 0, None)
     ids, queue, moves = {start: 0}, [start], []
@@ -584,67 +599,120 @@ def _merge_automaton(L0: int, target: int):
     return (*tables, 2 * length.count(0), _NODE0 + len(program))
 
 
-def _merge(config: StrategyConfig) -> dict:
-    """Merge trials in lockstep through the rule's automaton.
+@functools.lru_cache(maxsize=16)
+def _merge_groups(L0: int, target: int):
+    """B and the merge automaton's read-only tables for a group of B draws.
 
-    Step j of every live trial reads draw j of its own row of uniforms, so
-    trial i gives what one scalar draw per op gives on the draws the walker's
-    address rule gives it, _MERGE_WIDTH a pass from the stream of its block
-    of _BLOCK trials.  Each trial holds a state (times 2), packed rewards and
-    a row of float registers; a finished trial sits in its absorbing state,
-    which writes only the sink, until its rows are dropped.
+    Row state * 2**B + pattern gives the state after B draws from ``state``,
+    draw i taking bit i of ``pattern`` as its u < p, and the packed reward
+    summed over them, as B rows of the one-draw tables give.  Built on first
+    use, once per (L0, target).
     """
-    nxt2, reward, columns, length, done2, width = _merge_automaton(
-        analytics.minimal_chain_length(config.p), config.target_L)
-    p, t = config.p, config.gate_time
-    state2 = np.zeros(config.trials, dtype=np.int64)
+    next2, reward = _merge_automaton(L0, target)[:2]
+    states = next2.size // 2
+    bits = next((b for b in (8, 4, 2) if states << b <= _GROUP_ROWS), 1)
+    after, summed = next2.reshape(states, 2) // 2, reward.reshape(states, 2)
+    while after.shape[1] < 1 << bits:  # w draws to 2w: pattern lo + hi 2**w
+        after, summed = (after[after], summed[:, :, None] + summed[after])
+        after, summed = (t.transpose(0, 2, 1).reshape(states, -1) for t in (after, summed))
+    tables = (after.reshape(-1).astype(np.int32), summed.reshape(-1))
+    for table in tables:
+        table.flags.writeable = False
+    return (bits, *tables)
+
+
+def _merge(config: StrategyConfig) -> dict:
+    """Merge trials through the rule's automaton, B draws a table lookup.
+
+    Trial i reads its draws _MERGE_WIDTH a pass from the stream of its block
+    of _BLOCK trials by the walker's address rule, so it gives what one
+    scalar draw per op gives there.  A pass packs each row's u < p into
+    bytes, draw 8j + i in bit i of byte j, and steps every row one group of
+    :func:`_merge_groups` per lookup; a finished trial sits in its absorbing
+    state, which adds nothing.  Time is the trial's gate slots times
+    gate_time: a build's slots are its ops less, over every attempt of every
+    inner node, the smaller of its two halves' slots.  At L0 = 2 a build has
+    no inner node, so slots are ops; above it, each pass expands its group
+    starts into one-draw transitions and runs their slot registers in int64.
+    """
+    L0 = analytics.minimal_chain_length(config.p)
+    next2, _, columns, length, done2, width = _merge_automaton(L0, config.target_L)
+    bits, after, summed = _merge_groups(L0, config.target_L)
+    p, done = config.p, done2 // 2
+    shifts = np.arange(0, 8, bits, dtype=np.uint8)
+    state = np.zeros(config.trials, dtype=np.int32)
     packed = np.zeros(config.trials, dtype=np.int64)
-    registers = np.zeros((config.trials, width))
+    slots = np.zeros(config.trials, dtype=np.int64)
+    registers = np.ones((config.trials, width), dtype=np.int64) if L0 > 2 else None
 
     def step(u, rows):
-        hits = np.ascontiguousarray((u < p).T)  # hits[j]: draw j of each row
-        on = np.arange(rows.size)  # the rows of u still walking
-        s2, w, reg = state2[rows], packed[rows], registers[rows]
-
-        def save(sel):
-            trials = rows[on[sel]]
-            state2[trials], packed[trials], registers[trials] = s2[sel], w[sel], reg[sel]
-
-        flat, base = reg.reshape(-1), np.arange(0, reg.size, width)
-        for j in range(hits.shape[0]):
-            k = s2 + hits[j]
-            idx = columns.take(k, axis=1)
-            idx += base
-            v = flat.take(idx[:4])
-            # r + (a + (max(x, y) + t)): each add commutes, so the order holds
-            out = np.maximum(v[2], v[3])
-            out += t
-            out += v[0]
-            out += v[1]
-            flat[idx[4]] = out
-            w += reward[k]
-            s2 = nxt2[k]
-            finished = s2 >= done2
-            if 8 * np.count_nonzero(finished) > s2.size:  # drop the finished rows
-                save(finished)
-                live = ~finished
-                on, s2, w, reg, hits = on[live], s2[live], w[live], reg[live], hits[:, live]
-                flat, base = reg.reshape(-1), base[:on.size]
-                if not on.size:
-                    break
-        save(slice(None))
-        return state2[rows] < done2
+        # pats[g]: every row's draws g B up to g B + B, draw g B + i in bit i
+        pats = np.packbits(u < p, axis=1, bitorder="little")[:, :, None] >> shifts
+        pats &= (1 << bits) - 1
+        pats = np.ascontiguousarray(pats.reshape(rows.size, -1).T)
+        s, w = state[rows], packed[rows]
+        starts = None if registers is None else np.empty(pats.shape, dtype=np.int32)
+        for g, pat in enumerate(pats):
+            if starts is not None:
+                starts[g] = s
+            k = s << bits
+            k |= pat
+            w += summed[k]
+            s = after[k]
+        if registers is not None:
+            live = (w - packed[rows]) % _QUBITS  # the ops of this pass
+            _merge_slots(registers, slots, rows, live, starts, pats, bits, next2, columns)
+        state[rows], packed[rows] = s, w
+        return s < done
 
     _walk_blocks(config.master_seed, config.trials, step, _MERGE_WIDTH, _BLOCK, _MERGE_CHUNK)
     ops, consumed = packed % _QUBITS, packed // _QUBITS
-    final = length[state2 // 2]
+    final = length[state]
     return {
         "entangling_ops": ops,
-        "elapsed_rounds": registers[:, _TIME],
+        "elapsed_rounds": (ops if registers is None else slots) * config.gate_time,
         "qubits_consumed": consumed,
         "qubits_wasted": consumed - final,
         "final_length": final,
     }
+
+
+def _merge_slots(registers, slots, rows, live, starts, pats, bits, next2, columns) -> None:
+    """Add to ``slots`` the gate slots of the pass's first ``live`` draws of
+    ``rows``: expand the group starts into one-draw transitions, then write,
+    draw by draw, register w of each row's transition to a + max(x, y),
+    reading their columns _SLOT_BLOCK draws at a time.  Rows go longest
+    first, so draw j runs a prefix of them."""
+    order = np.argsort(-live, kind="stable")
+    trials, live = rows[order], live[order]
+    groups = -(-int(live[0]) // bits)
+    s2 = 2 * starts[:groups, order].astype(np.intp)
+    hit = pats[:groups, order]
+    draws = np.empty((groups, bits, rows.size), dtype=np.intp)
+    for i in range(bits):
+        draws[:, i] = s2 + (hit >> i & 1)
+        s2 = next2.take(draws[:, i])
+    draws = draws.reshape(-1, rows.size)
+    on = np.searchsorted(-live, -np.arange(live[0]), side="left")
+    reg = registers[trials]
+    flat, base = reg.reshape(-1), np.arange(0, reg.size, reg.shape[1])
+    gained = np.zeros(rows.size, dtype=np.int64)
+    for lo in range(0, on.size, _SLOT_BLOCK):
+        first = on[lo]  # the rows live at the block's first draw
+        idx = columns.take(draws[lo:lo + _SLOT_BLOCK, :first], axis=1)
+        idx[:4] += base[:first]
+        written = np.zeros(idx.shape[1:], dtype=np.int64)
+        for j, m in enumerate(on[lo:lo + _SLOT_BLOCK].tolist()):
+            v = flat.take(idx[:3, j, :m])
+            out = written[j, :m]
+            np.maximum(v[1], v[2], out=out)
+            out += v[0]
+            flat[idx[3, j, :m]] = out
+        written -= 1
+        written *= idx[4]
+        gained[:first] += written.sum(axis=0)
+    registers[trials] = reg
+    slots[trials] += gained
 
 
 def _link_width(p: float, cap: int = _NO_CAP) -> int:
@@ -770,7 +838,7 @@ def simulate(config: StrategyConfig, threads: int = 1) -> GrowthStats:
     vertical-link trial reads pass k of its draws from the stream
     (master_seed, i // _BLOCK) at Philox counter (k _BLOCK + i % _BLOCK) w/4,
     with w = _SEQ_WIDTH, _MERGE_WIDTH or _link_width(p); merge evaluates its
-    trials in chunks, one draw of every trial per step.  A divide-and-conquer
+    trials in chunks, a group of draws of every trial per step.  A divide-and-conquer
     trial draws from the stream of its block, (master_seed, i // _DC_BLOCK),
     in trial order within each round.
     Trials run in the calling thread; ``threads`` is kept for callers that

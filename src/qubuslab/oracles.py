@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 
+from .busim import chunked_dot
+
 __all__ = [
     "two_gaussian_misassignment",
     "pauli_action",
@@ -109,7 +111,7 @@ def is_graph_state(vec: np.ndarray, n: int, edges) -> bool:
     where S flips the sign of that difference.
     """
     target = graph_state_vector(n, {(min(u, v), max(u, v)) for u, v in edges})
-    phase = np.vdot(target, vec)
+    phase = chunked_dot(np.vdot, target, vec)
     return bool(abs(abs(phase) ** 2 - 1.0) <= 1e-9
                 and 2.0 * np.max(np.abs(vec - phase * target)) <= 1e-9)
 

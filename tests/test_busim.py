@@ -8,6 +8,10 @@ models against direct quadrature integrals.
 import cmath
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1487,3 +1491,63 @@ class TestSpreadShortcut:
         assert size == 1 or math.isnan(_ref_spread(state.bus))
         with pytest.raises(ValueError, match="bus still entangled"):
             extract_qubits(state)
+
+
+def _random_amps(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestChunkedDots:
+    """Norms and overlaps sum BLAS dots over fixed chunks of 2**13 amplitudes,
+    so their bytes do not depend on how many threads BLAS runs."""
+
+    @pytest.mark.parametrize("n", range(14))
+    def test_equal_numpy_to_2_13_amplitudes(self, n):
+        rng = np.random.default_rng(n)
+        amps = _random_amps(rng, (3, 2**n))
+        rows = amps / np.array([np.linalg.norm(row) for row in amps])[:, None]
+        for row in amps:
+            assert busim._norm(row) == float(np.linalg.norm(row))
+        for a, b in zip(rows, rows[::-1]):
+            want = float(abs(np.vdot(a, b)) ** 2)
+            assert fidelity(QubitState(n, a), QubitState(n, b)) == want
+        normalized = amps.copy()
+        busim._divide_rows_by_norms(normalized)
+        assert normalized.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("n", [14, 15])
+    def test_sum_chunks_from_left_to_right_above(self, n):
+        rng = np.random.default_rng(n)
+        amps = _random_amps(rng, (2, 2**n))
+        chunks = [slice(lo, lo + 2**13) for lo in range(0, 2**n, 2**13)]
+        for row in amps:
+            re = im = 0.0
+            for c in chunks:
+                re = re + np.dot(row.real[c], row.real[c])
+                im = im + np.dot(row.imag[c], row.imag[c])
+            assert busim._norm(row) == math.sqrt(re + im)
+            overlap = 0j
+            for c in chunks:
+                overlap = overlap + np.vdot(amps[0][c], row[c])
+            assert busim.chunked_dot(np.vdot, amps[0], row) == overlap
+        norms = np.array([busim._norm(row) for row in amps])
+        normalized = amps.copy()
+        busim._divide_rows_by_norms(normalized)
+        assert normalized.tobytes() == (amps / norms[:, None]).tobytes()
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        code = ("import hashlib, numpy as np\n"
+                "from qubuslab import busim\n"
+                "rng = np.random.default_rng(15)\n"
+                "amps = rng.standard_normal((2, 2**15)) + 1j * rng.standard_normal((2, 2**15))\n"
+                "out = [busim._norm(amps[0]), busim.chunked_dot(np.vdot, *amps)]\n"
+                "busim._divide_rows_by_norms(amps)\n"
+                "out.extend(busim.chunked_dot(busim._row_dots, amps.conj(), amps[::-1]))\n"
+                "print(np.array(out, dtype=np.complex128).tobytes().hex(),\n"
+                "      hashlib.sha256(amps.tobytes()).hexdigest())\n")
+        src = Path(busim.__file__).resolve().parents[1]
+        runs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               check=True, env=dict(os.environ, PYTHONPATH=str(src),
+                                                    OPENBLAS_NUM_THREADS=threads)).stdout
+                for threads in ("1", "2")]
+        assert runs[0] == runs[1] and len(runs[0]) == 4 * 32 + 1 + 64 + 1

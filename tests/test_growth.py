@@ -4,9 +4,13 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -74,7 +78,7 @@ class TestConfigValidation:
                     f"merge at p = {p:g} and L = {L} expects {ops:.3g} ops per trial by "
                     "its law; the budget is 1e+06 ops per trial")
         assert growth._OPS_BUDGET == 10**6
-        # (0.2, 400) took 34 s for 10 trials at 2.26 M ops each
+        # (0.2, 400) took 21 s for 10 trials at 2.3 M ops each
         assert (0.2, 400) in refused and (0.23, 400) not in refused
         assert (0.15, 41) not in refused and (0.13, 41) in refused
         with pytest.raises(ValueError, match="expects inf ops per trial"):
@@ -796,16 +800,19 @@ def _merge_law(p, L):
 class TestMergeAutomaton:
     def test_built_once_per_minimal_chain_and_target(self):
         """Runs at one (L0, target_L), whatever their p, seed or gate time, and
-        the rule's exact law read one set of read-only tables."""
-        growth._merge_automaton.cache_clear()
+        the rule's exact law read one set of read-only tables, and the runs
+        one set of read-only group tables."""
+        caches = growth._merge_automaton, growth._merge_groups
+        for cache in caches:
+            cache.cache_clear()
         cfg = StrategyConfig(variant="merge", p=0.75, trials=5, master_seed=1, target_L=20)
         simulate(cfg)
         simulate(dataclasses.replace(cfg, p=0.8, master_seed=2, gate_time=0.5))
         _merge_law(0.75, 20)
-        assert growth._merge_automaton.cache_info().misses == 1
+        assert [cache.cache_info().misses for cache in caches] == [1, 1]
         simulate(dataclasses.replace(cfg, target_L=21))
-        assert growth._merge_automaton.cache_info().misses == 2
-        tables = growth._merge_automaton(2, 20)[:4]
+        assert [cache.cache_info().misses for cache in caches] == [2, 2]
+        tables = (*growth._merge_automaton(2, 20)[:4], *growth._merge_groups(2, 20)[1:])
         assert not any(table.flags.writeable for table in tables)
 
     def test_exact_law_at_a_deterministic_gate(self):
@@ -834,6 +841,122 @@ class TestMergeAutomaton:
     def test_exact_means(self, p, L, ops, qubits):
         (_, got_ops, _), _, (_, got_qubits, _) = _merge_law(p, L)
         assert (round(got_ops, 4), round(got_qubits, 4)) == (ops, qubits)
+
+
+class TestMergeGroups:
+    """The tables that step a merge trial B draws per lookup."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_groups(self):
+        growth._merge_groups.cache_clear()
+        yield
+        growth._merge_groups.cache_clear()
+
+    @staticmethod
+    def _force_bits(monkeypatch, L0, target, bits):
+        """Make B = ``bits`` at (L0, target) by the table-size rule."""
+        states = growth._merge_automaton(L0, target)[0].size // 2
+        monkeypatch.setattr(growth, "_GROUP_ROWS", states << bits)
+        return states
+
+    @pytest.mark.parametrize("bits", [8, 4, 2, 1])
+    def test_groups_step_as_b_one_draw_steps(self, bits, monkeypatch):
+        """Row s 2**B + pattern holds the state and summed packed reward that
+        B steps of the one-draw tables reach from s, draw i on bit i."""
+        states = self._force_bits(monkeypatch, 3, 9, bits)
+        next2, reward = (t.tolist() for t in growth._merge_automaton(3, 9)[:2])
+        got_bits, after, summed = growth._merge_groups(3, 9)
+        assert got_bits == bits and after.size == summed.size == states << bits
+        want_after, want_summed = [], []
+        for s in range(states):
+            for pattern in range(1 << bits):
+                state, total = s, 0
+                for i in range(bits):
+                    k = 2 * state + (pattern >> i & 1)
+                    state, total = next2[k] // 2, total + reward[k]
+                want_after.append(state)
+                want_summed.append(total)
+        assert after.tolist() == want_after and summed.tolist() == want_summed
+
+    @pytest.mark.parametrize("bits", [8, 4, 2, 1])
+    @pytest.mark.parametrize("p, L", [(0.75, 20), (0.6, 20), (0.4, 10)])
+    def test_every_group_size_equals_scalar_draws(self, p, L, bits, monkeypatch):
+        """B changes no output: the kernel equals the scalar trial at each B."""
+        self._force_bits(monkeypatch, analytics.minimal_chain_length(p), L, bits)
+        cfg = StrategyConfig(variant="merge", p=p, trials=70, master_seed=2**63 + 21,
+                             target_L=L, gate_time=0.37)
+        _assert_equals_scalar_trials(cfg)
+        assert growth._merge_groups(analytics.minimal_chain_length(p), L)[0] == bits
+
+    def test_not_built_at_import_nor_by_another_run(self):
+        """Import builds neither the automaton nor its group tables, and only
+        a merge run builds the tables: not another variant, a join or the
+        merge row's exact law."""
+        code = ("import qubuslab.cli, qubuslab.verify\n"
+                "from qubuslab import growth\n"
+                "caches = growth._merge_automaton, growth._merge_groups\n"
+                "print(*(c.cache_info().currsize for c in caches))\n"
+                "for kwargs in (dict(variant='sequential', target_L=21),\n"
+                "               dict(variant='vertical_link'),\n"
+                "               dict(variant='divide_conquer', initial_qubits=64, rounds_k=3)):\n"
+                "    growth.simulate(growth.StrategyConfig(p=0.75, trials=20, master_seed=1,\n"
+                "                                          **kwargs))\n"
+                "growth.join_pair_experiment(0.75, 10, 20, seed=1)\n"
+                "cfg = growth.StrategyConfig('merge', 0.75, 20, 1, target_L=21)\n"
+                "growth._STRATEGIES['merge'].law(cfg)\n"
+                "print(*(c.cache_info().currsize for c in caches))\n"
+                "growth.simulate(cfg)\n"
+                "print(*(c.cache_info().currsize for c in caches))\n")
+        src = Path(growth.__file__).resolve().parents[1]
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+        assert out.stdout == "0 0\n1 0\n1 1\n"
+
+    def test_tables_stay_small(self):
+        """B is the largest of 8, 4, 2 and 1 that keeps the tables to
+        _GROUP_ROWS rows of 12 bytes, 12 MiB: at (0.2, 400), 97 599 states
+        (its automaton builds in under 1 s), B = 2 and 4.7 MB."""
+        assert growth._GROUP_ROWS * 12 == 12 * 2**20
+        try:
+            for (p, L), states, bits in [((0.75, 41), 163, 8), ((0.5, 41), 1229, 8),
+                                         ((0.3, 100), 7999, 4), ((0.2, 400), 97_599, 2)]:
+                L0 = analytics.minimal_chain_length(p)
+                got_bits, after, summed = growth._merge_groups(L0, L)
+                assert (after.size >> got_bits, got_bits) == (states, bits)
+                assert after.nbytes + summed.nbytes == 12 * states << bits
+            assert after.nbytes + summed.nbytes == 4_684_752
+        finally:
+            growth._merge_automaton.cache_clear()
+
+
+class TestTimeConvention:
+    """Every variant reports time as a whole count of gate slots times
+    gate_time, one rounding from the exact time."""
+
+    CASES = {
+        "sequential": dict(variant="sequential", p=0.75, target_L=41),
+        "sequential-three-qubit": dict(variant="sequential", p=0.75, target_L=11,
+                                       gate_backend="three-qubit"),
+        "sequential-capped": dict(variant="sequential", p=0.5, target_L=30, max_rounds=60),
+        "merge-L0-2": dict(variant="merge", p=0.75, target_L=41),
+        "merge-L0-4": dict(variant="merge", p=0.5, target_L=41),
+        "divide_conquer": dict(variant="divide_conquer", p=0.5, initial_qubits=2**10,
+                               rounds_k=6),
+        "vertical_link": dict(variant="vertical_link", p=0.3),
+    }
+
+    def test_every_variant_has_a_case(self):
+        assert {kw["variant"] for kw in self.CASES.values()} == set(growth.VARIANTS)
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_time_is_the_unit_column_times_gate_time(self, name):
+        one = simulate(StrategyConfig(trials=300, master_seed=5, **self.CASES[name]))
+        t = simulate(StrategyConfig(trials=300, master_seed=5, gate_time=0.37,
+                                    **self.CASES[name]))
+        assert np.array_equal(one.elapsed_rounds, np.floor(one.elapsed_rounds))
+        assert t.elapsed_rounds.tobytes() == (one.elapsed_rounds * 0.37).tobytes()
+        assert _stats_digest(dataclasses.replace(t, elapsed_rounds=one.elapsed_rounds)) == \
+            _stats_digest(one)
 
 
 class TestJoinPairExperiment:
@@ -1096,49 +1219,48 @@ class _AddressedDraws:
         return self._next().choice(*args, **kwargs)
 
 
-def _scalar_build_chain_dc(length, p, rng, t):
-    """The chain build as written with one rng.random() per attempt."""
+def _scalar_build_chain(length, p, rng):
+    """The chain build as written with one rng.random() per attempt: its ops,
+    gate slots (the halves build in parallel) and qubits."""
     if length <= 1:
-        return 0, 0.0, 1
+        return 0, 0, 1
     if length == 2:
         ops = 0
-        time = 0.0
         qubits = 0
         while True:
             ops += 1
-            time += t
             qubits += 2
             if rng.random() < p:
-                return ops, time, qubits
+                return ops, ops, qubits
     a = (length + 2) // 2
     b = length + 1 - a
     ops = 0
-    time = 0.0
+    slots = 0
     qubits = 0
     while True:
-        ops_a, t_a, q_a = _scalar_build_chain_dc(a, p, rng, t)
-        ops_b, t_b, q_b = _scalar_build_chain_dc(b, p, rng, t)
+        ops_a, s_a, q_a = _scalar_build_chain(a, p, rng)
+        ops_b, s_b, q_b = _scalar_build_chain(b, p, rng)
         ops += ops_a + ops_b + 1
-        time += max(t_a, t_b) + t
+        slots += max(s_a, s_b) + 1
         qubits += q_a + q_b
         if rng.random() < p:
-            return ops, time, qubits
+            return ops, slots, qubits
 
 
 def _scalar_merge_trial(config, rng):
-    """The merge trial as written with one rng.random() per attempt."""
+    """The merge trial as written with one rng.random() per attempt; time is
+    its gate slots times gate_time."""
     target = config.target_L
     L0 = analytics.minimal_chain_length(config.p)
-    t = config.gate_time
-    ops, time, consumed = _scalar_build_chain_dc(L0, config.p, rng, t)
+    ops, slots, consumed = _scalar_build_chain(L0, config.p, rng)
     main = L0
     while main < target:
-        b_ops, b_time, b_q = _scalar_build_chain_dc(L0, config.p, rng, t)
-        ops, time, consumed = ops + b_ops, time + b_time, consumed + b_q
+        b_ops, b_slots, b_q = _scalar_build_chain(L0, config.p, rng)
+        ops, slots, consumed = ops + b_ops, slots + b_slots, consumed + b_q
         partner = L0
         while partner >= 1:
             ops += 1
-            time += t
+            slots += 1
             if rng.random() < config.p:
                 main += partner - 1
                 break
@@ -1148,7 +1270,7 @@ def _scalar_merge_trial(config, rng):
             main = 1
     return {
         "entangling_ops": ops,
-        "elapsed_rounds": time,
+        "elapsed_rounds": slots * config.gate_time,
         "qubits_consumed": consumed,
         "qubits_wasted": consumed - main,
         "final_length": main,
@@ -1156,7 +1278,7 @@ def _scalar_merge_trial(config, rng):
 
 
 class TestMergeBlockDraws:
-    """The lockstep merge kernel equals the scalar trial on each trial's draws."""
+    """The merge kernel equals the scalar trial on each trial's draws."""
 
     @pytest.mark.parametrize("p, L", [
         (0.6, 20), (0.75, 41), (0.9, 30),
@@ -1165,7 +1287,7 @@ class TestMergeBlockDraws:
     ])
     def test_equals_scalar_draws(self, p, L):
         assert analytics.minimal_chain_length(p) == {0.6: 3, 0.75: 2, 0.9: 2, 0.5: 4, 0.4: 5}[p]
-        for gate_time in (0.1, 0.37):  # time sums that do not add exactly
+        for gate_time in (0.1, 0.37):  # slots times gate_time rounds
             cfg = StrategyConfig(
                 variant="merge", p=p, trials=150, master_seed=2**63 + 17, target_L=L,
                 gate_time=gate_time,
@@ -1185,9 +1307,9 @@ class TestMergeBlockDraws:
         stats = simulate(cfg)
         for i in range(cfg.trials):
             draws = _AddressedDraws(3, i, growth._MERGE_WIDTH)
-            ops, time, qubits = _scalar_build_chain_dc(length, p, draws, 0.37)
+            ops, slots, qubits = _scalar_build_chain(length, p, draws)
             assert stats.entangling_ops[i] == ops
-            assert stats.elapsed_rounds[i] == time
+            assert stats.elapsed_rounds[i] == slots * 0.37
             assert stats.qubits_consumed[i] == qubits
             assert stats.final_length[i] == length
 
@@ -1513,12 +1635,14 @@ def test_simulate_outputs_pinned(name):
 
 
 # sha256 as for GOLDEN, of runs whose trials read later passes, computed when
-# each variant's trials first drew from per-block streams
+# each variant's trials first drew from per-block streams; merge-p0.5's when
+# merge time became whole gate slots times gate_time (its other columns kept
+# their bytes)
 MULTI_BLOCK = {
     "merge-p0.5": (
         dict(variant="merge", p=0.5, trials=400, master_seed=23, target_L=41,
              gate_time=0.37),
-        "8ea5c7e390172529d860e5d21a2be69ce079f5e1e08de04b8420f6b67436a7de",
+        "6e6044db673f0f196e6f56ce7e95e1d797179871b7e0ce577491dee9de3b8709",
     ),
     "vertical_link-p0.05": (
         dict(variant="vertical_link", p=0.05, trials=3000, master_seed=2**63 + 1),
